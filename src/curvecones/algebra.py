@@ -27,14 +27,33 @@ from .errors import InconsistentSystem
 MAX_PRIME_BITS = 25
 
 
+# Miller-Rabin on these bases is exact for every n below 3215031751,
+# far above 2**MAX_PRIME_BITS.
+_MR_BASES = (2, 3, 5, 7)
+
+
 def check_prime(p: int) -> None:
-    """Reject moduli that break the int64 overflow budget or are even."""
+    """Reject moduli that are not odd primes or that break the int64
+    overflow budget.  Primality is decided by deterministic Miller-Rabin."""
     if p < 2 or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if p.bit_length() > MAX_PRIME_BITS:
         raise ValueError(f"modulus too large for exact int64 kernels: {p}")
-    if pow(2, p, p) != 2:
-        raise ValueError(f"modulus fails the Fermat test: {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if a % p == 0:
+            continue
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"modulus is not prime: {p}")
 
 
 def inv_mod(a: int, p: int) -> int:

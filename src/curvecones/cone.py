@@ -12,6 +12,7 @@ independent verification channel.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,12 +314,15 @@ def double_quadric_quartic(ctx: CurveContext, net_obj: nt.Net) -> QuarticCone:
 
 def points_on_form(ctx: CurveContext, coeffs: np.ndarray, deg: int,
                    stream: Stream, count: int, budget: int = 400
-                   ) -> list[np.ndarray]:
-    """Rational points of the hypersurface, harvested on random lines."""
+                   ) -> Iterator[np.ndarray]:
+    """Rational points of the hypersurface, harvested on random lines.
+
+    Lazy: a line is drawn only when the caller asks for a point its
+    predecessors did not supply, and at most `count` points come out."""
     p = ctx.p
     g = ctx.g
-    pts = []
-    while len(pts) < count and budget:
+    found = 0
+    while found < count and budget:
         budget -= 1
         a = stream.field_vec(p, g)
         b = stream.field_vec(p, g)
@@ -329,8 +333,10 @@ def points_on_form(ctx: CurveContext, coeffs: np.ndarray, deg: int,
         for t in alg.distinct_roots(f, p):
             cand = (a + t * b) % p
             if cand.any():
-                pts.append(cv.normalize_point(cand, p))
-    return pts[:count]
+                yield cv.normalize_point(cand, p)
+                found += 1
+                if found == count:
+                    return
 
 
 def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
@@ -348,8 +354,6 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
     zero_half = count // 2
     for b in points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
                             3 * zero_half):
-        if checked >= zero_half:
-            break
         try:
             val = nt.fw_oracle(ctx, net_obj, b) if x is None \
                 else nt.polar_oracle(ctx, net_obj, x, b)
@@ -358,6 +362,8 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
         checked += 1
         if not val:
             disagreements += 1
+        if checked == zero_half:
+            break
     budget = 40 * count
     while checked < count and budget:
         budget -= 1

@@ -4,6 +4,18 @@ A degree-n form in g variables is a coefficient vector indexed by the
 monomial list `exponents(g, n)`.  The order is graded, then lexicographic
 on exponent tuples with z0 > z1 > ... > z_{g-1}, so z0^n comes first.
 Every serialized coefficient array in the package uses this order.
+
+Substitution (`restrict`) works by evaluation and interpolation: the
+pulled-back form is evaluated at a fixed unisolvent node set and read back
+through the inverse of the node evaluation matrix, cached per shape and
+prime.  Products (`mul_forms`) scatter the outer product of the two
+coefficient vectors through a cached exponent-sum index table.
+
+Arithmetic is exact in int64: entries are reduced to [0, p) with p < 2**25
+(`algebra.MAX_PRIME_BITS`), so each product of two entries is below 2**50
+and a dot product of k terms stays below k * 2**50.  The longest the engine
+forms has count(5, 4) = 70 terms (a genus-5 quartic), so every sum stays
+below 2**57.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from math import comb
 import numpy as np
 
 from . import algebra
+from .rng import Stream
 
 
 @lru_cache(maxsize=None)
@@ -38,22 +51,24 @@ def count(g: int, n: int) -> int:
     return comb(g - 1 + n, n)
 
 
+@lru_cache(maxsize=None)
+def _exponent_columns(g: int, n: int) -> tuple[np.ndarray, ...]:
+    """Column k of the exponent table of exponents(g, n), one per variable."""
+    expo = np.array(exponents(g, n), dtype=np.int64)
+    return tuple(np.ascontiguousarray(expo[:, k]) for k in range(g))
+
+
 def eval_matrix(pts: np.ndarray, g: int, n: int, p: int) -> np.ndarray:
     """Matrix of monomial values, rows = points, columns = exponents(g, n)."""
     pts = np.asarray(pts, dtype=np.int64) % p
-    expo = np.array(exponents(g, n), dtype=np.int64)
-    npts = pts.shape[0]
-    # power tables per variable: powers[k][:, e] = pts[:, k] ** e
-    powers = []
-    for k in range(g):
-        tab = np.ones((npts, n + 1), dtype=np.int64)
-        for e in range(1, n + 1):
-            tab[:, e] = tab[:, e - 1] * pts[:, k] % p
-        powers.append(tab)
-    out = np.ones((npts, expo.shape[0]), dtype=np.int64)
-    for k in range(g):
-        out = out * powers[k][:, expo[:, k]] % p
-    return out
+    # powers[e, i, k] = pts[i, k] ** e
+    powers = np.ones((n + 1,) + pts.shape, dtype=np.int64)
+    for e in range(1, n + 1):
+        powers[e] = powers[e - 1] * pts % p
+    out = np.ones((count(g, n), pts.shape[0]), dtype=np.int64)
+    for k, col in enumerate(_exponent_columns(g, n)):
+        out = out * powers[col, :, k] % p
+    return np.ascontiguousarray(out.T)
 
 
 def form_eval(coeffs: np.ndarray, pts: np.ndarray, g: int, n: int,
@@ -100,60 +115,63 @@ def gradient(coeffs: np.ndarray, g: int, n: int, p: int) -> list[np.ndarray]:
     return [partial(coeffs, k, g, n, p) for k in range(g)]
 
 
+@lru_cache(maxsize=None)
+def _product_table(g: int, n1: int, n2: int) -> np.ndarray:
+    """Index in exponents(g, n1 + n2) of the product of monomials i and j."""
+    target = index_map(g, n1 + n2)
+    return np.array([[target[tuple(a + b for a, b in zip(e1, e2))]
+                      for e2 in exponents(g, n2)]
+                     for e1 in exponents(g, n1)], dtype=np.int64)
+
+
 def mul_forms(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int, g: int,
               p: int) -> np.ndarray:
     """Product of two forms as a degree n1+n2 coefficient vector."""
-    e1 = np.array(exponents(g, n1), dtype=np.int64)
-    e2 = np.array(exponents(g, n2), dtype=np.int64)
-    target = index_map(g, n1 + n2)
+    c1 = np.asarray(c1, dtype=np.int64) % p
+    c2 = np.asarray(c2, dtype=np.int64) % p
     out = np.zeros(count(g, n1 + n2), dtype=np.int64)
-    c1 = np.asarray(c1, dtype=np.int64)
-    c2 = np.asarray(c2, dtype=np.int64)
-    for i in np.nonzero(c1)[0]:
-        for j in np.nonzero(c2)[0]:
-            e = tuple(int(v) for v in e1[i] + e2[j])
-            out[target[e]] = (out[target[e]] + int(c1[i]) * int(c2[j])) % p
-    return out
+    np.add.at(out, _product_table(g, n1, n2), np.outer(c1, c2) % p)
+    return out % p
+
+
+@lru_cache(maxsize=None)
+def _interpolation_nodes(m: int, n: int, p: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes Y (count(m, n) x m) on which degree-n forms in m variables are
+    determined by their values, and the inverse of their evaluation matrix.
+
+    The nodes come from their own fixed stream, never from a caller's, so
+    substitution consumes no randomness of the pipeline.  A node set exists
+    once p > n (no nonzero form of degree below p vanishes on all of F_p^m);
+    a singular draw is simply redrawn.
+    """
+    if n >= p:
+        raise ValueError(f"interpolation of degree {n} needs a prime above "
+                         f"{n}, got {p}")
+    stream = Stream(0, f"restrict-nodes|{m}|{n}")
+    while True:
+        nodes = stream.field_mat(p, count(m, n), m)
+        try:
+            return nodes, algebra.inverse(eval_matrix(nodes, m, n, p), p)
+        except ZeroDivisionError:
+            continue
 
 
 def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
              p: int) -> np.ndarray:
     """Substitute z = basis @ y; returns a degree-n form in m = basis.shape[1]
-    variables.  Exact expansion through powers of the pulled-back linears."""
+    variables.
+
+    The restricted form is fixed by its values at the cached interpolation
+    nodes Y: it is V^-1 (E(Y basis^T) coeffs), with E the monomial evaluation
+    matrix and V = E(Y) in the m variables.  Both products are exact int64
+    dot products of at most 70 terms (see the module docstring).
+    """
     basis = np.asarray(basis, dtype=np.int64) % p
-    m = basis.shape[1]
-    # linear forms z_k in the y variables, with cached powers up to n
-    lin_pows = []
-    for k in range(g):
-        pows = [np.zeros(count(m, 0), dtype=np.int64)]
-        pows[0][0] = 1
-        current = basis[k].copy()  # degree-1 coefficients match exponents(m,1)
-        lin = current % p
-        acc = lin
-        pows.append(acc)
-        for d in range(2, n + 1):
-            acc = mul_forms(acc, d - 1, lin, 1, m, p)
-            pows.append(acc)
-        lin_pows.append(pows)
-    out = np.zeros(count(m, n), dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    for i, e in enumerate(exponents(g, n)):
-        c = int(coeffs[i])
-        if c == 0:
-            continue
-        term = None
-        deg = 0
-        for k in range(g):
-            if e[k] == 0:
-                continue
-            piece = lin_pows[k][e[k]]
-            if term is None:
-                term, deg = piece, e[k]
-            else:
-                term = mul_forms(term, deg, piece, e[k], m, p)
-                deg += e[k]
-        out = (out + c * term) % p
-    return out
+    nodes, inv = _interpolation_nodes(basis.shape[1], n, p)
+    values = eval_matrix(nodes @ basis.T % p, g, n, p) \
+        @ (np.asarray(coeffs, dtype=np.int64) % p) % p
+    return inv @ values % p
 
 
 def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,

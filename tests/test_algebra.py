@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from curvecones import algebra as alg
@@ -12,6 +13,23 @@ P = 1000003
 
 def arr(rows):
     return np.array(rows, dtype=np.int64)
+
+
+class TestCheckPrime:
+    def test_agrees_with_sympy(self):
+        for n in range(10**6 + 1, 11 * 10**5, 2):
+            try:
+                alg.check_prime(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [1004653, 1016801, 1018921])
+    def test_fermat_pseudoprimes_rejected(self, n):
+        assert pow(2, n, n) == 2
+        with pytest.raises(ValueError, match=str(n)):
+            alg.check_prime(n)
 
 
 class TestKernelBasis:

@@ -72,3 +72,10 @@ class TestCommands:
         assert main(["ideal", "--curve", curve_file, "--degree", "9"]) == 2
         assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
                      "--degree", "2"]) == 2
+
+    def test_composite_prime_rejected(self, tmp_path, capsys):
+        # 1004653 = 13 * 109 * 709 passes a base-2 Fermat test
+        assert main(["gen-curve", "--genus", "4", "--prime", "1004653",
+                     "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
+        assert "1004653" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()

@@ -1,11 +1,17 @@
 """Monomial order, derivatives, products, substitution."""
 
 import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from curvecones import monomials as mono
 from curvecones.rng import Stream
 
 P = 1000003
+# the largest prime below 2**25: entries and products are as large as the
+# int64 budget of the kernels allows
+P_MAX = 33554393
 
 
 class TestOrder:
@@ -60,3 +66,125 @@ class TestCalculus:
         pairs = mono.form_to_pairs(f, 4, 3)
         back = mono.form_from_pairs(pairs, 4, 3, P)
         assert back.tolist() == f.tolist()
+
+
+# ---------------------------------------------------------------------------
+# differential tests against an independent sympy expansion
+
+
+def sympy_form(coeffs, g, n, p):
+    terms = {e: int(c) for e, c in zip(mono.exponents(g, n), coeffs)}
+    return sympy.Poly.from_dict(terms, *sympy.symbols(f"z0:{g}"), modulus=p)
+
+
+def to_vector(poly, g, n, p):
+    out = np.zeros(mono.count(g, n), dtype=np.int64)
+    idx = mono.index_map(g, n)
+    for e, c in poly.terms():
+        if int(c) % p:
+            out[idx[e]] = int(c) % p
+    return out
+
+
+def sympy_restrict(coeffs, n, g, basis, p):
+    m = basis.shape[1]
+    ys = sympy.symbols(f"y0:{m}")
+    lins = [sympy.Poly(sum(int(basis[k, j]) * ys[j] for j in range(m)),
+                       *ys, modulus=p) for k in range(g)]
+    total = sympy.Poly(0, *ys, modulus=p)
+    for e, c in zip(mono.exponents(g, n), coeffs):
+        term = sympy.Poly(int(c), *ys, modulus=p)
+        for lin, k in zip(lins, e):
+            term = term * lin ** k
+        total = total + term
+    return to_vector(total, m, n, p)
+
+
+def sparse_vec(stream, p, size):
+    """Random vector with about two thirds of its entries zero."""
+    vec = stream.field_vec(p, size)
+    vec[[stream.integer(0, 3) != 0 for _ in range(size)]] = 0
+    return vec
+
+
+class TestKernelsAgainstSympy:
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_restrict(self, p, seed):
+        stream = Stream(seed, "restrict-diff")
+        g = stream.integer(3, 6)
+        n = stream.integer(1, 5)
+        m = stream.integer(1, g + 1)
+        size = mono.count(g, n)
+        f = sparse_vec(stream, p, size) if stream.integer(0, 2) \
+            else stream.field_vec(p, size)
+        basis = stream.field_mat(p, g, m)
+        assert mono.restrict(f, n, g, basis, p).tolist() == \
+            sympy_restrict(f, n, g, basis, p).tolist()
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_mul_forms(self, p, seed):
+        stream = Stream(seed, "mul-diff")
+        g = stream.integer(1, 6)
+        n1 = stream.integer(0, 5)
+        n2 = stream.integer(0, 5)
+        a = sparse_vec(stream, p, mono.count(g, n1))
+        b = stream.field_vec(p, mono.count(g, n2))
+        expected = to_vector(sympy_form(a, g, n1, p)
+                             * sympy_form(b, g, n2, p), g, n1 + n2, p)
+        assert mono.mul_forms(a, n1, b, n2, g, p).tolist() == \
+            expected.tolist()
+
+    def test_genus5_quartic_on_a_solid(self):
+        stream = Stream(4, "restrict-diff")
+        f = stream.field_vec(P_MAX, mono.count(5, 4))
+        basis = stream.field_mat(P_MAX, 5, 4)
+        assert mono.restrict(f, 4, 5, basis, P_MAX).tolist() == \
+            sympy_restrict(f, 4, 5, basis, P_MAX).tolist()
+
+    def test_smallest_prime_above_the_degree(self):
+        stream = Stream(5, "restrict-diff")
+        f = stream.field_vec(5, mono.count(3, 4))
+        basis = stream.field_mat(5, 3, 2)
+        assert mono.restrict(f, 4, 3, basis, 5).tolist() == \
+            sympy_restrict(f, 4, 3, basis, 5).tolist()
+
+
+class TestKernelEdges:
+    def test_zero_inputs(self):
+        stream = Stream(6, "zeros")
+        zero = np.zeros(mono.count(4, 3), dtype=np.int64)
+        basis = stream.field_mat(P, 4, 2)
+        assert not mono.restrict(zero, 3, 4, basis, P).any()
+        assert not mono.restrict(stream.field_vec(P, mono.count(4, 3)), 3, 4,
+                                 np.zeros((4, 2), dtype=np.int64), P).any()
+        other = stream.field_vec(P, mono.count(4, 2))
+        assert not mono.mul_forms(zero, 3, other, 2, 4, P).any()
+
+    def test_unreduced_inputs(self):
+        stream = Stream(7, "unreduced")
+        f = stream.field_vec(P, mono.count(4, 2))
+        basis = stream.field_mat(P, 4, 2)
+        b = stream.field_vec(P, mono.count(4, 1))
+        assert mono.restrict(f - P, 2, 4, basis + 3 * P, P).tolist() == \
+            mono.restrict(f, 2, 4, basis, P).tolist()
+        assert mono.mul_forms(f - P, 2, b + P, 1, 4, P).tolist() == \
+            mono.mul_forms(f, 2, b, 1, 4, P).tolist()
+
+    def test_second_call_hits_node_cache(self):
+        stream = Stream(8, "cache")
+        f = stream.field_vec(P, mono.count(5, 3))
+        basis = stream.field_mat(P, 5, 3)
+        first = mono.restrict(f, 3, 5, basis, P)
+        hits = mono._interpolation_nodes.cache_info().hits
+        second = mono.restrict(f, 3, 5, basis, P)
+        assert mono._interpolation_nodes.cache_info().hits == hits + 1
+        assert second.tolist() == first.tolist()
+
+    def test_degree_not_below_prime_rejected(self):
+        with pytest.raises(ValueError, match="prime above 4"):
+            mono.restrict(np.ones(mono.count(3, 4), dtype=np.int64), 4, 3,
+                          np.eye(3, 2, dtype=np.int64), 3)
