@@ -16,6 +16,14 @@ Conventions used package-wide:
 
 The prime must stay below 2**25 so that int64 dot products of length a few
 thousand cannot overflow; all arithmetic is exact.
+
+`poly_pow_mod` multiplies residues modulo a polynomial f of degree d as
+length-d vectors: one convolution, then one matmul with a reduction matrix
+whose rows hold x^k mod f.  A convolution sum has at most d products of
+two entries below p, so it stays below d * (p-1)**2, and so does the fold
+(the convolution is reduced mod p first).  That is below 2**63 while
+d < 2**13 at p < 2**25; `poly_pow_mod` raises ValueError beyond the bound.
+The engine's moduli are far smaller (genus-5 point sampling reaches 16).
 """
 
 from __future__ import annotations
@@ -112,6 +120,18 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(rref(m, p)[1])
 
 
+def _special_solutions(r: np.ndarray, pivots: list[int], cols: int,
+                       p: int) -> np.ndarray:
+    """Kernel basis read off a reduced echelon form over the first `cols`
+    columns: row k has 1 in free column k, 0 in every other free column,
+    and the negated entries of that column of r in the pivot columns."""
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[:len(pivots)][:, free].T) % p
+    return basis
+
+
 def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel, one row per free column.
 
@@ -119,15 +139,8 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     basis is echelon with respect to the free columns and unique.
     """
     m = np.asarray(m, dtype=np.int64)
-    cols = m.shape[1]
     r, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-r[i, f]) % p
-    return basis
+    return _special_solutions(r, pivots, m.shape[1], p)
 
 
 def solve_consistent(m: np.ndarray, rhs: np.ndarray, p: int
@@ -144,15 +157,8 @@ def solve_consistent(m: np.ndarray, rhs: np.ndarray, p: int
     if cols in pivots:
         raise InconsistentSystem("rhs is not in the column space")
     x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, cols]
-    basis = np.zeros((cols - len(pivots), cols), dtype=np.int64)
-    free = [c for c in range(cols) if c not in pivots]
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-r[i, f]) % p
-    return x, basis
+    x[pivots] = r[:len(pivots), cols]
+    return x, _special_solutions(r, pivots, cols, p)
 
 
 def det(m: np.ndarray, p: int) -> int:
@@ -270,14 +276,46 @@ def poly_gcd(f, g, p: int) -> np.ndarray:
 
 
 def poly_pow_mod(base, e: int, mod, p: int) -> np.ndarray:
-    result = np.ones(1, dtype=np.int64)
-    base = poly_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+    """base^e mod `mod`, trimmed.
+
+    Left-to-right square-and-multiply on residues held as length-d vectors,
+    d = deg mod.  The reduction matrix R is built once per call from the
+    monic modulus f: row k holds x^k mod f, so its first d rows are the
+    identity and the rest hold x^(d+k) mod f.  A product is one convolution
+    c of two residues, reduced by one matmul c @ R (that is,
+    c[:d] + c[d:] @ R[d:]).  A base longer than the modulus is reduced the
+    same way, with as many rows as it needs.  The module docstring gives
+    the int64 bound.
+    """
+    f = poly_monic(mod, p)
+    d = poly_deg(f)
+    if d < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    if d == 0:
+        return np.zeros(0, dtype=np.int64)    # every residue of a unit is 0
+    if e == 0:
+        return np.ones(1, dtype=np.int64)
+    n = max(len(base), 2 * d - 1)
+    # a column of c @ R sums one entry below p and n - d products below
+    # (p-1)**2: d terms in all, unless the base is longer than 2d - 1
+    if (n - d + 1) * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus degree {d} with a base of length "
+                         f"{len(base)} breaks the int64 budget at p = {p}")
+    red = np.zeros((n, d), dtype=np.int64)
+    red[:d] = np.eye(d, dtype=np.int64)
+    for k in range(d, n):                     # x^k = x * x^(k-1) mod f
+        red[k, 1:] = red[k - 1, :-1]
+        red[k] = (red[k] - red[k - 1, -1] * f[:d]) % p
+    b = (np.asarray(base, dtype=np.int64) % p).dot(red[:len(base)]) % p
+    fold = red[:2 * d - 1]
+    acc = b
+    for bit in bin(e)[3:]:
+        acc = (np.convolve(acc, acc) % p).dot(fold) % p
+        if bit == "1":
+            acc = (np.convolve(acc, b) % p).dot(fold) % p
+    return poly_trim(acc)
 
 
 def poly_eval(f, x: int, p: int) -> int:
@@ -342,7 +380,10 @@ def _split_distinct_linear(g: np.ndarray, p: int) -> list[int]:
 def distinct_roots(f, p: int) -> list[int]:
     """All roots of f in F_p, each once, sorted.
 
-    Computed as gcd(f, x^p - x) followed by equal-degree splitting.
+    Computed as gcd(f, x^p - x) followed by equal-degree splitting
+    (Cantor-Zassenhaus): both x^p mod f and the splitting powers
+    (x+a)^((p-1)/2) mod h come from `poly_pow_mod`, so each is a chain of
+    convolutions folded by a reduction matrix built once per modulus.
     """
     f = poly_trim(f)
     if len(f) == 0:

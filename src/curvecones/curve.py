@@ -22,12 +22,14 @@ import numpy as np
 
 from . import algebra as alg
 from . import monomials as mono
-from .errors import (CurveConesError, GenerationFailed, InsufficientPoints,
-                     SingularPoint)
+from .errors import (ConfigError, CurveConesError, GenerationFailed,
+                     InsufficientPoints, SingularPoint)
 from .rng import Stream, derive_key
 
 GENERATION_TRIES = 64
 POINT_BUDGET_FACTOR = 60
+# degrees of the generators of the canonical ideal, in file order
+GENERATOR_DEGREES = {4: (2, 3), 5: (2, 2, 2)}
 
 
 def normalize_point(v: np.ndarray, p: int) -> np.ndarray:
@@ -536,7 +538,7 @@ def _spot_check_smooth(curve: CurveModel, pts: list[np.ndarray]) -> bool:
 def generate_curve(genus: int, prime: int, seed: int) -> CurveModel:
     """Deterministic random canonical curve; retries until smoothness spot
     checks pass on 50 sampled points."""
-    if genus not in (4, 5):
+    if genus not in GENERATOR_DEGREES:
         raise ValueError(f"genus must be 4 or 5, got {genus}")
     if prime < 10**6:
         raise ValueError(f"prime must be at least 10^6, got {prime}")
@@ -625,16 +627,47 @@ def curve_to_json(curve: CurveModel, points: list[np.ndarray]) -> dict:
 
 
 def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
+    """Curve and points of a curve file.
+
+    Raises ConfigError, naming the field or the point index, when the prime
+    is not an admissible prime, a generator has the wrong degree, or a point
+    is not normalized or does not lie on the curve.
+    """
     g = int(data["genus"])
     p = int(data["prime"])
+    if g not in GENERATOR_DEGREES:
+        raise ConfigError(f"field 'genus' must be 4 or 5, got {g}")
+    try:
+        alg.check_prime(p)
+    except ValueError as exc:
+        raise ConfigError(f"field 'prime': {exc}") from None
+    degrees = [sorted({sum(e) for e, _ in pairs})
+               for pairs in data["generators"]]
+    expected = [[d] for d in GENERATOR_DEGREES[g]]
+    if degrees != expected:
+        raise ConfigError(f"field 'generators': monomial degrees {degrees}, "
+                          f"expected {expected} at genus {g}")
     gens = []
-    for pairs in data["generators"]:
-        deg = sum(pairs[0][0])
+    for deg, pairs in zip(GENERATOR_DEGREES[g], data["generators"]):
         coeffs = mono.form_from_pairs(pairs, g, deg, p)
         gens.append((deg, tuple(int(v) for v in coeffs)))
     curve = CurveModel(g, p, int(data["seed"]), tuple(gens))
-    pts = [np.array(q, dtype=np.int64) for q in data["points"]]
-    return curve, pts
+    short = [i for i, q in enumerate(data["points"]) if len(q) != g]
+    if short:
+        raise ConfigError(f"point {short[0]} does not have {g} coordinates")
+    pts = np.array(data["points"], dtype=np.int64).reshape(-1, g)
+    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
+    bad = ~((pts >= 0) & (pts < p)).all(axis=1) | (lead != 1)
+    if bad.any():
+        raise ConfigError(f"point {int(bad.argmax())} is not normalized: "
+                          "coordinates must lie in [0, p) with first "
+                          "nonzero coordinate 1")
+    for d, c in curve.generator_arrays():
+        off = mono.form_eval(c, pts, g, d, p) != 0
+        if off.any():
+            raise ConfigError(f"point {int(off.argmax())} is not on the "
+                              "curve")
+    return curve, list(pts)
 
 
 def save_curve(path: str, curve: CurveModel, points: list[np.ndarray]) -> None:

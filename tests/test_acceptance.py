@@ -13,22 +13,14 @@ PRIME = 1000003
 CFG = acc.SuiteConfig()
 
 
-@pytest.fixture(scope="session")
-def state4(ctx4):
-    return acc._shared(ctx4, CFG)
+@pytest.fixture(scope="session", params=[4, 5])
+def ctx(request):
+    return request.getfixturevalue(f"ctx{request.param}")
 
 
 @pytest.fixture(scope="session")
-def state5(ctx5):
-    return acc._shared(ctx5, CFG)
-
-
-def _ctx(request, genus):
-    return request.getfixturevalue("ctx4" if genus == 4 else "ctx5")
-
-
-def _state(request, genus):
-    return request.getfixturevalue("state4" if genus == 4 else "state5")
+def state(ctx):
+    return acc._shared(ctx, CFG)
 
 
 def _check(result, genus):
@@ -36,52 +28,42 @@ def _check(result, genus):
     assert result.ok, result.line()
 
 
-@pytest.mark.parametrize("genus", [4, 5])
 class TestAcceptance:
-    def test_criterion_01_ideal_dimensions(self, request, genus):
-        _check(acc.criterion_ideal_dims(_ctx(request, genus)), genus)
+    def test_criterion_01_ideal_dimensions(self, ctx):
+        _check(acc.criterion_ideal_dims(ctx), ctx.g)
 
-    def test_criterion_02_petri_dichotomy(self, request, genus):
-        _check(acc.criterion_petri(_ctx(request, genus)), genus)
+    def test_criterion_02_petri_dichotomy(self, ctx):
+        _check(acc.criterion_petri(ctx), ctx.g)
 
-    def test_criterion_03_plane_image_degree(self, request, genus):
-        _check(acc.criterion_gamma(_ctx(request, genus),
-                                   _state(request, genus)), genus)
+    def test_criterion_03_plane_image_degree(self, ctx, state):
+        _check(acc.criterion_gamma(ctx, state), ctx.g)
 
-    def test_criterion_04_corank_law(self, request, genus):
-        _check(acc.criterion_corank_law(_ctx(request, genus), CFG), genus)
+    def test_criterion_04_corank_law(self, ctx):
+        _check(acc.criterion_corank_law(ctx, CFG), ctx.g)
 
-    def test_criterion_05_reconstruction_certificate(self, request, genus):
-        _check(acc.criterion_reconstruction(_ctx(request, genus), CFG,
-                                            _state(request, genus)), genus)
+    def test_criterion_05_reconstruction_certificate(self, ctx, state):
+        _check(acc.criterion_reconstruction(ctx, CFG, state), ctx.g)
 
-    def test_criterion_06_double_quadric_law(self, request, genus):
-        _check(acc.criterion_double_quadric(_ctx(request, genus), CFG),
-               genus)
+    def test_criterion_06_double_quadric_law(self, ctx):
+        _check(acc.criterion_double_quadric(ctx, CFG), ctx.g)
 
-    def test_criterion_07_polar_cubics(self, request, genus):
-        _check(acc.criterion_polars(_ctx(request, genus), CFG,
-                                    _state(request, genus)), genus)
+    def test_criterion_07_polar_cubics(self, ctx, state):
+        _check(acc.criterion_polars(ctx, CFG, state), ctx.g)
 
-    def test_criterion_08_hessian_steinerian(self, request, genus):
-        _check(acc.criterion_hessian(_ctx(request, genus), CFG,
-                                     _state(request, genus)), genus)
+    def test_criterion_08_hessian_steinerian(self, ctx, state):
+        _check(acc.criterion_hessian(ctx, CFG, state), ctx.g)
 
-    def test_criterion_09_node_count(self, request, genus):
-        _check(acc.criterion_node_count(_ctx(request, genus), CFG,
-                                        _state(request, genus)), genus)
+    def test_criterion_09_node_count(self, ctx, state):
+        _check(acc.criterion_node_count(ctx, CFG, state), ctx.g)
 
-    def test_criterion_10_secant_criterion(self, request, genus):
-        _check(acc.criterion_secant(_ctx(request, genus), CFG,
-                                    _state(request, genus)), genus)
+    def test_criterion_10_secant_criterion(self, ctx, state):
+        _check(acc.criterion_secant(ctx, CFG, state), ctx.g)
 
-    def test_criterion_11_span_dimensions(self, request, genus):
-        _check(acc.criterion_spans(_ctx(request, genus), CFG,
-                                   _state(request, genus)), genus)
+    def test_criterion_11_span_dimensions(self, ctx, state):
+        _check(acc.criterion_spans(ctx, CFG, state), ctx.g)
 
-    def test_criterion_12_base_locus(self, request, genus):
-        _check(acc.criterion_base_locus(_ctx(request, genus), CFG,
-                                        _state(request, genus)), genus)
+    def test_criterion_12_base_locus(self, ctx, state):
+        _check(acc.criterion_base_locus(ctx, CFG, state), ctx.g)
 
 
 def test_criterion_13_determinism():

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
 
 from curvecones import algebra as alg
 from curvecones.errors import InconsistentSystem
 
 P = 1000003
+P_MAX = 33554393    # largest prime below 2**25
 
 
 def arr(rows):
@@ -220,3 +223,110 @@ class TestPolyHelpers:
         out = alg.normalize_scalar(v, 7)
         assert out.tolist() == [0, 1, 4]
         assert alg.normalize_scalar(out, 7).tolist() == out.tolist()
+
+
+def to_gf(f):
+    """Coefficient list in galoistools order, highest degree first."""
+    return [int(c) for c in alg.poly_trim(f)[::-1]]
+
+
+def from_gf(f):
+    return [int(c) for c in f[::-1]]
+
+
+def rand_poly(rng, p, deg):
+    """Random polynomial of exact degree deg."""
+    f = rng.integers(0, p, size=deg + 1).astype(np.int64)
+    f[-1] = rng.integers(1, p)
+    return f
+
+
+class TestUnivariateAgainstSympy:
+    """The univariate kernels against sympy.polys.galoistools, up to the
+    largest admissible prime and degree 24, past the degrees the engine
+    reaches."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(mod_deg=st.integers(1, 24), base_len=st.integers(0, 50),
+           seed=st.integers(0, 2**32 - 1))
+    @example(mod_deg=1, base_len=2, seed=0)
+    @example(mod_deg=1, base_len=40, seed=1)
+    @example(mod_deg=5, base_len=37, seed=2)
+    @settings(max_examples=30, deadline=None)
+    def test_pow_mod(self, p, mod_deg, base_len, seed):
+        rng = np.random.default_rng(seed)
+        mod = rand_poly(rng, p, mod_deg)
+        base = rng.integers(0, p, size=base_len).astype(np.int64)
+        for e in (p, (p - 1) // 2, int(rng.integers(p, 2**62))):
+            expected = gt.gf_pow_mod(to_gf(base), e, to_gf(mod), p, ZZ)
+            assert alg.poly_pow_mod(base, e, mod, p).tolist() == \
+                from_gf(expected), e
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(num_len=st.integers(0, 50), den_deg=st.integers(0, 24),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_divmod(self, p, num_len, den_deg, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.integers(0, p, size=num_len).astype(np.int64)
+        g = rand_poly(rng, p, den_deg)
+        q, r = alg.poly_divmod(f, g, p)
+        eq, er = gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
+        assert (q.tolist(), r.tolist()) == (from_gf(eq), from_gf(er))
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(degs=st.tuples(st.integers(0, 16), st.integers(0, 16),
+                          st.integers(0, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gcd_with_planted_factor(self, p, degs, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = (rand_poly(rng, p, d) for d in degs)
+        f, g = alg.poly_mul(a, c, p), alg.poly_mul(b, c, p)
+        expected = gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
+        assert alg.poly_gcd(f, g, p).tolist() == from_gf(expected)
+
+    @given(deg=st.integers(1, 24), planted=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(deg=1, planted=0, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_roots_brute_force(self, deg, planted, seed):
+        p = 101
+        rng = np.random.default_rng(seed)
+        f = rand_poly(rng, p, deg)
+        for r in rng.integers(0, p, size=planted):
+            f = alg.poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
+        brute = [x for x in range(p) if alg.poly_eval(f, x, p) == 0]
+        assert alg.distinct_roots(f, p) == brute
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(deg=st.integers(1, 18), planted=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_distinct_roots_against_factorization(self, p, deg, planted,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        f = rand_poly(rng, p, deg)
+        for r in rng.integers(0, p, size=planted):
+            f = alg.poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
+        _, factors = gt.gf_factor(to_gf(f), p, ZZ)
+        linear = sorted((-int(h[1])) % p for h, _ in factors if len(h) == 2)
+        assert alg.distinct_roots(f, p) == linear
+
+
+class TestPowModBudget:
+    def test_modulus_degree_beyond_int64_budget_rejected(self):
+        # 2**13 * (P_MAX - 1)**2 is just below 2**63; one more term is not
+        assert (2**13 + 1) * (P_MAX - 1) ** 2 >= 2**63
+        mod = np.ones(2**13 + 2, dtype=np.int64)
+        with pytest.raises(ValueError, match="int64 budget"):
+            alg.poly_pow_mod(np.array([0, 1]), P_MAX, mod, P_MAX)
+
+    def test_base_longer_than_budget_rejected(self):
+        base = np.ones(2**13 + 4, dtype=np.int64)
+        with pytest.raises(ValueError, match="int64 budget"):
+            alg.poly_pow_mod(base, 3, np.array([1, 1, 1]), P_MAX)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            alg.poly_pow_mod(np.array([0, 1]), -1, np.array([1, 1]), P)

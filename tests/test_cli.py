@@ -79,3 +79,51 @@ class TestCommands:
                      "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
         assert "1004653" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+
+class TestCurveFileValidation:
+    """A damaged curve file is a configuration error (exit 2) that names
+    the fault, not a verification failure."""
+
+    @staticmethod
+    def damaged(tmp_path, curve_file, edit):
+        data = json.loads(open(curve_file).read())
+        edit(data)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def verify_quick(self, path, capsys):
+        code = main(["verify", "--curve", path, "--quick"])
+        return code, capsys.readouterr().err
+
+    def test_composite_prime(self, tmp_path, curve_file, capsys):
+        path = self.damaged(tmp_path, curve_file,
+                            lambda d: d.update(prime=1004653))
+        code, err = self.verify_quick(path, capsys)
+        assert code == 2
+        assert "'prime'" in err and "1004653" in err
+
+    def test_generator_degree(self, tmp_path, curve_file, capsys):
+        path = self.damaged(tmp_path, curve_file,
+                            lambda d: d["generators"].reverse())
+        code, err = self.verify_quick(path, capsys)
+        assert code == 2
+        assert "'generators'" in err
+
+    def test_point_off_curve(self, tmp_path, curve_file, capsys):
+        def move(data):
+            data["points"][5][3] = (data["points"][5][3] + 1) % data["prime"]
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, move), capsys)
+        assert code == 2
+        assert "point 5 is not on the curve" in err
+
+    def test_point_not_normalized(self, tmp_path, curve_file, capsys):
+        def scale(data):
+            p = data["prime"]
+            data["points"][7] = [2 * v % p for v in data["points"][7]]
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, scale), capsys)
+        assert code == 2
+        assert "point 7 is not normalized" in err
