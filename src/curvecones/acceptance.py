@@ -69,10 +69,18 @@ class CriterionResult:
 
 @dataclass
 class SharedState:
-    """Expensive intermediates reused across criteria."""
+    """Expensive intermediates reused across criteria.
+
+    `cones` holds the `reconstructions` cones of criteria 3-10.  The span
+    criteria 11 and 12 share `span_cones` (`cones` topped up to
+    `span_samples`) and their quartic span `f4`, both built by
+    `_span_inputs` on first use, so no result depends on run order.
+    """
     cones: list = field(default_factory=list)
     main_net: nt.Net | None = None
     main_cone: cn.QuarticCone | None = None
+    span_cones: list = field(default_factory=list)
+    f4: sl.SpanAccumulator | None = None
 
 
 def _shared(ctx: canring.CurveContext, cfg: SuiteConfig) -> SharedState:
@@ -82,6 +90,18 @@ def _shared(ctx: canring.CurveContext, cfg: SuiteConfig) -> SharedState:
     state.main_cone = state.cones[0]
     state.main_net = state.cones[0].net
     return state
+
+
+def _span_inputs(ctx, cfg: SuiteConfig, state: SharedState
+                 ) -> tuple[list, sl.SpanAccumulator]:
+    if state.f4 is None:
+        state.span_cones = state.cones
+        if len(state.cones) < cfg.span_samples:
+            state.span_cones = state.cones + sl.collect_cones(
+                ctx, cfg.span_samples - len(state.cones), cfg.seed + 1)
+        state.f4 = sl.accumulate_f4(ctx, cfg.span_samples, cfg.seed,
+                                    cones=state.span_cones)
+    return state.span_cones, state.f4
 
 
 # -- criteria ----------------------------------------------------------------
@@ -315,16 +335,10 @@ def criterion_secant(ctx, cfg: SuiteConfig,
 
 def criterion_spans(ctx, cfg: SuiteConfig,
                     state: SharedState) -> CriterionResult:
-    cones = state.cones
-    if len(cones) < cfg.span_samples:
-        cones = cones + sl.collect_cones(
-            ctx, cfg.span_samples - len(cones), cfg.seed + 1)
-    state.cones = cones
-    f4 = sl.accumulate_f4(ctx, cfg.span_samples, cfg.seed, cones=cones)
+    _, f4 = _span_inputs(ctx, cfg, state)
     squares_ok = sl.squares_containment(ctx, f4, seed=cfg.seed)
     expected = F4_RANKS[ctx.g]
     proper = f4.rank < ctx.ideal(4).dim
-    state.f4 = f4
     ok = f4.rank == expected and squares_ok \
         and (proper if ctx.g == 4 else True)
     return CriterionResult(11, "span dimensions", ok,
@@ -335,12 +349,8 @@ def criterion_spans(ctx, cfg: SuiteConfig,
 
 def criterion_base_locus(ctx, cfg: SuiteConfig,
                          state: SharedState) -> CriterionResult:
-    f4 = getattr(state, "f4", None)
-    if f4 is None:
-        f4 = sl.accumulate_f4(ctx, cfg.span_samples, cfg.seed,
-                              cones=state.cones)
-    f3 = sl.accumulate_f3(ctx, cfg.span_samples, cfg.seed,
-                          cones=state.cones)
+    cones, f4 = _span_inputs(ctx, cfg, state)
+    f3 = sl.accumulate_f3(ctx, cfg.span_samples, cfg.seed, cones=cones)
     report = sl.base_locus_probe(ctx, [f4, f3], cfg.off_curve_probes,
                                  seed=cfg.seed)
     ok = report["curve_points_contained"] \
@@ -366,7 +376,7 @@ def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
     blobs = []
     for _ in range(2):
         ctx = ctx_builder()
-        results = run_criteria(ctx, small, upto=12)
+        results = run_criteria(ctx, small)
         blobs.append(report_json(ctx, small, results))
     return CriterionResult(13, "determinism", blobs[0] == blobs[1],
                            {"bytes": len(blobs[0]),
@@ -376,8 +386,7 @@ def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
 # -- runners -----------------------------------------------------------------
 
 
-def run_criteria(ctx, cfg: SuiteConfig, upto: int = 12,
-                 echo=None) -> list[CriterionResult]:
+def run_criteria(ctx, cfg: SuiteConfig, echo=None) -> list[CriterionResult]:
     cfg.validate()
     state = _shared(ctx, cfg)
     results = [
@@ -394,7 +403,6 @@ def run_criteria(ctx, cfg: SuiteConfig, upto: int = 12,
         criterion_spans(ctx, cfg, state),
         criterion_base_locus(ctx, cfg, state),
     ]
-    results = [r for r in results if r.number <= upto]
     if echo:
         for r in results:
             echo(r.line())

@@ -71,10 +71,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
-
-
 def first_nonzero(v: np.ndarray) -> int:
     """Index of the first nonzero entry, or -1 for the zero vector."""
     idx = np.nonzero(v)[0]
@@ -325,13 +321,6 @@ def poly_eval(f, x: int, p: int) -> int:
     return acc
 
 
-def poly_eval_many(f, xs: np.ndarray, p: int) -> np.ndarray:
-    acc = np.zeros(len(xs), dtype=np.int64)
-    for c in reversed(poly_trim(f)):
-        acc = (acc * xs + int(c)) % p
-    return acc
-
-
 def poly_deriv(f, p: int) -> np.ndarray:
     f = poly_trim(f)
     if len(f) <= 1:
@@ -537,10 +526,6 @@ def p2_deg_y(f: np.ndarray) -> int:
 
 def p2_deg_x(f: np.ndarray) -> int:
     return f.shape[0] - 1
-
-
-def p2_swap(f: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(f).T)
 
 
 def resultant_bivariate(f, g, p: int) -> np.ndarray:

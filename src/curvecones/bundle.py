@@ -20,7 +20,7 @@ from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
 from .cone import QuarticCone
-from .curve import normalize_point
+from .curve import normalize_point, quadric_gram
 from .errors import (NodeFiber, NonGenericCoordinates, RankDeficientW,
                      SplittingViolation)
 from .rng import Stream, derive_key
@@ -73,19 +73,8 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
                 "squared")
         target = (e[0] - 2,) + e[1:]
         quad[qidx[target]] = c
-    half = alg.inv_mod(2, p)
-    gram = np.zeros((m, m), dtype=np.int64)
-    for idx, e in enumerate(mono.exponents(m, 2)):
-        c = int(quad[idx])
-        if c == 0:
-            continue
-        vars_ = [k for k in range(m) if e[k]]
-        if len(vars_) == 1:
-            gram[vars_[0], vars_[0]] = c
-        else:
-            i, j = vars_
-            gram[i, j] = gram[j, i] = c * half % p
-    return FiberQuadric(u=normalize_point(u, p), gram=gram, basis=basis)
+    return FiberQuadric(u=normalize_point(u, p), gram=quadric_gram(quad, m, p),
+                        basis=basis)
 
 
 def _panel_fiber_count(ctx: CurveContext, net_obj: nt.Net,

@@ -80,15 +80,8 @@ def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
     if pc.corank(cg.gram, p) != 2:
         raise CorankJump("pencil fiber meets the degeneracy divisor")
     vperp = alg.kernel_basis(pen.v, p)
-    ys = []
-    for row in vperp:
-        y, _ = alg.solve_consistent(cg.gram, row, p)
-        ys.append(y)
-    m = vperp.shape[0]
-    gram = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = int(vperp[i] @ ys[j] % p)
+    ys = [alg.solve_consistent(cg.gram, row, p)[0] for row in vperp]
+    gram = vperp @ np.stack(ys).T % p
     if not (gram == gram.T).all():
         raise VerificationFailed("residual Gram failed exact symmetry")
     coords = []
@@ -104,18 +97,10 @@ def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
 
 
 def fiber_quadric_form(fiber: SplitFiber, p: int) -> np.ndarray:
-    """Degree-2 coefficient vector of c -> c^T G c on fiber coordinates."""
-    m = fiber.gram.shape[0]
-    out = np.zeros(mono.count(m, 2), dtype=np.int64)
-    idx = mono.index_map(m, 2)
-    for i in range(m):
-        for j in range(i, m):
-            e = [0] * m
-            e[i] += 1
-            e[j] += 1
-            val = fiber.gram[i, j] if i == j else 2 * fiber.gram[i, j]
-            out[idx[tuple(e)]] = val % p
-    return out
+    """Degree-2 coefficient vector of c -> c^T G c on fiber coordinates,
+    the inverse of `curve.quadric_gram` (same monomial order)."""
+    i, j = np.triu_indices(fiber.gram.shape[0])
+    return fiber.gram[i, j] * np.where(i == j, 1, 2) % p
 
 
 def split_product_form(fiber: SplitFiber, p: int) -> np.ndarray:
@@ -755,25 +740,17 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
             q = combo @ i2.basis % p
         else:
             q = np.asarray(quadric, dtype=np.int64) % p
-        gram = cv.quadric_gram(q, g, p)
-
-        def qval(x):
-            return int(x @ gram @ x % p)
-
-        def bil(x, y):
-            return int(x @ gram @ y % p) * 2 % p
-
-        q1 = _point_on_quadric(gram, stream, p)
+        q1 = next(points_on_form(ctx, q, 2, stream, 1, budget=60), None)
         if q1 is None:
             continue
         if g == 4:
             vertex = q1[None, :]
         else:
-            hb = alg.kernel_basis((2 * q1 @ gram % p).reshape(1, g), p)
+            polar = 2 * q1 @ cv.quadric_gram(q, g, p) % p
+            hb = alg.kernel_basis(polar.reshape(1, g), p)
             c1 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
             c2 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
-            f = alg.poly_trim(np.array(
-                [qval(c1), bil(c1, c2), qval(c2)], dtype=np.int64))
+            f = alg.poly_trim(mono.restrict_to_line(q, 2, g, c1, c2, p))
             roots = alg.distinct_roots(f, p) if alg.poly_deg(f) >= 1 else []
             if not roots:
                 continue
@@ -793,26 +770,6 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
     raise NonGenericD("could not engineer a degenerate net")
 
 
-def _point_on_quadric(gram: np.ndarray, stream: Stream, p: int,
-                      tries: int = 60) -> np.ndarray | None:
-    g = gram.shape[0]
-    for _ in range(tries):
-        a = stream.field_vec(p, g)
-        b = stream.field_vec(p, g)
-        c0 = int(a @ gram @ a % p)
-        c1 = int(a @ gram @ b % p) * 2 % p
-        c2 = int(b @ gram @ b % p)
-        f = alg.poly_trim(np.array([c0, c1, c2], dtype=np.int64))
-        if alg.poly_deg(f) < 1:
-            continue
-        roots = alg.distinct_roots(f, p)
-        if roots:
-            cand = (a + roots[0] * b) % p
-            if cand.any():
-                return cv.normalize_point(cand, p)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -822,12 +779,4 @@ def cone_to_json(cone: QuarticCone, g: int) -> dict:
         "W": [[int(v) for v in row] for row in cone.net.w],
         "coeffs": mono.form_to_pairs(cone.coeffs, g, 4),
         "certificate": cone.certificate,
-    }
-
-
-def polar_to_json(polar: CubicPolar, g: int) -> dict:
-    return {
-        "x": [int(v) for v in polar.x],
-        "coeffs": mono.form_to_pairs(polar.coeffs, g, 3),
-        "certificate": polar.certificate,
     }

@@ -14,6 +14,7 @@ coordinate is 1.  A point doubles as a covector on sections: the pairing
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,19 +48,16 @@ def legendre(a: int, p: int) -> int:
 
 
 def quadric_gram(coeffs: np.ndarray, g: int, p: int) -> np.ndarray:
-    """Symmetric Gram matrix M with Q(x) = x^T M x (odd characteristic)."""
+    """Symmetric Gram matrix M with Q(x) = x^T M x (odd characteristic).
+
+    exponents(g, 2) lists z_i z_j (i <= j) in the row-major order of
+    np.triu_indices(g); the cross terms are halved."""
+    i, j = np.triu_indices(g)
+    c = np.asarray(coeffs, dtype=np.int64) % p \
+        * np.where(i == j, 1, alg.inv_mod(2, p)) % p
     m = np.zeros((g, g), dtype=np.int64)
-    half = alg.inv_mod(2, p)
-    for idx, e in enumerate(mono.exponents(g, 2)):
-        c = int(coeffs[idx]) % p
-        if c == 0:
-            continue
-        vars_ = [k for k in range(g) if e[k]]
-        if len(vars_) == 1:
-            m[vars_[0], vars_[0]] = c
-        else:
-            i, j = vars_
-            m[i, j] = m[j, i] = c * half % p
+    m[i, j] = c
+    m[j, i] = c
     return m
 
 
@@ -154,12 +152,6 @@ class RulingChart:
 
     # -- frame ----------------------------------------------------------
 
-    def _bilinear(self, x: np.ndarray, y: np.ndarray) -> int:
-        return int(x @ self.gram @ y % self.p) * 2 % self.p
-
-    def _quadric_value(self, x: np.ndarray) -> int:
-        return int(x @ self.gram @ x % self.p)
-
     def _build_frame(self) -> None:
         p = self.p
         stream = Stream(derive_key(self.curve.seed, "chart"), "q0-search")
@@ -167,9 +159,8 @@ class RulingChart:
         for _ in range(400):
             a = stream.field_vec(p, 4)
             b = stream.field_vec(p, 4)
-            coeffs = alg.poly_trim(np.array(
-                [self._quadric_value(a), self._bilinear(a, b),
-                 self._quadric_value(b)], dtype=np.int64))
+            coeffs = alg.poly_trim(
+                mono.restrict_to_line(self.quadric, 2, 4, a, b, p))
             if alg.poly_deg(coeffs) < 1:
                 continue
             roots = alg.distinct_roots(coeffs, p)
@@ -179,20 +170,21 @@ class RulingChart:
         if q0 is None:
             raise GenerationFailed("no rational point found on the quadric")
         self.q0 = q0
-        tangent = alg.kernel_basis(
-            (2 * q0 @ self.gram % p).reshape(1, 4), p)
+        q0_polar = 2 * q0 @ self.gram % p
+        tangent = alg.kernel_basis(q0_polar.reshape(1, 4), p)
         frame, _ = alg.rref(np.concatenate([q0[None, :], tangent]), p)
         frame = frame[~(frame == 0).all(axis=1)]
         v1, v2 = frame[1], frame[2]
         q_rest = _binary_quadratic_roots(
-            self._quadric_value(v1), self._bilinear(v1, v2),
-            self._quadric_value(v2), p)
+            *mono.restrict_to_line(self.quadric, 2, 4, v1, v2, p), p)
         if len(q_rest) != 2:
             raise GenerationFailed("tangent conic does not split; "
                                    "quadric is not rationally ruled")
         (s1, t1), (s2, t2) = q_rest
         self.d1 = normalize_point((s1 * v1 + t1 * v2) % p, p)
         self.d2 = normalize_point((s2 * v1 + t2 * v2) % p, p)
+        # polar rows: x -> 2 B(q0, x) and x -> 2 B(d1, x)
+        self.polar = np.stack([q0_polar, 2 * self.d1 @ self.gram % p])
         forms = alg.kernel_basis(np.stack([self.q0, self.d1]), p)
         self.h1, self.h2 = forms[0], forms[1]
 
@@ -203,30 +195,20 @@ class RulingChart:
         through q0-d1 is spanned by A(u), B(u) with polynomial entries.
         """
         p = self.p
-        chosen = None
-        for i in range(4):
-            for j in range(i + 1, 4):
-                r1 = np.zeros(4, dtype=np.int64)
-                r2 = np.zeros(4, dtype=np.int64)
-                r1[i] = 1
-                r2[j] = 1
-                if alg.rank(np.stack([self.q0, self.d1, r1, r2]), p) != 4:
-                    continue
-                w0, w1 = self._w_polys(r1, r2)
-                rho = self._pair_poly(2 * self.q0 @ self.gram % p, w0, w1)
-                if alg.poly_deg(rho) >= 0:
-                    chosen = (r1, r2)
-                    break
-            if chosen:
+        for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
+            if alg.rank(np.stack([self.q0, self.d1, r1, r2]), p) != 4:
+                continue
+            w0, w1 = self._w_polys(r1, r2)  # w(u) = w0 + u * w1
+            # rho(u) = 2 B(q0, w(u)), sig(u) = 2 B(d1, w(u))
+            rho, sig = (alg.poly_trim(row) for row in
+                        self.polar @ np.stack([w0, w1], axis=1) % p)
+            if alg.poly_deg(rho) >= 0:
                 break
-        if chosen is None:
+        else:
             raise GenerationFailed("no usable completion frame for the chart")
-        self.r1, self.r2 = chosen
-        w0, w1 = self._w_polys(self.r1, self.r2)
-        self._w = (w0, w1)  # w(u) = w0 + u * w1, per coordinate
-        rho = self._pair_poly(2 * self.q0 @ self.gram % p, w0, w1)
-        sig = self._pair_poly(2 * self.d1 @ self.gram % p, w0, w1)
-        tau = self._w_quadric_poly(w0, w1)
+        self.r1, self.r2 = r1, r2
+        tau = alg.poly_trim(
+            mono.restrict_to_line(self.quadric, 2, 4, w0, w1, p))
         # A(u) = sig * q0 - rho * d1  (degree <= 1 per coordinate)
         # B(u) = tau * q0 - rho * w(u)  (degree <= 2 per coordinate)
         self.a_sym = [alg.poly_sub(alg.poly_scale(sig, int(self.q0[k]), p),
@@ -236,7 +218,6 @@ class RulingChart:
             np.array([w0[k], w1[k]], dtype=np.int64)), p) for k in range(4)]
         self.b_sym = [alg.poly_sub(alg.poly_scale(tau, int(self.q0[k]), p),
                                    rho_w[k], p) for k in range(4)]
-        self._rho, self._sig, self._tau = rho, sig, tau
         self._line_bivariate = self._sweep_coordinates()
         self._cubic_sweep = self._form_on_sweep(self.cubic, 3)
         quad_sweep = self._form_on_sweep(self.quadric, 2)
@@ -248,18 +229,6 @@ class RulingChart:
         w0 = (int(self.h1 @ r2 % p) * r1 - int(self.h1 @ r1 % p) * r2) % p
         w1 = (int(self.h2 @ r2 % p) * r1 - int(self.h2 @ r1 % p) * r2) % p
         return w0, w1
-
-    def _pair_poly(self, row, w0, w1) -> np.ndarray:
-        p = self.p
-        return alg.poly_trim(np.array(
-            [int(row @ w0 % p), int(row @ w1 % p)], dtype=np.int64))
-
-    def _w_quadric_poly(self, w0, w1) -> np.ndarray:
-        p = self.p
-        c0 = int(w0 @ self.gram @ w0 % p)
-        c1 = int(w0 @ self.gram @ w1 % p) * 2 % p
-        c2 = int(w1 @ self.gram @ w1 % p)
-        return alg.poly_trim(np.array([c0, c1, c2], dtype=np.int64))
 
     def _sweep_coordinates(self) -> list[np.ndarray]:
         """Coordinates of A(u) + t B(u) as bivariate polynomials in (u, t)."""
@@ -300,9 +269,8 @@ class RulingChart:
             h = (self.h1 + u * self.h2) % p
         w = (int(h @ self.r2 % p) * self.r1
              - int(h @ self.r1 % p) * self.r2) % p
-        rho = self._bilinear(self.q0, w)
-        sig = self._bilinear(self.d1, w)
-        tau = self._quadric_value(w)
+        rho, sig = (int(v) for v in self.polar @ w % p)
+        tau = mono.form_eval_one(self.quadric, w, 4, 2, p)
         if rho == 0 and sig == 0:
             if tau == 0:
                 raise CurveConesError("plane lies inside the quadric")
@@ -626,36 +594,53 @@ def curve_to_json(curve: CurveModel, points: list[np.ndarray]) -> dict:
     }
 
 
+def _typed(data: dict, name: str, kind: type):
+    """data[name], or ConfigError naming the field if it is not a `kind`."""
+    value = data.get(name)
+    if not isinstance(value, kind):
+        raise ConfigError(f"field '{name}' must be of type {kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return value
+
+
 def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     """Curve and points of a curve file.
 
-    Raises ConfigError, naming the field or the point index, when the prime
-    is not an admissible prime, a generator has the wrong degree, or a point
-    is not normalized or does not lie on the curve.
+    Raises ConfigError, naming the field or the point index, when a field
+    is missing or has the wrong JSON type, the prime is not an admissible
+    prime, a generator has the wrong degree, or a point is not a list of g
+    integers, is not normalized or does not lie on the curve.
     """
-    g = int(data["genus"])
-    p = int(data["prime"])
+    g = _typed(data, "genus", int)
+    p = _typed(data, "prime", int)
     if g not in GENERATOR_DEGREES:
         raise ConfigError(f"field 'genus' must be 4 or 5, got {g}")
     try:
         alg.check_prime(p)
     except ValueError as exc:
         raise ConfigError(f"field 'prime': {exc}") from None
-    degrees = [sorted({sum(e) for e, _ in pairs})
-               for pairs in data["generators"]]
-    expected = [[d] for d in GENERATOR_DEGREES[g]]
-    if degrees != expected:
-        raise ConfigError(f"field 'generators': monomial degrees {degrees}, "
-                          f"expected {expected} at genus {g}")
-    gens = []
-    for deg, pairs in zip(GENERATOR_DEGREES[g], data["generators"]):
-        coeffs = mono.form_from_pairs(pairs, g, deg, p)
-        gens.append((deg, tuple(int(v) for v in coeffs)))
-    curve = CurveModel(g, p, int(data["seed"]), tuple(gens))
-    short = [i for i, q in enumerate(data["points"]) if len(q) != g]
+    generators = _typed(data, "generators", list)
+    try:
+        degrees = [sorted({sum(e) for e, _ in pairs}) for pairs in generators]
+        expected = [[d] for d in GENERATOR_DEGREES[g]]
+        if degrees != expected:
+            raise ConfigError(f"field 'generators': monomial degrees "
+                              f"{degrees}, expected {expected} at genus {g}")
+        gens = [(deg, tuple(int(v) for v in
+                            mono.form_from_pairs(pairs, g, deg, p)))
+                for deg, pairs in zip(GENERATOR_DEGREES[g], generators)]
+    except (TypeError, ValueError, KeyError):
+        raise ConfigError("field 'generators' must hold one list of "
+                          f"[exponents, coefficient] pairs in {g} variables "
+                          "per generator") from None
+    curve = CurveModel(g, p, _typed(data, "seed", int), tuple(gens))
+    points = _typed(data, "points", list)
+    short = [i for i, q in enumerate(points) if not isinstance(q, list)
+             or len(q) != g or not all(isinstance(v, int) for v in q)]
     if short:
-        raise ConfigError(f"point {short[0]} does not have {g} coordinates")
-    pts = np.array(data["points"], dtype=np.int64).reshape(-1, g)
+        raise ConfigError(f"point {short[0]} is not a list of {g} integer "
+                          "coordinates")
+    pts = np.array(points, dtype=np.int64).reshape(-1, g)
     lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
     bad = ~((pts >= 0) & (pts < p)).all(axis=1) | (lead != 1)
     if bad.any():

@@ -181,14 +181,6 @@ def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,
     return restrict(coeffs, n, g, basis, p)
 
 
-def binary_to_unipoly(coeffs: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Dehomogenize a binary form at s = 1: polynomial in t, low degree first.
-
-    exponents(2, n) lists (n,0), (n-1,1), ..., (0,n), i.e. ascending t-degree.
-    """
-    return algebra.poly_trim(np.asarray(coeffs, dtype=np.int64) % p)
-
-
 def form_to_pairs(coeffs: np.ndarray, g: int, n: int) -> list:
     """JSON shape: [[exponent tuple, coefficient], ...], nonzero entries only."""
     expo = exponents(g, n)

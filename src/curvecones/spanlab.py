@@ -223,8 +223,8 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
         combo = stream.field_vec(p, i2.dim)
         if not combo.any():
             continue
-        gram = cv.quadric_gram(combo @ i2.basis % p, g, p)
-        pt = cn._point_on_quadric(gram, stream.spawn(f"q{k}"), p)
+        pt = next(cn.points_on_form(ctx, combo @ i2.basis % p, 2,
+                                    stream.spawn(f"q{k}"), 1, budget=60), None)
         if pt is not None and not cv.on_curve(ctx.curve, pt):
             probe(pt, "quadric")
             structured += 1

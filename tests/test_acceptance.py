@@ -65,6 +65,21 @@ class TestAcceptance:
     def test_criterion_12_base_locus(self, ctx, state):
         _check(acc.criterion_base_locus(ctx, CFG, state), ctx.g)
 
+    def test_span_criteria_leave_the_certified_cones(self, ctx, state):
+        acc.criterion_spans(ctx, CFG, state)
+        assert len(state.cones) == CFG.reconstructions
+        assert len(state.span_cones) == CFG.span_samples
+
+
+def test_base_locus_independent_of_run_order(ctx4):
+    small = acc.SuiteConfig(reconstructions=2, span_samples=14,
+                            off_curve_probes=30)
+    alone = acc.criterion_base_locus(ctx4, small, acc._shared(ctx4, small))
+    state = acc._shared(ctx4, small)
+    acc.criterion_spans(ctx4, small, state)
+    after = acc.criterion_base_locus(ctx4, small, state)
+    assert alone.details == after.details
+
 
 def test_criterion_13_determinism():
     def builder():

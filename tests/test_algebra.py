@@ -6,6 +6,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from curvecones import algebra as alg
 from curvecones.errors import InconsistentSystem
@@ -330,3 +331,91 @@ class TestPowModBudget:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             alg.poly_pow_mod(np.array([0, 1]), -1, np.array([1, 1]), P)
+
+
+def to_dm(m, p):
+    field = sympy.GF(p)
+    return DomainMatrix([[field(int(v)) for v in row] for row in m],
+                        m.shape, field)
+
+
+def from_dm(dm, p):
+    return [[int(v) % p for v in row] for row in dm.to_list()]
+
+
+def planted_rank(rng, p, rows, cols, r, sparse):
+    """rows x cols matrix of rank at most r (almost surely exactly r); a
+    sparse one has about half of its entries zeroed afterwards, so that
+    elimination meets zero pivots and swaps rows."""
+    a = rng.integers(0, p, size=(rows, r)).astype(np.int64)
+    b = rng.integers(0, p, size=(r, cols)).astype(np.int64)
+    m = a @ b % p
+    if sparse:
+        m[rng.random(m.shape) < 0.5] = 0
+    return m
+
+
+shapes = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8),
+                   st.booleans())
+
+
+class TestLinearAlgebraAgainstSympy:
+    """Row reduction and everything built on it against sympy's
+    DomainMatrix over GF(p), on matrices of planted rank up to 8 x 8."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_rref_rank_kernel(self, p, shape, seed):
+        rows, cols, r, sparse = shape
+        m = planted_rank(np.random.default_rng(seed), p, rows, cols,
+                         min(r, rows, cols), sparse)
+        dm = to_dm(m, p)
+        reduced, pivots = alg.rref(m, p)
+        expected, expected_pivots = dm.rref()
+        assert pivots == list(expected_pivots)
+        assert reduced.tolist() == from_dm(expected, p)
+        assert alg.rank(m, p) == dm.rank()
+        # sympy scales each kernel row to 1 in its free column, as we do
+        assert alg.kernel_basis(m, p).tolist() == \
+            from_dm(dm.nullspace(divide_last=True), p)
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_det_and_inverse(self, p, shape, seed):
+        n, _, r, sparse = shape
+        m = planted_rank(np.random.default_rng(seed), p, n, n, min(r, n),
+                         sparse)
+        dm = to_dm(m, p)
+        assert alg.det(m, p) == int(dm.det()) % p
+        if dm.rank() == n:
+            assert alg.inverse(m, p).tolist() == from_dm(dm.inv(), p)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                alg.inverse(m, p)
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shape=shapes, consistent=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_solve_consistent(self, p, shape, consistent, seed):
+        rows, cols, r, sparse = shape
+        rng = np.random.default_rng(seed)
+        m = planted_rank(rng, p, rows, cols, min(r, rows, cols), sparse)
+        rhs = m @ rng.integers(0, p, size=cols) % p if consistent \
+            else rng.integers(0, p, size=rows)
+        reduced, pivots = to_dm(np.column_stack([m, rhs]), p).rref()
+        if cols in pivots:
+            with pytest.raises(InconsistentSystem):
+                alg.solve_consistent(m, rhs, p)
+            return
+        # the particular solution is read off the reduced augmented matrix
+        expected = [0] * cols
+        last = from_dm(reduced, p)
+        for k, c in enumerate(pivots):
+            expected[c] = last[k][cols]
+        x, kernel = alg.solve_consistent(m, rhs, p)
+        assert x.tolist() == expected
+        assert kernel.tolist() == \
+            from_dm(to_dm(m, p).nullspace(divide_last=True), p)

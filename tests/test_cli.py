@@ -119,6 +119,18 @@ class TestCurveFileValidation:
         assert code == 2
         assert "point 5 is not on the curve" in err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(points=None), "field 'points'"),
+        (lambda d: d["points"].__setitem__(0, None), "point 0"),
+        (lambda d: d.update(generators=None), "field 'generators'"),
+        (lambda d: d.update(genus=None), "field 'genus'"),
+    ], ids=["points-null", "point-null", "generators-null", "genus-null"])
+    def test_mistyped_field(self, tmp_path, curve_file, capsys, edit, named):
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, edit), capsys)
+        assert code == 2
+        assert named in err
+
     def test_point_not_normalized(self, tmp_path, curve_file, capsys):
         def scale(data):
             p = data["prime"]

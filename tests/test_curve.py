@@ -1,16 +1,21 @@
 """Curve generation, point sampling, sections, tangent data."""
 
 import json
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvecones import algebra as alg
+from curvecones import cone as cn
 from curvecones import curve as cv
+from curvecones import monomials as mono
 from curvecones.errors import SingularPoint
 from curvecones.rng import Stream
 
 P = 1000003
+P_MAX = 33554393    # largest prime below 2**25
 
 
 class TestGeneration:
@@ -35,6 +40,39 @@ class TestGeneration:
     def test_genus5_jacobian_rank(self, ctx5):
         for q in ctx5.panel[:25]:
             assert alg.rank(cv.jacobian_at(ctx5.curve, q), P) == 3
+
+
+class TestQuadricGram:
+    """Every quadric helper agrees with the substitution kernel."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(g=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_restrict_to_line_is_the_gram_triple(self, p, g, seed):
+        stream = Stream(seed, "gram-diff")
+        q = stream.field_vec(p, mono.count(g, 2))
+        a, b = stream.field_vec(p, g), stream.field_vec(p, g)
+        gram = cv.quadric_gram(q, g, p).astype(object)   # exact products
+        expected = [a @ gram @ a % p, 2 * (a @ gram @ b) % p,
+                    b @ gram @ b % p]
+        assert mono.restrict_to_line(q, 2, g, a, b, p).tolist() == expected
+        # the fiber form is the inverse of the Gram matrix
+        fiber = types.SimpleNamespace(gram=cv.quadric_gram(q, g, p))
+        assert cn.fiber_quadric_form(fiber, p).tolist() == q.tolist()
+
+    def test_ruling_chart_at_the_largest_prime(self):
+        # 4 (p-1)^3 > 2**63: an unreduced int64 product x @ G @ y
+        # overflows here, so the chart must not form one
+        curve = cv.generate_curve(4, P_MAX, 1)
+        chart = cv.ruling_chart(curve)
+        quadric = curve.generator_arrays()[0][1]
+        assert mono.form_eval_one(quadric, chart.q0, 4, 2, P_MAX) == 0
+        for u in (0, 12345, None):
+            a, b = chart.line_at(u)
+            assert not mono.restrict_to_line(quadric, 2, 4, a, b,
+                                             P_MAX).any()
+        pts = cv.sample_points(curve, 20)
+        assert all(cv.on_curve(curve, pt) for pt in pts)
 
 
 class TestSampling:
