@@ -191,6 +191,43 @@ def inverse(m: np.ndarray, p: int) -> np.ndarray:
     return r[:, n:]
 
 
+class RowSpace:
+    """Span of row vectors, kept as the nonzero rows of their `rref`.
+
+    `rows[k]` has 1 in column `pivots[k]` and 0 in every other pivot
+    column, so a vector v reduces modulo the span in one matmul,
+    v - v[pivots] @ rows.  Each of its sums has one product of entries
+    below p per pivot, at most 70 in the engine (the quartic monomials at
+    genus 5), so it stays below 70 (p-1)**2 < 2**57 at p < 2**25.
+    """
+
+    def __init__(self, rows: np.ndarray, p: int):
+        r, self.pivots = rref(rows, p)
+        self.rows = r[:len(self.pivots)]
+        self.p = p
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Residue of v modulo the span; zero in every pivot column."""
+        v = np.asarray(v, dtype=np.int64) % self.p
+        return (v - v[self.pivots] @ self.rows) % self.p
+
+    def contains(self, v: np.ndarray) -> bool:
+        return not self.reduce(v).any()
+
+    def add(self, v: np.ndarray) -> bool:
+        """Put v into the span; True when the span grew."""
+        r = self.reduce(v)
+        c = first_nonzero(r)
+        if c < 0:
+            return False
+        r = r * inv_mod(int(r[c]), self.p) % self.p
+        k = int(np.searchsorted(self.pivots, c))
+        self.rows = np.insert((self.rows - np.outer(self.rows[:, c], r))
+                              % self.p, k, r, axis=0)
+        self.pivots.insert(k, c)
+        return True
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 

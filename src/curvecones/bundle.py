@@ -51,12 +51,8 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
         raise RankDeficientW("plane point does not cut a pencil")
     v = coeff_kernel @ net_obj.w % p
     vperp = alg.kernel_basis(v, p)
-    lead = None
-    for row in vperp:
-        stacked = np.concatenate([net_obj.wperp, row[None, :]])
-        if alg.rank(stacked, p) == g - 2:
-            lead = row
-            break
+    vertex = alg.RowSpace(net_obj.wperp, p)
+    lead = next((row for row in vperp if not vertex.contains(row)), None)
     if lead is None:
         raise RankDeficientW("fiber space collapsed onto the vertex")
     basis = np.concatenate([lead[None, :], net_obj.wperp]).T  # g x (g-2)

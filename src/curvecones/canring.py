@@ -148,9 +148,7 @@ class CurveContext:
         return not on_main.any() and not self.eval_on_holdout(coeffs, n).any()
 
     def in_ideal(self, coeffs: np.ndarray, n: int) -> bool:
-        basis = self.ideal(n).basis
-        stacked = np.concatenate([basis, np.asarray(coeffs)[None, :]], axis=0)
-        return alg.rank(stacked, self.p) == basis.shape[0]
+        return alg.RowSpace(self.ideal(n).basis, self.p).contains(coeffs)
 
     def petri_check(self) -> bool:
         """True when degree-2 ideal elements generate the degree-3 piece."""

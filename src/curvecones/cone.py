@@ -69,13 +69,10 @@ def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
     """
     p = ctx.p
     pen = pc.build_pencil(ctx, v)
-    if alg.rank(np.concatenate([net_obj.w, pen.v]), p) != 3:
+    if not all(map(alg.RowSpace(net_obj.w, p).contains, pen.v)):
         raise InadmissiblePencil("pencil does not sit inside the net")
-    w = None
-    for row in net_obj.w:
-        if alg.rank(np.concatenate([pen.v, row[None, :]]), p) == 3:
-            w = row
-            break
+    pencil_span = alg.RowSpace(pen.v, p)
+    w = next(row for row in net_obj.w if not pencil_span.contains(row))
     cg = pc.cup_gram(ctx, pen, w)
     if pc.corank(cg.gram, p) != 2:
         raise CorankJump("pencil fiber meets the degeneracy divisor")
@@ -434,10 +431,8 @@ def lw_space(ctx: CurveContext, net_obj: nt.Net,
         cone = reconstruct_quartic(ctx, net_obj, oracle_points=4)
     polars = [polar_cubic(ctx, cone, x).coeffs for x in net_obj.wperp]
     polar_rank = alg.rank(np.stack(polars), p)
-    for row in polars:
-        stacked = np.concatenate([basis, row[None, :]])
-        if alg.rank(stacked, p) != basis.shape[0]:
-            raise VerificationFailed("polar cubic escapes the singular space")
+    if not all(map(alg.RowSpace(basis, p).contains, polars)):
+        raise VerificationFailed("polar cubic escapes the singular space")
     return basis, polar_rank
 
 
@@ -457,8 +452,9 @@ def secant_criterion(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     g = ctx.g
     binary = mono.restrict_to_line(cone.coeffs, 4, g, pt_p, pt_q, p)
     contained = not binary.any()
-    meets_vertex = alg.rank(np.concatenate(
-        [pt_p[None, :], pt_q[None, :], net_obj.wperp]), p) <= g - 2
+    # the line meets the vertex when it adds at most one dimension to it
+    vertex = alg.RowSpace(net_obj.wperp, p)
+    meets_vertex = vertex.add(pt_p) + vertex.add(pt_q) < 2
     tp = ctx.tangent(pt_p)
     tq = ctx.tangent(pt_q)
     conds = np.stack([tp.point, tp.direction, tq.point, tq.direction])
@@ -662,8 +658,6 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
             while len(ts) < 100 and t < 500:
                 t += 1
                 w = np.stack([section, r1, (r2 + t * r3) % p])
-                if alg.rank(w, p) != 3:
-                    continue
                 try:
                     net_t = nt.build_net(ctx, w, with_gamma=False)
                     if net_t.in_b or net_t.in_d:
@@ -687,8 +681,6 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
                 if len(results) >= count:
                     break
                 w = np.stack([section, r1, (r2 + root * r3) % p])
-                if alg.rank(w, p) != 3:
-                    continue
                 try:
                     net_r = nt.build_net(ctx, w)
                 except CurveConesError:

@@ -142,11 +142,6 @@ def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
     return gamma
 
 
-def in_vertex(net: Net, b: np.ndarray, p: int) -> bool:
-    stacked = np.concatenate([net.wperp, b[None, :]])
-    return alg.rank(stacked, p) == net.wperp.shape[0]
-
-
 def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
                    check_gamma: bool = True) -> OracleWitness:
     """Shared setup of the pointwise membership oracles.
@@ -159,7 +154,7 @@ def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
     b = np.asarray(b, dtype=np.int64) % p
     if not b.any():
         raise InVertex("zero probe vector")
-    if in_vertex(net, b, p):
+    if alg.RowSpace(net.wperp, p).contains(b):
         raise InVertex("probe lies on the vertex")
     u = net.w @ b % p
     if check_gamma:
@@ -197,8 +192,7 @@ def polar_oracle(ctx: CurveContext, net: Net, x: np.ndarray,
     x = np.asarray(x, dtype=np.int64) % p
     if not x.any():
         raise ValueError("x must be a nonzero vertex vector")
-    if alg.rank(np.concatenate([net.wperp, x[None, :]]), p) \
-            != net.wperp.shape[0]:
+    if not alg.RowSpace(net.wperp, p).contains(x):
         raise ValueError("x must lie in the vertex span")
     wit = oracle_witness(ctx, net, b)
     return int(x @ wit.y % p) == 0

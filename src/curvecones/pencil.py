@@ -137,21 +137,13 @@ def cup_gram(ctx: CurveContext, pencil: PencilData, w: np.ndarray) -> CupGram:
     p = ctx.p
     g = ctx.g
     w = np.asarray(w, dtype=np.int64) % p
-    if alg.rank(np.concatenate([pencil.v, w[None, :]]), p) != 3:
+    if alg.RowSpace(pencil.v, p).contains(w):
         raise InadmissiblePencil("lift vector lies in the pencil")
-    wvals = ctx.panel @ w % p
-    rows = []
-    pairs = []
-    for i in range(g):
-        for j in range(i, g):
-            prod = wvals * ctx.panel[:, i] % p * ctx.panel[:, j] % p
-            rows.append(prod)
-            pairs.append((i, j))
-    coords = ctx.coords_many(3, np.stack(rows))
-    values = coords @ pencil.vbar % p
+    iu, ju = np.triu_indices(g)
+    prods = (ctx.panel @ w % p)[:, None] * ctx.panel[:, iu] % p \
+        * ctx.panel[:, ju] % p
     gram = np.zeros((g, g), dtype=np.int64)
-    for (i, j), val in zip(pairs, values):
-        gram[i, j] = gram[j, i] = int(val)
+    gram[iu, ju] = gram[ju, iu] = ctx.coords_many(3, prods.T) @ pencil.vbar % p
     return CupGram(w=w, gram=gram)
 
 

@@ -25,22 +25,26 @@ from .rng import Stream, derive_key
 
 @dataclass
 class SpanAccumulator:
+    """Forms of one degree added one at a time; `rows` is the reduced
+    echelon basis of their span, not the forms as added."""
+
     degree: int
-    rows: np.ndarray
-    rank: int = 0
-    provenance: list = field(default_factory=list)
+    span: alg.RowSpace
+    provenance: list = field(default_factory=list)   # one tag per add
     trajectory: list = field(default_factory=list)
     sources: list = field(default_factory=list)   # nets behind the rows
 
-    def add(self, row: np.ndarray, tag: str, p: int,
+    @property
+    def rows(self) -> np.ndarray:
+        return self.span.rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.span.pivots)
+
+    def add(self, row: np.ndarray, tag: str,
             source: nt.Net | None = None) -> None:
-        row = alg.normalize_scalar(row, p)[None, :]
-        self.rows = row if self.rows.size == 0 \
-            else np.concatenate([self.rows, row])
-        new_rank = alg.rank(self.rows, p)
-        if new_rank < self.rank:
-            raise CurveConesError("span rank decreased; corrupted row")
-        self.rank = new_rank
+        self.span.add(row)
         self.provenance.append(tag)
         if source is not None:
             self.sources.append(source)
@@ -93,6 +97,24 @@ def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
     return rows
 
 
+def _saturate(acc: SpanAccumulator, cones: list[cn.QuarticCone], tag: str,
+              rows) -> SpanAccumulator:
+    """Add the rows of five cones at a time until three consecutive batches
+    leave the rank unchanged or the cones run out.  `rows(cone)` lists the
+    coefficient vectors of a cone; those of cones[k] are tagged f"{tag}-{k}".
+    """
+    stable = used = 0
+    while used < len(cones) and stable < 3:
+        before = acc.rank
+        for cone_obj in cones[used:used + 5]:
+            for coeffs in rows(cone_obj):
+                acc.add(coeffs, f"{tag}-{used}", source=cone_obj.net)
+            used += 1
+        acc.trajectory.append(acc.rank)
+        stable = stable + 1 if acc.rank == before else 0
+    return acc
+
+
 def accumulate_f4(ctx: CurveContext, sample_count: int, seed: int,
                   cones: list[cn.QuarticCone] | None = None
                   ) -> SpanAccumulator:
@@ -101,62 +123,27 @@ def accumulate_f4(ctx: CurveContext, sample_count: int, seed: int,
 
     Saturation policy: stop after three consecutive rank-stable batches of
     five reconstructions, or at sample_count."""
-    p = ctx.p
-    acc = SpanAccumulator(degree=4, rows=np.zeros((0, mono.count(ctx.g, 4)),
-                                                  dtype=np.int64))
+    acc = SpanAccumulator(4, alg.RowSpace(
+        np.zeros((0, mono.count(ctx.g, 4)), dtype=np.int64), ctx.p))
     for coeffs, net_obj in _square_rows(ctx, seed):
-        acc.add(coeffs, "double-quadric", p, source=net_obj)
+        acc.add(coeffs, "double-quadric", source=net_obj)
     acc.trajectory.append(acc.rank)
     if cones is None:
         cones = collect_cones(ctx, sample_count, seed)
-    stable = 0
-    used = 0
-    while used < len(cones) and stable < 3:
-        before = acc.rank
-        for _ in range(5):
-            if used >= len(cones):
-                break
-            cone_obj = cones[used]
-            acc.add(cone_obj.coeffs, f"reconstruction-{used}", p,
-                    source=cone_obj.net)
-            used += 1
-        acc.trajectory.append(acc.rank)
-        stable = stable + 1 if acc.rank == before else 0
-    return acc
+    return _saturate(acc, cones, "reconstruction", lambda c: [c.coeffs])
 
 
 def accumulate_f3(ctx: CurveContext, sample_count: int, seed: int,
                   cones: list[cn.QuarticCone] | None = None
                   ) -> SpanAccumulator:
     """Span of the polar cubics, one per vertex basis vector per net."""
-    p = ctx.p
-    acc = SpanAccumulator(degree=3, rows=np.zeros((0, mono.count(ctx.g, 3)),
-                                                  dtype=np.int64))
+    acc = SpanAccumulator(3, alg.RowSpace(
+        np.zeros((0, mono.count(ctx.g, 3)), dtype=np.int64), ctx.p))
     if cones is None:
         cones = collect_cones(ctx, sample_count, seed)
-    stable = 0
-    used = 0
     acc.trajectory.append(0)
-    while used < len(cones) and stable < 3:
-        before = acc.rank
-        for _ in range(5):
-            if used >= len(cones):
-                break
-            cone_obj = cones[used]
-            for x in cone_obj.net.wperp:
-                polar = cn.polar_cubic(ctx, cone_obj, x)
-                acc.add(polar.coeffs, f"polar-{used}", p,
-                        source=cone_obj.net)
-            used += 1
-        acc.trajectory.append(acc.rank)
-        stable = stable + 1 if acc.rank == before else 0
-    return acc
-
-
-def in_span(acc: SpanAccumulator, coeffs: np.ndarray, p: int) -> bool:
-    stacked = np.concatenate([acc.rows,
-                              alg.normalize_scalar(coeffs, p)[None, :]])
-    return alg.rank(stacked, p) == acc.rank
+    return _saturate(acc, cones, "polar", lambda c: [
+        cn.polar_cubic(ctx, c, x).coeffs for x in c.net.wperp])
 
 
 def squares_containment(ctx: CurveContext, f4: SpanAccumulator,
@@ -170,7 +157,7 @@ def squares_containment(ctx: CurveContext, f4: SpanAccumulator,
             continue
         quadric = combo @ i2.basis % ctx.p
         square = mono.mul_forms(quadric, 2, quadric, 2, ctx.g, ctx.p)
-        if not in_span(f4, square, ctx.p):
+        if not f4.span.contains(square):
             return False
     return True
 

@@ -419,3 +419,133 @@ class TestLinearAlgebraAgainstSympy:
         assert x.tolist() == expected
         assert kernel.tolist() == \
             from_dm(to_dm(m, p).nullspace(divide_last=True), p)
+
+
+class TestRowSpace:
+    """RowSpace against DomainMatrix ranks over GF(p) and against `rref`
+    of every row put in, on matrices of planted rank up to 8 x 8."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_contains_matches_stacked_rank(self, p, shape, seed):
+        rows, cols, r, sparse = shape
+        rng = np.random.default_rng(seed)
+        m = planted_rank(rng, p, rows, cols, min(r, rows, cols), sparse)
+        space = alg.RowSpace(m, p)
+        inside = rng.integers(0, p, size=rows) @ m % p
+        for v in (inside, rng.integers(0, p, size=cols), m[0],
+                  np.zeros(cols, dtype=np.int64)):
+            stacked = to_dm(np.vstack([m, v]), p).rank()
+            assert space.contains(v) == (stacked == to_dm(m, p).rank())
+        assert space.contains(inside)
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shape=shapes, start=st.integers(0, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_add_keeps_rref_of_rows_so_far(self, p, shape, start, seed):
+        rows, cols, r, sparse = shape
+        m = planted_rank(np.random.default_rng(seed), p, rows, cols,
+                         min(r, rows, cols), sparse)
+        start = min(start, rows)
+        space = alg.RowSpace(m[:start], p)
+        for k in range(start, rows + 1):
+            if k > start:
+                before = len(space.pivots)
+                grew = space.add(m[k - 1])
+                assert grew == (len(space.pivots) > before)
+                assert grew == (to_dm(m[:k], p).rank() > before)
+            reduced, pivots = alg.rref(m[:k], p)
+            assert space.pivots == pivots
+            assert space.rows.tolist() == reduced[:len(pivots)].tolist()
+
+    def test_empty_space_and_zero_vector(self):
+        space = alg.RowSpace(np.zeros((0, 5), dtype=np.int64), P)
+        zero = np.zeros(5, dtype=np.int64)
+        v = arr([0, 3, P + 1, 0, P - 1])
+        assert space.contains(zero)
+        assert not space.contains(v)
+        assert space.reduce(v).tolist() == [0, 3, 1, 0, P - 1]
+        assert not space.add(zero)
+        assert space.rows.shape == (0, 5) and space.pivots == []
+        assert space.add(v)
+        assert space.add(arr([1, 0, 0, 0, 0]))
+        assert space.pivots == [0, 1]
+        assert space.contains(zero) and not space.add(zero)
+        assert not space.add(2 * v)
+
+    @pytest.mark.parametrize("rank", [1, 35, 69])
+    def test_genus5_quartics_at_largest_prime(self, rank):
+        # 70 quartic monomials in 5 variables: the widest row the engine
+        # reduces, with entries near p, checked against exact integers
+        p = P_MAX
+        rng = np.random.default_rng(rank)
+        m = planted_rank(rng, p, 70, 70, rank, False)
+        space = alg.RowSpace(m, p)
+        v = np.full(70, p - 1, dtype=np.int64)
+        exact = [(int(a) - sum(int(v[c]) * int(row[k])
+                                for c, row in zip(space.pivots, space.rows)))
+                 % p for k, a in enumerate(v)]
+        assert space.reduce(v).tolist() == exact
+        assert space.contains(v) == \
+            (to_dm(np.vstack([m, v]), p).rank() == rank)
+        assert space.contains(rng.integers(0, p, size=70) @ m % p)
+
+
+def sympy_resultant(f, g, var):
+    """Res(f, g) over ZZ by sympy.  sympy 1.14 returns Res(g, f) when
+    deg f < deg g (Res(3x + 5, x^3 - 2) comes out as 179, not -179), so the
+    higher-degree polynomial goes first and Res(f, g) = (-1)^(mn) Res(g, f)
+    undoes the swap."""
+    m, n = sympy.degree(f, var), sympy.degree(g, var)
+    if m >= n:
+        return sympy.resultant(f, g, var)
+    return (-1) ** (m * n) * sympy.resultant(g, f, var)
+
+
+def sympy_coeffs(expr, var, p):
+    """Coefficients of a sympy polynomial in var, lowest degree first,
+    reduced mod p and trimmed."""
+    coeffs = sympy.Poly(expr, var).all_coeffs()[::-1]
+    return alg.poly_trim([int(c) % p for c in coeffs]).tolist()
+
+
+class TestResultantAgainstSympy:
+    """Sylvester resultants against sympy's over ZZ, reduced mod p, for
+    inputs whose leading coefficients are nonzero mod p."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(degs=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(degs=(1, 3), seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_resultant(self, p, degs, seed):
+        rng = np.random.default_rng(seed)
+        x = sympy.Symbol("x")
+        f, g = (np.append(rng.integers(0, p, size=d), rng.integers(1, p))
+                for d in degs)
+        expected = sympy_resultant(
+            *(sympy.Poly(h[::-1].tolist(), x).as_expr() for h in (f, g)), x)
+        assert alg.resultant(f, g, p) == int(expected) % p
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shapes=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                            st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shapes=(2, 2, 3, 4), seed=0)
+    @settings(max_examples=20, deadline=None)
+    def test_resultant_bivariate(self, p, shapes, seed):
+        rng = np.random.default_rng(seed)
+        x, y = sympy.symbols("x y")
+        fx, fy, gx, gy = shapes
+        polys = []
+        for rows, cols in ((fx, fy), (gx, gy)):
+            c = rng.integers(0, p, size=(rows, cols)).astype(np.int64)
+            c[-1, -1] = rng.integers(1, p)    # keeps both degrees mod p
+            polys.append(c)
+        f, g = polys
+        exprs = [sum(int(c[i, j]) * x**i * y**j for i in range(c.shape[0])
+                     for j in range(c.shape[1])) for c in polys]
+        expected = sympy_coeffs(sympy_resultant(*exprs, y), x, p)
+        assert alg.resultant_bivariate(f, g, p).tolist() == expected

@@ -73,6 +73,20 @@ class TestCommands:
         assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
                      "--degree", "2"]) == 2
 
+    def test_second_prime(self, tmp_path):
+        # the verified statements do not depend on the prime: the same seed
+        # regenerated at another admissible prime passes every criterion
+        curve = tmp_path / "c4-1048573.json"
+        report = tmp_path / "r.json"
+        assert main(["gen-curve", "--genus", "4", "--prime", "1048573",
+                     "--seed", "1", "--out", str(curve)]) == 0
+        assert main(["verify", "--curve", str(curve), "--quick",
+                     "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["curve"]["prime"] == 1048573
+        assert payload["ok"] is True
+        assert all(c["ok"] for c in payload["criteria"])
+
     def test_composite_prime_rejected(self, tmp_path, capsys):
         # 1004653 = 13 * 109 * 709 passes a base-2 Fermat test
         assert main(["gen-curve", "--genus", "4", "--prime", "1004653",

@@ -67,7 +67,7 @@ class TestContainment:
         stream = Stream(1, "comp")
         combo = stream.field_vec(P, ctx4.ideal(4).dim)
         quartic = combo @ ctx4.ideal(4).basis % P
-        assert not sl.in_span(f4span, quartic, P)
+        assert not f4span.span.contains(quartic)
 
 
 class TestBaseLocus:
