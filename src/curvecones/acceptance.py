@@ -22,7 +22,7 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from . import spanlab as sl
-from .errors import ConfigError, CurveConesError, DegenerateInput
+from .errors import ConfigError, DegenerateInput, resample
 from .rng import Stream, derive_key
 
 IDEAL_DIMS = {4: {2: 1, 3: 5, 4: 14}, 5: {2: 3, 3: 15, 4: 42}}
@@ -144,42 +144,40 @@ def criterion_gamma(ctx, state: SharedState) -> CriterionResult:
 def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
     p = ctx.p
     stream = Stream(derive_key(ctx.curve.seed, f"corank|{cfg.seed}"), "vw")
-    checked = engineered = disagreements = 0
-    budget = 30 * cfg.corank_samples
-    while checked < cfg.corank_samples and budget:
-        budget -= 1
-        v = stream.field_mat(p, 2, ctx.g)
-        w = stream.field_vec(p, ctx.g)
-        try:
-            pen = pc.build_pencil(ctx, v)
-            gram = pc.cup_gram(ctx, pen, w).gram
-        except DegenerateInput:
-            continue
-        corank = pc.corank(gram, p)
+    dstream = stream.spawn("deg")
+    # whether the law holds, per random and per engineered degenerate net
+    random_laws: list[bool] = []
+    engineered_laws: list[bool] = []
+
+    def law(v: np.ndarray, w: np.ndarray, laws: list, wanted: int):
+        pen = pc.build_pencil(ctx, v)
+        corank = pc.corank(pc.cup_gram(ctx, pen, w).gram, p)
         net_obj = nt.build_net(ctx, np.concatenate([pen.v, w[None, :]]),
                                with_gamma=False)
-        agrees = (corank == 2 and not net_obj.in_d) \
-            or (corank >= 3 and net_obj.in_d)
-        if not agrees:
-            disagreements += 1
-        checked += 1
-    dstream = stream.spawn("deg")
-    for k in range(cfg.corank_engineered):
-        try:
-            net_obj = cn.degenerate_net(ctx, dstream.spawn(str(k)))
-            pen = pc.build_pencil(ctx, net_obj.w[:2])
-            gram = pc.cup_gram(ctx, pen, net_obj.w[2]).gram
-        except CurveConesError:
-            continue
-        corank = pc.corank(gram, p)
-        if not (corank >= 3 and net_obj.in_d):
-            disagreements += 1
-        engineered += 1
-    ok = checked >= cfg.corank_samples \
-        and engineered >= cfg.corank_engineered and disagreements == 0
+        laws.append(corank == 2 and not net_obj.in_d
+                    or corank >= 3 and net_obj.in_d)
+        return laws if len(laws) == wanted else None
+
+    def random_sample(_):
+        v = stream.field_mat(p, 2, ctx.g)
+        return law(v, stream.field_vec(p, ctx.g), random_laws,
+                   cfg.corank_samples)
+
+    def engineered_sample(k: int):
+        w = cn.degenerate_net(ctx, dstream.spawn(str(k))).w
+        return law(w[:2], w[2], engineered_laws, cfg.corank_engineered)
+
+    resample("corank samples", 30 * cfg.corank_samples, random_sample,
+             default=None)
+    resample("engineered corank nets", cfg.corank_engineered,
+             engineered_sample, default=None)
+    disagreements = random_laws.count(False) + engineered_laws.count(False)
+    ok = len(random_laws) >= cfg.corank_samples \
+        and len(engineered_laws) >= cfg.corank_engineered \
+        and disagreements == 0
     return CriterionResult(4, "corank law", ok,
-                           {"random_checked": checked,
-                            "engineered_checked": engineered,
+                           {"random_checked": len(random_laws),
+                            "engineered_checked": len(engineered_laws),
                             "disagreements": disagreements})
 
 
@@ -192,7 +190,6 @@ def criterion_reconstruction(ctx, cfg: SuiteConfig,
     for k, cone_obj in enumerate(state.cones):
         cert = cn.verify_cone(ctx, cone_obj, stream.spawn(f"c{k}"),
                               oracle_points=cfg.oracle_points)
-        cone_obj.certificate.update(cert)
         ok = ok and cert["contains_curve"] and cert["vertex_singular"] \
             and cert["holdout_pencil"] \
             and cert["oracle_points"] >= cfg.oracle_points \
@@ -210,9 +207,9 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
     p = ctx.p
     i2 = ctx.ideal(2)
     stream = Stream(derive_key(ctx.curve.seed, f"dq|{cfg.seed}"), "q")
-    built = 0
-    ok = True
-    for k in range(cfg.double_quadrics):
+    laws: list[bool] = []   # whether each engineered net obeys the law
+
+    def engineer(k: int):
         if ctx.g == 4:
             quadric = i2.basis[0]
         else:
@@ -220,20 +217,20 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
             if not combo.any():
                 combo[0] = 1
             quadric = combo @ i2.basis % p
-        try:
-            net_obj = cn.degenerate_net(ctx, stream.spawn(f"n{k}"),
-                                        quadric=quadric)
-            cone_obj = cn.double_quadric_quartic(ctx, net_obj)
-        except CurveConesError:
-            ok = False
-            continue
+        net_obj = cn.degenerate_net(ctx, stream.spawn(f"n{k}"),
+                                    quadric=quadric)
+        cone_obj = cn.double_quadric_quartic(ctx, net_obj)
         expected = alg.normalize_scalar(
             mono.mul_forms(quadric, 2, quadric, 2, ctx.g, p), p)
-        ok = ok and cone_obj.coeffs.tolist() == expected.tolist() \
-            and net_obj.d_certificate is not None
-        built += 1
-    ok = ok and built >= cfg.double_quadrics
-    return CriterionResult(6, "double-quadric law", ok, {"engineered": built})
+        laws.append(cone_obj.coeffs.tolist() == expected.tolist()
+                    and net_obj.d_certificate is not None)
+        return laws if len(laws) == cfg.double_quadrics else None
+
+    resample("double-quadric nets", cfg.double_quadrics, engineer,
+             default=None)
+    ok = all(laws) and len(laws) >= cfg.double_quadrics
+    return CriterionResult(6, "double-quadric law", ok,
+                           {"engineered": len(laws)})
 
 
 def criterion_polars(ctx, cfg: SuiteConfig,
@@ -303,16 +300,19 @@ def criterion_secant(ctx, cfg: SuiteConfig,
         checked += 1
         if res == (False, False):
             random_ok += 1
-    vertex_ok = 0
-    for k in range(cfg.secant_engineered):
-        try:
-            pt_p, pt_q, vnet = cn.secant_through_vertex(
-                ctx, stream.spawn(f"v{k}"))
-            vcone = cn.reconstruct_quartic(ctx, vnet, oracle_points=4)
-        except CurveConesError:
-            continue
-        if cn.secant_criterion(ctx, vnet, vcone, pt_p, pt_q) == (True, True):
-            vertex_ok += 1
+    vertex: list[bool] = []   # criterion holds on an engineered secant
+
+    def vertex_secant(k: int):
+        pt_p, pt_q, vnet = cn.secant_through_vertex(ctx,
+                                                    stream.spawn(f"v{k}"))
+        vcone = cn.reconstruct_quartic(ctx, vnet, oracle_points=4)
+        vertex.append(cn.secant_criterion(ctx, vnet, vcone, pt_p, pt_q)
+                      == (True, True))
+        return vertex if len(vertex) == cfg.secant_engineered else None
+
+    resample("vertex secants", cfg.secant_engineered, vertex_secant,
+             default=None)
+    vertex_ok = vertex.count(True)
     try:
         found = cn.contained_double_secant(ctx, stream.spawn("dbl"),
                                            count=cfg.secant_engineered)

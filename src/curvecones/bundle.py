@@ -22,7 +22,7 @@ from .canring import CurveContext
 from .cone import QuarticCone
 from .curve import normalize_point, quadric_gram
 from .errors import (NodeFiber, NonGenericCoordinates, RankDeficientW,
-                     SplittingViolation)
+                     SplittingViolation, resample)
 from .rng import Stream, derive_key
 
 
@@ -120,50 +120,39 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     be nonsingular.  Returns counts and the per-fiber rows for export."""
     p = ctx.p
     gamma = nt.gamma_equation(ctx, net_obj)
-    rows = []
-    on_checked = on_off = 0
-    kernel_matches = 0
-    for pt in ctx.panel:
-        if on_checked >= on_count:
-            break
-        u = net_obj.w @ pt % p
-        try:
-            match = steinerian_check(ctx, net_obj, cone, pt)
-        except NodeFiber:
-            continue
+    on_rows: list[tuple] = []
+    off_rows: list[tuple] = []
+
+    def row(u: np.ndarray, gval: int, match: bool | None, rows: list,
+            wanted: int):
         det_val = alg.det(fiber_quadric(ctx, net_obj, cone, u).gram, p)
-        gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
         rows.append((normalize_point(u, p), gval, det_val, match))
-        on_checked += 1
-        if match:
-            kernel_matches += 1
-    off_checked = 0
-    off_nonzero = 0
-    budget = 40 * off_count
-    while off_checked < off_count and budget:
-        budget -= 1
+        return rows if len(rows) == wanted else None
+
+    def on_image(k: int):
+        u = net_obj.w @ ctx.panel[k] % p
+        match = steinerian_check(ctx, net_obj, cone, ctx.panel[k])
+        gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
+        return row(u, gval, match, on_rows, on_count)
+
+    def off_image(_):
         u = stream.field_vec(p, 3)
         if not u.any():
-            continue
+            return None
         gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
-        if gval == 0:
-            continue
-        try:
-            det_val = alg.det(fiber_quadric(ctx, net_obj, cone, u).gram, p)
-        except (SplittingViolation, RankDeficientW):
-            continue
-        rows.append((normalize_point(u, p), gval, det_val, None))
-        off_checked += 1
-        if det_val != 0:
-            off_nonzero += 1
-    on_singular = sum(1 for r in rows if r[1] == 0 and r[2] == 0)
+        return None if gval == 0 else row(u, gval, None, off_rows, off_count)
+
+    resample("on-image fibers", len(ctx.panel) if on_count else 0, on_image,
+             default=None)
+    resample("off-image fibers", 40 * off_count, off_image, default=None)
+    rows = on_rows + off_rows
     return {
         "rows": rows,
-        "on_checked": on_checked,
-        "on_singular": on_singular,
-        "kernel_matches": kernel_matches,
-        "off_checked": off_checked,
-        "off_nonsingular": off_nonzero,
+        "on_checked": len(on_rows),
+        "on_singular": sum(1 for r in rows if r[1] == 0 and r[2] == 0),
+        "kernel_matches": sum(1 for r in on_rows if r[3]),
+        "off_checked": len(off_rows),
+        "off_nonsingular": sum(1 for r in off_rows if r[2] != 0),
     }
 
 
@@ -207,52 +196,47 @@ def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0,
     equations; candidates over extensions are counted through the degree of
     the squarefree part."""
     degree = gamma.degree
-    last_error: Exception | None = None
-    for attempt in range(max_retries):
+
+    def count_in_frame(attempt: int) -> int | None:
         stream = Stream(derive_key(seed, f"node-count|{attempt}"), "frame")
         frame = stream.field_mat(p, 3, 3)
         if alg.rank(frame, p) != 3:
-            continue
+            return None
         changed = mono.restrict(gamma.coeffs, degree, 3, frame, p)
         f = _affine_chart(changed, degree, p)
         if f.shape[1] < degree + 1 or f.shape[0] < degree + 1:
-            continue  # need full y-degree and x-degree with constant leads
+            return None  # need full y-degree and x-degree with constant leads
         if int(f[0, degree]) == 0 or int(f[degree, 0]) == 0:
-            continue
+            return None
         fx = _p2_partial_x(f, p)
         fy = _p2_partial_y(f, p)
         r1 = alg.resultant_bivariate(f, fx, p)
         r2 = alg.resultant_bivariate(f, fy, p)
         if alg.poly_deg(r1) < 0 or alg.poly_deg(r2) < 0:
-            continue
+            return None
         h = alg.poly_gcd(r1, r2, p)
         if alg.poly_deg(h) <= 0:
             return 0
         h_free = alg.squarefree_part(h, p)
         rational = alg.distinct_roots(h_free, p)
         count = alg.poly_deg(h_free) - len(rational)
-        try:
-            for a in rational:
-                fy_a = alg.p2_eval_x(f, a, p)
-                fxy_a = alg.p2_eval_x(fx, a, p)
-                fyy_a = alg.p2_eval_x(fy, a, p)
-                if not (len(fy_a) and len(fxy_a) and len(fyy_a)):
-                    raise NonGenericCoordinates("partials collapse at "
-                                                "a candidate abscissa")
-                common = alg.poly_gcd(alg.poly_gcd(fy_a, fxy_a, p), fyy_a, p)
-                if alg.poly_deg(common) < 1:
-                    continue  # fake candidate from unrelated branch points
-                k = alg.poly_deg(alg.squarefree_part(common, p))
-                if k > 1:
-                    raise NonGenericCoordinates(
-                        "two singular points share an abscissa")
-                count += 1
-        except NonGenericCoordinates as exc:
-            last_error = exc
-            continue
+        for a in rational:
+            fy_a = alg.p2_eval_x(f, a, p)
+            fxy_a = alg.p2_eval_x(fx, a, p)
+            fyy_a = alg.p2_eval_x(fy, a, p)
+            if not (len(fy_a) and len(fxy_a) and len(fyy_a)):
+                raise NonGenericCoordinates("partials collapse at a "
+                                            "candidate abscissa")
+            common = alg.poly_gcd(alg.poly_gcd(fy_a, fxy_a, p), fyy_a, p)
+            if alg.poly_deg(common) < 1:
+                continue  # fake candidate from unrelated branch points
+            if alg.poly_deg(alg.squarefree_part(common, p)) > 1:
+                raise NonGenericCoordinates(
+                    "two singular points share an abscissa")
+            count += 1
         return count
-    raise last_error or NonGenericCoordinates(
-        "no usable frame for node counting")
+
+    return resample("node-count frame", max_retries, count_in_frame)
 
 
 def scan_rows_to_csv(rows) -> str:

@@ -50,13 +50,6 @@ class IdealPiece:
     basis: np.ndarray            # dim x monomial-count, echelon-normalized
 
 
-@dataclass
-class RingClass:
-    """Residue class in the degree-n piece, as panel values."""
-    degree: int
-    values: np.ndarray
-
-
 class CurveContext:
     """A curve with its point panels and graded-ring evaluation tables."""
 
@@ -113,22 +106,6 @@ class CurveContext:
     def coords_many(self, n: int, value_rows: np.ndarray) -> np.ndarray:
         piece = self.piece(n)
         return (value_rows[:, piece.coord_rows] @ piece.coord_inv.T) % self.p
-
-    # -- classes ----------------------------------------------------------
-
-    def class_of_form(self, coeffs: np.ndarray, n: int) -> RingClass:
-        return RingClass(n, mono.form_eval(coeffs, self.panel, self.g, n,
-                                           self.p))
-
-    def class_of_linear(self, w: np.ndarray) -> RingClass:
-        return RingClass(1, self.panel @ np.asarray(w, dtype=np.int64)
-                         % self.p)
-
-    def multiply(self, a: RingClass, b: RingClass) -> RingClass:
-        """Pointwise product; faithful for total degree up to six."""
-        if a.degree + b.degree > 6:
-            raise ValueError("product degree exceeds the faithful range")
-        return RingClass(a.degree + b.degree, a.values * b.values % self.p)
 
     def tangent(self, pt: np.ndarray) -> cv.TangentData:
         key = tuple(int(v) for v in pt)

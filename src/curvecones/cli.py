@@ -8,7 +8,8 @@ monomial order with z0 > z1 > ... (canonical residues in [0, p)); see the
 README for the full conventions.
 
 Exit codes: 0 success, 2 configuration error, 3 mathematical verification
-failure, 4 degeneracy budget exhausted.
+failure (a failed criterion or certificate, never resampled), 4 resample
+budget exhausted (a DegenerateInput).
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from . import spanlab as sl
-from .errors import (ConfigError, CurveConesError, DegenerateInput,
-                     GenerationFailed, InconsistentReconstruction,
-                     InsufficientPoints, NonGenericD,
-                     UnderdeterminedReconstruction, VerificationFailed)
+from .errors import ConfigError, CurveConesError, DegenerateInput
 from .rng import Stream, derive_key
-
-DEGENERACY_ERRORS = (GenerationFailed, InsufficientPoints, DegenerateInput,
-                     UnderdeterminedReconstruction,
-                     InconsistentReconstruction, NonGenericD)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -247,14 +241,12 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailed as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
-    except DEGENERACY_ERRORS as exc:
+    except DegenerateInput as exc:
         print(f"degeneracy budget exhausted: {exc}", file=sys.stderr)
         return 4
     except CurveConesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"verification failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -23,10 +23,10 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from .canring import CurveContext
-from .errors import (CorankJump, CurveConesError, DegenerateInput,
-                     InconsistentReconstruction, InadmissiblePencil,
-                     NonGenericD, SigmaPoint, SingularPoint,
-                     UnderdeterminedReconstruction, VerificationFailed)
+from .errors import (CorankJump, DegenerateInput, InconsistentReconstruction,
+                     InadmissiblePencil, NonGenericD, SigmaPoint,
+                     UnderdeterminedReconstruction, VerificationFailed,
+                     resample)
 from .rng import Stream, derive_key
 
 
@@ -172,20 +172,17 @@ def _pencil_through(net_obj: nt.Net, u: np.ndarray, p: int) -> np.ndarray:
 
 def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
                   count: int, budget: int = 120) -> list[SplitFiber]:
-    fibers = []
-    while len(fibers) < count and budget:
-        budget -= 1
+    fibers: list[SplitFiber] = []
+
+    def draw(_):
         u = stream.field_vec(ctx.p, 3)
         if not u.any():
-            continue
-        try:
-            fibers.append(split_fiber(ctx, net_obj,
-                                      _pencil_through(net_obj, u, ctx.p)))
-        except DegenerateInput:
-            continue
-    if len(fibers) < count:
-        raise CorankJump("could not collect enough admissible pencils")
-    return fibers
+            return None
+        fibers.append(split_fiber(ctx, net_obj,
+                                  _pencil_through(net_obj, u, ctx.p)))
+        return fibers if len(fibers) == count else None
+
+    return resample("admissible pencils", budget, draw)
 
 
 def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,
@@ -331,37 +328,31 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
     with the evaluation).  Returns (checked, disagreements)."""
     p = ctx.p
     deg = 4 if x is None else 3
-    checked = 0
-    disagreements = 0
     zero_half = count // 2
-    for b in points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
-                            3 * zero_half):
-        try:
-            val = nt.fw_oracle(ctx, net_obj, b) if x is None \
-                else nt.polar_oracle(ctx, net_obj, x, b)
-        except DegenerateInput:
-            continue
-        checked += 1
-        if not val:
-            disagreements += 1
-        if checked == zero_half:
-            break
-    budget = 40 * count
-    while checked < count and budget:
-        budget -= 1
+    zeros = points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
+                           3 * zero_half)
+    verdicts: list[bool] = []   # oracle agrees with the evaluation
+
+    def probe(b: np.ndarray, expected: bool, wanted: int):
+        val = nt.fw_oracle(ctx, net_obj, b) if x is None \
+            else nt.polar_oracle(ctx, net_obj, x, b)
+        verdicts.append(val == expected)
+        return verdicts if len(verdicts) == wanted else None
+
+    def zero_probe(_):
+        b = next(zeros, None)
+        return None if b is None else probe(b, True, zero_half)
+
+    def random_probe(_):
         b = stream.field_vec(p, ctx.g)
         if not b.any():
-            continue
+            return None
         expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
-        try:
-            val = nt.fw_oracle(ctx, net_obj, b) if x is None \
-                else nt.polar_oracle(ctx, net_obj, x, b)
-        except DegenerateInput:
-            continue
-        checked += 1
-        if val != expected:
-            disagreements += 1
-    return checked, disagreements
+        return probe(b, expected, count)
+
+    resample("zero probes", 3 * zero_half, zero_probe, default=None)
+    resample("random probes", 40 * count, random_probe, default=None)
+    return len(verdicts), verdicts.count(False)
 
 
 def verify_cone(ctx: CurveContext, cone: QuarticCone, stream: Stream,
@@ -492,27 +483,24 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream,
     """Two panel points and a generic net whose vertex meets their secant."""
     p = ctx.p
     n = ctx.panel.shape[0]
-    for _ in range(tries):
+
+    def draw(_):
         i = stream.integer(0, n)
         j = stream.integer(0, n)
         if i == j:
-            continue
+            return None
         pt_p, pt_q = ctx.panel[i], ctx.panel[j]
         x1 = (stream.nonzero(p) * pt_p + stream.nonzero(p) * pt_q) % p
-        rows = [x1]
-        for _ in range(ctx.g - 4):
-            rows.append(stream.field_vec(p, ctx.g))
-        vertex = np.stack(rows)
+        vertex = np.stack([x1] + [stream.field_vec(p, ctx.g)
+                                  for _ in range(ctx.g - 4)])
         if alg.rank(vertex, p) != ctx.g - 3:
-            continue
-        try:
-            net_obj = nt.net_from_vertex(ctx, vertex)
-        except CurveConesError:
-            continue
+            return None
+        net_obj = nt.net_from_vertex(ctx, vertex)
         if net_obj.in_b or net_obj.in_d:
-            continue
+            return None
         return pt_p, pt_q, net_obj
-    raise DegenerateInput("no vertex-secant configuration found")
+
+    return resample("vertex secant", tries, draw)
 
 
 def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
@@ -539,10 +527,11 @@ def bitangent_pair(ctx: CurveContext, stream: Stream,
     p = ctx.p
     chart = cv.ruling_chart(ctx.curve)
     n = ctx.panel.shape[0]
-    for _ in range(point_tries):
+
+    def draw(_):
         pt = ctx.panel[stream.integer(0, n)]
         if chart.param_of(pt) is None:
-            continue
+            return None
         td = ctx.tangent(pt)
         forms = alg.kernel_basis(np.stack([td.point, td.direction]), p)
         s1, s2 = forms[0], forms[1]
@@ -571,10 +560,10 @@ def bitangent_pair(ctx: CurveContext, stream: Stream,
             lam_nodes.append(lam)
             disc_vals.append(alg.resultant(quot, dq, p))
         if len(lam_nodes) < 80:
-            continue
+            return None
         disc = alg.lagrange_interpolate(lam_nodes, disc_vals, p)
         if alg.poly_deg(disc) < 1:
-            continue
+            return None
         for lam_star in alg.distinct_roots(disc, p):
             section = (s1 + lam_star * s2) % p
             quot, rem = alg.poly_divmod(sweep(lam_star), common, p)
@@ -595,16 +584,16 @@ def bitangent_pair(ctx: CurveContext, stream: Stream,
                 cand = cv.normalize_point(cand, p)
                 if cand.tolist() == td.point.tolist():
                     continue
-                if not cv.on_curve(ctx.curve, cand):
+                if not (cv.on_curve(ctx.curve, cand)
+                        and cv.smooth_at(ctx.curve, [cand])):
                     continue
-                try:
-                    tq = ctx.tangent(cand)
-                except SingularPoint:
-                    continue
+                tq = ctx.tangent(cand)
                 if int(section @ cand % p) == 0 \
                         and int(section @ tq.direction % p) == 0:
                     return td.point, cand, section
-    raise DegenerateInput("no bitangent pair found within the sweep budget")
+        return None
+
+    return resample("bitangent pair", point_tries, draw)
 
 
 def contained_double_secant(ctx: CurveContext, stream: Stream,
@@ -623,97 +612,97 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
     interpolated as a rational function of the parameter, and the numerator
     roots are verified exactly."""
     p = ctx.p
-    g = ctx.g
-    results = []
-    for trial in range(pair_tries):
-        if len(results) >= count:
-            break
+    results: list = []
+
+    def draw(trial: int):
         sub = stream.spawn(f"pair{trial}")
-        if g == 4:
-            try:
-                pt_p, pt_q, section = bitangent_pair(ctx, sub.spawn("bit"))
-            except DegenerateInput:
-                continue
+        if ctx.g == 4:
+            pt_p, pt_q, section = bitangent_pair(ctx, sub.spawn("bit"))
         else:
             n = ctx.panel.shape[0]
             i = sub.integer(0, n)
             j = sub.integer(0, n)
             if i == j:
-                continue
+                return None
             pt_p, pt_q = ctx.panel[i], ctx.panel[j]
             section = double_vanishing_section(ctx, pt_p, pt_q)
             if section is None:
-                continue
+                return None
         b0 = (pt_p + sub.nonzero(p) * pt_q) % p
         for fam in range(4):
             if len(results) >= count:
                 break
-            famsub = sub.spawn(f"family{fam}")
-            r1 = famsub.field_vec(p, g)
-            r2 = famsub.field_vec(p, g)
-            r3 = famsub.field_vec(p, g)
-            ts: list[int] = []
-            vs: list[int] = []
-            t = 0
-            while len(ts) < 100 and t < 500:
-                t += 1
-                w = np.stack([section, r1, (r2 + t * r3) % p])
-                try:
-                    net_t = nt.build_net(ctx, w, with_gamma=False)
-                    if net_t.in_b or net_t.in_d:
-                        continue
-                    vs.append(nt.oracle_value(ctx, net_t, b0,
-                                              check_gamma=False))
-                    ts.append(t)
-                except (DegenerateInput, CurveConesError):
-                    continue
-            if len(ts) < 100:
-                continue
-            fit = alg.rational_interpolate(ts[:94], vs[:94], p, 45, 45)
-            if fit is None:
-                continue
-            num, den = fit
-            if not all(alg.poly_eval(num, ts[94 + k], p)
-                       == vs[94 + k] * alg.poly_eval(den, ts[94 + k], p) % p
-                       for k in range(6)):
-                continue
-            for root in alg.distinct_roots(num, p):
-                if len(results) >= count:
-                    break
-                w = np.stack([section, r1, (r2 + root * r3) % p])
-                try:
-                    net_r = nt.build_net(ctx, w)
-                except CurveConesError:
-                    continue
-                if net_r.in_b or net_r.in_d:
-                    continue
-                try:
-                    cone_r = reconstruct_quartic(ctx, net_r, oracle_points=4)
-                except CurveConesError:
-                    continue
-                if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) \
-                        == (True, True):
-                    results.append((pt_p, pt_q, net_r, cone_r))
-    if len(results) < count:
-        raise DegenerateInput(
-            f"found {len(results)} of {count} contained double secants")
-    return results
+            results.extend(_family_secants(
+                ctx, section, pt_p, pt_q, b0, sub.spawn(f"family{fam}"),
+                count - len(results)))
+        return results if len(results) >= count else None
+
+    return resample("contained double secants", pair_tries, draw)
+
+
+def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
+                    pt_q: np.ndarray, b0: np.ndarray, stream: Stream,
+                    wanted: int) -> list:
+    """Up to `wanted` contained double secants on the nets
+    <section, r1, r2 + t r3> of one random family."""
+    p = ctx.p
+    r1 = stream.field_vec(p, ctx.g)
+    r2 = stream.field_vec(p, ctx.g)
+    r3 = stream.field_vec(p, ctx.g)
+
+    def family(t: int) -> np.ndarray:
+        return np.stack([section, r1, (r2 + t * r3) % p])
+
+    samples: list[tuple[int, int]] = []   # (t, oracle value at b0)
+
+    def sample(k: int):
+        net_t = nt.build_net(ctx, family(k + 1), with_gamma=False)
+        if net_t.in_b or net_t.in_d:
+            return None
+        samples.append((k + 1, nt.oracle_value(ctx, net_t, b0,
+                                               check_gamma=False)))
+        return samples if len(samples) == 100 else None
+
+    if len(resample("family sweep", 500, sample, default=samples)) < 100:
+        return []
+    ts, vs = zip(*samples)
+    fit = alg.rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)
+    if fit is None:
+        return []
+    num, den = fit
+    if not all(alg.poly_eval(num, ts[94 + k], p)
+               == vs[94 + k] * alg.poly_eval(den, ts[94 + k], p) % p
+               for k in range(6)):
+        return []
+    roots = alg.distinct_roots(num, p)
+    found: list = []
+
+    def contained(k: int):
+        net_r = nt.build_net(ctx, family(roots[k]))
+        if net_r.in_b or net_r.in_d:
+            return None
+        cone_r = reconstruct_quartic(ctx, net_r, oracle_points=4)
+        if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) == (True, True):
+            found.append((pt_p, pt_q, net_r, cone_r))
+        return found if len(found) == wanted else None
+
+    return resample("family roots", len(roots), contained, default=found)
 
 
 def net_containing_section(ctx: CurveContext, section: np.ndarray,
                            stream: Stream, tries: int = 80) -> nt.Net:
     """Generic net containing the given section, off the degeneracy locus."""
     p = ctx.p
-    for _ in range(tries):
+
+    def draw(_):
         rows = np.stack([section] + [stream.field_vec(p, ctx.g)
                                      for _ in range(2)])
         if alg.rank(rows, p) != 3:
-            continue
+            return None
         net_obj = nt.build_net(ctx, rows)
-        if net_obj.in_b or net_obj.in_d:
-            continue
-        return net_obj
-    raise DegenerateInput("no generic net through the section found")
+        return None if net_obj.in_b or net_obj.in_d else net_obj
+
+    return resample("net through section", tries, draw)
 
 
 def degenerate_net(ctx: CurveContext, stream: Stream,
@@ -724,17 +713,18 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
     p = ctx.p
     g = ctx.g
     i2 = ctx.ideal(2)
-    for _ in range(tries):
+
+    def draw(_):
         if quadric is None:
             combo = stream.field_vec(p, i2.dim)
             if not combo.any():
-                continue
+                return None
             q = combo @ i2.basis % p
         else:
             q = np.asarray(quadric, dtype=np.int64) % p
         q1 = next(points_on_form(ctx, q, 2, stream, 1, budget=60), None)
         if q1 is None:
-            continue
+            return None
         if g == 4:
             vertex = q1[None, :]
         else:
@@ -745,21 +735,17 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
             f = alg.poly_trim(mono.restrict_to_line(q, 2, g, c1, c2, p))
             roots = alg.distinct_roots(f, p) if alg.poly_deg(f) >= 1 else []
             if not roots:
-                continue
+                return None
             q2 = (c1 + roots[0] * c2) % p
             if not q2.any() or alg.rank(np.stack([q1, q2]), p) != 2:
-                continue
+                return None
             vertex = np.stack([q1, q2])
-        try:
-            net_obj = nt.net_from_vertex(ctx, vertex)
-        except CurveConesError:
-            continue
-        if net_obj.in_b or not net_obj.in_d:
-            continue
-        if net_obj.d_certificate is None:
-            continue
+        net_obj = nt.net_from_vertex(ctx, vertex)
+        if net_obj.in_b or not net_obj.in_d or net_obj.d_certificate is None:
+            return None
         return net_obj
-    raise NonGenericD("could not engineer a degenerate net")
+
+    return resample("degenerate net", tries, draw)
 
 
 # ---------------------------------------------------------------------------

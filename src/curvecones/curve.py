@@ -23,8 +23,8 @@ import numpy as np
 
 from . import algebra as alg
 from . import monomials as mono
-from .errors import (ConfigError, CurveConesError, GenerationFailed,
-                     InsufficientPoints, SingularPoint)
+from .errors import (ConfigError, DegenerateInput, GenerationFailed,
+                     InsufficientPoints, SingularPoint, resample)
 from .rng import Stream, derive_key
 
 GENERATION_TRIES = 64
@@ -273,7 +273,7 @@ class RulingChart:
         tau = mono.form_eval_one(self.quadric, w, 4, 2, p)
         if rho == 0 and sig == 0:
             if tau == 0:
-                raise CurveConesError("plane lies inside the quadric")
+                raise DegenerateInput("plane lies inside the quadric")
             return self.q0.copy(), self.d1.copy()
         a = (sig * self.q0 - rho * self.d1) % p
         if rho != 0:
@@ -345,7 +345,7 @@ class RulingChart:
         h = np.asarray(h, dtype=np.int64) % p
         s = self.section_poly(h)
         if alg.poly_deg(s) < 0:
-            raise CurveConesError("degenerate plane sweep")
+            raise DegenerateInput("degenerate plane sweep")
         found: dict[tuple, np.ndarray] = {}
 
         def try_line(u):
@@ -430,7 +430,7 @@ def _genus5_section(curve: CurveModel, h: np.ndarray,
     h = np.asarray(h, dtype=np.int64) % p
     basis = alg.kernel_basis(h.reshape(1, 5), p).T  # 5 x 4
     if basis.shape[1] != 4:
-        raise CurveConesError("section hyperplane is degenerate")
+        raise DegenerateInput("section hyperplane is degenerate")
     key = derive_key(curve.seed, "slice-chart|" + ",".join(map(str, h)))
     stream = Stream(key, "chart")
     quads = [np.array(c, dtype=np.int64) for _, c in curve.generators]
@@ -450,8 +450,8 @@ def _genus5_section(curve: CurveModel, h: np.ndarray,
             continue
         try:
             rfin = alg.resultant_bivariate(r12, r13, p)
-        except ValueError:
-            continue
+        except ValueError:   # a zero eliminant: the chart, not the slice,
+            continue         # is unusable (not a resample of the pipeline)
         if alg.poly_deg(rfin) < 0:
             continue
         for y1 in alg.distinct_roots(rfin, p):
@@ -497,7 +497,8 @@ def _draw_form(stream: Stream, g: int, n: int, p: int) -> np.ndarray:
     return stream.field_vec(p, mono.count(g, n))
 
 
-def _spot_check_smooth(curve: CurveModel, pts: list[np.ndarray]) -> bool:
+def smooth_at(curve: CurveModel, pts: list[np.ndarray]) -> bool:
+    """Full Jacobian rank at every given curve point."""
     p = curve.prime
     need = curve.genus - 2
     return all(alg.rank(jacobian_at(curve, q), p) == need for q in pts)
@@ -512,30 +513,28 @@ def generate_curve(genus: int, prime: int, seed: int) -> CurveModel:
         raise ValueError(f"prime must be at least 10^6, got {prime}")
     alg.check_prime(prime)
     stream = Stream(seed, f"curve-gen-g{genus}")
-    for _ in range(GENERATION_TRIES):
+
+    def draw(_):
         if genus == 4:
             q = _draw_form(stream, 4, 2, prime)
             c = _draw_form(stream, 4, 3, prime)
             gram = quadric_gram(q, 4, prime)
             if legendre(alg.det(gram, prime), prime) != 1:
-                continue  # need a split smooth quadric for rational rulings
+                return None  # need a split smooth quadric for rational rulings
             candidate = CurveModel(4, prime, seed,
                                    ((2, tuple(int(v) for v in q)),
                                     (3, tuple(int(v) for v in c))))
         else:
             qs = [_draw_form(stream, 5, 2, prime) for _ in range(3)]
             if alg.rank(np.stack(qs), prime) != 3:
-                continue
+                return None
             candidate = CurveModel(5, prime, seed, tuple(
                 (2, tuple(int(v) for v in q)) for q in qs))
-        try:
-            pts = sample_points(candidate, 50)
-        except (InsufficientPoints, GenerationFailed, CurveConesError):
-            continue
-        if _spot_check_smooth(candidate, pts):
-            return candidate
-    raise GenerationFailed(
-        f"no smooth curve found for genus {genus}, prime {prime}, seed {seed}")
+        pts = sample_points(candidate, 50)
+        return candidate if smooth_at(candidate, pts) else None
+
+    return resample(f"smooth curve of genus {genus} at prime {prime}, seed "
+                    f"{seed}", GENERATION_TRIES, draw)
 
 
 def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:

@@ -1,9 +1,22 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one recovery policy.
 
-Degenerate inputs are recoverable: callers resample and retry.  Everything
-else signals either a configuration problem or a genuine verification
-failure.
+Only degenerate inputs are recoverable.  A `DegenerateInput` says that a
+random draw (a net, a pencil, a probe point, a frame, a slice, a candidate
+curve) was not generic enough to use; the caller draws again.  Every such
+retry goes through `resample`, which catches `DegenerateInput` and nothing
+else.  All other errors are either configuration problems or certificate
+failures (`VerificationFailed`, `SplittingViolation`, `InconsistentSystem`,
+...): they are never resampled and propagate to the command line, which
+exits 3 for them and 4 when a resample budget runs out.
 """
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from typing import TypeVar
+
+T = TypeVar("T")
+_RAISE = object()
 
 
 class CurveConesError(Exception):
@@ -18,14 +31,6 @@ class InconsistentSystem(CurveConesError):
     """Linear system M x = rhs has no solution."""
 
 
-class GenerationFailed(CurveConesError):
-    """Curve generation exhausted its retry budget for this (prime, seed)."""
-
-
-class InsufficientPoints(CurveConesError):
-    """Point sampling ran out of slice budget before reaching the target."""
-
-
 class SingularPoint(CurveConesError):
     """Jacobian rank dropped at a point that was expected to be smooth."""
 
@@ -34,16 +39,32 @@ class RankDeficiency(CurveConesError):
     """A point panel failed to separate a graded piece of the ring."""
 
 
-class RankDeficientW(CurveConesError):
-    """Supplied net matrix does not have rank 3."""
+class VerificationFailed(CurveConesError):
+    """A certificate check on a reconstructed form failed."""
 
 
-class AmbiguousFit(CurveConesError):
-    """Plane-curve fit kernel is not one-dimensional."""
+class SplittingViolation(CurveConesError):
+    """Restricted quartic is not divisible by the square of the vertex form."""
 
 
 class DegenerateInput(CurveConesError):
     """Recoverable precondition failure; resample the offending input."""
+
+
+class GenerationFailed(DegenerateInput):
+    """A candidate curve has no usable chart; draw another candidate."""
+
+
+class InsufficientPoints(DegenerateInput):
+    """Point sampling ran out of slice budget before reaching the target."""
+
+
+class RankDeficientW(DegenerateInput):
+    """Supplied net matrix does not have rank 3."""
+
+
+class AmbiguousFit(DegenerateInput):
+    """Plane-curve fit kernel is not one-dimensional."""
 
 
 class InVertex(DegenerateInput):
@@ -62,33 +83,45 @@ class CorankJump(DegenerateInput):
     """Cup-product Gram matrix has corank other than 2."""
 
 
-class UnderdeterminedReconstruction(CurveConesError):
+class UnderdeterminedReconstruction(DegenerateInput):
     """Quartic reconstruction still ambiguous after the pencil cap."""
 
 
-class InconsistentReconstruction(CurveConesError):
+class InconsistentReconstruction(DegenerateInput):
     """Quartic reconstruction system has no nonzero solution."""
 
 
-class VerificationFailed(CurveConesError):
-    """A certificate check on a reconstructed form failed."""
-
-
-class NonGenericD(CurveConesError):
+class NonGenericD(DegenerateInput):
     """Degenerate-locus net whose restriction kernel is not one-dimensional."""
 
 
-class SigmaPoint(CurveConesError):
+class SigmaPoint(DegenerateInput):
     """Curve point whose tangent line meets the vertex."""
 
 
-class SplittingViolation(CurveConesError):
-    """Restricted quartic is not divisible by the square of the vertex form."""
-
-
-class NodeFiber(CurveConesError):
+class NodeFiber(DegenerateInput):
     """Fiber over a singular point of the plane image; Steinerian undefined."""
 
 
-class NonGenericCoordinates(CurveConesError):
+class NonGenericCoordinates(DegenerateInput):
     """Singular points collide in the chosen chart; retry with a new frame."""
+
+
+def resample(label: str, attempts: int, draw: Callable[[int], T | None],
+             default=_RAISE) -> T:
+    """First usable result of draw(0), draw(1), ..., draw(attempts - 1).
+
+    A draw that raises `DegenerateInput` or returns None is skipped; any
+    other exception propagates.  When every attempt is skipped, return
+    `default` if one is given, else raise `DegenerateInput` naming `label`.
+    """
+    for k in range(attempts):
+        try:
+            result = draw(k)
+        except DegenerateInput:
+            continue
+        if result is not None:
+            return result
+    if default is not _RAISE:
+        return default
+    raise DegenerateInput(f"{label}: no usable draw in {attempts} attempts")

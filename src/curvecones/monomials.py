@@ -153,8 +153,8 @@ def _interpolation_nodes(m: int, n: int, p: int
         nodes = stream.field_mat(p, count(m, n), m)
         try:
             return nodes, algebra.inverse(eval_matrix(nodes, m, n, p), p)
-        except ZeroDivisionError:
-            continue
+        except ZeroDivisionError:   # singular node set; its own stream,
+            continue                # not a resample of the pipeline
 
 
 def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,

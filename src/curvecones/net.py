@@ -19,7 +19,7 @@ from . import monomials as mono
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, InVertex, OnGammaFiber,
-                     RankDeficientW)
+                     RankDeficientW, resample)
 from .rng import Stream
 
 
@@ -95,15 +95,11 @@ def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
 
 
 def random_net(ctx: CurveContext, stream: Stream, avoid_d: bool = True) -> Net:
-    for _ in range(200):
-        w = stream.field_mat(ctx.p, 3, ctx.g)
-        if alg.rank(w, ctx.p) != 3:
-            continue
-        net = build_net(ctx, w)
-        if net.in_b or (avoid_d and net.in_d):
-            continue
-        return net
-    raise RankDeficientW("could not sample a generic net")
+    def draw(_):
+        net = build_net(ctx, stream.field_mat(ctx.p, 3, ctx.g))
+        return None if net.in_b or (avoid_d and net.in_d) else net
+
+    return resample("generic net", 200, draw)
 
 
 def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:

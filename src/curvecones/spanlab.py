@@ -19,7 +19,7 @@ from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
-from .errors import CurveConesError, DegenerateInput
+from .errors import resample
 from .rng import Stream, derive_key
 
 
@@ -52,21 +52,22 @@ class SpanAccumulator:
 
 def collect_cones(ctx: CurveContext, count: int, seed: int,
                   oracle_points: int = 4) -> list[cn.QuarticCone]:
-    """Reconstructed quartics for `count` random generic nets; failed
-    reconstructions are logged in place and the net resampled."""
+    """Reconstructed quartics for `count` random generic nets; a degenerate
+    net is resampled, within 4 * count + 20 failures over all cones."""
     stream = Stream(derive_key(ctx.curve.seed, f"span-cones|{seed}"), "w")
-    cones = []
+    cones: list[cn.QuarticCone] = []
     failures = 0
-    while len(cones) < count and failures < 4 * count + 20:
+
+    def draw(k: int) -> tuple[int, cn.QuarticCone]:
         net_obj = nt.random_net(ctx, stream.spawn(f"net{len(cones)}-"
-                                                  f"{failures}"))
-        try:
-            cones.append(cn.reconstruct_quartic(ctx, net_obj,
-                                                oracle_points=oracle_points))
-        except CurveConesError:
-            failures += 1
-    if len(cones) < count:
-        raise DegenerateInput(f"only {len(cones)} reconstructions succeeded")
+                                                  f"{failures + k}"))
+        return k, cn.reconstruct_quartic(ctx, net_obj,
+                                         oracle_points=oracle_points)
+
+    while len(cones) < count:
+        k, cone_obj = resample("span cones", 4 * count + 20 - failures, draw)
+        failures += k
+        cones.append(cone_obj)
     return cones
 
 
@@ -77,24 +78,18 @@ def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
     i2 = ctx.ideal(2)
     wanted = 1 if ctx.g == 4 else 6
     stream = Stream(derive_key(ctx.curve.seed, f"span-squares|{seed}"), "q")
-    rows = []
-    tries = 0
-    while len(rows) < wanted and tries < 8 * wanted + 8:
-        tries += 1
+    rows: list[tuple[np.ndarray, nt.Net]] = []
+
+    def draw(k: int):
         combo = stream.field_vec(ctx.p, i2.dim)
         if not combo.any():
-            continue
-        quadric = combo @ i2.basis % ctx.p
-        try:
-            net_obj = cn.degenerate_net(ctx, stream.spawn(f"dn{tries}"),
-                                        quadric=quadric)
-            cone_obj = cn.double_quadric_quartic(ctx, net_obj)
-        except CurveConesError:
-            continue
-        rows.append((cone_obj.coeffs, net_obj))
-    if len(rows) < wanted:
-        raise DegenerateInput("could not realize enough quadric squares")
-    return rows
+            return None
+        net_obj = cn.degenerate_net(ctx, stream.spawn(f"dn{k + 1}"),
+                                    quadric=combo @ i2.basis % ctx.p)
+        rows.append((cn.double_quadric_quartic(ctx, net_obj).coeffs, net_obj))
+        return rows if len(rows) == wanted else None
+
+    return resample("quadric squares", 8 * wanted + 8, draw)
 
 
 def _saturate(acc: SpanAccumulator, cones: list[cn.QuarticCone], tag: str,

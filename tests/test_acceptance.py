@@ -4,6 +4,7 @@ One line is printed per criterion and genus (run pytest with -s to stream
 them); the same checks back the `verify` subcommand of the command line.
 """
 
+import numpy as np
 import pytest
 
 from curvecones import acceptance as acc
@@ -81,10 +82,18 @@ def test_base_locus_independent_of_run_order(ctx4):
     assert alone.details == after.details
 
 
-def test_criterion_13_determinism():
-    def builder():
-        return canring.build_context(cv.generate_curve(4, PRIME, 1))
+@pytest.mark.parametrize("genus", [4, 5])
+def test_criterion_13_determinism(genus, request):
+    if genus == 4:
+        def builder():
+            return canring.build_context(cv.generate_curve(4, PRIME, 1))
+    else:
+        # rebuilt from the stored points, as `verify --full` rebuilds the
+        # context from a curve file
+        ctx5 = request.getfixturevalue("ctx5")
+        points = list(np.concatenate([ctx5.panel, ctx5.holdout]))
 
-    result = acc.criterion_determinism(builder, CFG)
-    print("g=4 " + result.line())
-    assert result.ok, result.line()
+        def builder():
+            return canring.build_context(ctx5.curve, points)
+
+    _check(acc.criterion_determinism(builder, CFG), genus)

@@ -5,7 +5,8 @@ import pytest
 
 from curvecones import algebra as alg, bundle as bd, cone as cn
 from curvecones import monomials as mono, net as nt
-from curvecones.errors import NodeFiber, SplittingViolation
+from curvecones.errors import (NodeFiber, RankDeficientW,
+                               SplittingViolation)
 from curvecones.rng import Stream
 
 P = 1000003
@@ -47,6 +48,27 @@ class TestFiberQuadric:
         u = np.array([1, 2, 3], dtype=np.int64)
         with pytest.raises(SplittingViolation):
             bd.fiber_quadric(ctx4, net, bad, u)
+
+
+class TestHessianScan:
+    """Off the plane image only a degenerate plane point is skipped; a
+    failed splitting certificate ends the scan."""
+
+    @staticmethod
+    def scan_with(monkeypatch, ctx4, setup4, exc):
+        def failing(*args, **kwargs):
+            raise exc("injected")
+        monkeypatch.setattr(bd, "fiber_quadric", failing)
+        net, cone = setup4
+        return bd.hessian_scan(ctx4, net, cone, 0, 5, Stream(204, "u"))
+
+    def test_splitting_violation_propagates(self, ctx4, setup4, monkeypatch):
+        with pytest.raises(SplittingViolation):
+            self.scan_with(monkeypatch, ctx4, setup4, SplittingViolation)
+
+    def test_rank_deficient_point_skipped(self, ctx4, setup4, monkeypatch):
+        scan = self.scan_with(monkeypatch, ctx4, setup4, RankDeficientW)
+        assert scan["off_checked"] == 0 and scan["rows"] == []
 
 
 class TestSteinerian:

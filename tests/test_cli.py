@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from curvecones import cone as cn, curve as cv, net as nt, spanlab as sl
 from curvecones.cli import main
+from curvecones.errors import DegenerateInput, VerificationFailed
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +155,95 @@ class TestCurveFileValidation:
             self.damaged(tmp_path, curve_file, scale), capsys)
         assert code == 2
         assert "point 7 is not normalized" in err
+
+
+def inject(monkeypatch, module, name, exc, calls=None, within=None):
+    """Make module.name raise exc on the listed calls (1-based; None means
+    every call).  With within=(owner, fname), only calls made while
+    owner.fname runs are counted.  Returns the list of calls that raised."""
+    original = getattr(module, name)
+    fired: list[int] = []
+    state = {"calls": 0, "active": within is None}
+
+    def failing(*args, **kwargs):
+        if state["active"]:
+            state["calls"] += 1
+            if calls is None or state["calls"] in calls:
+                fired.append(state["calls"])
+                raise exc(f"{name} certificate failed (injected)")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    if within is not None:
+        owner, fname = within
+        outer = getattr(owner, fname)
+
+        def scoped(*args, **kwargs):
+            was, state["active"] = state["active"], True
+            try:
+                return outer(*args, **kwargs)
+            finally:
+                state["active"] = was
+
+        monkeypatch.setattr(owner, fname, scoped)
+    return fired
+
+
+class TestRecoveryPolicy:
+    """Only a DegenerateInput is resampled; a certificate failure raised
+    anywhere in a retry loop reaches the command line as exit 3."""
+
+    def test_failed_cone_certificate_exits_3(self, curve_file, monkeypatch,
+                                             capsys):
+        fired = inject(monkeypatch, cn, "verify_cone", VerificationFailed,
+                       calls=(2, 3))
+        assert main(["verify", "--curve", curve_file, "--quick"]) == 3
+        err = capsys.readouterr().err
+        assert fired == [2]
+        assert "VerificationFailed" in err
+        assert "verify_cone certificate failed" in err
+
+    SITES = {
+        # site: (command, injected function, function running the site)
+        "square-rows": ("spans", (cn, "double_quadric_quartic"),
+                        (sl, "_square_rows")),
+        "vertex-branch": ("verify", (nt, "net_from_vertex"),
+                          (cn, "secant_through_vertex")),
+        "degenerate-net": ("spans", (nt, "net_from_vertex"),
+                           (cn, "degenerate_net")),
+        "generate-curve": ("gen-curve", (cv, "sample_points"),
+                           (cv, "generate_curve")),
+    }
+
+    @staticmethod
+    def run(command, curve_file, tmp_path):
+        if command == "gen-curve":
+            return main(["gen-curve", "--genus", "4", "--seed", "1",
+                         "--out", str(tmp_path / "c.json")])
+        if command == "spans":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"sample_count": 6, "off_curve": 20}')
+            return main(["spans", "--curve", curve_file, "--config",
+                         str(cfg), "--out", str(tmp_path / "s.json")])
+        return main(["verify", "--curve", curve_file, "--quick"])
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("exc, code", [(VerificationFailed, 3),
+                                           (DegenerateInput, 0)],
+                             ids=["certificate", "degenerate"])
+    def test_site(self, site, exc, code, curve_file, tmp_path, monkeypatch):
+        command, (module, name), within = self.SITES[site]
+        fired = inject(monkeypatch, module, name, exc, calls=(1,),
+                       within=within)
+        assert self.run(command, curve_file, tmp_path) == code
+        assert fired == [1]
+
+    def test_exhausted_budget_names_the_label(self, tmp_path, monkeypatch,
+                                              capsys):
+        inject(monkeypatch, cv, "sample_points", DegenerateInput,
+               within=(cv, "generate_curve"))
+        assert main(["gen-curve", "--genus", "4", "--seed", "1",
+                     "--out", str(tmp_path / "c.json")]) == 4
+        err = capsys.readouterr().err
+        assert "smooth curve of genus 4" in err
+        assert "64 attempts" in err
