@@ -8,7 +8,9 @@ solves for it by exact linear algebra and certifies the result against an
 independent membership oracle built from cup-product Gram matrices.
 """
 
-from curvecones import canring, cone, curve, net
+import numpy as np
+
+from curvecones import canring, cone, curve, monomials, net
 from curvecones.rng import Stream
 
 PRIME = 1000003
@@ -31,12 +33,22 @@ print("\npolar cubic certificate:", polar.certificate)
 
 # cubics through the curve singular along the vertex form a space of
 # dimension g - 3, and the polar map hits all of it
-basis, polar_rank = cone.lw_space(ctx, w_net, quartic)
+basis, polar_rank = cone.lw_space(ctx, quartic)
 print(f"dim singular-cubic space = {basis.shape[0]}, "
       f"polar map rank = {polar_rank}")
 
-# tangent spaces of the quartic along the curve are spanned by the curve
-# tangent line and the vertex
-ok = sum(bool(cone.tangent_space_check(ctx, w_net, quartic, pt))
-         for pt in ctx.panel[:10])
+
+
+def tangent_law(pt):
+    """The tangent space of the quartic at a curve point contains the curve
+    tangent line and the vertex: the gradient there annihilates both."""
+    td = ctx.tangent(pt)
+    grad = np.array([monomials.form_eval_one(
+        monomials.partial(quartic.coeffs, k, 4, 4, PRIME), pt, 4, 3, PRIME)
+        for k in range(4)])
+    span = np.stack([td.point, td.direction, *w_net.wperp])
+    return grad.any() and not (span @ grad % PRIME).any()
+
+
+ok = sum(bool(tangent_law(pt)) for pt in ctx.panel[:10])
 print(f"tangent-space law holds at {ok}/10 sampled points")

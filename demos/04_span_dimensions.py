@@ -14,8 +14,8 @@ PRIME = 1000003
 ctx = canring.build_context(curve.generate_curve(4, PRIME, seed=1))
 
 cones = spanlab.collect_cones(ctx, 25, seed=0)
-f4 = spanlab.accumulate_f4(ctx, 25, seed=0, cones=cones)
-f3 = spanlab.accumulate_f3(ctx, 25, seed=0, cones=cones)
+f4 = spanlab.accumulate_f4(ctx, cones, seed=0)
+f3 = spanlab.accumulate_f3(ctx, cones)
 
 print("quartic span rank trajectory:", f4.trajectory)
 print(f"saturated rank {f4.rank} (projective dimension {f4.rank - 1}) "

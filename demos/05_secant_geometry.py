@@ -12,6 +12,8 @@ vanishing section and sits on the middle-coefficient divisor inside the
 family of nets through that section.
 """
 
+import numpy as np
+
 from curvecones import canring, cone, curve, monomials, net
 from curvecones.rng import Stream
 
@@ -37,7 +39,9 @@ print("\nvertex-meeting secant:",
 # branch 2: a section vanishing doubly at both points kills the outer
 # coefficients; sweeping the net family through it kills the middle one
 pt_p, pt_q, section = cone.bitangent_pair(ctx, Stream(5052, "b"))
-bnet = cone.net_containing_section(ctx, section, Stream(5053, "w"))
+stream = Stream(5053, "w")
+bnet = net.build_net(ctx, np.stack([section, stream.field_vec(PRIME, 4),
+                                    stream.field_vec(PRIME, 4)]))
 bcone = cone.reconstruct_quartic(ctx, bnet, oracle_points=4)
 print("\ndoubly-vanishing section, generic net through it:",
       monomials.restrict_to_line(bcone.coeffs, 4, 4, pt_p, pt_q,

@@ -4,12 +4,19 @@ Each criterion function returns a CriterionResult with a pass flag and the
 measured quantities; the runner prints one line per criterion and builds a
 deterministic JSON report.  The same functions back both the test suite and
 the command-line verify subcommand.
+
+A criterion takes exactly the inputs it reads.  The expensive ones that
+several criteria share (the reconstructed cones, the span cones and the
+quartic span) are the cached properties of a `SuiteInputs`, each built on
+first use from the curve context and the config alone, so no result
+depends on which criterion ran first.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,40 +75,32 @@ class CriterionResult:
 
 
 @dataclass
-class SharedState:
-    """Expensive intermediates reused across criteria.
+class SuiteInputs:
+    """Artifacts shared by criteria 3-12, each built on first use.
 
-    `cones` holds the `reconstructions` cones of criteria 3-10.  The span
+    `cones` holds the `reconstructions` cones of criteria 3-10; the span
     criteria 11 and 12 share `span_cones` (`cones` topped up to
-    `span_samples`) and their quartic span `f4`, both built by
-    `_span_inputs` on first use, so no result depends on run order.
+    `span_samples`) and their quartic span `f4`.
     """
-    cones: list = field(default_factory=list)
-    main_net: nt.Net | None = None
-    main_cone: cn.QuarticCone | None = None
-    span_cones: list = field(default_factory=list)
-    f4: sl.SpanAccumulator | None = None
+    ctx: canring.CurveContext
+    cfg: SuiteConfig
 
+    @cached_property
+    def cones(self) -> list[cn.QuarticCone]:
+        return sl.collect_cones(self.ctx, self.cfg.reconstructions,
+                                self.cfg.seed, oracle_points=0)
 
-def _shared(ctx: canring.CurveContext, cfg: SuiteConfig) -> SharedState:
-    state = SharedState()
-    state.cones = sl.collect_cones(ctx, cfg.reconstructions, cfg.seed,
-                                   oracle_points=0)
-    state.main_cone = state.cones[0]
-    state.main_net = state.cones[0].net
-    return state
+    @cached_property
+    def span_cones(self) -> list[cn.QuarticCone]:
+        missing = self.cfg.span_samples - len(self.cones)
+        if missing <= 0:
+            return self.cones
+        return self.cones + sl.collect_cones(self.ctx, missing,
+                                             self.cfg.seed + 1)
 
-
-def _span_inputs(ctx, cfg: SuiteConfig, state: SharedState
-                 ) -> tuple[list, sl.SpanAccumulator]:
-    if state.f4 is None:
-        state.span_cones = state.cones
-        if len(state.cones) < cfg.span_samples:
-            state.span_cones = state.cones + sl.collect_cones(
-                ctx, cfg.span_samples - len(state.cones), cfg.seed + 1)
-        state.f4 = sl.accumulate_f4(ctx, cfg.span_samples, cfg.seed,
-                                    cones=state.span_cones)
-    return state.span_cones, state.f4
+    @cached_property
+    def f4(self) -> sl.SpanAccumulator:
+        return sl.accumulate_f4(self.ctx, self.span_cones, self.cfg.seed)
 
 
 # -- criteria ----------------------------------------------------------------
@@ -130,10 +129,10 @@ def criterion_petri(ctx) -> CriterionResult:
                            {"surjective": value, "expected": expected})
 
 
-def criterion_gamma(ctx, state: SharedState) -> CriterionResult:
-    gamma = nt.gamma_equation(ctx, state.main_net)
+def criterion_gamma(ctx, net: nt.Net) -> CriterionResult:
+    gamma = nt.gamma_equation(ctx, net)
     holdout_val = mono.form_eval_one(
-        gamma.coeffs, nt.project(state.main_net, ctx.holdout[:1], ctx.p)[0],
+        gamma.coeffs, nt.project(net, ctx.holdout[:1], ctx.p)[0],
         3, gamma.degree, ctx.p)
     ok = gamma.degree == 2 * ctx.g - 2 and holdout_val == 0
     return CriterionResult(3, "plane image degree", ok,
@@ -182,12 +181,12 @@ def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
 
 
 def criterion_reconstruction(ctx, cfg: SuiteConfig,
-                             state: SharedState) -> CriterionResult:
+                             cones: list[cn.QuarticCone]) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"recon-cert|{cfg.seed}"), "v")
     ok = True
-    details = {"reconstructions": len(state.cones)}
+    details = {"reconstructions": len(cones)}
     total_disagreements = 0
-    for k, cone_obj in enumerate(state.cones):
+    for k, cone_obj in enumerate(cones):
         cert = cn.verify_cone(ctx, cone_obj, stream.spawn(f"c{k}"),
                               oracle_points=cfg.oracle_points)
         ok = ok and cert["contains_curve"] and cert["vertex_singular"] \
@@ -196,7 +195,7 @@ def criterion_reconstruction(ctx, cfg: SuiteConfig,
             and cert["oracle_disagreements"] == 0 \
             and cert["points_vanished"] >= 200
         total_disagreements += cert["oracle_disagreements"]
-    ok = ok and len(state.cones) >= cfg.reconstructions
+    ok = ok and len(cones) >= cfg.reconstructions
     details["oracle_disagreements"] = total_disagreements
     details["points_per_form"] = int(ctx.panel.shape[0]
                                      + ctx.holdout.shape[0])
@@ -234,14 +233,13 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
 
 
 def criterion_polars(ctx, cfg: SuiteConfig,
-                     state: SharedState) -> CriterionResult:
-    p = ctx.p
+                     cones: list[cn.QuarticCone]) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"polar|{cfg.seed}"), "b")
     ok = True
     checked = 0
     disagreements = 0
-    for k, cone_obj in enumerate(state.cones):
-        basis, polar_rank = cn.lw_space(ctx, cone_obj.net, cone_obj)
+    for k, cone_obj in enumerate(cones):
+        basis, polar_rank = cn.lw_space(ctx, cone_obj)
         ok = ok and basis.shape[0] == ctx.g - 3 and polar_rank == ctx.g - 3
         for x in cone_obj.net.wperp:
             polar = cn.polar_cubic(ctx, cone_obj, x,
@@ -260,10 +258,10 @@ def criterion_polars(ctx, cfg: SuiteConfig,
 
 
 def criterion_hessian(ctx, cfg: SuiteConfig,
-                      state: SharedState) -> CriterionResult:
+                      cone: cn.QuarticCone) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"hess|{cfg.seed}"), "u")
-    scan = bd.hessian_scan(ctx, state.main_net, state.main_cone,
-                           cfg.fibers_on, cfg.fibers_off, stream)
+    scan = bd.hessian_scan(ctx, cone.net, cone, cfg.fibers_on,
+                           cfg.fibers_off, stream)
     ok = scan["on_checked"] >= cfg.fibers_on \
         and scan["on_singular"] == scan["on_checked"] \
         and scan["kernel_matches"] == scan["on_checked"] \
@@ -274,8 +272,8 @@ def criterion_hessian(ctx, cfg: SuiteConfig,
 
 
 def criterion_node_count(ctx, cfg: SuiteConfig,
-                         state: SharedState) -> CriterionResult:
-    gamma = nt.gamma_equation(ctx, state.main_net)
+                         net: nt.Net) -> CriterionResult:
+    gamma = nt.gamma_equation(ctx, net)
     count = bd.node_count(gamma, ctx.p, seed=cfg.seed)
     expected = NODE_COUNTS[ctx.g]
     return CriterionResult(9, "node count", count == expected,
@@ -283,10 +281,8 @@ def criterion_node_count(ctx, cfg: SuiteConfig,
 
 
 def criterion_secant(ctx, cfg: SuiteConfig,
-                     state: SharedState) -> CriterionResult:
-    p = ctx.p
+                     cone: cn.QuarticCone) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
-    net_obj, cone_obj = state.main_net, state.main_cone
     n = ctx.panel.shape[0]
     random_ok = 0
     checked = 0
@@ -295,7 +291,7 @@ def criterion_secant(ctx, cfg: SuiteConfig,
         j = stream.integer(0, n)
         if i == j:
             continue
-        res = cn.secant_criterion(ctx, net_obj, cone_obj,
+        res = cn.secant_criterion(ctx, cone.net, cone,
                                   ctx.panel[i], ctx.panel[j])
         checked += 1
         if res == (False, False):
@@ -332,8 +328,7 @@ def criterion_secant(ctx, cfg: SuiteConfig,
 
 
 def criterion_spans(ctx, cfg: SuiteConfig,
-                    state: SharedState) -> CriterionResult:
-    _, f4 = _span_inputs(ctx, cfg, state)
+                    f4: sl.SpanAccumulator) -> CriterionResult:
     squares_ok = sl.squares_containment(ctx, f4, seed=cfg.seed)
     expected = F4_RANKS[ctx.g]
     proper = f4.rank < ctx.ideal(4).dim
@@ -346,9 +341,9 @@ def criterion_spans(ctx, cfg: SuiteConfig,
 
 
 def criterion_base_locus(ctx, cfg: SuiteConfig,
-                         state: SharedState) -> CriterionResult:
-    cones, f4 = _span_inputs(ctx, cfg, state)
-    f3 = sl.accumulate_f3(ctx, cfg.span_samples, cfg.seed, cones=cones)
+                         span_cones: list[cn.QuarticCone],
+                         f4: sl.SpanAccumulator) -> CriterionResult:
+    f3 = sl.accumulate_f3(ctx, span_cones)
     report = sl.base_locus_probe(ctx, [f4, f3], cfg.off_curve_probes,
                                  seed=cfg.seed)
     ok = report["curve_points_contained"] \
@@ -361,16 +356,20 @@ def criterion_base_locus(ctx, cfg: SuiteConfig,
                             "f3_rank_observed": f3.rank})
 
 
+def reduced_config(seed: int) -> SuiteConfig:
+    """The sizes at which criterion 13 runs the suite.  The span samples
+    still cover the saturated rank (16 at genus 5, of which 6 come from
+    quadric squares), so the embedded runs stay green."""
+    return SuiteConfig(seed=seed, corank_samples=6, corank_engineered=1,
+                       reconstructions=2, oracle_points=6, double_quadrics=1,
+                       polar_oracle_points=6, fibers_on=6, fibers_off=6,
+                       secant_random=6, secant_engineered=1, span_samples=14,
+                       off_curve_probes=30)
+
+
 def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
     """Run a reduced suite twice from scratch; reports must be identical."""
-    # span samples still cover the saturated rank (16 at genus 5, of which
-    # 6 come from quadric squares), so the embedded runs stay green
-    small = SuiteConfig(seed=cfg.seed, corank_samples=6, corank_engineered=1,
-                        reconstructions=2, oracle_points=6,
-                        double_quadrics=1, polar_oracle_points=6,
-                        fibers_on=6, fibers_off=6, secant_random=6,
-                        secant_engineered=1, span_samples=14,
-                        off_curve_probes=30)
+    small = reduced_config(cfg.seed)
     blobs = []
     for _ in range(2):
         ctx = ctx_builder()
@@ -385,21 +384,23 @@ def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
 
 
 def run_criteria(ctx, cfg: SuiteConfig, echo=None) -> list[CriterionResult]:
+    """Criteria 1-12 in order.  Each criterion is looked up as a module
+    global at call time, so a wrapper installed on this module is called."""
     cfg.validate()
-    state = _shared(ctx, cfg)
+    inputs = SuiteInputs(ctx, cfg)
     results = [
         criterion_ideal_dims(ctx),
         criterion_petri(ctx),
-        criterion_gamma(ctx, state),
+        criterion_gamma(ctx, inputs.cones[0].net),
         criterion_corank_law(ctx, cfg),
-        criterion_reconstruction(ctx, cfg, state),
+        criterion_reconstruction(ctx, cfg, inputs.cones),
         criterion_double_quadric(ctx, cfg),
-        criterion_polars(ctx, cfg, state),
-        criterion_hessian(ctx, cfg, state),
-        criterion_node_count(ctx, cfg, state),
-        criterion_secant(ctx, cfg, state),
-        criterion_spans(ctx, cfg, state),
-        criterion_base_locus(ctx, cfg, state),
+        criterion_polars(ctx, cfg, inputs.cones),
+        criterion_hessian(ctx, cfg, inputs.cones[0]),
+        criterion_node_count(ctx, cfg, inputs.cones[0].net),
+        criterion_secant(ctx, cfg, inputs.cones[0]),
+        criterion_spans(ctx, cfg, inputs.f4),
+        criterion_base_locus(ctx, cfg, inputs.span_cones, inputs.f4),
     ]
     if echo:
         for r in results:

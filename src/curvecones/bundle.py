@@ -46,10 +46,9 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     u = np.asarray(u, dtype=np.int64) % p
     if not u.any():
         raise RankDeficientW("plane point cannot be zero")
-    coeff_kernel = alg.kernel_basis(u.reshape(1, 3), p)
-    if coeff_kernel.shape[0] != 2:
+    v = nt.pencil_at(net_obj, u, p)
+    if v.shape[0] != 2:
         raise RankDeficientW("plane point does not cut a pencil")
-    v = coeff_kernel @ net_obj.w % p
     vperp = alg.kernel_basis(v, p)
     vertex = alg.RowSpace(net_obj.wperp, p)
     lead = next((row for row in vperp if not vertex.contains(row)), None)
@@ -185,8 +184,7 @@ def _p2_partial_y(f: np.ndarray, p: int) -> np.ndarray:
     return alg.p2_trim(f[:, 1:] * mult % p)
 
 
-def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0,
-               max_retries: int = 6) -> int:
+def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0) -> int:
     """Distinct singular points of the plane curve over the algebraic
     closure.
 
@@ -236,7 +234,7 @@ def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0,
             count += 1
         return count
 
-    return resample("node-count frame", max_retries, count_in_frame)
+    return resample("node-count frame", 6, count_in_frame)
 
 
 def scan_rows_to_csv(rows) -> str:

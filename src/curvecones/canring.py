@@ -53,14 +53,11 @@ class IdealPiece:
 class CurveContext:
     """A curve with its point panels and graded-ring evaluation tables."""
 
-    def __init__(self, curve: cv.CurveModel, points: list[np.ndarray],
-                 main_size: int | None = None,
-                 holdout_size: int | None = None):
+    def __init__(self, curve: cv.CurveModel, points: list[np.ndarray]):
         self.curve = curve
         self.g = curve.genus
         self.p = curve.prime
-        main_size = main_size or 4 * mono.count(self.g, 4)
-        holdout_size = holdout_size or 2 * mono.count(self.g, 4)
+        main_size, holdout_size = cv.panel_sizes(self.g)
         if len(points) < main_size + holdout_size:
             raise InsufficientPoints(
                 f"need {main_size + holdout_size} points, got {len(points)}")
@@ -98,12 +95,9 @@ class CurveContext:
             self._ideals[n] = ideal_piece(self, n)
         return self._ideals[n]
 
-    def coords(self, n: int, values: np.ndarray) -> np.ndarray:
-        """Coordinates of a class with respect to the chosen monomial basis."""
-        piece = self.piece(n)
-        return piece.coord_inv @ values[piece.coord_rows] % self.p
-
     def coords_many(self, n: int, value_rows: np.ndarray) -> np.ndarray:
+        """Coordinates, one row per class, with respect to the chosen
+        monomial basis of the classes given by their panel values."""
         piece = self.piece(n)
         return (value_rows[:, piece.coord_rows] @ piece.coord_inv.T) % self.p
 
@@ -163,11 +157,8 @@ def ideal_piece_from_holdout(ctx: CurveContext, n: int) -> IdealPiece:
     return IdealPiece(n=n, dim=basis.shape[0], basis=basis)
 
 
-def build_context(curve: cv.CurveModel, points: list[np.ndarray] | None = None,
-                  main_size: int | None = None,
-                  holdout_size: int | None = None) -> CurveContext:
-    main = main_size or 4 * mono.count(curve.genus, 4)
-    hold = holdout_size or 2 * mono.count(curve.genus, 4)
+def build_context(curve: cv.CurveModel, points: list[np.ndarray] | None = None
+                  ) -> CurveContext:
     if points is None:
-        points = cv.sample_points(curve, main + hold)
-    return CurveContext(curve, points, main, hold)
+        points = cv.sample_points(curve, sum(cv.panel_sizes(curve.genus)))
+    return CurveContext(curve, points)

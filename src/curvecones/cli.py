@@ -39,14 +39,21 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_context(path: str) -> canring.CurveContext:
-    curve, points = cv.load_curve(path)
-    return canring.build_context(curve, points)
+    return canring.build_context(*cv.load_curve(path))
+
+
+def _cli_cone(ctx: canring.CurveContext, w_seed: int
+              ) -> tuple[Stream, cn.QuarticCone]:
+    """The cone of the random net that --w-seed picks, and the stream that
+    drew the net."""
+    stream = Stream(derive_key(ctx.curve.seed, f"cli-w|{w_seed}"), "w")
+    net_obj = nt.random_net(ctx, stream)
+    return stream, cn.reconstruct_quartic(ctx, net_obj, seed=w_seed)
 
 
 def cmd_gen_curve(args) -> int:
     curve = cv.generate_curve(args.genus, args.prime, args.seed)
-    total = 6 * mono.count(args.genus, 4)
-    points = cv.sample_points(curve, total)
+    points = cv.sample_points(curve, sum(cv.panel_sizes(args.genus)))
     cv.save_curve(args.out, curve, points)
     print(f"wrote {args.out}: genus {args.genus}, prime {args.prime}, "
           f"{len(points)} points")
@@ -74,9 +81,7 @@ def cmd_ideal(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     ctx = _load_context(args.curve)
-    stream = Stream(derive_key(ctx.curve.seed, f"cli-w|{args.w_seed}"), "w")
-    net_obj = nt.random_net(ctx, stream)
-    cone_obj = cn.reconstruct_quartic(ctx, net_obj, seed=args.w_seed)
+    _, cone_obj = _cli_cone(ctx, args.w_seed)
     payload = cn.cone_to_json(cone_obj, ctx.g)
     _write(args.out, json.dumps(payload, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -98,8 +103,8 @@ def cmd_spans(args) -> int:
                                   f"nonnegative integer")
             cfg[key] = value
     cones = sl.collect_cones(ctx, cfg["sample_count"], cfg["seed"])
-    f4 = sl.accumulate_f4(ctx, cfg["sample_count"], cfg["seed"], cones=cones)
-    f3 = sl.accumulate_f3(ctx, cfg["sample_count"], cfg["seed"], cones=cones)
+    f4 = sl.accumulate_f4(ctx, cones, cfg["seed"])
+    f3 = sl.accumulate_f3(ctx, cones)
     probe = sl.base_locus_probe(ctx, [f4, f3], cfg["off_curve"],
                                 seed=cfg["seed"])
     from . import __version__
@@ -127,11 +132,9 @@ def cmd_spans(args) -> int:
 
 def cmd_hessian(args) -> int:
     ctx = _load_context(args.curve)
-    stream = Stream(derive_key(ctx.curve.seed, f"cli-w|{args.w_seed}"), "w")
-    net_obj = nt.random_net(ctx, stream)
-    cone_obj = cn.reconstruct_quartic(ctx, net_obj, seed=args.w_seed)
+    stream, cone_obj = _cli_cone(ctx, args.w_seed)
     half = max(1, args.sweep // 2)
-    scan = bd.hessian_scan(ctx, net_obj, cone_obj, half, half,
+    scan = bd.hessian_scan(ctx, cone_obj.net, cone_obj, half, half,
                            stream.spawn("sweep"))
     _write(args.out, bd.scan_rows_to_csv(scan["rows"]))
     print(f"on-image fibers {scan['on_checked']} "
@@ -143,8 +146,7 @@ def cmd_hessian(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    curve, points = cv.load_curve(args.curve)
-    ctx = canring.build_context(curve, points)
+    ctx = _load_context(args.curve)
     if args.quick:
         # span samples must still cover the expected saturated rank (16 at
         # genus 5 with 6 of it from quadric squares)
@@ -158,11 +160,9 @@ def cmd_verify(args) -> int:
     else:
         cfg = acc.SuiteConfig(seed=args.seed)
 
-    def builder():
-        return canring.build_context(*cv.load_curve(args.curve))
-
     if args.full:
-        results = acc.run_full(ctx, cfg, ctx_builder=builder, echo=print)
+        results = acc.run_full(ctx, cfg, echo=print,
+                               ctx_builder=lambda: _load_context(args.curve))
     else:
         results = acc.run_criteria(ctx, cfg, echo=print)
     report = acc.report_json(ctx, cfg, results)

@@ -24,10 +24,15 @@ from . import net as nt
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (CorankJump, DegenerateInput, InconsistentReconstruction,
-                     InadmissiblePencil, NonGenericD, SigmaPoint,
+                     InadmissiblePencil, NonGenericD,
                      UnderdeterminedReconstruction, VerificationFailed,
                      resample)
 from .rng import Stream, derive_key
+
+# pencils a reconstruction starts from, and the most it draws before the
+# solution space must be one-dimensional
+PENCILS_START = 6
+PENCILS_MAX = 20
 
 
 @dataclass
@@ -163,15 +168,8 @@ def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
 # reconstruction
 
 
-def _pencil_through(net_obj: nt.Net, u: np.ndarray, p: int) -> np.ndarray:
-    """Pencil inside the net cut by a functional u on its basis."""
-    coeff_kernel = alg.kernel_basis(np.asarray(u, dtype=np.int64)
-                                    .reshape(1, 3), p)
-    return coeff_kernel @ net_obj.w % p
-
-
 def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
-                  count: int, budget: int = 120) -> list[SplitFiber]:
+                  count: int) -> list[SplitFiber]:
     fibers: list[SplitFiber] = []
 
     def draw(_):
@@ -179,10 +177,10 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
         if not u.any():
             return None
         fibers.append(split_fiber(ctx, net_obj,
-                                  _pencil_through(net_obj, u, ctx.p)))
+                                  nt.pencil_at(net_obj, u, ctx.p)))
         return fibers if len(fibers) == count else None
 
-    return resample("admissible pencils", budget, draw)
+    return resample("admissible pencils", 120, draw)
 
 
 def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,
@@ -204,7 +202,6 @@ def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,
 
 
 def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
-                        k_start: int = 6, k_max: int = 20,
                         oracle_points: int = 50) -> QuarticCone:
     """Solve for the quartic cone of a net away from the degeneracy divisor.
 
@@ -222,7 +219,8 @@ def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
     dim_s = s_basis.shape[0]
     if dim_s == 0:
         raise InconsistentReconstruction("constrained space is empty")
-    fibers = _fresh_fibers(ctx, net_obj, stream.spawn("draw"), k_start)
+    fibers = _fresh_fibers(ctx, net_obj, stream.spawn("draw"),
+                           PENCILS_START)
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     solution = None
     while True:
@@ -246,7 +244,7 @@ def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
         if kernel.shape[0] == 1:
             solution = kernel[0]
             break
-        if k >= k_max:
+        if k >= PENCILS_MAX:
             raise UnderdeterminedReconstruction(
                 f"solution space still {kernel.shape[0]}-dimensional "
                 f"after {k} pencils")
@@ -412,15 +410,12 @@ def polar_cubic(ctx: CurveContext, cone: QuarticCone, x: np.ndarray,
     return polar
 
 
-def lw_space(ctx: CurveContext, net_obj: nt.Net,
-             cone: QuarticCone | None = None) -> tuple[np.ndarray, int]:
-    """Cubic ideal forms singular along the vertex, and the rank of the
-    polar map from the vertex span into that space."""
+def lw_space(ctx: CurveContext, cone: QuarticCone) -> tuple[np.ndarray, int]:
+    """Cubic ideal forms singular along the vertex of the cone's net, and
+    the rank of the polar map from the vertex span into that space."""
     p = ctx.p
-    basis = constrained_space(ctx, net_obj, 3)
-    if cone is None:
-        cone = reconstruct_quartic(ctx, net_obj, oracle_points=4)
-    polars = [polar_cubic(ctx, cone, x).coeffs for x in net_obj.wperp]
+    basis = constrained_space(ctx, cone.net, 3)
+    polars = [polar_cubic(ctx, cone, x).coeffs for x in cone.net.wperp]
     polar_rank = alg.rank(np.stack(polars), p)
     if not all(map(alg.RowSpace(basis, p).contains, polars)):
         raise VerificationFailed("polar cubic escapes the singular space")
@@ -428,7 +423,7 @@ def lw_space(ctx: CurveContext, net_obj: nt.Net,
 
 
 # ---------------------------------------------------------------------------
-# secant and tangent-space checks
+# secant checks
 
 
 def secant_criterion(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
@@ -454,32 +449,12 @@ def secant_criterion(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     return contained, bool(meets_vertex or double_section)
 
 
-def tangent_space_check(ctx: CurveContext, net_obj: nt.Net,
-                        cone: QuarticCone, pt: np.ndarray) -> bool:
-    """Tangent hyperplane of the quartic at a curve point equals the span of
-    the curve tangent line and the vertex."""
-    p = ctx.p
-    g = ctx.g
-    td = ctx.tangent(pt)
-    span = np.concatenate([td.point[None, :], td.direction[None, :],
-                           net_obj.wperp])
-    if alg.rank(span, p) != g - 1:
-        raise SigmaPoint("curve tangent line meets the vertex")
-    grad = np.array([mono.form_eval_one(
-        mono.partial(cone.coeffs, var, g, 4, p), pt, g, 3, p)
-        for var in range(g)], dtype=np.int64)
-    if not grad.any():
-        return False
-    return not (span @ grad % p).any()
-
-
 # ---------------------------------------------------------------------------
 # engineered configurations
 
 
-def secant_through_vertex(ctx: CurveContext, stream: Stream,
-                          tries: int = 120) -> tuple[np.ndarray, np.ndarray,
-                                                     nt.Net]:
+def secant_through_vertex(ctx: CurveContext, stream: Stream
+                          ) -> tuple[np.ndarray, np.ndarray, nt.Net]:
     """Two panel points and a generic net whose vertex meets their secant."""
     p = ctx.p
     n = ctx.panel.shape[0]
@@ -500,7 +475,7 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream,
             return None
         return pt_p, pt_q, net_obj
 
-    return resample("vertex secant", tries, draw)
+    return resample("vertex secant", 120, draw)
 
 
 def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
@@ -516,9 +491,8 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
     return alg.normalize_scalar(kernel[0], p)
 
 
-def bitangent_pair(ctx: CurveContext, stream: Stream,
-                   point_tries: int = 24) -> tuple[np.ndarray, np.ndarray,
-                                                   np.ndarray]:
+def bitangent_pair(ctx: CurveContext, stream: Stream
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pair of genus-4 curve points with a section double-vanishing at
     both, located by sweeping the pencil of planes through one tangent line
     and interpolating the discriminant of the residual section polynomial."""
@@ -593,11 +567,11 @@ def bitangent_pair(ctx: CurveContext, stream: Stream,
                     return td.point, cand, section
         return None
 
-    return resample("bitangent pair", point_tries, draw)
+    return resample("bitangent pair", 24, draw)
 
 
 def contained_double_secant(ctx: CurveContext, stream: Stream,
-                            count: int = 1, pair_tries: int = 16
+                            count: int = 1
                             ) -> list[tuple[np.ndarray, np.ndarray, nt.Net,
                                             QuarticCone]]:
     """Engineer secants carried by a section vanishing doubly at both ends
@@ -637,7 +611,7 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
                 count - len(results)))
         return results if len(results) >= count else None
 
-    return resample("contained double secants", pair_tries, draw)
+    return resample("contained double secants", 16, draw)
 
 
 def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
@@ -689,25 +663,8 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     return resample("family roots", len(roots), contained, default=found)
 
 
-def net_containing_section(ctx: CurveContext, section: np.ndarray,
-                           stream: Stream, tries: int = 80) -> nt.Net:
-    """Generic net containing the given section, off the degeneracy locus."""
-    p = ctx.p
-
-    def draw(_):
-        rows = np.stack([section] + [stream.field_vec(p, ctx.g)
-                                     for _ in range(2)])
-        if alg.rank(rows, p) != 3:
-            return None
-        net_obj = nt.build_net(ctx, rows)
-        return None if net_obj.in_b or net_obj.in_d else net_obj
-
-    return resample("net through section", tries, draw)
-
-
 def degenerate_net(ctx: CurveContext, stream: Stream,
-                   quadric: np.ndarray | None = None,
-                   tries: int = 200) -> nt.Net:
+                   quadric: np.ndarray | None = None) -> nt.Net:
     """Engineer a net on the degeneracy divisor: its vertex lies inside a
     quadric of the ideal (the whole vertex line for genus 5)."""
     p = ctx.p
@@ -745,7 +702,7 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
             return None
         return net_obj
 
-    return resample("degenerate net", tries, draw)
+    return resample("degenerate net", 200, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def panel_sizes(genus: int) -> tuple[int, int]:
+    """Points in the main and the holdout panel of a curve context: four
+    and two times the number of quartic monomials.  A curve file holds
+    their sum."""
+    quartics = mono.count(genus, 4)
+    return 4 * quartics, 2 * quartics
+
+
 def quadric_gram(coeffs: np.ndarray, g: int, p: int) -> np.ndarray:
     """Symmetric Gram matrix M with Q(x) = x^T M x (odd characteristic).
 
@@ -310,7 +318,7 @@ class RulingChart:
                 pts.append(cand)
         return [q for q in pts if on_curve(self.curve, q)]
 
-    # -- exact plane sections ---------------------------------------------
+    # -- plane sections --------------------------------------------------
 
     def section_poly(self, h: np.ndarray) -> np.ndarray:
         """Polynomial in u whose roots locate C intersect {h = 0} on the sweep.
@@ -338,48 +346,6 @@ class RulingChart:
                 term = alg.poly_mul(term, hb, p)
             out = alg.poly_add(out, term, p)
         return out
-
-    def section_points(self, h: np.ndarray) -> list[np.ndarray]:
-        """All rational points of C intersect the plane {h = 0}."""
-        p = self.p
-        h = np.asarray(h, dtype=np.int64) % p
-        s = self.section_poly(h)
-        if alg.poly_deg(s) < 0:
-            raise DegenerateInput("degenerate plane sweep")
-        found: dict[tuple, np.ndarray] = {}
-
-        def try_line(u):
-            a, b = self.line_at(u)
-            hav = int(h @ a % p)
-            hbv = int(h @ b % p)
-            if hbv != 0:
-                t = (-hav) * alg.inv_mod(hbv, p) % p
-                cand = (a + t * b) % p
-                if cand.any():
-                    cand = normalize_point(cand, p)
-                    if on_curve(self.curve, cand):
-                        found[tuple(cand.tolist())] = cand
-            elif hav == 0:
-                for q in self.points_on_line(u):
-                    found[tuple(q.tolist())] = q
-
-        for u in alg.distinct_roots(s, p):
-            try_line(u)
-        try_line(None)
-        # t = infinity candidates: h(B(u)) = 0 and the cubic kills B(u)
-        hb = np.zeros(0, dtype=np.int64)
-        for k in range(4):
-            hb = alg.poly_add(hb, alg.poly_scale(self.b_sym[k], int(h[k]), p), p)
-        k3 = alg.poly_trim(self._cubic_sweep[:, 3]) \
-            if self._cubic_sweep.shape[1] > 3 else np.zeros(0, dtype=np.int64)
-        if len(hb) and len(k3):
-            for u in alg.distinct_roots(alg.poly_gcd(hb, k3, p), p):
-                _, b = self.line_at(u)
-                if b.any():
-                    cand = normalize_point(b, p)
-                    if on_curve(self.curve, cand) and int(h @ cand % p) == 0:
-                        found[tuple(cand.tolist())] = cand
-        return [found[k] for k in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +389,11 @@ def _res_quadratics(q1, q2, p: int) -> np.ndarray:
                       alg.p2_scale(alg.p2_mul(t2, t3, p), -1, p), p)
 
 
-def _genus5_section(curve: CurveModel, h: np.ndarray,
-                    chart_tries: int = 4) -> list[np.ndarray]:
-    """Rational points of C intersect {h = 0} for a genus-5 curve."""
+def hyperplane_section(curve: CurveModel, h: np.ndarray,
+                       chart_tries: int = 4) -> list[np.ndarray]:
+    """Rational points of a genus-5 curve in the hyperplane {h . z = 0}."""
+    if curve.genus != 5:
+        raise ValueError("hyperplane sections are sliced at genus 5 only")
     p = curve.prime
     h = np.asarray(h, dtype=np.int64) % p
     basis = alg.kernel_basis(h.reshape(1, 5), p).T  # 5 x 4
@@ -480,13 +448,6 @@ def _genus5_section(curve: CurveModel, h: np.ndarray,
 @lru_cache(maxsize=8)
 def ruling_chart(curve: CurveModel) -> RulingChart:
     return RulingChart(curve)
-
-
-def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
-    """Rational points of the curve in the hyperplane {h . z = 0}."""
-    if curve.genus == 4:
-        return ruling_chart(curve).section_points(h)
-    return _genus5_section(curve, h)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +528,7 @@ def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
             h = stream.field_vec(p, 5)
             if not h.any():
                 continue
-            for q in _genus5_section(curve, h, chart_tries=2):
+            for q in hyperplane_section(curve, h, chart_tries=2):
                 found[tuple(q.tolist())] = q
     if len(found) < count:
         raise InsufficientPoints(
@@ -607,8 +568,9 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
 
     Raises ConfigError, naming the field or the point index, when a field
     is missing or has the wrong JSON type, the prime is not an admissible
-    prime, a generator has the wrong degree, or a point is not a list of g
-    integers, is not normalized or does not lie on the curve.
+    prime, a generator has the wrong degree, the file holds fewer points
+    than the panels of a context (`panel_sizes`), or a point is not a list
+    of g integers, is not normalized or does not lie on the curve.
     """
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
@@ -634,6 +596,10 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
                           "per generator") from None
     curve = CurveModel(g, p, _typed(data, "seed", int), tuple(gens))
     points = _typed(data, "points", list)
+    needed = sum(panel_sizes(g))
+    if len(points) < needed:
+        raise ConfigError(f"field 'points' holds {len(points)} points, a "
+                          f"genus-{g} curve file needs {needed}")
     short = [i for i, q in enumerate(points) if not isinstance(q, list)
              or len(q) != g or not all(isinstance(v, int) for v in q)]
     if short:

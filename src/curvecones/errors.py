@@ -95,10 +95,6 @@ class NonGenericD(DegenerateInput):
     """Degenerate-locus net whose restriction kernel is not one-dimensional."""
 
 
-class SigmaPoint(DegenerateInput):
-    """Curve point whose tangent line meets the vertex."""
-
-
 class NodeFiber(DegenerateInput):
     """Fiber over a singular point of the plane image; Steinerian undefined."""
 

@@ -94,12 +94,20 @@ def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
     return build_net(ctx, w)
 
 
-def random_net(ctx: CurveContext, stream: Stream, avoid_d: bool = True) -> Net:
+def random_net(ctx: CurveContext, stream: Stream) -> Net:
+    """A net off the base locus and off the degeneracy divisor."""
     def draw(_):
         net = build_net(ctx, stream.field_mat(ctx.p, 3, ctx.g))
-        return None if net.in_b or (avoid_d and net.in_d) else net
+        return None if net.in_b or net.in_d else net
 
     return resample("generic net", 200, draw)
+
+
+def pencil_at(net: Net, u: np.ndarray, p: int) -> np.ndarray:
+    """Pencil of net sections over the plane point u: the combinations
+    c @ net.w with c orthogonal to u."""
+    u = np.asarray(u, dtype=np.int64).reshape(1, 3)
+    return alg.kernel_basis(u, p) @ net.w % p
 
 
 def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
@@ -157,9 +165,7 @@ def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
         gamma = gamma_equation(ctx, net)
         if mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p) == 0:
             raise OnGammaFiber("probe projects onto the plane image")
-    coeff_kernel = alg.kernel_basis(u.reshape(1, 3), p)
-    v_b = coeff_kernel @ net.w % p
-    pen = pc.build_pencil(ctx, v_b)
+    pen = pc.build_pencil(ctx, pencil_at(net, u, p))
     lift_idx = alg.first_nonzero(u)
     wlift = net.w[lift_idx]
     cg = pc.cup_gram(ctx, pen, wlift)

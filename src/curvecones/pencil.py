@@ -2,10 +2,10 @@
 
 A two-dimensional subspace V of the space of sections determines a
 hyperplane of the cubic graded piece, namely the image of V times the
-quadratic piece.  The functional vbar cutting that hyperplane induces a
-cubic form on the quotient by V whose polar quadrics are the cup-product
-Gram matrices used everywhere downstream: corank 2 is the generic law, and
-corank jumps detect the degeneracy divisor.
+quadratic piece.  The functional vbar cutting that hyperplane pairs two
+sections through a third into the cup-product Gram matrices used
+everywhere downstream: corank 2 is the generic law, and corank jumps
+detect the degeneracy divisor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from . import monomials as mono
 from .canring import CurveContext
 from .errors import InadmissiblePencil
 
@@ -24,14 +23,6 @@ from .errors import InadmissiblePencil
 class PencilData:
     v: np.ndarray                  # 2 x g echelon-normalized basis
     vbar: np.ndarray               # functional on cubic-piece coordinates
-    complement_cols: tuple[int, ...]
-    admissible: bool = True
-
-
-@dataclass
-class PsiCubic:
-    pencil: PencilData
-    coeffs: np.ndarray             # cubic form on the quotient coordinates
 
 
 @dataclass
@@ -42,15 +33,6 @@ class CupGram:
 
 def corank(m: np.ndarray, p: int) -> int:
     return m.shape[1] - alg.rank(m, p)
-
-
-def _triple_product_values(ctx: CurveContext, a: np.ndarray, b: np.ndarray,
-                           c: np.ndarray) -> np.ndarray:
-    p = ctx.p
-    va = ctx.panel @ a % p
-    vb = ctx.panel @ b % p
-    vc = ctx.panel @ c % p
-    return va * vb % p * vc % p
 
 
 def build_pencil(ctx: CurveContext, v: np.ndarray) -> PencilData:
@@ -86,46 +68,7 @@ def build_pencil(ctx: CurveContext, v: np.ndarray) -> PencilData:
         raise InadmissiblePencil(
             f"product space has codimension {functionals.shape[0]}, "
             "expected 1")
-    vbar = alg.normalize_scalar(functionals[0], p)
-    complement = tuple(c for c in range(ctx.g) if c not in pivots)
-    return PencilData(v=vr, vbar=vbar, complement_cols=complement)
-
-
-def vbar_value(ctx: CurveContext, pencil: PencilData,
-               cubic_values: np.ndarray) -> int:
-    """Apply the cutting functional to a cubic-piece class (panel values)."""
-    return int(pencil.vbar @ ctx.coords(3, cubic_values) % ctx.p)
-
-
-def psi_trilinear(ctx: CurveContext, pencil: PencilData, a: np.ndarray,
-                  b: np.ndarray, c: np.ndarray) -> int:
-    """Symmetric trilinear evaluator on section coefficient vectors."""
-    return vbar_value(ctx, pencil, _triple_product_values(ctx, a, b, c))
-
-
-def psi_cubic(ctx: CurveContext, pencil: PencilData) -> PsiCubic:
-    """Cubic form induced on the chosen complement of the pencil."""
-    g = ctx.g
-    p = ctx.p
-    m = g - 2
-    units = []
-    for col in pencil.complement_cols:
-        e = np.zeros(g, dtype=np.int64)
-        e[col] = 1
-        units.append(e)
-    coeffs = np.zeros(mono.count(m, 3), dtype=np.int64)
-    for idx, expo in enumerate(mono.exponents(m, 3)):
-        picks = [k for k in range(m) for _ in range(expo[k])]
-        a, b, c = (units[picks[0]], units[picks[1]], units[picks[2]])
-        value = psi_trilinear(ctx, pencil, a, b, c)
-        if expo[picks[0]] == 3:
-            mult = 1
-        elif max(expo) == 2:
-            mult = 3
-        else:
-            mult = 6
-        coeffs[idx] = value * mult % p
-    return PsiCubic(pencil=pencil, coeffs=coeffs)
+    return PencilData(v=vr, vbar=alg.normalize_scalar(functionals[0], p))
 
 
 def cup_gram(ctx: CurveContext, pencil: PencilData, w: np.ndarray) -> CupGram:
@@ -146,21 +89,3 @@ def cup_gram(ctx: CurveContext, pencil: PencilData, w: np.ndarray) -> CupGram:
     gram[iu, ju] = gram[ju, iu] = ctx.coords_many(3, prods.T) @ pencil.vbar % p
     return CupGram(w=w, gram=gram)
 
-
-def quotient_gram(ctx: CurveContext, pencil: PencilData,
-                  gram: np.ndarray) -> np.ndarray:
-    """Gram of the induced quadric on the complement coordinates."""
-    cols = list(pencil.complement_cols)
-    return gram[np.ix_(cols, cols)]
-
-
-def hessian_psi_membership(ctx: CurveContext, pencil: PencilData,
-                           w: np.ndarray) -> bool:
-    """Vanishing of the Hessian determinant of the quotient cubic at w.
-
-    Equivalent to the full Gram having corank at least 3, and must agree
-    with the vertex-restriction test on the spanned net.
-    """
-    cg = cup_gram(ctx, pencil, w)
-    q = quotient_gram(ctx, pencil, cg.gram)
-    return alg.det(q, ctx.p) == 0

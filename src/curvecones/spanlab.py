@@ -110,43 +110,38 @@ def _saturate(acc: SpanAccumulator, cones: list[cn.QuarticCone], tag: str,
     return acc
 
 
-def accumulate_f4(ctx: CurveContext, sample_count: int, seed: int,
-                  cones: list[cn.QuarticCone] | None = None
-                  ) -> SpanAccumulator:
-    """Span of quartic cones: reconstructions for random generic nets plus
-    double-quadric rows from engineered degenerate nets.
+def accumulate_f4(ctx: CurveContext, cones: list[cn.QuarticCone],
+                  seed: int) -> SpanAccumulator:
+    """Span of quartic cones: the given reconstructions plus double-quadric
+    rows from engineered degenerate nets.
 
     Saturation policy: stop after three consecutive rank-stable batches of
-    five reconstructions, or at sample_count."""
+    five reconstructions, or when the cones run out."""
     acc = SpanAccumulator(4, alg.RowSpace(
         np.zeros((0, mono.count(ctx.g, 4)), dtype=np.int64), ctx.p))
     for coeffs, net_obj in _square_rows(ctx, seed):
         acc.add(coeffs, "double-quadric", source=net_obj)
     acc.trajectory.append(acc.rank)
-    if cones is None:
-        cones = collect_cones(ctx, sample_count, seed)
     return _saturate(acc, cones, "reconstruction", lambda c: [c.coeffs])
 
 
-def accumulate_f3(ctx: CurveContext, sample_count: int, seed: int,
-                  cones: list[cn.QuarticCone] | None = None
+def accumulate_f3(ctx: CurveContext, cones: list[cn.QuarticCone]
                   ) -> SpanAccumulator:
     """Span of the polar cubics, one per vertex basis vector per net."""
     acc = SpanAccumulator(3, alg.RowSpace(
         np.zeros((0, mono.count(ctx.g, 3)), dtype=np.int64), ctx.p))
-    if cones is None:
-        cones = collect_cones(ctx, sample_count, seed)
     acc.trajectory.append(0)
     return _saturate(acc, cones, "polar", lambda c: [
         cn.polar_cubic(ctx, c, x).coeffs for x in c.net.wperp])
 
 
 def squares_containment(ctx: CurveContext, f4: SpanAccumulator,
-                        seed: int = 0, samples: int = 20) -> bool:
-    """Squares of random ideal quadrics must lie inside the quartic span."""
+                        seed: int = 0) -> bool:
+    """Squares of 20 random ideal quadrics must lie inside the quartic
+    span."""
     i2 = ctx.ideal(2)
     stream = Stream(derive_key(ctx.curve.seed, f"squares|{seed}"), "combo")
-    for _ in range(samples):
+    for _ in range(20):
         combo = stream.field_vec(ctx.p, i2.dim)
         if not combo.any():
             continue

@@ -20,8 +20,8 @@ def ctx(request):
 
 
 @pytest.fixture(scope="session")
-def state(ctx):
-    return acc._shared(ctx, CFG)
+def inputs(ctx):
+    return acc.SuiteInputs(ctx, CFG)
 
 
 def _check(result, genus):
@@ -36,50 +36,72 @@ class TestAcceptance:
     def test_criterion_02_petri_dichotomy(self, ctx):
         _check(acc.criterion_petri(ctx), ctx.g)
 
-    def test_criterion_03_plane_image_degree(self, ctx, state):
-        _check(acc.criterion_gamma(ctx, state), ctx.g)
+    def test_criterion_03_plane_image_degree(self, ctx, inputs):
+        _check(acc.criterion_gamma(ctx, inputs.cones[0].net), ctx.g)
 
     def test_criterion_04_corank_law(self, ctx):
         _check(acc.criterion_corank_law(ctx, CFG), ctx.g)
 
-    def test_criterion_05_reconstruction_certificate(self, ctx, state):
-        _check(acc.criterion_reconstruction(ctx, CFG, state), ctx.g)
+    def test_criterion_05_reconstruction_certificate(self, ctx, inputs):
+        _check(acc.criterion_reconstruction(ctx, CFG, inputs.cones), ctx.g)
 
     def test_criterion_06_double_quadric_law(self, ctx):
         _check(acc.criterion_double_quadric(ctx, CFG), ctx.g)
 
-    def test_criterion_07_polar_cubics(self, ctx, state):
-        _check(acc.criterion_polars(ctx, CFG, state), ctx.g)
+    def test_criterion_07_polar_cubics(self, ctx, inputs):
+        _check(acc.criterion_polars(ctx, CFG, inputs.cones), ctx.g)
 
-    def test_criterion_08_hessian_steinerian(self, ctx, state):
-        _check(acc.criterion_hessian(ctx, CFG, state), ctx.g)
+    def test_criterion_08_hessian_steinerian(self, ctx, inputs):
+        _check(acc.criterion_hessian(ctx, CFG, inputs.cones[0]), ctx.g)
 
-    def test_criterion_09_node_count(self, ctx, state):
-        _check(acc.criterion_node_count(ctx, CFG, state), ctx.g)
+    def test_criterion_09_node_count(self, ctx, inputs):
+        _check(acc.criterion_node_count(ctx, CFG, inputs.cones[0].net), ctx.g)
 
-    def test_criterion_10_secant_criterion(self, ctx, state):
-        _check(acc.criterion_secant(ctx, CFG, state), ctx.g)
+    def test_criterion_10_secant_criterion(self, ctx, inputs):
+        _check(acc.criterion_secant(ctx, CFG, inputs.cones[0]), ctx.g)
 
-    def test_criterion_11_span_dimensions(self, ctx, state):
-        _check(acc.criterion_spans(ctx, CFG, state), ctx.g)
+    def test_criterion_11_span_dimensions(self, ctx, inputs):
+        _check(acc.criterion_spans(ctx, CFG, inputs.f4), ctx.g)
 
-    def test_criterion_12_base_locus(self, ctx, state):
-        _check(acc.criterion_base_locus(ctx, CFG, state), ctx.g)
+    def test_criterion_12_base_locus(self, ctx, inputs):
+        _check(acc.criterion_base_locus(ctx, CFG, inputs.span_cones,
+                                        inputs.f4), ctx.g)
 
-    def test_span_criteria_leave_the_certified_cones(self, ctx, state):
-        acc.criterion_spans(ctx, CFG, state)
-        assert len(state.cones) == CFG.reconstructions
-        assert len(state.span_cones) == CFG.span_samples
+    def test_span_criteria_leave_the_certified_cones(self, ctx, inputs):
+        acc.criterion_spans(ctx, CFG, inputs.f4)
+        assert len(inputs.cones) == CFG.reconstructions
+        assert len(inputs.span_cones) == CFG.span_samples
 
 
-def test_base_locus_independent_of_run_order(ctx4):
-    small = acc.SuiteConfig(reconstructions=2, span_samples=14,
-                            off_curve_probes=30)
-    alone = acc.criterion_base_locus(ctx4, small, acc._shared(ctx4, small))
-    state = acc._shared(ctx4, small)
-    acc.criterion_spans(ctx4, small, state)
-    after = acc.criterion_base_locus(ctx4, small, state)
-    assert alone.details == after.details
+# criterion number -> the criterion called on the artifacts of a SuiteInputs
+ON_INPUTS = {
+    3: lambda ctx, cfg, s: acc.criterion_gamma(ctx, s.cones[0].net),
+    5: lambda ctx, cfg, s: acc.criterion_reconstruction(ctx, cfg, s.cones),
+    7: lambda ctx, cfg, s: acc.criterion_polars(ctx, cfg, s.cones),
+    8: lambda ctx, cfg, s: acc.criterion_hessian(ctx, cfg, s.cones[0]),
+    9: lambda ctx, cfg, s: acc.criterion_node_count(ctx, cfg,
+                                                    s.cones[0].net),
+    10: lambda ctx, cfg, s: acc.criterion_secant(ctx, cfg, s.cones[0]),
+    11: lambda ctx, cfg, s: acc.criterion_spans(ctx, cfg, s.f4),
+    12: lambda ctx, cfg, s: acc.criterion_base_locus(ctx, cfg, s.span_cones,
+                                                     s.f4),
+}
+
+
+@pytest.fixture(scope="module")
+def suite_run(ctx4):
+    cfg = acc.reduced_config(0)
+    return cfg, {r.number: r for r in acc.run_criteria(ctx4, cfg)}
+
+
+@pytest.mark.parametrize("number", sorted(ON_INPUTS))
+def test_criterion_independent_of_run_order(ctx4, suite_run, number):
+    # alone on fresh artifacts, a criterion measures what it measured after
+    # all of its predecessors had run on shared ones
+    cfg, in_suite = suite_run
+    alone = ON_INPUTS[number](ctx4, cfg, acc.SuiteInputs(ctx4, cfg))
+    assert alone.number == number
+    assert alone.details == in_suite[number].details
 
 
 @pytest.mark.parametrize("genus", [4, 5])

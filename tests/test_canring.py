@@ -50,7 +50,7 @@ class TestMultiplication:
         piece = ctx4.piece(3)
         coeffs = stream.field_vec(P, mono.count(4, 3))
         values = mono.form_eval(coeffs, ctx4.panel, 4, 3, P)
-        coords = ctx4.coords(3, values)
+        coords = ctx4.coords_many(3, values[None, :])[0]
         rebuilt = piece.eval_matrix[:, piece.basis_cols] @ coords % P
         assert rebuilt.tolist() == values.tolist()
 

@@ -156,6 +156,14 @@ class TestCurveFileValidation:
         assert code == 2
         assert "point 7 is not normalized" in err
 
+    def test_too_few_points(self, tmp_path, curve_file, capsys):
+        # a genus-4 context needs 4 * 35 panel and 2 * 35 holdout points
+        path = self.damaged(tmp_path, curve_file,
+                            lambda d: d.update(points=d["points"][:100]))
+        code, err = self.verify_quick(path, capsys)
+        assert code == 2
+        assert "field 'points'" in err and "100" in err and "210" in err
+
 
 def inject(monkeypatch, module, name, exc, calls=None, within=None):
     """Make module.name raise exc on the listed calls (1-based; None means

@@ -1,11 +1,11 @@
-"""Quartic reconstruction, polars, secants, tangent spaces."""
+"""Quartic reconstruction, polars, secants, tangent lines."""
 
 import numpy as np
 import pytest
 
 from curvecones import algebra as alg, cone as cn
 from curvecones import monomials as mono, net as nt
-from curvecones.errors import (DegenerateInput, NonGenericD, SigmaPoint)
+from curvecones.errors import DegenerateInput, NonGenericD
 from curvecones.rng import Stream
 
 P = 1000003
@@ -24,8 +24,7 @@ def cone4(ctx4, net4):
 class TestSplitFiber:
     def test_gram_symmetric_and_sized(self, ctx4, net4):
         fiber = cn.split_fiber(ctx4, net4,
-                               cn._pencil_through(net4, np.array([1, 2, 3]),
-                                                  P))
+                               nt.pencil_at(net4, np.array([1, 2, 3]), P))
         assert fiber.gram.shape == (2, 2)
         assert (fiber.gram == fiber.gram.T).all()
         assert fiber.ell.shape == (2,)
@@ -33,8 +32,7 @@ class TestSplitFiber:
     def test_oracle_matches_residual_quadric(self, ctx4, net4):
         # dual routes: the membership oracle against the fiber quadric value
         fiber = cn.split_fiber(ctx4, net4,
-                               cn._pencil_through(net4, np.array([1, 1, 2]),
-                                                  P))
+                               nt.pencil_at(net4, np.array([1, 1, 2]), P))
         stream = Stream(101, "c")
         checked = 0
         while checked < 10:
@@ -88,8 +86,7 @@ class TestReconstruction:
             if not u.any():
                 continue
             try:
-                fiber = cn.split_fiber(ctx4, net4,
-                                       cn._pencil_through(net4, u, P))
+                fiber = cn.split_fiber(ctx4, net4, nt.pencil_at(net4, u, P))
             except DegenerateInput:
                 continue
             assert cn.form_matches_split(ctx4, cone4.coeffs, fiber)
@@ -129,8 +126,8 @@ class TestPolars:
         vals = mono.form_eval(polar.coeffs, ctx4.panel, 4, 3, P)
         assert not vals.any()
 
-    def test_lw_dimensions(self, ctx4, net4, cone4):
-        basis, rank = cn.lw_space(ctx4, net4, cone4)
+    def test_lw_dimensions(self, ctx4, cone4):
+        basis, rank = cn.lw_space(ctx4, cone4)
         assert basis.shape[0] == 1
         assert rank == 1
 
@@ -169,16 +166,6 @@ class TestSecant:
 
 
 class TestTangentSpace:
-    def test_span_of_tangent_and_vertex(self, ctx4, net4, cone4):
-        checked = 0
-        for pt in ctx4.panel[:12]:
-            try:
-                assert cn.tangent_space_check(ctx4, net4, cone4, pt)
-                checked += 1
-            except SigmaPoint:
-                continue
-        assert checked >= 10
-
     def test_gradient_annihilates_tangent_line(self, ctx4, net4, cone4):
         pt = ctx4.panel[5]
         td = ctx4.tangent(pt)
@@ -188,15 +175,3 @@ class TestTangentSpace:
         assert grad.any()
         assert int(grad @ td.point % P) == 0
         assert int(grad @ td.direction % P) == 0
-
-    def test_sigma_point_detected(self, ctx4):
-        # vertex forced onto the tangent line at a curve point
-        pt = ctx4.panel[8]
-        td = ctx4.tangent(pt)
-        vertex = (2 * td.point + 3 * td.direction) % P
-        net = nt.net_from_vertex(ctx4, vertex)
-        if net.in_d:
-            pytest.skip("tangent-line vertex fell on the degeneracy divisor")
-        cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
-        with pytest.raises(SigmaPoint):
-            cn.tangent_space_check(ctx4, net, cone, pt)

@@ -92,44 +92,42 @@ class TestSampling:
 
 
 class TestHyperplaneSections:
-    def test_degree_bound(self, ctx4, ctx5):
-        for ctx, bound in ((ctx4, 6), (ctx5, 8)):
-            stream = Stream(99, "random-hyperplanes")
-            for _ in range(20):
-                h = stream.field_vec(P, ctx.g)
-                if not h.any():
-                    continue
-                sec = cv.hyperplane_section(ctx.curve, h)
-                assert len(sec) <= bound
-                for q in sec:
-                    assert cv.on_curve(ctx.curve, q)
-                    assert int(h @ q % P) == 0
+    """Genus-5 slices; genus-4 points come from ruling lines instead."""
 
-    def test_degree_attained_on_anchored_slices(self, ctx4, ctx5):
-        # planes through curve points make fully split sections likely;
-        # seeds are fixed, so the scan is deterministic
-        for ctx, anchors, bound, tries in ((ctx4, 3, 6, 80),
-                                           (ctx5, 4, 8, 200)):
-            best = 0
-            pts = ctx.panel
-            for k in range(tries):
-                rows = np.stack([pts[(k + j * 7) % len(pts)]
-                                 for j in range(anchors)])
-                if alg.rank(rows, P) != anchors:
-                    continue
-                h = alg.kernel_basis(rows, P)
-                if h.shape[0] != 1:
-                    continue
-                best = max(best, len(cv.hyperplane_section(ctx.curve, h[0])))
-                if best == bound:
-                    break
-            assert best == bound
+    def test_degree_bound(self, ctx5):
+        stream = Stream(99, "random-hyperplanes")
+        for _ in range(20):
+            h = stream.field_vec(P, 5)
+            if not h.any():
+                continue
+            sec = cv.hyperplane_section(ctx5.curve, h)
+            assert len(sec) <= 8
+            for q in sec:
+                assert cv.on_curve(ctx5.curve, q)
+                assert int(h @ q % P) == 0
 
-    def test_codim2_slices_empty(self, ctx4):
+    def test_degree_attained_on_anchored_slices(self, ctx5):
+        # hyperplanes through curve points make fully split sections
+        # likely; seeds are fixed, so the scan is deterministic
+        best = 0
+        pts = ctx5.panel
+        for k in range(200):
+            rows = np.stack([pts[(k + j * 7) % len(pts)] for j in range(4)])
+            if alg.rank(rows, P) != 4:
+                continue
+            h = alg.kernel_basis(rows, P)
+            if h.shape[0] != 1:
+                continue
+            best = max(best, len(cv.hyperplane_section(ctx5.curve, h[0])))
+            if best == 8:
+                break
+        assert best == 8
+
+    def test_codim2_slices_empty(self, ctx5):
         stream = Stream(123, "codim2")
-        h1 = stream.field_vec(P, 4)
-        h2 = stream.field_vec(P, 4)
-        sec = cv.hyperplane_section(ctx4.curve, h1)
+        h1 = stream.field_vec(P, 5)
+        h2 = stream.field_vec(P, 5)
+        sec = cv.hyperplane_section(ctx5.curve, h1)
         assert all(int(h2 @ q % P) != 0 for q in sec)
 
 
@@ -156,7 +154,8 @@ class TestTangents:
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path, ctx4):
-        pts = [q for q in ctx4.panel[:12]]
+        # a loadable file holds both panels of a context
+        pts = list(np.concatenate([ctx4.panel, ctx4.holdout]))
         path = tmp_path / "curve.json"
         cv.save_curve(str(path), ctx4.curve, pts)
         loaded, lpts = cv.load_curve(str(path))

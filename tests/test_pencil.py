@@ -1,9 +1,9 @@
-"""Pencils: cutting functionals, quotient cubics, cup Grams."""
+"""Pencils: cutting functionals and cup Grams."""
 
 import numpy as np
 import pytest
 
-from curvecones import algebra as alg, monomials as mono, net as nt, pencil as pc
+from curvecones import algebra as alg, monomials as mono, pencil as pc
 from curvecones.errors import InadmissiblePencil
 from curvecones.rng import Stream
 
@@ -18,10 +18,14 @@ def random_pencil(ctx, stream):
             continue
 
 
+def vbar_of(ctx, pen, values):
+    """The cutting functional on a cubic class given by its panel values."""
+    return int(ctx.coords_many(3, values[None, :])[0] @ pen.vbar % P)
+
+
 class TestBuildPencil:
     def test_generic_codimension_one(self, ctx4):
         pen = random_pencil(ctx4, Stream(1, "bp"))
-        assert pen.admissible
         # product space has dimension 2 * dim R_2 - g = 14 inside the
         # 15-dimensional cubic piece
         piece2 = ctx4.piece(2)
@@ -53,45 +57,7 @@ class TestBuildPencil:
             q = stream.field_vec(P, piece2.dim)
             qvals = piece2.eval_matrix[:, piece2.basis_cols] @ q % P
             svals = ctx4.panel @ s % P
-            assert pc.vbar_value(ctx4, pen, svals * qvals % P) == 0
-
-
-class TestPsiCubic:
-    def test_factors_through_quotient(self, ctx4):
-        pen = random_pencil(ctx4, Stream(4, "psi"))
-        stream = Stream(5, "t")
-        for _ in range(5):
-            s = (stream.field(P) * pen.v[0]
-                 + stream.field(P) * pen.v[1]) % P
-            a = stream.field_vec(P, 4)
-            b = stream.field_vec(P, 4)
-            assert pc.psi_trilinear(ctx4, pen, s, a, b) == 0
-
-    def test_symmetric_on_random_triples(self, ctx4):
-        pen = random_pencil(ctx4, Stream(6, "psi"))
-        stream = Stream(7, "t")
-        for _ in range(20):
-            a, b, c = (stream.field_vec(P, 4) for _ in range(3))
-            vals = {pc.psi_trilinear(ctx4, pen, *perm)
-                    for perm in ((a, b, c), (a, c, b), (b, a, c),
-                                 (b, c, a), (c, a, b), (c, b, a))}
-            assert len(vals) == 1
-
-    def test_cubic_coeffs_match_trilinear(self, ctx4):
-        pen = random_pencil(ctx4, Stream(8, "psi"))
-        psi = pc.psi_cubic(ctx4, pen)
-        stream = Stream(9, "y")
-        units = []
-        for col in pen.complement_cols:
-            e = np.zeros(4, dtype=np.int64)
-            e[col] = 1
-            units.append(e)
-        for _ in range(5):
-            y = stream.field_vec(P, 2)
-            w = (y[0] * units[0] + y[1] * units[1]) % P
-            direct = pc.psi_trilinear(ctx4, pen, w, w, w)
-            via = mono.form_eval_one(psi.coeffs, y, 2, 3, P)
-            assert direct == via
+            assert vbar_of(ctx4, pen, svals * qvals % P) == 0
 
 
 class TestCupGram:
@@ -118,8 +84,8 @@ class TestCupGram:
             assert pc.corank(cg.gram, P) >= 2
 
     def test_polar_identity(self, ctx4):
-        # the Gram built through ring multiplication agrees with the
-        # independently assembled trilinear evaluator
+        # the Gram assembled from monomial products agrees with vbar of
+        # the product of the three sections, taken pointwise on the panel
         pen = random_pencil(ctx4, Stream(15, "cg"))
         stream = Stream(16, "w")
         w = stream.field_vec(P, 4)
@@ -127,8 +93,9 @@ class TestCupGram:
         for _ in range(6):
             s = stream.field_vec(P, 4)
             t = stream.field_vec(P, 4)
+            wv, sv, tv = (ctx4.panel @ x % P for x in (w, s, t))
             assert int(s @ cg.gram @ t % P) \
-                == pc.psi_trilinear(ctx4, pen, w, s, t)
+                == vbar_of(ctx4, pen, wv * sv % P * tv % P)
 
     def test_scalar_robustness(self, ctx4):
         pen = random_pencil(ctx4, Stream(17, "cg"))
@@ -139,35 +106,17 @@ class TestCupGram:
 
 
 class TestHessianMembership:
-    def test_agrees_with_vertex_restriction_test(self, ctx4):
-        stream = Stream(19, "hm")
-        agreements = 0
-        while agreements < 10:
-            pen = random_pencil(ctx4, stream.spawn(f"p{agreements}"))
-            w = stream.field_vec(P, 4)
-            full = np.concatenate([pen.v, w[None, :]])
-            if alg.rank(full, P) != 3:
-                continue
-            member = pc.hessian_psi_membership(ctx4, pen, w)
-            net_obj = nt.build_net(ctx4, full, with_gamma=False)
-            assert member == net_obj.in_d
-            agreements += 1
-
-    def test_engineered_degenerate_agrees_on_both_tests(self, ctx4):
-        from curvecones import cone as cn
-        net_obj = cn.degenerate_net(ctx4, Stream(20, "deg"))
-        pen = pc.build_pencil(ctx4, net_obj.w[:2])
-        assert pc.hessian_psi_membership(ctx4, pen, net_obj.w[2]) is True
-        assert net_obj.in_d is True
-
     def test_hessian_determinant_has_degree_genus_minus_two(self, ctx4, ctx5):
-        # the discriminant of the quotient form is a form of degree g - 2
-        # in the quotient coordinates: fit it exactly and cross-validate
+        # the determinant of the cup Gram on the coordinates off the
+        # pencil's pivots is a form of degree g - 2 in the lift: fit it
+        # exactly and cross-validate
         for ctx in (ctx4, ctx5):
             pen = random_pencil(ctx, Stream(21, "deg" + str(ctx.g)))
             m = ctx.g - 2
+            _, pivots = alg.rref(pen.v, P)
+            cols = [c for c in range(ctx.g) if c not in pivots]
             units = []
-            for col in pen.complement_cols:
+            for col in cols:
                 e = np.zeros(ctx.g, dtype=np.int64)
                 e[col] = 1
                 units.append(np.array(e))
@@ -178,8 +127,7 @@ class TestHessianMembership:
                 w = np.zeros(ctx.g, dtype=np.int64)
                 for k in range(m):
                     w = (w + int(y[k]) * units[k]) % P
-                gram = pc.quotient_gram(
-                    ctx, pen, pc.cup_gram(ctx, pen, w).gram)
+                gram = pc.cup_gram(ctx, pen, w).gram[np.ix_(cols, cols)]
                 ys.append(y)
                 vals.append(alg.det(gram, P))
             e = mono.eval_matrix(np.stack(ys[:-3]), m, m, P)

@@ -1,0 +1,112 @@
+"""Every definition in `src/curvecones` is reachable from what runs it.
+
+The roots are `cli.main`, the module-level code of every engine module,
+and every engine name the benchmark under `perfbench/` uses: the functions
+its tracer wraps (`metrics.LAYERS`, `tracer.TARGETS`) and the names that
+`perfbench/kernels.py` calls.  A function or class that none of these
+reaches is code that only tests or demos run, and belongs with them.
+
+The walk matches by name, not by binding, so it over-approximates: a
+reached body that mentions a name reaches every definition with that name,
+whatever the name is bound to there.  A local variable, keyword or
+attribute with the same name as a method therefore hides that method from
+this test (a local `coords` in `pencil.build_pencil`, for example, once
+kept an unused `CurveContext.coords` looking reached).  A name this test
+reports is dead; a name it passes may still be.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "curvecones")
+BENCH = os.path.join(ROOT, "perfbench")
+
+
+def _names(nodes) -> set[str]:
+    """Every identifier and attribute name referenced inside `nodes`."""
+    found: set[str] = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions() -> tuple[dict[str, tuple[str, set[str]]], set[str]]:
+    """Top-level functions, classes and methods of every engine module, as
+    qualified name -> (short name, names its body references), and the
+    names that module-level code references.  Dunder methods run with their
+    class, so they count as part of it."""
+    defs: dict[str, tuple[str, set[str]]] = {}
+    module_names: set[str] = set()
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        mod = fname[:-3]
+        with open(os.path.join(SRC, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{mod}.{node.name}"] = (node.name, _names([node]))
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.decorator_list, *node.keywords]
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) \
+                            and not _is_dunder(item.name):
+                        defs[f"{mod}.{node.name}.{item.name}"] = (
+                            item.name, _names([item]))
+                    else:
+                        own.append(item)
+                defs[f"{mod}.{node.name}"] = (node.name, _names(own))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                module_names |= _names([node])
+    return defs, module_names
+
+
+def bench_roots() -> tuple[set[str], set[str]]:
+    """Qualified names the benchmark's tracer wraps, and the names that
+    `perfbench/kernels.py` references."""
+    sys.path.insert(0, BENCH)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(BENCH)
+    with open(os.path.join(BENCH, "kernels.py")) as fh:
+        kernel_names = _names([ast.parse(fh.read())])
+    return set(tracer.TARGETS), kernel_names
+
+
+def unreached() -> list[str]:
+    defs, module_names = definitions()
+    by_short: dict[str, list[str]] = {}
+    for qual, (short, _) in defs.items():
+        by_short.setdefault(short, []).append(qual)
+    targets, kernel_names = bench_roots()
+    reached: set[str] = set()
+    todo = ["cli.main", *targets]
+    for name in module_names | kernel_names:
+        todo += by_short.get(name, [])
+    while todo:
+        qual = todo.pop()
+        if qual in reached or qual not in defs:
+            continue
+        reached.add(qual)
+        todo += [q for n in defs[qual][1] for q in by_short.get(n, [])]
+    return sorted(set(defs) - reached)
+
+
+def test_every_definition_is_reached():
+    dead = unreached()
+    assert not dead, "defined in src/curvecones but reached neither from " \
+        "cli.main nor from perfbench: " + ", ".join(dead)

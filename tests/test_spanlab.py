@@ -16,7 +16,7 @@ def cones4(ctx4):
 
 @pytest.fixture(scope="module")
 def f4span(ctx4, cones4):
-    return sl.accumulate_f4(ctx4, 25, seed=0, cones=cones4)
+    return sl.accumulate_f4(ctx4, cones4, seed=0)
 
 
 class TestAccumulation:
@@ -42,7 +42,8 @@ class TestAccumulation:
 
     def test_seed_independence_of_saturated_rank(self, ctx4, f4span):
         for seed in (5, 6, 7, 8):
-            other = sl.accumulate_f4(ctx4, 25, seed=seed)
+            other = sl.accumulate_f4(ctx4, sl.collect_cones(ctx4, 25, seed),
+                                     seed=seed)
             assert other.rank == f4span.rank
 
     def test_order_reshuffle_invariance(self, ctx4, f4span):
@@ -50,7 +51,7 @@ class TestAccumulation:
         assert alg.rank(f4span.rows[perm], P) == f4span.rank
 
     def test_f3_rows_are_cubic_ideal_members(self, ctx4, cones4):
-        f3 = sl.accumulate_f3(ctx4, 25, seed=0, cones=cones4)
+        f3 = sl.accumulate_f3(ctx4, cones4)
         for row in f3.rows:
             assert ctx4.in_ideal(row, 3)
         # one polar per net at genus 4; rank capped by the cubic ideal piece
@@ -72,7 +73,7 @@ class TestContainment:
 
 class TestBaseLocus:
     def test_probe_report(self, ctx4, cones4, f4span):
-        f3 = sl.accumulate_f3(ctx4, 25, seed=0, cones=cones4)
+        f3 = sl.accumulate_f3(ctx4, cones4)
         report = sl.base_locus_probe(ctx4, [f4span, f3], 120, seed=0)
         assert report["curve_points_contained"]
         assert report["violations"] == []
