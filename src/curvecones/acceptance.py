@@ -284,18 +284,20 @@ def criterion_secant(ctx, cfg: SuiteConfig,
                      cone: cn.QuarticCone) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
     n = ctx.panel.shape[0]
-    random_ok = 0
-    checked = 0
-    while checked < cfg.secant_random:
+    pairs: list[bool] = []   # (False, False) on a random secant
+
+    def random_secant(_):
         i = stream.integer(0, n)
         j = stream.integer(0, n)
         if i == j:
-            continue
-        res = cn.secant_criterion(ctx, cone.net, cone,
-                                  ctx.panel[i], ctx.panel[j])
-        checked += 1
-        if res == (False, False):
-            random_ok += 1
+            return None
+        pairs.append(cn.secant_criterion(ctx, cone.net, cone, ctx.panel[i],
+                                         ctx.panel[j]) == (False, False))
+        return pairs if len(pairs) == cfg.secant_random else None
+
+    resample("random secants", 30 * cfg.secant_random, random_secant,
+             default=None)
+    random_ok = pairs.count(True)
     vertex: list[bool] = []   # criterion holds on an engineered secant
 
     def vertex_secant(k: int):

@@ -12,7 +12,9 @@ Conventions used package-wide:
   nonzero polynomial has nonzero leading entry and the zero polynomial is
   the empty array;
 * bivariate polynomials are 2-D arrays, entry [i, j] the coefficient of
-  x^i y^j.
+  x^i y^j.  They only feed `resultant_bivariate`: callers build them from
+  forms with `monomials.collect`, so this module keeps no bivariate
+  arithmetic beyond `p2_trim` and the specialization `p2_eval_x`.
 
 The prime must stay below 2**25 so that int64 dot products of length a few
 thousand cannot overflow; all arithmetic is exact.
@@ -503,7 +505,8 @@ def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials, entry [i, j] = coefficient of x^i y^j
+# bivariate polynomials, entry [i, j] = coefficient of x^i y^j, as read by
+# resultant_bivariate
 
 
 def p2_trim(f: np.ndarray) -> np.ndarray:
@@ -515,35 +518,6 @@ def p2_trim(f: np.ndarray) -> np.ndarray:
     return f[: rows[-1] + 1, : cols[-1] + 1]
 
 
-def p2_add(f, g, p: int) -> np.ndarray:
-    r = max(f.shape[0], g.shape[0])
-    c = max(f.shape[1], g.shape[1])
-    out = np.zeros((r, c), dtype=np.int64)
-    out[: f.shape[0], : f.shape[1]] += f
-    out[: g.shape[0], : g.shape[1]] += g
-    return p2_trim(out % p)
-
-
-def p2_scale(f, c: int, p: int) -> np.ndarray:
-    return p2_trim(np.asarray(f, dtype=np.int64) * (c % p) % p)
-
-
-def p2_mul(f, g, p: int) -> np.ndarray:
-    f = p2_trim(f)
-    g = p2_trim(g)
-    if f.size == 0 or g.size == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    out = np.zeros((f.shape[0] + g.shape[0] - 1,
-                    f.shape[1] + g.shape[1] - 1), dtype=np.int64)
-    for i in range(f.shape[0]):
-        for j in range(f.shape[1]):
-            c = int(f[i, j])
-            if c:
-                out[i: i + g.shape[0], j: j + g.shape[1]] = (
-                    out[i: i + g.shape[0], j: j + g.shape[1]] + c * g) % p
-    return out
-
-
 def p2_eval_x(f: np.ndarray, a: int, p: int) -> np.ndarray:
     """Substitute x = a; returns a univariate polynomial in y."""
     f = np.asarray(f, dtype=np.int64)
@@ -551,18 +525,6 @@ def p2_eval_x(f: np.ndarray, a: int, p: int) -> np.ndarray:
     for row in f[::-1]:
         acc = (acc * a + row) % p
     return poly_trim(acc)
-
-
-def p2_eval(f: np.ndarray, a: int, b: int, p: int) -> int:
-    return poly_eval(p2_eval_x(f, a, p), b, p)
-
-
-def p2_deg_y(f: np.ndarray) -> int:
-    return f.shape[1] - 1
-
-
-def p2_deg_x(f: np.ndarray) -> int:
-    return f.shape[0] - 1
 
 
 def resultant_bivariate(f, g, p: int) -> np.ndarray:
@@ -575,7 +537,7 @@ def resultant_bivariate(f, g, p: int) -> np.ndarray:
     g = p2_trim(g)
     if f.size == 0 or g.size == 0:
         raise ValueError("resultant of a zero polynomial")
-    dfy, dgy = p2_deg_y(f), p2_deg_y(g)
+    dfy, dgy = f.shape[1] - 1, g.shape[1] - 1
     if dfy == 0 and dgy == 0:
         return np.ones(1, dtype=np.int64)
     if dfy == 0:
@@ -592,7 +554,7 @@ def resultant_bivariate(f, g, p: int) -> np.ndarray:
         return out
     lf = poly_trim(f[:, dfy])
     lg = poly_trim(g[:, dgy])
-    bound = dfy * p2_deg_x(g) + dgy * p2_deg_x(f)
+    bound = dfy * (g.shape[0] - 1) + dgy * (f.shape[0] - 1)
     xs: list[int] = []
     ys: list[int] = []
     a = 0

@@ -159,29 +159,14 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
 # node counting
 
 
-def _affine_chart(coeffs: np.ndarray, degree: int, p: int) -> np.ndarray:
-    """Ternary form to bivariate array in the chart where the last
-    coordinate is 1."""
-    out = np.zeros((degree + 1, degree + 1), dtype=np.int64)
-    for i, e in enumerate(mono.exponents(3, degree)):
-        c = int(coeffs[i]) % p
-        if c:
-            out[e[0], e[1]] = (out[e[0], e[1]] + c) % p
-    return alg.p2_trim(out)
-
-
-def _p2_partial_x(f: np.ndarray, p: int) -> np.ndarray:
-    if f.shape[0] <= 1:
-        return np.zeros((0, 0), dtype=np.int64)
-    mult = np.arange(1, f.shape[0], dtype=np.int64)[:, None]
-    return alg.p2_trim(f[1:, :] * mult % p)
-
-
-def _p2_partial_y(f: np.ndarray, p: int) -> np.ndarray:
-    if f.shape[1] <= 1:
-        return np.zeros((0, 0), dtype=np.int64)
-    mult = np.arange(1, f.shape[1], dtype=np.int64)[None, :]
-    return alg.p2_trim(f[:, 1:] * mult % p)
+def _chart_with_partials(coeffs: np.ndarray, degree: int, p: int
+                         ) -> list[np.ndarray]:
+    """A ternary form and its partials in z0 and z1, as bivariate arrays
+    in the chart z2 = 1 (entry [i, j] the coefficient of z0^i z1^j)."""
+    chart = [[1, 0], [0, 1], [0, 0]]
+    return [mono.collect(coeffs, degree, 3, chart, p)] + [
+        mono.collect(mono.partial(coeffs, var, 3, degree, p), degree - 1, 3,
+                     chart, p) for var in (0, 1)]
 
 
 def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0) -> int:
@@ -201,13 +186,9 @@ def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0) -> int:
         if alg.rank(frame, p) != 3:
             return None
         changed = mono.restrict(gamma.coeffs, degree, 3, frame, p)
-        f = _affine_chart(changed, degree, p)
-        if f.shape[1] < degree + 1 or f.shape[0] < degree + 1:
-            return None  # need full y-degree and x-degree with constant leads
+        f, fx, fy = _chart_with_partials(changed, degree, p)
         if int(f[0, degree]) == 0 or int(f[degree, 0]) == 0:
-            return None
-        fx = _p2_partial_x(f, p)
-        fy = _p2_partial_y(f, p)
+            return None  # need full y-degree and x-degree with constant leads
         r1 = alg.resultant_bivariate(f, fx, p)
         r2 = alg.resultant_bivariate(f, fy, p)
         if alg.poly_deg(r1) < 0 or alg.poly_deg(r2) < 0:

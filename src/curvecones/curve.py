@@ -200,36 +200,31 @@ class RulingChart:
         """Polynomial coordinates of the swept ruling line.
 
         w(u) completes the plane h1 + u h2; the residual line of the plane
-        through q0-d1 is spanned by A(u), B(u) with polynomial entries.
+        through q0-d1 is spanned by A(u), B(u), kept as 4 x 2 and 4 x 3
+        arrays of u-coefficients (coordinate x power of u).
         """
         p = self.p
         for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
             if alg.rank(np.stack([self.q0, self.d1, r1, r2]), p) != 4:
                 continue
-            w0, w1 = self._w_polys(r1, r2)  # w(u) = w0 + u * w1
+            w = np.stack(self._w_polys(r1, r2), axis=1)  # w(u) = w0 + u w1
             # rho(u) = 2 B(q0, w(u)), sig(u) = 2 B(d1, w(u))
-            rho, sig = (alg.poly_trim(row) for row in
-                        self.polar @ np.stack([w0, w1], axis=1) % p)
-            if alg.poly_deg(rho) >= 0:
+            rho, sig = self.polar @ w % p
+            if rho.any():
                 break
         else:
             raise GenerationFailed("no usable completion frame for the chart")
         self.r1, self.r2 = r1, r2
-        tau = alg.poly_trim(
-            mono.restrict_to_line(self.quadric, 2, 4, w0, w1, p))
-        # A(u) = sig * q0 - rho * d1  (degree <= 1 per coordinate)
-        # B(u) = tau * q0 - rho * w(u)  (degree <= 2 per coordinate)
-        self.a_sym = [alg.poly_sub(alg.poly_scale(sig, int(self.q0[k]), p),
-                                   alg.poly_scale(rho, int(self.d1[k]), p), p)
-                      for k in range(4)]
-        rho_w = [alg.poly_mul(rho, alg.poly_trim(
-            np.array([w0[k], w1[k]], dtype=np.int64)), p) for k in range(4)]
-        self.b_sym = [alg.poly_sub(alg.poly_scale(tau, int(self.q0[k]), p),
-                                   rho_w[k], p) for k in range(4)]
-        self._line_bivariate = self._sweep_coordinates()
-        self._cubic_sweep = self._form_on_sweep(self.cubic, 3)
-        quad_sweep = self._form_on_sweep(self.quadric, 2)
-        if quad_sweep.size:
+        tau = mono.restrict(self.quadric, 2, 4, w, p)   # Q(w(u))
+        # A(u) = sig * q0 - rho * d1, B(u) = tau * q0 - rho * w(u)
+        self.a_coeffs = (np.outer(self.q0, sig)
+                         - np.outer(self.d1, rho)) % p
+        self.b_coeffs = (np.outer(self.q0, tau)
+                         - [np.convolve(rho, wk) for wk in w]) % p
+        # A + t B in the monomials 1, u, t, ut, u^2 t of the sweep
+        sweep = np.concatenate([self.a_coeffs, self.b_coeffs], axis=1)
+        if mono.collect(mono.restrict(self.quadric, 2, 4, sweep, p), 2, 5,
+                        [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]], p).any():
             raise GenerationFailed("swept lines leave the quadric")
 
     def _w_polys(self, r1, r2):
@@ -237,34 +232,6 @@ class RulingChart:
         w0 = (int(self.h1 @ r2 % p) * r1 - int(self.h1 @ r1 % p) * r2) % p
         w1 = (int(self.h2 @ r2 % p) * r1 - int(self.h2 @ r1 % p) * r2) % p
         return w0, w1
-
-    def _sweep_coordinates(self) -> list[np.ndarray]:
-        """Coordinates of A(u) + t B(u) as bivariate polynomials in (u, t)."""
-        coords = []
-        for k in range(4):
-            a = self.a_sym[k]
-            b = self.b_sym[k]
-            rows = max(len(a), len(b))
-            f = np.zeros((rows, 2), dtype=np.int64)
-            f[: len(a), 0] = a
-            f[: len(b), 1] = b
-            coords.append(alg.p2_trim(f))
-        return coords
-
-    def _form_on_sweep(self, coeffs: np.ndarray, deg: int) -> np.ndarray:
-        """Pull a form back through (u, t) -> A(u) + t B(u)."""
-        p = self.p
-        out = np.zeros((0, 0), dtype=np.int64)
-        for i, e in enumerate(mono.exponents(4, deg)):
-            c = int(coeffs[i])
-            if c == 0:
-                continue
-            term = np.ones((1, 1), dtype=np.int64)
-            for k in range(4):
-                for _ in range(e[k]):
-                    term = alg.p2_mul(term, self._line_bivariate[k], p)
-            out = alg.p2_add(out, alg.p2_scale(term, c, p), p)
-        return out
 
     # -- numeric line access ---------------------------------------------
 
@@ -323,70 +290,54 @@ class RulingChart:
     def section_poly(self, h: np.ndarray) -> np.ndarray:
         """Polynomial in u whose roots locate C intersect {h = 0} on the sweep.
 
-        Res_t of h(A + tB) (linear in t) against the cubic restricted to the
-        swept line.
+        Res_t of h(A + tB) = ha + t hb against the cubic on the swept line,
+        which is F(hb A - ha B): the cubic at the point where h vanishes,
+        scaled by hb^3.
         """
         p = self.p
-        ha = np.zeros(0, dtype=np.int64)
-        hb = np.zeros(0, dtype=np.int64)
-        for k in range(4):
-            ha = alg.poly_add(ha, alg.poly_scale(self.a_sym[k], int(h[k]), p), p)
-            hb = alg.poly_add(hb, alg.poly_scale(self.b_sym[k], int(h[k]), p), p)
-        k_arr = self._cubic_sweep
-        out = np.zeros(0, dtype=np.int64)
-        neg_ha = alg.poly_scale(ha, -1, p)
-        for j in range(k_arr.shape[1]):
-            kj = alg.poly_trim(k_arr[:, j])
-            if len(kj) == 0:
-                continue
-            term = kj
-            for _ in range(j):
-                term = alg.poly_mul(term, neg_ha, p)
-            for _ in range(3 - j):
-                term = alg.poly_mul(term, hb, p)
-            out = alg.poly_add(out, term, p)
-        return out
+        ha = h @ self.a_coeffs % p
+        hb = h @ self.b_coeffs % p
+        point = (np.array([np.convolve(a, hb) for a in self.a_coeffs])
+                 - [np.convolve(b, ha) for b in self.b_coeffs]) % p
+        return alg.poly_trim(mono.collect(
+            mono.restrict(self.cubic, 3, 4, point, p), 3, 4,
+            [[0], [1], [2], [3]], p))
 
 
 # ---------------------------------------------------------------------------
 # genus 5 slicing
 
 
-def _quadric_by_y3(coeffs: np.ndarray, p: int) -> list[np.ndarray]:
-    """Affine chart y0 = 1 of a quadric in (y0..y3), arranged by y3-degree.
+def _quadric_by_y3(coeffs: np.ndarray) -> list[np.ndarray]:
+    """A quadric in (y0..y3) as q = c + b y3 + a y3^2.
 
-    Returns [A0, A1, A2] with q = A0 + A1 y3 + A2 y3^2, each a bivariate
-    array in (y1, y2).
+    Returns [c, b, a], ternary forms in (y0, y1, y2) of degree 2, 1, 0:
+    the monomials of exponents(4, 2) with y3-degree k, in their order, are
+    exactly exponents(3, 2 - k).
     """
-    parts = [np.zeros((3, 3), dtype=np.int64) for _ in range(3)]
-    for i, e in enumerate(mono.exponents(4, 2)):
-        c = int(coeffs[i]) % p
-        if c == 0:
-            continue
-        parts[e[3]][e[1], e[2]] = (parts[e[3]][e[1], e[2]] + c) % p
-    return [alg.p2_trim(a) for a in parts]
+    y3_degree = np.array(mono.exponents(4, 2))[:, 3]
+    return [coeffs[y3_degree == k] for k in range(3)]
 
 
 def _res_quadratics(q1, q2, p: int) -> np.ndarray:
-    """Sylvester determinant of two y3-quadratics with bivariate coefficients.
+    """Sylvester determinant of two y3-quadratics, in the chart y0 = 1.
 
     (af - cd)^2 - (ae - bd)(bf - ce) for a y3^2 + b y3 + c and
-    d y3^2 + e y3 + f; spurious factors from degree drops are filtered later
-    by exact point validation.
+    d y3^2 + e y3 + f, a ternary quartic dehomogenized to a bivariate array
+    in (y1, y2); spurious factors from degree drops are filtered later by
+    exact point validation.
     """
     c, b, a = q1
     f, e, d = q2
-    af = alg.p2_mul(a, f, p)
-    cd = alg.p2_mul(c, d, p)
-    ae = alg.p2_mul(a, e, p)
-    bd = alg.p2_mul(b, d, p)
-    bf = alg.p2_mul(b, f, p)
-    ce = alg.p2_mul(c, e, p)
-    t1 = alg.p2_add(af, alg.p2_scale(cd, -1, p), p)
-    t2 = alg.p2_add(ae, alg.p2_scale(bd, -1, p), p)
-    t3 = alg.p2_add(bf, alg.p2_scale(ce, -1, p), p)
-    return alg.p2_add(alg.p2_mul(t1, t1, p),
-                      alg.p2_scale(alg.p2_mul(t2, t3, p), -1, p), p)
+
+    def mul(f1, n1, f2, n2):
+        return mono.mul_forms(f1, n1, f2, n2, 3, p)
+
+    t1 = (mul(a, 0, f, 2) - mul(c, 2, d, 0)) % p     # degree 2
+    t2 = (mul(a, 0, e, 1) - mul(b, 1, d, 0)) % p     # degree 1
+    t3 = (mul(b, 1, f, 2) - mul(c, 2, e, 1)) % p     # degree 3
+    quartic = (mul(t1, 2, t1, 2) - mul(t2, 1, t3, 3)) % p
+    return mono.collect(quartic, 4, 3, [[0, 0], [1, 0], [0, 1]], p)
 
 
 def hyperplane_section(curve: CurveModel, h: np.ndarray,
@@ -409,12 +360,12 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
             continue
         m = basis @ change % p
         rq = [mono.restrict(q, 2, 5, m, p) for q in quads]
-        layers = [_quadric_by_y3(q, p) for q in rq]
-        if any(layer[2].size == 0 for layer in layers[:2]):
+        layers = [_quadric_by_y3(q) for q in rq]
+        if not all(layer[2].any() for layer in layers[:2]):
             continue
         r12 = _res_quadratics(layers[0], layers[1], p)
         r13 = _res_quadratics(layers[0], layers[2], p)
-        if r12.size == 0 or r13.size == 0:
+        if not (r12.any() and r13.any()):
             continue
         try:
             rfin = alg.resultant_bivariate(r12, r13, p)
@@ -427,15 +378,14 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
             if alg.poly_deg(s12) < 1:
                 continue
             for y2 in alg.distinct_roots(s12, p):
+                y = np.array([1, y1, y2], dtype=np.int64)
                 qpoly = alg.poly_trim(np.array(
-                    [alg.p2_eval(layers[0][0], y1, y2, p),
-                     alg.p2_eval(layers[0][1], y1, y2, p),
-                     alg.p2_eval(layers[0][2], y1, y2, p)], dtype=np.int64))
+                    [mono.form_eval_one(form, y, 3, 2 - k, p)
+                     for k, form in enumerate(layers[0])], dtype=np.int64))
                 if alg.poly_deg(qpoly) < 1:
                     continue
                 for y3 in alg.distinct_roots(qpoly, p):
-                    y = np.array([1, y1, y2, y3], dtype=np.int64)
-                    x = m @ y % p
+                    x = m @ np.append(y, y3) % p
                     if not x.any():
                         continue
                     x = normalize_point(x, p)

@@ -9,13 +9,17 @@ Substitution (`restrict`) works by evaluation and interpolation: the
 pulled-back form is evaluated at a fixed unisolvent node set and read back
 through the inverse of the node evaluation matrix, cached per shape and
 prime.  Products (`mul_forms`) scatter the outer product of the two
-coefficient vectors through a cached exponent-sum index table.
+coefficient vectors through a cached exponent-sum index table.  A pull-back
+along a polynomial parametrization is `restrict` to the coefficient vectors
+of the parametrization followed by `collect`, which sums the coefficient of
+each monomial y^e into the monomial x^(e . weights) of the parameters.
 
 Arithmetic is exact in int64: entries are reduced to [0, p) with p < 2**25
 (`algebra.MAX_PRIME_BITS`), so each product of two entries is below 2**50
 and a dot product of k terms stays below k * 2**50.  The longest the engine
 forms has count(5, 4) = 70 terms (a genus-5 quartic), so every sum stays
-below 2**57.
+below 2**57.  `collect` adds residues without products: an output entry
+sums at most count(m, n) <= 70 residues below p, far below 2**63.
 """
 
 from __future__ import annotations
@@ -179,6 +183,26 @@ def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,
     """Binary form of F(a s + b t) as coefficients over exponents(2, n)."""
     basis = np.stack([a, b], axis=1)
     return restrict(coeffs, n, g, basis, p)
+
+
+def collect(coeffs: np.ndarray, n: int, m: int, weights, p: int
+            ) -> np.ndarray:
+    """Re-index a degree-n form in m variables y along y_i -> x^weights[i].
+
+    weights is an m x k table of exponents in k parameters x; the result is
+    a dense array with one axis per parameter whose entry at x^a sums the
+    coefficients of every y^e with e . weights = a.  Distinct y-monomials
+    may land on one x-monomial (y0 y3 and y1 y2 under 1, u, t, ut), which
+    is why the entries are summed, not assigned.  Each entry is a sum of at
+    most count(m, n) residues (see the module docstring).
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    targets = sum(col[:, None] * w
+                  for col, w in zip(_exponent_columns(m, n), weights))
+    out = np.zeros(n * weights.max(axis=0) + 1, dtype=np.int64)
+    np.add.at(out, tuple(targets.T),
+              np.asarray(coeffs, dtype=np.int64) % p)
+    return out % p
 
 
 def form_to_pairs(coeffs: np.ndarray, g: int, n: int) -> list:

@@ -182,16 +182,19 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
                     {"label": label, "degree": acc.degree,
                      "point": [int(v) for v in point]})
 
-    checked = 0
-    budget = 20 * off_curve_count
-    while checked < off_curve_count and budget:
-        budget -= 1
+    checked: list[np.ndarray] = []
+
+    def off_curve(_):
         b = stream.field_vec(p, g)
         if not b.any() or cv.on_curve(ctx.curve, b):
-            continue
+            return None
         probe(b, "random")
-        checked += 1
-    report["off_curve_checked"] = checked
+        checked.append(b)
+        return checked if len(checked) == off_curve_count else None
+
+    resample("off-curve probes", 20 * off_curve_count, off_curve,
+             default=None)
+    report["off_curve_checked"] = len(checked)
 
     structured = 0
     # points on an ambient ideal quadric but off the curve

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from curvecones import algebra as alg, bundle as bd, cone as cn
 from curvecones import monomials as mono, net as nt
@@ -104,6 +105,21 @@ class TestNodeCount:
         gamma = nt.gamma_equation(ctx4, net)
         assert bd.node_count(gamma, P, seed=0) \
             == bd.node_count(gamma, P, seed=17)
+
+    @pytest.mark.parametrize("p", [P, 33554393])
+    @pytest.mark.parametrize("degree", [6, 8])   # Gamma at genus 4 and 5
+    def test_partial_charts_are_derivatives_of_the_chart(self, p, degree):
+        coeffs = Stream(206, "nc").field_vec(p, mono.count(3, degree))
+        x, y = sympy.symbols("x y")
+        chart = sum(int(c) * x ** e[0] * y ** e[1] for e, c in
+                    zip(mono.exponents(3, degree), coeffs))   # z2 = 1
+        refs = (chart, sympy.diff(chart, x), sympy.diff(chart, y))
+        for got, ref in zip(bd._chart_with_partials(coeffs, degree, p),
+                            refs):
+            want = {e: int(c) % p for e, c in sympy.Poly(ref, x, y).terms()
+                    if int(c) % p}
+            assert {(int(i), int(j)): int(got[i, j])
+                    for i, j in zip(*np.nonzero(got))} == want
 
     def test_arithmetic_genus_bookkeeping(self):
         # (2g-3)(g-2) - g counts nodes of a degree 2g-2 plane curve of

@@ -5,7 +5,9 @@ import types
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from curvecones import algebra as alg
 from curvecones import cone as cn
@@ -129,6 +131,63 @@ class TestHyperplaneSections:
         h2 = stream.field_vec(P, 5)
         sec = cv.hyperplane_section(ctx5.curve, h1)
         assert all(int(h2 @ q % P) != 0 for q in sec)
+
+
+def sympy_form(coeffs, g, n, args):
+    """The form as a sympy expression over ZZ in the given arguments."""
+    return sum(int(c) * sympy.Mul(*(a ** k for a, k in zip(args, e)))
+               for e, c in zip(mono.exponents(g, n), coeffs))
+
+
+def as_dict(expr, gens, p):
+    """Nonzero coefficients mod p of an integer polynomial, by exponent."""
+    return {e: int(c) % p for e, c in sympy.Poly(expr, *gens).terms()
+            if int(c) % p}
+
+
+def resultant(f, g, var):
+    """Res_var(f, g) as the Sylvester determinant, the convention of
+    `algebra.resultant`; sympy.resultant differs in sign on a linear and a
+    cubic argument (it gives -1 for t + 1 and t^3 + 2, where the
+    determinant is (-1)^3 + 2 = 1)."""
+    return sylvester(sympy.expand(f), sympy.expand(g), var).det()
+
+
+class TestEliminantsAgainstSympy:
+    """The eliminants built through `restrict` and `collect` equal
+    resultants computed by sympy over ZZ, reduced mod p."""
+
+    def test_section_poly_is_the_resultant(self, ctx4):
+        chart = cv.ruling_chart(ctx4.curve)
+        u, t = sympy.symbols("u t")
+        line = [sum(int(c) * u ** i for i, c in enumerate(a))
+                + t * sum(int(c) * u ** i for i, c in enumerate(b))
+                for a, b in zip(chart.a_coeffs, chart.b_coeffs)]
+        cubic = sympy_form(chart.cubic, 4, 3, line)
+        stream = Stream(11, "section-poly")
+        for _ in range(3):
+            h = stream.field_vec(P, 4)
+            hline = sum(int(hk) * x for hk, x in zip(h, line))
+            res = resultant(hline, cubic, t)
+            expected = sympy.Poly(res, u).all_coeffs()[::-1]
+            assert chart.section_poly(h).tolist() == \
+                alg.poly_trim([int(c) % P for c in expected]).tolist()
+
+    def test_genus5_r12_is_the_resultant_in_y3(self, ctx5):
+        y1, y2, y3 = sympy.symbols("y1 y2 y3")
+        stream = Stream(12, "genus5-eliminant")
+        quads = [np.array(c, dtype=np.int64) for _, c in ctx5.curve.generators]
+        for _ in range(2):
+            chart = stream.field_mat(P, 5, 4)
+            rq = [mono.restrict(q, 2, 5, chart, P) for q in quads]
+            layers = [cv._quadric_by_y3(q) for q in rq]
+            on_chart = [sympy_form(q, 4, 2, (1, y1, y2, y3)) for q in rq]
+            for k in (1, 2):
+                r1k = cv._res_quadratics(layers[0], layers[k], P)
+                res = resultant(on_chart[0], on_chart[k], y3)
+                got = {(int(i), int(j)): int(r1k[i, j])
+                       for i, j in zip(*np.nonzero(r1k))}
+                assert got == as_dict(res, (y1, y2), P)
 
 
 class TestTangents:

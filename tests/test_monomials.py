@@ -153,6 +153,66 @@ class TestKernelsAgainstSympy:
             sympy_restrict(f, 4, 3, basis, 5).tolist()
 
 
+def sympy_collect(coeffs, n, g, basis, weights, p):
+    """F(basis @ y) with y_i -> x^weights[i], expanded by sympy over GF(p),
+    as the dense array `collect` returns."""
+    weights = np.asarray(weights)
+    xs = sympy.symbols(f"x0:{weights.shape[1]}")
+    ys = [sympy.Mul(*(x ** int(w) for x, w in zip(xs, row)))
+          for row in weights]
+    lins = [sympy.Poly(sum(int(basis[k, i]) * ys[i]
+                           for i in range(basis.shape[1])), *xs, modulus=p)
+            for k in range(g)]
+    total = sympy.Poly(0, *xs, modulus=p)
+    for e, c in zip(mono.exponents(g, n), coeffs):
+        term = sympy.Poly(int(c), *xs, modulus=p)
+        for lin, k in zip(lins, e):
+            term = term * lin ** k
+        total = total + term
+    out = np.zeros(n * weights.max(axis=0) + 1, dtype=np.int64)
+    for a, c in total.terms():
+        out[a] = int(c) % p
+    return out
+
+
+# the sweep A(u) + t B(u) of a ruling chart: 1, u, t, ut, u^2 t, where
+# y0 y3 and y1 y2 both land on ut
+SWEEP = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]]
+
+
+class TestCollectAgainstSympy:
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_pullback(self, p, seed):
+        stream = Stream(seed, "collect-diff")
+        g = stream.integer(3, 6)
+        n = stream.integer(2, 5)
+        if stream.integer(0, 2):
+            weights = np.array(SWEEP)
+        else:
+            m = stream.integer(1, g + 1)
+            k = stream.integer(1, 3)
+            weights = np.array([[stream.integer(0, 4) for _ in range(k)]
+                                for _ in range(m)])
+        f = stream.field_vec(p, mono.count(g, n))
+        basis = stream.field_mat(p, g, weights.shape[0])
+        pulled = mono.restrict(f, n, g, basis, p)
+        assert mono.collect(pulled, n, weights.shape[0], weights,
+                            p).tolist() == \
+            sympy_collect(f, n, g, basis, weights, p).tolist()
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_colliding_monomials_are_summed(self, p):
+        stream = Stream(9, "collect-sweep")
+        f = stream.field_vec(p, mono.count(4, 3))
+        basis = stream.field_mat(p, 4, 5)
+        out = mono.collect(mono.restrict(f, 3, 4, basis, p), 3, 5, SWEEP, p)
+        assert out.shape == (7, 4)
+        assert out.tolist() == \
+            sympy_collect(f, 3, 4, basis, SWEEP, p).tolist()
+
+
 class TestKernelEdges:
     def test_zero_inputs(self):
         stream = Stream(6, "zeros")
