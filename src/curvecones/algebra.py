@@ -19,6 +19,13 @@ Conventions used package-wide:
 The prime must stay below 2**25 so that int64 dot products of length a few
 thousand cannot overflow; all arithmetic is exact.
 
+`rref_batch` row-reduces a stack of matrices of one shape at once, each
+element with its own pivot rows, so elements with different pivot patterns
+or ranks share one pass; element by element it returns what `rref` does.
+Like `rref` it reduces mod p after every row operation: a row update
+subtracts one product of two entries below p, so no intermediate leaves
+(-p**2, p).  `kernel_batch` reads special solutions off that pass.
+
 `poly_pow_mod` multiplies residues modulo a polynomial f of degree d as
 length-d vectors: one convolution, then one matmul with a reduction matrix
 whose rows hold x^k mod f.  A convolution sum has at most d products of
@@ -88,6 +95,22 @@ def normalize_scalar(v: np.ndarray, p: int) -> np.ndarray:
     return v * inv_mod(int(v[i]), p) % p
 
 
+def _inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of a vector of nonzero residues."""
+    return np.array([pow(v, p - 2, p) for v in a.tolist()], dtype=np.int64)
+
+
+def normalize_rows(m: np.ndarray, p: int) -> np.ndarray:
+    """`normalize_scalar` of every row of a matrix."""
+    m = np.asarray(m, dtype=np.int64) % p
+    nonzero = m != 0
+    lead = m[np.arange(m.shape[0]), nonzero.argmax(axis=1)]
+    scale = np.ones(m.shape[0], dtype=np.int64)
+    rows = nonzero.any(axis=1)
+    scale[rows] = _inverses(lead[rows], p)
+    return m * scale[:, None] % p
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
     r = np.array(m, dtype=np.int64) % p
@@ -110,6 +133,106 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         lead += 1
     return r, pivots
+
+
+def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """`rref` of every matrix of an N x rows x cols stack.
+
+    Column by column, each element takes as pivot its first row at or
+    below its own lead row with a nonzero entry, swaps it up, scales it and
+    clears the column; an element without such a row skips the column.
+    Returns the reduced stack and an N x min(rows, cols) array whose row n
+    holds the pivot columns of element n in order, padded with -1.
+
+    Columns left of c are zero in the rows at or below an element's lead
+    row, so the swap and the update of column c touch columns c onwards
+    only.  While every element has pivoted in the same columns, all share
+    one lead row and a column runs on slices; once the patterns part, on
+    the elements that pivot in it.
+    """
+    r = np.array(stack, dtype=np.int64)
+    r %= p
+    n, rows, cols = r.shape
+    pivots = np.full((n, min(rows, cols)), -1, dtype=np.int64)
+    if n == 1:
+        # a batched column makes about twice the numpy calls of a column
+        # of `rref`, which pays off from two elements on
+        r[0], found = rref(r[0], p)
+        pivots[0, :len(found)] = found
+        return r, pivots
+    elems = np.arange(n)
+    row_ids = np.arange(rows)
+    common = 0              # the shared lead row, while there is one
+    lead = None             # else the lead row of each element
+    for c in range(cols):
+        if common >= rows:
+            break
+        if lead is None:
+            nonzero = r[:, common:, c] != 0
+            found = nonzero.any(axis=1).sum()
+            if found == 0:
+                continue
+            if found == n:
+                j = nonzero.argmax(axis=1)
+                if j.any():
+                    j += common
+                    top = r[elems, j, c:]
+                    r[elems, j, c:] = r[:, common, c:]
+                    r[:, common, c:] = top
+                inv = _inverses(r[:, common, c], p)
+                top = r[:, common, c:] * inv[:, None] % p
+                r[:, :, c:] -= r[:, :, c, None] * top[:, None, :]
+                r[:, :, c:] %= p
+                r[:, common, c:] = top
+                pivots[:, common] = c
+                common += 1
+                continue
+            lead = np.full(n, common, dtype=np.int64)
+        cand = (r[:, :, c] != 0) & (row_ids >= lead[:, None])
+        e = elems[cand.any(axis=1)]
+        if not e.size:
+            continue
+        lead_e = lead[e]
+        j = cand[e].argmax(axis=1)
+        top = r[e, j, c:]
+        r[e, j, c:] = r[e, lead_e, c:]
+        top = top * _inverses(top[:, 0], p)[:, None] % p
+        f = r[e, :, c]
+        f[np.arange(e.size), lead_e] = 0
+        r[e, :, c:] = (r[e, :, c:] - f[:, :, None] * top[:, None, :]) % p
+        r[e, lead_e, c:] = top
+        pivots[e, lead_e] = c
+        lead[e] += 1
+        if (lead == lead[0]).all():
+            common, lead = int(lead[0]), None
+    return r, pivots
+
+
+def kernel_batch(stack: np.ndarray, p: int, nullity: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel_basis` of every matrix of a stack whose kernel has dimension
+    `nullity`.
+
+    Returns an N x nullity x cols array and a mask of the elements whose
+    kernel has that dimension; the basis of any other element is zero.
+    """
+    r, pivots = rref_batch(stack, p)
+    n, _, cols = r.shape
+    rank = cols - nullity
+    ok = (pivots >= 0).sum(axis=1) == rank
+    basis = np.zeros((n, nullity, cols), dtype=np.int64)
+    e = np.nonzero(ok)[0]
+    if e.size:
+        pcols = pivots[e, :rank]
+        is_pivot = np.zeros((e.size, cols), dtype=bool)
+        is_pivot[np.arange(e.size)[:, None], pcols] = True
+        free = np.nonzero(~is_pivot)[1].reshape(e.size, nullity)
+        k = np.arange(nullity)
+        basis[e[:, None], k, free] = 1
+        # row k carries -r[i, free[k]] in pivot column pcols[i]
+        vals = r[e[:, None, None], np.arange(rank)[:, None], free[:, None, :]]
+        basis[e[:, None, None], k, pcols[:, :, None]] = -vals % p
+    return basis, ok
 
 
 def rank(m: np.ndarray, p: int) -> int:

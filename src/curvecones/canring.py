@@ -11,6 +11,8 @@ A disjoint holdout panel backs independent recomputation of every kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -100,6 +102,29 @@ class CurveContext:
         monomial basis of the classes given by their panel values."""
         piece = self.piece(n)
         return (value_rows[:, piece.coord_rows] @ piece.coord_inv.T) % self.p
+
+    @cached_property
+    def cubic_tensor(self) -> np.ndarray:
+        """g x g x g x d3: cubic-piece coordinates of z_i z_j z_k, built on
+        first use."""
+        g = self.g
+        coords = self.coords_many(3, self.piece(3).eval_matrix.T)
+        index = mono.index_map(g, 3)
+        table = np.zeros((g, g, g), dtype=np.int64)
+        for ijk in product(range(g), repeat=3):
+            table[ijk] = index[tuple(ijk.count(v) for v in range(g))]
+        return coords[table]
+
+    @cached_property
+    def times_linear(self) -> np.ndarray:
+        """g x d2 x d3: cubic-piece coordinates of z_i times each basis
+        monomial of the quadratic piece (R1 x R2 -> R3), built on first
+        use."""
+        expo = mono.exponents(self.g, 2)
+        pairs = [[v for v in range(self.g) for _ in range(expo[col][v])]
+                 for col in self.piece(2).basis_cols]
+        j, k = np.array(pairs, dtype=np.int64).T
+        return self.cubic_tensor[:, j, k]
 
     def tangent(self, pt: np.ndarray) -> cv.TangentData:
         key = tuple(int(v) for v in pt)

@@ -23,10 +23,10 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from .canring import CurveContext
-from .errors import (CorankJump, DegenerateInput, InconsistentReconstruction,
-                     InadmissiblePencil, NonGenericD,
-                     UnderdeterminedReconstruction, VerificationFailed,
-                     resample)
+from .errors import (CorankJump, DegenerateInput, Draws,
+                     InconsistentReconstruction, InadmissiblePencil,
+                     NonGenericD, UnderdeterminedReconstruction,
+                     VerificationFailed, resample, unwrap)
 from .rng import Stream, derive_key
 
 # pencils a reconstruction starts from, and the most it draws before the
@@ -323,33 +323,57 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
 
     Half the probes are harvested from the zero set of the form (oracle must
     say yes), half are random (almost surely off the form, oracle must agree
-    with the evaluation).  Returns (checked, disagreements)."""
+    with the evaluation).  Returns (checked, disagreements).
+
+    The probes are those of a loop that asks the oracle one probe at a time:
+    up to 3 * (count // 2) zero draws until count // 2 verdicts, then up to
+    40 * count random draws until count verdicts, a probe the oracle finds
+    degenerate giving no verdict.  They are drawn in rounds of as many as
+    verdicts are still needed, each round one `oracle_batch` call; the two
+    kinds draw from separate streams, so the first round takes both.
+    """
     p = ctx.p
     deg = 4 if x is None else 3
     zero_half = count // 2
     zeros = points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
                            3 * zero_half)
+    if x is not None:
+        x = nt.vertex_direction(net_obj, x, p)
     verdicts: list[bool] = []   # oracle agrees with the evaluation
-
-    def probe(b: np.ndarray, expected: bool, wanted: int):
-        val = nt.fw_oracle(ctx, net_obj, b) if x is None \
-            else nt.polar_oracle(ctx, net_obj, x, b)
-        verdicts.append(val == expected)
-        return verdicts if len(verdicts) == wanted else None
-
-    def zero_probe(_):
-        b = next(zeros, None)
-        return None if b is None else probe(b, True, zero_half)
 
     def random_probe(_):
         b = stream.field_vec(p, ctx.g)
-        if not b.any():
-            return None
-        expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
-        return probe(b, expected, count)
+        return b if b.any() else None
 
-    resample("zero probes", 3 * zero_half, zero_probe, default=None)
-    resample("random probes", 40 * count, random_probe, default=None)
+    def judge(probes: list, wits: list, on_form: bool) -> None:
+        if not on_form and probes:
+            expected = mono.form_eval(coeffs, np.stack(probes), ctx.g, deg,
+                                      p) == 0
+        else:
+            expected = [True] * len(probes)
+        for b, wit, want in zip(probes, wits, expected):
+            wit = unwrap(wit)
+            if wit is not None:
+                pair = wit.b if x is None else x
+                verdicts.append((int(pair @ wit.y % p) == 0) == want)
+
+    def oracle(probes: list) -> list:
+        return nt.oracle_batch(ctx, [net_obj] * len(probes), probes)
+
+    zero_draws = Draws("zero probes", 3 * zero_half,
+                       lambda _: next(zeros, None))
+    random_draws = Draws("random probes", 40 * count, random_probe)
+    first_zeros = zero_draws.take(zero_half)
+    first_randoms = random_draws.take(count - zero_half)
+    wits = oracle(first_zeros + first_randoms)
+    judge(first_zeros, wits[:len(first_zeros)], True)
+    while len(verdicts) < zero_half and zero_draws.left:
+        more = zero_draws.take(zero_half - len(verdicts))
+        judge(more, oracle(more), True)
+    judge(first_randoms, wits[len(first_zeros):], False)
+    while len(verdicts) < count and random_draws.left:
+        more = random_draws.take(count - len(verdicts))
+        judge(more, oracle(more), False)
     return len(verdicts), verdicts.count(False)
 
 
@@ -627,17 +651,23 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     def family(t: int) -> np.ndarray:
         return np.stack([section, r1, (r2 + t * r3) % p])
 
-    samples: list[tuple[int, int]] = []   # (t, oracle value at b0)
-
-    def sample(k: int):
+    def admissible(k: int):
         net_t = nt.build_net(ctx, family(k + 1), with_gamma=False)
-        if net_t.in_b or net_t.in_d:
-            return None
-        samples.append((k + 1, nt.oracle_value(ctx, net_t, b0,
-                                               check_gamma=False)))
-        return samples if len(samples) == 100 else None
+        return None if net_t.in_b or net_t.in_d else (k + 1, net_t)
 
-    if len(resample("family sweep", 500, sample, default=samples)) < 100:
+    # (t, oracle value at b0) on the first 100 admissible nets, taken in
+    # rounds of as many as are still missing
+    samples: list[tuple[int, int]] = []
+    sweep = Draws("family sweep", 500, admissible)
+    while len(samples) < 100 and sweep.left:
+        batch = sweep.take(100 - len(samples))
+        wits = nt.oracle_batch(ctx, [net_t for _, net_t in batch],
+                               [b0] * len(batch), check_gamma=False)
+        for (t, _), wit in zip(batch, wits):
+            wit = unwrap(wit)
+            if wit is not None:
+                samples.append((t, int(wit.b @ wit.y % p)))
+    if len(samples) < 100:
         return []
     ts, vs = zip(*samples)
     fit = alg.rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)

@@ -8,6 +8,11 @@ else.  All other errors are either configuration problems or certificate
 failures (`VerificationFailed`, `SplittingViolation`, `InconsistentSystem`,
 ...): they are never resampled and propagate to the command line, which
 exits 3 for them and 4 when a resample budget runs out.
+
+A loop whose draws are evaluated as one batch takes them through `Draws`
+in rounds, and walks the batch's results through `unwrap`: a result that
+is a `DegenerateInput` skips its draw, any other exception is raised when
+the walk reaches it.
 """
 
 from __future__ import annotations
@@ -121,3 +126,48 @@ def resample(label: str, attempts: int, draw: Callable[[int], T | None],
     if default is not _RAISE:
         return default
     raise DegenerateInput(f"{label}: no usable draw in {attempts} attempts")
+
+
+class Draws:
+    """The draws of one resample loop, taken in rounds for batched use.
+
+    `take(n)` goes on with draw(k), draw(k + 1), ... through `resample`
+    until n draws are usable or the `attempts` are spent.  A round that
+    asks for no more usable draws than the loop still needs makes exactly
+    the draws of the loop that evaluates each draw as it comes.
+    """
+
+    def __init__(self, label: str, attempts: int,
+                 draw: Callable[[int], T | None]):
+        self.label = label
+        self.attempts = attempts
+        self.draw = draw
+        self.made = 0
+
+    @property
+    def left(self) -> int:
+        return self.attempts - self.made
+
+    def take(self, n: int) -> list:
+        got: list = []
+
+        def step(_):
+            self.made += 1
+            item = self.draw(self.made - 1)
+            if item is not None:
+                got.append(item)
+            return got if len(got) == n else None
+
+        if n > 0 and self.left > 0:
+            resample(self.label, self.left, step, default=None)
+        return got
+
+
+def unwrap(result: T | CurveConesError) -> T | None:
+    """A batch result as a resample loop treats it: None for a
+    `DegenerateInput`, raised for any other error, else the result."""
+    if isinstance(result, DegenerateInput):
+        return None
+    if isinstance(result, CurveConesError):
+        raise result
+    return result

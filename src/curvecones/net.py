@@ -18,8 +18,9 @@ from . import algebra as alg
 from . import monomials as mono
 from . import pencil as pc
 from .canring import CurveContext
-from .errors import (AmbiguousFit, CorankJump, InVertex, OnGammaFiber,
-                     RankDeficientW, resample)
+from .errors import (AmbiguousFit, CorankJump, CurveConesError,
+                     InadmissiblePencil, InconsistentSystem, InVertex,
+                     OnGammaFiber, RankDeficientW, resample)
 from .rng import Stream
 
 
@@ -42,7 +43,7 @@ class Net:
 @dataclass
 class OracleWitness:
     b: np.ndarray
-    v_b: np.ndarray        # 2 x g pencil cut by b inside the net
+    v_b: np.ndarray        # 2 x g basis of the pencil cut by b in the net
     y: np.ndarray          # solution of gram y = b, defined mod the pencil
     gram: np.ndarray
 
@@ -146,33 +147,113 @@ def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
     return gamma
 
 
-def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
-                   check_gamma: bool = True) -> OracleWitness:
-    """Shared setup of the pointwise membership oracles.
+# what oracle_witness raises for a probe, in the order it tests them
+_WITNESS_FAILURES = (
+    (InVertex, "zero probe vector"),
+    (InVertex, "probe lies on the vertex"),
+    (OnGammaFiber, "probe projects onto the plane image"),
+    (InadmissiblePencil, "pencil has a base point on the panel"),
+    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
+    (InadmissiblePencil, "product space does not have codimension 1"),
+    (CorankJump, "cup Gram corank is not 2"),
+    (InconsistentSystem, "rhs is not in the column space"),
+)
+
+
+def _on_gamma(ctx: CurveContext, nets: list[Net], u: np.ndarray
+              ) -> tuple[np.ndarray, dict]:
+    """Which plane points u[n] lie on the plane image of nets[n], and the
+    exception of each probe whose net has no plane image equation."""
+    hits = np.zeros(len(nets), dtype=bool)
+    unfit: dict = {}
+    keys = np.array([id(net) for net in nets])
+    for net in {id(net): net for net in nets}.values():
+        mine = keys == id(net)
+        try:
+            gamma = gamma_equation(ctx, net)
+        except AmbiguousFit as exc:
+            hits[mine] = True
+            unfit.update(dict.fromkeys(np.nonzero(mine)[0].tolist(), exc))
+            continue
+        hits[mine] = mono.form_eval(gamma.coeffs, u[mine], 3, gamma.degree,
+                                    ctx.p) == 0
+    return hits, unfit
+
+
+# probes per array pass of oracle_batch: the stacks of a pass take about
+# 8 kB per probe at genus 4, and their peak adds to the process's RSS
+WITNESS_PASS = 32
+
+
+def oracle_batch(ctx: CurveContext, nets: list[Net], probes,
+                 check_gamma: bool = True
+                 ) -> list[OracleWitness | CurveConesError]:
+    """The membership-oracle witness of each probe b[n] in nets[n].
 
     Cuts the pencil of net sections vanishing at b, builds the cup Gram for
     a lift, and solves gram y = b; y is well defined modulo the pencil and
-    all downstream pairings are insensitive to that ambiguity.
+    all downstream pairings are insensitive to that ambiguity.  A probe
+    that fails gets, in place of its witness, the exception that
+    `oracle_witness` raises for it: the first of `_WITNESS_FAILURES` that
+    applies (the plane-image test only when check_gamma).  Every step runs
+    on a stack of up to WITNESS_PASS probes, failed ones included, through
+    the `pencil` contractions and `algebra.rref_batch`.
     """
+    b = np.asarray(probes, dtype=np.int64).reshape(-1, ctx.g) % ctx.p
+    return [wit for lo in range(0, b.shape[0], WITNESS_PASS)
+            for wit in _witness_pass(ctx, nets[lo:lo + WITNESS_PASS],
+                                     b[lo:lo + WITNESS_PASS], check_gamma)]
+
+
+def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,
+                  check_gamma: bool) -> list[OracleWitness | CurveConesError]:
+    """`oracle_batch` on reduced probes, as one array pass."""
     p = ctx.p
-    b = np.asarray(b, dtype=np.int64) % p
-    if not b.any():
-        raise InVertex("zero probe vector")
-    if alg.RowSpace(net.wperp, p).contains(b):
-        raise InVertex("probe lies on the vertex")
-    u = net.w @ b % p
-    if check_gamma:
-        gamma = gamma_equation(ctx, net)
-        if mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p) == 0:
-            raise OnGammaFiber("probe projects onto the plane image")
-    pen = pc.build_pencil(ctx, pencil_at(net, u, p))
-    lift_idx = alg.first_nonzero(u)
-    wlift = net.w[lift_idx]
-    cg = pc.cup_gram(ctx, pen, wlift)
-    if pc.corank(cg.gram, p) != 2:
-        raise CorankJump("cup Gram corank is not 2")
-    y, _ = alg.solve_consistent(cg.gram, b, p)
-    return OracleWitness(b=b, v_b=pen.v, y=y, gram=cg.gram)
+    g = ctx.g
+    n = b.shape[0]
+    w = np.stack([net.w for net in nets])
+    u = np.einsum("nkj,nj->nk", w, b) % p      # zero exactly on the vertex
+    on_gamma, unfit = _on_gamma(ctx, nets, u) if check_gamma \
+        else (np.zeros(n, dtype=bool), {})
+    # pencil_at of every probe; c @ w has rank 2 when u != 0, as w has rank 3
+    c, _ = alg.kernel_batch(u[:, None, :], p, 2)
+    v = np.einsum("nkj,njg->nkg", c, w) % p
+    functionals, codim_one = alg.kernel_batch(pc.product_space(ctx, v), p, 1)
+    # the lift w[j], u[j] != 0, never lies in the pencil orthogonal to u
+    lift = w[np.arange(n), (u != 0).argmax(axis=1)]
+    grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
+    r, pivots = alg.rref_batch(np.concatenate([grams, b[:, :, None]], axis=2),
+                               p)
+    in_gram = (pivots >= 0) & (pivots < g)
+    failed = np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma,
+                       pc.base_points(ctx.panel, v, p),
+                       pc.base_points(ctx.holdout, v, p), ~codim_one,
+                       in_gram.sum(axis=1) != g - 2,
+                       (pivots == g).any(axis=1)])
+    y = np.zeros((n, g), dtype=np.int64)
+    rows, k = np.nonzero(in_gram)
+    y[rows, pivots[rows, k]] = r[rows, k, g]
+    out: list = []
+    for i, test in enumerate(failed.argmax(axis=0).tolist()):
+        if not failed[test, i]:
+            out.append(OracleWitness(b=b[i], v_b=v[i], y=y[i],
+                                     gram=grams[i]))
+        elif test == 2 and i in unfit:
+            out.append(unfit[i])
+        else:
+            cls, message = _WITNESS_FAILURES[test]
+            out.append(cls(message))
+    return out
+
+
+def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
+                   check_gamma: bool = True) -> OracleWitness:
+    """Shared setup of the pointwise membership oracles: `oracle_batch` on
+    the one probe, raising its exception."""
+    wit = oracle_batch(ctx, [net], [b], check_gamma)[0]
+    if isinstance(wit, CurveConesError):
+        raise wit
+    return wit
 
 
 def oracle_value(ctx: CurveContext, net: Net, b: np.ndarray,
@@ -187,14 +268,19 @@ def fw_oracle(ctx: CurveContext, net: Net, b: np.ndarray) -> bool:
     return oracle_value(ctx, net, b) == 0
 
 
-def polar_oracle(ctx: CurveContext, net: Net, x: np.ndarray,
-                 b: np.ndarray) -> bool:
-    """Membership of b in the polar cubic with respect to vertex vector x."""
-    p = ctx.p
+def vertex_direction(net: Net, x: np.ndarray, p: int) -> np.ndarray:
+    """x reduced mod p, checked to be a nonzero vector of the vertex span."""
     x = np.asarray(x, dtype=np.int64) % p
     if not x.any():
         raise ValueError("x must be a nonzero vertex vector")
     if not alg.RowSpace(net.wperp, p).contains(x):
         raise ValueError("x must lie in the vertex span")
+    return x
+
+
+def polar_oracle(ctx: CurveContext, net: Net, x: np.ndarray,
+                 b: np.ndarray) -> bool:
+    """Membership of b in the polar cubic with respect to vertex vector x."""
+    x = vertex_direction(net, x, ctx.p)
     wit = oracle_witness(ctx, net, b)
-    return int(x @ wit.y % p) == 0
+    return int(x @ wit.y % ctx.p) == 0

@@ -421,6 +421,76 @@ class TestLinearAlgebraAgainstSympy:
             from_dm(to_dm(m, p).nullspace(divide_last=True), p)
 
 
+def assert_matches_rref(stack, p):
+    """rref_batch and kernel_batch equal rref and kernel_basis element by
+    element: rows, pivots and, at every nullity, the kernel basis."""
+    reduced, pivots = alg.rref_batch(stack, p)
+    assert reduced.shape == stack.shape
+    cols = stack.shape[2]
+    for n, m in enumerate(stack):
+        expected, expected_pivots = alg.rref(m, p)
+        assert reduced[n].tolist() == expected.tolist()
+        assert [c for c in pivots[n] if c >= 0] == expected_pivots
+        assert (pivots[n, len(expected_pivots):] == -1).all()
+    for nullity in range(cols + 1):
+        basis, ok = alg.kernel_batch(stack, p, nullity)
+        for n, m in enumerate(stack):
+            expected = alg.kernel_basis(m, p)
+            assert ok[n] == (expected.shape[0] == nullity)
+            assert basis[n].tolist() == (
+                expected.tolist() if ok[n] else [[0] * cols] * nullity)
+
+
+class TestBatchReduction:
+    """`rref_batch` and `kernel_batch` against `rref` and `kernel_basis`
+    on stacks whose elements differ in pivot pattern and rank."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(n=st.integers(1, 6), rows=st.integers(1, 8),
+           cols=st.integers(1, 8), shared=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_stacks(self, p, n, rows, cols, shared, seed):
+        """Planted ranks, sparse elements (row swaps), all-zero elements;
+        with `shared`, every element has the same zero pattern, so the
+        elements keep one lead row and still swap."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([
+            planted_rank(rng, p, rows, cols,
+                         int(rng.integers(0, min(rows, cols) + 1)), False)
+            for _ in range(n)])
+        if shared:
+            stack[:, rng.random((rows, cols)) < 0.4] = 0
+        else:
+            stack[rng.random(stack.shape) < 0.4] = 0
+        stack[rng.random(n) < 0.15] = 0
+        assert_matches_rref(stack, p)
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @pytest.mark.parametrize("rows, cols", [(18, 15), (24, 20)])
+    @given(n=st.integers(1, 5), deficiency=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_pencil_shapes(self, p, rows, cols, n, deficiency, seed):
+        """The product-space shapes of genus 4 and 5, of rank cols - 1 as
+        a pencil's is, or lower, with a shared sparse pattern."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([
+            planted_rank(rng, p, rows, cols,
+                         cols - int(rng.integers(1, deficiency + 1)), False)
+            for _ in range(n)])
+        stack[:, rng.random((rows, cols)) < 0.3] = 0
+        assert_matches_rref(stack, p)
+
+    def test_edge_stacks(self):
+        # no elements, one element, all elements zero
+        assert_matches_rref(np.zeros((0, 3, 4), dtype=np.int64), P)
+        assert_matches_rref(arr([[[0, 2, 4], [0, 1, 2]]]), 7)
+        assert_matches_rref(np.zeros((3, 2, 2), dtype=np.int64), P)
+        # the first element pivots at the lead row, the second swaps
+        assert_matches_rref(arr([[[1, 2], [3, 4]], [[0, 1], [1, 0]]]), 7)
+
+
 class TestRowSpace:
     """RowSpace against DomainMatrix ranks over GF(p) and against `rref`
     of every row put in, on matrices of planted rank up to 8 x 8."""

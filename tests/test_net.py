@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from curvecones import algebra as alg, cone as cn, curve as cv
-from curvecones import monomials as mono, net as nt
-from curvecones.errors import (InVertex, OnGammaFiber, RankDeficientW)
+from curvecones import errors, monomials as mono, net as nt
+from curvecones.errors import (CorankJump, CurveConesError,
+                               InadmissiblePencil, InconsistentSystem,
+                               InVertex, OnGammaFiber, RankDeficientW)
 from curvecones.rng import Stream
 
 P = 1000003
@@ -137,3 +139,222 @@ class TestOracles:
             nt.polar_oracle(ctx4, net, np.zeros(4, dtype=np.int64), b)
         with pytest.raises(ValueError):
             nt.polar_oracle(ctx4, net, np.array([1, 2, 3, 4]), b)
+
+
+def reference_value(ctx, net, b, check_gamma=True):
+    """The membership oracle as one scalar elimination chain: the pencil's
+    products and the cup Gram come from panel values read back through
+    `coords_many`, not from the context's structure constants.  Returns
+    <b, y>, or the class of the exception the oracle raises."""
+    p, g = ctx.p, ctx.g
+    b = np.asarray(b, dtype=np.int64) % p
+    if not b.any() or alg.RowSpace(net.wperp, p).contains(b):
+        return InVertex
+    u = net.w @ b % p
+    if check_gamma:
+        gamma = nt.gamma_equation(ctx, net)
+        if mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p) == 0:
+            return OnGammaFiber
+    v = alg.rref(nt.pencil_at(net, u, p), p)[0][:2]
+    for pts in (ctx.panel, ctx.holdout):
+        if (~(pts @ v.T % p).any(axis=1)).any():
+            return InadmissiblePencil
+    piece2 = ctx.piece(2)
+    basis2 = piece2.eval_matrix[:, piece2.basis_cols]
+    products = np.concatenate([(basis2 * (ctx.panel @ s % p)[:, None] % p).T
+                               for s in v])
+    functionals = alg.kernel_basis(ctx.coords_many(3, products), p)
+    if functionals.shape[0] != 1:
+        return InadmissiblePencil
+    vbar = alg.normalize_scalar(functionals[0], p)
+    lift = net.w[alg.first_nonzero(u)]
+    iu, ju = np.triu_indices(g)
+    values = (ctx.panel @ lift % p)[:, None] * ctx.panel[:, iu] % p \
+        * ctx.panel[:, ju] % p
+    gram = np.zeros((g, g), dtype=np.int64)
+    gram[iu, ju] = gram[ju, iu] = ctx.coords_many(3, values.T) @ vbar % p
+    if g - alg.rank(gram, p) != 2:
+        return CorankJump
+    try:
+        y, _ = alg.solve_consistent(gram, b, p)
+    except InconsistentSystem:
+        return InconsistentSystem
+    return int(b @ y % p)
+
+
+def batch_values(ctx, nets, probes, check_gamma=True):
+    return [type(wit) if isinstance(wit, CurveConesError)
+            else int(wit.b @ wit.y % ctx.p)
+            for wit in nt.oracle_batch(ctx, nets, probes, check_gamma)]
+
+
+class TestOracleBatch:
+    """The batched witness against the scalar chain, probe by probe."""
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_random_and_degenerate_nets(self, genus, request):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        p = ctx.p
+        net = nt.random_net(ctx, Stream(20, f"batch{genus}"))
+        degenerate = cn.degenerate_net(ctx, Stream(21, f"batch{genus}"))
+        stream = Stream(22, f"probes{genus}")
+        probes, nets = [], []
+        for net_obj in (net, degenerate):
+            special = [np.zeros(ctx.g, dtype=np.int64), net_obj.wperp[0],
+                       3 * net_obj.wperp[-1] % p, ctx.panel[3]]
+            randoms = [stream.field_vec(p, ctx.g) for _ in range(6)]
+            probes += special + randoms
+            nets += [net_obj] * (len(special) + len(randoms))
+        for check_gamma in (True, False):
+            expected = [reference_value(ctx, n, b, check_gamma)
+                        for n, b in zip(nets, probes)]
+            assert batch_values(ctx, nets, probes, check_gamma) == expected
+            # one net per call, and one probe per call
+            half = len(probes) // 2
+            assert batch_values(ctx, nets[:half], probes[:half],
+                                check_gamma) == expected[:half]
+            for n, b, want in zip(nets, probes, expected):
+                assert batch_values(ctx, [n], [b], check_gamma) == [want]
+        kinds = set(expected) | {reference_value(ctx, net, ctx.panel[3])}
+        # every failure the probes were chosen for occurs, and values too
+        assert {InVertex, OnGammaFiber, InadmissiblePencil,
+                CorankJump} <= kinds
+        assert any(isinstance(k, int) for k in kinds)
+
+    def test_scalar_oracle_raises_the_batch_exception(self, ctx4):
+        net = nt.random_net(ctx4, Stream(23, "o"))
+        for b, cls in ((np.zeros(4, dtype=np.int64), InVertex),
+                       (net.wperp[0], InVertex),
+                       (ctx4.panel[5], OnGammaFiber)):
+            with pytest.raises(cls):
+                nt.oracle_witness(ctx4, net, b)
+        assert nt.oracle_batch(ctx4, [], []) == []
+
+
+class TestAgreementRounds:
+    """`cone.oracle_agreement` draws and judges exactly the probes of the
+    loop that asks the oracle one probe at a time."""
+
+    @staticmethod
+    def sequential(ctx, net, coeffs, stream, count, x=None):
+        """The one-probe-at-a-time loop, on the scalar oracles."""
+        p = ctx.p
+        deg = 4 if x is None else 3
+        zero_half = count // 2
+        zeros = cn.points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
+                                  3 * zero_half)
+        verdicts = []
+
+        def probe(b, expected, wanted):
+            val = nt.fw_oracle(ctx, net, b) if x is None \
+                else nt.polar_oracle(ctx, net, x, b)
+            verdicts.append(val == expected)
+            return verdicts if len(verdicts) == wanted else None
+
+        def zero_probe(_):
+            b = next(zeros, None)
+            return None if b is None else probe(b, True, zero_half)
+
+        def random_probe(_):
+            b = stream.field_vec(p, ctx.g)
+            if not b.any():
+                return None
+            expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
+            return probe(b, expected, count)
+
+        errors.resample("zero probes", 3 * zero_half, zero_probe,
+                        default=None)
+        errors.resample("random probes", 40 * count, random_probe,
+                        default=None)
+        return len(verdicts), verdicts.count(False)
+
+    @pytest.fixture(scope="class")
+    def cone(self, ctx4):
+        net = nt.random_net(ctx4, Stream(30, "rounds"))
+        return cn.reconstruct_quartic(ctx4, net, oracle_points=0)
+
+    @staticmethod
+    def skipping(monkeypatch, every):
+        """Make the oracle find every `every`-th distinct probe degenerate
+        (by a fixed rule on the vector), so rounds come up short."""
+        real = nt.oracle_batch
+
+        def oracle_batch(ctx, nets, probes, check_gamma=True):
+            out = real(ctx, nets, probes, check_gamma)
+            return [InVertex("skipped") if int(np.sum(b)) % every == 0
+                    else wit for b, wit in zip(probes, out)]
+
+        monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
+
+    @staticmethod
+    def draws(monkeypatch, run):
+        """Result of run() and the next_u64 calls it made, by stream tag."""
+        counts = {}
+        real = Stream.next_u64
+
+        def next_u64(self):
+            counts[self.tag] = counts.get(self.tag, 0) + 1
+            return real(self)
+
+        monkeypatch.setattr(Stream, "next_u64", next_u64)
+        result = run()
+        monkeypatch.setattr(Stream, "next_u64", real)
+        return result, counts
+
+    @pytest.mark.parametrize("polar", [False, True])
+    @pytest.mark.parametrize("count", [0, 4, 50])
+    @pytest.mark.parametrize("every", [0, 3])
+    def test_draws_match_the_sequential_loop(self, ctx4, cone, monkeypatch,
+                                             polar, count, every):
+        net = cone.net
+        x = net.wperp[0] if polar else None
+        coeffs = cn.polar_cubic(ctx4, cone, x).coeffs if polar \
+            else cone.coeffs
+        if every:
+            self.skipping(monkeypatch, every)
+        calls = []
+        batch = nt.oracle_batch
+
+        def counted(ctx, nets, probes, check_gamma=True):
+            calls.append(len(probes))
+            return batch(ctx, nets, probes, check_gamma)
+
+        tag = f"agree{count}{polar}{every}"
+        want, want_draws = self.draws(monkeypatch, lambda: self.sequential(
+            ctx4, net, coeffs, Stream(31, tag), count, x))
+        monkeypatch.setattr(nt, "oracle_batch", counted)
+        got, got_draws = self.draws(monkeypatch, lambda: cn.oracle_agreement(
+            ctx4, net, coeffs, Stream(31, tag), count, x))
+        assert got == want
+        assert got_draws == want_draws
+        if count:
+            assert set(want_draws) == {tag, f"{tag}/zeros"}
+            assert got[0] == count
+            # skips need further rounds; without them one call does it all
+            assert (len(calls) > 1) == bool(every)
+
+    def test_failure_after_the_last_needed_verdict_is_never_raised(
+            self, ctx4, cone, monkeypatch):
+        net = cone.net
+        count = 4
+        stream = Stream(32, "poison")
+        want = cn.oracle_agreement(ctx4, net, cone.coeffs, stream, count)
+        # the random probe the loop would draw after its last verdict
+        poison = stream.field_vec(ctx4.p, ctx4.g)
+        real = nt.oracle_batch
+
+        def oracle_batch(ctx, nets, probes, check_gamma=True):
+            out = real(ctx, nets, probes, check_gamma)
+            return [InconsistentSystem("planted")
+                    if (b % ctx.p == poison).all() else wit
+                    for b, wit in zip(probes, out)]
+
+        monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
+        assert cn.oracle_agreement(ctx4, net, cone.coeffs,
+                                   Stream(32, "poison"), count) == want
+        # planted on a probe the loop does judge, it is raised
+        used = Stream(32, "poison").field_vec(ctx4.p, ctx4.g)
+        poison = used
+        with pytest.raises(InconsistentSystem):
+            cn.oracle_agreement(ctx4, net, cone.coeffs, Stream(32, "poison"),
+                                count)

@@ -135,3 +135,28 @@ class TestHessianMembership:
             assert coeffs.any()
             for y, v in zip(ys[-3:], vals[-3:]):
                 assert mono.form_eval_one(coeffs, y, m, m, P) == v
+
+
+class TestStructureConstants:
+    def test_contractions_match_panel_products(self, ctx4, ctx5):
+        """The product space and the cup Gram from the context's structure
+        constants equal the panel products read back through coords_many."""
+        for ctx in (ctx4, ctx5):
+            g = ctx.g
+            stream = Stream(40, f"sc{g}")
+            v = stream.field_mat(P, 2, g)
+            w = stream.field_vec(P, g)
+            vbar = stream.field_vec(P, ctx.piece(3).dim)
+            piece2 = ctx.piece(2)
+            basis2 = piece2.eval_matrix[:, piece2.basis_cols]
+            products = np.concatenate(
+                [(basis2 * (ctx.panel @ s % P)[:, None] % P).T for s in v])
+            assert pc.product_space(ctx, v).tolist() == \
+                ctx.coords_many(3, products).tolist()
+            i, j = np.triu_indices(g)
+            values = (ctx.panel @ w % P)[:, None] * ctx.panel[:, i] % P \
+                * ctx.panel[:, j] % P
+            gram = np.zeros((g, g), dtype=np.int64)
+            gram[i, j] = gram[j, i] = ctx.coords_many(3, values.T) @ vbar % P
+            assert pc.cup_grams(ctx, vbar[None], w[None])[0].tolist() == \
+                gram.tolist()
