@@ -24,7 +24,8 @@ element with its own pivot rows, so elements with different pivot patterns
 or ranks share one pass; element by element it returns what `rref` does.
 Like `rref` it reduces mod p after every row operation: a row update
 subtracts one product of two entries below p, so no intermediate leaves
-(-p**2, p).  `kernel_batch` reads special solutions off that pass.
+(-p**2, p).  `kernel_batch` reads special solutions off that pass, and
+`solve_batch` the solutions and ranks of stacked systems [m | rhs].
 
 `poly_pow_mod` multiplies residues modulo a polynomial f of degree d as
 length-d vectors: one convolution, then one matmul with a reduction matrix
@@ -38,8 +39,6 @@ The engine's moduli are far smaller (genus-5 point sampling reaches 16).
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import InconsistentSystem
 
 MAX_PRIME_BITS = 25
 
@@ -235,6 +234,27 @@ def kernel_batch(stack: np.ndarray, p: int, nullity: int
     return basis, ok
 
 
+def solve_batch(m: np.ndarray, rhs: np.ndarray, p: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solutions of m[n] x = rhs[n] for an N x rows x cols stack of
+    systems with k right-hand sides each (rhs is N x rows x k), from one
+    `rref_batch` of [m | rhs].
+
+    Returns x (N x cols x k, zero in the free columns), the rank of each
+    m[n], and whether every right-hand side of m[n] lies in its column
+    space.  The pivots left of column cols are those of `rref(m[n])`, so
+    the rank comes from the same pass; x is meaningful only where the
+    system is consistent.
+    """
+    n, _, cols = m.shape
+    r, pivots = rref_batch(np.concatenate([m, rhs], axis=2), p)
+    in_m = (pivots >= 0) & (pivots < cols)
+    x = np.zeros((n, cols, rhs.shape[2]), dtype=np.int64)
+    e, k = np.nonzero(in_m)
+    x[e, pivots[e, k]] = r[e, k, cols:]
+    return x, in_m.sum(axis=1), ~(pivots >= cols).any(axis=1)
+
+
 def rank(m: np.ndarray, p: int) -> int:
     if m.size == 0:
         return 0
@@ -262,24 +282,6 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.int64)
     r, pivots = rref(m, p)
     return _special_solutions(r, pivots, m.shape[1], p)
-
-
-def solve_consistent(m: np.ndarray, rhs: np.ndarray, p: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """One solution of m x = rhs plus the kernel basis of m.
-
-    Raises InconsistentSystem when rhs is outside the column space.
-    """
-    m = np.asarray(m, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64).reshape(-1)
-    aug = np.concatenate([m % p, rhs[:, None] % p], axis=1)
-    r, pivots = rref(aug, p)
-    cols = m.shape[1]
-    if cols in pivots:
-        raise InconsistentSystem("rhs is not in the column space")
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = r[:len(pivots), cols]
-    return x, _special_solutions(r, pivots, cols, p)
 
 
 def det(m: np.ndarray, p: int) -> int:

@@ -46,10 +46,7 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     u = np.asarray(u, dtype=np.int64) % p
     if not u.any():
         raise RankDeficientW("plane point cannot be zero")
-    v = nt.pencil_at(net_obj, u, p)
-    if v.shape[0] != 2:
-        raise RankDeficientW("plane point does not cut a pencil")
-    vperp = alg.kernel_basis(v, p)
+    vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p), p)
     vertex = alg.RowSpace(net_obj.wperp, p)
     lead = next((row for row in vperp if not vertex.contains(row)), None)
     if lead is None:

@@ -145,21 +145,23 @@ def cmd_hessian(args) -> int:
     return 0
 
 
+def suite_config(quick: bool, seed: int) -> acc.SuiteConfig:
+    """The sample sizes of `verify`, or of `verify --quick`."""
+    if not quick:
+        return acc.SuiteConfig(seed=seed)
+    # span samples must still cover the expected saturated rank (16 at
+    # genus 5 with 6 of it from quadric squares)
+    return acc.SuiteConfig(seed=seed, corank_samples=10, corank_engineered=2,
+                           reconstructions=3, oracle_points=10,
+                           double_quadrics=2, polar_oracle_points=10,
+                           fibers_on=10, fibers_off=10, secant_random=10,
+                           secant_engineered=1, span_samples=14,
+                           off_curve_probes=60)
+
+
 def cmd_verify(args) -> int:
     ctx = _load_context(args.curve)
-    if args.quick:
-        # span samples must still cover the expected saturated rank (16 at
-        # genus 5 with 6 of it from quadric squares)
-        cfg = acc.SuiteConfig(seed=args.seed, corank_samples=10,
-                              corank_engineered=2, reconstructions=3,
-                              oracle_points=10, double_quadrics=2,
-                              polar_oracle_points=10, fibers_on=10,
-                              fibers_off=10, secant_random=10,
-                              secant_engineered=1, span_samples=14,
-                              off_curve_probes=60)
-    else:
-        cfg = acc.SuiteConfig(seed=args.seed)
-
+    cfg = suite_config(args.quick, args.seed)
     if args.full:
         results = acc.run_full(ctx, cfg, echo=print,
                                ctx_builder=lambda: _load_context(args.curve))

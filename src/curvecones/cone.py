@@ -8,6 +8,13 @@ inside the net splits as (vertex linear form)^2 times the quadric whose
 Gram is the inverse of the cup-product Gram on that space.  The membership
 oracle of the net module never enters the reconstruction; it serves as an
 independent verification channel.
+
+The fibers of a reconstruction are split in rounds: `split_fibers` runs
+every step on an N x 2 x g stack of pencils through the `pencil`
+contractions and `algebra.kernel_batch`/`solve_batch`.  Its own
+contractions (the residual Gram vperp y, and the tests of net.w and the
+pencil against vperp and the vertex) sum g products of two entries below
+p per entry, below 5 * 2**50 < 2**53 at genus 5 and p < 2**25.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from .canring import CurveContext
-from .errors import (CorankJump, DegenerateInput, Draws,
-                     InconsistentReconstruction, InadmissiblePencil,
-                     NonGenericD, UnderdeterminedReconstruction,
-                     VerificationFailed, resample, unwrap)
+from .errors import (CorankJump, CurveConesError, DegenerateInput, Draws,
+                     InconsistentReconstruction, InconsistentSystem,
+                     InadmissiblePencil, NonGenericD,
+                     UnderdeterminedReconstruction, VerificationFailed,
+                     resample, unwrap)
 from .rng import Stream, derive_key
 
 # pencils a reconstruction starts from, and the most it draws before the
@@ -37,12 +45,9 @@ PENCILS_MAX = 20
 
 @dataclass
 class SplitFiber:
-    v: np.ndarray          # 2 x g pencil basis
     vperp: np.ndarray      # (g-2) x g basis of the annihilator
-    w: np.ndarray          # lift vector used for the cup Gram
     ell: np.ndarray        # linear form on vperp coordinates cutting the vertex
     gram: np.ndarray       # (g-2) x (g-2) residual quadric Gram
-    pencil: pc.PencilData
 
 
 @dataclass
@@ -63,39 +68,81 @@ class CubicPolar:
 # pencil fibers
 
 
-def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
-                ) -> SplitFiber:
-    """Residual-quadric data of the quartic on the orthogonal space of a
-    pencil inside the net.
+# what split_fibers gives a pencil that fails, in the order it tests them;
+# the codimension message names the codimension found
+_FIBER_FAILURES = (
+    (InadmissiblePencil, "pencil basis must have rank 2"),
+    (InadmissiblePencil, "pencil has a base point on the panel"),
+    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
+    (InadmissiblePencil, "product space has codimension {}, expected 1"),
+    (InadmissiblePencil, "pencil does not sit inside the net"),
+    (CorankJump, "pencil fiber meets the degeneracy divisor"),
+    (InconsistentSystem, "rhs is not in the column space"),
+    (VerificationFailed, "residual Gram failed exact symmetry"),
+    (InconsistentSystem, "rhs is not in the column space"),
+    (CorankJump, "vertex does not cut a hyperplane of the fiber"),
+)
+
+
+def split_fibers(ctx: CurveContext, net_obj: nt.Net, vs: np.ndarray
+                 ) -> list[SplitFiber | CurveConesError]:
+    """Residual-quadric data of the quartic on the orthogonal space of each
+    pencil of an N x 2 x g stack inside the net.
 
     The Gram entries are G[i][j] = <v_i, y_j> with gram y_j = v_j, i.e. the
     inverse Gram of the cup product on the annihilator of the pencil;
-    symmetry of the cup Gram makes G symmetric exactly.
+    symmetry of the cup Gram makes G symmetric exactly.  The cup Gram is
+    built for the first row of net.w outside the pencil.  A pencil that
+    fails gets, in place of its fiber, the first of `_FIBER_FAILURES` that
+    applies.  Every step runs on the whole stack: one reduction of
+    [gram | vperp^T] gives the g - 2 solves and the corank, one of
+    [vperp^T | wperp^T] the vertex coordinates.
     """
     p = ctx.p
-    pen = pc.build_pencil(ctx, v)
-    if not all(map(alg.RowSpace(net_obj.w, p).contains, pen.v)):
-        raise InadmissiblePencil("pencil does not sit inside the net")
-    pencil_span = alg.RowSpace(pen.v, p)
-    w = next(row for row in net_obj.w if not pencil_span.contains(row))
-    cg = pc.cup_gram(ctx, pen, w)
-    if pc.corank(cg.gram, p) != 2:
-        raise CorankJump("pencil fiber meets the degeneracy divisor")
-    vperp = alg.kernel_basis(pen.v, p)
-    ys = [alg.solve_consistent(cg.gram, row, p)[0] for row in vperp]
-    gram = vperp @ np.stack(ys).T % p
-    if not (gram == gram.T).all():
-        raise VerificationFailed("residual Gram failed exact symmetry")
-    coords = []
-    for x in net_obj.wperp:
-        c, _ = alg.solve_consistent(vperp.T, x, p)
-        coords.append(c)
-    ell = alg.kernel_basis(np.stack(coords), p)
-    if ell.shape[0] != 1:
-        raise CorankJump("vertex does not cut a hyperplane of the fiber")
-    return SplitFiber(v=pen.v, vperp=vperp, w=w,
-                      ell=alg.normalize_scalar(ell[0], p), gram=gram,
-                      pencil=pen)
+    g = ctx.g
+    v = np.asarray(vs, dtype=np.int64).reshape(-1, 2, g) % p
+    n = v.shape[0]
+    vperp, rank_two = alg.kernel_batch(v, p, g - 2)
+    vperp_t = vperp.transpose(0, 2, 1)
+    prods = pc.product_space(ctx, v)
+    functionals, codim_one = alg.kernel_batch(prods, p, 1)
+    in_net = ~(v @ net_obj.wperp.T % p).any(axis=(1, 2))
+    # a row of net.w lies in the pencil when vperp annihilates it
+    outside = (net_obj.w @ vperp_t % p).any(axis=2)
+    lift = net_obj.w[outside.argmax(axis=1)]
+    grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
+    ys, gram_rank, solved = alg.solve_batch(grams, vperp_t, p)
+    residual = vperp @ ys % p
+    coords, _, on_fiber = alg.solve_batch(
+        vperp_t, np.broadcast_to(net_obj.wperp.T, (n, g, g - 3)), p)
+    ell, hyperplane = alg.kernel_batch(coords.transpose(0, 2, 1), p, 1)
+    ell = alg.normalize_rows(ell[:, 0], p)
+    failed = np.stack([~rank_two, pc.base_points(ctx.panel, v, p),
+                       pc.base_points(ctx.holdout, v, p), ~codim_one,
+                       ~in_net, gram_rank != g - 2, ~solved,
+                       (residual != residual.transpose(0, 2, 1)).any(
+                           axis=(1, 2)),
+                       ~on_fiber, ~hyperplane])
+    out: list = []
+    for i, test in enumerate(failed.argmax(axis=0).tolist()):
+        if not failed[test, i]:
+            out.append(SplitFiber(vperp=vperp[i], ell=ell[i],
+                                  gram=residual[i]))
+            continue
+        cls, message = _FIBER_FAILURES[test]
+        if test == 3:
+            message = message.format(prods.shape[2] - alg.rank(prods[i], p))
+        out.append(cls(message))
+    return out
+
+
+def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
+                ) -> SplitFiber:
+    """`split_fibers` on one pencil, raising its exception."""
+    fiber = split_fibers(ctx, net_obj, np.asarray(v)[None])[0]
+    if isinstance(fiber, CurveConesError):
+        raise fiber
+    return fiber
 
 
 def fiber_quadric_form(fiber: SplitFiber, p: int) -> np.ndarray:
@@ -133,24 +180,21 @@ def vertex_condition_matrix(ctx: CurveContext, net_obj: nt.Net,
 
     For a point vertex each partial contributes one evaluation; for a line
     vertex each partial restricted to the line must vanish as a binary form,
-    contributing deg coefficients."""
+    contributing deg coefficients.  Rows run over the variables, and for a
+    line vertex over the binary coefficients within each variable; the
+    partials of all forms are evaluated, or restricted, at once."""
     p = ctx.p
     g = ctx.g
-    rows = []
-    for var in range(g):
-        partials = np.stack([mono.partial(f, var, g, deg, p) for f in forms])
-        if net_obj.wperp.shape[0] == 1:
-            x = net_obj.wperp[0]
-            rows.append(np.array(
-                [mono.form_eval_one(pf, x, g, deg - 1, p) for pf in partials],
-                dtype=np.int64))
-        else:
-            restricted = [mono.restrict(pf, deg - 1, g, net_obj.wperp.T, p)
-                          for pf in partials]
-            block = np.stack(restricted)  # forms x binary-form coefficients
-            for col in range(block.shape[1]):
-                rows.append(block[:, col])
-    return np.stack(rows) % p
+    # partials[var, f] = d forms[f] / d z_var, of degree deg - 1
+    partials = np.stack([mono.partial(forms, var, g, deg, p)
+                         for var in range(g)])
+    if net_obj.wperp.shape[0] == 1:
+        e = mono.eval_matrix(net_obj.wperp, g, deg - 1, p)[0]
+        return partials @ e % p
+    flat = partials.reshape(-1, partials.shape[2]).T   # count x (g * forms)
+    restricted = mono.restrict(flat, deg - 1, g, net_obj.wperp.T, p)
+    return restricted.reshape(deg, g, -1).transpose(1, 0, 2).reshape(
+        g * deg, -1)
 
 
 def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
@@ -170,17 +214,31 @@ def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
 
 def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
                   count: int) -> list[SplitFiber]:
+    """Fibers over `count` random plane points.
+
+    The points are those of a loop that splits one pencil at a time: up to
+    120 draws, a zero point or a pencil that fails with a `DegenerateInput`
+    giving no fiber.  They are drawn in rounds of as many as fibers are
+    still needed, each round one `split_fibers` call.
+    """
+    p = ctx.p
     fibers: list[SplitFiber] = []
 
-    def draw(_):
-        u = stream.field_vec(ctx.p, 3)
-        if not u.any():
-            return None
-        fibers.append(split_fiber(ctx, net_obj,
-                                  nt.pencil_at(net_obj, u, ctx.p)))
-        return fibers if len(fibers) == count else None
+    def plane_point(_):
+        u = stream.field_vec(p, 3)
+        return u if u.any() else None
 
-    return resample("admissible pencils", 120, draw)
+    draws = Draws("admissible pencils", 120, plane_point)
+    while len(fibers) < count:
+        if not draws.left:
+            raise draws.exhausted()
+        us = np.array(draws.take(count - len(fibers))).reshape(-1, 3)
+        for fiber in split_fibers(ctx, net_obj, nt.pencil_at(net_obj.w, us,
+                                                             p)):
+            fiber = unwrap(fiber)
+            if fiber is not None:
+                fibers.append(fiber)
+    return fibers
 
 
 def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,

@@ -125,7 +125,11 @@ def resample(label: str, attempts: int, draw: Callable[[int], T | None],
             return result
     if default is not _RAISE:
         return default
-    raise DegenerateInput(f"{label}: no usable draw in {attempts} attempts")
+    raise _exhausted(label, attempts)
+
+
+def _exhausted(label: str, attempts: int) -> DegenerateInput:
+    return DegenerateInput(f"{label}: no usable draw in {attempts} attempts")
 
 
 class Draws:
@@ -161,6 +165,10 @@ class Draws:
         if n > 0 and self.left > 0:
             resample(self.label, self.left, step, default=None)
         return got
+
+    def exhausted(self) -> DegenerateInput:
+        """What `resample` raises when the loop's attempts run out."""
+        return _exhausted(self.label, self.attempts)
 
 
 def unwrap(result: T | CurveConesError) -> T | None:

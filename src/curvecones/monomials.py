@@ -108,10 +108,12 @@ def _partial_table(g: int, n: int, var: int) -> tuple[np.ndarray, np.ndarray]:
 
 def partial(coeffs: np.ndarray, var: int, g: int, n: int, p: int
             ) -> np.ndarray:
-    """Coefficient vector of the partial derivative, degree n-1."""
+    """Coefficient vector of the partial derivative, degree n-1; of every
+    form at once when coeffs holds one form per row."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
     idx, mult = _partial_table(g, n, var)
-    out = np.zeros(count(g, n - 1), dtype=np.int64)
-    out[idx[0]] = np.asarray(coeffs, dtype=np.int64)[idx[1]] * mult % p
+    out = np.zeros(coeffs.shape[:-1] + (count(g, n - 1),), dtype=np.int64)
+    out[..., idx[0]] = coeffs[..., idx[1]] * mult % p
     return out
 
 
@@ -169,7 +171,10 @@ def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
     The restricted form is fixed by its values at the cached interpolation
     nodes Y: it is V^-1 (E(Y basis^T) coeffs), with E the monomial evaluation
     matrix and V = E(Y) in the m variables.  Both products are exact int64
-    dot products of at most 70 terms (see the module docstring).
+    dot products of at most 70 terms (see the module docstring).  coeffs
+    may also be a count(g, n) x k matrix, one form per column; the result
+    is then count(m, n) x k, each column the restriction of its form, with
+    the same dot products and so the same int64 budget.
     """
     basis = np.asarray(basis, dtype=np.int64) % p
     nodes, inv = _interpolation_nodes(basis.shape[1], n, p)

@@ -104,11 +104,16 @@ def random_net(ctx: CurveContext, stream: Stream) -> Net:
     return resample("generic net", 200, draw)
 
 
-def pencil_at(net: Net, u: np.ndarray, p: int) -> np.ndarray:
-    """Pencil of net sections over the plane point u: the combinations
-    c @ net.w with c orthogonal to u."""
-    u = np.asarray(u, dtype=np.int64).reshape(1, 3)
-    return alg.kernel_basis(u, p) @ net.w % p
+def pencil_at(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
+    """Pencils of net sections over nonzero plane points: the combinations
+    c @ w with c orthogonal to u, as the kernel basis of u.
+
+    w is a net basis (3 x g) or one per point (... x 3 x g), u is ... x 3,
+    the result ... x 2 x g, from one `kernel_batch` pass over the points.
+    A pencil has rank 2 as w has rank 3; a zero point gets zero rows."""
+    u = np.asarray(u, dtype=np.int64) % p
+    c, _ = alg.kernel_batch(u.reshape(-1, 1, 3), p, 2)
+    return c.reshape(u.shape[:-1] + (2, 3)) @ w % p
 
 
 def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
@@ -215,28 +220,20 @@ def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,
     u = np.einsum("nkj,nj->nk", w, b) % p      # zero exactly on the vertex
     on_gamma, unfit = _on_gamma(ctx, nets, u) if check_gamma \
         else (np.zeros(n, dtype=bool), {})
-    # pencil_at of every probe; c @ w has rank 2 when u != 0, as w has rank 3
-    c, _ = alg.kernel_batch(u[:, None, :], p, 2)
-    v = np.einsum("nkj,njg->nkg", c, w) % p
+    v = pencil_at(w, u, p)
     functionals, codim_one = alg.kernel_batch(pc.product_space(ctx, v), p, 1)
     # the lift w[j], u[j] != 0, never lies in the pencil orthogonal to u
     lift = w[np.arange(n), (u != 0).argmax(axis=1)]
     grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
-    r, pivots = alg.rref_batch(np.concatenate([grams, b[:, :, None]], axis=2),
-                               p)
-    in_gram = (pivots >= 0) & (pivots < g)
+    y, rank, consistent = alg.solve_batch(grams, b[:, :, None], p)
     failed = np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma,
                        pc.base_points(ctx.panel, v, p),
                        pc.base_points(ctx.holdout, v, p), ~codim_one,
-                       in_gram.sum(axis=1) != g - 2,
-                       (pivots == g).any(axis=1)])
-    y = np.zeros((n, g), dtype=np.int64)
-    rows, k = np.nonzero(in_gram)
-    y[rows, pivots[rows, k]] = r[rows, k, g]
+                       rank != g - 2, ~consistent])
     out: list = []
     for i, test in enumerate(failed.argmax(axis=0).tolist()):
         if not failed[test, i]:
-            out.append(OracleWitness(b=b[i], v_b=v[i], y=y[i],
+            out.append(OracleWitness(b=b[i], v_b=v[i], y=y[i, :, 0],
                                      gram=grams[i]))
         elif test == 2 and i in unfit:
             out.append(unfit[i])

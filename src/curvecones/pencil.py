@@ -50,7 +50,8 @@ def product_space(ctx: CurveContext, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     prods = np.tensordot(v, ctx.times_linear, axes=(-1, 0))
     prods %= ctx.p
-    return prods.reshape(v.shape[:-2] + (-1, prods.shape[-1]))
+    return prods.reshape(v.shape[:-2] + (v.shape[-2] * prods.shape[-2],
+                                         prods.shape[-1]))
 
 
 def base_points(pts: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -9,7 +9,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from curvecones import algebra as alg
-from curvecones.errors import InconsistentSystem
 
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
@@ -69,15 +68,25 @@ class TestKernelBasis:
         assert alg.rank(m, 101) == alg.rank(shuffled, 101)
 
 
-class TestSolveConsistent:
-    def test_rank_one_system(self):
-        x, kernel = alg.solve_consistent(arr([[1, 0], [0, 0]]), arr([3, 0]), 7)
-        assert x.tolist() == [3, 0]
-        assert kernel.tolist() == [[0, 1]]
+def solve_one(m, rhs, p):
+    """`solve_batch` on one system with one right-hand side: the solution
+    (None when rhs is outside the column space) and the rank of m."""
+    x, rank, consistent = alg.solve_batch(m[None], rhs[None, :, None], p)
+    return (x[0, :, 0] if consistent[0] else None), int(rank[0])
 
-    def test_inconsistent_raises(self):
-        with pytest.raises(InconsistentSystem):
-            alg.solve_consistent(arr([[1, 0], [0, 0]]), arr([3, 1]), 7)
+
+class TestSolveConsistent:
+    """`solve_batch`, which solves stacked systems [m | rhs] and flags the
+    right-hand sides outside the column space."""
+
+    def test_rank_one_system(self):
+        x, rank = solve_one(arr([[1, 0], [0, 0]]), arr([3, 0]), 7)
+        assert x.tolist() == [3, 0]
+        assert rank == 1
+
+    def test_inconsistent_flagged(self):
+        x, rank = solve_one(arr([[1, 0], [0, 0]]), arr([3, 1]), 7)
+        assert x is None and rank == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -88,19 +97,19 @@ class TestSolveConsistent:
         rhs = rng.integers(0, 101, size=6).astype(np.int64)
         expected = alg.rank(np.concatenate([m, rhs[:, None]], axis=1), 101) \
             == alg.rank(m, 101)
-        try:
-            x, _ = alg.solve_consistent(m, rhs, 101)
-            assert expected
+        x, rank = solve_one(m, rhs, 101)
+        assert rank == alg.rank(m, 101)
+        assert (x is not None) == expected
+        if expected:
             assert (m @ x % 101 == rhs % 101).all()
-        except InconsistentSystem:
-            assert not expected
 
     def test_solutions_differ_by_kernel(self):
         rng = np.random.default_rng(3)
         m = rng.integers(0, P, size=(5, 8)).astype(np.int64)
         target = rng.integers(0, P, size=8).astype(np.int64)
         rhs = m @ target % P
-        x, kernel = alg.solve_consistent(m, rhs, P)
+        x, _ = solve_one(m, rhs, P)
+        kernel = alg.kernel_basis(m, P)
         shift = (target - x) % P
         # shift must be a kernel combination: stacking does not raise rank
         stacked = np.concatenate([kernel, shift[None, :]], axis=0)
@@ -403,22 +412,32 @@ class TestLinearAlgebraAgainstSympy:
         rows, cols, r, sparse = shape
         rng = np.random.default_rng(seed)
         m = planted_rank(rng, p, rows, cols, min(r, rows, cols), sparse)
-        rhs = m @ rng.integers(0, p, size=cols) % p if consistent \
-            else rng.integers(0, p, size=rows)
-        reduced, pivots = to_dm(np.column_stack([m, rhs]), p).rref()
-        if cols in pivots:
-            with pytest.raises(InconsistentSystem):
-                alg.solve_consistent(m, rhs, p)
-            return
-        # the particular solution is read off the reduced augmented matrix
-        expected = [0] * cols
-        last = from_dm(reduced, p)
-        for k, c in enumerate(pivots):
-            expected[c] = last[k][cols]
-        x, kernel = alg.solve_consistent(m, rhs, p)
-        assert x.tolist() == expected
-        assert kernel.tolist() == \
-            from_dm(to_dm(m, p).nullspace(divide_last=True), p)
+        # three right-hand sides: the drawn one, a consistent one and zero
+        rhs = np.column_stack([
+            m @ rng.integers(0, p, size=cols) % p if consistent
+            else rng.integers(0, p, size=rows),
+            m @ rng.integers(0, p, size=cols) % p,
+            np.zeros(rows, dtype=np.int64)])
+        x, rank, solved = alg.solve_batch(
+            np.stack([m, m]), np.stack([rhs, rhs[:, 1:2].repeat(3, axis=1)]),
+            p)
+        assert rank.tolist() == [to_dm(m, p).rank()] * 2
+        assert solved[1]
+        for k in range(3):
+            reduced, pivots = to_dm(np.column_stack([m, rhs[:, k]]), p).rref()
+            if cols in pivots:
+                assert not solved[0]
+                continue
+            # the particular solution is read off the reduced augmented
+            # matrix
+            expected = [0] * cols
+            last = from_dm(reduced, p)
+            for j, c in enumerate(pivots):
+                expected[c] = last[j][cols]
+            if solved[0]:
+                assert x[0, :, k].tolist() == expected
+            if k == 1:
+                assert x[1].T.tolist() == [expected] * 3
 
 
 def assert_matches_rref(stack, p):

@@ -1,11 +1,13 @@
 """End-to-end command-line runs in a temporary directory."""
 
+import hashlib
 import json
 
 import pytest
 
+from curvecones import acceptance as acc
 from curvecones import cone as cn, curve as cv, net as nt, spanlab as sl
-from curvecones.cli import main
+from curvecones.cli import main, suite_config
 from curvecones.errors import DegenerateInput, VerificationFailed
 
 
@@ -255,3 +257,19 @@ class TestRecoveryPolicy:
         err = capsys.readouterr().err
         assert "smooth curve of genus 4" in err
         assert "64 attempts" in err
+
+
+# sha256 of the report `verify --quick` writes for the genus-5 curve of seed
+# 7 at prime 1000003, recorded with pencil fibers split one at a time.  The
+# benchmark digests cover genus 4 only, and a line vertex (the genus-5 path
+# of the vertex conditions) needs genus 5.
+GENUS5_QUICK_REPORT = \
+    "eb2a7f1f2c422f7e6341990e2245c94815d437f128cb79613681b8bd49ffdaef"
+
+
+def test_genus5_quick_report_is_pinned(ctx5):
+    # ctx5 holds the points gen-curve writes for this curve, so the report
+    # is the file's without sampling again
+    cfg = suite_config(quick=True, seed=0)
+    report = acc.report_json(ctx5, cfg, acc.run_criteria(ctx5, cfg))
+    assert hashlib.sha256(report.encode()).hexdigest() == GENUS5_QUICK_REPORT

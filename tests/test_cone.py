@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from curvecones import algebra as alg, cone as cn
-from curvecones import monomials as mono, net as nt
-from curvecones.errors import DegenerateInput, NonGenericD
+from curvecones import algebra as alg, canring, cone as cn, curve as cv
+from curvecones import errors, monomials as mono, net as nt, pencil as pc
+from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
+                               InadmissiblePencil, InconsistentSystem,
+                               NonGenericD, VerificationFailed)
 from curvecones.rng import Stream
 
+from reference import solve_consistent, stream_draws
+
 P = 1000003
+P_MAX = 33554393    # largest prime below 2**25
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +29,7 @@ def cone4(ctx4, net4):
 class TestSplitFiber:
     def test_gram_symmetric_and_sized(self, ctx4, net4):
         fiber = cn.split_fiber(ctx4, net4,
-                               nt.pencil_at(net4, np.array([1, 2, 3]), P))
+                               nt.pencil_at(net4.w, np.array([1, 2, 3]), P))
         assert fiber.gram.shape == (2, 2)
         assert (fiber.gram == fiber.gram.T).all()
         assert fiber.ell.shape == (2,)
@@ -32,7 +37,7 @@ class TestSplitFiber:
     def test_oracle_matches_residual_quadric(self, ctx4, net4):
         # dual routes: the membership oracle against the fiber quadric value
         fiber = cn.split_fiber(ctx4, net4,
-                               nt.pencil_at(net4, np.array([1, 1, 2]), P))
+                               nt.pencil_at(net4.w, np.array([1, 1, 2]), P))
         stream = Stream(101, "c")
         checked = 0
         while checked < 10:
@@ -48,6 +53,198 @@ class TestSplitFiber:
                 continue
             assert val == (int(c @ fiber.gram @ c % P) == 0)
             checked += 1
+
+
+def reference_fiber(ctx, net_obj, v):
+    """The fiber as one pencil's scalar elimination chain: (vperp, ell,
+    gram) as lists, or the class and message of the exception it raises."""
+    p = ctx.p
+    try:
+        pen = pc.build_pencil(ctx, v)
+        if not all(map(alg.RowSpace(net_obj.w, p).contains, pen.v)):
+            raise InadmissiblePencil("pencil does not sit inside the net")
+        pencil_span = alg.RowSpace(pen.v, p)
+        w = next(row for row in net_obj.w if not pencil_span.contains(row))
+        cg = pc.cup_gram(ctx, pen, w)
+        if pc.corank(cg.gram, p) != 2:
+            raise CorankJump("pencil fiber meets the degeneracy divisor")
+        vperp = alg.kernel_basis(pen.v, p)
+        ys = [solve_consistent(cg.gram, row, p) for row in vperp]
+        gram = vperp @ np.stack(ys).T % p
+        if not (gram == gram.T).all():
+            raise VerificationFailed("residual Gram failed exact symmetry")
+        coords = [solve_consistent(vperp.T, x, p) for x in net_obj.wperp]
+        ell = alg.kernel_basis(np.stack(coords), p)
+        if ell.shape[0] != 1:
+            raise CorankJump("vertex does not cut a hyperplane of the fiber")
+    except CurveConesError as exc:
+        return type(exc), str(exc)
+    return (vperp.tolist(), alg.normalize_scalar(ell[0], p).tolist(),
+            gram.tolist())
+
+
+def fiber_values(results):
+    return [(type(f), str(f)) if isinstance(f, CurveConesError)
+            else (f.vperp.tolist(), f.ell.tolist(), f.gram.tolist())
+            for f in results]
+
+
+@pytest.fixture(scope="module")
+def ctx4_max():
+    return canring.build_context(cv.generate_curve(4, P_MAX, 1))
+
+
+class TestSplitFibers:
+    """The batched fibers against the scalar chain, pencil by pencil."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_mixed_stacks(self, name, request):
+        ctx = request.getfixturevalue(name)
+        p, g = ctx.p, ctx.g
+        net = nt.random_net(ctx, Stream(110, f"fibers{name}"))
+        degenerate = cn.degenerate_net(ctx, Stream(111, f"fibers{name}"))
+        stream = Stream(112, f"fiber-pencils{name}")
+        kinds = set()
+        for net_obj, other in ((net, degenerate), (degenerate, net)):
+            us = [stream.field_vec(p, 3) for _ in range(5)]
+            # net.w[0] lies in the pencil over (0, 1, 2): the lift is w[1]
+            us += [np.array([0, 1, 2]), net_obj.w @ ctx.panel[4] % p,
+                   net_obj.w @ ctx.holdout[2] % p]
+            outside = stream.field_mat(p, 2, g)
+            rank_one = np.stack([ctx.panel[1], 5 * ctx.panel[1] % p])
+            vs = np.concatenate([
+                nt.pencil_at(net_obj.w, np.stack(us), p), outside[None],
+                rank_one[None], nt.pencil_at(other.w, us[0], p)[None]])
+            expected = [reference_fiber(ctx, net_obj, v) for v in vs]
+            assert fiber_values(cn.split_fibers(ctx, net_obj, vs)) \
+                == expected
+            for v, want in zip(vs, expected):
+                assert fiber_values(cn.split_fibers(ctx, net_obj, v[None])) \
+                    == [want]
+                try:
+                    got = fiber_values([cn.split_fiber(ctx, net_obj, v)])[0]
+                except CurveConesError as exc:
+                    got = (type(exc), str(exc))
+                assert got == want
+            kinds |= {k if isinstance(k[0], type) else "fiber"
+                      for k in expected}
+        assert {(InadmissiblePencil, "pencil basis must have rank 2"),
+                (InadmissiblePencil, "pencil has a base point on the panel"),
+                (InadmissiblePencil,
+                 "pencil has a base point on the holdout panel"),
+                (InadmissiblePencil, "pencil does not sit inside the net"),
+                (CorankJump, "pencil fiber meets the degeneracy divisor"),
+                "fiber"} <= kinds
+        assert cn.split_fibers(ctx, net, np.zeros((0, 2, g))) == []
+
+
+class TestFreshFiberRounds:
+    """`cone._fresh_fibers` draws exactly the plane points of the loop that
+    splits one pencil at a time."""
+
+    @staticmethod
+    def sequential(ctx, net, stream, count):
+        """The one-pencil-at-a-time loop."""
+        fibers = []
+
+        def draw(_):
+            u = stream.field_vec(ctx.p, 3)
+            if not u.any():
+                return None
+            fibers.append(cn.split_fiber(ctx, net,
+                                         nt.pencil_at(net.w, u, ctx.p)))
+            return fibers if len(fibers) == count else None
+
+        return errors.resample("admissible pencils", 120, draw)
+
+    @staticmethod
+    def failing(monkeypatch, every, exc=CorankJump):
+        """Make split_fibers fail on every `every`-th pencil (by a fixed
+        rule on the pencil), and count its calls."""
+        real = cn.split_fibers
+        calls = []
+
+        def split_fibers(ctx, net_obj, vs):
+            calls.append(len(vs))
+            return [exc("planted") if int(np.sum(v)) % every == 0 else f
+                    for v, f in zip(vs, real(ctx, net_obj, vs))]
+
+        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        return calls
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return fiber_values(run())
+        except CurveConesError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    @pytest.mark.parametrize("every", [1, 2, 3, 10 ** 9])
+    def test_draws_match_the_sequential_loop(self, ctx4, monkeypatch, count,
+                                             every):
+        net = nt.random_net(ctx4, Stream(113, "rounds"))
+        calls = self.failing(monkeypatch, every)
+        tag = f"fresh{count}-{every}"
+        want, want_draws = stream_draws(monkeypatch, lambda: self.outcome(
+            lambda: self.sequential(ctx4, net, Stream(114, tag), count)))
+        calls.clear()
+        got, got_draws = stream_draws(monkeypatch, lambda: self.outcome(
+            lambda: cn._fresh_fibers(ctx4, net, Stream(114, tag), count)))
+        assert got == want
+        assert got_draws == want_draws == {tag: got_draws[tag]}
+        if every == 1:
+            # every pencil fails: the 120 draws run out as before
+            assert got == (DegenerateInput, "admissible pencils: no usable "
+                           "draw in 120 attempts")
+        else:
+            # each round asks for as many pencils as fibers are missing
+            assert calls[0] == count
+            assert (len(calls) > 1) == (sum(calls) > count)
+            if every == 2 and count == 6:
+                assert len(calls) > 1
+
+    def test_other_errors_are_raised(self, ctx4, monkeypatch):
+        net = nt.random_net(ctx4, Stream(113, "rounds"))
+        self.failing(monkeypatch, 1, InconsistentSystem)
+        with pytest.raises(InconsistentSystem):
+            cn._fresh_fibers(ctx4, net, Stream(115, "raise"), 2)
+
+
+class TestVertexConditions:
+    @staticmethod
+    def reference(ctx, net_obj, forms, deg):
+        """One evaluation or restriction per (variable, form) pair."""
+        p, g = ctx.p, ctx.g
+        rows = []
+        for var in range(g):
+            partials = [mono.partial(f, var, g, deg, p) for f in forms]
+            if net_obj.wperp.shape[0] == 1:
+                x = net_obj.wperp[0]
+                rows.append([mono.form_eval_one(pf, x, g, deg - 1, p)
+                             for pf in partials])
+            else:
+                block = np.stack([mono.restrict(pf, deg - 1, g,
+                                                net_obj.wperp.T, p)
+                                  for pf in partials])
+                rows += [block[:, col] for col in range(block.shape[1])]
+        return np.array(rows, dtype=np.int64) % p
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_equals_per_form_reference(self, genus, request):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        net = nt.random_net(ctx, Stream(116, f"vertex{genus}"))
+        stream = Stream(117, f"vertex{genus}")
+        for deg in (3, 4):
+            basis = ctx.ideal(deg).basis
+            randoms = np.stack([stream.field_vec(ctx.p, basis.shape[1])
+                                for _ in range(3)])
+            for forms in (basis, basis[:1], randoms):
+                got = cn.vertex_condition_matrix(ctx, net, forms, deg)
+                assert got.tolist() == \
+                    self.reference(ctx, net, forms, deg).tolist()
+                assert got.shape == (ctx.g * (1 if genus == 4 else deg),
+                                     forms.shape[0])
 
 
 class TestReconstruction:
@@ -86,7 +283,8 @@ class TestReconstruction:
             if not u.any():
                 continue
             try:
-                fiber = cn.split_fiber(ctx4, net4, nt.pencil_at(net4, u, P))
+                fiber = cn.split_fiber(ctx4, net4,
+                                       nt.pencil_at(net4.w, u, P))
             except DegenerateInput:
                 continue
             assert cn.form_matches_split(ctx4, cone4.coeffs, fiber)

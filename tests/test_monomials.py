@@ -248,3 +248,41 @@ class TestKernelEdges:
         with pytest.raises(ValueError, match="prime above 4"):
             mono.restrict(np.ones(mono.count(3, 4), dtype=np.int64), 4, 3,
                           np.eye(3, 2, dtype=np.int64), 3)
+
+
+class TestStackedForms:
+    """`restrict` and `partial` on many forms at once equal one call per
+    form."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_restrict_of_a_matrix(self, p, seed):
+        stream = Stream(seed, "restrict-stack")
+        g = stream.integer(3, 6)
+        n = stream.integer(1, 5)
+        m = stream.integer(1, g + 1)
+        k = stream.integer(1, 8)
+        forms = np.stack([sparse_vec(stream, p, mono.count(g, n))
+                          if stream.integer(0, 2)
+                          else stream.field_vec(p, mono.count(g, n))
+                          for _ in range(k)], axis=1)
+        basis = stream.field_mat(p, g, m)
+        got = mono.restrict(forms, n, g, basis, p)
+        assert got.shape == (mono.count(m, n), k)
+        assert got.T.tolist() == [mono.restrict(f, n, g, basis, p).tolist()
+                                  for f in forms.T]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_partial_of_rows(self, p, seed):
+        stream = Stream(seed, "partial-stack")
+        g = stream.integer(1, 6)
+        n = stream.integer(1, 5)
+        forms = stream.field_mat(p, stream.integer(0, 5), mono.count(g, n))
+        for var in range(g):
+            got = mono.partial(forms, var, g, n, p)
+            assert got.shape == (forms.shape[0], mono.count(g, n - 1))
+            assert got.tolist() == [mono.partial(f, var, g, n, p).tolist()
+                                    for f in forms]

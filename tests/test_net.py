@@ -10,6 +10,8 @@ from curvecones.errors import (CorankJump, CurveConesError,
                                InVertex, OnGammaFiber, RankDeficientW)
 from curvecones.rng import Stream
 
+from reference import solve_consistent, stream_draws
+
 P = 1000003
 
 
@@ -155,7 +157,7 @@ def reference_value(ctx, net, b, check_gamma=True):
         gamma = nt.gamma_equation(ctx, net)
         if mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p) == 0:
             return OnGammaFiber
-    v = alg.rref(nt.pencil_at(net, u, p), p)[0][:2]
+    v = alg.rref(nt.pencil_at(net.w, u, p), p)[0][:2]
     for pts in (ctx.panel, ctx.holdout):
         if (~(pts @ v.T % p).any(axis=1)).any():
             return InadmissiblePencil
@@ -176,7 +178,7 @@ def reference_value(ctx, net, b, check_gamma=True):
     if g - alg.rank(gram, p) != 2:
         return CorankJump
     try:
-        y, _ = alg.solve_consistent(gram, b, p)
+        y = solve_consistent(gram, b, p)
     except InconsistentSystem:
         return InconsistentSystem
     return int(b @ y % p)
@@ -286,21 +288,6 @@ class TestAgreementRounds:
 
         monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
 
-    @staticmethod
-    def draws(monkeypatch, run):
-        """Result of run() and the next_u64 calls it made, by stream tag."""
-        counts = {}
-        real = Stream.next_u64
-
-        def next_u64(self):
-            counts[self.tag] = counts.get(self.tag, 0) + 1
-            return real(self)
-
-        monkeypatch.setattr(Stream, "next_u64", next_u64)
-        result = run()
-        monkeypatch.setattr(Stream, "next_u64", real)
-        return result, counts
-
     @pytest.mark.parametrize("polar", [False, True])
     @pytest.mark.parametrize("count", [0, 4, 50])
     @pytest.mark.parametrize("every", [0, 3])
@@ -320,10 +307,10 @@ class TestAgreementRounds:
             return batch(ctx, nets, probes, check_gamma)
 
         tag = f"agree{count}{polar}{every}"
-        want, want_draws = self.draws(monkeypatch, lambda: self.sequential(
+        want, want_draws = stream_draws(monkeypatch, lambda: self.sequential(
             ctx4, net, coeffs, Stream(31, tag), count, x))
         monkeypatch.setattr(nt, "oracle_batch", counted)
-        got, got_draws = self.draws(monkeypatch, lambda: cn.oracle_agreement(
+        got, got_draws = stream_draws(monkeypatch, lambda: cn.oracle_agreement(
             ctx4, net, coeffs, Stream(31, tag), count, x))
         assert got == want
         assert got_draws == want_draws
