@@ -28,7 +28,7 @@ fiber = bundle.fiber_quadric(ctx, w_net, quartic, u)
 print("fiber Gram over a curve-point image:", fiber.gram.tolist())
 print("  determinant:", algebra.det(fiber.gram, PRIME))
 print("  singular point recovers the curve point:",
-      bundle.steinerian_check(ctx, w_net, quartic, pt))
+      bundle.steinerian_check(fiber, pt, PRIME))
 
 # sweep: discriminant zero on the image, nonzero off it
 scan = bundle.hessian_scan(ctx, w_net, quartic, 25, 25, Stream(3031, "u"))

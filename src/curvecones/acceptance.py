@@ -29,7 +29,7 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from . import spanlab as sl
-from .errors import ConfigError, DegenerateInput, resample
+from .errors import ConfigError, DegenerateInput, Draws
 from .rng import Stream, derive_key
 
 IDEAL_DIMS = {4: {2: 1, 3: 5, 4: 14}, 5: {2: 3, 3: 15, 4: 42}}
@@ -144,32 +144,28 @@ def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
     p = ctx.p
     stream = Stream(derive_key(ctx.curve.seed, f"corank|{cfg.seed}"), "vw")
     dstream = stream.spawn("deg")
-    # whether the law holds, per random and per engineered degenerate net
-    random_laws: list[bool] = []
-    engineered_laws: list[bool] = []
 
-    def law(v: np.ndarray, w: np.ndarray, laws: list, wanted: int):
+    def law(v: np.ndarray, w: np.ndarray) -> bool:
+        """Whether the corank law holds on the net <v, w>."""
         pen = pc.build_pencil(ctx, v)
         corank = pc.corank(pc.cup_gram(ctx, pen, w).gram, p)
         net_obj = nt.build_net(ctx, np.concatenate([pen.v, w[None, :]]),
                                with_gamma=False)
-        laws.append(corank == 2 and not net_obj.in_d
-                    or corank >= 3 and net_obj.in_d)
-        return laws if len(laws) == wanted else None
+        return corank == 2 and not net_obj.in_d \
+            or corank >= 3 and net_obj.in_d
 
     def random_sample(_):
         v = stream.field_mat(p, 2, ctx.g)
-        return law(v, stream.field_vec(p, ctx.g), random_laws,
-                   cfg.corank_samples)
+        return law(v, stream.field_vec(p, ctx.g))
 
     def engineered_sample(k: int):
         w = cn.degenerate_net(ctx, dstream.spawn(str(k))).w
-        return law(w[:2], w[2], engineered_laws, cfg.corank_engineered)
+        return law(w[:2], w[2])
 
-    resample("corank samples", 30 * cfg.corank_samples, random_sample,
-             default=None)
-    resample("engineered corank nets", cfg.corank_engineered,
-             engineered_sample, default=None)
+    random_laws = Draws("corank samples", 30 * cfg.corank_samples,
+                        random_sample).take(cfg.corank_samples)
+    engineered_laws = Draws("engineered corank nets", cfg.corank_engineered,
+                            engineered_sample).take(cfg.corank_engineered)
     disagreements = random_laws.count(False) + engineered_laws.count(False)
     ok = len(random_laws) >= cfg.corank_samples \
         and len(engineered_laws) >= cfg.corank_engineered \
@@ -206,9 +202,9 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
     p = ctx.p
     i2 = ctx.ideal(2)
     stream = Stream(derive_key(ctx.curve.seed, f"dq|{cfg.seed}"), "q")
-    laws: list[bool] = []   # whether each engineered net obeys the law
 
-    def engineer(k: int):
+    def engineer(k: int) -> bool:
+        """Whether the k-th engineered net obeys the double-quadric law."""
         if ctx.g == 4:
             quadric = i2.basis[0]
         else:
@@ -221,12 +217,11 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
         cone_obj = cn.double_quadric_quartic(ctx, net_obj)
         expected = alg.normalize_scalar(
             mono.mul_forms(quadric, 2, quadric, 2, ctx.g, p), p)
-        laws.append(cone_obj.coeffs.tolist() == expected.tolist()
-                    and net_obj.d_certificate is not None)
-        return laws if len(laws) == cfg.double_quadrics else None
+        return cone_obj.coeffs.tolist() == expected.tolist() \
+            and net_obj.d_certificate is not None
 
-    resample("double-quadric nets", cfg.double_quadrics, engineer,
-             default=None)
+    laws = Draws("double-quadric nets", cfg.double_quadrics,
+                 engineer).take(cfg.double_quadrics)
     ok = all(laws) and len(laws) >= cfg.double_quadrics
     return CriterionResult(6, "double-quadric law", ok,
                            {"engineered": len(laws)})
@@ -284,32 +279,30 @@ def criterion_secant(ctx, cfg: SuiteConfig,
                      cone: cn.QuarticCone) -> CriterionResult:
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
     n = ctx.panel.shape[0]
-    pairs: list[bool] = []   # (False, False) on a random secant
 
     def random_secant(_):
+        """Whether the criterion fails both ways on a random secant."""
         i = stream.integer(0, n)
         j = stream.integer(0, n)
         if i == j:
             return None
-        pairs.append(cn.secant_criterion(ctx, cone.net, cone, ctx.panel[i],
-                                         ctx.panel[j]) == (False, False))
-        return pairs if len(pairs) == cfg.secant_random else None
+        return cn.secant_criterion(ctx, cone.net, cone, ctx.panel[i],
+                                   ctx.panel[j]) == (False, False)
 
-    resample("random secants", 30 * cfg.secant_random, random_secant,
-             default=None)
+    pairs = Draws("random secants", 30 * cfg.secant_random,
+                  random_secant).take(cfg.secant_random)
     random_ok = pairs.count(True)
-    vertex: list[bool] = []   # criterion holds on an engineered secant
 
     def vertex_secant(k: int):
+        """Whether the criterion holds on an engineered secant."""
         pt_p, pt_q, vnet = cn.secant_through_vertex(ctx,
                                                     stream.spawn(f"v{k}"))
         vcone = cn.reconstruct_quartic(ctx, vnet, oracle_points=4)
-        vertex.append(cn.secant_criterion(ctx, vnet, vcone, pt_p, pt_q)
-                      == (True, True))
-        return vertex if len(vertex) == cfg.secant_engineered else None
+        return cn.secant_criterion(ctx, vnet, vcone, pt_p, pt_q) \
+            == (True, True)
 
-    resample("vertex secants", cfg.secant_engineered, vertex_secant,
-             default=None)
+    vertex = Draws("vertex secants", cfg.secant_engineered,
+                   vertex_secant).take(cfg.secant_engineered)
     vertex_ok = vertex.count(True)
     try:
         found = cn.contained_double_secant(ctx, stream.spawn("dbl"),

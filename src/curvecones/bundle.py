@@ -21,8 +21,8 @@ from . import net as nt
 from .canring import CurveContext
 from .cone import QuarticCone
 from .curve import normalize_point, quadric_gram
-from .errors import (NodeFiber, NonGenericCoordinates, RankDeficientW,
-                     SplittingViolation, resample)
+from .errors import (Draws, NodeFiber, NonGenericCoordinates,
+                     RankDeficientW, SplittingViolation, resample)
 from .rng import Stream, derive_key
 
 
@@ -53,57 +53,25 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
         raise RankDeficientW("fiber space collapsed onto the vertex")
     basis = np.concatenate([lead[None, :], net_obj.wperp]).T  # g x (g-2)
     restricted = mono.restrict(cone.coeffs, 4, g, basis, p)
-    quad = np.zeros(mono.count(m, 2), dtype=np.int64)
-    qidx = mono.index_map(m, 2)
-    for i, e in enumerate(mono.exponents(m, 4)):
-        c = int(restricted[i])
-        if c == 0:
-            continue
-        if e[0] < 2:
-            raise SplittingViolation(
-                "restricted quartic is not divisible by the vertex form "
-                "squared")
-        target = (e[0] - 2,) + e[1:]
-        quad[qidx[target]] = c
-    return FiberQuadric(u=normalize_point(u, p), gram=quadric_gram(quad, m, p),
+    # the monomials divisible by z0^2 come first, and dividing them by
+    # z0^2 lists exponents(m, 2) in order
+    divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
+    if restricted[~divisible].any():
+        raise SplittingViolation(
+            "restricted quartic is not divisible by the vertex form squared")
+    return FiberQuadric(u=normalize_point(u, p),
+                        gram=quadric_gram(restricted[divisible], m, p),
                         basis=basis)
 
 
-def _panel_fiber_count(ctx: CurveContext, net_obj: nt.Net,
-                       u: np.ndarray) -> int:
-    """Number of panel points projecting onto the given plane point."""
-    p = ctx.p
-    target = normalize_point(u, p).tolist()
-    projected = nt.project(net_obj, ctx.panel, p)
-    count = 0
-    for row in projected:
-        if row.any() and alg.normalize_scalar(row, p).tolist() == target:
-            count += 1
-    return count
-
-
-def steinerian_check(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
-                     pt: np.ndarray) -> bool:
-    """The singular point of the fiber over the image of a curve point is
-    the curve point itself (smooth image points only)."""
-    p = ctx.p
-    u = net_obj.w @ pt % p
-    gamma = nt.gamma_equation(ctx, net_obj)
-    if _panel_fiber_count(ctx, net_obj, u) != 1:
-        raise NodeFiber("several panel points share this fiber")
-    grad = [mono.form_eval_one(mono.partial(gamma.coeffs, k, 3,
-                                            gamma.degree, p), u, 3,
-                               gamma.degree - 1, p) for k in range(3)]
-    if not any(grad):
-        raise NodeFiber("plane image is singular at this fiber")
-    fq = fiber_quadric(ctx, net_obj, cone, u)
+def steinerian_check(fq: FiberQuadric, pt: np.ndarray, p: int) -> bool:
+    """The fiber is singular at exactly one point, and that point is the
+    curve point pt (meaningful over smooth image points only)."""
     kern = alg.kernel_basis(fq.gram, p)
     if kern.shape[0] != 1:
         return False
     ambient = fq.basis @ kern[0] % p
-    if not ambient.any():
-        return False
-    return alg.normalize_scalar(ambient, p).tolist() \
+    return bool(ambient.any()) and alg.normalize_scalar(ambient, p).tolist() \
         == normalize_point(pt, p).tolist()
 
 
@@ -113,34 +81,47 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
 
     Fibers over smooth image points of curve points must be singular with
     the curve point as kernel; fibers over random points off the image must
-    be nonsingular.  Returns counts and the per-fiber rows for export."""
+    be nonsingular.  An image point that several panel points share, or at
+    which the image is singular, is skipped: the Steinerian is undefined
+    there.  Returns counts and the per-fiber rows for export."""
     p = ctx.p
     gamma = nt.gamma_equation(ctx, net_obj)
-    on_rows: list[tuple] = []
-    off_rows: list[tuple] = []
+    # the projected panel (no point of it is zero, as the net has no base
+    # point), how many panel points share each image, and the image's
+    # gradient there
+    proj = nt.project(net_obj, ctx.panel, p)
+    _, image, sharing = np.unique(alg.normalize_rows(proj, p), axis=0,
+                                  return_inverse=True, return_counts=True)
+    partials = np.stack([mono.partial(gamma.coeffs, k, 3, gamma.degree, p)
+                         for k in range(3)])
+    grad = mono.form_eval(partials.T, proj, 3, gamma.degree - 1, p)
 
-    def row(u: np.ndarray, gval: int, match: bool | None, rows: list,
-            wanted: int):
-        det_val = alg.det(fiber_quadric(ctx, net_obj, cone, u).gram, p)
-        rows.append((normalize_point(u, p), gval, det_val, match))
-        return rows if len(rows) == wanted else None
+    def gamma_at(u: np.ndarray) -> int:
+        return mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
+
+    def scan_row(u: np.ndarray, gval: int,
+                 pt: np.ndarray | None = None) -> tuple:
+        """The scan row of the fiber over u; kernel_match is None off the
+        image."""
+        fq = fiber_quadric(ctx, net_obj, cone, u)
+        match = None if pt is None else steinerian_check(fq, pt, p)
+        return fq.u, gval, alg.det(fq.gram, p), match
 
     def on_image(k: int):
-        u = net_obj.w @ ctx.panel[k] % p
-        match = steinerian_check(ctx, net_obj, cone, ctx.panel[k])
-        gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
-        return row(u, gval, match, on_rows, on_count)
+        if sharing[image[k]] != 1:
+            raise NodeFiber("several panel points share this fiber")
+        if not grad[k].any():
+            raise NodeFiber("plane image is singular at this fiber")
+        return scan_row(proj[k], gamma_at(proj[k]), ctx.panel[k])
 
     def off_image(_):
         u = stream.field_vec(p, 3)
-        if not u.any():
-            return None
-        gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
-        return None if gval == 0 else row(u, gval, None, off_rows, off_count)
+        gval = gamma_at(u)   # zero when u is zero or on the image
+        return None if gval == 0 else scan_row(u, gval)
 
-    resample("on-image fibers", len(ctx.panel) if on_count else 0, on_image,
-             default=None)
-    resample("off-image fibers", 40 * off_count, off_image, default=None)
+    on_rows = Draws("on-image fibers", len(ctx.panel), on_image).take(on_count)
+    off_rows = Draws("off-image fibers", 40 * off_count,
+                     off_image).take(off_count)
     rows = on_rows + off_rows
     return {
         "rows": rows,

@@ -131,6 +131,8 @@ def cmd_spans(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    if args.sweep < 0:
+        raise ConfigError(f"--sweep must be at least 0, got {args.sweep}")
     ctx = _load_context(args.curve)
     stream, cone_obj = _cli_cone(ctx, args.w_seed)
     half = max(1, args.sweep // 2)

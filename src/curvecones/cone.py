@@ -737,18 +737,17 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
                for k in range(6)):
         return []
     roots = alg.distinct_roots(num, p)
-    found: list = []
 
     def contained(k: int):
         net_r = nt.build_net(ctx, family(roots[k]))
         if net_r.in_b or net_r.in_d:
             return None
         cone_r = reconstruct_quartic(ctx, net_r, oracle_points=4)
-        if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) == (True, True):
-            found.append((pt_p, pt_q, net_r, cone_r))
-        return found if len(found) == wanted else None
+        if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) != (True, True):
+            return None
+        return pt_p, pt_q, net_r, cone_r
 
-    return resample("family roots", len(roots), contained, default=found)
+    return Draws("family roots", len(roots), contained).take(wanted)
 
 
 def degenerate_net(ctx: CurveContext, stream: Stream,

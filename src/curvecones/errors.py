@@ -9,10 +9,15 @@ failures (`VerificationFailed`, `SplittingViolation`, `InconsistentSystem`,
 ...): they are never resampled and propagate to the command line, which
 exits 3 for them and 4 when a resample budget runs out.
 
-A loop whose draws are evaluated as one batch takes them through `Draws`
-in rounds, and walks the batch's results through `unwrap`: a result that
-is a `DegenerateInput` skips its draw, any other exception is raised when
-the walk reaches it.
+A loop that wants the first usable draw calls `resample`.  A loop that
+collects N usable draws calls `Draws(label, attempts, draw).take(N)`, with
+a draw that returns its item or None; asked for no items, it makes no
+draw.  A loop whose draws are evaluated as one batch takes them through
+`Draws` in rounds, and walks the batch's results through `unwrap`: a
+result that is a `DegenerateInput` skips its draw, any other exception is
+raised when the walk reaches it.  `spanlab.collect_cones` alone stays on
+`resample` in a loop: its budget counts failures only, over all its cones,
+and the stream key of each draw names the failures so far.
 """
 
 from __future__ import annotations
@@ -133,12 +138,13 @@ def _exhausted(label: str, attempts: int) -> DegenerateInput:
 
 
 class Draws:
-    """The draws of one resample loop, taken in rounds for batched use.
+    """The draws of one collecting loop, taken at once or in rounds.
 
     `take(n)` goes on with draw(k), draw(k + 1), ... through `resample`
-    until n draws are usable or the `attempts` are spent.  A round that
-    asks for no more usable draws than the loop still needs makes exactly
-    the draws of the loop that evaluates each draw as it comes.
+    until n draws are usable or the `attempts` are spent, and returns the
+    usable items, fewer than n if the attempts ran out.  A round that asks
+    for no more usable draws than the loop still needs makes exactly the
+    draws of the loop that evaluates each draw as it comes.
     """
 
     def __init__(self, label: str, attempts: int,

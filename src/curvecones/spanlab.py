@@ -19,7 +19,7 @@ from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
-from .errors import resample
+from .errors import Draws, resample
 from .rng import Stream, derive_key
 
 
@@ -78,7 +78,6 @@ def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
     i2 = ctx.ideal(2)
     wanted = 1 if ctx.g == 4 else 6
     stream = Stream(derive_key(ctx.curve.seed, f"span-squares|{seed}"), "q")
-    rows: list[tuple[np.ndarray, nt.Net]] = []
 
     def draw(k: int):
         combo = stream.field_vec(ctx.p, i2.dim)
@@ -86,10 +85,13 @@ def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
             return None
         net_obj = cn.degenerate_net(ctx, stream.spawn(f"dn{k + 1}"),
                                     quadric=combo @ i2.basis % ctx.p)
-        rows.append((cn.double_quadric_quartic(ctx, net_obj).coeffs, net_obj))
-        return rows if len(rows) == wanted else None
+        return cn.double_quadric_quartic(ctx, net_obj).coeffs, net_obj
 
-    return resample("quadric squares", 8 * wanted + 8, draw)
+    draws = Draws("quadric squares", 8 * wanted + 8, draw)
+    rows = draws.take(wanted)
+    if len(rows) < wanted:
+        raise draws.exhausted()
+    return rows
 
 
 def _saturate(acc: SpanAccumulator, cones: list[cn.QuarticCone], tag: str,
@@ -182,19 +184,16 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
                     {"label": label, "degree": acc.degree,
                      "point": [int(v) for v in point]})
 
-    checked: list[np.ndarray] = []
-
     def off_curve(_):
         b = stream.field_vec(p, g)
         if not b.any() or cv.on_curve(ctx.curve, b):
             return None
         probe(b, "random")
-        checked.append(b)
-        return checked if len(checked) == off_curve_count else None
+        return b
 
-    resample("off-curve probes", 20 * off_curve_count, off_curve,
-             default=None)
-    report["off_curve_checked"] = len(checked)
+    report["off_curve_checked"] = len(Draws(
+        "off-curve probes", 20 * off_curve_count,
+        off_curve).take(off_curve_count))
 
     structured = 0
     # points on an ambient ideal quadric but off the curve

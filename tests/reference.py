@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from curvecones import algebra as alg
-from curvecones.errors import InconsistentSystem
+from curvecones import algebra as alg, monomials as mono
+from curvecones.errors import InconsistentSystem, SplittingViolation
 from curvecones.rng import Stream
 
 
@@ -20,6 +20,21 @@ def solve_consistent(m, rhs, p):
     x = np.zeros(cols, dtype=np.int64)
     x[pivots] = r[:len(pivots), cols]
     return x
+
+
+def divide_by_vertex_square(restricted, m):
+    """The quadric q in m variables with restricted = z0^2 q, a quartic in
+    the same variables, read monomial by monomial through `index_map`.
+    Raises SplittingViolation at a nonzero monomial of z0 degree below 2."""
+    quad = np.zeros(mono.count(m, 2), dtype=np.int64)
+    target = mono.index_map(m, 2)
+    for c, e in zip(restricted, mono.exponents(m, 4)):
+        if c == 0:
+            continue
+        if e[0] < 2:
+            raise SplittingViolation(f"monomial {e} survives")
+        quad[target[(e[0] - 2,) + e[1:]]] = c
+    return quad
 
 
 def stream_draws(monkeypatch, run):

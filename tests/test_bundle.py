@@ -1,14 +1,18 @@
 """Fiber quadrics, Hessian/Steinerian, node counting."""
 
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 import sympy
 
 from curvecones import algebra as alg, bundle as bd, cone as cn
 from curvecones import monomials as mono, net as nt
-from curvecones.errors import (NodeFiber, RankDeficientW,
-                               SplittingViolation)
+from curvecones.curve import quadric_gram
+from curvecones.errors import RankDeficientW, SplittingViolation
 from curvecones.rng import Stream
+from reference import divide_by_vertex_square
 
 P = 1000003
 
@@ -17,6 +21,13 @@ P = 1000003
 def setup4(ctx4):
     net = nt.random_net(ctx4, Stream(200, "bundle"))
     cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
+    return net, cone
+
+
+@pytest.fixture(scope="module")
+def setup5(ctx5):
+    net = nt.random_net(ctx5, Stream(207, "bundle"))
+    cone = cn.reconstruct_quartic(ctx5, net, oracle_points=4)
     return net, cone
 
 
@@ -50,6 +61,39 @@ class TestFiberQuadric:
         with pytest.raises(SplittingViolation):
             bd.fiber_quadric(ctx4, net, bad, u)
 
+    @pytest.mark.parametrize("m", [2, 3])   # genus 4 and 5
+    def test_square_divisible_monomials_lead(self, m):
+        # dividing the monomials of z0 degree >= 2 by z0^2 lists
+        # exponents(m, 2) in order, and they come first
+        quartics = mono.exponents(m, 4)
+        quotients = [(e[0] - 2,) + e[1:] for e in quartics if e[0] >= 2]
+        assert quotients == list(mono.exponents(m, 2))
+        assert all(e[0] >= 2 for e in quartics[:len(quotients)])
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_matches_per_monomial_division(self, genus, request):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        net, cone = request.getfixturevalue(f"setup{genus}")
+        m = genus - 2
+        stream = Stream(209, "u")
+        us = [net.w @ ctx.panel[0] % P] \
+            + [stream.field_vec(P, 3) for _ in range(4)]
+        for u in us:
+            fq = bd.fiber_quadric(ctx, net, cone, u)
+            restricted = mono.restrict(cone.coeffs, 4, genus, fq.basis, P)
+            want = quadric_gram(divide_by_vertex_square(restricted, m), m, P)
+            assert fq.gram.tolist() == want.tolist()
+        # the fiber basis does not depend on the form, so a corrupted form
+        # restricts along the same basis in both
+        bad = cone.coeffs.copy()
+        bad[0] = (bad[0] + 1) % P
+        with pytest.raises(SplittingViolation):
+            bd.fiber_quadric(ctx, net, cn.QuarticCone(net=net, coeffs=bad),
+                             us[1])
+        with pytest.raises(SplittingViolation):
+            divide_by_vertex_square(
+                mono.restrict(bad, 4, genus, fq.basis, P), m)
+
 
 class TestHessianScan:
     """Off the plane image only a degenerate plane point is skipped; a
@@ -71,26 +115,50 @@ class TestHessianScan:
         scan = self.scan_with(monkeypatch, ctx4, setup4, RankDeficientW)
         assert scan["off_checked"] == 0 and scan["rows"] == []
 
+    def test_shared_image_skipped(self, ctx4, setup4):
+        # a panel point listed twice shares its image, a smooth point of
+        # the plane curve, with itself: the gradient test alone passes it
+        net, cone = setup4
+        twice = copy.copy(ctx4)
+        twice.panel = np.concatenate([ctx4.panel[:1], ctx4.panel[:4]])
+        scan = bd.hessian_scan(twice, net, cone, 5, 0, Stream(204, "u"))
+        assert [r[0].tolist() for r in scan["rows"]] == [
+            alg.normalize_scalar(net.w @ pt % P, P).tolist()
+            for pt in ctx4.panel[1:4]]
+
 
 class TestSteinerian:
     def test_kernel_is_curve_point(self, ctx4, setup4):
+        # the singular point of the fiber over a panel point's image is that
+        # panel point and no other
         net, cone = setup4
-        ok = 0
-        for pt in ctx4.panel[:12]:
-            try:
-                assert bd.steinerian_check(ctx4, net, cone, pt)
-                ok += 1
-            except NodeFiber:
-                continue
-        assert ok >= 10
+        pts = ctx4.panel[:12]
+        fibers = [bd.fiber_quadric(ctx4, net, cone, net.w @ pt % P)
+                  for pt in pts]
+        matches = [[bd.steinerian_check(fq, pt, P) for pt in pts]
+                   for fq in fibers]
+        assert sum(matches[i][i] for i in range(len(pts))) >= 10
+        assert not any(matches[i][j] for i in range(len(pts))
+                       for j in range(len(pts)) if i != j)
+        # a nonsingular fiber has no singular point to match
+        u = np.array([1, 2, 3], dtype=np.int64)
+        off = bd.fiber_quadric(ctx4, net, cone, u)
+        assert alg.det(off.gram, P) != 0
+        assert not bd.steinerian_check(off, pts[0], P)
 
     def test_node_fiber_on_vertex_secant(self, ctx4):
         # a secant through the vertex maps both ends to one plane point,
-        # which is then a node of the image curve
+        # which is then a node of the image curve: a full scan of the panel
+        # emits a row for every panel point but these two
         pt_p, pt_q, net = cn.secant_through_vertex(ctx4, Stream(202, "sv"))
         cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
-        with pytest.raises(NodeFiber):
-            bd.steinerian_check(ctx4, net, cone, pt_p)
+        n = len(ctx4.panel)
+        scan = bd.hessian_scan(ctx4, net, cone, n, 0, Stream(202, "u"))
+        node = alg.normalize_scalar(net.w @ pt_p % P, P).tolist()
+        assert alg.normalize_scalar(net.w @ pt_q % P, P).tolist() == node
+        assert node not in [r[0].tolist() for r in scan["rows"]]
+        assert scan["on_checked"] == n - 2
+        assert scan["kernel_matches"] == n - 2
 
 
 class TestNodeCount:
@@ -136,3 +204,21 @@ class TestScan:
         lines = csv.strip().split("\n")
         assert lines[0] == "u0,u1,u2,gamma_u,det_gram,kernel_match"
         assert len(lines) == 1 + len(scan["rows"])
+
+    def test_rows_are_pinned(self, ctx4, setup4, ctx5, setup5):
+        for ctx, (net, cone), counts, seed in ((ctx4, setup4, 5, 205),
+                                               (ctx5, setup5, 3, 208)):
+            scan = bd.hessian_scan(ctx, net, cone, counts, counts,
+                                   Stream(seed, "s"))
+            csv = bd.scan_rows_to_csv(scan["rows"])
+            assert hashlib.sha256(csv.encode()).hexdigest() \
+                == SCAN_DIGESTS[ctx.g]
+
+
+# sha256 of scan_rows_to_csv for the two scans of
+# TestScan.test_rows_are_pinned, recorded when each on-image fiber was split
+# twice and the panel was projected again for every on-image point
+SCAN_DIGESTS = {
+    4: "f76fc26d643d6fadb798b6f5f5c1d3e5a7118d27b0c07ee175406f4f863a9eb1",
+    5: "ee3539f8beb0658fbcf3ca51b4eba0b4f1a7e2782371297e1731f642cbc0115a",
+}

@@ -52,6 +52,22 @@ class TestCommands:
         assert lines[0] == "u0,u1,u2,gamma_u,det_gram,kernel_match"
         assert len(lines) >= 11
 
+    def test_hessian_sweep_bounds(self, tmp_path, curve_file, capsys):
+        out = tmp_path / "negative.csv"
+        assert main(["hessian", "--curve", curve_file, "--sweep", "-2",
+                     "--out", str(out)]) == 2
+        assert "--sweep" in capsys.readouterr().err
+        assert not out.exists()
+        # 0 and 1 still scan one fiber on each side of the plane image
+        csvs = []
+        for sweep in ("0", "1"):
+            out = tmp_path / f"sweep{sweep}.csv"
+            assert main(["hessian", "--curve", curve_file, "--sweep", sweep,
+                         "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].strip().split("\n")) == 3
+
     def test_verify_quick_and_deterministic(self, tmp_path, curve_file):
         r1 = tmp_path / "r1.json"
         r2 = tmp_path / "r2.json"

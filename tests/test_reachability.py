@@ -13,6 +13,10 @@ attribute with the same name as a method therefore hides that method from
 this test (a local `coords` in `pencil.build_pencil`, for example, once
 kept an unused `CurveContext.coords` looking reached).  A name this test
 reports is dead; a name it passes may still be.
+
+An engine module must also read every name it imports.  The same name
+matching applies: an import counts as read when its name appears anywhere
+in the module, as a variable or as an attribute.
 """
 
 from __future__ import annotations
@@ -42,6 +46,16 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def modules() -> dict[str, ast.Module]:
+    """The parsed source of every engine module, by module name."""
+    trees = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                trees[fname[:-3]] = ast.parse(fh.read())
+    return trees
+
+
 def definitions() -> tuple[dict[str, tuple[str, set[str]]], set[str]]:
     """Top-level functions, classes and methods of every engine module, as
     qualified name -> (short name, names its body references), and the
@@ -49,12 +63,7 @@ def definitions() -> tuple[dict[str, tuple[str, set[str]]], set[str]]:
     class, so they count as part of it."""
     defs: dict[str, tuple[str, set[str]]] = {}
     module_names: set[str] = set()
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        mod = fname[:-3]
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read())
+    for mod, tree in modules().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[f"{mod}.{node.name}"] = (node.name, _names([node]))
@@ -110,3 +119,26 @@ def test_every_definition_is_reached():
     dead = unreached()
     assert not dead, "defined in src/curvecones but reached neither from " \
         "cli.main nor from perfbench: " + ", ".join(dead)
+
+
+def unread_imports() -> list[str]:
+    """module.name for every name an engine module imports but never
+    reads; `from __future__` imports are directives, not names."""
+    unread = []
+    for mod, tree in modules().items():
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        read = _names([tree])   # an import statement holds no Name
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{mod}.{name}")
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    unread = unread_imports()
+    assert not unread, "imported in src/curvecones but never read: " \
+        + ", ".join(unread)
