@@ -27,6 +27,12 @@ subtracts one product of two entries below p, so no intermediate leaves
 (-p**2, p).  `kernel_batch` reads special solutions off that pass, and
 `solve_batch` the solutions and ranks of stacked systems [m | rhs].
 
+`interpolate` solves the Vandermonde system of its nodes with one
+`solve_batch`, and `rational_interpolate` builds its Cauchy rows from the
+same matrix.  The powers are built column by column as a product of two
+entries below p reduced at once, and the solve is a `rref_batch`, so no
+intermediate of either leaves (-p**2, p).
+
 `poly_pow_mod` multiplies residues modulo a polynomial f of degree d as
 length-d vectors: one convolution, then one matmul with a reduction matrix
 whose rows hold x^k mod f.  A convolution sum has at most d products of
@@ -372,30 +378,12 @@ def poly_deg(f: np.ndarray) -> int:
     return len(f) - 1
 
 
-def poly_add(f, g, p: int) -> np.ndarray:
-    n = max(len(f), len(g))
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(f)] += f
-    out[: len(g)] += g
-    return poly_trim(out % p)
-
-
 def poly_sub(f, g, p: int) -> np.ndarray:
     n = max(len(f), len(g))
     out = np.zeros(n, dtype=np.int64)
     out[: len(f)] += f
     out[: len(g)] -= g
     return poly_trim(out % p)
-
-
-def poly_scale(f, c: int, p: int) -> np.ndarray:
-    return poly_trim(np.asarray(f, dtype=np.int64) * (c % p) % p)
-
-
-def poly_mul(f, g, p: int) -> np.ndarray:
-    if len(f) == 0 or len(g) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return poly_trim(np.convolve(f, g) % p)
 
 
 def poly_divmod(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -569,31 +557,37 @@ def resultant(f, g, p: int) -> int:
     g = poly_trim(g)
     if len(f) == 0 or len(g) == 0:
         raise ValueError("resultant needs nonzero polynomials")
-    m, n = poly_deg(f), poly_deg(g)
-    if m == 0 and n == 0:
-        return 1
-    if m == 0:
-        return pow(int(f[0]), n, p)
-    if n == 0:
-        return pow(int(g[0]), m, p)
+    # a constant factor gives a diagonal Sylvester matrix, whose
+    # determinant is that constant to the degree of the other
     return det(sylvester(f, g), p)
 
 
-def lagrange_interpolate(xs, ys, p: int) -> np.ndarray:
-    """Unique polynomial of degree < len(xs) through the given points."""
-    xs = [int(x) % p for x in xs]
-    ys = [int(y) % p for y in ys]
-    if len(set(xs)) != len(xs):
+def _vandermonde(xs, cols: int, p: int) -> np.ndarray:
+    """Row i holds x_i^0, ..., x_i^(cols-1) mod p."""
+    x = np.asarray(xs, dtype=np.int64) % p
+    v = np.ones((len(x), cols), dtype=np.int64)
+    for k in range(1, cols):
+        v[:, k] = v[:, k - 1] * x % p
+    return v
+
+
+def interpolate(xs, ys, p: int) -> np.ndarray:
+    """Unique polynomial of degree < len(xs) through the points (x_i, y_i),
+    from one `solve_batch` of the Vandermonde matrix of the nodes.
+
+    `ys` is one value per node, giving a trimmed polynomial, or an
+    n x k stack of value columns, giving the n x k array whose column j
+    fits column j (entry [i, j] the coefficient of x^i).
+    """
+    ys = np.asarray(ys, dtype=np.int64) % p
+    n = len(xs)
+    coeffs, rank, _ = solve_batch(_vandermonde(xs, n, p)[None],
+                                  ys.reshape(1, n, -1), p)
+    if rank[0] < n:
         raise ValueError("interpolation nodes must be distinct")
-    master = np.ones(1, dtype=np.int64)
-    for x in xs:
-        master = poly_mul(master, np.array([-x % p, 1], dtype=np.int64), p)
-    out = np.zeros(0, dtype=np.int64)
-    for x, y in zip(xs, ys):
-        num = poly_divmod(master, np.array([-x % p, 1], dtype=np.int64), p)[0]
-        denom = poly_eval(num, x, p)
-        out = poly_add(out, poly_scale(num, y * inv_mod(denom, p) % p, p), p)
-    return out
+    if ys.ndim == 1:
+        return poly_trim(coeffs[0, :, 0])
+    return coeffs[0]
 
 
 def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int
@@ -605,14 +599,10 @@ def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int
     fit the data."""
     n_cols = num_deg + 1
     d_cols = den_deg + 1
-    rows = []
-    for x, y in zip(xs, ys):
-        x = int(x) % p
-        y = int(y) % p
-        xpows = [pow(x, k, p) for k in range(max(n_cols, d_cols))]
-        rows.append([xpows[k] for k in range(n_cols)]
-                    + [(-y * xpows[k]) % p for k in range(d_cols)])
-    kernel = kernel_basis(np.array(rows, dtype=np.int64), p)
+    v = _vandermonde(xs, max(n_cols, d_cols), p)
+    y = np.asarray(ys, dtype=np.int64)[:, None] % p
+    kernel = kernel_basis(np.concatenate([v[:, :n_cols],
+                                          -y * v[:, :d_cols] % p], axis=1), p)
     if kernel.shape[0] == 0:
         return None
     # over-generous degrees give polynomial multiples of the minimal pair;
@@ -655,28 +645,16 @@ def p2_eval_x(f: np.ndarray, a: int, p: int) -> np.ndarray:
 def resultant_bivariate(f, g, p: int) -> np.ndarray:
     """Res_y of two bivariate polynomials, as a univariate polynomial in x.
 
-    Evaluate-and-interpolate: specialize x at nodes where neither leading
-    y-coefficient drops, take scalar Sylvester resultants, interpolate.
+    Evaluate-and-interpolate (Collins, J. ACM 18(4), 1971): specialize x
+    at bound + 1 nodes where neither leading y-coefficient drops, take
+    scalar Sylvester resultants, `interpolate`.  The bound on the x-degree
+    also covers a factor constant in y, whose resultant is its power.
     """
     f = p2_trim(f)
     g = p2_trim(g)
     if f.size == 0 or g.size == 0:
         raise ValueError("resultant of a zero polynomial")
     dfy, dgy = f.shape[1] - 1, g.shape[1] - 1
-    if dfy == 0 and dgy == 0:
-        return np.ones(1, dtype=np.int64)
-    if dfy == 0:
-        base = poly_trim(f[:, 0])
-        out = np.ones(1, dtype=np.int64)
-        for _ in range(dgy):
-            out = poly_mul(out, base, p)
-        return out
-    if dgy == 0:
-        base = poly_trim(g[:, 0])
-        out = np.ones(1, dtype=np.int64)
-        for _ in range(dfy):
-            out = poly_mul(out, base, p)
-        return out
     lf = poly_trim(f[:, dfy])
     lg = poly_trim(g[:, dgy])
     bound = dfy * (g.shape[0] - 1) + dgy * (f.shape[0] - 1)
@@ -687,9 +665,7 @@ def resultant_bivariate(f, g, p: int) -> np.ndarray:
         if a >= p:
             raise ValueError("field too small for interpolation nodes")
         if poly_eval(lf, a, p) != 0 and poly_eval(lg, a, p) != 0:
-            fy = p2_eval_x(f, a, p)
-            gy = p2_eval_x(g, a, p)
             xs.append(a)
-            ys.append(resultant(fy, gy, p))
+            ys.append(resultant(p2_eval_x(f, a, p), p2_eval_x(g, a, p), p))
         a += 1
-    return lagrange_interpolate(xs, ys, p)
+    return interpolate(xs, ys, p)

@@ -135,9 +135,9 @@ def cmd_hessian(args) -> int:
         raise ConfigError(f"--sweep must be at least 0, got {args.sweep}")
     ctx = _load_context(args.curve)
     stream, cone_obj = _cli_cone(ctx, args.w_seed)
-    half = max(1, args.sweep // 2)
-    scan = bd.hessian_scan(ctx, cone_obj.net, cone_obj, half, half,
-                           stream.spawn("sweep"))
+    off = args.sweep // 2
+    scan = bd.hessian_scan(ctx, cone_obj.net, cone_obj, args.sweep - off,
+                           off, stream.spawn("sweep"))
     _write(args.out, bd.scan_rows_to_csv(scan["rows"]))
     print(f"on-image fibers {scan['on_checked']} "
           f"(singular {scan['on_singular']}, "
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hessian", help="Hessian/Steinerian fiber sweep CSV")
     h.add_argument("--curve", required=True)
     h.add_argument("--w-seed", type=int, default=0)
-    h.add_argument("--sweep", type=int, default=200)
+    h.add_argument("--sweep", type=int, default=200, metavar="N",
+                   help="N rows: N - N//2 fibers on the image, N//2 off it")
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_hessian)
 

@@ -573,11 +573,40 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
     return alg.normalize_scalar(kernel[0], p)
 
 
+def sweep_discriminant(chart: cv.RulingChart, s1: np.ndarray,
+                       s2: np.ndarray, p: int
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The residual section polynomials R(lam, u) of the planes s1 + lam s2
+    through a tangent line, and their discriminant Res_u(R, dR/du).
+
+    `section_poly` is cubic in the plane, so one `interpolate` fits the
+    sweep from lam = 0..3.  Its gcd at lam = 101, 202, 303 is the factor
+    that every plane through the line shares, and R is the sweep divided by
+    it, entry [i, j] the coefficient of lam^i u^j.  None when the gcd does
+    not divide the sweep or R has u-degree below 2.
+    """
+    samples = [chart.section_poly((s1 + lam * s2) % p) for lam in range(4)]
+    width = max(len(f) for f in samples)
+    fit = alg.interpolate(range(4), [np.pad(f, (0, width - len(f)))
+                                     for f in samples], p)
+    common = alg.poly_gcd(alg.p2_eval_x(fit, 101, p), alg.poly_gcd(
+        alg.p2_eval_x(fit, 202, p), alg.p2_eval_x(fit, 303, p), p), p)
+    quots = [alg.poly_divmod(row, common, p) for row in fit]
+    width = max(len(quot) for quot, _ in quots)
+    if width < 3 or any(len(rem) for _, rem in quots):
+        return None
+    residual = np.array([np.pad(quot, (0, width - len(quot)))
+                         for quot, _ in quots])
+    d_du = residual[:, 1:] * np.arange(1, width) % p
+    return residual, alg.resultant_bivariate(residual, d_du, p)
+
+
 def bitangent_pair(ctx: CurveContext, stream: Stream
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pair of genus-4 curve points with a section double-vanishing at
     both, located by sweeping the pencil of planes through one tangent line
-    and interpolating the discriminant of the residual section polynomial."""
+    and finding the roots of the discriminant of the residual section
+    polynomial (`sweep_discriminant`)."""
     if ctx.g != 4:
         raise ValueError("the sweep construction is specific to genus 4")
     p = ctx.p
@@ -591,40 +620,13 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
         td = ctx.tangent(pt)
         forms = alg.kernel_basis(np.stack([td.point, td.direction]), p)
         s1, s2 = forms[0], forms[1]
-
-        def sweep(lam: int) -> np.ndarray:
-            return chart.section_poly((s1 + lam * s2) % p)
-
-        common = alg.poly_gcd(sweep(101), alg.poly_gcd(
-            sweep(202), sweep(303), p), p)
-        lam_nodes: list[int] = []
-        disc_vals: list[int] = []
-        generic_deg = None
-        lam = 1
-        while len(lam_nodes) < 80 and lam < 700:
-            lam += 1
-            f = sweep(lam)
-            quot, rem = alg.poly_divmod(f, common, p)
-            if len(rem):
-                continue
-            d = alg.poly_deg(quot)
-            if generic_deg is None:
-                generic_deg = d
-            if d != generic_deg or d < 2:
-                continue
-            dq = alg.poly_deriv(quot, p)
-            lam_nodes.append(lam)
-            disc_vals.append(alg.resultant(quot, dq, p))
-        if len(lam_nodes) < 80:
+        swept = sweep_discriminant(chart, s1, s2, p)
+        if swept is None or alg.poly_deg(swept[1]) < 1:
             return None
-        disc = alg.lagrange_interpolate(lam_nodes, disc_vals, p)
-        if alg.poly_deg(disc) < 1:
-            return None
+        residual, disc = swept
         for lam_star in alg.distinct_roots(disc, p):
             section = (s1 + lam_star * s2) % p
-            quot, rem = alg.poly_divmod(sweep(lam_star), common, p)
-            if len(rem):
-                continue
+            quot = alg.p2_eval_x(residual, lam_star, p)
             repeated = alg.poly_gcd(quot, alg.poly_deriv(quot, p), p)
             if alg.poly_deg(repeated) < 1:
                 continue

@@ -51,3 +51,60 @@ def stream_draws(monkeypatch, run):
     result = run()
     monkeypatch.setattr(Stream, "next_u64", real)
     return result, counts
+
+
+def poly_mul(f, g, p):
+    """Product of two univariate polynomials, trimmed."""
+    if len(f) == 0 or len(g) == 0:
+        return np.zeros(0, dtype=np.int64)
+    return alg.poly_trim(np.convolve(f, g) % p)
+
+
+def lagrange_interpolate(xs, ys, p):
+    """Unique polynomial of degree < len(xs) through the points, as a sum
+    of Lagrange basis polynomials built by polynomial division."""
+    xs = [int(x) % p for x in xs]
+    ys = [int(y) % p for y in ys]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    master = np.ones(1, dtype=np.int64)
+    for x in xs:
+        master = poly_mul(master, np.array([-x % p, 1]), p)
+    out = np.zeros(len(xs), dtype=np.int64)
+    for x, y in zip(xs, ys):
+        num = alg.poly_divmod(master, np.array([-x % p, 1]), p)[0]
+        scale = y * alg.inv_mod(alg.poly_eval(num, x, p), p) % p
+        out[:len(num)] = (out[:len(num)] + scale * num) % p
+    return alg.poly_trim(out)
+
+
+def sweep_discriminant(chart, s1, s2, p):
+    """Discriminant in lam of the residual section polynomial of the planes
+    s1 + lam s2, one node at a time: the quotient by the gcd of the sweeps
+    at lam = 101, 202, 303, its scalar resultant with its derivative at the
+    first 80 nodes lam >= 2 of the first node's degree, and a Lagrange fit.
+    None where a sweep leaves a remainder before 80 nodes are found, or the
+    quotient has degree below 2."""
+    def sweep(lam):
+        return chart.section_poly((s1 + lam * s2) % p)
+
+    common = alg.poly_gcd(sweep(101), alg.poly_gcd(sweep(202), sweep(303),
+                                                   p), p)
+    nodes, values = [], []
+    generic_deg = None
+    lam = 1
+    while len(nodes) < 80 and lam < 700:
+        lam += 1
+        quot, rem = alg.poly_divmod(sweep(lam), common, p)
+        if len(rem):
+            continue
+        d = alg.poly_deg(quot)
+        if generic_deg is None:
+            generic_deg = d
+        if d != generic_deg or d < 2:
+            continue
+        nodes.append(lam)
+        values.append(alg.resultant(quot, alg.poly_deriv(quot, p), p))
+    if len(nodes) < 80:
+        return None
+    return lagrange_interpolate(nodes, values, p)

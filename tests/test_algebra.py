@@ -10,6 +10,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from curvecones import algebra as alg
 
+from reference import lagrange_interpolate, poly_mul
+
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
 
@@ -139,8 +141,8 @@ class TestDistinctRoots:
             assert alg.distinct_roots(f, prime) == brute
 
     def test_repeated_roots_listed_once(self):
-        f = alg.poly_mul(arr([96, 1]), alg.poly_mul(arr([96, 1]),
-                                                    arr([2, 1]), 101), 101)
+        f = poly_mul(arr([96, 1]), poly_mul(arr([96, 1]), arr([2, 1]), 101),
+                     101)
         assert alg.distinct_roots(f, 101) == [5, 99]
 
 
@@ -162,7 +164,7 @@ class TestResultant:
         f, g, h = rand_poly(), rand_poly(), rand_poly()
         if not (len(f) and len(g) and len(h)):
             return
-        lhs = alg.resultant(alg.poly_mul(f, g, P), h, P)
+        lhs = alg.resultant(poly_mul(f, g, P), h, P)
         rhs = alg.resultant(f, h, P) * alg.resultant(g, h, P) % P
         assert lhs == rhs
 
@@ -211,18 +213,18 @@ class TestPolyHelpers:
         f = alg.poly_trim(rng.integers(0, P, size=9).astype(np.int64))
         g = alg.poly_trim(rng.integers(0, P, size=4).astype(np.int64))
         q, r = alg.poly_divmod(f, g, P)
-        back = alg.poly_add(alg.poly_mul(q, g, P), r, P)
-        assert back.tolist() == f.tolist()
+        back = poly_mul(q, g, P)
+        back[:len(r)] += r
+        assert alg.poly_trim(back % P).tolist() == f.tolist()
 
     def test_interpolation_roundtrip(self):
         xs = [1, 2, 3, 4, 5]
         f = arr([3, 0, 7, 1])
         ys = [alg.poly_eval(f, x, P) for x in xs]
-        assert alg.lagrange_interpolate(xs, ys, P).tolist() == f.tolist()
+        assert alg.interpolate(xs, ys, P).tolist() == f.tolist()
 
     def test_squarefree_part(self):
-        f = alg.poly_mul(arr([1, 1]), alg.poly_mul(arr([1, 1]),
-                                                   arr([3, 1]), P), P)
+        f = poly_mul(arr([1, 1]), poly_mul(arr([1, 1]), arr([3, 1]), P), P)
         sf = alg.squarefree_part(f, P)
         assert alg.poly_deg(sf) == 2
         assert alg.poly_eval(sf, P - 1, P) == 0
@@ -292,7 +294,7 @@ class TestUnivariateAgainstSympy:
     def test_gcd_with_planted_factor(self, p, degs, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (rand_poly(rng, p, d) for d in degs)
-        f, g = alg.poly_mul(a, c, p), alg.poly_mul(b, c, p)
+        f, g = poly_mul(a, c, p), poly_mul(b, c, p)
         expected = gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
         assert alg.poly_gcd(f, g, p).tolist() == from_gf(expected)
 
@@ -305,7 +307,7 @@ class TestUnivariateAgainstSympy:
         rng = np.random.default_rng(seed)
         f = rand_poly(rng, p, deg)
         for r in rng.integers(0, p, size=planted):
-            f = alg.poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
+            f = poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
         brute = [x for x in range(p) if alg.poly_eval(f, x, p) == 0]
         assert alg.distinct_roots(f, p) == brute
 
@@ -318,7 +320,7 @@ class TestUnivariateAgainstSympy:
         rng = np.random.default_rng(seed)
         f = rand_poly(rng, p, deg)
         for r in rng.integers(0, p, size=planted):
-            f = alg.poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
+            f = poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
         _, factors = gt.gf_factor(to_gf(f), p, ZZ)
         linear = sorted((-int(h[1])) % p for h, _ in factors if len(h) == 2)
         assert alg.distinct_roots(f, p) == linear
@@ -623,6 +625,9 @@ class TestResultantAgainstSympy:
                             st.integers(1, 4), st.integers(1, 4)),
            seed=st.integers(0, 2**32 - 1))
     @example(shapes=(2, 2, 3, 4), seed=0)
+    @example(shapes=(3, 1, 2, 3), seed=1)     # f constant in y
+    @example(shapes=(2, 3, 4, 1), seed=2)     # g constant in y
+    @example(shapes=(2, 1, 3, 1), seed=3)     # both constant in y
     @settings(max_examples=20, deadline=None)
     def test_resultant_bivariate(self, p, shapes, seed):
         rng = np.random.default_rng(seed)
@@ -638,3 +643,59 @@ class TestResultantAgainstSympy:
                      for j in range(c.shape[1])) for c in polys]
         expected = sympy_coeffs(sympy_resultant(*exprs, y), x, p)
         assert alg.resultant_bivariate(f, g, p).tolist() == expected
+
+
+def sympy_interpolate(xs, ys, p):
+    """Coefficients of the interpolating polynomial sympy finds over QQ,
+    lowest degree first, reduced mod p (the denominators are products of
+    node differences, so they are invertible) and trimmed."""
+    x = sympy.Symbol("x")
+    expr = sympy.polys.polyfuncs.interpolate(
+        [(int(a), int(b)) for a, b in zip(xs, ys)], x)
+    coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
+    return alg.poly_trim([int(c.p) * pow(int(c.q), -1, p) % p
+                          for c in map(sympy.Rational, coeffs)]).tolist()
+
+
+class TestInterpolateAgainstSympy:
+    """`interpolate` on one value column and on a stack of columns, against
+    sympy's interpolation over QQ reduced mod p and the Lagrange reference."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(n=st.integers(1, 12), k=st.integers(1, 3), zero=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, k=2, zero=False, seed=0)
+    @example(n=5, k=1, zero=True, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sympy(self, p, n, k, zero, seed):
+        rng = np.random.default_rng(seed)
+        xs = []
+        while len(xs) < n:
+            x = int(rng.integers(0, p))
+            if x not in xs:
+                xs.append(x)
+        ys = np.zeros((n, k), dtype=np.int64) if zero \
+            else rng.integers(0, p, size=(n, k))
+        expected = [sympy_interpolate(xs, ys[:, j], p) for j in range(k)]
+        column = alg.interpolate(xs, ys[:, 0], p)
+        assert column.tolist() == expected[0]
+        assert column.tolist() == \
+            lagrange_interpolate(xs, ys[:, 0], p).tolist()
+        stacked = alg.interpolate(xs, ys, p)
+        assert stacked.shape == (n, k)
+        for j in range(k):
+            assert alg.poly_trim(stacked[:, j]).tolist() == expected[j]
+        if zero:
+            assert column.size == 0 and not stacked.any()
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_repeated_node_rejected(self, p, n, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, p, size=n).tolist()
+        xs[-1] = xs[0] + p          # the same node mod p
+        with pytest.raises(ValueError, match="distinct"):
+            alg.interpolate(xs, rng.integers(0, p, size=n), p)
+        with pytest.raises(ValueError, match="distinct"):
+            alg.interpolate(xs, rng.integers(0, p, size=(n, 2)), p)

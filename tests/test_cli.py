@@ -58,15 +58,17 @@ class TestCommands:
                      "--out", str(out)]) == 2
         assert "--sweep" in capsys.readouterr().err
         assert not out.exists()
-        # 0 and 1 still scan one fiber on each side of the plane image
-        csvs = []
-        for sweep in ("0", "1"):
+        # N rows: N - N//2 on the plane image and N//2 off it, each kind
+        # from its own draws, so a larger N extends the rows of a smaller
+        rows = {}
+        for sweep in (0, 1, 7):
             out = tmp_path / f"sweep{sweep}.csv"
-            assert main(["hessian", "--curve", curve_file, "--sweep", sweep,
-                         "--out", str(out)]) == 0
-            csvs.append(out.read_text())
-        assert csvs[0] == csvs[1]
-        assert len(csvs[0].strip().split("\n")) == 3
+            assert main(["hessian", "--curve", curve_file, "--sweep",
+                         str(sweep), "--out", str(out)]) == 0
+            rows[sweep] = out.read_text().strip().split("\n")[1:]
+            assert len(rows[sweep]) == sweep
+        assert rows[7][:1] == rows[1]
+        assert len([r for r in rows[7] if r.endswith(",")]) == 3
 
     def test_verify_quick_and_deterministic(self, tmp_path, curve_file):
         r1 = tmp_path / "r1.json"

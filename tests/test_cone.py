@@ -10,7 +10,8 @@ from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
                                NonGenericD, VerificationFailed)
 from curvecones.rng import Stream
 
-from reference import solve_consistent, stream_draws
+import reference
+from reference import poly_mul, solve_consistent, stream_draws
 
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
@@ -361,6 +362,34 @@ class TestSecant:
         section = cn.double_vanishing_section(ctx4, pt_p, pt_q)
         assert section is not None
         assert alg.rank(np.concatenate([net.w, section[None, :]]), P) == 3
+
+
+class TestBitangentSweep:
+    def test_discriminant_matches_node_sweep(self, ctx4):
+        """The four-sample fit of `sweep_discriminant` against the sweep
+        that took one scalar resultant at each of 80 nodes, on tangent
+        lines of several panel points."""
+        chart = cv.ruling_chart(ctx4.curve)
+        checked = 0
+        for k in range(0, 60, 6):
+            pt = ctx4.panel[k]
+            if chart.param_of(pt) is None:
+                continue
+            td = ctx4.tangent(pt)
+            s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), P)
+            residual, disc = cn.sweep_discriminant(chart, s1, s2, P)
+            expected = reference.sweep_discriminant(chart, s1, s2, P)
+            assert disc.tolist() == expected.tolist()
+            # the section polynomial is cubic in the plane: a fifth sample
+            # lies on the fit, times the factor every plane shares
+            common = alg.poly_gcd(chart.section_poly((s1 + 101 * s2) % P),
+                                  chart.section_poly((s1 + 202 * s2) % P), P)
+            common = alg.poly_gcd(
+                common, chart.section_poly((s1 + 303 * s2) % P), P)
+            assert chart.section_poly((s1 + 4 * s2) % P).tolist() == \
+                poly_mul(common, alg.p2_eval_x(residual, 4, P), P).tolist()
+            checked += 1
+        assert checked >= 5
 
 
 class TestTangentSpace:

@@ -1,5 +1,6 @@
 """Curve generation, point sampling, sections, tangent data."""
 
+import hashlib
 import json
 import types
 
@@ -19,6 +20,11 @@ from curvecones.rng import Stream
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
 
+# sha256 of `gen-curve --genus 5 --prime 1000003 --seed 7`, recorded while
+# resultant_bivariate fit its values by Lagrange interpolation
+GENUS5_CURVE_FILE = \
+    "9d34943c242b5b149467de066953c55bc9eb8a1a925076850d8b6700393d3051"
+
 
 class TestGeneration:
     def test_reproducible_byte_for_byte(self, ctx4):
@@ -30,6 +36,14 @@ class TestGeneration:
             cv.sample_points(again, 30)), sort_keys=True)
         assert blob1 == blob2
         assert again == ctx4.curve
+
+    def test_genus5_curve_file_is_pinned(self, ctx5):
+        # the file gen-curve writes for the genus-5 curve of seed 7; its
+        # point sampling is the heaviest user of resultant_bivariate
+        points = list(ctx5.panel) + list(ctx5.holdout)
+        blob = json.dumps(cv.curve_to_json(ctx5.curve, points),
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == GENUS5_CURVE_FILE
 
     def test_unsupported_genus(self):
         with pytest.raises(ValueError):
