@@ -149,8 +149,7 @@ def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
         """Whether the corank law holds on the net <v, w>."""
         pen = pc.build_pencil(ctx, v)
         corank = pc.corank(pc.cup_gram(ctx, pen, w).gram, p)
-        net_obj = nt.build_net(ctx, np.concatenate([pen.v, w[None, :]]),
-                               with_gamma=False)
+        net_obj = nt.build_net(ctx, np.concatenate([pen.v, w[None, :]]))
         return corank == 2 and not net_obj.in_d \
             or corank >= 3 and net_obj.in_d
 

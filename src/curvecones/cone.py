@@ -178,23 +178,21 @@ def vertex_condition_matrix(ctx: CurveContext, net_obj: nt.Net,
     """Linear conditions on combinations of the given forms expressing that
     every partial derivative vanishes identically on the vertex.
 
-    For a point vertex each partial contributes one evaluation; for a line
-    vertex each partial restricted to the line must vanish as a binary form,
-    contributing deg coefficients.  Rows run over the variables, and for a
-    line vertex over the binary coefficients within each variable; the
-    partials of all forms are evaluated, or restricted, at once."""
+    Each partial restricted to the vertex must vanish as a form in the
+    vertex coordinates, contributing one coefficient for a point vertex and
+    deg for a line vertex.  Rows run over the variables, and within each
+    variable over those coefficients; the partials of all forms are
+    restricted at once."""
     p = ctx.p
     g = ctx.g
     # partials[var, f] = d forms[f] / d z_var, of degree deg - 1
     partials = np.stack([mono.partial(forms, var, g, deg, p)
                          for var in range(g)])
-    if net_obj.wperp.shape[0] == 1:
-        e = mono.eval_matrix(net_obj.wperp, g, deg - 1, p)[0]
-        return partials @ e % p
     flat = partials.reshape(-1, partials.shape[2]).T   # count x (g * forms)
     restricted = mono.restrict(flat, deg - 1, g, net_obj.wperp.T, p)
-    return restricted.reshape(deg, g, -1).transpose(1, 0, 2).reshape(
-        g * deg, -1)
+    rows = restricted.shape[0]
+    return restricted.reshape(rows, g, -1).transpose(1, 0, 2).reshape(
+        g * rows, -1)
 
 
 def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
@@ -361,17 +359,11 @@ def points_on_form(ctx: CurveContext, coeffs: np.ndarray, deg: int,
         budget -= 1
         a = stream.field_vec(p, g)
         b = stream.field_vec(p, g)
-        binary = mono.restrict_to_line(coeffs, deg, g, a, b, p)
-        f = alg.poly_trim(binary)
-        if alg.poly_deg(f) < 1:
-            continue
-        for t in alg.distinct_roots(f, p):
-            cand = (a + t * b) % p
-            if cand.any():
-                yield cv.normalize_point(cand, p)
-                found += 1
-                if found == count:
-                    return
+        for pt in cv.line_zeros(coeffs, deg, g, a, b, p):
+            yield pt
+            found += 1
+            if found == count:
+                return
 
 
 def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
@@ -555,6 +547,7 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream
         net_obj = nt.net_from_vertex(ctx, vertex)
         if net_obj.in_b or net_obj.in_d:
             return None
+        nt.gamma_equation(ctx, net_obj)
         return pt_p, pt_q, net_obj
 
     return resample("vertex secant", 120, draw)
@@ -631,24 +624,17 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
             if alg.poly_deg(repeated) < 1:
                 continue
             for u_q in alg.distinct_roots(repeated, p):
-                a, b = chart.line_at(u_q)
-                hb = int(section @ b % p)
-                if hb == 0:
-                    continue
-                t = (-int(section @ a % p)) * alg.inv_mod(hb, p) % p
-                cand = (a + t * b) % p
-                if not cand.any():
-                    continue
-                cand = cv.normalize_point(cand, p)
-                if cand.tolist() == td.point.tolist():
-                    continue
-                if not (cv.on_curve(ctx.curve, cand)
-                        and cv.smooth_at(ctx.curve, [cand])):
-                    continue
-                tq = ctx.tangent(cand)
-                if int(section @ cand % p) == 0 \
-                        and int(section @ tq.direction % p) == 0:
-                    return td.point, cand, section
+                for cand in cv.line_zeros(section, 1, 4,
+                                          *chart.line_at(u_q), p):
+                    if cand.tolist() == td.point.tolist():
+                        continue
+                    if not (cv.on_curve(ctx.curve, cand)
+                            and cv.smooth_at(ctx.curve, [cand])):
+                        continue
+                    tq = ctx.tangent(cand)
+                    if int(section @ cand % p) == 0 \
+                            and int(section @ tq.direction % p) == 0:
+                        return td.point, cand, section
         return None
 
     return resample("bitangent pair", 24, draw)
@@ -712,7 +698,7 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
         return np.stack([section, r1, (r2 + t * r3) % p])
 
     def admissible(k: int):
-        net_t = nt.build_net(ctx, family(k + 1), with_gamma=False)
+        net_t = nt.build_net(ctx, family(k + 1))
         return None if net_t.in_b or net_t.in_d else (k + 1, net_t)
 
     # (t, oracle value at b0) on the first 100 admissible nets, taken in
@@ -744,6 +730,7 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
         net_r = nt.build_net(ctx, family(roots[k]))
         if net_r.in_b or net_r.in_d:
             return None
+        nt.gamma_equation(ctx, net_r)
         cone_r = reconstruct_quartic(ctx, net_r, oracle_points=4)
         if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) != (True, True):
             return None
@@ -778,14 +765,10 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
             hb = alg.kernel_basis(polar.reshape(1, g), p)
             c1 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
             c2 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
-            f = alg.poly_trim(mono.restrict_to_line(q, 2, g, c1, c2, p))
-            roots = alg.distinct_roots(f, p) if alg.poly_deg(f) >= 1 else []
-            if not roots:
+            zeros = cv.line_zeros(q, 2, g, c1, c2, p)
+            if not zeros or alg.rank(np.stack([q1, zeros[0]]), p) != 2:
                 return None
-            q2 = (c1 + roots[0] * c2) % p
-            if not q2.any() or alg.rank(np.stack([q1, q2]), p) != 2:
-                return None
-            vertex = np.stack([q1, q2])
+            vertex = np.stack([q1, zeros[0]])
         net_obj = nt.net_from_vertex(ctx, vertex)
         if net_obj.in_b or not net_obj.in_d or net_obj.d_certificate is None:
             return None

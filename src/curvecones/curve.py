@@ -7,6 +7,10 @@ one line parameter per ruling member).  Genus 5 curves are intersections of
 three quadrics in P^4, sampled by slicing with hyperplanes and eliminating
 variables through resultants.
 
+Every search for the zeros of a form on a line goes through `line_zeros`:
+curve points on a ruling line, the last coordinate of a genus-5 slice,
+the chart's base points, and the point harvests of the `cone` module.
+
 Points are projective coordinate vectors normalized so the first nonzero
 coordinate is 1.  A point doubles as a covector on sections: the pairing
 <b, s> = sum b_i s_i realizes evaluation of the linear form s at b.
@@ -38,6 +42,25 @@ def normalize_point(v: np.ndarray, p: int) -> np.ndarray:
     if not v.any():
         raise ValueError("projective point cannot be zero")
     return v
+
+
+def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
+               b: np.ndarray, p: int) -> list[np.ndarray]:
+    """Zeros of a degree-deg form on the line through a and b.
+
+    First the normalized points a + t b, one per distinct root t of
+    F(a + t b) in increasing order, then b when F(b) = 0 (the root at
+    t = infinity).  Empty when the line lies inside the hypersurface; a
+    zero vector is skipped.
+    """
+    binary = mono.restrict_to_line(coeffs, deg, g, a, b, p)
+    f = alg.poly_trim(binary)
+    if len(f) == 0:
+        return []
+    pts = [(a + t * b) % p for t in alg.distinct_roots(f, p)]
+    if binary[-1] == 0:
+        pts.append(b % p)
+    return [normalize_point(v, p) for v in pts if v.any()]
 
 
 def legendre(a: int, p: int) -> int:
@@ -110,32 +133,15 @@ def tangent_vector(curve: CurveModel, pt: np.ndarray) -> TangentData:
     p = curve.prime
     if not on_curve(curve, pt):
         raise SingularPoint("point is not on the curve")
-    jac = jacobian_at(curve, pt)
-    if alg.rank(jac, p) != curve.genus - 2:
-        raise SingularPoint(f"Jacobian rank below {curve.genus - 2}")
-    kern = alg.kernel_basis(jac, p)
+    kern = alg.kernel_basis(jacobian_at(curve, pt), p)
     if kern.shape[0] != 2:
-        raise SingularPoint("tangent space is not a line")
+        raise SingularPoint(f"Jacobian rank below {curve.genus - 2}")
     basis, _ = alg.rref(kern, p)
     pt_n = normalize_point(pt, p)
     for row in basis:
         if alg.normalize_scalar(row, p).tolist() != pt_n.tolist():
             return TangentData(pt_n, normalize_point(row, p))
     raise SingularPoint("tangent line collapsed onto the point")
-
-
-def _binary_quadratic_roots(c20: int, c11: int, c02: int, p: int
-                            ) -> list[tuple[int, int]]:
-    """Projective roots (s, t) of c20 s^2 + c11 st + c02 t^2."""
-    roots = []
-    f = alg.poly_trim(np.array([c20, c11, c02], dtype=np.int64))
-    if len(f) == 0:
-        raise ValueError("zero binary quadratic")
-    for t in alg.distinct_roots(f, p) if alg.poly_deg(f) >= 1 else []:
-        roots.append((1, t))
-    if c02 % p == 0:
-        roots.append((0, 1))  # root at infinity of the s = 1 chart
-    return roots
 
 
 class RulingChart:
@@ -167,13 +173,9 @@ class RulingChart:
         for _ in range(400):
             a = stream.field_vec(p, 4)
             b = stream.field_vec(p, 4)
-            coeffs = alg.poly_trim(
-                mono.restrict_to_line(self.quadric, 2, 4, a, b, p))
-            if alg.poly_deg(coeffs) < 1:
-                continue
-            roots = alg.distinct_roots(coeffs, p)
-            if roots:
-                q0 = normalize_point((a + roots[0] * b) % p, p)
+            zeros = line_zeros(self.quadric, 2, 4, a, b, p)
+            if zeros:
+                q0 = zeros[0]
                 break
         if q0 is None:
             raise GenerationFailed("no rational point found on the quadric")
@@ -182,15 +184,11 @@ class RulingChart:
         tangent = alg.kernel_basis(q0_polar.reshape(1, 4), p)
         frame, _ = alg.rref(np.concatenate([q0[None, :], tangent]), p)
         frame = frame[~(frame == 0).all(axis=1)]
-        v1, v2 = frame[1], frame[2]
-        q_rest = _binary_quadratic_roots(
-            *mono.restrict_to_line(self.quadric, 2, 4, v1, v2, p), p)
-        if len(q_rest) != 2:
+        conic = line_zeros(self.quadric, 2, 4, frame[1], frame[2], p)
+        if len(conic) != 2:
             raise GenerationFailed("tangent conic does not split; "
                                    "quadric is not rationally ruled")
-        (s1, t1), (s2, t2) = q_rest
-        self.d1 = normalize_point((s1 * v1 + t1 * v2) % p, p)
-        self.d2 = normalize_point((s2 * v1 + t2 * v2) % p, p)
+        self.d1 = conic[0]
         # polar rows: x -> 2 B(q0, x) and x -> 2 B(d1, x)
         self.polar = np.stack([q0_polar, 2 * self.d1 @ self.gram % p])
         forms = alg.kernel_basis(np.stack([self.q0, self.d1]), p)
@@ -268,22 +266,8 @@ class RulingChart:
 
     def points_on_line(self, u) -> list[np.ndarray]:
         """Curve points on the ruling line with parameter u."""
-        p = self.p
-        a, b = self.line_at(u)
-        binary = mono.restrict_to_line(self.cubic, 3, 4, a, b, p)
-        f = alg.poly_trim(binary)
-        pts = []
-        if alg.poly_deg(f) >= 1:
-            for t in alg.distinct_roots(f, p):
-                pts.append(normalize_point((a + t * b) % p, p))
-        elif alg.poly_deg(f) == -1:
-            # line inside the cubic surface; avoid flooding, take none
-            return []
-        if int(binary[-1]) % p == 0:  # t = infinity point
-            cand = normalize_point(b, p)
-            if on_curve(self.curve, cand):
-                pts.append(cand)
-        return [q for q in pts if on_curve(self.curve, q)]
+        return [q for q in line_zeros(self.cubic, 3, 4, *self.line_at(u),
+                                      self.p) if on_curve(self.curve, q)]
 
     # -- plane sections --------------------------------------------------
 
@@ -378,17 +362,10 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
             if alg.poly_deg(s12) < 1:
                 continue
             for y2 in alg.distinct_roots(s12, p):
-                y = np.array([1, y1, y2], dtype=np.int64)
-                qpoly = alg.poly_trim(np.array(
-                    [mono.form_eval_one(form, y, 3, 2 - k, p)
-                     for k, form in enumerate(layers[0])], dtype=np.int64))
-                if alg.poly_deg(qpoly) < 1:
-                    continue
-                for y3 in alg.distinct_roots(qpoly, p):
-                    x = m @ np.append(y, y3) % p
-                    if not x.any():
-                        continue
-                    x = normalize_point(x, p)
+                # y3 on the line m (1, y1, y2, y3): its y3^2 coefficient
+                # is layers[0][2], nonzero, so no zero lies at infinity
+                base = m @ np.array([1, y1, y2, 0], dtype=np.int64) % p
+                for x in line_zeros(quads[0], 2, 5, base, m[:, 3], p):
                     if on_curve(curve, x):
                         found[tuple(x.tolist())] = x
         break

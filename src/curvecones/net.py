@@ -59,8 +59,7 @@ def res_matrix(ctx: CurveContext, wperp: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def build_net(ctx: CurveContext, w: np.ndarray, with_gamma: bool = True
-              ) -> Net:
+def build_net(ctx: CurveContext, w: np.ndarray) -> Net:
     p = ctx.p
     w = np.asarray(w, dtype=np.int64) % p
     wr, pivots = alg.rref(w, p)
@@ -71,20 +70,14 @@ def build_net(ctx: CurveContext, w: np.ndarray, with_gamma: bool = True
     panel_vals = ctx.panel @ wr.T % p
     in_b = bool((~panel_vals.any(axis=1)).any()) or bool(
         (~(ctx.holdout @ wr.T % p).any(axis=1)).any())
-    res = res_matrix(ctx, wperp)
+    # res is square: the net is in D exactly when res has a left kernel
+    left_kernel = alg.kernel_basis(res_matrix(ctx, wperp).T, p)
     certificate = None
-    in_d = alg.rank(res, p) < res.shape[0]
-    if in_d:
-        left_kernel = alg.kernel_basis(res.T, p)
-        if left_kernel.shape[0] == 1:
-            combo = left_kernel[0]
-            certificate = alg.normalize_scalar(
-                combo @ ctx.ideal(2).basis % p, p)
-    net = Net(w=wr, wperp=wperp, in_b=in_b, in_d=in_d,
-              d_certificate=certificate)
-    if with_gamma and not in_b:
-        net.gamma = gamma_equation(ctx, net)
-    return net
+    if left_kernel.shape[0] == 1:
+        certificate = alg.normalize_scalar(
+            left_kernel[0] @ ctx.ideal(2).basis % p, p)
+    return Net(w=wr, wperp=wperp, in_b=in_b, in_d=left_kernel.shape[0] > 0,
+               d_certificate=certificate)
 
 
 def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
@@ -96,10 +89,14 @@ def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
 
 
 def random_net(ctx: CurveContext, stream: Stream) -> Net:
-    """A net off the base locus and off the degeneracy divisor."""
+    """A net off the base locus and off the degeneracy divisor, with the
+    equation of its plane image fitted (`gamma_equation`)."""
     def draw(_):
         net = build_net(ctx, stream.field_mat(ctx.p, 3, ctx.g))
-        return None if net.in_b or net.in_d else net
+        if net.in_b or net.in_d:
+            return None
+        gamma_equation(ctx, net)
+        return net
 
     return resample("generic net", 200, draw)
 

@@ -246,6 +246,14 @@ class TestVertexConditions:
                     self.reference(ctx, net, forms, deg).tolist()
                 assert got.shape == (ctx.g * (1 if genus == 4 else deg),
                                      forms.shape[0])
+                if genus == 4:
+                    # the point-vertex path restrict replaced: the stacked
+                    # partials times one eval_matrix row at the vertex
+                    partials = np.stack([mono.partial(forms, var, 4, deg, P)
+                                         for var in range(4)])
+                    at_vertex = mono.eval_matrix(net.wperp, 4, deg - 1, P)[0]
+                    assert got.tolist() == \
+                        (partials @ at_vertex % P).tolist()
 
 
 class TestReconstruction:

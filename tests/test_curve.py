@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from curvecones import algebra as alg
@@ -202,6 +202,109 @@ class TestEliminantsAgainstSympy:
                 got = {(int(i), int(j)): int(r1k[i, j])
                        for i, j in zip(*np.nonzero(r1k))}
                 assert got == as_dict(res, (y1, y2), P)
+
+
+def form_product(factors, g, p):
+    """Product of (coefficients, degree) factors, as coefficients."""
+    out, n = np.ones(1, dtype=np.int64), 0
+    for coeffs, d in factors:
+        out, n = mono.mul_forms(out, n, coeffs, d, g, p), n + d
+    return out
+
+
+def planted_line(case, p, g, deg, seed):
+    """A form of degree deg, a line (a, b) and a parameter t0, with the
+    zeros `case` plants: "random" none, "b_on_form" F(b) = 0, "only_b"
+    F(a + t b) a nonzero constant, "inside" F = 0 on the line, "repeated"
+    a root t0 of multiplicity min(2, deg)."""
+    stream = Stream(seed, f"line-zeros-{case}")
+    t0 = None
+    a, b = stream.field_vec(p, g), stream.field_vec(p, g)
+    f = stream.field_vec(p, mono.count(g, deg))
+    i = int(np.flatnonzero(b)[0])
+    if case == "b_on_form":
+        # F - F(b) b_i^-deg z_i^deg
+        idx = mono.index_map(g, deg)[tuple(deg * np.eye(g, dtype=int)[i])]
+        f[idx] = (f[idx] - mono.form_eval_one(f, b, g, deg, p)
+                  * alg.inv_mod(pow(int(b[i]), deg, p), p)) % p
+    elif case == "only_b":
+        # l^deg with l(b) = 0
+        r = stream.field_vec(p, g)
+        ell = r * b[i] % p
+        ell[i] = (ell[i] - r @ b) % p
+        f = form_product([(ell, 1)] * deg, g, p)
+    elif case == "inside":
+        ell = alg.kernel_basis(np.stack([a, b]), p)[0]
+        f = form_product([(ell, 1), (stream.field_vec(
+            p, mono.count(g, deg - 1)), deg - 1)], g, p)
+    elif case == "repeated":
+        t0 = stream.field(p)
+        ells = alg.kernel_basis(((a + t0 * b) % p).reshape(1, g), p)
+        ell = stream.field_vec(p, ells.shape[0]) @ ells % p
+        k = min(2, deg)
+        f = form_product([(ell, 1)] * k + [(stream.field_vec(
+            p, mono.count(g, deg - k)), deg - k)], g, p)
+    return f, a, b, t0
+
+
+class TestLineZeros:
+    """`line_zeros` against the linear factors sympy finds in F(a + t b)."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(case=st.sampled_from(["random", "b_on_form", "only_b", "inside",
+                                 "repeated"]),
+           g=st.integers(3, 5), deg=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(case="b_on_form", g=4, deg=3, seed=0)
+    @example(case="only_b", g=5, deg=2, seed=0)
+    @example(case="inside", g=3, deg=4, seed=0)
+    @example(case="repeated", g=4, deg=4, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy(self, p, case, g, deg, seed):
+        f, a, b, t0 = planted_line(case, p, g, deg, seed)
+        got = cv.line_zeros(f, deg, g, a, b, p)
+        for pt in got:
+            assert ((pt >= 0) & (pt < p)).all()
+            assert pt[np.flatnonzero(pt)[0]] == 1
+            assert alg.rank(np.stack([a, b, pt]), p) <= 2
+            assert mono.form_eval_one(f, pt, g, deg, p) == 0
+        t = sympy.Symbol("t")
+        restricted = sympy.Poly(sympy_form(
+            f, g, deg, [int(x) + int(y) * t for x, y in zip(a, b)]), t,
+            modulus=p)
+        if case == "inside":
+            assert restricted.is_zero
+        if restricted.is_zero:
+            assert got == []
+            return
+        roots = sorted(-int(h.nth(0)) * alg.inv_mod(int(h.LC()) % p, p) % p
+                       for h, _ in restricted.factor_list()[1]
+                       if h.degree() == 1)
+        finite = [alg.normalize_scalar((a + r * b) % p, p) for r in roots]
+        at_infinity = [alg.normalize_scalar(b, p)] \
+            if restricted.degree() < deg else []
+        assert [pt.tolist() for pt in got] == \
+            [pt.tolist() for pt in finite + at_infinity if pt.any()]
+        if case == "b_on_form":
+            assert got[-1].tolist() == at_infinity[0].tolist()
+        elif case == "only_b":
+            assert [pt.tolist() for pt in got] == \
+                [alg.normalize_scalar(b, p).tolist()]
+        elif case == "repeated":
+            double = sympy.Poly((t - t0) ** min(2, deg), t, modulus=p)
+            assert restricted.rem(double).is_zero
+            point = alg.normalize_scalar((a + t0 * b) % p, p).tolist()
+            assert [pt.tolist() for pt in got].count(point) == 1
+
+    def test_chart_tangent_point(self, ctx4):
+        # d1 spans, with q0, a ruling line: on the quadric and in its
+        # tangent plane at q0
+        chart = cv.ruling_chart(ctx4.curve)
+        quadric = ctx4.curve.generator_arrays()[0][1]
+        gram = cv.quadric_gram(quadric, 4, P)
+        assert mono.form_eval_one(quadric, chart.d1, 4, 2, P) == 0
+        assert int((chart.q0 @ gram % P) @ chart.d1 % P) == 0
+        assert chart.d1.tolist() != chart.q0.tolist()
 
 
 class TestTangents:

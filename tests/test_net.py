@@ -33,7 +33,7 @@ class TestBuildNet:
         # base-point nets sit inside the degeneracy divisor
         for ctx in (ctx4, ctx5):
             forms = alg.kernel_basis(ctx.panel[0].reshape(1, ctx.g), P)
-            net = nt.build_net(ctx, forms[:3], with_gamma=False)
+            net = nt.build_net(ctx, forms[:3])
             assert net.in_b is True
             assert net.in_d is True
 
@@ -53,7 +53,7 @@ class TestBuildNet:
             w = stream.field_mat(P, 3, 4)
             if alg.rank(w, P) != 3:
                 continue
-            net = nt.build_net(ctx4, w, with_gamma=False)
+            net = nt.build_net(ctx4, w)
             on_quadric = mono.form_eval_one(quadric, net.wperp[0], 4, 2, P) \
                 == 0
             assert net.in_d == on_quadric
@@ -88,7 +88,7 @@ class TestGamma:
     def test_base_point_net_has_no_plane_image(self, ctx4):
         from curvecones.errors import AmbiguousFit
         forms = alg.kernel_basis(ctx4.panel[0].reshape(1, 4), P)
-        net = nt.build_net(ctx4, forms[:3], with_gamma=False)
+        net = nt.build_net(ctx4, forms[:3])
         with pytest.raises(AmbiguousFit):
             nt.gamma_equation(ctx4, net)
 
