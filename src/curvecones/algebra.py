@@ -33,16 +33,23 @@ same matrix.  The powers are built column by column as a product of two
 entries below p reduced at once, and the solve is a `rref_batch`, so no
 intermediate of either leaves (-p**2, p).
 
-`poly_pow_mod` multiplies residues modulo a polynomial f of degree d as
-length-d vectors: one convolution, then one matmul with a reduction matrix
-whose rows hold x^k mod f.  A convolution sum has at most d products of
-two entries below p, so it stays below d * (p-1)**2, and so does the fold
-(the convolution is reduced mod p first).  That is below 2**63 while
-d < 2**13 at p < 2**25; `poly_pow_mod` raises ValueError beyond the bound.
-The engine's moduli are far smaller (genus-5 point sampling reaches 16).
+Roots are found on stacks.  `distinct_roots_batch` takes many
+polynomials at once through `_Moduli`, a stack of monic moduli padded to
+the largest degree D: x^p mod f is one square-and-multiply chain over the
+whole stack, each product two batched matmuls through the table of
+x^(i+j) mod f; gcds are read off one `rref_batch` of multiplication
+matrices; and Cantor-Zassenhaus splitting runs in rounds over the factors
+that have not split.  `distinct_roots` and `poly_pow_mod` are that kernel
+on one element.  Each matmul of the kernel sums at most max(D, L)
+products of two entries below p, L the length of a base, so it stays
+below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
+ValueError beyond the bound.  The table holds D**3 entries per modulus;
+the engine's largest degree is 45, the numerator of the family sweep.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,16 +162,16 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     one lead row and a column runs on slices; once the patterns part, on
     the elements that pivot in it.
     """
-    r = np.array(stack, dtype=np.int64)
-    r %= p
-    n, rows, cols = r.shape
+    n, rows, cols = np.shape(stack)
     pivots = np.full((n, min(rows, cols)), -1, dtype=np.int64)
     if n == 1:
         # a batched column makes about twice the numpy calls of a column
         # of `rref`, which pays off from two elements on
-        r[0], found = rref(r[0], p)
+        r, found = rref(stack[0], p)
         pivots[0, :len(found)] = found
-        return r, pivots
+        return r[None], pivots
+    r = np.array(stack, dtype=np.int64)
+    r %= p
     elems = np.arange(n)
     row_ids = np.arange(rows)
     common = 0              # the shared lead row, while there is one
@@ -378,14 +385,6 @@ def poly_deg(f: np.ndarray) -> int:
     return len(f) - 1
 
 
-def poly_sub(f, g, p: int) -> np.ndarray:
-    n = max(len(f), len(g))
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(f)] += f
-    out[: len(g)] -= g
-    return poly_trim(out % p)
-
-
 def poly_divmod(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
     f = poly_trim(f)
     g = poly_trim(g)
@@ -423,49 +422,6 @@ def poly_gcd(f, g, p: int) -> np.ndarray:
     return poly_monic(a, p)
 
 
-def poly_pow_mod(base, e: int, mod, p: int) -> np.ndarray:
-    """base^e mod `mod`, trimmed.
-
-    Left-to-right square-and-multiply on residues held as length-d vectors,
-    d = deg mod.  The reduction matrix R is built once per call from the
-    monic modulus f: row k holds x^k mod f, so its first d rows are the
-    identity and the rest hold x^(d+k) mod f.  A product is one convolution
-    c of two residues, reduced by one matmul c @ R (that is,
-    c[:d] + c[d:] @ R[d:]).  A base longer than the modulus is reduced the
-    same way, with as many rows as it needs.  The module docstring gives
-    the int64 bound.
-    """
-    f = poly_monic(mod, p)
-    d = poly_deg(f)
-    if d < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    if d == 0:
-        return np.zeros(0, dtype=np.int64)    # every residue of a unit is 0
-    if e == 0:
-        return np.ones(1, dtype=np.int64)
-    n = max(len(base), 2 * d - 1)
-    # a column of c @ R sums one entry below p and n - d products below
-    # (p-1)**2: d terms in all, unless the base is longer than 2d - 1
-    if (n - d + 1) * (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"modulus degree {d} with a base of length "
-                         f"{len(base)} breaks the int64 budget at p = {p}")
-    red = np.zeros((n, d), dtype=np.int64)
-    red[:d] = np.eye(d, dtype=np.int64)
-    for k in range(d, n):                     # x^k = x * x^(k-1) mod f
-        red[k, 1:] = red[k - 1, :-1]
-        red[k] = (red[k] - red[k - 1, -1] * f[:d]) % p
-    b = (np.asarray(base, dtype=np.int64) % p).dot(red[:len(base)]) % p
-    fold = red[:2 * d - 1]
-    acc = b
-    for bit in bin(e)[3:]:
-        acc = (np.convolve(acc, acc) % p).dot(fold) % p
-        if bit == "1":
-            acc = (np.convolve(acc, b) % p).dot(fold) % p
-    return poly_trim(acc)
-
-
 def poly_eval(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(poly_trim(f)):
@@ -487,53 +443,245 @@ def squarefree_part(f, p: int) -> np.ndarray:
     return poly_monic(poly_divmod(f, d, p)[0], p)
 
 
-def _split_distinct_linear(g: np.ndarray, p: int) -> list[int]:
-    """Roots of a monic product of distinct linear factors."""
-    roots: list[int] = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        d = poly_deg(h)
-        if d <= 0:
-            continue
-        if d == 1:
-            roots.append((-int(h[0])) % p)
-            continue
-        a = 1
-        while True:
-            shifted = np.array([a, 1], dtype=np.int64)
-            t = poly_pow_mod(shifted, (p - 1) // 2, h, p)
-            t = poly_sub(t, np.ones(1, dtype=np.int64), p)
-            d1 = poly_gcd(t, h, p)
-            if 0 < poly_deg(d1) < d:
-                stack.append(d1)
-                stack.append(poly_divmod(h, d1, p)[0])
-                break
-            if poly_eval(h, (-a) % p, p) == 0:
-                roots.append((-a) % p)
-                stack.append(poly_divmod(
-                    h, np.array([a, 1], dtype=np.int64), p)[0])
-                break
-            a += 1
-    return roots
+# ---------------------------------------------------------------------------
+# univariate polynomials on stacks: powers, gcds and roots modulo many
+# moduli at once
+
+
+@lru_cache(maxsize=None)
+def _sum_index(d: int, width: int = 1) -> np.ndarray:
+    """Row l holds i + j + l for i, j < d, row-major, for l < width."""
+    return np.add.outer(np.arange(width),
+                        np.add.outer(np.arange(d), np.arange(d)).ravel())
+
+
+@lru_cache(maxsize=None)
+def _shift_matrix(d: int) -> np.ndarray:
+    """The d x (d+1) matrix taking x^i to x^(i+1)."""
+    return np.eye(d, d + 1, 1, dtype=np.int64)
+
+
+class _Moduli:
+    """A stack of monic moduli, padded with zeros to the largest degree D,
+    with the residues of the powers of x modulo each.
+
+    A residue modulo f[n] is a length-D vector, zero from deg f[n] on, so
+    moduli of different degrees share one array.  `rows[n, k]` holds
+    x^k mod f[n], and `square[n, j, i*D + k]` the coefficient of x^k in
+    x^(i+j) mod f[n].  The product of residues u and v is u @ (v @ square)
+    reshaped to D x D: two batched matmuls, each reduced mod p before the
+    next.  A base of `base_len` coefficients reads rows up to
+    x^(2D + base_len - 3).  The module docstring gives the int64 budget.
+    """
+
+    def __init__(self, moduli: list[np.ndarray], p: int, base_len: int = 2):
+        self.p = p
+        degs = [len(f) - 1 for f in moduli]
+        d, low = max(degs), min(degs)
+        if max(d, base_len) * (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"modulus degree {d} with a base of length "
+                             f"{base_len} breaks the int64 budget at p = {p}")
+        n = len(moduli)
+        self.deg = np.array(degs)
+        self.f = np.zeros((n, d + 1), dtype=np.int64)
+        for k, f in enumerate(moduli):
+            self.f[k, :len(f)] = f
+        # x times a residue: shift up, then clear the coefficient that
+        # reaches x^deg with that multiple of the monic modulus
+        last = np.arange(d) == self.deg[:, None] - 1
+        times_x = (_shift_matrix(d) - last[:, :, None] * self.f[:, None]
+                   )[:, :, :d] % p
+        step = times_x                      # x^low, row k holding x^(k+low)
+        for bit in bin(low)[3:]:
+            step = step @ step % p
+            if bit == "1":
+                step = step @ times_x % p
+        # x^k below every degree, then block after block of rows x^low on
+        count = 2 * d + max(base_len, 2) - 2
+        rows = np.empty((n, count + low, d), dtype=np.int64)
+        rows[:, :low] = _shift_matrix(d)[:low, 1:]
+        rows[:, low:2 * low] = step[:, :low]
+        for k in range(2 * low, count, low):
+            rows[:, k:k + low] = rows[:, k - low:k] @ step % p
+        self.rows = rows[:, :count]
+        index = _sum_index(d, 2)
+        self.square = self.rows[:, index[0]].reshape(n, d, d * d)
+        self.times_x = self.rows[:, index[1]].reshape(n, d, d * d)
+
+    def times(self, base: np.ndarray) -> np.ndarray:
+        """The tensor of x^(i+j) base[n] mod f[n], shaped as `square`, for
+        an N x L stack of reduced bases: the base's combination of the
+        rows x^(i+j+l)."""
+        n, _, d = self.rows.shape
+        shifted = self.rows[:, _sum_index(d, base.shape[1])]
+        return (base[:, None, :] @ shifted.reshape(n, base.shape[1], -1)
+                % self.p).reshape(n, d, d * d)
+
+    def product(self, u: np.ndarray, v: np.ndarray, tensor: np.ndarray
+                ) -> np.ndarray:
+        """u v mod f, or u v base with the tensor of `times`, for N x 1 x D
+        stacks of residues u and v."""
+        n, _, d = u.shape
+        return u @ (v @ tensor % self.p).reshape(n, d, d) % self.p
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v[n] mod f[n] for an N x L stack, L at most the rows kept, as an
+        N x 1 x D stack."""
+        return v[:, None, :] @ self.rows[:, :v.shape[1]] % self.p
+
+    def chain(self, acc: np.ndarray, bits: str, times_base: np.ndarray
+              ) -> np.ndarray:
+        """Left-to-right square-and-multiply from an N x 1 x D stack acc,
+        one product per bit: a set bit folds the square through
+        `times_base` (a tensor of `times`) instead of `square`."""
+        for bit in bits:
+            acc = self.product(acc, acc, times_base if bit == "1"
+                               else self.square)
+        return acc
+
+    def power(self, base: np.ndarray, e: int) -> np.ndarray:
+        """base[n]^e mod f[n] for an N x L stack of reduced bases, e >= 1,
+        as an N x 1 x D stack."""
+        return self.chain(self.reduce(base), bin(e)[3:], self.times(base))
+
+    def power_of_x(self, e: int) -> np.ndarray:
+        """x^e mod f[n], e >= 1, as an N x 1 x D stack: the chain starts
+        at the longest head of the bits of e whose power is a row."""
+        bits = bin(e)[2:]
+        head = min(len(bits), self.rows.shape[1].bit_length())
+        while int(bits[:head], 2) >= self.rows.shape[1]:
+            head -= 1
+        return self.chain(self.rows[:, None, int(bits[:head], 2)],
+                          bits[head:], self.times_x)
+
+    def split(self, g: np.ndarray, cofactor: bool = True
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """h = gcd(g[n], f[n]) and, with `cofactor`, f[n] / h, both monic,
+        for an N x 1 x D stack of residues, from one `rref_batch`.
+
+        Multiplication by g on F_p[x]/(f) has as image the multiples of h
+        and as kernel the multiples of f/h.  Its matrix, rows x^i g for
+        i = D-1, ..., 0 and columns by falling degree, beside the identity,
+        reduces to [E | K]; an echelon basis by falling degree of the
+        multiples of one polynomial ends on that polynomial made monic.
+        So h is the last nonzero row of E (f when E is zero), and f/h the
+        last row of K (f when g is a unit), as the rows of K beside zero
+        rows of E span {q : deg q < D, f | q g}.  This is Laidacker's gcd
+        from an echelon form (Math. Mag. 42(3), 1969), with the
+        multiplication matrix in place of the Sylvester matrix.
+        """
+        n, _, d = g.shape
+        mult = (g @ self.square % self.p).reshape(n, d, d)[:, ::-1, ::-1]
+        if cofactor:
+            aug = np.zeros((n, d, 2 * d), dtype=np.int64)
+            aug[:, :, :d] = mult
+            aug[:, :, d:] = _shift_matrix(d)[:, 1:]
+            mult = aug
+        r, pivots = rref_batch(mult, self.p)
+        rank = ((pivots >= 0) & (pivots < d)).sum(axis=1)
+        gcds, cofactors = [], []
+        for k, (deg, rk) in enumerate(zip(self.deg.tolist(), rank.tolist())):
+            f = self.f[k, :deg + 1]
+            gcds.append(f if rk == 0
+                        else r[k, rk - 1, :d][::-1][:deg - rk + 1])
+            if cofactor:
+                cofactors.append(f if rk == deg
+                                 else r[k, d - 1, d:][::-1][:rk + 1])
+        return gcds, cofactors
+
+
+def poly_pow_mod(base, e: int, mod, p: int) -> np.ndarray:
+    """base^e mod `mod`, trimmed: `_Moduli.power` on a stack of one."""
+    f = poly_monic(mod, p)
+    d = poly_deg(f)
+    if d < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    if d == 0:
+        return np.zeros(0, dtype=np.int64)    # every residue of a unit is 0
+    if e == 0:
+        return np.ones(1, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64) % p
+    if len(base) == 0:
+        base = np.zeros(1, dtype=np.int64)
+    return poly_trim(_Moduli([f], p, len(base)).power(base[None], e)[0, 0])
+
+
+# shifts a per factor in a splitting round after the first, in one chain
+SPLIT_SHIFTS = 2
+
+
+def distinct_roots_batch(polys, p: int) -> list[list[int]]:
+    """The roots in F_p of each polynomial, each once, sorted.
+
+    For every f of degree 2 or more at once, one square-and-multiply chain
+    (`_Moduli.power_of_x`) gives t = x^((p-1)/2) mod f, and one more
+    product x t^2 = x^p.  One `rref_batch` gives h = gcd(f, x^p - x), the
+    product of the distinct linear factors of f.  Then Cantor-Zassenhaus
+    splitting in rounds (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 14): a factor h of degree 2 or more splits into
+    gcd(t - 1, h) and its cofactor when neither is 1, for
+    t = (x + a)^((p-1)/2) mod h; a root -a lands in the cofactor, as t
+    vanishes there.  The first round takes a = 0 and the t above, reduced
+    mod h.  Each later round takes SPLIT_SHIFTS new shifts a per factor
+    left, runs all factors and shifts in one chain and one gcd pass, and
+    keeps the first split.  A linear factor gives its root; the roots are
+    sorted at the end, so the order of the splits does not matter.
+    """
+    monic = [poly_monic(f, p) for f in polys]
+    if any(len(f) == 0 for f in monic):
+        raise ValueError("distinct_roots needs a nonzero polynomial")
+    roots: list[list[int]] = [[] for _ in monic]
+    factors = [(n, f) for n, f in enumerate(monic) if len(f) == 2]
+    wide = [n for n, f in enumerate(monic) if len(f) > 2]
+    half = None
+    if wide:
+        mods = _Moduli([monic[n] for n in wide], p)
+        half = mods.power_of_x((p - 1) // 2)
+        xp = mods.product(half, half, mods.times_x)
+        xp[:, 0, 1] -= 1            # x^p - x, reduced by the gcd's matmul
+        lin, _ = mods.split(xp, cofactor=False)
+        factors += [(n, h) for n, h in zip(wide, lin) if len(h) == 2]
+        pending = [k for k, h in enumerate(lin) if len(h) > 2]
+        factors += [(wide[k], lin[k]) for k in pending]
+        half = half[pending]
+    shift = 1
+    while True:
+        for n, h in factors:
+            if len(h) == 2:
+                roots[n].append(int(-h[0] % p))
+        factors = [(n, h) for n, h in factors if len(h) > 2]
+        if not factors:
+            return [sorted(r) for r in roots]
+        if half is not None:        # the first round, with a = 0
+            mods = _Moduli([h for _, h in factors], p, half.shape[2])
+            t, tries = mods.reduce(half[:, 0]), 1
+            half = None
+        else:
+            tries = SPLIT_SHIFTS
+            mods = _Moduli([h for _, h in factors for _ in range(tries)], p)
+            a = (shift + np.arange(len(mods.deg)) % tries) % p
+            t = mods.power(np.stack([a, np.ones_like(a)], axis=1),  # x + a
+                           (p - 1) // 2)
+            shift += tries
+        t[:, 0, 0] -= 1
+        gcds, cofactors = mods.split(t)
+        split = []
+        for k, (n, h) in enumerate(factors):
+            for s in range(k * tries, (k + 1) * tries):
+                if 1 < len(gcds[s]) < len(h):
+                    split += [(n, gcds[s]), (n, cofactors[s])]
+                    break
+            else:
+                split.append((n, h))
+        factors = split
 
 
 def distinct_roots(f, p: int) -> list[int]:
-    """All roots of f in F_p, each once, sorted.
-
-    Computed as gcd(f, x^p - x) followed by equal-degree splitting
-    (Cantor-Zassenhaus): both x^p mod f and the splitting powers
-    (x+a)^((p-1)/2) mod h come from `poly_pow_mod`, so each is a chain of
-    convolutions folded by a reduction matrix built once per modulus.
-    """
-    f = poly_trim(f)
-    if len(f) == 0:
-        raise ValueError("distinct_roots needs a nonzero polynomial")
-    if len(f) == 1:
-        return []
-    xp = poly_pow_mod(np.array([0, 1], dtype=np.int64), p, f, p)
-    lin = poly_gcd(poly_sub(xp, np.array([0, 1], dtype=np.int64), p), f, p)
-    return sorted(_split_distinct_linear(lin, p))
+    """All roots of f in F_p, each once, sorted: `distinct_roots_batch` on
+    one polynomial."""
+    return distinct_roots_batch([f], p)[0]
 
 
 def sylvester(f, g) -> np.ndarray:

@@ -359,7 +359,7 @@ def points_on_form(ctx: CurveContext, coeffs: np.ndarray, deg: int,
         budget -= 1
         a = stream.field_vec(p, g)
         b = stream.field_vec(p, g)
-        for pt in cv.line_zeros(coeffs, deg, g, a, b, p):
+        for pt in cv.line_zeros(coeffs, deg, g, a[None], b[None], p)[0]:
             yield pt
             found += 1
             if found == count:
@@ -623,9 +623,12 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
             repeated = alg.poly_gcd(quot, alg.poly_deriv(quot, p), p)
             if alg.poly_deg(repeated) < 1:
                 continue
-            for u_q in alg.distinct_roots(repeated, p):
-                for cand in cv.line_zeros(section, 1, 4,
-                                          *chart.line_at(u_q), p):
+            for line in chart.line_at(alg.distinct_roots(repeated, p)):
+                if isinstance(line, DegenerateInput):
+                    raise line
+                a, b = line
+                for cand in cv.line_zeros(section, 1, 4, a[None], b[None],
+                                          p)[0]:
                     if cand.tolist() == td.point.tolist():
                         continue
                     if not (cv.on_curve(ctx.curve, cand)
@@ -765,7 +768,7 @@ def degenerate_net(ctx: CurveContext, stream: Stream,
             hb = alg.kernel_basis(polar.reshape(1, g), p)
             c1 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
             c2 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
-            zeros = cv.line_zeros(q, 2, g, c1, c2, p)
+            zeros = cv.line_zeros(q, 2, g, c1[None], c2[None], p)[0]
             if not zeros or alg.rank(np.stack([q1, zeros[0]]), p) != 2:
                 return None
             vertex = np.stack([q1, zeros[0]])

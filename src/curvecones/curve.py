@@ -45,22 +45,35 @@ def normalize_point(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
-               b: np.ndarray, p: int) -> list[np.ndarray]:
-    """Zeros of a degree-deg form on the line through a and b.
+               b: np.ndarray, p: int) -> list[list[np.ndarray]]:
+    """Zeros of a degree-deg form on each line through a[k] and b[k], for
+    N x g stacks a and b; one line is a stack of one.
 
-    First the normalized points a + t b, one per distinct root t of
-    F(a + t b) in increasing order, then b when F(b) = 0 (the root at
+    Per line, first the normalized points a + t b, one per distinct root t
+    of F(a + t b) in increasing order, then b when F(b) = 0 (the root at
     t = infinity).  Empty when the line lies inside the hypersurface; a
-    zero vector is skipped.
+    zero vector is skipped.  One `restrict_to_line` and one
+    `distinct_roots_batch` serve the whole stack.
     """
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
     binary = mono.restrict_to_line(coeffs, deg, g, a, b, p)
-    f = alg.poly_trim(binary)
-    if len(f) == 0:
-        return []
-    pts = [(a + t * b) % p for t in alg.distinct_roots(f, p)]
-    if binary[-1] == 0:
-        pts.append(b % p)
-    return [normalize_point(v, p) for v in pts if v.any()]
+    polys = [alg.poly_trim(f) for f in binary]
+    live = [k for k, f in enumerate(polys) if len(f)]
+    owner, pts = [], []
+    for k, ts in zip(live, alg.distinct_roots_batch([polys[k] for k in live],
+                                                    p)):
+        pts += [a[k] + t * b[k] for t in ts]
+        if binary[k, -1] == 0:
+            pts.append(b[k])
+        owner += [k] * (len(pts) - len(owner))
+    out: list[list[np.ndarray]] = [[] for _ in polys]
+    if pts:
+        pts = np.array(pts) % p
+        for k, pt in zip(owner, alg.normalize_rows(pts, p)):
+            if pt.any():
+                out[k].append(pt)
+    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -118,6 +131,13 @@ def on_curve(curve: CurveModel, pt: np.ndarray) -> bool:
         for d, c in curve.generators)
 
 
+def off_curve(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points (rows) where some generator does not vanish: the
+    test of `on_curve` on a stack of points."""
+    return np.any([mono.form_eval(c, pts, curve.genus, d, curve.prime) != 0
+                   for d, c in curve.generator_arrays()], axis=0)
+
+
 def jacobian_at(curve: CurveModel, pt: np.ndarray) -> np.ndarray:
     p = curve.prime
     g = curve.genus
@@ -173,7 +193,7 @@ class RulingChart:
         for _ in range(400):
             a = stream.field_vec(p, 4)
             b = stream.field_vec(p, 4)
-            zeros = line_zeros(self.quadric, 2, 4, a, b, p)
+            zeros = line_zeros(self.quadric, 2, 4, a[None], b[None], p)[0]
             if zeros:
                 q0 = zeros[0]
                 break
@@ -184,7 +204,8 @@ class RulingChart:
         tangent = alg.kernel_basis(q0_polar.reshape(1, 4), p)
         frame, _ = alg.rref(np.concatenate([q0[None, :], tangent]), p)
         frame = frame[~(frame == 0).all(axis=1)]
-        conic = line_zeros(self.quadric, 2, 4, frame[1], frame[2], p)
+        conic = line_zeros(self.quadric, 2, 4, frame[None, 1], frame[None, 2],
+                           p)[0]
         if len(conic) != 2:
             raise GenerationFailed("tangent conic does not split; "
                                    "quadric is not rationally ruled")
@@ -233,27 +254,29 @@ class RulingChart:
 
     # -- numeric line access ---------------------------------------------
 
-    def line_at(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Spanning points of the ruling line with parameter u (None = inf)."""
+    def line_at(self, us) -> list:
+        """Spanning points (a, b) of the ruling line of each parameter u
+        (None = inf), or a DegenerateInput in its place when its plane
+        lies inside the quadric."""
         p = self.p
-        if u is None:
-            h = self.h2
-        else:
-            h = (self.h1 + u * self.h2) % p
-        w = (int(h @ self.r2 % p) * self.r1
-             - int(h @ self.r1 % p) * self.r2) % p
-        rho, sig = (int(v) for v in self.polar @ w % p)
-        tau = mono.form_eval_one(self.quadric, w, 4, 2, p)
-        if rho == 0 and sig == 0:
-            if tau == 0:
-                raise DegenerateInput("plane lies inside the quadric")
-            return self.q0.copy(), self.d1.copy()
+        h = np.array([self.h2 if u is None else (self.h1 + u * self.h2) % p
+                      for u in us], dtype=np.int64).reshape(-1, 4)
+        w = ((h @ self.r2 % p)[:, None] * self.r1
+             - (h @ self.r1 % p)[:, None] * self.r2) % p
+        rho, sig = (w @ self.polar.T % p).T[:, :, None]
+        tau = mono.form_eval(self.quadric, w, 4, 2, p)[:, None]
         a = (sig * self.q0 - rho * self.d1) % p
-        if rho != 0:
-            b = (tau * self.q0 - rho * w) % p
-        else:
-            b = (tau * self.d1 - sig * w) % p
-        return a, b
+        b = np.where(rho != 0, tau * self.q0 - rho * w,
+                     tau * self.d1 - sig * w) % p
+        lines: list = []
+        for k in range(len(w)):
+            if rho[k, 0] or sig[k, 0]:
+                lines.append((a[k], b[k]))
+            elif tau[k, 0]:
+                lines.append((self.q0.copy(), self.d1.copy()))
+            else:
+                lines.append(DegenerateInput("plane lies inside the quadric"))
+        return lines
 
     def param_of(self, pt: np.ndarray):
         """Pencil parameter of the plane through the fixed line and pt."""
@@ -264,10 +287,25 @@ class RulingChart:
             return None
         return (-num) * alg.inv_mod(den, p) % p
 
-    def points_on_line(self, u) -> list[np.ndarray]:
-        """Curve points on the ruling line with parameter u."""
-        return [q for q in line_zeros(self.cubic, 3, 4, *self.line_at(u),
-                                      self.p) if on_curve(self.curve, q)]
+    def points_on_line(self, us) -> list:
+        """Curve points on the ruling line of each parameter u, or the
+        DegenerateInput of `line_at` in its place.  The cubic's zeros on
+        every line come from one `line_zeros`, and one `off_curve` test
+        filters them all."""
+        lines = self.line_at(us)
+        ok = [k for k, line in enumerate(lines)
+              if not isinstance(line, DegenerateInput)]
+        out: list = list(lines)
+        if not ok:
+            return out
+        zeros = line_zeros(self.cubic, 3, 4,
+                           np.array([lines[k][0] for k in ok]),
+                           np.array([lines[k][1] for k in ok]), self.p)
+        off = iter(off_curve(self.curve, np.array(
+            [q for z in zeros for q in z]).reshape(-1, 4)).tolist())
+        for k, z in zip(ok, zeros):
+            out[k] = [q for q in z if not next(off)]
+        return out
 
     # -- plane sections --------------------------------------------------
 
@@ -365,7 +403,8 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
                 # y3 on the line m (1, y1, y2, y3): its y3^2 coefficient
                 # is layers[0][2], nonzero, so no zero lies at infinity
                 base = m @ np.array([1, y1, y2, 0], dtype=np.int64) % p
-                for x in line_zeros(quads[0], 2, 5, base, m[:, 3], p):
+                for x in line_zeros(quads[0], 2, 5, base[None],
+                                    m[None, :, 3], p)[0]:
                     if on_curve(curve, x):
                         found[tuple(x.tolist())] = x
         break
@@ -443,12 +482,21 @@ def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
     found: dict[tuple, np.ndarray] = {}
     budget = POINT_BUDGET_FACTOR * count + 400
     if curve.genus == 4:
+        # lines in rounds of as many as points are missing; the walk stops
+        # after the line where one line at a time would stop, and raises a
+        # line's DegenerateInput only on reaching it
         chart = ruling_chart(curve)
         while len(found) < count and budget > 0:
-            budget -= 1
-            u = stream.field(p)
-            for q in chart.points_on_line(u):
-                found[tuple(q.tolist())] = q
+            us = [stream.field(p) for _ in range(min(count - len(found),
+                                                     budget))]
+            for pts in chart.points_on_line(us):
+                budget -= 1
+                if isinstance(pts, DegenerateInput):
+                    raise pts
+                for q in pts:
+                    found[tuple(q.tolist())] = q
+                if len(found) >= count:
+                    break
     else:
         while len(found) < count and budget > 0:
             budget -= 1
@@ -497,7 +545,8 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     is missing or has the wrong JSON type, the prime is not an admissible
     prime, a generator has the wrong degree, the file holds fewer points
     than the panels of a context (`panel_sizes`), or a point is not a list
-    of g integers, is not normalized or does not lie on the curve.
+    of g integers, is not normalized, repeats an earlier point (both
+    indices named) or does not lie on the curve.
     """
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
@@ -532,18 +581,22 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     if short:
         raise ConfigError(f"point {short[0]} is not a list of {g} integer "
                           "coordinates")
-    pts = np.array(points, dtype=np.int64).reshape(-1, g)
-    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
-    bad = ~((pts >= 0) & (pts < p)).all(axis=1) | (lead != 1)
-    if bad.any():
-        raise ConfigError(f"point {int(bad.argmax())} is not normalized: "
-                          "coordinates must lie in [0, p) with first "
-                          "nonzero coordinate 1")
-    for d, c in curve.generator_arrays():
-        off = mono.form_eval(c, pts, g, d, p) != 0
-        if off.any():
-            raise ConfigError(f"point {int(off.argmax())} is not on the "
-                              "curve")
+    # on the JSON integers, before any of them meets int64
+    bad = [i for i, q in enumerate(points) if not all(0 <= v < p for v in q)
+           or next((v for v in q if v), 0) != 1]
+    if bad:
+        raise ConfigError(f"point {bad[0]} is not normalized: coordinates "
+                          "must lie in [0, p) with first nonzero coordinate "
+                          "1")
+    first: dict[tuple, int] = {}
+    for i, q in enumerate(points):
+        j = first.setdefault(tuple(q), i)
+        if j != i:
+            raise ConfigError(f"point {i} repeats point {j}")
+    pts = np.array(points, dtype=np.int64)
+    off = off_curve(curve, pts)
+    if off.any():
+        raise ConfigError(f"point {int(off.argmax())} is not on the curve")
     return curve, list(pts)
 
 

@@ -185,9 +185,22 @@ def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
 
 def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,
                      b: np.ndarray, p: int) -> np.ndarray:
-    """Binary form of F(a s + b t) as coefficients over exponents(2, n)."""
-    basis = np.stack([a, b], axis=1)
-    return restrict(coeffs, n, g, basis, p)
+    """Binary form of F(a s + b t) as coefficients over exponents(2, n);
+    for N x g stacks a and b, the N x (n+1) array of the binary forms of
+    the lines through a[k] and b[k].
+
+    This is `restrict` to the basis [a b], with the points of every line
+    at the cached binary nodes in one `eval_matrix`, so the same exact
+    dot products.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    nodes, inv = _interpolation_nodes(2, n, p)
+    pts = (nodes[:, 0, None, None] * a + nodes[:, 1, None, None] * b) % p
+    values = eval_matrix(pts.reshape(-1, g), g, n, p) \
+        @ (np.asarray(coeffs, dtype=np.int64) % p) % p
+    binary = inv @ values.reshape(len(nodes), -1) % p
+    return binary.T.reshape(a.shape[:-1] + (len(nodes),))
 
 
 def collect(coeffs: np.ndarray, n: int, m: int, weights, p: int

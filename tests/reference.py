@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from curvecones import algebra as alg, monomials as mono
-from curvecones.errors import InconsistentSystem, SplittingViolation
+from curvecones import algebra as alg, curve as cv, monomials as mono
+from curvecones.errors import (DegenerateInput, InconsistentSystem,
+                               InsufficientPoints, SplittingViolation)
 from curvecones.rng import Stream
 
 
@@ -108,3 +109,94 @@ def sweep_discriminant(chart, s1, s2, p):
     if len(nodes) < 80:
         return None
     return lagrange_interpolate(nodes, values, p)
+
+
+def poly_sub(f, g, p):
+    """Difference of two univariate polynomials, trimmed."""
+    out = np.zeros(max(len(f), len(g)), dtype=np.int64)
+    out[:len(f)] += f
+    out[:len(g)] -= g
+    return alg.poly_trim(out % p)
+
+
+def poly_pow_mod(base, e, mod, p):
+    """base^e mod `mod` by square-and-multiply on one modulus: each product
+    is a convolution folded by a reduction matrix whose row k holds
+    x^k mod f."""
+    f = alg.poly_monic(mod, p)
+    d = alg.poly_deg(f)
+    if e == 0:
+        return np.ones(1, dtype=np.int64) if d > 0 \
+            else np.zeros(0, dtype=np.int64)
+    n = max(len(base), 2 * d - 1)
+    red = np.zeros((n, d), dtype=np.int64)
+    red[:d] = np.eye(d, dtype=np.int64)
+    for k in range(d, n):
+        red[k, 1:] = red[k - 1, :-1]
+        red[k] = (red[k] - red[k - 1, -1] * f[:d]) % p
+    b = (np.asarray(base, dtype=np.int64) % p).dot(red[:len(base)]) % p
+    fold = red[:2 * d - 1]
+    acc = b
+    for bit in bin(e)[3:]:
+        acc = (np.convolve(acc, acc) % p).dot(fold) % p
+        if bit == "1":
+            acc = (np.convolve(acc, b) % p).dot(fold) % p
+    return alg.poly_trim(acc)
+
+
+def distinct_roots(f, p):
+    """All roots of f in F_p, each once, sorted, one polynomial at a time:
+    gcd(f, x^p - x) by Euclid, then Cantor-Zassenhaus splitting that tries
+    the shifts a = 1, 2, ... on one factor at a time."""
+    f = alg.poly_trim(f)
+    if len(f) <= 1:
+        return []
+    x = np.array([0, 1], dtype=np.int64)
+    stack = [alg.poly_gcd(poly_sub(poly_pow_mod(x, p, f, p), x, p), f, p)]
+    roots = []
+    while stack:
+        h = stack.pop()
+        d = alg.poly_deg(h)
+        if d <= 0:
+            continue
+        if d == 1:
+            roots.append(-int(h[0]) % p)
+            continue
+        a = 1
+        while True:
+            shifted = np.array([a, 1], dtype=np.int64)
+            t = poly_sub(poly_pow_mod(shifted, (p - 1) // 2, h, p),
+                         np.ones(1, dtype=np.int64), p)
+            d1 = alg.poly_gcd(t, h, p)
+            if 0 < alg.poly_deg(d1) < d:
+                stack += [d1, alg.poly_divmod(h, d1, p)[0]]
+                break
+            if alg.poly_eval(h, -a % p, p) == 0:
+                roots.append(-a % p)
+                stack.append(alg.poly_divmod(h, shifted, p)[0])
+                break
+            a += 1
+    return sorted(roots)
+
+
+def sample_points_one_line_at_a_time(curve, count):
+    """Genus-4 `sample_points` walking one ruling line per draw: the
+    sorted, truncated points and the number of lines drawn."""
+    p = curve.prime
+    stream = Stream(curve.seed, f"sample-points-g{curve.genus}")
+    chart = cv.ruling_chart(curve)
+    found = {}
+    lines = 0
+    budget = cv.POINT_BUDGET_FACTOR * count + 400
+    while len(found) < count and budget > 0:
+        budget -= 1
+        lines += 1
+        pts, = chart.points_on_line([stream.field(p)])
+        if isinstance(pts, DegenerateInput):
+            raise pts
+        for q in pts:
+            found[tuple(q.tolist())] = q
+    if len(found) < count:
+        raise InsufficientPoints(
+            f"found {len(found)} of {count} requested points")
+    return [found[k] for k in sorted(found)][:count], lines

@@ -10,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from curvecones import algebra as alg
 
+import reference
 from reference import lagrange_interpolate, poly_mul
 
 P = 1000003
@@ -324,6 +325,81 @@ class TestUnivariateAgainstSympy:
         _, factors = gt.gf_factor(to_gf(f), p, ZZ)
         linear = sorted((-int(h[1])) % p for h, _ in factors if len(h) == 2)
         assert alg.distinct_roots(f, p) == linear
+
+
+def linear_roots_sympy(f, p):
+    """Roots of the linear factors of sympy's factor_list of f mod p."""
+    poly = sympy.Poly(to_gf(f), sympy.Symbol("x"), modulus=p)
+    return sorted(-int(h.nth(0)) * alg.inv_mod(int(h.LC()) % p, p) % p
+                  for h, _ in poly.factor_list()[1] if h.degree() == 1)
+
+
+def chi(a, p):
+    """Quadratic character of a nonzero a."""
+    return pow(a, (p - 1) // 2, p)
+
+
+class TestDistinctRootsBatch:
+    """`distinct_roots_batch` against the scalar chain of tests/reference.py
+    (gcd by Euclid, Cantor-Zassenhaus one factor and one shift at a time)
+    and against the linear factors sympy finds."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(stack=st.lists(st.tuples(
+               st.integers(0, 12),
+               st.lists(st.tuples(st.integers(0, 2**31), st.integers(1, 3)),
+                        max_size=4)), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(stack=[(0, [(7, 1)]), (3, [(5, 3), (9, 1)]), (1, []),
+                    (2, [(0, 2)])], seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_and_sympy(self, p, stack, seed):
+        rng = np.random.default_rng(seed)
+        polys = []
+        for deg, planted in stack:
+            f = rand_poly(rng, p, deg)
+            for r, mult in planted:
+                for _ in range(mult):
+                    f = poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
+            polys.append(f)
+        got = alg.distinct_roots_batch(polys, p)
+        assert got == [reference.distinct_roots(f, p) for f in polys]
+        assert got == [linear_roots_sympy(f, p) for f in polys]
+        assert got == [alg.distinct_roots(f, p) for f in polys]
+
+    def test_mixed_stack(self):
+        p = P                   # p = 3 mod 4: x^2 + 1 has no root
+        repeated = poly_mul(poly_mul(arr([p - 5, 1]), arr([p - 5, 1]), p),
+                            poly_mul(arr([p - 5, 1]), arr([p - 7, 1]), p), p)
+        stack = [arr([5]), arr([3, 2]), arr([1, 0, 1]), repeated,
+                 arr([0, 0, 1])]
+        expected = [[], [(-3 * alg.inv_mod(2, p)) % p], [], [5, 7], [0]]
+        assert alg.distinct_roots_batch(stack, p) == expected
+        assert alg.distinct_roots_batch([], p) == []
+        with pytest.raises(ValueError, match="nonzero"):
+            alg.distinct_roots_batch([arr([1, 1]), arr([0, 0])], p)
+
+    def test_split_in_second_round(self, monkeypatch):
+        # the first round splits with t = x^((p-1)/2), which takes one
+        # value on roots of one quadratic character; the roots below
+        # share it but part at a shift of the second round
+        p = P
+        shifts = range(1, alg.SPLIT_SHIFTS + 1)
+        r1 = 2
+        r2 = next(r for r in range(3, p) if chi(r, p) == chi(r1, p)
+                  and any(chi(r + a, p) != chi(r1 + a, p) for a in shifts))
+        h = poly_mul(arr([p - r1, 1]), arr([p - r2, 1]), p)
+        chains = []
+        real = alg._Moduli.power
+
+        def power(self, base, e):
+            chains.append(base.tolist())
+            return real(self, base, e)
+
+        monkeypatch.setattr(alg._Moduli, "power", power)
+        assert alg.distinct_roots_batch([h, arr([1, 1])], p) == \
+            [sorted([r1, r2]), [p - 1]]
+        assert chains == [[[a, 1] for a in shifts]]
 
 
 class TestPowModBudget:

@@ -176,6 +176,22 @@ class TestCurveFileValidation:
         assert code == 2
         assert "point 7 is not normalized" in err
 
+    def test_coordinate_beyond_int64(self, tmp_path, curve_file, capsys):
+        def widen(data):
+            data["points"][3] = [1, 10**30, 0, 0]
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, widen), capsys)
+        assert code == 2
+        assert "point 3 is not normalized" in err
+
+    def test_repeated_point(self, tmp_path, curve_file, capsys):
+        def repeat(data):
+            data["points"][5] = list(data["points"][4])
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, repeat), capsys)
+        assert code == 2
+        assert "point 5 repeats point 4" in err
+
     def test_too_few_points(self, tmp_path, curve_file, capsys):
         # a genus-4 context needs 4 * 35 panel and 2 * 35 holdout points
         path = self.damaged(tmp_path, curve_file,

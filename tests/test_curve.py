@@ -14,8 +14,11 @@ from curvecones import algebra as alg
 from curvecones import cone as cn
 from curvecones import curve as cv
 from curvecones import monomials as mono
-from curvecones.errors import SingularPoint
+from curvecones.errors import (DegenerateInput, InsufficientPoints,
+                               SingularPoint)
 from curvecones.rng import Stream
+
+from reference import sample_points_one_line_at_a_time
 
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
@@ -24,6 +27,14 @@ P_MAX = 33554393    # largest prime below 2**25
 # resultant_bivariate fit its values by Lagrange interpolation
 GENUS5_CURVE_FILE = \
     "9d34943c242b5b149467de066953c55bc9eb8a1a925076850d8b6700393d3051"
+
+
+# sha256 of `gen-curve --genus 4 --seed 1` at each prime, recorded while
+# the roots on each ruling line were found one line at a time
+GENUS4_CURVE_FILES = {
+    P: "515c002ff8735698edab550c50aa4f019d7b2c02367e9cf6cb6a7afd64abb1db",
+    P_MAX: "723d83f6decd4bcc69682d9f5287cf4125a62fff43a45882588420f1074d7622",
+}
 
 
 class TestGeneration:
@@ -44,6 +55,15 @@ class TestGeneration:
         blob = json.dumps(cv.curve_to_json(ctx5.curve, points),
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == GENUS5_CURVE_FILE
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_genus4_curve_file_is_pinned(self, p):
+        curve = cv.generate_curve(4, p, 1)
+        points = cv.sample_points(curve, sum(cv.panel_sizes(4)))
+        blob = json.dumps(cv.curve_to_json(curve, points),
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            GENUS4_CURVE_FILES[p]
 
     def test_unsupported_genus(self):
         with pytest.raises(ValueError):
@@ -83,8 +103,7 @@ class TestQuadricGram:
         chart = cv.ruling_chart(curve)
         quadric = curve.generator_arrays()[0][1]
         assert mono.form_eval_one(quadric, chart.q0, 4, 2, P_MAX) == 0
-        for u in (0, 12345, None):
-            a, b = chart.line_at(u)
+        for a, b in chart.line_at([0, 12345, None]):
             assert not mono.restrict_to_line(quadric, 2, 4, a, b,
                                              P_MAX).any()
         pts = cv.sample_points(curve, 20)
@@ -101,10 +120,49 @@ class TestSampling:
         seen = {tuple(q.tolist()) for q in ctx4.panel}
         assert len(seen) == len(ctx4.panel)
 
-    def test_insufficient_budget_raises(self, ctx4):
-        # absurd request cannot be met within the slice budget
-        with pytest.raises(Exception):
+    def test_insufficient_budget_raises(self, ctx4, monkeypatch):
+        # 400 ruling lines carry 427 distinct points of the seed-1 curve
+        monkeypatch.setattr(cv, "POINT_BUDGET_FACTOR", 0)
+        with pytest.raises(InsufficientPoints,
+                           match="found 427 of 1000 requested points"):
+            cv.sample_points(ctx4.curve, 1000)
+
+    def test_hasse_weil_guard(self, ctx4):
+        with pytest.raises(InsufficientPoints, match="cannot collect"):
             cv.sample_points(ctx4.curve, 10**7)
+
+    @pytest.mark.parametrize("count", [1, 50, 210])
+    def test_rounds_match_one_line_at_a_time(self, ctx4, count):
+        expected, _ = sample_points_one_line_at_a_time(ctx4.curve, count)
+        got = cv.sample_points(ctx4.curve, count)
+        assert [q.tolist() for q in got] == [q.tolist() for q in expected]
+
+    def test_degenerate_line_raises_only_when_reached(self, ctx4,
+                                                      monkeypatch):
+        expected, stop = sample_points_one_line_at_a_time(ctx4.curve, 50)
+        # the single round of 50 lines goes on past the stopping line
+        assert 1 < stop < 50
+        real = cv.RulingChart.line_at
+
+        def degenerate_at(k):
+            drawn = [0]
+
+            def line_at(self, us):
+                lines = real(self, us)
+                for i in range(len(lines)):
+                    drawn[0] += 1
+                    if drawn[0] == k:
+                        lines[i] = DegenerateInput("injected")
+                return lines
+            monkeypatch.setattr(cv.RulingChart, "line_at", line_at)
+
+        for k in (1, stop):
+            degenerate_at(k)
+            with pytest.raises(DegenerateInput, match="injected"):
+                cv.sample_points(ctx4.curve, 50)
+        degenerate_at(stop + 1)
+        assert [q.tolist() for q in cv.sample_points(ctx4.curve, 50)] == \
+            [q.tolist() for q in expected]
 
 
 class TestHyperplaneSections:
@@ -262,7 +320,7 @@ class TestLineZeros:
     @settings(max_examples=40, deadline=None)
     def test_matches_sympy(self, p, case, g, deg, seed):
         f, a, b, t0 = planted_line(case, p, g, deg, seed)
-        got = cv.line_zeros(f, deg, g, a, b, p)
+        got, = cv.line_zeros(f, deg, g, a[None], b[None], p)
         for pt in got:
             assert ((pt >= 0) & (pt < p)).all()
             assert pt[np.flatnonzero(pt)[0]] == 1
@@ -295,6 +353,24 @@ class TestLineZeros:
             assert restricted.rem(double).is_zero
             point = alg.normalize_scalar((a + t0 * b) % p, p).tolist()
             assert [pt.tolist() for pt in got].count(point) == 1
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_stack_equals_lines(self, p):
+        stream = Stream(5, "line-stack")
+        g, deg = 4, 3
+        f = stream.field_vec(p, mono.count(g, deg))
+        a = stream.field_mat(p, 8, g)
+        b = stream.field_mat(p, 8, g)
+        b[1] = next(z[0] for z in cv.line_zeros(f, deg, g, a, b, p)
+                    if z)           # F(b) = 0
+        a[2] = 0                    # the zero t = 0 is the zero vector
+        stacked = cv.line_zeros(f, deg, g, a, b, p)
+        assert [[q.tolist() for q in z] for z in stacked] == \
+            [[q.tolist() for q in cv.line_zeros(f, deg, g, a[k:k + 1],
+                                                b[k:k + 1], p)[0]]
+             for k in range(8)]
+        assert stacked[1][-1].tolist() == b[1].tolist()
+        assert cv.line_zeros(f, deg, g, a[:0], b[:0], p) == []
 
     def test_chart_tangent_point(self, ctx4):
         # d1 spans, with q0, a ruling line: on the quadric and in its

@@ -59,7 +59,7 @@ class TestBuildNet:
             assert net.in_d == on_quadric
         # engineered membership: vertex taken on the quadric itself
         chart = cv.ruling_chart(ctx4.curve)
-        a, b = chart.line_at(stream.field(P))
+        (a, b), = chart.line_at([stream.field(P)])
         vertex = (a + 3 * b) % P
         net = nt.net_from_vertex(ctx4, vertex)
         assert mono.form_eval_one(quadric, net.wperp[0], 4, 2, P) == 0
