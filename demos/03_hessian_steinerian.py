@@ -22,13 +22,12 @@ print(f"plane image: degree {gamma.degree} curve "
       f"({gamma.coeffs.shape[0]} coefficients, unique fit)")
 
 # fiber over the image of a curve point: singular, kernel = the point
-pt = ctx.panel[0]
-u = w_net.w @ pt % PRIME
-fiber = bundle.fiber_quadric(ctx, w_net, quartic, u)
-print("fiber Gram over a curve-point image:", fiber.gram.tolist())
-print("  determinant:", algebra.det(fiber.gram, PRIME))
+pts = ctx.panel[:1]
+fibers = bundle.fiber_quadric(ctx, w_net, quartic, pts @ w_net.w.T % PRIME)
+print("fiber Gram over a curve-point image:", fibers[0].gram.tolist())
+print("  determinant:", algebra.det(fibers[0].gram, PRIME))
 print("  singular point recovers the curve point:",
-      bundle.steinerian_check(fiber, pt, PRIME))
+      bool(bundle.steinerian_check(fibers, pts, PRIME)[0]))
 
 # sweep: discriminant zero on the image, nonzero off it
 scan = bundle.hessian_scan(ctx, w_net, quartic, 25, 25, Stream(3031, "u"))

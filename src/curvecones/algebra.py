@@ -24,8 +24,11 @@ element with its own pivot rows, so elements with different pivot patterns
 or ranks share one pass; element by element it returns what `rref` does.
 Like `rref` it reduces mod p after every row operation: a row update
 subtracts one product of two entries below p, so no intermediate leaves
-(-p**2, p).  `kernel_batch` reads special solutions off that pass, and
-`solve_batch` the solutions and ranks of stacked systems [m | rhs].
+(-p**2, p).  `kernel_batch` reads special solutions off that pass
+(`special_solutions_batch`), and `solve_batch` the solutions and ranks of
+stacked systems [m | rhs].  `det_batch` eliminates a stack of square
+matrices with the same updates and multiplies the pivots; like
+`rref_batch` it hands a stack of one to the scalar `det`.
 
 `interpolate` solves the Vandermonde system of its nodes with one
 `solve_batch`, and `rational_interpolate` builds its Cauchy rows from the
@@ -228,7 +231,13 @@ def kernel_batch(stack: np.ndarray, p: int, nullity: int
     Returns an N x nullity x cols array and a mask of the elements whose
     kernel has that dimension; the basis of any other element is zero.
     """
-    r, pivots = rref_batch(stack, p)
+    return special_solutions_batch(*rref_batch(stack, p), nullity, p)
+
+
+def special_solutions_batch(r: np.ndarray, pivots: np.ndarray, nullity: int,
+                            p: int) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel_batch` read off an `rref_batch` output (r, pivots), for a
+    caller that also needs the reduced stack or its pivots."""
     n, _, cols = r.shape
     rank = cols - nullity
     ok = (pivots >= 0).sum(axis=1) == rank
@@ -319,6 +328,38 @@ def det(m: np.ndarray, p: int) -> int:
         below = a[c + 1:, c] * inv % p
         a[c + 1:] = (a[c + 1:] - np.outer(below, a[c])) % p
     return result * sign % p
+
+
+def det_batch(stack: np.ndarray, p: int) -> np.ndarray:
+    """`det` of every matrix of an N x n x n stack.
+
+    Column by column, each element swaps up its first row at or below the
+    diagonal with a nonzero entry and clears the column below it; its
+    determinant is the product of those pivots, negated once per swap.  An
+    element without such a row has determinant 0, and its column below
+    the diagonal is already zero.  As in `rref_batch`, an update subtracts
+    one product of two entries below p and is reduced at once, and a stack
+    of one goes to `det`, whose column costs about half the numpy calls.
+    """
+    a = np.array(stack, dtype=np.int64) % p
+    n, rows, cols = a.shape
+    if rows != cols:
+        raise ValueError("determinant needs a square matrix")
+    if n == 1:
+        return np.array([det(a[0], p)], dtype=np.int64)
+    elems = np.arange(n)
+    out = np.ones(n, dtype=np.int64)
+    for c in range(rows):
+        j = c + (a[:, c:, c] != 0).argmax(axis=1)
+        top = a[elems, j, c:]
+        a[elems, j, c:] = a[:, c, c:]
+        a[:, c, c:] = top
+        piv = top[:, 0]
+        out = out * np.where(j != c, p - piv, piv) % p
+        below = a[:, c + 1:, c] * _inverses(piv, p)[:, None] % p
+        a[:, c + 1:, c:] -= below[:, :, None] * top[:, None, :]
+        a[:, c + 1:, c:] %= p
+    return out
 
 
 def inverse(m: np.ndarray, p: int) -> np.ndarray:

@@ -20,9 +20,10 @@ from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
 from .cone import QuarticCone
-from .curve import normalize_point, quadric_gram
-from .errors import (Draws, NodeFiber, NonGenericCoordinates,
-                     RankDeficientW, SplittingViolation, resample)
+from .curve import quadric_gram
+from .errors import (CurveConesError, Draws, NodeFiber,
+                     NonGenericCoordinates, RankDeficientW, SplittingViolation,
+                     resample)
 from .rng import Stream, derive_key
 
 
@@ -34,45 +35,68 @@ class FiberQuadric:
 
 
 def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
-                  u: np.ndarray) -> FiberQuadric:
-    """Residual quadric of the quartic over a plane point.
+                  us) -> list[FiberQuadric | CurveConesError]:
+    """Residual quadric of the quartic over each plane point of an N x 3
+    stack.
 
     Every monomial of the restriction must carry the vertex-cutting
     coordinate with exponent at least two; failure falsifies the
-    vertex-singularity certificate of the cone."""
+    vertex-singularity certificate of the cone.  A point that fails gets,
+    in place of its fiber, the exception of the one-point chain.  The
+    stack goes through one `pencil_at`, one `kernel_batch` for the
+    annihilators of the pencils, one reduction modulo the vertex and one
+    `restrict`."""
     p = ctx.p
     g = ctx.g
     m = g - 2
-    u = np.asarray(u, dtype=np.int64) % p
-    if not u.any():
-        raise RankDeficientW("plane point cannot be zero")
-    vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p), p)
+    us = np.asarray(us, dtype=np.int64).reshape(-1, 3) % p
+    n = us.shape[0]
+    vperp, _ = alg.kernel_batch(nt.pencil_at(net_obj.w, us, p), p, m)
+    # the first annihilator row off the vertex leads the fiber basis; the
+    # rows reduce modulo the vertex as in `RowSpace.reduce`
     vertex = alg.RowSpace(net_obj.wperp, p)
-    lead = next((row for row in vperp if not vertex.contains(row)), None)
-    if lead is None:
-        raise RankDeficientW("fiber space collapsed onto the vertex")
-    basis = np.concatenate([lead[None, :], net_obj.wperp]).T  # g x (g-2)
+    off_vertex = ((vperp - vperp[:, :, vertex.pivots] @ vertex.rows) % p
+                  ).any(axis=2)
+    lead = vperp[np.arange(n), off_vertex.argmax(axis=1)]
+    basis = np.concatenate([lead[:, :, None], np.broadcast_to(
+        net_obj.wperp.T, (n, g, g - 3))], axis=2)     # N x g x (g-2)
     restricted = mono.restrict(cone.coeffs, 4, g, basis, p)
     # the monomials divisible by z0^2 come first, and dividing them by
     # z0^2 lists exponents(m, 2) in order
     divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
-    if restricted[~divisible].any():
-        raise SplittingViolation(
-            "restricted quartic is not divisible by the vertex form squared")
-    return FiberQuadric(u=normalize_point(u, p),
-                        gram=quadric_gram(restricted[divisible], m, p),
-                        basis=basis)
+    grams = quadric_gram(restricted[:, divisible], m, p)
+    undivided = restricted[:, ~divisible].any(axis=1)
+    out: list = []
+    for i, u in enumerate(alg.normalize_rows(us, p)):
+        if not u.any():
+            out.append(RankDeficientW("plane point cannot be zero"))
+        elif not off_vertex[i].any():
+            out.append(RankDeficientW(
+                "fiber space collapsed onto the vertex"))
+        elif undivided[i]:
+            out.append(SplittingViolation("restricted quartic is not "
+                                          "divisible by the vertex form "
+                                          "squared"))
+        else:
+            out.append(FiberQuadric(u=u, gram=grams[i], basis=basis[i]))
+    return out
 
 
-def steinerian_check(fq: FiberQuadric, pt: np.ndarray, p: int) -> bool:
-    """The fiber is singular at exactly one point, and that point is the
-    curve point pt (meaningful over smooth image points only)."""
-    kern = alg.kernel_basis(fq.gram, p)
-    if kern.shape[0] != 1:
-        return False
-    ambient = fq.basis @ kern[0] % p
-    return bool(ambient.any()) and alg.normalize_scalar(ambient, p).tolist() \
-        == normalize_point(pt, p).tolist()
+def steinerian_check(fibers: list[FiberQuadric], pts, p: int
+                     ) -> np.ndarray:
+    """Per fiber, whether it is singular at exactly one point and that
+    point is the curve point pts[i] (meaningful over smooth image points
+    only), from one `kernel_batch` of the Grams; pts is N x g."""
+    pts = np.asarray(pts, dtype=np.int64)
+    g = pts.shape[1]
+    grams = np.array([fq.gram for fq in fibers], dtype=np.int64
+                     ).reshape(-1, g - 2, g - 2)
+    bases = np.array([fq.basis for fq in fibers], dtype=np.int64
+                     ).reshape(-1, g, g - 2)
+    kern, corank_one = alg.kernel_batch(grams, p, 1)
+    ambient = (bases @ kern.transpose(0, 2, 1))[:, :, 0] % p
+    same = alg.normalize_rows(ambient, p) == alg.normalize_rows(pts, p)
+    return corank_one & ambient.any(axis=1) & same.all(axis=1)
 
 
 def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
@@ -83,45 +107,57 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     the curve point as kernel; fibers over random points off the image must
     be nonsingular.  An image point that several panel points share, or at
     which the image is singular, is skipped: the Steinerian is undefined
-    there.  Returns counts and the per-fiber rows for export."""
+    there.  When the panel has fewer than on_count usable points, the scan
+    raises the exhaustion of its on-image draws.  Returns counts and the
+    per-fiber rows for export.
+
+    The fibers are split in rounds (`Draws.rounds`), exactly the draws of
+    a loop that splits one fiber at a time; the determinants of all Grams
+    come from one `det_batch`."""
     p = ctx.p
     gamma = nt.gamma_equation(ctx, net_obj)
     # the projected panel (no point of it is zero, as the net has no base
-    # point), how many panel points share each image, and the image's
-    # gradient there
+    # point), how many panel points share each image, the image's gradient
+    # there and gamma there
     proj = nt.project(net_obj, ctx.panel, p)
     _, image, sharing = np.unique(alg.normalize_rows(proj, p), axis=0,
                                   return_inverse=True, return_counts=True)
     partials = np.stack([mono.partial(gamma.coeffs, k, 3, gamma.degree, p)
                          for k in range(3)])
     grad = mono.form_eval(partials.T, proj, 3, gamma.degree - 1, p)
+    on_values = mono.form_eval(gamma.coeffs, proj, 3, gamma.degree, p)
 
-    def gamma_at(u: np.ndarray) -> int:
-        return mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
-
-    def scan_row(u: np.ndarray, gval: int,
-                 pt: np.ndarray | None = None) -> tuple:
-        """The scan row of the fiber over u; kernel_match is None off the
-        image."""
-        fq = fiber_quadric(ctx, net_obj, cone, u)
-        match = None if pt is None else steinerian_check(fq, pt, p)
-        return fq.u, gval, alg.det(fq.gram, p), match
-
-    def on_image(k: int):
+    def on_image(k: int) -> int:
         if sharing[image[k]] != 1:
             raise NodeFiber("several panel points share this fiber")
         if not grad[k].any():
             raise NodeFiber("plane image is singular at this fiber")
-        return scan_row(proj[k], gamma_at(proj[k]), ctx.panel[k])
+        return k
 
     def off_image(_):
         u = stream.field_vec(p, 3)
-        gval = gamma_at(u)   # zero when u is zero or on the image
-        return None if gval == 0 else scan_row(u, gval)
+        gval = mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
+        # zero when u is zero or on the image
+        return None if gval == 0 else (u, gval)
 
-    on_rows = Draws("on-image fibers", len(ctx.panel), on_image).take(on_count)
-    off_rows = Draws("off-image fibers", 40 * off_count,
-                     off_image).take(off_count)
+    on_draws = Draws("on-image fibers", len(ctx.panel), on_image)
+    on = on_draws.rounds(on_count, lambda ks: fiber_quadric(
+        ctx, net_obj, cone, proj[ks]))
+    if len(on) < on_count:
+        raise on_draws.exhausted()
+    off = Draws("off-image fibers", 40 * off_count, off_image).rounds(
+        off_count, lambda drawn: fiber_quadric(ctx, net_obj, cone,
+                                               [u for u, _ in drawn]))
+    on_fibers = [fq for _, fq in on]
+    matches = steinerian_check(on_fibers, ctx.panel[[k for k, _ in on]], p)
+    fibers = on_fibers + [fq for _, fq in off]
+    m = ctx.g - 2
+    dets = alg.det_batch(np.array([fq.gram for fq in fibers],
+                                  dtype=np.int64).reshape(-1, m, m), p)
+    on_rows = [(fq.u, int(on_values[k]), int(d), bool(match))
+               for (k, fq), d, match in zip(on, dets, matches)]
+    off_rows = [(fq.u, gval, int(d), None)
+                for ((_, gval), fq), d in zip(off, dets[len(on):])]
     rows = on_rows + off_rows
     return {
         "rows": rows,

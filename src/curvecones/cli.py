@@ -134,8 +134,14 @@ def cmd_hessian(args) -> int:
     if args.sweep < 0:
         raise ConfigError(f"--sweep must be at least 0, got {args.sweep}")
     ctx = _load_context(args.curve)
-    stream, cone_obj = _cli_cone(ctx, args.w_seed)
     off = args.sweep // 2
+    panel = len(ctx.panel)
+    if args.sweep - off > panel:
+        raise ConfigError(
+            f"--sweep must be at most {2 * panel} on this curve: half of the "
+            f"rows, rounded up, are fibers over its {panel} panel points; "
+            f"got {args.sweep}")
+    stream, cone_obj = _cli_cone(ctx, args.w_seed)
     scan = bd.hessian_scan(ctx, cone_obj.net, cone_obj, args.sweep - off,
                            off, stream.spawn("sweep"))
     _write(args.out, bd.scan_rows_to_csv(scan["rows"]))

@@ -220,23 +220,17 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
     still needed, each round one `split_fibers` call.
     """
     p = ctx.p
-    fibers: list[SplitFiber] = []
 
     def plane_point(_):
         u = stream.field_vec(p, 3)
         return u if u.any() else None
 
     draws = Draws("admissible pencils", 120, plane_point)
-    while len(fibers) < count:
-        if not draws.left:
-            raise draws.exhausted()
-        us = np.array(draws.take(count - len(fibers))).reshape(-1, 3)
-        for fiber in split_fibers(ctx, net_obj, nt.pencil_at(net_obj.w, us,
-                                                             p)):
-            fiber = unwrap(fiber)
-            if fiber is not None:
-                fibers.append(fiber)
-    return fibers
+    fibers = draws.rounds(count, lambda us: split_fibers(
+        ctx, net_obj, nt.pencil_at(net_obj.w, np.reshape(us, (-1, 3)), p)))
+    if len(fibers) < count:
+        raise draws.exhausted()
+    return [fiber for _, fiber in fibers]
 
 
 def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,
@@ -700,22 +694,7 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     def family(t: int) -> np.ndarray:
         return np.stack([section, r1, (r2 + t * r3) % p])
 
-    def admissible(k: int):
-        net_t = nt.build_net(ctx, family(k + 1))
-        return None if net_t.in_b or net_t.in_d else (k + 1, net_t)
-
-    # (t, oracle value at b0) on the first 100 admissible nets, taken in
-    # rounds of as many as are still missing
-    samples: list[tuple[int, int]] = []
-    sweep = Draws("family sweep", 500, admissible)
-    while len(samples) < 100 and sweep.left:
-        batch = sweep.take(100 - len(samples))
-        wits = nt.oracle_batch(ctx, [net_t for _, net_t in batch],
-                               [b0] * len(batch), check_gamma=False)
-        for (t, _), wit in zip(batch, wits):
-            wit = unwrap(wit)
-            if wit is not None:
-                samples.append((t, int(wit.b @ wit.y % p)))
+    samples = _family_samples(ctx, family, b0)
     if len(samples) < 100:
         return []
     ts, vs = zip(*samples)
@@ -740,6 +719,28 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
         return pt_p, pt_q, net_r, cone_r
 
     return Draws("family roots", len(roots), contained).take(wanted)
+
+
+def _family_samples(ctx: CurveContext, family, b0: np.ndarray
+                    ) -> list[tuple[int, int]]:
+    """(t, oracle value at b0) on the first 100 nets family(t), t = 1, 2,
+    ..., 500, that are off B and D and have a witness at b0.
+
+    The values of t are those of a loop that builds one net at a time.
+    They are taken in rounds of as many as samples are still missing, each
+    round one `build_nets` and one `oracle_batch`.
+    """
+    def sample(ts: list) -> list:
+        nets = nt.build_nets(ctx, np.stack([family(t) for t in ts]))
+        ok = [k for k, net in enumerate(nets)
+              if isinstance(net, nt.Net) and not (net.in_b or net.in_d)]
+        wits = dict(zip(ok, nt.oracle_batch(
+            ctx, [nets[k] for k in ok], [b0] * len(ok), check_gamma=False)))
+        return [wits.get(k) for k in range(len(ts))]
+
+    sweep = Draws("family sweep", 500, lambda k: k + 1)
+    return [(t, int(wit.b @ wit.y % ctx.p))
+            for t, wit in sweep.rounds(100, sample)]
 
 
 def degenerate_net(ctx: CurveContext, stream: Stream,

@@ -95,13 +95,14 @@ def quadric_gram(coeffs: np.ndarray, g: int, p: int) -> np.ndarray:
     """Symmetric Gram matrix M with Q(x) = x^T M x (odd characteristic).
 
     exponents(g, 2) lists z_i z_j (i <= j) in the row-major order of
-    np.triu_indices(g); the cross terms are halved."""
+    np.triu_indices(g); the cross terms are halved.  A stack of forms
+    (last axis the coefficients) gives a stack of Grams."""
     i, j = np.triu_indices(g)
     c = np.asarray(coeffs, dtype=np.int64) % p \
         * np.where(i == j, 1, alg.inv_mod(2, p)) % p
-    m = np.zeros((g, g), dtype=np.int64)
-    m[i, j] = c
-    m[j, i] = c
+    m = np.zeros(c.shape[:-1] + (g, g), dtype=np.int64)
+    m[..., i, j] = c
+    m[..., j, i] = c
     return m
 
 
@@ -138,14 +139,17 @@ def off_curve(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
                    for d, c in curve.generator_arrays()], axis=0)
 
 
-def jacobian_at(curve: CurveModel, pt: np.ndarray) -> np.ndarray:
+def jacobian_at(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
+    """Jacobian matrix of the generators at a point, or at each point of
+    a ... x g stack (... x generators x g), one `form_eval` of the partials
+    per generator."""
     p = curve.prime
     g = curve.genus
-    rows = []
-    for d, c in curve.generator_arrays():
-        rows.append([mono.form_eval_one(gr, pt, g, d - 1, p)
-                     for gr in mono.gradient(c, g, d, p)])
-    return np.array(rows, dtype=np.int64)
+    pts = np.asarray(pts, dtype=np.int64)
+    rows = [mono.form_eval(np.stack(mono.gradient(c, g, d, p), axis=1),
+                           pts.reshape(-1, g), g, d - 1, p)
+            for d, c in curve.generator_arrays()]
+    return np.stack(rows, axis=1).reshape(pts.shape[:-1] + (len(rows), g))
 
 
 def tangent_vector(curve: CurveModel, pt: np.ndarray) -> TangentData:
@@ -424,11 +428,12 @@ def _draw_form(stream: Stream, g: int, n: int, p: int) -> np.ndarray:
     return stream.field_vec(p, mono.count(g, n))
 
 
-def smooth_at(curve: CurveModel, pts: list[np.ndarray]) -> bool:
-    """Full Jacobian rank at every given curve point."""
-    p = curve.prime
-    need = curve.genus - 2
-    return all(alg.rank(jacobian_at(curve, q), p) == need for q in pts)
+def smooth_at(curve: CurveModel, pts) -> bool:
+    """Full Jacobian rank at every given curve point, the ranks read off
+    one `rref_batch` of the stacked Jacobians."""
+    jac = jacobian_at(curve, np.reshape(pts, (-1, curve.genus)))
+    _, pivots = alg.rref_batch(jac, curve.prime)
+    return bool(((pivots >= 0).sum(axis=1) == curve.genus - 2).all())
 
 
 def generate_curve(genus: int, prime: int, seed: int) -> CurveModel:

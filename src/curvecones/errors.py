@@ -13,11 +13,12 @@ A loop that wants the first usable draw calls `resample`.  A loop that
 collects N usable draws calls `Draws(label, attempts, draw).take(N)`, with
 a draw that returns its item or None; asked for no items, it makes no
 draw.  A loop whose draws are evaluated as one batch takes them through
-`Draws` in rounds, and walks the batch's results through `unwrap`: a
-result that is a `DegenerateInput` skips its draw, any other exception is
-raised when the walk reaches it.  `spanlab.collect_cones` alone stays on
-`resample` in a loop: its budget counts failures only, over all its cones,
-and the stream key of each draw names the failures so far.
+`Draws.rounds`, which walks the batch's results through `unwrap`: a
+result that is a `DegenerateInput` (or None) skips its draw, any other
+exception is raised when the walk reaches it.  `spanlab.collect_cones`
+alone stays on `resample` in a loop: its budget counts failures only,
+over all its cones, and the stream key of each draw names the failures
+so far.
 """
 
 from __future__ import annotations
@@ -170,6 +171,25 @@ class Draws:
 
         if n > 0 and self.left > 0:
             resample(self.label, self.left, step, default=None)
+        return got
+
+    def rounds(self, n: int, evaluate: Callable[[list], list]) -> list:
+        """Up to n pairs (draw, result), in draw order.  The draws are
+        taken in rounds of as many as results are still missing, and
+        evaluate(round) gives one result per draw of a round, walked
+        through `unwrap`; since a draw gives at most one result, these are
+        exactly the draws of the loop that evaluates each draw as it
+        comes.  A round with no usable draw spent the attempts, and is
+        not evaluated."""
+        got: list = []
+        while len(got) < n and self.left:
+            drawn = self.take(n - len(got))
+            if not drawn:
+                break
+            for item, result in zip(drawn, evaluate(drawn)):
+                result = unwrap(result)
+                if result is not None:
+                    got.append((item, result))
         return got
 
     def exhausted(self) -> DegenerateInput:

@@ -165,7 +165,7 @@ def _interpolation_nodes(m: int, n: int, p: int
 
 def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
              p: int) -> np.ndarray:
-    """Substitute z = basis @ y; returns a degree-n form in m = basis.shape[1]
+    """Substitute z = basis @ y; returns a degree-n form in m = basis.shape[-1]
     variables.
 
     The restricted form is fixed by its values at the cached interpolation
@@ -173,14 +173,20 @@ def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
     matrix and V = E(Y) in the m variables.  Both products are exact int64
     dot products of at most 70 terms (see the module docstring).  coeffs
     may also be a count(g, n) x k matrix, one form per column; the result
-    is then count(m, n) x k, each column the restriction of its form, with
-    the same dot products and so the same int64 budget.
+    is then count(m, n) x k, each column the restriction of its form.  A
+    stack of bases (... x g x m) gives a stack of results, the nodes of
+    every basis in one `eval_matrix`, with the same dot products and so the
+    same int64 budget.
     """
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
     basis = np.asarray(basis, dtype=np.int64) % p
-    nodes, inv = _interpolation_nodes(basis.shape[1], n, p)
-    values = eval_matrix(nodes @ basis.T % p, g, n, p) \
-        @ (np.asarray(coeffs, dtype=np.int64) % p) % p
-    return inv @ values % p
+    nodes, inv = _interpolation_nodes(basis.shape[-1], n, p)
+    pts = nodes @ basis.swapaxes(-1, -2) % p
+    values = eval_matrix(pts.reshape(-1, g), g, n, p) @ coeffs % p
+    if basis.ndim == 2:
+        return inv @ values % p
+    values = values.reshape(pts.shape[:-1] + coeffs.shape[1:])
+    return values @ inv.T % p if coeffs.ndim == 1 else inv @ values % p
 
 
 def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,

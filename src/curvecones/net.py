@@ -52,32 +52,59 @@ def res_matrix(ctx: CurveContext, wperp: np.ndarray) -> np.ndarray:
     """Restriction of the quadric ideal piece to the vertex.
 
     Rows are ideal basis quadrics written in the (g-3)-variable coordinates
-    of the parametrized vertex; both sides have dimension (g-2)(g-3)/2.
+    of the parametrized vertex; both sides have dimension (g-2)(g-3)/2.  A
+    stack of vertex bases gives a stack of matrices, from one `restrict`.
     """
-    basis = ctx.ideal(2).basis
-    rows = [mono.restrict(q, 2, ctx.g, wperp.T, ctx.p) for q in basis]
-    return np.stack(rows)
+    restricted = mono.restrict(ctx.ideal(2).basis.T, 2, ctx.g,
+                               np.swapaxes(wperp, -1, -2), ctx.p)
+    return np.swapaxes(restricted, -1, -2)
+
+
+def build_nets(ctx: CurveContext, ws) -> list[Net | RankDeficientW]:
+    """The net of each 3 x g basis of a stack, or `RankDeficientW` in the
+    slot of a basis that does not have rank 3.
+
+    One `rref_batch` echelon-normalizes the bases, and the vertices are
+    read off the same pass; three products with the panel and holdout
+    points, one per section, find the base points.  res is square, so the
+    net is in D exactly when one `rref_batch` of the stacked res^T finds a
+    free column, and a one-dimensional left kernel of res gives the
+    quadric certifying it.
+    """
+    p = ctx.p
+    g = ctx.g
+    ws = np.asarray(ws, dtype=np.int64) % p
+    if ws.shape[1:] != (3, g):
+        return [RankDeficientW("net basis must have rank 3") for _ in ws]
+    wr, pivots = alg.rref_batch(ws, p)
+    wperp, _ = alg.special_solutions_batch(wr, pivots, g - 3, p)
+    # a panel or holdout point where all three sections vanish, one
+    # section at a time so that a round keeps one N x points array
+    pts_t = np.concatenate([ctx.panel, ctx.holdout]).T
+    vanish = np.ones((len(ws), pts_t.shape[1]), dtype=bool)
+    for k in range(3):
+        values = wr[:, k] @ pts_t
+        values %= p
+        vanish &= values == 0
+    in_b = vanish.any(axis=1)
+    reduced, res_pivots = alg.rref_batch(
+        res_matrix(ctx, wperp).transpose(0, 2, 1), p)
+    left, one = alg.special_solutions_batch(reduced, res_pivots, 1, p)
+    certificates = alg.normalize_rows(left[:, 0] @ ctx.ideal(2).basis % p, p)
+    return [Net(w=wr[i], wperp=wperp[i], in_b=bool(in_b[i]),
+                in_d=bool(res_pivots[i, -1] < 0),
+                d_certificate=certificates[i] if one[i] else None)
+            if pivots[i, 2] >= 0
+            else RankDeficientW("net basis must have rank 3")
+            for i in range(len(ws))]
 
 
 def build_net(ctx: CurveContext, w: np.ndarray) -> Net:
-    p = ctx.p
-    w = np.asarray(w, dtype=np.int64) % p
-    wr, pivots = alg.rref(w, p)
-    if w.shape != (3, ctx.g) or len(pivots) != 3:
-        raise RankDeficientW("net basis must have rank 3")
-    wr = wr[:3]
-    wperp = alg.kernel_basis(wr, p)
-    panel_vals = ctx.panel @ wr.T % p
-    in_b = bool((~panel_vals.any(axis=1)).any()) or bool(
-        (~(ctx.holdout @ wr.T % p).any(axis=1)).any())
-    # res is square: the net is in D exactly when res has a left kernel
-    left_kernel = alg.kernel_basis(res_matrix(ctx, wperp).T, p)
-    certificate = None
-    if left_kernel.shape[0] == 1:
-        certificate = alg.normalize_scalar(
-            left_kernel[0] @ ctx.ideal(2).basis % p, p)
-    return Net(w=wr, wperp=wperp, in_b=in_b, in_d=left_kernel.shape[0] > 0,
-               d_certificate=certificate)
+    """`build_nets` on one basis, raising its exception."""
+    net = build_nets(ctx, np.asarray(w)[None])[0]
+    if isinstance(net, CurveConesError):
+        raise net
+    return net
 
 
 def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:

@@ -15,3 +15,10 @@ def ctx4():
 def ctx5():
     curve = cv.generate_curve(5, PRIME, 7)
     return canring.build_context(curve)
+
+
+@pytest.fixture(scope="session")
+def ctx4_max():
+    """A genus-4 context at the largest allowed prime, for the int64
+    budget."""
+    return canring.build_context(cv.generate_curve(4, 33554393, 1))

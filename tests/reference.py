@@ -3,8 +3,11 @@
 import numpy as np
 
 from curvecones import algebra as alg, curve as cv, monomials as mono
-from curvecones.errors import (DegenerateInput, InconsistentSystem,
-                               InsufficientPoints, SplittingViolation)
+from curvecones import net as nt
+from curvecones.errors import (CurveConesError, DegenerateInput,
+                               InconsistentSystem, InsufficientPoints,
+                               NodeFiber, RankDeficientW, SplittingViolation,
+                               resample)
 from curvecones.rng import Stream
 
 
@@ -200,3 +203,133 @@ def sample_points_one_line_at_a_time(curve, count):
         raise InsufficientPoints(
             f"found {len(found)} of {count} requested points")
     return [found[k] for k in sorted(found)][:count], lines
+
+
+def build_net(ctx, w):
+    """The net of one basis by the one-basis chain: `rref`, `kernel_basis`
+    of the echelon basis, a `restrict` per ideal quadric and the left
+    kernel of res.  Raises RankDeficientW for a basis of rank below 3."""
+    p = ctx.p
+    w = np.asarray(w, dtype=np.int64) % p
+    wr, pivots = alg.rref(w, p)
+    if w.shape != (3, ctx.g) or len(pivots) != 3:
+        raise RankDeficientW("net basis must have rank 3")
+    wr = wr[:3]
+    wperp = alg.kernel_basis(wr, p)
+    in_b = bool((~(ctx.panel @ wr.T % p).any(axis=1)).any()) or bool(
+        (~(ctx.holdout @ wr.T % p).any(axis=1)).any())
+    res = np.stack([mono.restrict(q, 2, ctx.g, wperp.T, p)
+                    for q in ctx.ideal(2).basis])
+    left_kernel = alg.kernel_basis(res.T, p)
+    certificate = None
+    if left_kernel.shape[0] == 1:
+        certificate = alg.normalize_scalar(
+            left_kernel[0] @ ctx.ideal(2).basis % p, p)
+    return nt.Net(w=wr, wperp=wperp, in_b=in_b, in_d=left_kernel.shape[0] > 0,
+                  d_certificate=certificate)
+
+
+def family_samples(ctx, family, b0):
+    """(t, oracle value at b0) of the family sweep, one net at a time: the
+    first 100 nets family(t), t = 1, ..., 500, off B and D with a witness
+    at b0, built by `build_net` above; and the last t tried."""
+    samples = []
+    for t in range(1, 501):
+        try:
+            net = build_net(ctx, family(t))
+        except RankDeficientW:
+            continue
+        if net.in_b or net.in_d:
+            continue
+        wit = nt.oracle_batch(ctx, [net], [b0], check_gamma=False)[0]
+        if isinstance(wit, DegenerateInput):
+            continue
+        if isinstance(wit, CurveConesError):
+            raise wit
+        samples.append((t, int(wit.b @ wit.y % ctx.p)))
+        if len(samples) == 100:
+            break
+    return samples, t
+
+
+def fiber_quadric(ctx, net_obj, cone, u):
+    """The fiber quadric over one plane point by the one-point chain:
+    (u, gram, basis), or raises RankDeficientW or SplittingViolation."""
+    p = ctx.p
+    g = ctx.g
+    m = g - 2
+    u = np.asarray(u, dtype=np.int64) % p
+    if not u.any():
+        raise RankDeficientW("plane point cannot be zero")
+    vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p), p)
+    vertex = alg.RowSpace(net_obj.wperp, p)
+    lead = next((row for row in vperp if not vertex.contains(row)), None)
+    if lead is None:
+        raise RankDeficientW("fiber space collapsed onto the vertex")
+    basis = np.concatenate([lead[None, :], net_obj.wperp]).T
+    restricted = mono.restrict(cone.coeffs, 4, g, basis, p)
+    divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
+    if restricted[~divisible].any():
+        raise SplittingViolation(
+            "restricted quartic is not divisible by the vertex form squared")
+    return (cv.normalize_point(u, p),
+            cv.quadric_gram(restricted[divisible], m, p), basis)
+
+
+def steinerian_check(gram, basis, pt, p):
+    """Whether the fiber quadric (gram, basis) is singular at exactly one
+    point, and that point is pt."""
+    kern = alg.kernel_basis(gram, p)
+    if kern.shape[0] != 1:
+        return False
+    ambient = basis @ kern[0] % p
+    return bool(ambient.any()) and alg.normalize_scalar(ambient, p).tolist() \
+        == cv.normalize_point(pt, p).tolist()
+
+
+def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
+    """The rows of `bundle.hessian_scan`, one fiber at a time: fiber(u)
+    returns (u, gram, basis) or raises.  The on-image draws walk the panel
+    and may come up short."""
+    p = ctx.p
+    gamma = nt.gamma_equation(ctx, net_obj)
+    proj = nt.project(net_obj, ctx.panel, p)
+    _, image, sharing = np.unique(alg.normalize_rows(proj, p), axis=0,
+                                  return_inverse=True, return_counts=True)
+
+    def gamma_at(u):
+        return mono.form_eval_one(gamma.coeffs, u, 3, gamma.degree, p)
+
+    def row(u, gval, pt=None):
+        un, gram, basis = fiber(u)
+        match = None if pt is None else steinerian_check(gram, basis, pt, p)
+        return un.tolist(), gval, alg.det(gram, p), match
+
+    def collect(attempts, draw, count):
+        rows = []
+
+        def step(k):
+            item = draw(k)
+            if item is not None:
+                rows.append(item)
+            return rows if len(rows) == count else None
+
+        if count:
+            resample("rows", attempts, step, default=None)
+        return rows
+
+    def on_image(k):
+        grad = [mono.form_eval_one(mono.partial(gamma.coeffs, i, 3,
+                                                gamma.degree, p), proj[k], 3,
+                                   gamma.degree - 1, p) for i in range(3)]
+        if sharing[image[k]] != 1 or not any(grad):
+            raise NodeFiber("no Steinerian here")
+        return row(proj[k], gamma_at(proj[k]), ctx.panel[k])
+
+    def off_image(_):
+        u = stream.field_vec(p, 3)
+        gval = gamma_at(u)
+        return None if gval == 0 else row(u, gval)
+
+    return (collect(len(ctx.panel), on_image, on_count)
+            + collect(40 * off_count, off_image, off_count))

@@ -588,6 +588,43 @@ class TestBatchReduction:
         assert_matches_rref(arr([[[1, 2], [3, 4]], [[0, 1], [1, 0]]]), 7)
 
 
+class TestDetBatch:
+    """`det_batch` against `det`, the one-matrix elimination chain, and
+    sympy."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(n=st.integers(1, 6), size=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_stacks(self, p, n, size, seed):
+        # planted ranks (singular elements), sparse entries (row swaps)
+        # and all-zero elements in one stack
+        rng = np.random.default_rng(seed)
+        stack = np.stack([
+            planted_rank(rng, p, size, size,
+                         int(rng.integers(0, size + 1)), True)
+            for _ in range(n)])
+        stack[rng.random(n) < 0.15] = 0
+        got = alg.det_batch(stack, p).tolist()
+        assert got == [alg.det(m, p) for m in stack]
+        assert got == [int(to_dm(m, p).det()) % p for m in stack]
+
+    def test_edge_stacks(self):
+        # 1 x 1 matrices, a swap that flips the sign, a singular matrix
+        # whose first column is zero, and a matrix needing two swaps
+        assert alg.det_batch(arr([[[0]], [[5]], [[6]]]), 7).tolist() \
+            == [0, 5, 6]
+        stack = arr([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                     [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+                     [[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+        assert alg.det_batch(stack, 7).tolist() == [6, 0, 1]
+        assert [alg.det(m, 7) for m in stack] == [6, 0, 1]
+        assert alg.det_batch(np.zeros((0, 2, 2), dtype=np.int64), 7).size \
+            == 0
+        with pytest.raises(ValueError):
+            alg.det_batch(np.zeros((1, 2, 3), dtype=np.int64), 7)
+
+
 class TestRowSpace:
     """RowSpace against DomainMatrix ranks over GF(p) and against `rref`
     of every row put in, on matrices of planted rank up to 8 x 8."""

@@ -10,9 +10,12 @@ import sympy
 from curvecones import algebra as alg, bundle as bd, cone as cn
 from curvecones import monomials as mono, net as nt
 from curvecones.curve import quadric_gram
-from curvecones.errors import RankDeficientW, SplittingViolation
+from curvecones.errors import (CurveConesError, DegenerateInput,
+                               RankDeficientW, SplittingViolation)
 from curvecones.rng import Stream
-from reference import divide_by_vertex_square
+
+import reference
+from reference import divide_by_vertex_square, stream_draws
 
 P = 1000003
 
@@ -35,7 +38,7 @@ class TestFiberQuadric:
     def test_dimensions_and_discriminant_on_image(self, ctx4, setup4):
         net, cone = setup4
         u = net.w @ ctx4.panel[0] % P
-        fq = bd.fiber_quadric(ctx4, net, cone, u)
+        fq, = bd.fiber_quadric(ctx4, net, cone, u[None])
         assert fq.gram.shape == (2, 2)
         assert alg.det(fq.gram, P) == 0
 
@@ -43,23 +46,22 @@ class TestFiberQuadric:
         net, cone = setup4
         gamma = nt.gamma_equation(ctx4, net)
         stream = Stream(201, "u")
-        checked = 0
-        while checked < 15:
+        us = []
+        while len(us) < 15:
             u = stream.field_vec(P, 3)
-            if not u.any() or mono.form_eval_one(gamma.coeffs, u, 3,
-                                                 gamma.degree, P) == 0:
-                continue
-            fq = bd.fiber_quadric(ctx4, net, cone, u)
+            if u.any() and mono.form_eval_one(gamma.coeffs, u, 3,
+                                              gamma.degree, P) != 0:
+                us.append(u)
+        for fq in bd.fiber_quadric(ctx4, net, cone, us):
             assert alg.det(fq.gram, P) != 0
-            checked += 1
 
     def test_splitting_violation_on_corrupted_form(self, ctx4, setup4):
         net, cone = setup4
         bad = cn.QuarticCone(net=net, coeffs=(cone.coeffs.copy()))
         bad.coeffs[0] = (bad.coeffs[0] + 1) % P  # breaks vertex singularity
         u = np.array([1, 2, 3], dtype=np.int64)
-        with pytest.raises(SplittingViolation):
-            bd.fiber_quadric(ctx4, net, bad, u)
+        assert isinstance(bd.fiber_quadric(ctx4, net, bad, u[None])[0],
+                          SplittingViolation)
 
     @pytest.mark.parametrize("m", [2, 3])   # genus 4 and 5
     def test_square_divisible_monomials_lead(self, m):
@@ -78,8 +80,7 @@ class TestFiberQuadric:
         stream = Stream(209, "u")
         us = [net.w @ ctx.panel[0] % P] \
             + [stream.field_vec(P, 3) for _ in range(4)]
-        for u in us:
-            fq = bd.fiber_quadric(ctx, net, cone, u)
+        for fq in bd.fiber_quadric(ctx, net, cone, us):
             restricted = mono.restrict(cone.coeffs, 4, genus, fq.basis, P)
             want = quadric_gram(divide_by_vertex_square(restricted, m), m, P)
             assert fq.gram.tolist() == want.tolist()
@@ -87,12 +88,113 @@ class TestFiberQuadric:
         # restricts along the same basis in both
         bad = cone.coeffs.copy()
         bad[0] = (bad[0] + 1) % P
-        with pytest.raises(SplittingViolation):
-            bd.fiber_quadric(ctx, net, cn.QuarticCone(net=net, coeffs=bad),
-                             us[1])
+        assert isinstance(bd.fiber_quadric(
+            ctx, net, cn.QuarticCone(net=net, coeffs=bad), us[1:2])[0],
+            SplittingViolation)
         with pytest.raises(SplittingViolation):
             divide_by_vertex_square(
                 mono.restrict(bad, 4, genus, fq.basis, P), m)
+
+
+@pytest.fixture(scope="module")
+def setup4_max(ctx4_max):
+    net = nt.random_net(ctx4_max, Stream(212, "bundle"))
+    cone = cn.reconstruct_quartic(ctx4_max, net, oracle_points=4)
+    return net, cone
+
+
+def fiber_values(fibers):
+    return [(type(f), str(f)) if isinstance(f, CurveConesError)
+            else (f.u.tolist(), f.gram.tolist(), f.basis.tolist())
+            for f in fibers]
+
+
+def reference_fibers(ctx, net, cone, us):
+    out = []
+    for u in us:
+        try:
+            fq = reference.fiber_quadric(ctx, net, cone, u)
+        except CurveConesError as exc:
+            out.append((type(exc), str(exc)))
+            continue
+        out.append(tuple(a.tolist() for a in fq))
+    return out
+
+
+class TestStackedFibers:
+    """The stacked fibers, their determinants and Steinerian matches
+    against the one-point chain, point by point."""
+
+    @pytest.mark.parametrize("name", ["4", "5", "4_max"])
+    def test_against_one_point_chain(self, name, request):
+        ctx = request.getfixturevalue(f"ctx{name}")
+        net, cone = request.getfixturevalue(f"setup{name}")
+        p = ctx.p
+        stream = Stream(210, f"stack{name}")
+        pts = ctx.panel[:6]
+        us = np.concatenate([pts @ net.w.T % p, stream.field_mat(p, 4, 3),
+                             np.zeros((1, 3), dtype=np.int64)])
+        bad = cone.coeffs.copy()
+        bad[0] = (bad[0] + 1) % p
+        for form in (cone, cn.QuarticCone(net=net, coeffs=bad)):
+            want = reference_fibers(ctx, net, form, us)
+            assert fiber_values(bd.fiber_quadric(ctx, net, form, us)) == want
+            assert [fiber_values(bd.fiber_quadric(ctx, net, form, u[None]))[0]
+                    for u in us] == want
+        assert want[-1] == (RankDeficientW, "plane point cannot be zero")
+        assert {w[0] for w in want} == {SplittingViolation, RankDeficientW}
+        fibers = bd.fiber_quadric(ctx, net, cone, us)[:-1]
+        grams = np.stack([fq.gram for fq in fibers])
+        dets = alg.det_batch(grams, p).tolist()
+        assert dets == [alg.det(gram, p) for gram in grams]
+        assert dets[:6] == [0] * 6 and 0 not in dets[6:]
+        for shift in range(3):
+            others = np.roll(pts, shift, axis=0)
+            got = bd.steinerian_check(fibers[:6], others, p).tolist()
+            assert got == [reference.steinerian_check(fq.gram, fq.basis, pt,
+                                                      p)
+                           for fq, pt in zip(fibers, others)]
+            assert (sum(got) >= 5) == (shift == 0)
+        assert bd.fiber_quadric(ctx, net, cone, np.zeros((0, 3))) == []
+
+
+class TestScanRounds:
+    """`hessian_scan` splits its fibers in rounds and makes exactly the
+    draws and rows of the scan that splits one fiber at a time."""
+
+    @pytest.mark.parametrize("every", [2, 3, 10 ** 9])
+    def test_rows_and_draws_match(self, ctx4, setup4, monkeypatch, every):
+        net, cone = setup4
+
+        def planted(u):
+            return int(np.sum(np.asarray(u) % P)) % every == 0
+
+        def one(u):
+            if planted(u):
+                raise RankDeficientW("planted")
+            return reference.fiber_quadric(ctx4, net, cone, u)
+
+        real = bd.fiber_quadric
+        rounds = []
+
+        def fiber_quadric(ctx, net_obj, form, us):
+            us = np.asarray(us, dtype=np.int64).reshape(-1, 3)
+            rounds.append(len(us))
+            return [RankDeficientW("planted") if planted(u) else fq
+                    for u, fq in zip(us, real(ctx, net_obj, form, us))]
+
+        tag = f"rounds{every}"
+        want, want_draws = stream_draws(monkeypatch, lambda: reference
+                                        .hessian_scan(ctx4, net, cone, 30,
+                                                      30, Stream(211, tag),
+                                                      one))
+        monkeypatch.setattr(bd, "fiber_quadric", fiber_quadric)
+        scan, got_draws = stream_draws(monkeypatch, lambda: bd.hessian_scan(
+            ctx4, net, cone, 30, 30, Stream(211, tag)))
+        assert [(r[0].tolist(),) + r[1:] for r in scan["rows"]] == want
+        assert got_draws == want_draws == {tag: got_draws[tag]}
+        assert len(want) == 60
+        assert (len(rounds) > 2) == (every < 10 ** 9)
 
 
 class TestHessianScan:
@@ -101,8 +203,8 @@ class TestHessianScan:
 
     @staticmethod
     def scan_with(monkeypatch, ctx4, setup4, exc):
-        def failing(*args, **kwargs):
-            raise exc("injected")
+        def failing(ctx, net_obj, cone, us):
+            return [exc("injected") for _ in us]
         monkeypatch.setattr(bd, "fiber_quadric", failing)
         net, cone = setup4
         return bd.hessian_scan(ctx4, net, cone, 0, 5, Stream(204, "u"))
@@ -121,10 +223,14 @@ class TestHessianScan:
         net, cone = setup4
         twice = copy.copy(ctx4)
         twice.panel = np.concatenate([ctx4.panel[:1], ctx4.panel[:4]])
-        scan = bd.hessian_scan(twice, net, cone, 5, 0, Stream(204, "u"))
+        scan = bd.hessian_scan(twice, net, cone, 3, 0, Stream(204, "u"))
         assert [r[0].tolist() for r in scan["rows"]] == [
             alg.normalize_scalar(net.w @ pt % P, P).tolist()
             for pt in ctx4.panel[1:4]]
+        # so the five panel points give three fibers and no more
+        with pytest.raises(DegenerateInput, match="on-image fibers: no "
+                           "usable draw in 5 attempts"):
+            bd.hessian_scan(twice, net, cone, 4, 0, Stream(204, "u"))
 
 
 class TestSteinerian:
@@ -133,18 +239,16 @@ class TestSteinerian:
         # panel point and no other
         net, cone = setup4
         pts = ctx4.panel[:12]
-        fibers = [bd.fiber_quadric(ctx4, net, cone, net.w @ pt % P)
-                  for pt in pts]
-        matches = [[bd.steinerian_check(fq, pt, P) for pt in pts]
-                   for fq in fibers]
-        assert sum(matches[i][i] for i in range(len(pts))) >= 10
-        assert not any(matches[i][j] for i in range(len(pts))
-                       for j in range(len(pts)) if i != j)
+        fibers = bd.fiber_quadric(ctx4, net, cone, pts @ net.w.T % P)
+        matches = [bd.steinerian_check(fibers, np.roll(pts, -k, axis=0), P)
+                   for k in range(len(pts))]
+        assert matches[0].sum() >= 10
+        assert not any(m.any() for m in matches[1:])
         # a nonsingular fiber has no singular point to match
         u = np.array([1, 2, 3], dtype=np.int64)
-        off = bd.fiber_quadric(ctx4, net, cone, u)
-        assert alg.det(off.gram, P) != 0
-        assert not bd.steinerian_check(off, pts[0], P)
+        off = bd.fiber_quadric(ctx4, net, cone, u[None])
+        assert alg.det(off[0].gram, P) != 0
+        assert not bd.steinerian_check(off, pts[:1], P)[0]
 
     def test_node_fiber_on_vertex_secant(self, ctx4):
         # a secant through the vertex maps both ends to one plane point,
@@ -153,12 +257,14 @@ class TestSteinerian:
         pt_p, pt_q, net = cn.secant_through_vertex(ctx4, Stream(202, "sv"))
         cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
         n = len(ctx4.panel)
-        scan = bd.hessian_scan(ctx4, net, cone, n, 0, Stream(202, "u"))
+        scan = bd.hessian_scan(ctx4, net, cone, n - 2, 0, Stream(202, "u"))
         node = alg.normalize_scalar(net.w @ pt_p % P, P).tolist()
         assert alg.normalize_scalar(net.w @ pt_q % P, P).tolist() == node
         assert node not in [r[0].tolist() for r in scan["rows"]]
         assert scan["on_checked"] == n - 2
         assert scan["kernel_matches"] == n - 2
+        with pytest.raises(DegenerateInput, match="on-image fibers"):
+            bd.hessian_scan(ctx4, net, cone, n - 1, 0, Stream(202, "u"))
 
 
 class TestNodeCount:

@@ -3,12 +3,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from curvecones import acceptance as acc
+from curvecones import acceptance as acc, bundle as bd
 from curvecones import cone as cn, curve as cv, net as nt, spanlab as sl
 from curvecones.cli import main, suite_config
-from curvecones.errors import DegenerateInput, VerificationFailed
+from curvecones.errors import (DegenerateInput, RankDeficientW,
+                               VerificationFailed)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,36 @@ class TestCommands:
             assert len(rows[sweep]) == sweep
         assert rows[7][:1] == rows[1]
         assert len([r for r in rows[7] if r.endswith(",")]) == 3
+
+    def test_hessian_sweep_limit(self, tmp_path, curve_file, capsys,
+                                 monkeypatch):
+        # N - N//2 rows are fibers over the 140 panel points: N = 280 is
+        # the largest sweep, and it writes 280 rows
+        out = tmp_path / "long.csv"
+        assert main(["hessian", "--curve", curve_file, "--sweep", "281",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--sweep must be at most 280" in err and "got 281" in err
+        assert not out.exists()
+        assert main(["hessian", "--curve", curve_file, "--sweep", "280",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 281
+        # when panel points give no fiber, the on-image draws run out:
+        # exit 4 and no CSV, not a short one
+        real = bd.fiber_quadric
+
+        def odd_only(ctx, net_obj, cone, us):
+            return [RankDeficientW("injected") if int(u.sum()) % 2 == 0
+                    else fq for u, fq in zip(np.asarray(us) % ctx.p,
+                                             real(ctx, net_obj, cone, us))]
+
+        monkeypatch.setattr(bd, "fiber_quadric", odd_only)
+        short = tmp_path / "short.csv"
+        assert main(["hessian", "--curve", curve_file, "--sweep", "280",
+                     "--out", str(short)]) == 4
+        assert "on-image fibers: no usable draw in 140 attempts" \
+            in capsys.readouterr().err
+        assert not short.exists()
 
     def test_verify_quick_and_deterministic(self, tmp_path, curve_file):
         r1 = tmp_path / "r1.json"

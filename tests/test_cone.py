@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from curvecones import algebra as alg, canring, cone as cn, curve as cv
+from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import errors, monomials as mono, net as nt, pencil as pc
 from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
                                InadmissiblePencil, InconsistentSystem,
-                               NonGenericD, VerificationFailed)
+                               InVertex, NonGenericD, VerificationFailed)
 from curvecones.rng import Stream
 
 import reference
 from reference import poly_mul, solve_consistent, stream_draws
 
 P = 1000003
-P_MAX = 33554393    # largest prime below 2**25
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +87,6 @@ def fiber_values(results):
     return [(type(f), str(f)) if isinstance(f, CurveConesError)
             else (f.vperp.tolist(), f.ell.tolist(), f.gram.tolist())
             for f in results]
-
-
-@pytest.fixture(scope="module")
-def ctx4_max():
-    return canring.build_context(cv.generate_curve(4, P_MAX, 1))
 
 
 class TestSplitFibers:
@@ -210,6 +204,52 @@ class TestFreshFiberRounds:
         self.failing(monkeypatch, 1, InconsistentSystem)
         with pytest.raises(InconsistentSystem):
             cn._fresh_fibers(ctx4, net, Stream(115, "raise"), 2)
+
+
+class TestFamilySweepRounds:
+    """The family sweep builds its nets in rounds and samples exactly the
+    values of t of the loop that builds one net at a time."""
+
+    @pytest.mark.parametrize("every", [1, 3, 10 ** 9])
+    def test_samples_match_one_net_at_a_time(self, ctx4, monkeypatch,
+                                             every):
+        p, g = ctx4.p, ctx4.g
+        stream = Stream(122, f"family{every}")
+        section, r1, r2 = (stream.field_vec(p, g) for _ in range(3))
+        # the net at t = 11 has rank 2
+        r3 = (section + r1 - r2) * alg.inv_mod(11, p) % p
+        b0 = stream.field_vec(p, g)
+
+        def family(t):
+            return np.stack([section, r1, (r2 + t * r3) % p])
+
+        # the witness of every `every`-th net (by a fixed rule on the net)
+        # fails
+        real_oracle = nt.oracle_batch
+
+        def oracle_batch(ctx, nets, probes, check_gamma=True):
+            return [InVertex("planted") if int(net.w.sum()) % every == 0
+                    else wit for net, wit in zip(
+                        nets, real_oracle(ctx, nets, probes, check_gamma))]
+
+        monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
+        want, last_t = reference.family_samples(ctx4, family, b0)
+        rounds = []
+        real_build = nt.build_nets
+
+        def build_nets(ctx, ws):
+            rounds.append(len(ws))
+            return real_build(ctx, ws)
+
+        monkeypatch.setattr(nt, "build_nets", build_nets)
+        assert cn._family_samples(ctx4, family, b0) == want
+        assert sum(rounds) == last_t
+        assert 11 not in [t for t, _ in want]
+        if every == 1:
+            assert want == [] and rounds == [100] * 5
+        else:
+            assert len(want) == 100
+            assert len(rounds) > 1
 
 
 class TestVertexConditions:

@@ -77,6 +77,22 @@ class TestGeneration:
         for q in ctx5.panel[:25]:
             assert alg.rank(cv.jacobian_at(ctx5.curve, q), P) == 3
 
+    def test_smoothness_on_a_stack(self, ctx4, ctx5):
+        # the stacked Jacobians are those of each point, and smooth_at
+        # fails as soon as one point of the stack has a rank drop (a zero
+        # vector has a zero Jacobian)
+        for ctx in (ctx4, ctx5):
+            pts = ctx.panel[:8]
+            jac = cv.jacobian_at(ctx.curve, pts)
+            assert jac.shape == (8, ctx.g - 2, ctx.g)
+            assert jac.tolist() == [cv.jacobian_at(ctx.curve, q).tolist()
+                                    for q in pts]
+            assert cv.smooth_at(ctx.curve, pts)
+            assert cv.smooth_at(ctx.curve, list(pts[:1]))
+            assert cv.smooth_at(ctx.curve, [])
+            assert not cv.smooth_at(ctx.curve, np.concatenate(
+                [pts, np.zeros((1, ctx.g), dtype=np.int64)]))
+
 
 class TestQuadricGram:
     """Every quadric helper agrees with the substitution kernel."""

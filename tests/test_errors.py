@@ -94,6 +94,43 @@ class TestDraws:
             got += draws.take(min(2, n - len(got)))
         assert got == want and calls == whole
 
+    @pytest.mark.parametrize("script", SCRIPTS + ["abcabcdd", "cccab"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_batch_rounds_draw_as_one_loop(self, script, n):
+        # a draw's result is degenerate for 'b' and None for 'c'
+        def result(item):
+            return InVertex("batch") if item[1] == "b" \
+                else None if item[1] == "c" else item[1].upper()
+
+        def evaluated(k):
+            item = scripted(script, whole)(k)
+            if item is None:
+                return None
+            if isinstance(result(item), InVertex):
+                raise result(item)
+            return None if result(item) is None else (item, result(item))
+
+        whole: list = []
+        want = Draws("d", len(script), evaluated).take(n)
+        calls: list = []
+        rounds: list = []
+
+        def evaluate(items):
+            rounds.append(len(items))
+            return [result(item) for item in items]
+
+        draws = Draws("d", len(script), scripted(script, calls))
+        assert draws.rounds(n, evaluate) == want
+        assert calls == whole and draws.made == len(calls)
+        assert all(0 < k <= n for k in rounds)
+
+    def test_batch_rounds_raise_other_errors_in_draw_order(self):
+        draws = Draws("d", 4, scripted("abcd", []))
+        results = [InVertex("first"), VerificationFailed("second"), "c",
+                   VerificationFailed("fourth")]
+        with pytest.raises(VerificationFailed, match="second"):
+            draws.rounds(3, lambda items: results[:len(items)])
+
     def test_false_is_an_item(self):
         # the criteria collect verdicts, and a failed verdict is one
         assert Draws("d", 3, lambda k: k == 1).take(2) == [False, True]

@@ -276,6 +276,28 @@ class TestStackedForms:
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
+    def test_restrict_to_a_stack_of_bases(self, p, seed):
+        # one form or a matrix of forms, restricted to each basis of a
+        # stack (the empty stack included)
+        stream = Stream(seed, "restrict-bases")
+        g = stream.integer(3, 6)
+        n = stream.integer(1, 5)
+        m = stream.integer(1, g + 1)
+        bases = np.array([stream.field_mat(p, g, m)
+                          for _ in range(stream.integer(0, 5))],
+                         dtype=np.int64).reshape(-1, g, m)
+        form = stream.field_vec(p, mono.count(g, n))
+        forms = stream.field_mat(p, mono.count(g, n), 3)
+        for coeffs in (form, forms):
+            got = mono.restrict(coeffs, n, g, bases, p)
+            assert got.shape == (len(bases), mono.count(m, n)) \
+                + coeffs.shape[1:]
+            assert got.tolist() == [mono.restrict(coeffs, n, g, b, p).tolist()
+                                    for b in bases]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
     def test_partial_of_rows(self, p, seed):
         stream = Stream(seed, "partial-stack")
         g = stream.integer(1, 6)

@@ -10,6 +10,7 @@ from curvecones.errors import (CorankJump, CurveConesError,
                                InVertex, OnGammaFiber, RankDeficientW)
 from curvecones.rng import Stream
 
+import reference
 from reference import solve_consistent, stream_draws
 
 P = 1000003
@@ -72,6 +73,49 @@ class TestBuildNet:
             assert cert is not None
             restricted = mono.restrict(cert, 2, ctx.g, net.wperp.T, P)
             assert not restricted.any()
+
+
+def net_values(nets):
+    """Nets as lists, or the class and message of their exception."""
+    return [(type(n), str(n)) if isinstance(n, CurveConesError)
+            else (n.w.tolist(), n.wperp.tolist(), n.in_b, n.in_d,
+                  None if n.d_certificate is None
+                  else n.d_certificate.tolist())
+            for n in nets]
+
+
+def one_net(build, ctx, w):
+    try:
+        return net_values([build(ctx, w)])[0]
+    except CurveConesError as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildNets:
+    """`build_nets` against the one-basis chain, basis by basis."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_mixed_stack(self, name, request):
+        ctx = request.getfixturevalue(name)
+        p, g = ctx.p, ctx.g
+        stream = Stream(120, f"nets-{name}")
+        mix = stream.field_mat(p, 3, 3)
+        generic = [stream.field_mat(p, 3, g) for _ in range(4)]
+        deficient = generic[0].copy()
+        deficient[2] = (deficient[0] + 5 * deficient[1]) % p
+        through_panel = mix @ alg.kernel_basis(ctx.panel[:1], p)[:3] % p
+        through_holdout = mix @ alg.kernel_basis(ctx.holdout[1:2], p)[:3] % p
+        in_d = mix @ cn.degenerate_net(ctx, Stream(121, name)).w % p
+        ws = np.stack(generic + [deficient, through_panel, through_holdout,
+                                 in_d])
+        want = [one_net(reference.build_net, ctx, w) for w in ws]
+        assert net_values(nt.build_nets(ctx, ws)) == want
+        assert [one_net(nt.build_net, ctx, w) for w in ws] == want
+        assert want[4] == (RankDeficientW, "net basis must have rank 3")
+        assert [w[2] for w in want[:4] + want[5:]] \
+            == [False] * 4 + [True, True, False]
+        assert want[7][3] is True and want[7][4] is not None
+        assert nt.build_nets(ctx, np.zeros((0, 3, g))) == []
 
 
 class TestGamma:
