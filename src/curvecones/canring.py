@@ -69,6 +69,7 @@ class CurveContext:
         self._pieces: dict[int, GradedPiece] = {}
         self._ideals: dict[int, IdealPiece] = {}
         self._tangents: dict[tuple, cv.TangentData] = {}
+        self._holdout_tables: dict[int, np.ndarray] = {}
         for n in (1, 2, 3, 4):
             self.piece(n)
 
@@ -135,13 +136,21 @@ class CurveContext:
     # -- checks -----------------------------------------------------------
 
     def eval_on_holdout(self, coeffs: np.ndarray, n: int) -> np.ndarray:
-        return mono.form_eval(coeffs, self.holdout, self.g, n, self.p)
+        """Values on the holdout panel, from a table cached per degree."""
+        if n not in self._holdout_tables:
+            self._holdout_tables[n] = mono.eval_matrix(self.holdout, self.g,
+                                                       n, self.p)
+        return self._holdout_tables[n] @ np.asarray(coeffs,
+                                                    dtype=np.int64) % self.p
 
-    def vanishes_on_curve(self, coeffs: np.ndarray, n: int) -> bool:
-        """Zero on both panels; for degree <= 6 this certifies ideal
+    def vanishes_on_curve(self, coeffs: np.ndarray, n: int):
+        """Zero on both panels, for one form or each row of a stack of
+        forms (an array of verdicts); for degree <= 6 this certifies ideal
         membership because the panels outnumber the section degree."""
-        on_main = mono.form_eval(coeffs, self.panel, self.g, n, self.p)
-        return not on_main.any() and not self.eval_on_holdout(coeffs, n).any()
+        forms = np.asarray(coeffs, dtype=np.int64).T
+        zero = ~(self.piece(n).eval_matrix @ forms % self.p).any(axis=0) \
+            & ~self.eval_on_holdout(forms, n).any(axis=0)
+        return bool(zero) if forms.ndim == 1 else zero
 
     def in_ideal(self, coeffs: np.ndarray, n: int) -> bool:
         return alg.RowSpace(self.ideal(n).basis, self.p).contains(coeffs)

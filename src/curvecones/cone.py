@@ -9,12 +9,10 @@ Gram is the inverse of the cup-product Gram on that space.  The membership
 oracle of the net module never enters the reconstruction; it serves as an
 independent verification channel.
 
-The fibers of a reconstruction are split in rounds: `split_fibers` runs
-every step on an N x 2 x g stack of pencils through the `pencil`
-contractions and `algebra.kernel_batch`/`solve_batch`.  Its own
-contractions (the residual Gram vperp y, and the tests of net.w and the
-pencil against vperp and the vertex) sum g products of two entries below
-p per entry, below 5 * 2**50 < 2**53 at genus 5 and p < 2**25.
+A stack of nets is reconstructed and certified in lockstep
+(`errors.lockstep`): each net runs the one-net chain, and the requests of
+a round are served together, the fibers of all nets by one
+`fibers.split_fibers`.
 """
 
 from __future__ import annotations
@@ -28,26 +26,20 @@ from . import algebra as alg
 from . import curve as cv
 from . import monomials as mono
 from . import net as nt
-from . import pencil as pc
 from .canring import CurveContext
-from .errors import (CorankJump, CurveConesError, DegenerateInput, Draws,
-                     InconsistentReconstruction, InconsistentSystem,
-                     InadmissiblePencil, NonGenericD,
+from .errors import (CurveConesError, DegenerateInput, Draws,
+                     InconsistentReconstruction, NonGenericD,
                      UnderdeterminedReconstruction, VerificationFailed,
-                     resample, unwrap)
+                     lockstep, resample, unwrap, value_of)
+from .fibers import SplitFiber, form_matches_split, split_fibers
 from .rng import Stream, derive_key
 
 # pencils a reconstruction starts from, and the most it draws before the
 # solution space must be one-dimensional
 PENCILS_START = 6
 PENCILS_MAX = 20
-
-
-@dataclass
-class SplitFiber:
-    vperp: np.ndarray      # (g-2) x g basis of the annihilator
-    ell: np.ndarray        # linear form on vperp coordinates cutting the vertex
-    gram: np.ndarray       # (g-2) x (g-2) residual quadric Gram
+# splitting systems reduced per pass, about 43 kB at genus 4
+KERNEL_PASS = 8
 
 
 @dataclass
@@ -65,116 +57,21 @@ class CubicPolar:
 
 
 # ---------------------------------------------------------------------------
-# pencil fibers
-
-
-# what split_fibers gives a pencil that fails, in the order it tests them;
-# the codimension message names the codimension found
-_FIBER_FAILURES = (
-    (InadmissiblePencil, "pencil basis must have rank 2"),
-    (InadmissiblePencil, "pencil has a base point on the panel"),
-    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
-    (InadmissiblePencil, "product space has codimension {}, expected 1"),
-    (InadmissiblePencil, "pencil does not sit inside the net"),
-    (CorankJump, "pencil fiber meets the degeneracy divisor"),
-    (InconsistentSystem, "rhs is not in the column space"),
-    (VerificationFailed, "residual Gram failed exact symmetry"),
-    (InconsistentSystem, "rhs is not in the column space"),
-    (CorankJump, "vertex does not cut a hyperplane of the fiber"),
-)
-
-
-def split_fibers(ctx: CurveContext, net_obj: nt.Net, vs: np.ndarray
-                 ) -> list[SplitFiber | CurveConesError]:
-    """Residual-quadric data of the quartic on the orthogonal space of each
-    pencil of an N x 2 x g stack inside the net.
-
-    The Gram entries are G[i][j] = <v_i, y_j> with gram y_j = v_j, i.e. the
-    inverse Gram of the cup product on the annihilator of the pencil;
-    symmetry of the cup Gram makes G symmetric exactly.  The cup Gram is
-    built for the first row of net.w outside the pencil.  A pencil that
-    fails gets, in place of its fiber, the first of `_FIBER_FAILURES` that
-    applies.  Every step runs on the whole stack: one reduction of
-    [gram | vperp^T] gives the g - 2 solves and the corank, one of
-    [vperp^T | wperp^T] the vertex coordinates.
-    """
-    p = ctx.p
-    g = ctx.g
-    v = np.asarray(vs, dtype=np.int64).reshape(-1, 2, g) % p
-    n = v.shape[0]
-    vperp, rank_two = alg.kernel_batch(v, p, g - 2)
-    vperp_t = vperp.transpose(0, 2, 1)
-    prods = pc.product_space(ctx, v)
-    functionals, codim_one = alg.kernel_batch(prods, p, 1)
-    in_net = ~(v @ net_obj.wperp.T % p).any(axis=(1, 2))
-    # a row of net.w lies in the pencil when vperp annihilates it
-    outside = (net_obj.w @ vperp_t % p).any(axis=2)
-    lift = net_obj.w[outside.argmax(axis=1)]
-    grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
-    ys, gram_rank, solved = alg.solve_batch(grams, vperp_t, p)
-    residual = vperp @ ys % p
-    coords, _, on_fiber = alg.solve_batch(
-        vperp_t, np.broadcast_to(net_obj.wperp.T, (n, g, g - 3)), p)
-    ell, hyperplane = alg.kernel_batch(coords.transpose(0, 2, 1), p, 1)
-    ell = alg.normalize_rows(ell[:, 0], p)
-    failed = np.stack([~rank_two, pc.base_points(ctx.panel, v, p),
-                       pc.base_points(ctx.holdout, v, p), ~codim_one,
-                       ~in_net, gram_rank != g - 2, ~solved,
-                       (residual != residual.transpose(0, 2, 1)).any(
-                           axis=(1, 2)),
-                       ~on_fiber, ~hyperplane])
-    out: list = []
-    for i, test in enumerate(failed.argmax(axis=0).tolist()):
-        if not failed[test, i]:
-            out.append(SplitFiber(vperp=vperp[i], ell=ell[i],
-                                  gram=residual[i]))
-            continue
-        cls, message = _FIBER_FAILURES[test]
-        if test == 3:
-            message = message.format(prods.shape[2] - alg.rank(prods[i], p))
-        out.append(cls(message))
-    return out
+# pencil fibers (see `fibers`)
 
 
 def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
                 ) -> SplitFiber:
     """`split_fibers` on one pencil, raising its exception."""
-    fiber = split_fibers(ctx, net_obj, np.asarray(v)[None])[0]
-    if isinstance(fiber, CurveConesError):
-        raise fiber
-    return fiber
-
-
-def fiber_quadric_form(fiber: SplitFiber, p: int) -> np.ndarray:
-    """Degree-2 coefficient vector of c -> c^T G c on fiber coordinates,
-    the inverse of `curve.quadric_gram` (same monomial order)."""
-    i, j = np.triu_indices(fiber.gram.shape[0])
-    return fiber.gram[i, j] * np.where(i == j, 1, 2) % p
-
-
-def split_product_form(fiber: SplitFiber, p: int) -> np.ndarray:
-    """ell^2 times the residual quadric, a quartic on fiber coordinates."""
-    m = fiber.gram.shape[0]
-    ell2 = mono.mul_forms(fiber.ell, 1, fiber.ell, 1, m, p)
-    return mono.mul_forms(ell2, 2, fiber_quadric_form(fiber, p), 2, m, p)
-
-
-def form_matches_split(ctx: CurveContext, coeffs: np.ndarray,
-                       fiber: SplitFiber) -> bool:
-    """Exact proportionality of the restricted quartic with the splitting."""
-    p = ctx.p
-    restricted = mono.restrict(coeffs, 4, ctx.g, fiber.vperp.T, p)
-    lhs = alg.normalize_scalar(restricted, p)
-    rhs = alg.normalize_scalar(split_product_form(fiber, p), p)
-    return lhs.tolist() == rhs.tolist()
+    return value_of(split_fibers(ctx, net_obj, np.asarray(v)[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # vertex-singularity conditions
 
 
-def vertex_condition_matrix(ctx: CurveContext, net_obj: nt.Net,
-                            forms: np.ndarray, deg: int) -> np.ndarray:
+def vertex_condition_matrix(ctx: CurveContext, nets, forms: np.ndarray,
+                            deg: int) -> np.ndarray:
     """Linear conditions on combinations of the given forms expressing that
     every partial derivative vanishes identically on the vertex.
 
@@ -182,28 +79,82 @@ def vertex_condition_matrix(ctx: CurveContext, net_obj: nt.Net,
     vertex coordinates, contributing one coefficient for a point vertex and
     deg for a line vertex.  Rows run over the variables, and within each
     variable over those coefficients; the partials of all forms are
-    restricted at once."""
+    restricted at once.  For a list of N nets the result is a stack of N
+    matrices, from one stacked restriction, of the forms shared by all
+    nets or of an N x k x count stack of forms, one set per net."""
     p = ctx.p
     g = ctx.g
-    # partials[var, f] = d forms[f] / d z_var, of degree deg - 1
+    wperp = nets.wperp if isinstance(nets, nt.Net) \
+        else np.stack([net.wperp for net in nets])
+    # partials[..., var, f] = d forms[..., f] / d z_var, of degree deg - 1
     partials = np.stack([mono.partial(forms, var, g, deg, p)
-                         for var in range(g)])
-    flat = partials.reshape(-1, partials.shape[2]).T   # count x (g * forms)
-    restricted = mono.restrict(flat, deg - 1, g, net_obj.wperp.T, p)
-    rows = restricted.shape[0]
-    return restricted.reshape(rows, g, -1).transpose(1, 0, 2).reshape(
-        g * rows, -1)
+                         for var in range(g)], axis=-3)
+    flat = partials.reshape(partials.shape[:-3] + (-1, partials.shape[-1]))
+    restricted = mono.restrict(flat.swapaxes(-1, -2), deg - 1, g,
+                               wperp.swapaxes(-1, -2), p)
+    rows = restricted.shape[-2]
+    return restricted.reshape(restricted.shape[:-2] + (rows, g, -1)) \
+        .swapaxes(-3, -2).reshape(restricted.shape[:-2] + (g * rows, -1))
+
+
+def constrained_spaces(ctx: CurveContext, nets: list[nt.Net], deg: int
+                       ) -> list[np.ndarray]:
+    """Basis of the ideal forms of the given degree singular along the
+    vertex of each net, from one stacked `vertex_condition_matrix` and one
+    `rref_batch`."""
+    p = ctx.p
+    basis = ctx.ideal(deg).basis
+    reduced, pivots = alg.rref_batch(
+        vertex_condition_matrix(ctx, nets, basis, deg), p)
+    nullity = basis.shape[0] - (pivots >= 0).sum(axis=1)
+    out: list = [None] * len(nets)
+    for k in set(nullity.tolist()):
+        mine = np.nonzero(nullity == k)[0]
+        combos, _ = alg.special_solutions_batch(reduced[mine], pivots[mine],
+                                                k, p)
+        for i, combo in zip(mine, combos):
+            out[i] = combo @ basis % p
+    return out
 
 
 def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
                       ) -> np.ndarray:
     """Basis of ideal forms of the given degree singular along the vertex."""
-    basis = ctx.ideal(deg).basis
-    conditions = vertex_condition_matrix(ctx, net_obj, basis, deg)
-    combos = alg.kernel_basis(conditions, ctx.p)
-    if combos.shape[0] == 0:
-        return np.zeros((0, basis.shape[1]), dtype=np.int64)
-    return combos @ basis % ctx.p
+    return constrained_spaces(ctx, [net_obj], deg)[0]
+
+
+# ---------------------------------------------------------------------------
+# requests of the chains (see `errors.lockstep`)
+
+
+def _split(ctx: CurveContext, nets: tuple, us: tuple) -> list:
+    """The fiber over each plane point us[k] of nets[k], in passes of
+    `nt.WITNESS_PASS` pencils, whose stacks are smaller than an oracle's."""
+    vs = nt.pencil_at(np.array([net.w for net in nets]), np.array(us), ctx.p)
+    return [fiber for lo in range(0, len(vs), nt.WITNESS_PASS)
+            for fiber in split_fibers(ctx, nets[lo:lo + nt.WITNESS_PASS],
+                                      vs[lo:lo + nt.WITNESS_PASS])]
+
+
+def _kernels(ctx: CurveContext, shape: tuple, f_blocks: tuple, rhs: tuple
+             ) -> list:
+    """Per net, the kernel of the system of its fiber equations (see
+    `_fiber_equations`) in the constrained-space coordinates and one
+    multiplier per fiber: its dimension, and its vector when it is 1.  The
+    systems are built and reduced KERNEL_PASS at a time."""
+    k, npts, dim_s = shape
+    out = []
+    for lo in range(0, len(rhs), KERNEL_PASS):
+        # the multiplier of fiber j enters the rows of fiber j only
+        multipliers = (-np.stack(rhs[lo:lo + KERNEL_PASS]) % ctx.p)[
+            ..., None] * np.eye(k, dtype=np.int64)[:, None]
+        system = np.concatenate([np.stack(f_blocks[lo:lo + KERNEL_PASS]),
+                                 multipliers], axis=3)
+        reduced, pivots = alg.rref_batch(
+            system.reshape(len(system), k * npts, -1), ctx.p)
+        basis, _ = alg.special_solutions_batch(reduced, pivots, 1, ctx.p)
+        out += zip(dim_s + k - (pivots >= 0).sum(axis=1), basis[:, 0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +162,14 @@ def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
 
 
 def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
-                  count: int) -> list[SplitFiber]:
-    """Fibers over `count` random plane points.
+                  count: int):
+    """Chain (see `errors.lockstep`) of the fibers over `count` random plane
+    points.
 
     The points are those of a loop that splits one pencil at a time: up to
     120 draws, a zero point or a pencil that fails with a `DegenerateInput`
     giving no fiber.  They are drawn in rounds of as many as fibers are
-    still needed, each round one `split_fibers` call.
+    still needed, each round one request for `split_fibers`.
     """
     p = ctx.p
 
@@ -226,29 +178,91 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
         return u if u.any() else None
 
     draws = Draws("admissible pencils", 120, plane_point)
-    fibers = draws.rounds(count, lambda us: split_fibers(
-        ctx, net_obj, nt.pencil_at(net_obj.w, np.reshape(us, (-1, 3)), p)))
+    fibers = yield from draws.chain(count, lambda us: (
+        _split, ctx, [(net_obj, u) for u in us]))
     if len(fibers) < count:
         raise draws.exhausted()
     return [fiber for _, fiber in fibers]
 
 
-def _fiber_equations(ctx: CurveContext, fiber: SplitFiber, s_basis: np.ndarray,
-                     stream: Stream) -> tuple[np.ndarray, np.ndarray]:
-    """Per-fiber data for the equations F(b) - c_k ell(b)^2 q(b) = 0.
-
-    Returns the evaluations of the constrained-space basis at the sample
-    points and the split-product values those equations subtract."""
+def _fiber_equations(ctx: CurveContext, fibers: list[SplitFiber],
+                     s_basis: np.ndarray, stream: Stream, first: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The equations F(b) - c_k ell(b)^2 q(b) = 0 of each fiber k, numbered
+    from `first`, at 2(g-2) + 3 points of its stream: the evaluations of
+    the constrained-space basis at the points (fibers x points x basis)
+    and the values ell(c)^2 c^T G c of the split product at their fiber
+    coordinates c, which those equations subtract (fibers x points)."""
     p = ctx.p
     g = ctx.g
-    m = g - 2
-    npts = 2 * (g - 2) + 3
-    cs = np.stack([stream.field_vec(p, m) for _ in range(npts)])
-    pts = cs @ fiber.vperp % p
-    e4 = mono.eval_matrix(pts, g, 4, p)
-    f_block = e4 @ s_basis.T % p
-    rhs = mono.form_eval(split_product_form(fiber, p), cs, m, 4, p)
-    return f_block, rhs
+    cs = np.array([[sub.field_vec(p, g - 2) for _ in range(2 * g - 1)]
+                   for sub in (stream.spawn(f"pts{first + k}")
+                               for k in range(len(fibers)))], dtype=np.int64)
+    pts = cs @ np.stack([fiber.vperp for fiber in fibers]) % p
+    f_blocks = mono.eval_matrix(pts.reshape(-1, g), g, 4, p) @ s_basis.T % p
+    ell = (cs @ np.stack([fiber.ell for fiber in fibers])[:, :, None])[..., 0]
+    quad = (cs @ np.stack([fiber.gram for fiber in fibers]) % p * cs % p
+            ).sum(axis=2) % p
+    rhs = (ell % p) ** 2 % p * quad % p
+    return f_blocks.reshape(cs.shape[:2] + (-1,)), rhs
+
+
+def _reconstruct(ctx: CurveContext, net_obj: nt.Net, s_basis: np.ndarray,
+                 stream: Stream, oracle_points: int):
+    """Chain (see `errors.lockstep`) of `reconstruct_quartic`."""
+    if net_obj.in_d:
+        raise DegenerateInput("net lies on the degeneracy divisor")
+    p = ctx.p
+    dim_s = s_basis.shape[0]
+    if dim_s == 0:
+        raise InconsistentReconstruction("constrained space is empty")
+    fibers = yield from _fresh_fibers(ctx, net_obj, stream.spawn("draw"),
+                                      PENCILS_START)
+    f_blocks, rhs = _fiber_equations(ctx, fibers, s_basis, stream, 0)
+    while True:
+        k = len(rhs)
+        (nullity, kernel), = yield (_kernels, ctx, f_blocks.shape,
+                                    [(f_blocks, rhs)])
+        if nullity == 0:
+            raise InconsistentReconstruction(
+                "splitting equations admit no common quartic")
+        if nullity == 1:
+            break
+        if k >= PENCILS_MAX:
+            raise UnderdeterminedReconstruction(
+                f"solution space still {nullity}-dimensional "
+                f"after {k} pencils")
+        fibers = yield from _fresh_fibers(ctx, net_obj,
+                                          stream.spawn(f"more{k}"), 2)
+        f_blocks, rhs = (np.concatenate(pair) for pair in zip(
+            (f_blocks, rhs), _fiber_equations(ctx, fibers, s_basis, stream,
+                                              k)))
+    coeffs = alg.normalize_scalar(kernel[:dim_s] @ s_basis % p, p)
+    del fibers, f_blocks, rhs, s_basis   # a round verifies with less held
+    if not coeffs.any():
+        raise InconsistentReconstruction("solution collapsed to zero")
+    cone = QuarticCone(net=net_obj, coeffs=coeffs)
+    cone.certificate = yield from _verify(ctx, cone, stream.spawn("verify"),
+                                          oracle_points)
+    cone.certificate.update(dim_constrained_space=int(dim_s),
+                            pencils_used=k, solution_dim=1)
+    return cone
+
+
+def reconstruct_quartics(ctx: CurveContext, nets: list[nt.Net],
+                         seed: int = 0, oracle_points: int = 50
+                         ) -> list[QuarticCone | CurveConesError]:
+    """`reconstruct_quartic` of each net, or the exception it raises for
+    the net: one `constrained_spaces`, then the fibers, splitting systems
+    and certificates of all nets in rounds (`lockstep`)."""
+    if not nets:
+        return []
+    streams = [Stream(derive_key(ctx.curve.seed, "reconstruct|%d|%s" % (
+        seed, ",".join(str(int(v)) for v in net.w.reshape(-1)))), "pencils")
+        for net in nets]
+    return lockstep([
+        _reconstruct(ctx, *args, oracle_points)
+        for args in zip(nets, constrained_spaces(ctx, nets, 4), streams)])
 
 
 def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
@@ -258,58 +272,9 @@ def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
     Stacks the vertex-singularity constraints with splitting equations over
     adaptively many pencils, demands a one-dimensional solution space, and
     verifies the result against fresh points, the membership oracle, and a
-    holdout pencil."""
-    if net_obj.in_d:
-        raise DegenerateInput("net lies on the degeneracy divisor")
-    p = ctx.p
-    tag = "reconstruct|%d|%s" % (seed, ",".join(
-        str(int(v)) for v in net_obj.w.reshape(-1)))
-    stream = Stream(derive_key(ctx.curve.seed, tag), "pencils")
-    s_basis = constrained_space(ctx, net_obj, 4)
-    dim_s = s_basis.shape[0]
-    if dim_s == 0:
-        raise InconsistentReconstruction("constrained space is empty")
-    fibers = _fresh_fibers(ctx, net_obj, stream.spawn("draw"),
-                           PENCILS_START)
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []
-    solution = None
-    while True:
-        k = len(fibers)
-        while len(blocks) < k:
-            idx = len(blocks)
-            blocks.append(_fiber_equations(ctx, fibers[idx], s_basis,
-                                           stream.spawn(f"pts{idx}")))
-        total = dim_s + k
-        rows = []
-        for idx, (f_block, rhs) in enumerate(blocks):
-            block = np.zeros((f_block.shape[0], total), dtype=np.int64)
-            block[:, :dim_s] = f_block
-            block[:, dim_s + idx] = (-rhs) % p
-            rows.append(block)
-        system = np.concatenate(rows, axis=0)
-        kernel = alg.kernel_basis(system, p)
-        if kernel.shape[0] == 0:
-            raise InconsistentReconstruction(
-                "splitting equations admit no common quartic")
-        if kernel.shape[0] == 1:
-            solution = kernel[0]
-            break
-        if k >= PENCILS_MAX:
-            raise UnderdeterminedReconstruction(
-                f"solution space still {kernel.shape[0]}-dimensional "
-                f"after {k} pencils")
-        fibers.extend(_fresh_fibers(ctx, net_obj, stream.spawn(f"more{k}"), 2))
-    beta = solution[:dim_s]
-    coeffs = alg.normalize_scalar(beta @ s_basis % p, p)
-    if not coeffs.any():
-        raise InconsistentReconstruction("solution collapsed to zero")
-    cone = QuarticCone(net=net_obj, coeffs=coeffs)
-    cone.certificate = verify_cone(ctx, cone, stream.spawn("verify"),
-                                   oracle_points=oracle_points)
-    cone.certificate["dim_constrained_space"] = int(dim_s)
-    cone.certificate["pencils_used"] = len(fibers)
-    cone.certificate["solution_dim"] = 1
-    return cone
+    holdout pencil (`reconstruct_quartics` on the one net)."""
+    return value_of(reconstruct_quartics(ctx, [net_obj], seed,
+                                         oracle_points)[0])
 
 
 def double_quadric_quartic(ctx: CurveContext, net_obj: nt.Net) -> QuarticCone:
@@ -346,40 +311,18 @@ def points_on_form(ctx: CurveContext, coeffs: np.ndarray, deg: int,
 
     Lazy: a line is drawn only when the caller asks for a point its
     predecessors did not supply, and at most `count` points come out."""
-    p = ctx.p
-    g = ctx.g
-    found = 0
-    while found < count and budget:
-        budget -= 1
-        a = stream.field_vec(p, g)
-        b = stream.field_vec(p, g)
-        for pt in cv.line_zeros(coeffs, deg, g, a[None], b[None], p)[0]:
-            yield pt
-            found += 1
-            if found == count:
-                return
+    harvest = cv.ZeroHarvest(coeffs, deg, ctx.g, ctx.p, stream, count, budget)
+    while harvest.left:
+        yield from lockstep([harvest.take(1)])[0]
 
 
-def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
-                     stream: Stream, count: int,
-                     x: np.ndarray | None = None) -> tuple[int, int]:
-    """Compare the membership oracle with explicit evaluation.
-
-    Half the probes are harvested from the zero set of the form (oracle must
-    say yes), half are random (almost surely off the form, oracle must agree
-    with the evaluation).  Returns (checked, disagreements).
-
-    The probes are those of a loop that asks the oracle one probe at a time:
-    up to 3 * (count // 2) zero draws until count // 2 verdicts, then up to
-    40 * count random draws until count verdicts, a probe the oracle finds
-    degenerate giving no verdict.  They are drawn in rounds of as many as
-    verdicts are still needed, each round one `oracle_batch` call; the two
-    kinds draw from separate streams, so the first round takes both.
-    """
+def _agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
+               stream: Stream, count: int, x: np.ndarray | None = None):
+    """Chain (see `errors.lockstep`) of `oracle_agreement`."""
     p = ctx.p
     deg = 4 if x is None else 3
     zero_half = count // 2
-    zeros = points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
+    zeros = cv.ZeroHarvest(coeffs, deg, ctx.g, p, stream.spawn("zeros"),
                            3 * zero_half)
     if x is not None:
         x = nt.vertex_direction(net_obj, x, p)
@@ -401,48 +344,91 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
                 pair = wit.b if x is None else x
                 verdicts.append((int(pair @ wit.y % p) == 0) == want)
 
-    def oracle(probes: list) -> list:
-        return nt.oracle_batch(ctx, [net_obj] * len(probes), probes)
+    def oracle(probes: list) -> tuple:
+        return nt.oracle_batch, ctx, [(net_obj, b) for b in probes]
 
-    zero_draws = Draws("zero probes", 3 * zero_half,
-                       lambda _: next(zeros, None))
     random_draws = Draws("random probes", 40 * count, random_probe)
-    first_zeros = zero_draws.take(zero_half)
+    first_zeros = yield from zeros.take(zero_half)
     first_randoms = random_draws.take(count - zero_half)
-    wits = oracle(first_zeros + first_randoms)
+    wits = yield oracle(first_zeros + first_randoms)
     judge(first_zeros, wits[:len(first_zeros)], True)
-    while len(verdicts) < zero_half and zero_draws.left:
-        more = zero_draws.take(zero_half - len(verdicts))
-        judge(more, oracle(more), True)
+    while len(verdicts) < zero_half and zeros.left:
+        more = yield from zeros.take(zero_half - len(verdicts))
+        judge(more, (yield oracle(more)), True)
     judge(first_randoms, wits[len(first_zeros):], False)
     while len(verdicts) < count and random_draws.left:
         more = random_draws.take(count - len(verdicts))
-        judge(more, oracle(more), False)
+        judge(more, (yield oracle(more)), False)
     return len(verdicts), verdicts.count(False)
+
+
+def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
+                     stream: Stream, count: int,
+                     x: np.ndarray | None = None) -> tuple[int, int]:
+    """Compare the membership oracle with explicit evaluation.
+
+    Half the probes are harvested from the zero set of the form (oracle must
+    say yes), half are random (almost surely off the form, oracle must agree
+    with the evaluation).  Returns (checked, disagreements).
+
+    The probes are those of a loop that asks the oracle one probe at a time:
+    up to 3 * (count // 2) zero draws until count // 2 verdicts, then up to
+    40 * count random draws until count verdicts, a probe the oracle finds
+    degenerate giving no verdict.  They are drawn in rounds of as many as
+    verdicts are still needed, each round one `oracle_batch` call; the two
+    kinds draw from separate streams, so the first round takes both.
+    """
+    return value_of(lockstep([_agreement(ctx, net_obj, coeffs, stream,
+                                         count, x)])[0])
+
+
+def _checks(ctx: CurveContext, cones: tuple) -> list:
+    """Whether each cone vanishes on the curve, and whether it is singular
+    along its vertex."""
+    coeffs = np.stack([cone.coeffs for cone in cones])
+    singular = ~vertex_condition_matrix(
+        ctx, [cone.net for cone in cones], coeffs[:, None], 4).any(axis=(1, 2))
+    return list(zip(ctx.vanishes_on_curve(coeffs, 4).tolist(),
+                    singular.tolist()))
+
+
+def _verify(ctx: CurveContext, cone: QuarticCone, stream: Stream,
+            oracle_points: int):
+    """Chain (see `errors.lockstep`) of `verify_cone`."""
+    (contains, singular), = yield _checks, ctx, [(cone,)]
+    cert = {"points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
+            "contains_curve": contains, "vertex_singular": singular}
+    checked, bad = yield from _agreement(ctx, cone.net, cone.coeffs,
+                                         stream.spawn("oracle"),
+                                         oracle_points)
+    cert["oracle_points"] = int(checked)
+    cert["oracle_disagreements"] = int(bad)
+    holdout, = yield from _fresh_fibers(ctx, cone.net,
+                                        stream.spawn("holdout"), 1)
+    cert["holdout_pencil"] = form_matches_split(ctx, cone.coeffs, holdout)
+    if not (contains and singular and cert["holdout_pencil"] and bad == 0
+            and checked >= oracle_points):
+        raise VerificationFailed(f"cone certificate failed: {cert}")
+    return cert
+
+
+def verify_cones(ctx: CurveContext, cones: list[QuarticCone],
+                 streams: list[Stream], oracle_points: int = 50
+                 ) -> list[dict | CurveConesError]:
+    """`verify_cone` of each cone with its stream, or the exception it
+    raises, all in rounds (`lockstep`): the checks of containment and
+    vertex singularity on the stack of forms, the oracle probes and their
+    zero harvest, one line a round per cone short of zeros, and the
+    holdout pencils."""
+    return lockstep([_verify(ctx, cone, stream, oracle_points)
+                     for cone, stream in zip(cones, streams)])
 
 
 def verify_cone(ctx: CurveContext, cone: QuarticCone, stream: Stream,
                 oracle_points: int = 50) -> dict:
     """Certificate of a reconstructed quartic: containment, vertex
     singularity, oracle agreement, and a fresh holdout pencil splitting."""
-    p = ctx.p
-    net_obj = cone.net
-    cert: dict = {}
-    cert["points_vanished"] = int(ctx.panel.shape[0] + ctx.holdout.shape[0])
-    cert["contains_curve"] = ctx.vanishes_on_curve(cone.coeffs, 4)
-    cert["vertex_singular"] = bool(not vertex_condition_matrix(
-        ctx, net_obj, cone.coeffs[None, :], 4).any())
-    checked, bad = oracle_agreement(ctx, net_obj, cone.coeffs,
-                                    stream.spawn("oracle"), oracle_points)
-    cert["oracle_points"] = int(checked)
-    cert["oracle_disagreements"] = int(bad)
-    holdout = _fresh_fibers(ctx, net_obj, stream.spawn("holdout"), 1)[0]
-    cert["holdout_pencil"] = form_matches_split(ctx, cone.coeffs, holdout)
-    if not (cert["contains_curve"] and cert["vertex_singular"]
-            and cert["holdout_pencil"] and bad == 0
-            and checked >= oracle_points):
-        raise VerificationFailed(f"cone certificate failed: {cert}")
-    return cert
+    return value_of(verify_cones(ctx, [cone], [stream], oracle_points)[0])
 
 
 # ---------------------------------------------------------------------------

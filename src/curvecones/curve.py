@@ -47,7 +47,8 @@ def normalize_point(v: np.ndarray, p: int) -> np.ndarray:
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
                b: np.ndarray, p: int) -> list[list[np.ndarray]]:
     """Zeros of a degree-deg form on each line through a[k] and b[k], for
-    N x g stacks a and b; one line is a stack of one.
+    N x g stacks a and b; one line is a stack of one.  coeffs is one form
+    for every line, or an N x count(g, deg) stack of one form per line.
 
     Per line, first the normalized points a + t b, one per distinct root t
     of F(a + t b) in increasing order, then b when F(b) = 0 (the root at
@@ -74,6 +75,47 @@ def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
             if pt.any():
                 out[k].append(pt)
     return out
+
+
+class ZeroHarvest:
+    """Rational points of a hypersurface, the zeros of its form on random
+    lines of a stream: a line is drawn only for a point that the lines
+    before did not give, and at most `count` points come from at most
+    `budget` lines.  Its chains (`errors.lockstep`) ask for one line a
+    round, and all harvests of a round share one `line_zeros`."""
+
+    def __init__(self, coeffs: np.ndarray, deg: int, g: int, p: int,
+                 stream: Stream, count: int, budget: int = 400):
+        self.coeffs = np.asarray(coeffs, dtype=np.int64)
+        self.deg, self.g, self.p, self.stream = deg, g, p, stream
+        self.count, self.budget = count, budget
+        self.points: list[np.ndarray] = []
+        self.used = 0
+
+    @property
+    def left(self) -> bool:
+        """Whether another point may come."""
+        return self.used < self.count \
+            and (self.budget > 0 or self.used < len(self.points))
+
+    def take(self, n: int):
+        """Chain of the next n points, fewer when no more come."""
+        end = min(self.used + n, self.count)
+        while len(self.points) < end and self.budget:
+            self.budget -= 1
+            a = self.stream.field_vec(self.p, self.g)
+            b = self.stream.field_vec(self.p, self.g)
+            self.points += (yield _zeros, self.deg, self.g, self.p,
+                            [(self.coeffs, a, b)])[0]
+        got = self.points[self.used:end]
+        self.used += len(got)
+        return got
+
+
+def _zeros(deg: int, g: int, p: int, forms: tuple, a: tuple, b: tuple
+           ) -> list:
+    """The zeros of each form forms[k] on the line a[k] b[k]."""
+    return line_zeros(np.stack(forms), deg, g, np.stack(a), np.stack(b), p)
 
 
 def legendre(a: int, p: int) -> int:

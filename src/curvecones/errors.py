@@ -15,10 +15,12 @@ a draw that returns its item or None; asked for no items, it makes no
 draw.  A loop whose draws are evaluated as one batch takes them through
 `Draws.rounds`, which walks the batch's results through `unwrap`: a
 result that is a `DegenerateInput` (or None) skips its draw, any other
-exception is raised when the walk reaches it.  `spanlab.collect_cones`
-alone stays on `resample` in a loop: its budget counts failures only,
-over all its cones, and the stream key of each draw names the failures
-so far.
+exception is raised when the walk reaches it.  `Draws.chain` is that walk
+as a chain, which `lockstep` runs side by side with the chains of other
+elements, answering the requests of a round with one batched call each.
+`spanlab.collect_cones` walks its rounds itself: its budget counts
+failures only, over all its cones, and the stream key of each draw names
+the failures so far, so a round stops at its first failure.
 """
 
 from __future__ import annotations
@@ -131,10 +133,11 @@ def resample(label: str, attempts: int, draw: Callable[[int], T | None],
             return result
     if default is not _RAISE:
         return default
-    raise _exhausted(label, attempts)
+    raise exhausted(label, attempts)
 
 
-def _exhausted(label: str, attempts: int) -> DegenerateInput:
+def exhausted(label: str, attempts: int) -> DegenerateInput:
+    """What `resample` raises when its `attempts` draws are all spent."""
     return DegenerateInput(f"{label}: no usable draw in {attempts} attempts")
 
 
@@ -173,20 +176,28 @@ class Draws:
             resample(self.label, self.left, step, default=None)
         return got
 
-    def rounds(self, n: int, evaluate: Callable[[list], list]) -> list:
+    def rounds(self, n: int, evaluate: Callable[[list], list],
+               most: int | None = None) -> list:
         """Up to n pairs (draw, result), in draw order.  The draws are
         taken in rounds of as many as results are still missing, and
         evaluate(round) gives one result per draw of a round, walked
         through `unwrap`; since a draw gives at most one result, these are
         exactly the draws of the loop that evaluates each draw as it
-        comes.  A round with no usable draw spent the attempts, and is
-        not evaluated."""
+        comes; so are rounds of at most `most` draws.  A round with no
+        usable draw spent the attempts, and is not evaluated."""
+        def request(drawn: list) -> tuple:
+            return lambda items: evaluate(list(items)), [(x,) for x in drawn]
+
+        return value_of(lockstep([self.chain(n, request, most)])[0])
+
+    def chain(self, n: int, request, most: int | None = None):
+        """`rounds` as a chain, yielding request(round) for each round."""
         got: list = []
         while len(got) < n and self.left:
-            drawn = self.take(n - len(got))
+            drawn = self.take(min(n - len(got), most or n))
             if not drawn:
                 break
-            for item, result in zip(drawn, evaluate(drawn)):
+            for item, result in zip(drawn, (yield request(drawn))):
                 result = unwrap(result)
                 if result is not None:
                     got.append((item, result))
@@ -194,7 +205,7 @@ class Draws:
 
     def exhausted(self) -> DegenerateInput:
         """What `resample` raises when the loop's attempts run out."""
-        return _exhausted(self.label, self.attempts)
+        return exhausted(self.label, self.attempts)
 
 
 def unwrap(result: T | CurveConesError) -> T | None:
@@ -205,3 +216,42 @@ def unwrap(result: T | CurveConesError) -> T | None:
     if isinstance(result, CurveConesError):
         raise result
     return result
+
+
+def value_of(result: T | CurveConesError) -> T:
+    """A batch result as a call on one element gives it: raised if an
+    error."""
+    if isinstance(result, CurveConesError):
+        raise result
+    return result
+
+
+def lockstep(chains: list) -> list:
+    """Run chains side by side and serve their requests in rounds.
+
+    A chain is a generator that yields requests (serve, *keys, items) and
+    is sent one answer per item; the items asked in a round with the same
+    serve and keys are answered by one call serve(*keys, *columns) on the
+    columns of the items, which are tuples.  Returns per chain its value or
+    the CurveConesError it raised, which, as a chain draws from its own
+    streams only, are those it has alone."""
+    out: list = [None] * len(chains)
+    answers = dict.fromkeys(range(len(chains)))
+    while answers:
+        asks = {}
+        for i, answer in answers.items():
+            try:
+                asks[i] = chains[i].send(answer)
+            except StopIteration as stop:
+                out[i] = stop.value
+            except CurveConesError as exc:
+                out[i] = exc
+        answers = {}
+        for kind in dict.fromkeys(ask[:-1] for ask in asks.values()):
+            mine = [i for i, ask in asks.items() if ask[:-1] == kind]
+            items = [item for i in mine for item in asks[i][-1]]
+            flat = iter(kind[0](*kind[1:], *zip(*items)) if items
+                        else [])
+            answers.update((i, [next(flat) for _ in asks[i][-1]])
+                           for i in mine)
+    return out

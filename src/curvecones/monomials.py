@@ -174,18 +174,21 @@ def restrict(coeffs: np.ndarray, n: int, g: int, basis: np.ndarray,
     dot products of at most 70 terms (see the module docstring).  coeffs
     may also be a count(g, n) x k matrix, one form per column; the result
     is then count(m, n) x k, each column the restriction of its form.  A
-    stack of bases (... x g x m) gives a stack of results, the nodes of
+    stack of bases (N x g x m) gives a stack of results, the nodes of
     every basis in one `eval_matrix`, with the same dot products and so the
-    same int64 budget.
+    same int64 budget; an N x count(g, n) x k stack of coeffs restricts
+    the forms of coeffs[i] to basis[i].
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     basis = np.asarray(basis, dtype=np.int64) % p
     nodes, inv = _interpolation_nodes(basis.shape[-1], n, p)
     pts = nodes @ basis.swapaxes(-1, -2) % p
-    values = eval_matrix(pts.reshape(-1, g), g, n, p) @ coeffs % p
-    if basis.ndim == 2:
-        return inv @ values % p
-    values = values.reshape(pts.shape[:-1] + coeffs.shape[1:])
+    values = eval_matrix(pts.reshape(-1, g), g, n, p)
+    if coeffs.ndim == 3:
+        values = values.reshape(pts.shape[:-1] + (-1,)) @ coeffs % p
+    else:
+        values = (values @ coeffs % p).reshape(pts.shape[:-1]
+                                               + coeffs.shape[1:])
     return values @ inv.T % p if coeffs.ndim == 1 else inv @ values % p
 
 
@@ -193,14 +196,18 @@ def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,
                      b: np.ndarray, p: int) -> np.ndarray:
     """Binary form of F(a s + b t) as coefficients over exponents(2, n);
     for N x g stacks a and b, the N x (n+1) array of the binary forms of
-    the lines through a[k] and b[k].
+    the lines through a[k] and b[k], of one form F or of the form coeffs[k]
+    of an N x count(g, n) stack on line k.
 
     This is `restrict` to the basis [a b], with the points of every line
     at the cached binary nodes in one `eval_matrix`, so the same exact
-    dot products.
+    dot products; one form per line goes through `restrict` itself.
     """
     a = np.asarray(a, dtype=np.int64) % p
     b = np.asarray(b, dtype=np.int64) % p
+    if np.ndim(coeffs) == 2:
+        return restrict(np.asarray(coeffs)[:, :, None], n, g,
+                        np.stack([a, b], axis=-1), p)[:, :, 0]
     nodes, inv = _interpolation_nodes(2, n, p)
     pts = (nodes[:, 0, None, None] * a + nodes[:, 1, None, None] * b) % p
     values = eval_matrix(pts.reshape(-1, g), g, n, p) \

@@ -19,8 +19,9 @@ from . import monomials as mono
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, CurveConesError,
-                     InadmissiblePencil, InconsistentSystem, InVertex,
-                     OnGammaFiber, RankDeficientW, resample)
+                     DegenerateInput, InadmissiblePencil, InconsistentSystem,
+                     InVertex, OnGammaFiber, RankDeficientW, exhausted,
+                     value_of)
 from .rng import Stream
 
 
@@ -101,10 +102,7 @@ def build_nets(ctx: CurveContext, ws) -> list[Net | RankDeficientW]:
 
 def build_net(ctx: CurveContext, w: np.ndarray) -> Net:
     """`build_nets` on one basis, raising its exception."""
-    net = build_nets(ctx, np.asarray(w)[None])[0]
-    if isinstance(net, CurveConesError):
-        raise net
-    return net
+    return value_of(build_nets(ctx, np.asarray(w)[None])[0])
 
 
 def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
@@ -115,17 +113,32 @@ def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
     return build_net(ctx, w)
 
 
+def random_nets(ctx: CurveContext, streams: list[Stream]
+                ) -> list[Net | DegenerateInput]:
+    """`random_net` of each stream, or the exhaustion it raises, drawn in
+    rounds: each net still missing draws its next basis from its own
+    stream, and one `build_nets` serves a round."""
+    out: list = [None] * len(streams)
+    for _ in range(200):
+        missing = [i for i, net in enumerate(out) if net is None]
+        if not missing:
+            return out
+        nets = build_nets(ctx, [streams[i].field_mat(ctx.p, 3, ctx.g)
+                                for i in missing])
+        for i, net in zip(missing, nets):
+            if isinstance(net, Net) and not (net.in_b or net.in_d):
+                try:
+                    gamma_equation(ctx, net)
+                except AmbiguousFit:
+                    continue
+                out[i] = net
+    return [net or exhausted("generic net", 200) for net in out]
+
+
 def random_net(ctx: CurveContext, stream: Stream) -> Net:
     """A net off the base locus and off the degeneracy divisor, with the
     equation of its plane image fitted (`gamma_equation`)."""
-    def draw(_):
-        net = build_net(ctx, stream.field_mat(ctx.p, 3, ctx.g))
-        if net.in_b or net.in_d:
-            return None
-        gamma_equation(ctx, net)
-        return net
-
-    return resample("generic net", 200, draw)
+    return value_of(random_nets(ctx, [stream])[0])
 
 
 def pencil_at(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
@@ -270,10 +283,7 @@ def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
                    check_gamma: bool = True) -> OracleWitness:
     """Shared setup of the pointwise membership oracles: `oracle_batch` on
     the one probe, raising its exception."""
-    wit = oracle_batch(ctx, [net], [b], check_gamma)[0]
-    if isinstance(wit, CurveConesError):
-        raise wit
-    return wit
+    return value_of(oracle_batch(ctx, [net], [b], check_gamma)[0])
 
 
 def oracle_value(ctx: CurveContext, net: Net, b: np.ndarray,

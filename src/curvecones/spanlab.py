@@ -19,8 +19,11 @@ from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
-from .errors import Draws, resample
+from .errors import Draws, exhausted, lockstep, unwrap
 from .rng import Stream, derive_key
+
+# random base-locus probes tested per round, about 36 kB of quartic values
+PROBE_PASS = 128
 
 
 @dataclass
@@ -53,21 +56,32 @@ class SpanAccumulator:
 def collect_cones(ctx: CurveContext, count: int, seed: int,
                   oracle_points: int = 4) -> list[cn.QuarticCone]:
     """Reconstructed quartics for `count` random generic nets; a degenerate
-    net is resampled, within 4 * count + 20 failures over all cones."""
+    net is resampled, within 4 * count + 20 failures over all cones.
+
+    Cone i draws its net from the stream net{i}-{failures so far}.  The
+    nets of the missing cones are drawn and reconstructed as one round
+    (`random_nets`, `reconstruct_quartics`), walked in draw order; its
+    first failure drops the rest, whose keys counted too few failures."""
     stream = Stream(derive_key(ctx.curve.seed, f"span-cones|{seed}"), "w")
+    budget = 4 * count + 20
     cones: list[cn.QuarticCone] = []
-    failures = 0
-
-    def draw(k: int) -> tuple[int, cn.QuarticCone]:
-        net_obj = nt.random_net(ctx, stream.spawn(f"net{len(cones)}-"
-                                                  f"{failures + k}"))
-        return k, cn.reconstruct_quartic(ctx, net_obj,
-                                         oracle_points=oracle_points)
-
+    failures = before = 0       # before: failures ahead of the next cone
     while len(cones) < count:
-        k, cone_obj = resample("span cones", 4 * count + 20 - failures, draw)
-        failures += k
-        cones.append(cone_obj)
+        nets = nt.random_nets(ctx, [stream.spawn(f"net{i}-{failures}")
+                                    for i in range(len(cones), count)])
+        drawn = next((k for k, net in enumerate(nets)
+                      if not isinstance(net, nt.Net)), len(nets))
+        for result in cn.reconstruct_quartics(
+                ctx, nets[:drawn], oracle_points=oracle_points) \
+                + nets[drawn:drawn + 1]:
+            cone_obj = unwrap(result)
+            if cone_obj is None:
+                failures += 1
+                if failures == budget:
+                    raise exhausted("span cones", budget - before)
+                break
+            cones.append(cone_obj)
+            before = failures
     return cones
 
 
@@ -160,76 +174,69 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
 
     Every sampled curve point must annihilate every row; every off-curve
     probe (random plus structured: ambient quadric points, vertex points,
-    secant points) must be separated by at least one row of each system."""
+    secant points) must be separated by at least one row of each system.
+    The random probes are tested in rounds (`Draws.rounds`) of at most
+    PROBE_PASS, the structured ones as one stack: one `curve.off_curve`
+    and one evaluation per system each."""
     p = ctx.p
     g = ctx.g
     stream = Stream(derive_key(ctx.curve.seed, f"probe|{seed}"), "pts")
     report: dict = {"off_curve_checked": 0, "violations": [],
-                    "curve_points_contained": True,
+                    "curve_points_contained": all(
+                        ctx.vanishes_on_curve(acc.rows, acc.degree).all()
+                        for acc in spans),
                     "structured_checked": 0}
-    all_pts = np.concatenate([ctx.panel, ctx.holdout])
-    for acc in spans:
-        evals = mono.eval_matrix(all_pts, g, acc.degree, p) @ acc.rows.T % p
-        if evals.any():
-            report["curve_points_contained"] = False
 
-    def probe(point: np.ndarray, label: str) -> None:
-        if cv.on_curve(ctx.curve, point):
-            return
-        for acc in spans:
-            vals = mono.eval_matrix(point.reshape(1, -1), g, acc.degree,
-                                    p) @ acc.rows.T % p
-            if not vals.any():
-                report["violations"].append(
-                    {"label": label, "degree": acc.degree,
-                     "point": [int(v) for v in point]})
+    def probe(points: list, labels: list) -> list:
+        """Each point off the curve, else None; an off-curve point that no
+        row of a system separates is a violation of that system."""
+        pts = np.reshape(points, (-1, g))
+        off = cv.off_curve(ctx.curve, pts)
+        separated = [(mono.eval_matrix(pts, g, acc.degree, p) @ acc.rows.T
+                      % p).any(axis=1) for acc in spans]
+        for k in np.nonzero(off)[0]:
+            report["violations"] += [
+                {"label": labels[k], "degree": acc.degree,
+                 "point": [int(v) for v in pts[k]]}
+                for acc, sep in zip(spans, separated) if not sep[k]]
+        return [pt if keep else None for pt, keep in zip(points, off)]
 
-    def off_curve(_):
+    def random_point(_):
         b = stream.field_vec(p, g)
-        if not b.any() or cv.on_curve(ctx.curve, b):
-            return None
-        probe(b, "random")
-        return b
+        return b if b.any() else None
 
     report["off_curve_checked"] = len(Draws(
-        "off-curve probes", 20 * off_curve_count,
-        off_curve).take(off_curve_count))
-
-    structured = 0
-    # points on an ambient ideal quadric but off the curve
+        "off-curve probes", 20 * off_curve_count, random_point).rounds(
+        off_curve_count, lambda pts: probe(pts, ["random"] * len(pts)),
+        most=PROBE_PASS))
+    # points on an ambient ideal quadric, harvested side by side
     i2 = ctx.ideal(2)
+    harvests = []
     for k in range(10):
         combo = stream.field_vec(p, i2.dim)
-        if not combo.any():
-            continue
-        pt = next(cn.points_on_form(ctx, combo @ i2.basis % p, 2,
-                                    stream.spawn(f"q{k}"), 1, budget=60), None)
-        if pt is not None and not cv.on_curve(ctx.curve, pt):
-            probe(pt, "quadric")
-            structured += 1
+        if combo.any():
+            harvests.append(cv.ZeroHarvest(combo @ i2.basis % p, 2, g, p,
+                                           stream.spawn(f"q{k}"), 1, 60))
+    candidates = [(got[0], "quadric") for got in lockstep(
+        [harvest.take(1) for harvest in harvests]) if got]
     # points on vertices of nets used by the spans
     for acc in spans:
         for net_obj in acc.sources[:5]:
             combo = stream.field_vec(p, net_obj.wperp.shape[0])
-            if not combo.any():
-                continue
-            pt = combo @ net_obj.wperp % p
-            if pt.any() and not cv.on_curve(ctx.curve, pt):
-                probe(pt, "vertex")
-                structured += 1
-    # points on secant lines of panel points, off the curve
+            if combo.any():
+                candidates.append((combo @ net_obj.wperp % p, "vertex"))
+    # points on secant lines of panel points
     n = ctx.panel.shape[0]
     for _ in range(10):
         i = stream.integer(0, n)
         j = stream.integer(0, n)
-        if i == j:
-            continue
-        pt = (stream.nonzero(p) * ctx.panel[i]
-              + stream.nonzero(p) * ctx.panel[j]) % p
-        if pt.any() and not cv.on_curve(ctx.curve, pt):
-            probe(pt, "secant")
-            structured += 1
-    report["structured_checked"] = structured
+        if i != j:
+            candidates.append(((stream.nonzero(p) * ctx.panel[i]
+                                + stream.nonzero(p) * ctx.panel[j]) % p,
+                               "secant"))
+    pts, labels = zip(*candidates) if candidates else ((), ())
+    report["structured_checked"] = sum(
+        pt is not None for pt in probe(list(pts), list(labels)))
     return report
 
 

@@ -2,13 +2,16 @@
 
 import numpy as np
 
-from curvecones import algebra as alg, curve as cv, monomials as mono
-from curvecones import net as nt
-from curvecones.errors import (CurveConesError, DegenerateInput,
-                               InconsistentSystem, InsufficientPoints,
-                               NodeFiber, RankDeficientW, SplittingViolation,
-                               resample)
-from curvecones.rng import Stream
+from curvecones import algebra as alg, cone as cn, curve as cv
+from curvecones import fibers as fb
+from curvecones import monomials as mono, net as nt
+from curvecones.errors import (CurveConesError, DegenerateInput, Draws,
+                               InconsistentReconstruction, InconsistentSystem,
+                               InsufficientPoints, NodeFiber, RankDeficientW,
+                               SplittingViolation,
+                               UnderdeterminedReconstruction,
+                               VerificationFailed, resample, unwrap)
+from curvecones.rng import Stream, derive_key
 
 
 def solve_consistent(m, rhs, p):
@@ -333,3 +336,259 @@ def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
 
     return (collect(len(ctx.panel), on_image, on_count)
             + collect(40 * off_count, off_image, off_count))
+
+
+# -- the cones of `spanlab.collect_cones`, one net at a time -----------------
+
+
+def random_net(ctx, stream):
+    """A generic net with its plane image fitted, one draw at a time."""
+    def draw(_):
+        net = nt.build_net(ctx, stream.field_mat(ctx.p, 3, ctx.g))
+        if net.in_b or net.in_d:
+            return None
+        nt.gamma_equation(ctx, net)
+        return net
+
+    return resample("generic net", 200, draw)
+
+
+def constrained_space(ctx, net_obj, deg):
+    """The ideal forms of degree deg singular along the vertex, from the
+    one-net condition matrix and `kernel_basis`."""
+    basis = ctx.ideal(deg).basis
+    combos = alg.kernel_basis(
+        cn.vertex_condition_matrix(ctx, net_obj, basis, deg), ctx.p)
+    if combos.shape[0] == 0:
+        return np.zeros((0, basis.shape[1]), dtype=np.int64)
+    return combos @ basis % ctx.p
+
+
+def fresh_fibers(ctx, net_obj, stream, count):
+    """Fibers over `count` random plane points, one pencil at a time."""
+    fibers = []
+
+    def draw(_):
+        u = stream.field_vec(ctx.p, 3)
+        if not u.any():
+            return None
+        fiber = cn.split_fibers(ctx, net_obj, nt.pencil_at(
+            net_obj.w, u, ctx.p)[None])[0]
+        if isinstance(fiber, CurveConesError):
+            raise fiber
+        fibers.append(fiber)
+        return fibers if len(fibers) == count else None
+
+    return resample("admissible pencils", 120, draw)
+
+
+def points_on_form(ctx, coeffs, deg, stream, count, budget=400):
+    """Zeros of a form on random lines, a line drawn only when the caller
+    asks for a point the lines before did not give."""
+    found = 0
+    while found < count and budget:
+        budget -= 1
+        a = stream.field_vec(ctx.p, ctx.g)
+        b = stream.field_vec(ctx.p, ctx.g)
+        for pt in cv.line_zeros(coeffs, deg, ctx.g, a[None], b[None],
+                                ctx.p)[0]:
+            yield pt
+            found += 1
+            if found == count:
+                return
+
+
+def oracle_agreement(ctx, net_obj, coeffs, stream, count):
+    """(checked, disagreements) of the quartic's membership oracle, one
+    probe at a time: zero probes until count // 2 verdicts, then random
+    probes until count verdicts."""
+    p = ctx.p
+    zero_half = count // 2
+    zeros = points_on_form(ctx, coeffs, 4, stream.spawn("zeros"),
+                           3 * zero_half)
+    verdicts = []
+
+    def probe(b, expected, wanted):
+        wit = unwrap(nt.oracle_batch(ctx, [net_obj], [b])[0])
+        if wit is not None:
+            verdicts.append((int(wit.b @ wit.y % p) == 0) == expected)
+        return verdicts if len(verdicts) == wanted else None
+
+    def zero_probe(_):
+        b = next(zeros, None)
+        return None if b is None else probe(b, True, zero_half)
+
+    def random_probe(_):
+        b = stream.field_vec(p, ctx.g)
+        if not b.any():
+            return None
+        expected = mono.form_eval_one(coeffs, b, ctx.g, 4, p) == 0
+        return probe(b, expected, count)
+
+    resample("zero probes", 3 * zero_half, zero_probe, default=None)
+    resample("random probes", 40 * count, random_probe, default=None)
+    return len(verdicts), verdicts.count(False)
+
+
+def verify_cone(ctx, net_obj, coeffs, stream, oracle_points):
+    """The certificate of a reconstructed quartic, checked by the one-cone
+    chain; raises VerificationFailed when a check fails."""
+    cert = {"points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
+            "contains_curve": not mono.form_eval(
+                coeffs, np.concatenate([ctx.panel, ctx.holdout]), ctx.g, 4,
+                ctx.p).any(),
+            "vertex_singular": not cn.vertex_condition_matrix(
+                ctx, net_obj, coeffs[None], 4).any()}
+    checked, bad = oracle_agreement(ctx, net_obj, coeffs,
+                                    stream.spawn("oracle"), oracle_points)
+    cert["oracle_points"] = checked
+    cert["oracle_disagreements"] = bad
+    holdout = fresh_fibers(ctx, net_obj, stream.spawn("holdout"), 1)[0]
+    cert["holdout_pencil"] = cn.form_matches_split(ctx, coeffs, holdout)
+    if not (cert["contains_curve"] and cert["vertex_singular"]
+            and cert["holdout_pencil"] and bad == 0
+            and checked >= oracle_points):
+        raise VerificationFailed(f"cone certificate failed: {cert}")
+    return cert
+
+
+def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
+    """(coeffs, certificate) of the quartic cone of one net: one splitting
+    equation block per fiber, one `kernel_basis` per system, two more
+    fibers until the solution is one-dimensional, then `verify_cone`."""
+    if net_obj.in_d:
+        raise DegenerateInput("net lies on the degeneracy divisor")
+    p, g = ctx.p, ctx.g
+    tag = "reconstruct|%d|%s" % (seed, ",".join(
+        str(int(v)) for v in net_obj.w.reshape(-1)))
+    stream = Stream(derive_key(ctx.curve.seed, tag), "pencils")
+    s_basis = constrained_space(ctx, net_obj, 4)
+    dim_s = s_basis.shape[0]
+    if dim_s == 0:
+        raise InconsistentReconstruction("constrained space is empty")
+    fibers = fresh_fibers(ctx, net_obj, stream.spawn("draw"), 6)
+    blocks = []
+    while True:
+        k = len(fibers)
+        for idx in range(len(blocks), k):
+            sub = stream.spawn(f"pts{idx}")
+            cs = np.stack([sub.field_vec(p, g - 2)
+                           for _ in range(2 * g - 1)])
+            f_block = mono.eval_matrix(cs @ fibers[idx].vperp % p, g, 4,
+                                       p) @ s_basis.T % p
+            rhs = mono.form_eval(fb.split_product_form(fibers[idx], p), cs,
+                                 g - 2, 4, p)
+            blocks.append((f_block, rhs))
+        rows = []
+        for idx, (f_block, rhs) in enumerate(blocks):
+            block = np.zeros((len(rhs), dim_s + k), dtype=np.int64)
+            block[:, :dim_s] = f_block
+            block[:, dim_s + idx] = -rhs % p
+            rows.append(block)
+        system = np.concatenate(rows)
+        kernel = alg.kernel_basis(system, p)
+        if kernel.shape[0] == 0:
+            raise InconsistentReconstruction(
+                "splitting equations admit no common quartic")
+        if kernel.shape[0] == 1:
+            break
+        if k >= 20:
+            raise UnderdeterminedReconstruction(
+                f"solution space still {kernel.shape[0]}-dimensional "
+                f"after {k} pencils")
+        fibers += fresh_fibers(ctx, net_obj, stream.spawn(f"more{k}"), 2)
+    coeffs = alg.normalize_scalar(kernel[0][:dim_s] @ s_basis % p, p)
+    if not coeffs.any():
+        raise InconsistentReconstruction("solution collapsed to zero")
+    cert = verify_cone(ctx, net_obj, coeffs, stream.spawn("verify"),
+                       oracle_points)
+    cert.update(dim_constrained_space=dim_s, pencils_used=k, solution_dim=1)
+    return coeffs, cert
+
+
+def collect_cones(ctx, count, seed, oracle_points=4):
+    """[(net, coeffs, certificate)] of `spanlab.collect_cones`, one cone at
+    a time: each cone resamples its net from the stream
+    net{cone}-{failures so far}, within 4 * count + 20 failures in all."""
+    stream = Stream(derive_key(ctx.curve.seed, f"span-cones|{seed}"), "w")
+    cones = []
+    failures = 0
+
+    def draw(k):
+        net = random_net(ctx, stream.spawn(f"net{len(cones)}-"
+                                           f"{failures + k}"))
+        return k, net, reconstruct_quartic(ctx, net,
+                                           oracle_points=oracle_points)
+
+    while len(cones) < count:
+        k, net, (coeffs, cert) = resample(
+            "span cones", 4 * count + 20 - failures, draw)
+        failures += k
+        cones.append((net, coeffs, cert))
+    return cones
+
+
+def base_locus_probe(ctx, spans, off_curve_count, seed=0):
+    """The report of `spanlab.base_locus_probe`, one probe at a time."""
+    p, g = ctx.p, ctx.g
+    stream = Stream(derive_key(ctx.curve.seed, f"probe|{seed}"), "pts")
+    report = {"off_curve_checked": 0, "violations": [],
+              "curve_points_contained": True, "structured_checked": 0}
+    for acc in spans:
+        evals = mono.eval_matrix(np.concatenate([ctx.panel, ctx.holdout]),
+                                 g, acc.degree, p) @ acc.rows.T % p
+        if evals.any():
+            report["curve_points_contained"] = False
+
+    def probe(point, label):
+        for acc in spans:
+            vals = mono.eval_matrix(point[None], g, acc.degree,
+                                    p) @ acc.rows.T % p
+            if not vals.any():
+                report["violations"].append(
+                    {"label": label, "degree": acc.degree,
+                     "point": [int(v) for v in point]})
+
+    def off_curve(_):
+        b = stream.field_vec(p, g)
+        if not b.any() or cv.on_curve(ctx.curve, b):
+            return None
+        probe(b, "random")
+        return b
+
+    report["off_curve_checked"] = len(Draws(
+        "off-curve probes", 20 * off_curve_count,
+        off_curve).take(off_curve_count))
+    structured = 0
+    i2 = ctx.ideal(2)
+    for k in range(10):
+        combo = stream.field_vec(p, i2.dim)
+        if not combo.any():
+            continue
+        pt = next(points_on_form(ctx, combo @ i2.basis % p, 2,
+                                 stream.spawn(f"q{k}"), 1, budget=60), None)
+        if pt is not None and not cv.on_curve(ctx.curve, pt):
+            probe(pt, "quadric")
+            structured += 1
+    for acc in spans:
+        for net_obj in acc.sources[:5]:
+            combo = stream.field_vec(p, net_obj.wperp.shape[0])
+            if not combo.any():
+                continue
+            pt = combo @ net_obj.wperp % p
+            if pt.any() and not cv.on_curve(ctx.curve, pt):
+                probe(pt, "vertex")
+                structured += 1
+    n = ctx.panel.shape[0]
+    for _ in range(10):
+        i = stream.integer(0, n)
+        j = stream.integer(0, n)
+        if i == j:
+            continue
+        pt = (stream.nonzero(p) * ctx.panel[i]
+              + stream.nonzero(p) * ctx.panel[j]) % p
+        if pt.any() and not cv.on_curve(ctx.curve, pt):
+            probe(pt, "secant")
+            structured += 1
+    report["structured_checked"] = structured
+    return report

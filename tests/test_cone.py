@@ -7,7 +7,9 @@ from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import errors, monomials as mono, net as nt, pencil as pc
 from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
                                InadmissiblePencil, InconsistentSystem,
-                               InVertex, NonGenericD, VerificationFailed)
+                               InVertex, NonGenericD,
+                               UnderdeterminedReconstruction,
+                               VerificationFailed)
 from curvecones.rng import Stream
 
 import reference
@@ -132,6 +134,113 @@ class TestSplitFibers:
                 "fiber"} <= kinds
         assert cn.split_fibers(ctx, net, np.zeros((0, 2, g))) == []
 
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_one_net_per_pencil(self, name, request):
+        """A stack that mixes the pencils of two nets against one call per
+        net."""
+        ctx = request.getfixturevalue(name)
+        p = ctx.p
+        nets = [nt.random_net(ctx, Stream(118, f"mix{name}")),
+                cn.degenerate_net(ctx, Stream(119, f"mix{name}"))]
+        stream = Stream(120, f"mix{name}")
+        owner = [stream.integer(0, 2) for _ in range(12)]
+        # pencils inside their own net, and two inside the other net
+        vs = np.stack([nt.pencil_at(nets[k if i % 5 else 1 - k].w,
+                                    stream.field_vec(p, 3), p)
+                       for i, k in enumerate(owner)])
+        got = fiber_values(cn.split_fibers(ctx, [nets[k] for k in owner], vs))
+        want = [None] * len(owner)
+        for k, net in enumerate(nets):
+            mine = [i for i, o in enumerate(owner) if o == k]
+            for i, fiber in zip(mine, fiber_values(
+                    cn.split_fibers(ctx, net, vs[mine]))):
+                want[i] = fiber
+        assert got == want
+        assert len({f[0] for f in want if isinstance(f[0], type)}) >= 1
+        assert any(not isinstance(f[0], type) for f in want)
+
+
+def one_net_outcome(run):
+    """run()'s (coefficients, certificate items), or the class and message
+    of the exception it raised or returned."""
+    try:
+        res = run()
+    except CurveConesError as exc:
+        res = exc
+    if isinstance(res, CurveConesError):
+        return type(res), str(res)
+    if isinstance(res, cn.QuarticCone):
+        res = res.coeffs, res.certificate
+    return res[0].tolist(), list(res[1].items())
+
+
+class TestReconstructRounds:
+    """`reconstruct_quartics` and `verify_cones` give each net the cone,
+    certificate or exception of the one-net chain, and make its draws."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_mixed_stack(self, name, request, monkeypatch):
+        ctx = request.getfixturevalue(name)
+        nets = [nt.random_net(ctx, Stream(121, f"{name}{k}"))
+                for k in range(3)]
+        nets.insert(1, cn.degenerate_net(ctx, Stream(122, name)))
+        # a third of the pencils of nets[2] fail; every fiber of nets[3]
+        # is its first one, so its solution space stays more than
+        # one-dimensional while it draws two fibers a round up to 20
+        real = cn.split_fibers
+        first = {}
+
+        def planted(net, v, fiber):
+            key = str(net.w.tolist())
+            if net is nets[2] and int(v.sum()) % 3 == 0:
+                return InadmissiblePencil("planted")
+            if net is nets[3] and isinstance(fiber, cn.SplitFiber):
+                return first.setdefault(key, fiber)
+            return fiber
+
+        def split_fibers(ctx, per, vs):
+            per = [per] * len(vs) if isinstance(per, nt.Net) else per
+            return [planted(net, v, fiber)
+                    for net, v, fiber in zip(per, vs, real(ctx, per, vs))]
+
+        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        want, want_draws = stream_draws(monkeypatch, lambda: [
+            one_net_outcome(lambda: reference.reconstruct_quartic(
+                ctx, net, seed=5, oracle_points=6)) for net in nets])
+        got, got_draws = stream_draws(monkeypatch, lambda: [
+            one_net_outcome(lambda: res) for res in
+            cn.reconstruct_quartics(ctx, nets, seed=5, oracle_points=6)])
+        assert got == want
+        assert {k: n for k, n in got_draws.items()
+                if not k.startswith("restrict-nodes|")} == \
+            {k: n for k, n in want_draws.items()
+             if not k.startswith("restrict-nodes|")}
+        assert want[1] == (DegenerateInput,
+                           "net lies on the degeneracy divisor")
+        assert want[3][0] is UnderdeterminedReconstruction
+        assert want[3][1].endswith("after 20 pencils")
+        assert all(not isinstance(w[0], type) for w in want[:1] + want[2:3])
+        # the cones again, certified together with other streams
+        cones = [cn.QuarticCone(net=net, coeffs=np.array(w[0]))
+                 for net, w in zip(nets, want) if not isinstance(w[0], type)]
+        streams = [Stream(123, f"cert{k}") for k in range(len(cones))]
+        assert [one_net_outcome(lambda: (c.coeffs, errors.value_of(cert)))
+                for c, cert in zip(cones, cn.verify_cones(
+                    ctx, cones, streams, oracle_points=8))] == [
+            one_net_outcome(lambda: (c.coeffs, reference.verify_cone(
+                ctx, c.net, c.coeffs, st, 8)))
+            for c, st in zip(cones, streams)]
+
+    def test_empty_stacks(self, ctx4):
+        assert cn.reconstruct_quartics(ctx4, []) == []
+        assert cn.verify_cones(ctx4, [], []) == []
+
+
+def fresh_fibers(ctx, net, stream, count):
+    """The chain `cone._fresh_fibers` run alone, raising its exception."""
+    return errors.value_of(errors.lockstep(
+        [cn._fresh_fibers(ctx, net, stream, count)])[0])
+
 
 class TestFreshFiberRounds:
     """`cone._fresh_fibers` draws exactly the plane points of the loop that
@@ -185,7 +294,7 @@ class TestFreshFiberRounds:
             lambda: self.sequential(ctx4, net, Stream(114, tag), count)))
         calls.clear()
         got, got_draws = stream_draws(monkeypatch, lambda: self.outcome(
-            lambda: cn._fresh_fibers(ctx4, net, Stream(114, tag), count)))
+            lambda: fresh_fibers(ctx4, net, Stream(114, tag), count)))
         assert got == want
         assert got_draws == want_draws == {tag: got_draws[tag]}
         if every == 1:
@@ -203,7 +312,7 @@ class TestFreshFiberRounds:
         net = nt.random_net(ctx4, Stream(113, "rounds"))
         self.failing(monkeypatch, 1, InconsistentSystem)
         with pytest.raises(InconsistentSystem):
-            cn._fresh_fibers(ctx4, net, Stream(115, "raise"), 2)
+            fresh_fibers(ctx4, net, Stream(115, "raise"), 2)
 
 
 class TestFamilySweepRounds:

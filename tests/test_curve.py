@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from curvecones import algebra as alg
-from curvecones import cone as cn
+from curvecones import fibers as fb
 from curvecones import curve as cv
 from curvecones import monomials as mono
 from curvecones.errors import (DegenerateInput, InsufficientPoints,
@@ -110,7 +110,7 @@ class TestQuadricGram:
         assert mono.restrict_to_line(q, 2, g, a, b, p).tolist() == expected
         # the fiber form is the inverse of the Gram matrix
         fiber = types.SimpleNamespace(gram=cv.quadric_gram(q, g, p))
-        assert cn.fiber_quadric_form(fiber, p).tolist() == q.tolist()
+        assert fb.fiber_quadric_form(fiber, p).tolist() == q.tolist()
 
     def test_ruling_chart_at_the_largest_prime(self):
         # 4 (p-1)^3 > 2**63: an unreduced int64 product x @ G @ y
