@@ -12,9 +12,9 @@ Conventions used package-wide:
   nonzero polynomial has nonzero leading entry and the zero polynomial is
   the empty array;
 * bivariate polynomials are 2-D arrays, entry [i, j] the coefficient of
-  x^i y^j.  They only feed `resultant_bivariate`: callers build them from
-  forms with `monomials.collect`, so this module keeps no bivariate
-  arithmetic beyond `p2_trim` and the specialization `p2_eval_x`.
+  x^i y^j.  Callers build them from forms with `monomials.collect`, so
+  this module keeps no bivariate arithmetic beyond `p2_trim` and the
+  specialization `p2_eval_x`.
 
 The prime must stay below 2**25 so that int64 dot products of length a few
 thousand cannot overflow; all arithmetic is exact.
@@ -36,6 +36,14 @@ same matrix.  The powers are built column by column as a product of two
 entries below p reduced at once, and the solve is a `rref_batch`, so no
 intermediate of either leaves (-p**2, p).
 
+One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
+one Vandermonde product, each entry a sum of one product below p**2 per
+row of f, so below 2**63 while f has fewer than 2**13 rows at p < 2**25
+(46 at most in the engine).  `poly_gcd` and `squarefree_part` are one
+`_Moduli.split` each, exact division is one `solve_batch`, and the
+Sylvester matrices of `resultant_bivariate` hold values below p and go
+through one `det_batch`, with the budget of `rref_batch`.
+
 Roots are found on stacks.  `distinct_roots_batch` takes many
 polynomials at once through `_Moduli`, a stack of monic moduli padded to
 the largest degree D: x^p mod f is one square-and-multiply chain over the
@@ -52,7 +60,7 @@ the engine's largest degree is 45, the numerator of the family sweep.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -426,28 +434,6 @@ def poly_deg(f: np.ndarray) -> int:
     return len(f) - 1
 
 
-def poly_divmod(f, g, p: int) -> tuple[np.ndarray, np.ndarray]:
-    f = poly_trim(f)
-    g = poly_trim(g)
-    if len(g) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(f) < len(g):
-        return np.zeros(0, dtype=np.int64), f
-    rem = f.copy()
-    q = np.zeros(len(f) - len(g) + 1, dtype=np.int64)
-    inv_lead = inv_mod(int(g[-1]), p)
-    for k in range(len(f) - len(g), -1, -1):
-        coef = rem[k + len(g) - 1] * inv_lead % p
-        if coef:
-            q[k] = coef
-            rem[k: k + len(g)] = (rem[k: k + len(g)] - coef * g) % p
-    return poly_trim(q), poly_trim(rem)
-
-
-def poly_mod(f, g, p: int) -> np.ndarray:
-    return poly_divmod(f, g, p)[1]
-
-
 def poly_monic(f, p: int) -> np.ndarray:
     f = poly_trim(f)
     if len(f) == 0:
@@ -455,19 +441,26 @@ def poly_monic(f, p: int) -> np.ndarray:
     return f * inv_mod(int(f[-1]), p) % p
 
 
+def poly_stack(polys) -> np.ndarray:
+    """The polynomials as the rows of one array, padded with zeros to the
+    longest."""
+    out = np.zeros((len(polys), max(len(f) for f in polys)), dtype=np.int64)
+    for k, f in enumerate(polys):
+        out[k, :len(f)] = f
+    return out
+
+
 def poly_gcd(f, g, p: int) -> np.ndarray:
-    """Monic greatest common divisor."""
-    a, b = poly_trim(f), poly_trim(g)
-    while len(b):
-        a, b = b, poly_mod(a, b, p)
-    return poly_monic(a, p)
-
-
-def poly_eval(f, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly_trim(f)):
-        acc = (acc * x + int(c)) % p
-    return acc
+    """Monic greatest common divisor: one `_Moduli.split` of the shorter
+    polynomial modulo the longer."""
+    a, b = sorted((poly_trim(np.asarray(f, dtype=np.int64) % p),
+                   poly_trim(np.asarray(g, dtype=np.int64) % p)), key=len)
+    if len(a) == 0:
+        return poly_monic(b, p)
+    if len(a) == 1:
+        return np.ones(1, dtype=np.int64)
+    mods = _Moduli([poly_monic(b, p)], p, len(a))
+    return mods.split(mods.reduce(a[None]), cofactor=False)[0][0]
 
 
 def poly_deriv(f, p: int) -> np.ndarray:
@@ -478,10 +471,32 @@ def poly_deriv(f, p: int) -> np.ndarray:
 
 
 def squarefree_part(f, p: int) -> np.ndarray:
-    """f / gcd(f, f'), monic.  Valid while deg f < p (never an issue here)."""
+    """f / gcd(f, f'), monic, the cofactor of one `_Moduli.split` of f'
+    modulo f.  Valid while deg f < p, as everywhere in the engine."""
     f = poly_monic(f, p)
-    d = poly_gcd(f, poly_deriv(f, p), p)
-    return poly_monic(poly_divmod(f, d, p)[0], p)
+    if len(f) < 2:
+        return f
+    mods = _Moduli([f], p)
+    return mods.split(mods.reduce(poly_deriv(f, p)[None]))[1][0]
+
+
+def exact_quotients(rows: np.ndarray, h, p: int) -> tuple[np.ndarray, bool]:
+    """The quotients f / h of the rows f of a k x L array, as a
+    k x (L - deg h) array, and whether h divides every row: one
+    `solve_batch` of the multiplication-by-h matrix, of full column rank,
+    with the rows as right-hand sides."""
+    h = poly_trim(np.asarray(h, dtype=np.int64) % p)
+    if len(h) == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rows = np.asarray(rows, dtype=np.int64) % p
+    cols = rows.shape[1] - len(h) + 1
+    if cols <= 0:
+        return np.zeros((len(rows), 0), dtype=np.int64), not rows.any()
+    mult = np.zeros((rows.shape[1], cols), dtype=np.int64)
+    mult[np.add.outer(np.arange(len(h)), np.arange(cols)),
+         np.arange(cols)] = h[:, None]
+    quots, _, divides = solve_batch(mult[None], rows.T[None], p)
+    return quots[0].T, bool(divides[0])
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +539,7 @@ class _Moduli:
                              f"{base_len} breaks the int64 budget at p = {p}")
         n = len(moduli)
         self.deg = np.array(degs)
-        self.f = np.zeros((n, d + 1), dtype=np.int64)
-        for k, f in enumerate(moduli):
-            self.f[k, :len(f)] = f
+        self.f = poly_stack(moduli)
         # x times a residue: shift up, then clear the coefficient that
         # reaches x^deg with that multiple of the monic modulus
         last = np.arange(d) == self.deg[:, None] - 1
@@ -545,9 +558,13 @@ class _Moduli:
         for k in range(2 * low, count, low):
             rows[:, k:k + low] = rows[:, k - low:k] @ step % p
         self.rows = rows[:, :count]
-        index = _sum_index(d, 2)
-        self.square = self.rows[:, index[0]].reshape(n, d, d * d)
-        self.times_x = self.rows[:, index[1]].reshape(n, d, d * d)
+        self.square = self.rows[:, _sum_index(d)[0]].reshape(n, d, d * d)
+
+    @cached_property
+    def times_x(self) -> np.ndarray:
+        """`times` of the base x, built on first use (a gcd needs none)."""
+        n, _, d = self.rows.shape
+        return self.rows[:, _sum_index(d, 2)[1]].reshape(n, d, d * d)
 
     def times(self, base: np.ndarray) -> np.ndarray:
         """The tensor of x^(i+j) base[n] mod f[n], shaped as `square`, for
@@ -725,32 +742,6 @@ def distinct_roots(f, p: int) -> list[int]:
     return distinct_roots_batch([f], p)[0]
 
 
-def sylvester(f, g) -> np.ndarray:
-    f = poly_trim(f)
-    g = poly_trim(g)
-    m, n = poly_deg(f), poly_deg(g)
-    size = m + n
-    s = np.zeros((size, size), dtype=np.int64)
-    frow = f[::-1]
-    grow = g[::-1]
-    for i in range(n):
-        s[i, i: i + m + 1] = frow
-    for i in range(m):
-        s[n + i, i: i + n + 1] = grow
-    return s
-
-
-def resultant(f, g, p: int) -> int:
-    """Sylvester-matrix resultant of two nonzero univariate polynomials."""
-    f = poly_trim(f)
-    g = poly_trim(g)
-    if len(f) == 0 or len(g) == 0:
-        raise ValueError("resultant needs nonzero polynomials")
-    # a constant factor gives a diagonal Sylvester matrix, whose
-    # determinant is that constant to the degree of the other
-    return det(sylvester(f, g), p)
-
-
 def _vandermonde(xs, cols: int, p: int) -> np.ndarray:
     """Row i holds x_i^0, ..., x_i^(cols-1) mod p."""
     x = np.asarray(xs, dtype=np.int64) % p
@@ -803,8 +794,8 @@ def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int
         return None
     common = poly_gcd(num, den, p)
     if poly_deg(common) > 0:
-        num = poly_divmod(num, common, p)[0]
-        den = poly_divmod(den, common, p)[0]
+        quots, _ = exact_quotients(poly_stack([num, den]), common, p)
+        num, den = poly_trim(quots[0]), poly_trim(quots[1])
     return num, den
 
 
@@ -822,39 +813,41 @@ def p2_trim(f: np.ndarray) -> np.ndarray:
     return f[: rows[-1] + 1, : cols[-1] + 1]
 
 
-def p2_eval_x(f: np.ndarray, a: int, p: int) -> np.ndarray:
-    """Substitute x = a; returns a univariate polynomial in y."""
-    f = np.asarray(f, dtype=np.int64)
-    acc = np.zeros(f.shape[1], dtype=np.int64)
-    for row in f[::-1]:
-        acc = (acc * a + row) % p
-    return poly_trim(acc)
+def p2_eval_x(f: np.ndarray, xs, p: int) -> np.ndarray:
+    """Substitute x = a for every node a of xs, with one `_vandermonde`
+    product: row k holds the coefficients in y of f(xs[k], y), untrimmed.
+    A univariate polynomial is a one-column array, and its values are the
+    one column of the result."""
+    f = np.asarray(f, dtype=np.int64) % p
+    return _vandermonde(xs, f.shape[0], p) @ f % p
 
 
 def resultant_bivariate(f, g, p: int) -> np.ndarray:
     """Res_y of two bivariate polynomials, as a univariate polynomial in x.
 
-    Evaluate-and-interpolate (Collins, J. ACM 18(4), 1971): specialize x
-    at bound + 1 nodes where neither leading y-coefficient drops, take
-    scalar Sylvester resultants, `interpolate`.  The bound on the x-degree
-    also covers a factor constant in y, whose resultant is its power.
+    Evaluate-and-interpolate (Collins, J. ACM 18(4), 1971): one
+    `p2_eval_x` each specializes f and g at the nodes 0, ..., bound +
+    deg lf + deg lg, of which at most deg lf + deg lg are roots of a
+    leading y-coefficient lf or lg.  The first bound + 1 others share one
+    Sylvester size, so one `det_batch` gives their resultants for
+    `interpolate`.  The bound on the x-degree also covers a factor
+    constant in y, whose resultant is its power.
     """
     f = p2_trim(f)
     g = p2_trim(g)
     if f.size == 0 or g.size == 0:
         raise ValueError("resultant of a zero polynomial")
-    dfy, dgy = f.shape[1] - 1, g.shape[1] - 1
-    lf = poly_trim(f[:, dfy])
-    lg = poly_trim(g[:, dgy])
-    bound = dfy * (g.shape[0] - 1) + dgy * (f.shape[0] - 1)
-    xs: list[int] = []
-    ys: list[int] = []
-    a = 0
-    while len(xs) <= bound:
-        if a >= p:
-            raise ValueError("field too small for interpolation nodes")
-        if poly_eval(lf, a, p) != 0 and poly_eval(lg, a, p) != 0:
-            xs.append(a)
-            ys.append(resultant(p2_eval_x(f, a, p), p2_eval_x(g, a, p), p))
-        a += 1
-    return interpolate(xs, ys, p)
+    m, n = f.shape[1] - 1, g.shape[1] - 1
+    drops = poly_deg(poly_trim(f[:, m])) + poly_deg(poly_trim(g[:, n]))
+    bound = m * (g.shape[0] - 1) + n * (f.shape[0] - 1)
+    xs = np.arange(min(p, bound + 1 + drops))
+    fa, ga = p2_eval_x(f, xs, p), p2_eval_x(g, xs, p)
+    keep = np.nonzero((fa[:, m] != 0) & (ga[:, n] != 0))[0][:bound + 1]
+    if len(keep) <= bound:
+        raise ValueError("field too small for interpolation nodes")
+    sylvester = np.zeros((len(keep), m + n, m + n), dtype=np.int64)
+    for i in range(n):
+        sylvester[:, i, i:i + m + 1] = fa[keep, ::-1]
+    for i in range(m):
+        sylvester[:, n + i, i:i + n + 1] = ga[keep, ::-1]
+    return interpolate(xs[keep], det_batch(sylvester, p), p)

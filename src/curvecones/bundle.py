@@ -213,10 +213,9 @@ def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0) -> int:
         h_free = alg.squarefree_part(h, p)
         rational = alg.distinct_roots(h_free, p)
         count = alg.poly_deg(h_free) - len(rational)
-        for a in rational:
-            fy_a = alg.p2_eval_x(f, a, p)
-            fxy_a = alg.p2_eval_x(fx, a, p)
-            fyy_a = alg.p2_eval_x(fy, a, p)
+        at = [[alg.poly_trim(row) for row in alg.p2_eval_x(e, rational, p)]
+              for e in (f, fx, fy)]
+        for fy_a, fxy_a, fyy_a in zip(*at):
             if not (len(fy_a) and len(fxy_a) and len(fyy_a)):
                 raise NonGenericCoordinates("partials collapse at a "
                                             "candidate abscissa")

@@ -98,7 +98,7 @@ def cmd_spans(args) -> int:
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config field '{key}'")
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:     # nor a bool
                 raise ConfigError(f"config field '{key}' must be a "
                                   f"nonnegative integer")
             cfg[key] = value

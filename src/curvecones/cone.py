@@ -553,23 +553,21 @@ def sweep_discriminant(chart: cv.RulingChart, s1: np.ndarray,
     through a tangent line, and their discriminant Res_u(R, dR/du).
 
     `section_poly` is cubic in the plane, so one `interpolate` fits the
-    sweep from lam = 0..3.  Its gcd at lam = 101, 202, 303 is the factor
-    that every plane through the line shares, and R is the sweep divided by
-    it, entry [i, j] the coefficient of lam^i u^j.  None when the gcd does
-    not divide the sweep or R has u-degree below 2.
+    sweep from lam = 0..3.  Its gcd at lam = 101, 202, 303 (one evaluation)
+    is the factor that every plane through the line shares, and R is the
+    sweep divided by it (one `exact_quotients`), entry [i, j] the
+    coefficient of lam^i u^j.  None when the gcd does not divide the sweep
+    or R has u-degree below 2.
     """
     samples = [chart.section_poly((s1 + lam * s2) % p) for lam in range(4)]
-    width = max(len(f) for f in samples)
-    fit = alg.interpolate(range(4), [np.pad(f, (0, width - len(f)))
-                                     for f in samples], p)
-    common = alg.poly_gcd(alg.p2_eval_x(fit, 101, p), alg.poly_gcd(
-        alg.p2_eval_x(fit, 202, p), alg.p2_eval_x(fit, 303, p), p), p)
-    quots = [alg.poly_divmod(row, common, p) for row in fit]
-    width = max(len(quot) for quot, _ in quots)
-    if width < 3 or any(len(rem) for _, rem in quots):
+    fit = alg.interpolate(range(4), alg.poly_stack(samples), p)
+    at = alg.p2_eval_x(fit, [101, 202, 303], p)
+    common = alg.poly_gcd(at[0], alg.poly_gcd(at[1], at[2], p), p)
+    quots, divides = alg.exact_quotients(fit, common, p)
+    residual = alg.p2_trim(quots)
+    width = residual.shape[1]
+    if width < 3 or not divides:
         return None
-    residual = np.array([np.pad(quot, (0, width - len(quot)))
-                         for quot, _ in quots])
     d_du = residual[:, 1:] * np.arange(1, width) % p
     return residual, alg.resultant_bivariate(residual, d_du, p)
 
@@ -597,9 +595,9 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
         if swept is None or alg.poly_deg(swept[1]) < 1:
             return None
         residual, disc = swept
-        for lam_star in alg.distinct_roots(disc, p):
+        roots = alg.distinct_roots(disc, p)
+        for lam_star, quot in zip(roots, alg.p2_eval_x(residual, roots, p)):
             section = (s1 + lam_star * s2) % p
-            quot = alg.p2_eval_x(residual, lam_star, p)
             repeated = alg.poly_gcd(quot, alg.poly_deriv(quot, p), p)
             if alg.poly_deg(repeated) < 1:
                 continue
@@ -688,9 +686,8 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     if fit is None:
         return []
     num, den = fit
-    if not all(alg.poly_eval(num, ts[94 + k], p)
-               == vs[94 + k] * alg.poly_eval(den, ts[94 + k], p) % p
-               for k in range(6)):
+    held = alg.p2_eval_x(alg.poly_stack([num, den]).T, ts[94:100], p)
+    if (held[:, 0] != np.array(vs[94:100]) * held[:, 1] % p).any():
         return []
     roots = alg.distinct_roots(num, p)
 

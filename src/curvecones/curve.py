@@ -167,16 +167,12 @@ class TangentData:
 
 
 def on_curve(curve: CurveModel, pt: np.ndarray) -> bool:
-    p = curve.prime
-    g = curve.genus
-    return all(
-        mono.form_eval_one(np.array(c, dtype=np.int64), pt, g, d, p) == 0
-        for d, c in curve.generators)
+    """Whether every generator vanishes at pt: `off_curve` on one point."""
+    return not off_curve(curve, np.asarray(pt, dtype=np.int64)[None])[0]
 
 
 def off_curve(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points (rows) where some generator does not vanish: the
-    test of `on_curve` on a stack of points."""
+    """Mask of the points (rows) where some generator does not vanish."""
     return np.any([mono.form_eval(c, pts, curve.genus, d, curve.prime) != 0
                    for d, c in curve.generator_arrays()], axis=0)
 
@@ -441,8 +437,9 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
             continue         # is unusable (not a resample of the pipeline)
         if alg.poly_deg(rfin) < 0:
             continue
-        for y1 in alg.distinct_roots(rfin, p):
-            s12 = alg.p2_eval_x(r12, y1, p)
+        roots = alg.distinct_roots(rfin, p)
+        for y1, s12 in zip(roots, alg.p2_eval_x(r12, roots, p)):
+            s12 = alg.poly_trim(s12)
             if alg.poly_deg(s12) < 1:
                 continue
             for y2 in alg.distinct_roots(s12, p):
@@ -577,9 +574,10 @@ def curve_to_json(curve: CurveModel, points: list[np.ndarray]) -> dict:
 
 
 def _typed(data: dict, name: str, kind: type):
-    """data[name], or ConfigError naming the field if it is not a `kind`."""
+    """data[name], or ConfigError naming the field if it is not a `kind`;
+    a JSON boolean is no int, although Python's bool is."""
     value = data.get(name)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"field '{name}' must be of type {kind.__name__}, "
                           f"got {type(value).__name__}")
     return value
@@ -624,7 +622,7 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
         raise ConfigError(f"field 'points' holds {len(points)} points, a "
                           f"genus-{g} curve file needs {needed}")
     short = [i for i, q in enumerate(points) if not isinstance(q, list)
-             or len(q) != g or not all(isinstance(v, int) for v in q)]
+             or len(q) != g or not all(type(v) is int for v in q)]
     if short:
         raise ConfigError(f"point {short[0]} is not a list of {g} integer "
                           "coordinates")

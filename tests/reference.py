@@ -67,6 +67,99 @@ def poly_mul(f, g, p):
     return alg.poly_trim(np.convolve(f, g) % p)
 
 
+def poly_divmod(f, g, p):
+    """Quotient and remainder by long division, both trimmed."""
+    f = alg.poly_trim(f)
+    g = alg.poly_trim(g)
+    if len(g) == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(f) < len(g):
+        return np.zeros(0, dtype=np.int64), f
+    rem = f.copy()
+    q = np.zeros(len(f) - len(g) + 1, dtype=np.int64)
+    inv_lead = alg.inv_mod(int(g[-1]), p)
+    for k in range(len(f) - len(g), -1, -1):
+        coef = rem[k + len(g) - 1] * inv_lead % p
+        if coef:
+            q[k] = coef
+            rem[k: k + len(g)] = (rem[k: k + len(g)] - coef * g) % p
+    return alg.poly_trim(q), alg.poly_trim(rem)
+
+
+def poly_gcd(f, g, p):
+    """Monic greatest common divisor by the Euclidean chain."""
+    a, b = alg.poly_trim(f), alg.poly_trim(g)
+    while len(b):
+        a, b = b, poly_divmod(a, b, p)[1]
+    return alg.poly_monic(a, p)
+
+
+def squarefree_part(f, p):
+    """f / gcd(f, f'), monic, by the Euclidean chain and long division."""
+    f = alg.poly_monic(f, p)
+    d = poly_gcd(f, alg.poly_deriv(f, p), p)
+    return alg.poly_monic(poly_divmod(f, d, p)[0], p)
+
+
+def poly_eval(f, x, p):
+    """f(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(alg.poly_trim(f)):
+        acc = (acc * x + int(c)) % p
+    return acc
+
+
+def sylvester(f, g):
+    """Sylvester matrix of two trimmed polynomials: deg g rows of f, then
+    deg f rows of g, coefficients by falling degree."""
+    f = alg.poly_trim(f)
+    g = alg.poly_trim(g)
+    m, n = alg.poly_deg(f), alg.poly_deg(g)
+    s = np.zeros((m + n, m + n), dtype=np.int64)
+    for i in range(n):
+        s[i, i: i + m + 1] = f[::-1]
+    for i in range(m):
+        s[n + i, i: i + n + 1] = g[::-1]
+    return s
+
+
+def resultant(f, g, p):
+    """Sylvester-matrix resultant of two nonzero univariate polynomials."""
+    f = alg.poly_trim(f)
+    g = alg.poly_trim(g)
+    if len(f) == 0 or len(g) == 0:
+        raise ValueError("resultant needs nonzero polynomials")
+    return alg.det(sylvester(f, g), p)
+
+
+def resultant_bivariate(f, g, p):
+    """Res_y of two bivariate polynomials one node at a time: x = 0, 1, ...
+    in turn, skipping a node where a leading y-coefficient vanishes, a
+    Horner specialization and a scalar Sylvester resultant at each of the
+    first bound + 1 nodes kept, then a Lagrange fit."""
+    f = alg.p2_trim(f)
+    g = alg.p2_trim(g)
+    if f.size == 0 or g.size == 0:
+        raise ValueError("resultant of a zero polynomial")
+    dfy, dgy = f.shape[1] - 1, g.shape[1] - 1
+    bound = dfy * (g.shape[0] - 1) + dgy * (f.shape[0] - 1)
+
+    def at(h, a):
+        return alg.poly_trim([poly_eval(col, a, p) for col in h.T])
+
+    xs, ys = [], []
+    a = 0
+    while len(xs) <= bound:
+        if a >= p:
+            raise ValueError("field too small for interpolation nodes")
+        fa, ga = at(f, a), at(g, a)
+        if len(fa) == dfy + 1 and len(ga) == dgy + 1:
+            xs.append(a)
+            ys.append(resultant(fa, ga, p))
+        a += 1
+    return lagrange_interpolate(xs, ys, p)
+
+
 def lagrange_interpolate(xs, ys, p):
     """Unique polynomial of degree < len(xs) through the points, as a sum
     of Lagrange basis polynomials built by polynomial division."""
@@ -79,8 +172,8 @@ def lagrange_interpolate(xs, ys, p):
         master = poly_mul(master, np.array([-x % p, 1]), p)
     out = np.zeros(len(xs), dtype=np.int64)
     for x, y in zip(xs, ys):
-        num = alg.poly_divmod(master, np.array([-x % p, 1]), p)[0]
-        scale = y * alg.inv_mod(alg.poly_eval(num, x, p), p) % p
+        num = poly_divmod(master, np.array([-x % p, 1]), p)[0]
+        scale = y * alg.inv_mod(poly_eval(num, x, p), p) % p
         out[:len(num)] = (out[:len(num)] + scale * num) % p
     return alg.poly_trim(out)
 
@@ -95,14 +188,14 @@ def sweep_discriminant(chart, s1, s2, p):
     def sweep(lam):
         return chart.section_poly((s1 + lam * s2) % p)
 
-    common = alg.poly_gcd(sweep(101), alg.poly_gcd(sweep(202), sweep(303),
+    common = poly_gcd(sweep(101), poly_gcd(sweep(202), sweep(303),
                                                    p), p)
     nodes, values = [], []
     generic_deg = None
     lam = 1
     while len(nodes) < 80 and lam < 700:
         lam += 1
-        quot, rem = alg.poly_divmod(sweep(lam), common, p)
+        quot, rem = poly_divmod(sweep(lam), common, p)
         if len(rem):
             continue
         d = alg.poly_deg(quot)
@@ -111,7 +204,7 @@ def sweep_discriminant(chart, s1, s2, p):
         if d != generic_deg or d < 2:
             continue
         nodes.append(lam)
-        values.append(alg.resultant(quot, alg.poly_deriv(quot, p), p))
+        values.append(resultant(quot, alg.poly_deriv(quot, p), p))
     if len(nodes) < 80:
         return None
     return lagrange_interpolate(nodes, values, p)
@@ -158,7 +251,7 @@ def distinct_roots(f, p):
     if len(f) <= 1:
         return []
     x = np.array([0, 1], dtype=np.int64)
-    stack = [alg.poly_gcd(poly_sub(poly_pow_mod(x, p, f, p), x, p), f, p)]
+    stack = [poly_gcd(poly_sub(poly_pow_mod(x, p, f, p), x, p), f, p)]
     roots = []
     while stack:
         h = stack.pop()
@@ -173,13 +266,13 @@ def distinct_roots(f, p):
             shifted = np.array([a, 1], dtype=np.int64)
             t = poly_sub(poly_pow_mod(shifted, (p - 1) // 2, h, p),
                          np.ones(1, dtype=np.int64), p)
-            d1 = alg.poly_gcd(t, h, p)
+            d1 = poly_gcd(t, h, p)
             if 0 < alg.poly_deg(d1) < d:
-                stack += [d1, alg.poly_divmod(h, d1, p)[0]]
+                stack += [d1, poly_divmod(h, d1, p)[0]]
                 break
-            if alg.poly_eval(h, -a % p, p) == 0:
+            if poly_eval(h, -a % p, p) == 0:
                 roots.append(-a % p)
-                stack.append(alg.poly_divmod(h, shifted, p)[0])
+                stack.append(poly_divmod(h, shifted, p)[0])
                 break
             a += 1
     return sorted(roots)

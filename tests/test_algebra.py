@@ -21,6 +21,18 @@ def arr(rows):
     return np.array(rows, dtype=np.int64)
 
 
+def values(f, xs, p):
+    """f at every node of xs, by one Vandermonde product."""
+    return alg.p2_eval_x(np.asarray(f, dtype=np.int64)[:, None], xs, p)[:, 0]
+
+
+def res(f, g, p):
+    """Res(f, g) of two univariate polynomials through the stacked path:
+    `resultant_bivariate` of the two as arrays of x-degree 0."""
+    r = alg.resultant_bivariate(arr(f)[None], arr(g)[None], p)
+    return int(r[0]) if len(r) else 0
+
+
 class TestCheckPrime:
     def test_agrees_with_sympy(self):
         for n in range(10**6 + 1, 11 * 10**5, 2):
@@ -137,9 +149,8 @@ class TestDistinctRoots:
                 .astype(np.int64))
             if len(f) == 0:
                 continue
-            brute = [x for x in range(prime)
-                     if alg.poly_eval(f, x, prime) == 0]
-            assert alg.distinct_roots(f, prime) == brute
+            brute = np.nonzero(values(f, range(prime), prime) == 0)[0]
+            assert alg.distinct_roots(f, prime) == brute.tolist()
 
     def test_repeated_roots_listed_once(self):
         f = poly_mul(arr([96, 1]), poly_mul(arr([96, 1]), arr([2, 1]), 101),
@@ -147,34 +158,60 @@ class TestDistinctRoots:
         assert alg.distinct_roots(f, 101) == [5, 99]
 
 
+def poly2_mul(f, g, p):
+    """Product of two bivariate arrays, entry [i, j] of x^i y^j."""
+    out = np.zeros((f.shape[0] + g.shape[0] - 1, f.shape[1] + g.shape[1] - 1),
+                   dtype=np.int64)
+    for (i, j), c in np.ndenumerate(f):
+        out[i:i + g.shape[0], j:j + g.shape[1]] += c * g % p
+    return out % p
+
+
 class TestResultant:
+    """Resultants through the stacked path, `resultant_bivariate`: one
+    evaluation per input, one `det_batch` of Sylvester matrices, one
+    interpolation."""
+
     def test_two_linear(self):
-        assert alg.resultant(arr([5, 1]), arr([4, 1]), 7) == 6
+        assert res([5, 1], [4, 1], 7) == 6
+        assert res([5, 1], [4, 1], 7) == reference.resultant(
+            arr([5, 1]), arr([4, 1]), 7)
 
     def test_common_factor_gives_zero(self):
-        f = arr([3, 1, 2])
-        assert alg.resultant(f, f, P) == 0
+        f = [3, 1, 2]
+        assert res(f, f, P) == 0
+        # y - x shares its zero with itself at every x: Res_y is zero
+        f = arr([[0, 1], [P - 1, 0]])
+        assert alg.resultant_bivariate(f, f, P).size == 0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_multiplicative_in_first_argument(self, seed):
+        # Res_y(f g, h) = Res_y(f, h) Res_y(g, h) as polynomials in x; at
+        # x-degree 0 this is the univariate law
         rng = np.random.default_rng(seed)
-        def rand_poly():
-            c = rng.integers(0, P, size=rng.integers(2, 5)).astype(np.int64)
-            return alg.poly_trim(c)
-        f, g, h = rand_poly(), rand_poly(), rand_poly()
-        if not (len(f) and len(g) and len(h)):
-            return
-        lhs = alg.resultant(poly_mul(f, g, P), h, P)
-        rhs = alg.resultant(f, h, P) * alg.resultant(g, h, P) % P
-        assert lhs == rhs
+
+        def rand_poly2():
+            c = rng.integers(0, P, size=(rng.integers(1, 3),
+                                         rng.integers(1, 4)))
+            c[-1, -1] = rng.integers(1, P)
+            return c.astype(np.int64)
+
+        f, g, h = rand_poly2(), rand_poly2(), rand_poly2()
+        lhs = alg.resultant_bivariate(poly2_mul(f, g, P), h, P)
+        rhs = poly_mul(alg.resultant_bivariate(f, h, P),
+                       alg.resultant_bivariate(g, h, P), P)
+        assert lhs.tolist() == rhs.tolist()
+        lhs = res(f[0], h[0], P) * res(g[0], h[0], P) % P
+        assert res(poly_mul(f[0], g[0], P), h[0], P) == lhs
 
     def test_value_at_root(self):
         # Res(x - a, g) = g(a) for monic linear first argument
         g = arr([1, 4, 0, 2])
         a = 123456
         f = arr([(-a) % P, 1])
-        assert alg.resultant(f, g, P) == alg.poly_eval(g, a, P)
+        assert res(f, g, P) == values(g, [a], P)[0] == \
+            reference.poly_eval(g, a, P)
 
 
 class TestBivariateResultant:
@@ -185,9 +222,9 @@ class TestBivariateResultant:
         g = rng.integers(0, p, size=(3, 3)).astype(np.int64)
         r = alg.resultant_bivariate(f, g, p)
         res_roots = set(alg.distinct_roots(r, p)) if len(r) else set(range(p))
-        for a in range(p):
-            fy = alg.p2_eval_x(f, a, p)
-            gy = alg.p2_eval_x(g, a, p)
+        for a, fy, gy in zip(range(p), alg.p2_eval_x(f, range(p), p),
+                             alg.p2_eval_x(g, range(p), p)):
+            fy, gy = alg.poly_trim(fy), alg.poly_trim(gy)
             if len(fy) == 0 or len(gy) == 0:
                 continue
             common = alg.poly_gcd(fy, gy, p)
@@ -210,26 +247,34 @@ class TestBivariateResultant:
 
 class TestPolyHelpers:
     def test_divmod_roundtrip(self):
+        # q g + r with deg r < deg g: the exact quotient of q g is q, and
+        # g does not divide q g + r for r nonzero
         rng = np.random.default_rng(11)
-        f = alg.poly_trim(rng.integers(0, P, size=9).astype(np.int64))
+        q = alg.poly_trim(rng.integers(0, P, size=6).astype(np.int64))
         g = alg.poly_trim(rng.integers(0, P, size=4).astype(np.int64))
-        q, r = alg.poly_divmod(f, g, P)
-        back = poly_mul(q, g, P)
-        back[:len(r)] += r
-        assert alg.poly_trim(back % P).tolist() == f.tolist()
+        r = arr([5, 0, 1])
+        f = poly_mul(q, g, P)
+        quots, divides = alg.exact_quotients(
+            alg.poly_stack([f, (f + np.pad(r, (0, len(f) - 3))) % P]), g, P)
+        assert alg.poly_trim(quots[0]).tolist() == q.tolist()
+        assert divides is False
+        quots, divides = alg.exact_quotients(f[None], g, P)
+        assert divides is True
+        assert alg.poly_trim(quots[0]).tolist() == q.tolist()
 
     def test_interpolation_roundtrip(self):
         xs = [1, 2, 3, 4, 5]
         f = arr([3, 0, 7, 1])
-        ys = [alg.poly_eval(f, x, P) for x in xs]
+        ys = values(f, xs, P)
+        assert ys.tolist() == [reference.poly_eval(f, x, P) for x in xs]
         assert alg.interpolate(xs, ys, P).tolist() == f.tolist()
 
     def test_squarefree_part(self):
         f = poly_mul(arr([1, 1]), poly_mul(arr([1, 1]), arr([3, 1]), P), P)
         sf = alg.squarefree_part(f, P)
         assert alg.poly_deg(sf) == 2
-        assert alg.poly_eval(sf, P - 1, P) == 0
-        assert alg.poly_eval(sf, P - 3, P) == 0
+        assert values(sf, [P - 1, P - 3], P).tolist() == [0, 0]
+        assert sf.tolist() == reference.squarefree_part(f, P).tolist()
 
     def test_normalize_scalar(self):
         v = arr([0, 4, 2])
@@ -277,15 +322,24 @@ class TestUnivariateAgainstSympy:
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(num_len=st.integers(0, 50), den_deg=st.integers(0, 24),
-           seed=st.integers(0, 2**32 - 1))
+           planted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(num_len=0, den_deg=3, planted=False, seed=0)
+    @example(num_len=3, den_deg=5, planted=False, seed=1)
     @settings(max_examples=30, deadline=None)
-    def test_divmod(self, p, num_len, den_deg, seed):
+    def test_divmod(self, p, num_len, den_deg, planted, seed):
+        # exact division: the flag is sympy's "no remainder", and the
+        # quotient is sympy's wherever g divides; `planted` makes f a
+        # multiple of g
         rng = np.random.default_rng(seed)
         f = rng.integers(0, p, size=num_len).astype(np.int64)
         g = rand_poly(rng, p, den_deg)
-        q, r = alg.poly_divmod(f, g, p)
+        if planted:
+            f = poly_mul(f, g, p)
         eq, er = gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
-        assert (q.tolist(), r.tolist()) == (from_gf(eq), from_gf(er))
+        quots, divides = alg.exact_quotients(f[None], g, p)
+        assert divides == (er == [])
+        if divides:
+            assert alg.poly_trim(quots[0]).tolist() == from_gf(eq)
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(degs=st.tuples(st.integers(0, 16), st.integers(0, 16),
@@ -298,6 +352,7 @@ class TestUnivariateAgainstSympy:
         f, g = poly_mul(a, c, p), poly_mul(b, c, p)
         expected = gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
         assert alg.poly_gcd(f, g, p).tolist() == from_gf(expected)
+        assert reference.poly_gcd(f, g, p).tolist() == from_gf(expected)
 
     @given(deg=st.integers(1, 24), planted=st.integers(0, 6),
            seed=st.integers(0, 2**32 - 1))
@@ -309,7 +364,7 @@ class TestUnivariateAgainstSympy:
         f = rand_poly(rng, p, deg)
         for r in rng.integers(0, p, size=planted):
             f = poly_mul(f, np.array([-r % p, 1], dtype=np.int64), p)
-        brute = [x for x in range(p) if alg.poly_eval(f, x, p) == 0]
+        brute = np.nonzero(values(f, range(p), p) == 0)[0].tolist()
         assert alg.distinct_roots(f, p) == brute
 
     @pytest.mark.parametrize("p", [P, P_MAX])
@@ -731,7 +786,7 @@ class TestResultantAgainstSympy:
                 for d in degs)
         expected = sympy_resultant(
             *(sympy.Poly(h[::-1].tolist(), x).as_expr() for h in (f, g)), x)
-        assert alg.resultant(f, g, p) == int(expected) % p
+        assert res(f, g, p) == int(expected) % p
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(shapes=st.tuples(st.integers(1, 4), st.integers(1, 4),
@@ -812,3 +867,138 @@ class TestInterpolateAgainstSympy:
             alg.interpolate(xs, rng.integers(0, p, size=n), p)
         with pytest.raises(ValueError, match="distinct"):
             alg.interpolate(xs, rng.integers(0, p, size=(n, 2)), p)
+
+
+class TestStackedResultantAgainstReference:
+    """`resultant_bivariate` against the one-node-at-a-time chain of
+    tests/reference.py (Horner specialization, scalar Sylvester resultant
+    per node, Lagrange fit), where nodes drop out and where a side is
+    constant in y."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(shapes=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                            st.integers(1, 4), st.integers(1, 4)),
+           vanish=st.tuples(st.booleans(), st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shapes=(2, 3, 2, 2), vanish=(True, False), seed=0)
+    @example(shapes=(3, 1, 2, 3), vanish=(False, True), seed=1)
+    @example(shapes=(2, 1, 3, 1), vanish=(True, True), seed=2)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_one_node_at_a_time(self, p, shapes, vanish, seed):
+        rng = np.random.default_rng(seed)
+        polys = []
+        for (rows, cols), drop in zip((shapes[:2], shapes[2:]), vanish):
+            c = rng.integers(0, p, size=(rows, cols)).astype(np.int64)
+            c[-1, -1] = rng.integers(1, p)
+            if drop:
+                # the leading y-coefficient becomes x (x - 1) times itself,
+                # so it vanishes at the nodes 0 and 1
+                lead = poly_mul(poly_mul(arr([0, 1]), arr([p - 1, 1]), p),
+                                c[:, -1], p)
+                c = np.pad(c, ((0, len(lead) - rows), (0, 0)))
+                c[:, -1] = lead
+            polys.append(c)
+        f, g = polys
+        assert alg.resultant_bivariate(f, g, p).tolist() == \
+            reference.resultant_bivariate(f, g, p).tolist()
+
+    def test_zero_input_and_small_field(self):
+        with pytest.raises(ValueError, match="zero"):
+            alg.resultant_bivariate(np.zeros((2, 2), dtype=np.int64),
+                                    arr([[1, 1]]), P)
+        # y + 2x + x^3 against 1 + y has x-degree bound 3, so it needs
+        # four nodes, and F_3 has three
+        f = arr([[0, 1], [2, 0], [0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="field too small"):
+            alg.resultant_bivariate(f, arr([[1, 1]]), 3)
+
+
+class TestGcdAndDivision:
+    """The echelon gcd, the squarefree part and exact division against
+    the Euclidean chain and long division of tests/reference.py."""
+
+    def test_gcd_edge_cases(self):
+        zero = np.zeros(0, dtype=np.int64)
+        f = arr([6, 5, 1])                      # (x + 2)(x + 3)
+        assert alg.poly_gcd(zero, zero, P).tolist() == []
+        assert alg.poly_gcd(zero, 3 * f % P, P).tolist() == f.tolist()
+        assert alg.poly_gcd(f, zero, P).tolist() == f.tolist()
+        assert alg.poly_gcd(arr([7]), f, P).tolist() == [1]
+        assert alg.poly_gcd(f, arr([7]), P).tolist() == [1]
+        assert alg.poly_gcd(5 * f % P, f, P).tolist() == f.tolist()
+        assert alg.poly_gcd(f, arr([4, 1]), P).tolist() == [1]   # coprime
+        assert alg.poly_gcd(f, arr([2, 1]), P).tolist() == [2, 1]
+        assert alg.poly_gcd(arr([0, 1]), arr([0, 0, 1]), P).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_gcd_at_degree_45(self, p):
+        # the numerator and denominator of the family sweep's rational fit
+        rng = np.random.default_rng(45)
+        common = rand_poly(rng, p, 7)
+        f = poly_mul(rand_poly(rng, p, 38), common, p)
+        g = poly_mul(rand_poly(rng, p, 31), common, p)
+        assert alg.poly_deg(f) == 45
+        expected = reference.poly_gcd(f, g, p)
+        assert alg.poly_gcd(f, g, p).tolist() == expected.tolist()
+        assert alg.poly_gcd(g, f, p).tolist() == expected.tolist()
+        assert alg.poly_deg(expected) >= 7
+        quots, divides = alg.exact_quotients(alg.poly_stack([f, g]),
+                                             expected, p)
+        assert divides
+        assert [alg.poly_trim(q).tolist() for q in quots] == \
+            [reference.poly_divmod(h, expected, p)[0].tolist()
+             for h in (f, g)]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(degs=st.lists(st.integers(-1, 12), min_size=1, max_size=4),
+           h_deg=st.integers(0, 6), planted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(degs=[-1], h_deg=2, planted=False, seed=0)
+    @example(degs=[1, 3], h_deg=4, planted=False, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_exact_division_flags_a_remainder(self, p, degs, h_deg, planted,
+                                              seed):
+        # "does not divide" exactly where long division leaves a remainder
+        # in some row; `planted` makes every row a multiple of h
+        rng = np.random.default_rng(seed)
+        h = rand_poly(rng, p, h_deg)
+        rows = [rand_poly(rng, p, d) if d >= 0 else arr([]) for d in degs]
+        if planted:
+            rows = [poly_mul(f, h, p) for f in rows]
+        stack = alg.poly_stack(rows) if max(map(len, rows)) \
+            else np.zeros((len(rows), 0), dtype=np.int64)
+        quots, divides = alg.exact_quotients(stack, h, p)
+        expected = [reference.poly_divmod(f, h, p) for f in rows]
+        assert divides == all(len(r) == 0 for _, r in expected)
+        if divides:
+            assert [alg.poly_trim(q).tolist() for q in quots] == \
+                [q.tolist() for q, _ in expected]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(deg=st.integers(0, 12), planted=st.lists(
+               st.tuples(st.integers(0, 2**31), st.integers(1, 3)),
+               max_size=3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_squarefree_part_matches_reference(self, p, deg, planted, seed):
+        rng = np.random.default_rng(seed)
+        f = rand_poly(rng, p, deg)
+        for r, mult in planted:
+            for _ in range(mult):
+                f = poly_mul(f, arr([-r % p, 1]), p)
+        assert alg.squarefree_part(f, p).tolist() == \
+            reference.squarefree_part(f, p).tolist()
+
+
+class TestVandermondeEvaluation:
+    def test_matches_horner_at_the_int64_budget(self):
+        # rows of 2^13 - 1 coefficients below p at the largest prime: each
+        # entry sums that many products below p^2, checked exactly
+        p = P_MAX
+        rng = np.random.default_rng(13)
+        f = rng.integers(p - 50, p, size=(2**13 - 1, 2)).astype(np.int64)
+        xs = [p - 1, p - 2, 0, 1, 12345]
+        got = alg.p2_eval_x(f, xs, p)
+        for k, x in enumerate(xs):
+            assert got[k].tolist() == [reference.poly_eval(col, x, p)
+                                       for col in f.T]
+        assert alg.p2_eval_x(f, [], p).shape == (0, 2)

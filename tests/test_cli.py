@@ -120,6 +120,17 @@ class TestCommands:
         assert main(["spans", "--curve", curve_file,
                      "--config", str(bad)]) == 2
 
+    def test_spans_config_boolean_rejected(self, tmp_path, curve_file,
+                                           capsys):
+        # JSON true is not the integer 1, although Python's bool is an int
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": true}')
+        out = tmp_path / "spans.json"
+        assert main(["spans", "--curve", curve_file, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "config field 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors(self, tmp_path, curve_file):
         assert main(["gen-curve", "--genus", "6", "--prime", "1000003",
                      "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
@@ -198,6 +209,23 @@ class TestCurveFileValidation:
             self.damaged(tmp_path, curve_file, edit), capsys)
         assert code == 2
         assert named in err
+
+    def test_boolean_seed(self, tmp_path, curve_file, capsys):
+        # a seed of true would run with the streams of the seed "True"
+        code, err = self.verify_quick(self.damaged(
+            tmp_path, curve_file, lambda d: d.update(seed=True)), capsys)
+        assert code == 2
+        assert "field 'seed'" in err and "bool" in err
+
+    def test_boolean_coordinate(self, tmp_path, curve_file, capsys):
+        # true in place of a leading coordinate 1 would read as 1
+        def lead_true(data):
+            q = data["points"][6]
+            q[next(i for i, v in enumerate(q) if v)] = True
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, lead_true), capsys)
+        assert code == 2
+        assert "point 6 is not a list of 4 integer coordinates" in err
 
     def test_point_not_normalized(self, tmp_path, curve_file, capsys):
         def scale(data):

@@ -544,7 +544,7 @@ class TestBitangentSweep:
             common = alg.poly_gcd(
                 common, chart.section_poly((s1 + 303 * s2) % P), P)
             assert chart.section_poly((s1 + 4 * s2) % P).tolist() == \
-                poly_mul(common, alg.p2_eval_x(residual, 4, P), P).tolist()
+                poly_mul(common, alg.p2_eval_x(residual, [4], P)[0], P).tolist()
             checked += 1
         assert checked >= 5
 

@@ -27,6 +27,11 @@ P_MAX = 33554393    # largest prime below 2**25
 # resultant_bivariate fit its values by Lagrange interpolation
 GENUS5_CURVE_FILE = \
     "9d34943c242b5b149467de066953c55bc9eb8a1a925076850d8b6700393d3051"
+# sha256 of `gen-curve --genus 5 --prime 33554393 --seed 7`, recorded while
+# resultant_bivariate specialized one node at a time by Horner's rule and
+# took one scalar Sylvester determinant per node
+GENUS5_CURVE_FILE_P_MAX = \
+    "d36f63f3fb7d82b0a73601579ba99336c73cd1f692b692ac50f7335b39bcac41"
 
 
 # sha256 of `gen-curve --genus 4 --seed 1` at each prime, recorded while
@@ -55,6 +60,16 @@ class TestGeneration:
         blob = json.dumps(cv.curve_to_json(ctx5.curve, points),
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == GENUS5_CURVE_FILE
+
+    def test_genus5_curve_file_is_pinned_at_largest_prime(self):
+        # the int64 budget of the stacked resultant's evaluations and
+        # Sylvester stacks at p < 2^25
+        curve = cv.generate_curve(5, P_MAX, 7)
+        points = cv.sample_points(curve, sum(cv.panel_sizes(5)))
+        blob = json.dumps(cv.curve_to_json(curve, points),
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            GENUS5_CURVE_FILE_P_MAX
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_genus4_curve_file_is_pinned(self, p):
