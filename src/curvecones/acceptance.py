@@ -29,7 +29,8 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from . import spanlab as sl
-from .errors import ConfigError, DegenerateInput, Draws, value_of
+from .errors import (ConfigError, CurveConesError, DegenerateInput,
+                     Draws, value_of)
 from .rng import Stream, derive_key
 
 IDEAL_DIMS = {4: {2: 1, 3: 5, 4: 14}, 5: {2: 3, 3: 15, 4: 42}}
@@ -229,18 +230,23 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
 
 def criterion_polars(ctx, cfg: SuiteConfig,
                      cones: list[cn.QuarticCone]) -> CriterionResult:
+    """All polars of all cones certified in one `certify_polars`; failures
+    are raised in cone order, a cone's polar space before its polars."""
     stream = Stream(derive_key(ctx.curve.seed, f"polar|{cfg.seed}"), "b")
+    polars = [cn.polar_cubics(ctx, c, c.net.wperp) for c in cones]
+    # polar j of cone k draws its probes from its own stream
+    certs = iter(cn.certify_polars(ctx, [
+        (c.net, x, coeffs, stream.spawn(f"{k}.{j}" if j else f"{k}"))
+        for k, c in enumerate(cones)
+        for j, (x, coeffs) in enumerate(zip(c.net.wperp, polars[k]))],
+        cfg.polar_oracle_points))
     ok = True
     checked = 0
     disagreements = 0
-    for k, cone_obj in enumerate(cones):
-        basis, polar_rank = cn.lw_space(ctx, cone_obj)
+    for cone_obj, cubics in zip(cones, polars):
+        basis, polar_rank = cn.lw_space(ctx, cone_obj, cubics)
         ok = ok and basis.shape[0] == ctx.g - 3 and polar_rank == ctx.g - 3
-        for x in cone_obj.net.wperp:
-            polar = cn.polar_cubic(ctx, cone_obj, x,
-                                   stream=stream.spawn(f"{k}"),
-                                   oracle_points=cfg.polar_oracle_points)
-            cert = polar.certificate
+        for cert in (value_of(next(certs)) for _ in cubics):
             ok = ok and cert["in_cubic_ideal"] and cert["vertex_singular"] \
                 and cert["oracle_disagreements"] == 0 \
                 and cert["oracle_points"] >= cfg.polar_oracle_points
@@ -276,40 +282,38 @@ def criterion_node_count(ctx, cfg: SuiteConfig,
 
 def criterion_secant(ctx, cfg: SuiteConfig,
                      cone: cn.QuarticCone) -> CriterionResult:
+    """Each loop makes the draws of one secant at a time, in rounds
+    (`Draws.rounds`) checked on one stack, errors raised in draw order."""
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
     n = ctx.panel.shape[0]
 
-    def random_secant(_):
-        """Whether the criterion fails both ways on a random secant."""
+    def random_pair(_):
         i = stream.integer(0, n)
         j = stream.integer(0, n)
-        if i == j:
-            return None
-        return cn.secant_criterion(ctx, cone.net, cone, ctx.panel[i],
-                                   ctx.panel[j]) == (False, False)
+        return None if i == j else (ctx.panel[i], ctx.panel[j])
 
-    pairs = Draws("random secants", 30 * cfg.secant_random,
-                  random_secant).take(cfg.secant_random)
-    random_ok = pairs.count(True)
+    def false_false(pairs: list) -> list:
+        """Whether the criterion fails both ways on each random secant."""
+        return [v if isinstance(v, CurveConesError) else v == (False, False)
+                for v in cn.secant_criteria(ctx, [cone] * len(pairs), pairs)]
 
-    def vertex_secant(k: int):
-        """Whether the criterion holds on an engineered secant."""
-        pt_p, pt_q, vnet = cn.secant_through_vertex(ctx,
-                                                    stream.spawn(f"v{k}"))
-        vcone = cn.reconstruct_quartic(ctx, vnet, oracle_points=4)
-        return cn.secant_criterion(ctx, vnet, vcone, pt_p, pt_q) \
-            == (True, True)
+    randoms = Draws("random secants", 30 * cfg.secant_random,
+                    random_pair).rounds(cfg.secant_random, false_false)
+    random_ok = sum(holds for _, holds in randoms)
 
-    vertex = Draws("vertex secants", cfg.secant_engineered,
-                   vertex_secant).take(cfg.secant_engineered)
-    vertex_ok = vertex.count(True)
+    # a secant whose cone fails the criterion gives no result, and each
+    # draw is taken in the first round
+    vertex_ok = len(Draws(
+        "vertex secants", cfg.secant_engineered,
+        lambda k: cn.secant_through_vertex(ctx, stream.spawn(f"v{k}"))
+    ).rounds(cfg.secant_engineered, lambda drawn: cn.contained_secants(
+        ctx, [d[:2] for d in drawn], [d[2] for d in drawn])))
     try:
         found = cn.contained_double_secant(ctx, stream.spawn("dbl"),
                                            count=cfg.secant_engineered)
-        double_ok = sum(
-            1 for pt_p, pt_q, dnet, dcone in found
-            if cn.secant_criterion(ctx, dnet, dcone, pt_p, pt_q)
-            == (True, True))
+        double_ok = list(map(value_of, cn.secant_criteria(
+            ctx, [f[3] for f in found], [f[:2] for f in found]))).count(
+                (True, True))
     except DegenerateInput:
         double_ok = 0
     ok = random_ok == cfg.secant_random \

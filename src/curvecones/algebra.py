@@ -30,11 +30,11 @@ stacked systems [m | rhs].  `det_batch` eliminates a stack of square
 matrices with the same updates and multiplies the pivots; like
 `rref_batch` it hands a stack of one to the scalar `det`.
 
-`interpolate` solves the Vandermonde system of its nodes with one
-`solve_batch`, and `rational_interpolate` builds its Cauchy rows from the
-same matrix.  The powers are built column by column as a product of two
-entries below p reduced at once, and the solve is a `rref_batch`, so no
-intermediate of either leaves (-p**2, p).
+`interpolate` multiplies by the inverse Vandermonde matrix of its nodes,
+cached per node tuple, and `rational_interpolate` builds its Cauchy rows
+from the same matrix.  The powers are built column by column as a
+product of two entries below p reduced at once, and the inverse comes
+from `rref`, so no intermediate of either leaves (-p**2, p).
 
 One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
 one Vandermonde product, each entry a sum of one product below p**2 per
@@ -396,9 +396,10 @@ class RowSpace:
         self.p = p
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v modulo the span; zero in every pivot column."""
+        """Residue of v, or of each row of a stack, modulo the span; zero
+        in every pivot column."""
         v = np.asarray(v, dtype=np.int64) % self.p
-        return (v - v[self.pivots] @ self.rows) % self.p
+        return (v - v[..., self.pivots] @ self.rows) % self.p
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -751,23 +752,32 @@ def _vandermonde(xs, cols: int, p: int) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=64)
+def _vandermonde_inverse(xs: tuple, p: int) -> np.ndarray:
+    """Inverse of the Vandermonde matrix of the nodes (genus-5 resultants
+    nearly always fit at 0, ..., 32)."""
+    try:
+        return inverse(_vandermonde(xs, len(xs), p), p)
+    except ZeroDivisionError:
+        raise ValueError("interpolation nodes must be distinct") from None
+
+
 def interpolate(xs, ys, p: int) -> np.ndarray:
-    """Unique polynomial of degree < len(xs) through the points (x_i, y_i),
-    from one `solve_batch` of the Vandermonde matrix of the nodes.
+    """Unique polynomial of degree < len(xs) through the points (x_i, y_i):
+    one product with the inverse Vandermonde matrix of the n nodes, cached
+    per node tuple.  An entry sums n products of two entries below p, so
+    it stays below 2**63 while n < 2**13 at p < 2**25.
 
     `ys` is one value per node, giving a trimmed polynomial, or an
     n x k stack of value columns, giving the n x k array whose column j
     fits column j (entry [i, j] the coefficient of x^i).
     """
     ys = np.asarray(ys, dtype=np.int64) % p
-    n = len(xs)
-    coeffs, rank, _ = solve_batch(_vandermonde(xs, n, p)[None],
-                                  ys.reshape(1, n, -1), p)
-    if rank[0] < n:
-        raise ValueError("interpolation nodes must be distinct")
+    inv = _vandermonde_inverse(tuple(int(x) % p for x in xs), p)
+    coeffs = inv @ ys.reshape(len(inv), -1) % p
     if ys.ndim == 1:
-        return poly_trim(coeffs[0, :, 0])
-    return coeffs[0]
+        return poly_trim(coeffs[:, 0])
+    return coeffs
 
 
 def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int

@@ -19,7 +19,7 @@ import numpy as np
 from . import algebra as alg
 from . import curve as cv
 from . import monomials as mono
-from .errors import InsufficientPoints, RankDeficiency
+from .errors import InsufficientPoints, RankDeficiency, value_of
 
 
 def ring_dim(g: int, n: int) -> int:
@@ -127,11 +127,20 @@ class CurveContext:
         j, k = np.array(pairs, dtype=np.int64).T
         return self.cubic_tensor[:, j, k]
 
+    def tangents(self, pts) -> list:
+        """The tangent data of each point of a stack, or the SingularPoint
+        of `curve.tangent_vectors` in its place; the points not yet cached
+        go through one `tangent_vectors`, and their tangents are cached."""
+        keys = [tuple(int(v) for v in pt) for pt in pts]
+        new = list(dict.fromkeys(k for k in keys if k not in self._tangents))
+        found = dict(zip(new, cv.tangent_vectors(self.curve, new))) \
+            if new else {}
+        self._tangents.update((k, t) for k, t in found.items()
+                              if isinstance(t, cv.TangentData))
+        return [self._tangents.get(k, found.get(k)) for k in keys]
+
     def tangent(self, pt: np.ndarray) -> cv.TangentData:
-        key = tuple(int(v) for v in pt)
-        if key not in self._tangents:
-            self._tangents[key] = cv.tangent_vector(self.curve, pt)
-        return self._tangents[key]
+        return value_of(self.tangents([pt])[0])
 
     # -- checks -----------------------------------------------------------
 

@@ -382,20 +382,21 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
                                          count, x)])[0])
 
 
-def _checks(ctx: CurveContext, cones: tuple) -> list:
-    """Whether each cone vanishes on the curve, and whether it is singular
-    along its vertex."""
-    coeffs = np.stack([cone.coeffs for cone in cones])
+def _checks(ctx: CurveContext, deg: int, nets: tuple, forms: tuple) -> list:
+    """Whether each form of degree deg vanishes on the curve, which
+    certifies ideal membership, and whether it is singular along the
+    vertex of its net."""
+    coeffs = np.stack(forms)
     singular = ~vertex_condition_matrix(
-        ctx, [cone.net for cone in cones], coeffs[:, None], 4).any(axis=(1, 2))
-    return list(zip(ctx.vanishes_on_curve(coeffs, 4).tolist(),
+        ctx, nets, coeffs[:, None], deg).any(axis=(1, 2))
+    return list(zip(ctx.vanishes_on_curve(coeffs, deg).tolist(),
                     singular.tolist()))
 
 
 def _verify(ctx: CurveContext, cone: QuarticCone, stream: Stream,
             oracle_points: int):
     """Chain (see `errors.lockstep`) of `verify_cone`."""
-    (contains, singular), = yield _checks, ctx, [(cone,)]
+    (contains, singular), = yield _checks, ctx, 4, [(cone.net, cone.coeffs)]
     cert = {"points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
             "contains_curve": contains, "vertex_singular": singular}
     checked, bad = yield from _agreement(ctx, cone.net, cone.coeffs,
@@ -435,49 +436,94 @@ def verify_cone(ctx: CurveContext, cone: QuarticCone, stream: Stream,
 # polars
 
 
+def polar_cubics(ctx: CurveContext, cone: QuarticCone, xs: np.ndarray
+                 ) -> np.ndarray:
+    """The polar cubic sum x_i dF/dz_i of the cone's quartic F for each row
+    x of xs, from one stack of the partials of F."""
+    partials = np.stack(mono.gradient(cone.coeffs, ctx.g, 4, ctx.p))
+    return np.asarray(xs, dtype=np.int64) % ctx.p @ partials % ctx.p
+
+
+def certify_polars(ctx: CurveContext, polars: list, oracle_points: int
+                   ) -> list[dict | CurveConesError]:
+    """The certificate of `polar_cubic` for each (net, x, coeffs, stream)
+    of `polars`, or the exception it raises, in rounds (`lockstep`): the
+    membership and vertex checks on the stack of cubics, then the oracle
+    probes, as in `verify_cones`."""
+    def chain(net_obj, x, coeffs, stream):
+        (in_ideal, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
+        cert = {"in_cubic_ideal": in_ideal, "vertex_singular": singular}
+        if stream is not None and oracle_points:
+            checked, bad = yield from _agreement(ctx, net_obj, coeffs, stream,
+                                                 oracle_points, x=x)
+            cert["oracle_points"] = int(checked)
+            cert["oracle_disagreements"] = int(bad)
+        return cert
+
+    return lockstep([chain(*polar) for polar in polars])
+
+
 def polar_cubic(ctx: CurveContext, cone: QuarticCone, x: np.ndarray,
                 stream: Stream | None = None,
                 oracle_points: int = 0) -> CubicPolar:
     """Polar cubic sum x_i dF/dz_i, with membership and vertex certificates."""
-    p = ctx.p
-    g = ctx.g
-    x = np.asarray(x, dtype=np.int64) % p
+    x = np.asarray(x, dtype=np.int64) % ctx.p
     if not x.any():
         raise ValueError("x must be a nonzero vertex vector")
-    coeffs = np.zeros(mono.count(g, 3), dtype=np.int64)
-    for var in range(g):
-        if int(x[var]):
-            coeffs = (coeffs + int(x[var])
-                      * mono.partial(cone.coeffs, var, g, 4, p)) % p
-    polar = CubicPolar(x=x, coeffs=coeffs)
-    cert: dict = {
-        "in_cubic_ideal": ctx.in_ideal(coeffs, 3),
-        "vertex_singular": bool(not vertex_condition_matrix(
-            ctx, cone.net, coeffs[None, :], 3).any()),
-    }
-    if stream is not None and oracle_points:
-        checked, bad = oracle_agreement(ctx, cone.net, coeffs,
-                                        stream, oracle_points, x=x)
-        cert["oracle_points"] = int(checked)
-        cert["oracle_disagreements"] = int(bad)
-    polar.certificate = cert
-    return polar
+    coeffs = polar_cubics(ctx, cone, x[None])[0]
+    cert = certify_polars(ctx, [(cone.net, x, coeffs, stream)],
+                          oracle_points)[0]
+    return CubicPolar(x=x, coeffs=coeffs, certificate=value_of(cert))
 
 
-def lw_space(ctx: CurveContext, cone: QuarticCone) -> tuple[np.ndarray, int]:
+def lw_space(ctx: CurveContext, cone: QuarticCone,
+             polars: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Cubic ideal forms singular along the vertex of the cone's net, and
-    the rank of the polar map from the vertex span into that space."""
+    the rank of the polar map from the vertex span into that space; polars
+    are the `polar_cubics` of the vertex basis, built when not given."""
     p = ctx.p
     basis = constrained_space(ctx, cone.net, 3)
-    polars = [polar_cubic(ctx, cone, x).coeffs for x in cone.net.wperp]
-    polar_rank = alg.rank(np.stack(polars), p)
-    if not all(map(alg.RowSpace(basis, p).contains, polars)):
+    if polars is None:
+        polars = polar_cubics(ctx, cone, cone.net.wperp)
+    if alg.RowSpace(basis, p).reduce(polars).any():
         raise VerificationFailed("polar cubic escapes the singular space")
-    return basis, polar_rank
+    return basis, alg.rank(polars, p)
 
 
 # ---------------------------------------------------------------------------
 # secant checks
+
+
+def secant_criteria(ctx: CurveContext, cones: list, lines: list) -> list:
+    """`secant_criterion` of each secant (pt_p, pt_q) of `lines` with the
+    net of the cone of the same index, or the SingularPoint it raises: one
+    `restrict_to_line` for all the lines, their tangents from one
+    `CurveContext.tangents`, and the ranks that test whether a line meets
+    the vertex and whether the net holds a double section from one
+    `rref_batch` each."""
+    if not cones:
+        return []
+    p = ctx.p
+    n = len(cones)
+    pts = np.array(lines, dtype=np.int64).reshape(n, 2, ctx.g)
+    binary = mono.restrict_to_line(np.stack([c.coeffs for c in cones]), 4,
+                                   ctx.g, pts[:, 0], pts[:, 1], p)
+    # the line meets the vertex when it adds at most one dimension to its
+    # g - 3 independent rows
+    wperp = np.stack([c.net.wperp for c in cones])
+    _, pivots = alg.rref_batch(np.concatenate([wperp, pts], axis=1), p)
+    meets = (pivots >= 0).sum(axis=1) - wperp.shape[1] < 2
+    tangents = ctx.tangents(pts.reshape(-1, ctx.g))
+    conds = np.array([[t.point, t.direction] if isinstance(
+        t, cv.TangentData) else np.zeros((2, ctx.g)) for t in tangents],
+        dtype=np.int64).reshape(n, 4, ctx.g)
+    w = np.stack([c.net.w for c in cones])
+    _, pivots = alg.rref_batch(conds @ w.swapaxes(1, 2) % p, p)
+    double = (pivots >= 0).sum(axis=1) <= 2
+    return [next((t for t in tangents[2 * k:2 * k + 2]
+                  if not isinstance(t, cv.TangentData)), None)
+            or (not binary[k].any(), bool(meets[k] or double[k]))
+            for k in range(n)]
 
 
 def secant_criterion(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
@@ -487,20 +533,28 @@ def secant_criterion(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
 
     contained: the quartic restricts to zero on the line.  predicted: the
     line meets the vertex, or the net holds a section vanishing doubly at
-    both points."""
-    p = ctx.p
-    g = ctx.g
-    binary = mono.restrict_to_line(cone.coeffs, 4, g, pt_p, pt_q, p)
-    contained = not binary.any()
-    # the line meets the vertex when it adds at most one dimension to it
-    vertex = alg.RowSpace(net_obj.wperp, p)
-    meets_vertex = vertex.add(pt_p) + vertex.add(pt_q) < 2
-    tp = ctx.tangent(pt_p)
-    tq = ctx.tangent(pt_q)
-    conds = np.stack([tp.point, tp.direction, tq.point, tq.direction])
-    system = conds @ net_obj.w.T % p
-    double_section = alg.rank(system, p) <= 2
-    return contained, bool(meets_vertex or double_section)
+    both points (`secant_criteria` on the one line)."""
+    return value_of(secant_criteria(
+        ctx, [QuarticCone(net_obj, cone.coeffs)], [(pt_p, pt_q)])[0])
+
+
+def contained_secants(ctx: CurveContext, lines: list, nets: list) -> list:
+    """Per secant (pt_p, pt_q) of `lines` and net of the same index: the
+    net's cone (4 oracle points) when the net is `nt.usable` and
+    `secant_criterion` holds both ways, else None, or the exception of the
+    reconstruction or of the check; one `reconstruct_quartics` and one
+    `secant_criteria` for all."""
+    out: list = [None] * len(nets)
+    live = [k for k, net in enumerate(nets) if nt.usable(ctx, net)]
+    for k, cone in zip(live, reconstruct_quartics(
+            ctx, [nets[k] for k in live], oracle_points=4)):
+        out[k] = cone
+    live = [k for k in live if isinstance(out[k], QuarticCone)]
+    for k, verdict in zip(live, secant_criteria(
+            ctx, [out[k] for k in live], [lines[k] for k in live])):
+        if verdict != (True, True):
+            out[k] = verdict if isinstance(verdict, CurveConesError) else None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +579,7 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream
         if alg.rank(vertex, p) != ctx.g - 3:
             return None
         net_obj = nt.net_from_vertex(ctx, vertex)
-        if net_obj.in_b or net_obj.in_d:
-            return None
-        nt.gamma_equation(ctx, net_obj)
-        return pt_p, pt_q, net_obj
+        return (pt_p, pt_q, net_obj) if nt.usable(ctx, net_obj) else None
 
     return resample("vertex secant", 120, draw)
 
@@ -537,8 +588,7 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
                              pt_q: np.ndarray) -> np.ndarray | None:
     """Section vanishing doubly at both points, when one exists."""
     p = ctx.p
-    tp = ctx.tangent(pt_p)
-    tq = ctx.tangent(pt_q)
+    tp, tq = map(value_of, ctx.tangents([pt_p, pt_q]))
     conds = np.stack([tp.point, tp.direction, tq.point, tq.direction])
     kernel = alg.kernel_basis(conds, p)
     if kernel.shape[0] == 0:
@@ -609,10 +659,9 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
                                           p)[0]:
                     if cand.tolist() == td.point.tolist():
                         continue
-                    if not (cv.on_curve(ctx.curve, cand)
-                            and cv.smooth_at(ctx.curve, [cand])):
+                    tq = ctx.tangents([cand])[0]   # or its SingularPoint
+                    if not isinstance(tq, cv.TangentData):
                         continue
-                    tq = ctx.tangent(cand)
                     if int(section @ cand % p) == 0 \
                             and int(section @ tq.direction % p) == 0:
                         return td.point, cand, section
@@ -691,17 +740,15 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
         return []
     roots = alg.distinct_roots(num, p)
 
-    def contained(k: int):
-        net_r = nt.build_net(ctx, family(roots[k]))
-        if net_r.in_b or net_r.in_d:
-            return None
-        nt.gamma_equation(ctx, net_r)
-        cone_r = reconstruct_quartic(ctx, net_r, oracle_points=4)
-        if secant_criterion(ctx, net_r, cone_r, pt_p, pt_q) != (True, True):
-            return None
-        return pt_p, pt_q, net_r, cone_r
+    def contained(ts: list) -> list:
+        """The roots of a round: one `build_nets`, one `contained_secants`."""
+        nets = nt.build_nets(ctx, np.stack([family(t) for t in ts]))
+        return [(pt_p, pt_q, net, c) if isinstance(c, QuarticCone) else c
+                for net, c in zip(nets, contained_secants(
+                    ctx, [(pt_p, pt_q)] * len(ts), nets))]
 
-    return Draws("family roots", len(roots), contained).take(wanted)
+    draws = Draws("family roots", len(roots), lambda k: roots[k])
+    return [found for _, found in draws.rounds(wanted, contained)]
 
 
 def _family_samples(ctx: CurveContext, family, b0: np.ndarray

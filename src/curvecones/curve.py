@@ -37,13 +37,6 @@ POINT_BUDGET_FACTOR = 60
 GENERATOR_DEGREES = {4: (2, 3), 5: (2, 2, 2)}
 
 
-def normalize_point(v: np.ndarray, p: int) -> np.ndarray:
-    v = alg.normalize_scalar(v, p)
-    if not v.any():
-        raise ValueError("projective point cannot be zero")
-    return v
-
-
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
                b: np.ndarray, p: int) -> list[list[np.ndarray]]:
     """Zeros of a degree-deg form on each line through a[k] and b[k], for
@@ -190,20 +183,26 @@ def jacobian_at(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1).reshape(pts.shape[:-1] + (len(rows), g))
 
 
-def tangent_vector(curve: CurveModel, pt: np.ndarray) -> TangentData:
-    """Second spanning point of the embedded tangent line at a smooth point."""
+def tangent_vectors(curve: CurveModel, pts) -> list:
+    """The normalized point and the second spanning point of the embedded
+    tangent line at each point (row) of a stack, or a SingularPoint in its
+    place when the point is off the curve or singular: one `off_curve`,
+    one `jacobian_at` and one `kernel_batch` for the stack, and one
+    `rref_batch` of the tangent lines."""
     p = curve.prime
-    if not on_curve(curve, pt):
-        raise SingularPoint("point is not on the curve")
-    kern = alg.kernel_basis(jacobian_at(curve, pt), p)
-    if kern.shape[0] != 2:
-        raise SingularPoint(f"Jacobian rank below {curve.genus - 2}")
-    basis, _ = alg.rref(kern, p)
-    pt_n = normalize_point(pt, p)
-    for row in basis:
-        if alg.normalize_scalar(row, p).tolist() != pt_n.tolist():
-            return TangentData(pt_n, normalize_point(row, p))
-    raise SingularPoint("tangent line collapsed onto the point")
+    pts = np.asarray(pts, dtype=np.int64).reshape(-1, curve.genus) % p
+    off = off_curve(curve, pts)
+    kern, smooth = alg.kernel_batch(jacobian_at(curve, pts), p, 2)
+    lines, _ = alg.rref_batch(kern, p)
+    pts_n = alg.normalize_rows(pts, p)
+    # the two rows of a line's echelon form are distinct and normalized,
+    # so the first that is not the point is the direction
+    directions = np.where((lines[:, 0] == pts_n).all(axis=1)[:, None],
+                          lines[:, 1], lines[:, 0])
+    return [SingularPoint("point is not on the curve") if off[k]
+            else SingularPoint(f"Jacobian rank below {curve.genus - 2}")
+            if not smooth[k] else TangentData(pts_n[k], directions[k])
+            for k in range(len(pts))]
 
 
 class RulingChart:
@@ -438,6 +437,7 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
         if alg.poly_deg(rfin) < 0:
             continue
         roots = alg.distinct_roots(rfin, p)
+        cands: list = []
         for y1, s12 in zip(roots, alg.p2_eval_x(r12, roots, p)):
             s12 = alg.poly_trim(s12)
             if alg.poly_deg(s12) < 1:
@@ -446,10 +446,12 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
                 # y3 on the line m (1, y1, y2, y3): its y3^2 coefficient
                 # is layers[0][2], nonzero, so no zero lies at infinity
                 base = m @ np.array([1, y1, y2, 0], dtype=np.int64) % p
-                for x in line_zeros(quads[0], 2, 5, base[None],
-                                    m[None, :, 3], p)[0]:
-                    if on_curve(curve, x):
-                        found[tuple(x.tolist())] = x
+                cands += line_zeros(quads[0], 2, 5, base[None],
+                                    m[None, :, 3], p)[0]
+        # one membership test for all candidates of the slice
+        pts = np.array(cands, dtype=np.int64).reshape(-1, 5)
+        for x in pts[~off_curve(curve, pts)]:
+            found[tuple(x.tolist())] = x
         break
     return [found[k] for k in sorted(found)]
 

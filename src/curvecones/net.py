@@ -126,13 +126,21 @@ def random_nets(ctx: CurveContext, streams: list[Stream]
         nets = build_nets(ctx, [streams[i].field_mat(ctx.p, 3, ctx.g)
                                 for i in missing])
         for i, net in zip(missing, nets):
-            if isinstance(net, Net) and not (net.in_b or net.in_d):
-                try:
-                    gamma_equation(ctx, net)
-                except AmbiguousFit:
-                    continue
+            if usable(ctx, net):
                 out[i] = net
     return [net or exhausted("generic net", 200) for net in out]
+
+
+def usable(ctx: CurveContext, net) -> bool:
+    """Whether a net (or the exception in its place) is off B and D and
+    `gamma_equation` fits its plane image."""
+    if not isinstance(net, Net) or net.in_b or net.in_d:
+        return False
+    try:
+        gamma_equation(ctx, net)
+    except AmbiguousFit:
+        return False
+    return True
 
 
 def random_net(ctx: CurveContext, stream: Stream) -> Net:

@@ -147,8 +147,8 @@ def accumulate_f3(ctx: CurveContext, cones: list[cn.QuarticCone]
     acc = SpanAccumulator(3, alg.RowSpace(
         np.zeros((0, mono.count(ctx.g, 3)), dtype=np.int64), ctx.p))
     acc.trajectory.append(0)
-    return _saturate(acc, cones, "polar", lambda c: [
-        cn.polar_cubic(ctx, c, x).coeffs for x in c.net.wperp])
+    return _saturate(acc, cones, "polar", lambda c: cn.polar_cubics(
+        ctx, c, c.net.wperp))
 
 
 def squares_containment(ctx: CurveContext, f4: SpanAccumulator,

@@ -8,10 +8,18 @@ from curvecones import monomials as mono, net as nt
 from curvecones.errors import (CurveConesError, DegenerateInput, Draws,
                                InconsistentReconstruction, InconsistentSystem,
                                InsufficientPoints, NodeFiber, RankDeficientW,
-                               SplittingViolation,
+                               SingularPoint, SplittingViolation,
                                UnderdeterminedReconstruction,
                                VerificationFailed, resample, unwrap)
 from curvecones.rng import Stream, derive_key
+
+
+def normalize_point(v, p):
+    """The projective point v with first nonzero coordinate 1."""
+    v = alg.normalize_scalar(v, p)
+    if not v.any():
+        raise ValueError("projective point cannot be zero")
+    return v
 
 
 def solve_consistent(m, rhs, p):
@@ -368,7 +376,7 @@ def fiber_quadric(ctx, net_obj, cone, u):
     if restricted[~divisible].any():
         raise SplittingViolation(
             "restricted quartic is not divisible by the vertex form squared")
-    return (cv.normalize_point(u, p),
+    return (normalize_point(u, p),
             cv.quadric_gram(restricted[divisible], m, p), basis)
 
 
@@ -380,7 +388,7 @@ def steinerian_check(gram, basis, pt, p):
         return False
     ambient = basis @ kern[0] % p
     return bool(ambient.any()) and alg.normalize_scalar(ambient, p).tolist() \
-        == cv.normalize_point(pt, p).tolist()
+        == normalize_point(pt, p).tolist()
 
 
 def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
@@ -491,20 +499,23 @@ def points_on_form(ctx, coeffs, deg, stream, count, budget=400):
                 return
 
 
-def oracle_agreement(ctx, net_obj, coeffs, stream, count):
-    """(checked, disagreements) of the quartic's membership oracle, one
-    probe at a time: zero probes until count // 2 verdicts, then random
-    probes until count verdicts."""
+def oracle_agreement(ctx, net_obj, coeffs, stream, count, x=None):
+    """(checked, disagreements) of the membership oracle of the quartic,
+    or of its polar cubic with respect to the vertex vector x, one probe
+    at a time: zero probes until count // 2 verdicts, then random probes
+    until count verdicts."""
     p = ctx.p
+    deg = 4 if x is None else 3
     zero_half = count // 2
-    zeros = points_on_form(ctx, coeffs, 4, stream.spawn("zeros"),
+    zeros = points_on_form(ctx, coeffs, deg, stream.spawn("zeros"),
                            3 * zero_half)
     verdicts = []
 
     def probe(b, expected, wanted):
         wit = unwrap(nt.oracle_batch(ctx, [net_obj], [b])[0])
         if wit is not None:
-            verdicts.append((int(wit.b @ wit.y % p) == 0) == expected)
+            pair = wit.b if x is None else x
+            verdicts.append((int(pair @ wit.y % p) == 0) == expected)
         return verdicts if len(verdicts) == wanted else None
 
     def zero_probe(_):
@@ -515,7 +526,7 @@ def oracle_agreement(ctx, net_obj, coeffs, stream, count):
         b = stream.field_vec(p, ctx.g)
         if not b.any():
             return None
-        expected = mono.form_eval_one(coeffs, b, ctx.g, 4, p) == 0
+        expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
         return probe(b, expected, count)
 
     resample("zero probes", 3 * zero_half, zero_probe, default=None)
@@ -685,3 +696,152 @@ def base_locus_probe(ctx, spans, off_curve_count, seed=0):
             structured += 1
     report["structured_checked"] = structured
     return report
+
+
+def tangent_vector(curve, pt):
+    """Tangent data of one point: an `on_curve` test, the kernel of its
+    Jacobian by `kernel_basis`, and the first echelon row of that kernel
+    that is not the point."""
+    p = curve.prime
+    if not cv.on_curve(curve, pt):
+        raise SingularPoint("point is not on the curve")
+    kern = alg.kernel_basis(cv.jacobian_at(curve, pt), p)
+    if kern.shape[0] != 2:
+        raise SingularPoint(f"Jacobian rank below {curve.genus - 2}")
+    basis, _ = alg.rref(kern, p)
+    pt_n = normalize_point(pt, p)
+    for row in basis:
+        if alg.normalize_scalar(row, p).tolist() != pt_n.tolist():
+            return cv.TangentData(pt_n, normalize_point(row, p))
+    raise SingularPoint("tangent line collapsed onto the point")
+
+
+def polar_coeffs(ctx, coeffs, x):
+    """sum x_i dF/dz_i of the quartic F, one partial at a time."""
+    out = np.zeros(mono.count(ctx.g, 3), dtype=np.int64)
+    for var in range(ctx.g):
+        out = (out + int(x[var]) * mono.partial(coeffs, var, ctx.g, 4,
+                                                ctx.p)) % ctx.p
+    return out
+
+
+def criterion_polars(ctx, cfg, cones):
+    """(ok, details) of criterion 7, one cone and one polar at a time:
+    the polar space of the cone by `constrained_space` above, then each
+    polar's membership, vertex and oracle checks, polar j of cone k on the
+    stream {k} (j = 0) or {k}.{j}."""
+    p, g = ctx.p, ctx.g
+    stream = Stream(derive_key(ctx.curve.seed, f"polar|{cfg.seed}"), "b")
+    ok = True
+    checked = disagreements = 0
+    for k, cone in enumerate(cones):
+        basis = constrained_space(ctx, cone.net, 3)
+        polars = [polar_coeffs(ctx, cone.coeffs, x) for x in cone.net.wperp]
+        space = alg.RowSpace(basis, p)
+        if not all(space.contains(c) for c in polars):
+            raise VerificationFailed("polar cubic escapes the singular space")
+        ok = ok and basis.shape[0] == g - 3 \
+            and alg.rank(np.stack(polars), p) == g - 3
+        for j, (x, c) in enumerate(zip(cone.net.wperp, polars)):
+            singular = not cn.vertex_condition_matrix(ctx, cone.net, c[None],
+                                                      3).any()
+            n, bad = oracle_agreement(
+                ctx, cone.net, c, stream.spawn(f"{k}.{j}" if j else f"{k}"),
+                cfg.polar_oracle_points, x=x)
+            ok = ok and ctx.in_ideal(c, 3) and singular and bad == 0 \
+                and n >= cfg.polar_oracle_points
+            checked += n
+            disagreements += bad
+    return ok, {"dim_lw": g - 3, "oracle_points": checked,
+                "oracle_disagreements": disagreements}
+
+
+def secant_criterion(ctx, net_obj, coeffs, pt_p, pt_q):
+    """(contained, predicted) of one secant: the restriction of the quartic
+    to the line, the vertex grown one point at a time, and the rank of the
+    tangent conditions on the net, with tangents from `tangent_vector`
+    above."""
+    p = ctx.p
+    binary = mono.restrict_to_line(coeffs, 4, ctx.g, pt_p, pt_q, p)
+    vertex = alg.RowSpace(net_obj.wperp, p)
+    meets = vertex.add(pt_p) + vertex.add(pt_q) < 2
+    tp = tangent_vector(ctx.curve, pt_p)
+    tq = tangent_vector(ctx.curve, pt_q)
+    conds = np.stack([tp.point, tp.direction, tq.point, tq.direction])
+    double = alg.rank(conds @ net_obj.w.T % p, p) <= 2
+    return not binary.any(), bool(meets or double)
+
+
+def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
+    """`cone._family_secants`, one family root at a time: each net is
+    built, fitted, reconstructed by `reconstruct_quartic` above and checked
+    by `secant_criterion` above before the next root is tried."""
+    p = ctx.p
+    r1, r2, r3 = (stream.field_vec(p, ctx.g) for _ in range(3))
+
+    def family(t):
+        return np.stack([section, r1, (r2 + t * r3) % p])
+
+    samples = cn._family_samples(ctx, family, b0)
+    if len(samples) < 100:
+        return []
+    ts, vs = zip(*samples)
+    fit = alg.rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)
+    if fit is None:
+        return []
+    num, den = fit
+    held = alg.p2_eval_x(alg.poly_stack([num, den]).T, ts[94:100], p)
+    if (held[:, 0] != np.array(vs[94:100]) * held[:, 1] % p).any():
+        return []
+    roots = alg.distinct_roots(num, p)
+
+    def contained(k):
+        net = build_net(ctx, family(roots[k]))
+        if net.in_b or net.in_d:
+            return None
+        nt.gamma_equation(ctx, net)
+        coeffs, cert = reconstruct_quartic(ctx, net, oracle_points=4)
+        if secant_criterion(ctx, net, coeffs, pt_p, pt_q) != (True, True):
+            return None
+        return pt_p, pt_q, net, cn.QuarticCone(net, coeffs, cert)
+
+    return Draws("family roots", len(roots), contained).take(wanted)
+
+
+def criterion_secant(ctx, cfg, cone):
+    """The details of criterion 10, one secant at a time: random secants,
+    then secants through the vertex of engineered nets, each reconstructed
+    by `reconstruct_quartic` above, then `cone.contained_double_secant`,
+    whose family roots the caller routes through `family_secants` above."""
+    stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
+    n = ctx.panel.shape[0]
+
+    def random_secant(_):
+        i = stream.integer(0, n)
+        j = stream.integer(0, n)
+        if i == j:
+            return None
+        return secant_criterion(ctx, cone.net, cone.coeffs, ctx.panel[i],
+                                ctx.panel[j]) == (False, False)
+
+    def vertex_secant(k):
+        pt_p, pt_q, net = cn.secant_through_vertex(ctx, stream.spawn(f"v{k}"))
+        coeffs, _ = reconstruct_quartic(ctx, net, oracle_points=4)
+        return secant_criterion(ctx, net, coeffs, pt_p, pt_q) == (True, True)
+
+    details = {
+        "random_false_false": Draws(
+            "random secants", 30 * cfg.secant_random, random_secant).take(
+                cfg.secant_random).count(True),
+        "vertex_branch": Draws(
+            "vertex secants", cfg.secant_engineered, vertex_secant).take(
+                cfg.secant_engineered).count(True)}
+    try:
+        found = cn.contained_double_secant(ctx, stream.spawn("dbl"),
+                                           count=cfg.secant_engineered)
+        details["double_section_branch"] = sum(
+            secant_criterion(ctx, net, c.coeffs, a, b) == (True, True)
+            for a, b, net, c in found)
+    except DegenerateInput:
+        details["double_section_branch"] = 0
+    return details

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from curvecones import acceptance as acc
-from curvecones import canring, curve as cv
+from curvecones import canring, cone as cn, curve as cv, errors
+from curvecones import net as nt, spanlab as sl
+from curvecones.errors import (CurveConesError, InadmissiblePencil,
+                               SingularPoint, VerificationFailed)
+from curvecones.rng import Stream, derive_key
+
+import reference
+from reference import stream_draws
 
 PRIME = 1000003
 CFG = acc.SuiteConfig()
@@ -119,3 +126,216 @@ def test_criterion_13_determinism(genus, request):
             return canring.build_context(ctx5.curve, points)
 
     _check(acc.criterion_determinism(builder, CFG), genus)
+
+
+def engine_draws(draws):
+    """Stream draws by tag, without the fixed node streams of
+    `monomials.restrict`, which a first call per shape draws."""
+    return {k: n for k, n in draws.items()
+            if not k.startswith("restrict-nodes|")}
+
+
+def outcome(run):
+    """run(), or the type and message of the error it raises."""
+    try:
+        return run()
+    except CurveConesError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def round_cones(request):
+    """Two cones per context, for the certificate rounds."""
+    return {name: sl.collect_cones(request.getfixturevalue(name), 2, 31,
+                                   oracle_points=0)
+            for name in ("ctx4", "ctx5", "ctx4_max")}
+
+
+ROUND_CFG = acc.SuiteConfig(polar_oracle_points=8, secant_random=10,
+                            secant_engineered=2)
+
+
+class TestPolarRounds:
+    """Criterion 7 certifies all polars in one lockstep, and gives the
+    details, exceptions and draws of the loop that checks one polar at a
+    time (tests/reference.py)."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_matches_one_polar_at_a_time(self, name, request, round_cones,
+                                         monkeypatch):
+        ctx = request.getfixturevalue(name)
+        cones = round_cones[name]
+        want, want_draws = stream_draws(monkeypatch, lambda: outcome(
+            lambda: reference.criterion_polars(ctx, ROUND_CFG, cones)))
+        got, got_draws = stream_draws(monkeypatch, lambda: outcome(
+            lambda: acc.criterion_polars(ctx, ROUND_CFG, cones)))
+        assert (got.ok, got.details) == want
+        assert want[0] and want[1]["oracle_points"] \
+            == 8 * len(cones) * (ctx.g - 3)
+        assert engine_draws(got_draws) == engine_draws(want_draws)
+
+    def test_genus5_polars_draw_their_own_probes(self, ctx5, round_cones,
+                                                 monkeypatch):
+        _, draws = stream_draws(monkeypatch, lambda: acc.criterion_polars(
+            ctx5, ROUND_CFG, round_cones["ctx5"][:1]))
+        assert {"b/0", "b/0/zeros", "b/0.1", "b/0.1/zeros"} <= set(draws)
+        assert not any(tag.startswith("b/1") for tag in draws)
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_failure_raised_in_cone_order(self, name, request, round_cones,
+                                          monkeypatch):
+        """The oracle fails at every probe of the second cone, whose chains
+        the lockstep runs to their failure before any polar space is
+        checked.  With the polar space of the first cone planted empty, its
+        failure is raised, as one polar at a time raises it; with the
+        oracle failing for both cones, the first cone's oracle failure."""
+        ctx = request.getfixturevalue(name)
+        cones = round_cones[name]
+        real_oracle = nt.oracle_batch
+        failing = {1}
+
+        def oracle_batch(ctx, nets, probes, check_gamma=True):
+            out = real_oracle(ctx, nets, probes, check_gamma)
+            for i, net in enumerate(nets):
+                k = next(k for k, c in enumerate(cones) if c.net is net)
+                if k in failing:
+                    out[i] = VerificationFailed(f"planted {k}")
+            return out
+
+        real_space = cn.constrained_space
+
+        def constrained_space(ctx, net, deg):
+            basis = real_space(ctx, net, deg)
+            return basis[:0] if net is cones[0].net else basis
+
+        monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
+        monkeypatch.setattr(cn, "constrained_space", constrained_space)
+        monkeypatch.setattr(reference, "constrained_space", constrained_space)
+        results = [outcome(lambda: check(ctx, ROUND_CFG, cones))
+                   for check in (reference.criterion_polars,
+                                 acc.criterion_polars)]
+        assert results == [(VerificationFailed, "polar cubic escapes the "
+                            "singular space")] * 2
+        monkeypatch.undo()
+        monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
+        failing.add(0)
+        results = [outcome(lambda: check(ctx, ROUND_CFG, cones))
+                   for check in (reference.criterion_polars,
+                                 acc.criterion_polars)]
+        assert results == [(VerificationFailed, "planted 0")] * 2
+
+
+class TestSecantRounds:
+    """Criterion 10 checks its secants on stacks and gives the details,
+    exceptions and draws of the loops that check one secant at a time
+    (tests/reference.py)."""
+
+    @staticmethod
+    def reference(ctx, cone, monkeypatch):
+        """`reference.criterion_secant`, its family roots one at a time."""
+        real = cn._family_secants
+        monkeypatch.setattr(cn, "_family_secants", reference.family_secants)
+        try:
+            return reference.criterion_secant(ctx, ROUND_CFG, cone)
+        finally:
+            monkeypatch.setattr(cn, "_family_secants", real)
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_matches_one_secant_at_a_time(self, name, request, round_cones,
+                                          monkeypatch):
+        ctx = request.getfixturevalue(name)
+        cone = round_cones[name][0]
+        want, want_draws = stream_draws(
+            monkeypatch, lambda: self.reference(ctx, cone, monkeypatch))
+        got, got_draws = stream_draws(
+            monkeypatch, lambda: acc.criterion_secant(ctx, ROUND_CFG, cone))
+        assert got.details == want
+        assert got.ok and want["vertex_branch"] == 2
+        assert engine_draws(got_draws) == engine_draws(want_draws)
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_singular_point_raised_in_draw_order(self, name, request,
+                                                 round_cones, monkeypatch):
+        """The Jacobian drops rank at the second point of the fourth random
+        secant: its check fails in the stack, the others do not, and the
+        criterion raises as the one-secant loop raises."""
+        ctx = request.getfixturevalue(name)
+        cone = round_cones[name][0]
+        stream = Stream(derive_key(ctx.curve.seed,
+                                   f"secant|{ROUND_CFG.seed}"), "pq")
+        n = ctx.panel.shape[0]
+        pairs = [(ctx.panel[i], ctx.panel[j]) for i, j in (
+            (stream.integer(0, n), stream.integer(0, n)) for _ in range(10))
+            if i != j]
+        bad = pairs[3][1].tolist()
+        real = cv.jacobian_at
+
+        def jacobian_at(curve, pts):
+            jac = real(curve, pts)
+            jac[(np.reshape(pts, jac.shape[:-2] + (-1,)) == bad).all(
+                axis=-1)] = 0
+            return jac
+
+        monkeypatch.setattr(cv, "jacobian_at", jacobian_at)
+        ctx._tangents.clear()
+        verdicts = cn.secant_criteria(ctx, [cone] * len(pairs), pairs)
+        for (pt_p, pt_q), verdict in zip(pairs, verdicts):
+            assert outcome(lambda: verdict if bad not in (
+                pt_p.tolist(), pt_q.tolist()) else errors.value_of(
+                    verdict)) == outcome(lambda: reference.secant_criterion(
+                        ctx, cone.net, cone.coeffs, pt_p, pt_q))
+        want = outcome(lambda: reference.criterion_secant(ctx, ROUND_CFG,
+                                                          cone))
+        got = outcome(lambda: acc.criterion_secant(ctx, ROUND_CFG, cone))
+        monkeypatch.undo()
+        ctx._tangents.clear()
+        assert got == want == (SingularPoint,
+                               f"Jacobian rank below {ctx.g - 2}")
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_degenerate_family_root_is_skipped(self, name, request,
+                                               monkeypatch):
+        """Every pencil of the first family-root net fails, so its
+        reconstruction raises DegenerateInput and the root is skipped, as
+        one root at a time skips it."""
+        ctx = request.getfixturevalue(name)
+        args = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(*call):
+            args.extend(call)
+            raise Recorded
+
+        monkeypatch.setattr(cn, "_family_secants", record)
+        with pytest.raises(Recorded):
+            cn.contained_double_secant(ctx, Stream(131, name), count=2)
+        monkeypatch.undo()
+        real = cn.split_fibers
+        planted = []
+
+        def split_fibers(ctx, per, vs):
+            per = [per] * len(vs) if isinstance(per, nt.Net) else per
+            if not planted:
+                planted.append(per[0].w.tolist())
+            return [InadmissiblePencil("planted")
+                    if net.w.tolist() == planted[0] else fiber
+                    for net, fiber in zip(per, real(ctx, per, vs))]
+
+        def run(family_secants):
+            planted.clear()
+            stream = args[5]
+            found = family_secants(*args[:5], Stream(stream.seed, stream.tag),
+                                   3)
+            return [(net.w.tolist(), c.coeffs.tolist(), c.certificate)
+                    for _, _, net, c in found]
+
+        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        want, want_draws = stream_draws(
+            monkeypatch, lambda: run(reference.family_secants))
+        got, got_draws = stream_draws(
+            monkeypatch, lambda: run(cn._family_secants))
+        assert got == want
+        assert planted and planted[0] not in [w for w, _, _ in got]
+        assert engine_draws(got_draws) == engine_draws(want_draws)

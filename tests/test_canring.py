@@ -1,11 +1,14 @@
 """Graded pieces, ideal kernels, pointwise multiplication, Petri dichotomy."""
 
 import numpy as np
+import pytest
 
 from curvecones import algebra as alg
 from curvecones import canring, monomials as mono
+from curvecones.errors import SingularPoint
 from curvecones.rng import Stream
 
+import reference
 from reference import solve_consistent
 
 P = 1000003
@@ -96,3 +99,30 @@ class TestIdealStructure:
             for q in i2.basis:
                 products.append(mono.mul_forms(unit, 1, q, 2, 5, P))
         assert alg.rank(np.stack(products), P) == 15
+
+
+class TestTangents:
+    def test_stack_matches_one_point_at_a_time(self, ctx4, ctx5):
+        """`CurveContext.tangents` against the scalar reference and against
+        `tangent` point by point, with an off-curve point and a repeat in
+        the stack; only the tangents of curve points are cached."""
+        for ctx in (ctx4, ctx5):
+            off = (ctx.panel[0] + 1) % P
+            pts = np.concatenate([ctx.panel[3:8], off[None], ctx.panel[3:4]])
+            ctx._tangents.clear()
+            got = ctx.tangents(pts)
+            assert len(ctx._tangents) == 5
+            assert got[6] is got[0]
+            for pt, td in zip(pts, got):
+                try:
+                    want = reference.tangent_vector(ctx.curve, pt)
+                except SingularPoint as exc:
+                    assert (type(td), str(td)) == (SingularPoint, str(exc))
+                    with pytest.raises(SingularPoint, match=str(exc)):
+                        ctx.tangent(pt)
+                    continue
+                assert td.point.tolist() == want.point.tolist()
+                assert td.direction.tolist() == want.direction.tolist()
+                assert ctx.tangent(pt) is td
+            assert str(got[5]) == "point is not on the curve"
+            assert ctx.tangents(pts[:0]) == []

@@ -418,7 +418,7 @@ class TestTangents:
     def test_line_vanishes_to_second_order(self, ctx4, ctx5):
         for ctx in (ctx4, ctx5):
             for q in ctx.panel[:10]:
-                td = cv.tangent_vector(ctx.curve, q)
+                td = ctx.tangent(q)
                 assert td.direction.tolist() != td.point.tolist()
                 for d, c in ctx.curve.generator_arrays():
                     from curvecones import monomials as mono
@@ -432,7 +432,7 @@ class TestTangents:
     def test_off_curve_point_rejected(self, ctx4):
         bad = (ctx4.panel[0] + 1) % P
         with pytest.raises(SingularPoint):
-            cv.tangent_vector(ctx4.curve, bad)
+            ctx4.tangent(bad)
 
 
 class TestPersistence:
