@@ -28,7 +28,12 @@ subtracts one product of two entries below p, so no intermediate leaves
 (`special_solutions_batch`), and `solve_batch` the solutions and ranks of
 stacked systems [m | rhs].  `det_batch` eliminates a stack of square
 matrices with the same updates and multiplies the pivots; like
-`rref_batch` it hands a stack of one to the scalar `det`.
+`rref_batch` it hands a stack of one to the scalar `det`.  Both invert
+the pivots of a column with one `_inverses`, Montgomery's batch
+inversion (P. L. Montgomery, Math. Comp. 48, 1987): prefix products, one
+`pow`, then a walk back, so one modular inverse per pivot column.  A zero
+maps to 0, as under Fermat's a**(p-2); the zero pivots of the singular
+elements of a `det_batch` stack take that path.
 
 `interpolate` multiplies by the inverse Vandermonde matrix of its nodes,
 cached per node tuple, and `rational_interpolate` builds its Cauchy rows
@@ -100,7 +105,7 @@ def inv_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroDivisionError("inverse of zero")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def first_nonzero(v: np.ndarray) -> int:
@@ -119,8 +124,28 @@ def normalize_scalar(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def _inverses(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of a vector of nonzero residues."""
-    return np.array([pow(v, p - 2, p) for v in a.tolist()], dtype=np.int64)
+    """Inverses mod p of a vector of residues in [0, p), with 0 for 0.
+
+    Montgomery's batch inversion: the prefix products of the nonzero
+    entries, one `pow` of the last, then a walk back that peels one factor
+    off at a time.  A zero entry is left out of the products and maps to
+    0, the value Fermat's a**(p-2) gives it; `det_batch` relies on that
+    for the zero pivots of singular elements.
+    """
+    vals = a.tolist()
+    prefix = []
+    acc = 1
+    for v in vals:
+        prefix.append(acc)
+        if v:
+            acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        if vals[i]:
+            out[i] = inv * prefix[i] % p
+            inv = inv * vals[i] % p
+    return np.array(out, dtype=np.int64)
 
 
 def normalize_rows(m: np.ndarray, p: int) -> np.ndarray:

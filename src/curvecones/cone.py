@@ -545,7 +545,7 @@ def contained_secants(ctx: CurveContext, lines: list, nets: list) -> list:
     reconstruction or of the check; one `reconstruct_quartics` and one
     `secant_criteria` for all."""
     out: list = [None] * len(nets)
-    live = [k for k, net in enumerate(nets) if nt.usable(ctx, net)]
+    live = [k for k, ok in enumerate(nt.usable(ctx, nets)) if ok]
     for k, cone in zip(live, reconstruct_quartics(
             ctx, [nets[k] for k in live], oracle_points=4)):
         out[k] = cone
@@ -579,7 +579,8 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream
         if alg.rank(vertex, p) != ctx.g - 3:
             return None
         net_obj = nt.net_from_vertex(ctx, vertex)
-        return (pt_p, pt_q, net_obj) if nt.usable(ctx, net_obj) else None
+        return (pt_p, pt_q, net_obj) if nt.usable(ctx, [net_obj])[0] \
+            else None
 
     return resample("vertex secant", 120, draw)
 

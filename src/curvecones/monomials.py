@@ -71,7 +71,8 @@ def eval_matrix(pts: np.ndarray, g: int, n: int, p: int) -> np.ndarray:
         powers[e] = powers[e - 1] * pts % p
     out = np.ones((count(g, n), pts.shape[0]), dtype=np.int64)
     for k, col in enumerate(_exponent_columns(g, n)):
-        out = out * powers[col, :, k] % p
+        out *= powers[col, :, k]
+        out %= p
     return np.ascontiguousarray(out.T)
 
 

@@ -6,6 +6,16 @@ of the dual projective space, the center of the projection onto the plane
 of the net.  The degeneracy divisor is detected by restricting the quadric
 ideal piece to the vertex: the source and target have the same dimension
 (g-2)(g-3)/2, and membership is exactly failure of invertibility.
+
+The plane image of a net is a curve of degree d = 2g-2, fitted through the
+projected panel.  Bezout fixes it from d**2 + 1 of its points, so
+`gamma_equations` takes the kernel of the first max(count(3, d) + 10,
+d**2 + 1) rows of the evaluation matrix (38 at genus 4, 65 at genus 5, of
+140 panel points), checks the kernel vector against every row, and falls
+back to the kernel of all rows when the subset kernel is not
+one-dimensional or the check fails; the fit is that of all rows.  A check
+sums count(3, d) <= 45 products below p**2 at g <= 5, below 2**56 at
+p < 2**25.
 """
 
 from __future__ import annotations
@@ -117,7 +127,7 @@ def random_nets(ctx: CurveContext, streams: list[Stream]
                 ) -> list[Net | DegenerateInput]:
     """`random_net` of each stream, or the exhaustion it raises, drawn in
     rounds: each net still missing draws its next basis from its own
-    stream, and one `build_nets` serves a round."""
+    stream, and one `build_nets` and one `usable` serve a round."""
     out: list = [None] * len(streams)
     for _ in range(200):
         missing = [i for i, net in enumerate(out) if net is None]
@@ -125,22 +135,22 @@ def random_nets(ctx: CurveContext, streams: list[Stream]
             return out
         nets = build_nets(ctx, [streams[i].field_mat(ctx.p, 3, ctx.g)
                                 for i in missing])
-        for i, net in zip(missing, nets):
-            if usable(ctx, net):
+        for i, net, ok in zip(missing, nets, usable(ctx, nets)):
+            if ok:
                 out[i] = net
     return [net or exhausted("generic net", 200) for net in out]
 
 
-def usable(ctx: CurveContext, net) -> bool:
-    """Whether a net (or the exception in its place) is off B and D and
-    `gamma_equation` fits its plane image."""
-    if not isinstance(net, Net) or net.in_b or net.in_d:
-        return False
-    try:
-        gamma_equation(ctx, net)
-    except AmbiguousFit:
-        return False
-    return True
+def usable(ctx: CurveContext, nets: list) -> list[bool]:
+    """Whether each net (or the exception in its place) is off B and D and
+    `gamma_equations` fits its plane image, from one `gamma_equations` of
+    the nets off B and D."""
+    out = [False] * len(nets)
+    live = [k for k, net in enumerate(nets)
+            if isinstance(net, Net) and not net.in_b and not net.in_d]
+    for k, fit in zip(live, gamma_equations(ctx, [nets[k] for k in live])):
+        out[k] = isinstance(fit, PlaneCurve)
+    return out
 
 
 def random_net(ctx: CurveContext, stream: Stream) -> Net:
@@ -167,33 +177,85 @@ def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
 
 
 def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
-    """Fit the unique plane image equation of degree 2g-2 through the
-    projected panel; a fresh holdout point then validates the fit."""
-    if net.gamma is not None:
-        return net.gamma
-    if net.in_b:
-        raise AmbiguousFit("projection is not a morphism: net has a "
-                           "base point")
+    """`gamma_equations` on one net, raising its exception."""
+    return value_of(gamma_equations(ctx, [net])[0])
+
+
+# nets per array pass of gamma_equations: a pass holds the evaluation
+# matrix of each of its nets at every projected panel point (140 x 28 int64
+# at genus 4, 140 x 45 at genus 5).  Under tracemalloc a pass of 8 peaks
+# at 0.8 MB at genus 4 and 2.3 MB at genus 5, against 0.12 and 0.31 MB for
+# one net; 25 genus-4 fits take 27 ms in passes of 8 and 37 ms one net at
+# a time (48 ms from all rows).
+GAMMA_PASS = 8
+
+
+def gamma_equations(ctx: CurveContext, nets: list[Net]
+                    ) -> list[PlaneCurve | AmbiguousFit]:
+    """The plane image equation of each net, kept in `net.gamma`, or an
+    `AmbiguousFit` for a net with a base point, with fewer than
+    count(3, d) + 10 distinct projected points, or whose fit kernel is not
+    one-dimensional.  Nets without a fit go in passes of up to GAMMA_PASS,
+    each one `kernel_batch` of the Bezout-sized subsets and one product
+    checking every row (module docstring)."""
+    out: list = [net.gamma if net.gamma is not None
+                 else AmbiguousFit("projection is not a morphism: net has "
+                                   "a base point") if net.in_b
+                 else None for net in nets]
+    todo = [k for k, fit in enumerate(out) if fit is None]
+    for lo in range(0, len(todo), GAMMA_PASS):
+        part = todo[lo:lo + GAMMA_PASS]
+        for k, fit in zip(part, _gamma_pass(ctx, [nets[k] for k in part])):
+            out[k] = fit
+            if isinstance(fit, PlaneCurve):
+                nets[k].gamma = fit
+    return out
+
+
+def _gamma_pass(ctx: CurveContext, nets: list[Net]
+                ) -> list[PlaneCurve | AmbiguousFit]:
+    """`gamma_equations` on nets off B without a fit, as one array pass."""
     p = ctx.p
     degree = 2 * ctx.g - 2
-    projected = project(net, ctx.panel, p)
+    needed = mono.count(3, degree) + 10
+    rows = max(needed, degree ** 2 + 1)
+    w = np.stack([net.w for net in nets])
+    projected = alg.normalize_rows(
+        (ctx.panel @ w.transpose(0, 2, 1) % p).reshape(-1, 3), p)
     # asking for counts keeps np.unique off its hash path, whose check for
     # masked input imports numpy.ma (about 30 ms and 0.6 MB per process)
-    pts = np.unique(alg.normalize_rows(projected[projected.any(axis=1)], p),
-                    axis=0, return_counts=True)[0]
-    needed = mono.count(3, degree) + 10
-    if pts.shape[0] < needed:
-        raise AmbiguousFit(
-            f"only {pts.shape[0]} projected points, need {needed}")
-    e = mono.eval_matrix(pts, 3, degree, p)
-    kernel = alg.kernel_basis(e, p)
-    if kernel.shape[0] != 1:
-        raise AmbiguousFit(
-            f"plane-curve fit kernel has dimension {kernel.shape[0]}")
-    gamma = PlaneCurve(degree=degree,
-                       coeffs=alg.normalize_scalar(kernel[0], p))
-    net.gamma = gamma
-    return gamma
+    pts = [np.unique(proj[proj.any(axis=1)], axis=0, return_counts=True)[0]
+           for proj in projected.reshape(len(nets), -1, 3)]
+    sizes = np.array([len(x) for x in pts])
+    starts = np.cumsum(sizes) - sizes
+    e = mono.eval_matrix(np.concatenate(pts), 3, degree, p)
+    # the subset fit of each net with enough points, checked on all rows
+    sub = np.nonzero(sizes >= rows)[0]
+    kernel, one = alg.kernel_batch(e[starts[sub, None] + np.arange(rows)],
+                                   p, 1)
+    v = np.zeros((len(nets), e.shape[1]), dtype=np.int64)
+    v[sub] = kernel[:, 0]
+    fitted = np.zeros(len(nets), dtype=bool)
+    fitted[sub] = one
+    owner = np.repeat(np.arange(len(nets)), sizes)
+    off = (e @ v.T)[np.arange(len(owner)), owner] % p != 0
+    fitted &= np.bincount(owner[off], minlength=len(nets)) == 0
+    coeffs = alg.normalize_rows(v, p)
+    out: list = []
+    for k, x in enumerate(pts):
+        if len(x) < needed:
+            out.append(AmbiguousFit(
+                f"only {len(x)} projected points, need {needed}"))
+            continue
+        if not fitted[k]:
+            kernel = alg.kernel_basis(e[starts[k]:starts[k] + sizes[k]], p)
+            if kernel.shape[0] != 1:
+                out.append(AmbiguousFit("plane-curve fit kernel has "
+                                        f"dimension {kernel.shape[0]}"))
+                continue
+            coeffs[k] = alg.normalize_scalar(kernel[0], p)
+        out.append(PlaneCurve(degree=degree, coeffs=coeffs[k]))
+    return out
 
 
 # what oracle_witness raises for a probe, in the order it tests them
@@ -212,17 +274,17 @@ _WITNESS_FAILURES = (
 def _on_gamma(ctx: CurveContext, nets: list[Net], u: np.ndarray
               ) -> tuple[np.ndarray, dict]:
     """Which plane points u[n] lie on the plane image of nets[n], and the
-    exception of each probe whose net has no plane image equation."""
+    exception of each probe whose net has no plane image equation; one
+    `gamma_equations` fits the distinct nets."""
     hits = np.zeros(len(nets), dtype=bool)
     unfit: dict = {}
     keys = np.array([id(net) for net in nets])
-    for net in {id(net): net for net in nets}.values():
+    distinct = list({id(net): net for net in nets}.values())
+    for net, gamma in zip(distinct, gamma_equations(ctx, distinct)):
         mine = keys == id(net)
-        try:
-            gamma = gamma_equation(ctx, net)
-        except AmbiguousFit as exc:
+        if isinstance(gamma, AmbiguousFit):
             hits[mine] = True
-            unfit.update(dict.fromkeys(np.nonzero(mine)[0].tolist(), exc))
+            unfit.update(dict.fromkeys(np.nonzero(mine)[0].tolist(), gamma))
             continue
         hits[mine] = mono.form_eval(gamma.coeffs, u[mine], 3, gamma.degree,
                                     ctx.p) == 0

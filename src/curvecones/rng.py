@@ -9,9 +9,14 @@ order within one tag is part of the reproducibility contract.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+try:
+    # the same object as hashlib.blake2b, without the import of hashlib's
+    # OpenSSL backend (5-15 ms per process)
+    from _blake2 import blake2b
+except ImportError:         # a Python built without the _blake2 module
+    from hashlib import blake2b
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -25,7 +30,7 @@ def _mix(z: int) -> int:
 
 def derive_key(seed: int, tag: str) -> int:
     """Stable 64-bit key for a (seed, tag) pair."""
-    digest = hashlib.blake2b(f"{seed}|{tag}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}|{tag}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -5,7 +5,8 @@ import numpy as np
 from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import fibers as fb
 from curvecones import monomials as mono, net as nt
-from curvecones.errors import (CurveConesError, DegenerateInput, Draws,
+from curvecones.errors import (AmbiguousFit, CurveConesError,
+                               DegenerateInput, Draws,
                                InconsistentReconstruction, InconsistentSystem,
                                InsufficientPoints, NodeFiber, RankDeficientW,
                                SingularPoint, SplittingViolation,
@@ -331,6 +332,30 @@ def build_net(ctx, w):
             left_kernel[0] @ ctx.ideal(2).basis % p, p)
     return nt.Net(w=wr, wperp=wperp, in_b=in_b, in_d=left_kernel.shape[0] > 0,
                   d_certificate=certificate)
+
+
+def gamma_equation(ctx, net_obj):
+    """The plane image of a net from the kernel of all rows of its
+    evaluation matrix at the distinct projected panel points; reads and
+    fills no `net.gamma`.  Raises AmbiguousFit as the engine does."""
+    if net_obj.in_b:
+        raise AmbiguousFit("projection is not a morphism: net has a "
+                           "base point")
+    p = ctx.p
+    degree = 2 * ctx.g - 2
+    projected = nt.project(net_obj, ctx.panel, p)
+    pts = np.unique(alg.normalize_rows(projected[projected.any(axis=1)], p),
+                    axis=0)
+    needed = mono.count(3, degree) + 10
+    if pts.shape[0] < needed:
+        raise AmbiguousFit(
+            f"only {pts.shape[0]} projected points, need {needed}")
+    kernel = alg.kernel_basis(mono.eval_matrix(pts, 3, degree, p), p)
+    if kernel.shape[0] != 1:
+        raise AmbiguousFit(
+            f"plane-curve fit kernel has dimension {kernel.shape[0]}")
+    return nt.PlaneCurve(degree=degree,
+                         coeffs=alg.normalize_scalar(kernel[0], p))
 
 
 def family_samples(ctx, family, b0):

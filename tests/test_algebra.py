@@ -680,6 +680,45 @@ class TestDetBatch:
             alg.det_batch(np.zeros((1, 2, 3), dtype=np.int64), 7)
 
 
+class TestBatchInverse:
+    """`_inverses` (Montgomery's batch inversion) against Fermat's
+    a**(p-2), which also maps 0 to 0."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fermat(self, p, data):
+        vals = data.draw(st.lists(st.one_of(
+            st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1)),
+            max_size=40))
+        got = alg._inverses(np.array(vals, dtype=np.int64), p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(v, p - 2, p) for v in vals]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_lengths_zero_and_one(self, p):
+        assert alg._inverses(np.zeros(0, dtype=np.int64), p).tolist() == []
+        assert alg._inverses(arr([0]), p).tolist() == [0]
+        assert alg._inverses(arr([p - 1]), p).tolist() == [p - 1]
+        assert alg._inverses(arr([0, 0, 0]), p).tolist() == [0, 0, 0]
+        assert alg.inv_mod(p + 2, p) == pow(2, p - 2, p)
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_det_batch_with_singular_elements(self, p):
+        # elements singular at the first, a middle and the last column
+        # among invertible ones, so that the pivot vectors handed to
+        # `_inverses` hold zeros between nonzero entries
+        rng = np.random.default_rng(7)
+        stack = rng.integers(0, p, (6, 5, 5))
+        stack[1, :, 0] = 0
+        stack[3, :, 2] = (stack[3, :, 0] + 3 * stack[3, :, 1]) % p
+        stack[4, 4] = (stack[4, 0] + stack[4, 1]) % p
+        got = alg.det_batch(stack, p).tolist()
+        assert got == [alg.det(m, p) for m in stack]
+        assert [d == 0 for d in got] \
+            == [False, True, False, True, True, False]
+
+
 class TestRowSpace:
     """RowSpace against DomainMatrix ranks over GF(p) and against `rref`
     of every row put in, on matrices of planted rank up to 8 x 8."""

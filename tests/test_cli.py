@@ -370,6 +370,22 @@ def test_genus5_quick_report_is_pinned(ctx5):
     assert hashlib.sha256(report.encode()).hexdigest() == GENUS5_QUICK_REPORT
 
 
+# sha256 of the report `verify --quick` writes for the genus-4 curve of seed
+# 1 at prime 33554393, recorded while each plane image was fitted from all
+# its projected panel points.  The full-row check of the fit sums its
+# products closest to the int64 bound at this prime.
+GENUS4_QUICK_REPORT_P_MAX = \
+    "a2abd68ec2c47a1ddbd6ef6a1f6c43d8f4048cf5113bff15891e253c82978b33"
+
+
+def test_genus4_quick_report_is_pinned_at_largest_prime(ctx4_max):
+    # ctx4_max holds the points gen-curve writes for this curve
+    cfg = suite_config(quick=True, seed=0)
+    report = acc.report_json(ctx4_max, cfg, acc.run_criteria(ctx4_max, cfg))
+    assert hashlib.sha256(report.encode()).hexdigest() \
+        == GENUS4_QUICK_REPORT_P_MAX
+
+
 # sha256 of the payload `spans` writes with its default config for the same
 # curve, recorded with the cones collected and certified one net at a time
 # and the base-locus probes tested one at a time.

@@ -1,11 +1,13 @@
 """Nets: vertex, degeneracy test, plane image, membership oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import errors, monomials as mono, net as nt
-from curvecones.errors import (CorankJump, CurveConesError,
+from curvecones.errors import (AmbiguousFit, CorankJump, CurveConesError,
                                InadmissiblePencil, InconsistentSystem,
                                InVertex, OnGammaFiber, RankDeficientW)
 from curvecones.rng import Stream
@@ -135,6 +137,139 @@ class TestGamma:
         net = nt.build_net(ctx4, forms[:3])
         with pytest.raises(AmbiguousFit):
             nt.gamma_equation(ctx4, net)
+
+
+def fit_value(fit):
+    """A plane image fit as lists, or the class and message of its
+    exception."""
+    if isinstance(fit, CurveConesError):
+        return type(fit), str(fit)
+    return fit.degree, fit.coeffs.tolist()
+
+
+def reference_fit(ctx, net):
+    try:
+        return fit_value(reference.gamma_equation(ctx, net))
+    except CurveConesError as exc:
+        return fit_value(exc)
+
+
+def count_full_fits(monkeypatch):
+    """The calls `gamma_equations` makes to the full-row fallback,
+    `kernel_basis`, appended to the returned list."""
+    calls = []
+    real = alg.kernel_basis
+
+    def counted(m, p):
+        calls.append(m.shape)
+        return real(m, p)
+
+    monkeypatch.setattr(alg, "kernel_basis", counted)
+    return calls
+
+
+def planted(ctx, panel):
+    """The fields of ctx that `gamma_equations` reads, with another
+    panel."""
+    return SimpleNamespace(p=ctx.p, g=ctx.g, panel=np.asarray(panel))
+
+
+class TestPlaneImageFit:
+    """`gamma_equations` (the Bezout-sized subset, then every row) against
+    the kernel of all rows, `reference.gamma_equation`."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_round_matches_full_rows(self, name, request, monkeypatch):
+        ctx = request.getfixturevalue(name)
+        p, g = ctx.p, ctx.g
+        stream = Stream(130, f"fit-{name}")
+        ws = [stream.field_mat(p, 3, g) for _ in range(9)]
+        ws.insert(2, alg.kernel_basis(ctx.panel[:1], p)[:3])
+        nets = nt.build_nets(ctx, ws)
+        nets.insert(5, cn.degenerate_net(ctx, Stream(131, name)))
+        assert [net.in_b for net in nets] == [False, False, True] + [False] * 8
+        assert nets[5].in_d
+        want = [reference_fit(ctx, net) for net in nets]
+        full = count_full_fits(monkeypatch)
+        fits = nt.gamma_equations(ctx, nets)
+        assert [fit_value(fit) for fit in fits] == want
+        assert full == []       # every fit came from the subset
+        assert want[2][0] is AmbiguousFit
+        assert sum(isinstance(fit, nt.PlaneCurve) for fit in fits) == 10
+        assert [net.gamma for net in nets] == [
+            fit if isinstance(fit, nt.PlaneCurve) else None for fit in fits]
+        # a fitted net is not fitted again
+        again = nt.gamma_equations(ctx, nets[:4])
+        assert again[0] is nets[0].gamma and again[3] is nets[3].gamma
+        assert nt.gamma_equation(ctx, nets[0]) is nets[0].gamma
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_point_off_the_image_leaves_no_fit(self, ctx4, at, monkeypatch):
+        # a panel point that projects off the image, sorted into the
+        # subset (its kernel is zero) or after it (the check fails)
+        p = ctx4.p
+        net = nt.build_nets(ctx4, [Stream(132, "off").field_mat(p, 3, 4)])[0]
+        gamma = reference.gamma_equation(ctx4, net)
+        u = np.array([0, 0, 1] if at == "first" else [1, p - 1, p - 1])
+        assert mono.form_eval_one(gamma.coeffs, u, 3, 6, p) != 0
+        ctx = planted(ctx4, np.vstack([ctx4.panel,
+                                       solve_consistent(net.w, u, p)]))
+        want = reference_fit(ctx, net)
+        assert want == (AmbiguousFit,
+                        "plane-curve fit kernel has dimension 0")
+        full = count_full_fits(monkeypatch)
+        assert fit_value(nt.gamma_equations(ctx, [net])[0]) == want
+        assert full == [(141, 28)]
+        with pytest.raises(AmbiguousFit, match="dimension 0"):
+            nt.gamma_equation(ctx, net)
+        assert net.gamma is None
+
+    def test_too_few_points(self, ctx4, ctx5, monkeypatch):
+        net4 = nt.build_nets(ctx4, [Stream(133, "few").field_mat(
+            ctx4.p, 3, 4)])[0]
+        ctx = planted(ctx4, ctx4.panel[:30])
+        assert reference_fit(ctx, net4) == fit_value(
+            nt.gamma_equations(ctx, [net4])[0]) == (
+                AmbiguousFit, "only 30 projected points, need 38")
+        # at genus 5, 60 points are enough for the fit but fewer than the
+        # 65 of the subset, so all of them are the rows of the fit
+        net5 = nt.build_nets(ctx5, [Stream(133, "few").field_mat(
+            ctx5.p, 3, 5)])[0]
+        ctx = planted(ctx5, ctx5.panel[:60])
+        want = reference_fit(ctx, net5)
+        full = count_full_fits(monkeypatch)
+        assert fit_value(nt.gamma_equations(ctx, [net5])[0]) == want
+        assert full == [(60, 45)]
+        assert want == reference_fit(ctx5, net5)
+
+    def test_mixed_round_in_order(self, ctx4):
+        # one panel point x off the curve: the nets whose vertex is x drop
+        # it and fit, every other net sees it off its image
+        p = ctx4.p
+        stream = Stream(134, "mixed")
+        x = stream.field_vec(p, 4)
+        through_x = alg.kernel_basis(x[None], p)
+        generic = [stream.field_mat(p, 3, 4) for _ in range(4)]
+        ws = [stream.field_mat(p, 3, 3) @ through_x % p for _ in range(3)]
+        ws[1:1] = generic[:2]
+        ws += [alg.kernel_basis(ctx4.panel[:1], p)[:3]] + generic[2:]
+        nets = nt.build_nets(ctx4, ws)
+        nets.insert(4, cn.degenerate_net(ctx4, Stream(135, "mixed")))
+        cached = nt.random_net(ctx4, Stream(136, "mixed"))
+        nets.insert(7, cached)
+        ctx = planted(ctx4, np.vstack([ctx4.panel, x]))
+        fits = nt.gamma_equations(ctx, nets)
+        assert len(fits) == len(nets) == 10
+        assert fits[7] is cached.gamma
+        kinds = [fit.degree if isinstance(fit, nt.PlaneCurve) else str(fit)
+                 for fit in fits]
+        dim0 = "plane-curve fit kernel has dimension 0"
+        base = "projection is not a morphism: net has a base point"
+        assert kinds == [6, dim0, dim0, 6, dim0, 6, base, 6, dim0, dim0]
+        for k, net in enumerate(nets):
+            if k != 7:
+                assert fit_value(fits[k]) == reference_fit(ctx, net)
+        assert nets[4].in_d and nets[6].in_b
 
 
 class TestOracles:
