@@ -25,6 +25,7 @@ from . import algebra as alg
 from . import bundle as bd
 from . import canring
 from . import cone as cn
+from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
@@ -33,9 +34,15 @@ from .errors import (ConfigError, CurveConesError, DegenerateInput,
                      Draws, value_of)
 from .rng import Stream, derive_key
 
-IDEAL_DIMS = {4: {2: 1, 3: 5, 4: 14}, 5: {2: 3, 3: 15, 4: 42}}
+# the quartic span's rank, the one value per genus that is measured, not
+# derived
 F4_RANKS = {4: 5, 5: 16}
-NODE_COUNTS = {4: 6, 5: 16}
+
+
+def node_count(g: int) -> int:
+    """Nodes of the plane image of a general net, a curve of degree 2g - 2
+    and geometric genus g: (2g - 3)(2g - 4)/2 - g = 2(g - 1)(g - 3)."""
+    return 2 * (g - 1) * (g - 3)
 
 
 @dataclass
@@ -108,7 +115,6 @@ class SuiteInputs:
 
 
 def criterion_ideal_dims(ctx) -> CriterionResult:
-    expected = IDEAL_DIMS[ctx.g]
     found = {}
     ok = True
     for n in (2, 3, 4):
@@ -117,7 +123,8 @@ def criterion_ideal_dims(ctx) -> CriterionResult:
         same_span = all(map(alg.RowSpace(main.basis, ctx.p).contains,
                             hold.basis))
         found[f"dim_I{n}"] = main.dim
-        ok = ok and main.dim == expected[n] and hold.dim == expected[n] \
+        expected = canring.ideal_dim(ctx.g, n)
+        ok = ok and main.dim == expected and hold.dim == expected \
             and same_span
     return CriterionResult(1, "ideal dimensions", ok,
                            {**found, "holdout_confirmed": ok})
@@ -125,7 +132,7 @@ def criterion_ideal_dims(ctx) -> CriterionResult:
 
 def criterion_petri(ctx) -> CriterionResult:
     value = ctx.petri_check()
-    expected = ctx.g == 5
+    expected = ctx.g >= 5
     return CriterionResult(2, "Petri dichotomy", value == expected,
                            {"surjective": value, "expected": expected})
 
@@ -190,7 +197,7 @@ def criterion_reconstruction(ctx, cfg: SuiteConfig,
             and cert["holdout_pencil"] \
             and cert["oracle_points"] >= cfg.oracle_points \
             and cert["oracle_disagreements"] == 0 \
-            and cert["points_vanished"] >= 200
+            and cert["points_vanished"] >= sum(cv.panel_sizes(ctx.g))
         total_disagreements += cert["oracle_disagreements"]
     ok = ok and len(cones) >= cfg.reconstructions
     details["oracle_disagreements"] = total_disagreements
@@ -275,7 +282,7 @@ def criterion_node_count(ctx, cfg: SuiteConfig,
                          net: nt.Net) -> CriterionResult:
     gamma = nt.gamma_equation(ctx, net)
     count = bd.node_count(gamma, ctx.p, seed=cfg.seed)
-    expected = NODE_COUNTS[ctx.g]
+    expected = node_count(ctx.g)
     return CriterionResult(9, "node count", count == expected,
                            {"nodes": count, "expected": expected})
 
@@ -330,8 +337,7 @@ def criterion_spans(ctx, cfg: SuiteConfig,
     squares_ok = sl.squares_containment(ctx, f4, seed=cfg.seed)
     expected = F4_RANKS[ctx.g]
     proper = f4.rank < ctx.ideal(4).dim
-    ok = f4.rank == expected and squares_ok \
-        and (proper if ctx.g == 4 else True)
+    ok = f4.rank == expected and squares_ok and proper
     return CriterionResult(11, "span dimensions", ok,
                            {"f4_rank": f4.rank, "expected": expected,
                             "squares_contained": squares_ok,

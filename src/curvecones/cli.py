@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-curve", help="generate a curve file")
-    g.add_argument("--genus", type=int, choices=(4, 5), required=True)
+    g.add_argument("--genus", type=int, choices=tuple(cv.MODELS),
+                   required=True)
     g.add_argument("--prime", type=int, default=1000003)
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--out", required=True)

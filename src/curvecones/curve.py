@@ -1,11 +1,13 @@
-"""Canonically embedded curves of genus 4 and 5 over F_p.
+"""Canonically embedded curves over F_p, one model per supported genus.
 
-Genus 4 curves are quadric-cubic complete intersections in P^3; the quadric
-is required to be smooth and split, so it carries two rational rulings and
-the curve is sampled by restricting the cubic to ruling lines (a cubic in
-one line parameter per ruling member).  Genus 5 curves are intersections of
-three quadrics in P^4, sampled by slicing with hyperplanes and eliminating
-variables through resultants.
+`MODELS` names the supported genera.  A model gives the degrees of the
+generators, the test a drawn candidate must pass and the point source that
+sampling walks.  Genus 4 curves are quadric-cubic complete intersections in
+P^3; the quadric is required to be smooth and split, so it carries two
+rational rulings and the curve is sampled by restricting the cubic to
+ruling lines (a cubic in one line parameter per ruling member).  Genus 5
+curves are intersections of three independent quadrics in P^4, sampled by
+slicing with hyperplanes and eliminating variables through resultants.
 
 Every search for the zeros of a form on a line goes through `line_zeros`:
 curve points on a ruling line, the last coordinate of a genus-5 slice,
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,8 +36,6 @@ from .rng import Stream, derive_key
 
 GENERATION_TRIES = 64
 POINT_BUDGET_FACTOR = 60
-# degrees of the generators of the canonical ideal, in file order
-GENERATOR_DEGREES = {4: (2, 3), 5: (2, 2, 2)}
 
 
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
@@ -109,13 +110,6 @@ def _zeros(deg: int, g: int, p: int, forms: tuple, a: tuple, b: tuple
            ) -> list:
     """The zeros of each form forms[k] on the line a[k] b[k]."""
     return line_zeros(np.stack(forms), deg, g, np.stack(a), np.stack(b), p)
-
-
-def legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def panel_sizes(genus: int) -> tuple[int, int]:
@@ -462,11 +456,57 @@ def ruling_chart(curve: CurveModel) -> RulingChart:
 
 
 # ---------------------------------------------------------------------------
-# generation and sampling
+# genus models, generation and sampling
 
 
-def _draw_form(stream: Stream, g: int, n: int, p: int) -> np.ndarray:
-    return stream.field_vec(p, mono.count(g, n))
+@dataclass(frozen=True)
+class GenusModel:
+    """One supported genus.  `degrees` are those of the generators, in file
+    order; a candidate curve draws one form of each degree and is kept when
+    `admissible(forms, p)`.  `points(curve, stream, n)` makes n draws of the
+    sampling stream and gives, per draw in draw order, its curve points or
+    the DegenerateInput in their place."""
+    degrees: tuple[int, ...]
+    admissible: Callable[[list[np.ndarray], int], bool]
+    points: Callable[[CurveModel, Stream, int], Iterable]
+
+
+def _split_smooth_quadric(forms: list[np.ndarray], p: int) -> bool:
+    """A smooth quadric with rational rulings: its Gram determinant is a
+    nonzero square (Euler's criterion)."""
+    return pow(alg.det(quadric_gram(forms[0], 4, p), p), (p - 1) // 2, p) == 1
+
+
+def _ruling_points(curve: CurveModel, stream: Stream, n: int) -> list:
+    """The points of n ruling lines, all found at once."""
+    return ruling_chart(curve).points_on_line(
+        [stream.field(curve.prime) for _ in range(n)])
+
+
+def _independent_quadrics(forms: list[np.ndarray], p: int) -> bool:
+    """Quadrics that span a space of their number's dimension."""
+    return alg.rank(np.stack(forms), p) == len(forms)
+
+
+def _slice_points(curve: CurveModel, stream: Stream, n: int) -> Iterable:
+    """The points of n hyperplane slices, each sliced when the walk reaches
+    it; the zero hyperplane gives none."""
+    hs = [stream.field_vec(curve.prime, 5) for _ in range(n)]
+    return (hyperplane_section(curve, h, chart_tries=2) if h.any() else []
+            for h in hs)
+
+
+MODELS = {4: GenusModel((2, 3), _split_smooth_quadric, _ruling_points),
+          5: GenusModel((2, 2, 2), _independent_quadrics, _slice_points)}
+_GENERA = " or ".join(map(str, MODELS))
+
+
+def check_curve_prime(p: int) -> None:
+    """Reject a curve prime below 10^6, or one `algebra.check_prime`
+    rejects, with a ValueError naming it."""
+    if p < 10**6:
+        raise ValueError(f"prime must be at least 10^6, got {p}")
+    alg.check_prime(p)
 
 
 def smooth_at(curve: CurveModel, pts) -> bool:
@@ -480,29 +520,20 @@ def smooth_at(curve: CurveModel, pts) -> bool:
 def generate_curve(genus: int, prime: int, seed: int) -> CurveModel:
     """Deterministic random canonical curve; retries until smoothness spot
     checks pass on 50 sampled points."""
-    if genus not in GENERATOR_DEGREES:
-        raise ValueError(f"genus must be 4 or 5, got {genus}")
-    if prime < 10**6:
-        raise ValueError(f"prime must be at least 10^6, got {prime}")
-    alg.check_prime(prime)
+    if genus not in MODELS:
+        raise ValueError(f"genus must be {_GENERA}, got {genus}")
+    check_curve_prime(prime)
+    model = MODELS[genus]
     stream = Stream(seed, f"curve-gen-g{genus}")
 
     def draw(_):
-        if genus == 4:
-            q = _draw_form(stream, 4, 2, prime)
-            c = _draw_form(stream, 4, 3, prime)
-            gram = quadric_gram(q, 4, prime)
-            if legendre(alg.det(gram, prime), prime) != 1:
-                return None  # need a split smooth quadric for rational rulings
-            candidate = CurveModel(4, prime, seed,
-                                   ((2, tuple(int(v) for v in q)),
-                                    (3, tuple(int(v) for v in c))))
-        else:
-            qs = [_draw_form(stream, 5, 2, prime) for _ in range(3)]
-            if alg.rank(np.stack(qs), prime) != 3:
-                return None
-            candidate = CurveModel(5, prime, seed, tuple(
-                (2, tuple(int(v) for v in q)) for q in qs))
+        forms = [stream.field_vec(prime, mono.count(genus, d))
+                 for d in model.degrees]
+        if not model.admissible(forms, prime):
+            return None
+        candidate = CurveModel(genus, prime, seed, tuple(
+            (d, tuple(int(v) for v in f))
+            for d, f in zip(model.degrees, forms)))
         pts = sample_points(candidate, 50)
         return candidate if smooth_at(candidate, pts) else None
 
@@ -513,9 +544,12 @@ def generate_curve(genus: int, prime: int, seed: int) -> CurveModel:
 def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
     """Distinct rational points, deterministically ordered.
 
-    Slices are drawn from a stream keyed by the curve seed; the collected
-    set is deduplicated and sorted by coordinates before truncation, so the
-    result depends only on (curve, count).
+    The model's point source draws from a stream keyed by the curve seed,
+    in rounds of as many draws as points are missing, walked in draw
+    order: the walk stops after the draw where one draw at a time would
+    stop, and raises a draw's DegenerateInput only on reaching it.  The
+    collected set is deduplicated and sorted by coordinates before
+    truncation, so the result depends only on (curve, count).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -524,38 +558,23 @@ def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
         # Hasse-Weil caps rational points near p; far larger requests are
         # hopeless and would burn the whole slice budget
         raise InsufficientPoints(f"cannot collect {count} points over F_{p}")
+    points = MODELS[curve.genus].points
     stream = Stream(curve.seed, f"sample-points-g{curve.genus}")
     found: dict[tuple, np.ndarray] = {}
     budget = POINT_BUDGET_FACTOR * count + 400
-    if curve.genus == 4:
-        # lines in rounds of as many as points are missing; the walk stops
-        # after the line where one line at a time would stop, and raises a
-        # line's DegenerateInput only on reaching it
-        chart = ruling_chart(curve)
-        while len(found) < count and budget > 0:
-            us = [stream.field(p) for _ in range(min(count - len(found),
-                                                     budget))]
-            for pts in chart.points_on_line(us):
-                budget -= 1
-                if isinstance(pts, DegenerateInput):
-                    raise pts
-                for q in pts:
-                    found[tuple(q.tolist())] = q
-                if len(found) >= count:
-                    break
-    else:
-        while len(found) < count and budget > 0:
+    while len(found) < count and budget > 0:
+        for pts in points(curve, stream, min(count - len(found), budget)):
             budget -= 1
-            h = stream.field_vec(p, 5)
-            if not h.any():
-                continue
-            for q in hyperplane_section(curve, h, chart_tries=2):
+            if isinstance(pts, DegenerateInput):
+                raise pts
+            for q in pts:
                 found[tuple(q.tolist())] = q
+            if len(found) >= count:
+                break
     if len(found) < count:
         raise InsufficientPoints(
             f"found {len(found)} of {count} requested points")
-    ordered = [found[k] for k in sorted(found)]
-    return ordered[:count]
+    return [found[k] for k in sorted(found)][:count]
 
 
 # ---------------------------------------------------------------------------
@@ -589,30 +608,31 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     """Curve and points of a curve file.
 
     Raises ConfigError, naming the field or the point index, when a field
-    is missing or has the wrong JSON type, the prime is not an admissible
-    prime, a generator has the wrong degree, the file holds fewer points
-    than the panels of a context (`panel_sizes`), or a point is not a list
-    of g integers, is not normalized, repeats an earlier point (both
-    indices named) or does not lie on the curve.
+    is missing or has the wrong JSON type, the genus has no model, the
+    prime is not a curve prime (`check_curve_prime`), a generator has the
+    wrong degree, the file holds fewer points than the panels of a context
+    (`panel_sizes`), or a point is not a list of g integers, is not
+    normalized, repeats an earlier point (both indices named) or does not
+    lie on the curve.
     """
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
-    if g not in GENERATOR_DEGREES:
-        raise ConfigError(f"field 'genus' must be 4 or 5, got {g}")
+    if g not in MODELS:
+        raise ConfigError(f"field 'genus' must be {_GENERA}, got {g}")
     try:
-        alg.check_prime(p)
+        check_curve_prime(p)
     except ValueError as exc:
         raise ConfigError(f"field 'prime': {exc}") from None
     generators = _typed(data, "generators", list)
     try:
         degrees = [sorted({sum(e) for e, _ in pairs}) for pairs in generators]
-        expected = [[d] for d in GENERATOR_DEGREES[g]]
+        expected = [[d] for d in MODELS[g].degrees]
         if degrees != expected:
             raise ConfigError(f"field 'generators': monomial degrees "
                               f"{degrees}, expected {expected} at genus {g}")
         gens = [(deg, tuple(int(v) for v in
                             mono.form_from_pairs(pairs, g, deg, p)))
-                for deg, pairs in zip(GENERATOR_DEGREES[g], generators)]
+                for deg, pairs in zip(MODELS[g].degrees, generators)]
     except (TypeError, ValueError, KeyError):
         raise ConfigError("field 'generators' must hold one list of "
                           f"[exponents, coefficient] pairs in {g} variables "

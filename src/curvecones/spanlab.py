@@ -18,7 +18,7 @@ from . import cone as cn
 from . import curve as cv
 from . import monomials as mono
 from . import net as nt
-from .canring import CurveContext
+from .canring import CurveContext, ideal_dim
 from .errors import Draws, exhausted, lockstep, unwrap
 from .rng import Stream, derive_key
 
@@ -85,12 +85,19 @@ def collect_cones(ctx: CurveContext, count: int, seed: int,
     return cones
 
 
+def square_count(g: int) -> int:
+    """Squares of ideal quadrics that span all of them: the products of
+    pairs of quadrics of a basis of I(2)."""
+    dim = ideal_dim(g, 2)
+    return dim * (dim + 1) // 2
+
+
 def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
                                                              nt.Net]]:
     """Squares of ideal quadrics realized through degenerate nets; enough
-    independent combinations to span all squares."""
+    independent combinations to span all squares (`square_count`)."""
     i2 = ctx.ideal(2)
-    wanted = 1 if ctx.g == 4 else 6
+    wanted = square_count(ctx.g)
     stream = Stream(derive_key(ctx.curve.seed, f"span-squares|{seed}"), "q")
 
     def draw(k: int):

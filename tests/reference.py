@@ -310,6 +310,26 @@ def sample_points_one_line_at_a_time(curve, count):
     return [found[k] for k in sorted(found)][:count], lines
 
 
+def sample_points_one_slice_at_a_time(curve, count):
+    """Genus-5 `sample_points` slicing one hyperplane per draw: the sorted,
+    truncated points."""
+    p = curve.prime
+    stream = Stream(curve.seed, f"sample-points-g{curve.genus}")
+    found = {}
+    budget = cv.POINT_BUDGET_FACTOR * count + 400
+    while len(found) < count and budget > 0:
+        budget -= 1
+        h = stream.field_vec(p, 5)
+        if not h.any():
+            continue
+        for q in cv.hyperplane_section(curve, h, chart_tries=2):
+            found[tuple(q.tolist())] = q
+    if len(found) < count:
+        raise InsufficientPoints(
+            f"found {len(found)} of {count} requested points")
+    return [found[k] for k in sorted(found)][:count]
+
+
 def build_net(ctx, w):
     """The net of one basis by the one-basis chain: `rref`, `kernel_basis`
     of the echelon basis, a `restrict` per ideal quadric and the left

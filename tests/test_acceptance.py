@@ -36,6 +36,23 @@ def _check(result, genus):
     assert result.ok, result.line()
 
 
+class TestDerivedValues:
+    """The values the criteria derive from the genus: dim I(2), I(3), I(4)
+    (criterion 1), the nodes of the plane image (criterion 9) and the
+    quadric squares of the quartic span, against the tables the suite kept
+    for genus 4 and 5 and the values a genus-6 prototype measured."""
+
+    RECORDED = {4: ((1, 5, 14), 6, 1), 5: ((3, 15, 42), 16, 6),
+                6: ((6, 31, 91), 30, 21)}
+
+    @pytest.mark.parametrize("g", sorted(RECORDED))
+    def test_matches_recorded(self, g):
+        dims, nodes, squares = self.RECORDED[g]
+        assert tuple(canring.ideal_dim(g, n) for n in (2, 3, 4)) == dims
+        assert acc.node_count(g) == nodes
+        assert sl.square_count(g) == squares
+
+
 class TestAcceptance:
     def test_criterion_01_ideal_dimensions(self, ctx):
         _check(acc.criterion_ideal_dims(ctx), ctx.g)

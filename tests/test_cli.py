@@ -183,6 +183,15 @@ class TestCurveFileValidation:
         assert code == 2
         assert "'prime'" in err and "1004653" in err
 
+    def test_prime_below_floor(self, tmp_path, curve_file, capsys):
+        # 999983 is prime but below the floor gen-curve keeps; the file
+        # is refused for its prime, not for its points
+        path = self.damaged(tmp_path, curve_file,
+                            lambda d: d.update(prime=999983))
+        code, err = self.verify_quick(path, capsys)
+        assert code == 2
+        assert "'prime'" in err and "999983" in err
+
     def test_generator_degree(self, tmp_path, curve_file, capsys):
         path = self.damaged(tmp_path, curve_file,
                             lambda d: d["generators"].reverse())

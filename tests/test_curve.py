@@ -18,7 +18,8 @@ from curvecones.errors import (DegenerateInput, InsufficientPoints,
                                SingularPoint)
 from curvecones.rng import Stream
 
-from reference import sample_points_one_line_at_a_time
+from reference import (sample_points_one_line_at_a_time,
+                       sample_points_one_slice_at_a_time)
 
 P = 1000003
 P_MAX = 33554393    # largest prime below 2**25
@@ -194,6 +195,25 @@ class TestSampling:
         degenerate_at(stop + 1)
         assert [q.tolist() for q in cv.sample_points(ctx4.curve, 50)] == \
             [q.tolist() for q in expected]
+
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_genus5_walk_matches_one_slice_at_a_time(self, ctx5, count,
+                                                     monkeypatch):
+        # the walk slices a hyperplane only on reaching it, so it makes
+        # the slices of the one-slice loop and no more
+        tries = []
+        real = cv.hyperplane_section
+
+        def counted(curve, h, chart_tries=4):
+            tries.append(chart_tries)
+            return real(curve, h, chart_tries)
+
+        monkeypatch.setattr(cv, "hyperplane_section", counted)
+        expected = sample_points_one_slice_at_a_time(ctx5.curve, count)
+        slices = len(tries)
+        got = cv.sample_points(ctx5.curve, count)
+        assert [q.tolist() for q in got] == [q.tolist() for q in expected]
+        assert len(tries) == 2 * slices and set(tries) == {2}
 
 
 class TestHyperplaneSections:
