@@ -116,7 +116,7 @@ class SuiteInputs:
 
 def criterion_ideal_dims(ctx) -> CriterionResult:
     found = {}
-    ok = True
+    main_ok = held = True
     for n in (2, 3, 4):
         main = ctx.ideal(n)
         hold = canring.ideal_piece_from_holdout(ctx, n)
@@ -124,10 +124,10 @@ def criterion_ideal_dims(ctx) -> CriterionResult:
                             hold.basis))
         found[f"dim_I{n}"] = main.dim
         expected = canring.ideal_dim(ctx.g, n)
-        ok = ok and main.dim == expected and hold.dim == expected \
-            and same_span
-    return CriterionResult(1, "ideal dimensions", ok,
-                           {**found, "holdout_confirmed": ok})
+        main_ok = main_ok and main.dim == expected
+        held = held and hold.dim == expected and same_span
+    return CriterionResult(1, "ideal dimensions", main_ok and held,
+                           {**found, "holdout_confirmed": held})
 
 
 def criterion_petri(ctx) -> CriterionResult:
@@ -325,7 +325,8 @@ def criterion_secant(ctx, cfg: SuiteConfig,
         double_ok = 0
     ok = random_ok == cfg.secant_random \
         and vertex_ok >= cfg.secant_engineered \
-        and double_ok >= cfg.secant_engineered
+        and double_ok >= cfg.secant_engineered \
+        and ctx.vanishes_on_curve(cone.coeffs, 4)
     return CriterionResult(10, "secant criterion", ok,
                            {"random_false_false": random_ok,
                             "vertex_branch": vertex_ok,
@@ -352,7 +353,8 @@ def criterion_base_locus(ctx, cfg: SuiteConfig,
                                  seed=cfg.seed)
     ok = report["curve_points_contained"] \
         and len(report["violations"]) == 0 \
-        and report["off_curve_checked"] >= cfg.off_curve_probes
+        and report["off_curve_checked"] >= cfg.off_curve_probes \
+        and f3.rank == canring.ideal_dim(ctx.g, 3)
     return CriterionResult(12, "base locus", ok,
                            {"off_curve": report["off_curve_checked"],
                             "structured": report["structured_checked"],

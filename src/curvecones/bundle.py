@@ -52,11 +52,8 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     us = np.asarray(us, dtype=np.int64).reshape(-1, 3) % p
     n = us.shape[0]
     vperp, _ = alg.kernel_batch(nt.pencil_at(net_obj.w, us, p), p, m)
-    # the first annihilator row off the vertex leads the fiber basis; the
-    # rows reduce modulo the vertex as in `RowSpace.reduce`
-    vertex = alg.RowSpace(net_obj.wperp, p)
-    off_vertex = ((vperp - vperp[:, :, vertex.pivots] @ vertex.rows) % p
-                  ).any(axis=2)
+    # the first annihilator row off the vertex leads the fiber basis
+    off_vertex = alg.RowSpace(net_obj.wperp, p).reduce(vperp).any(axis=2)
     lead = vperp[np.arange(n), off_vertex.argmax(axis=1)]
     basis = np.concatenate([lead[:, :, None], np.broadcast_to(
         net_obj.wperp.T, (n, g, g - 3))], axis=2)     # N x g x (g-2)

@@ -152,14 +152,20 @@ class CurveContext:
         return self._holdout_tables[n] @ np.asarray(coeffs,
                                                     dtype=np.int64) % self.p
 
+    def zeros_on_curve(self, coeffs: np.ndarray, n: int):
+        """How many points of both panels the form is zero at, for one form
+        or each row of a stack of forms (an array of counts)."""
+        forms = np.asarray(coeffs, dtype=np.int64).T
+        zeros = (self.piece(n).eval_matrix @ forms % self.p == 0).sum(axis=0) \
+            + (self.eval_on_holdout(forms, n) == 0).sum(axis=0)
+        return int(zeros) if forms.ndim == 1 else zeros
+
     def vanishes_on_curve(self, coeffs: np.ndarray, n: int):
         """Zero on both panels, for one form or each row of a stack of
         forms (an array of verdicts); for degree <= 6 this certifies ideal
         membership because the panels outnumber the section degree."""
-        forms = np.asarray(coeffs, dtype=np.int64).T
-        zero = ~(self.piece(n).eval_matrix @ forms % self.p).any(axis=0) \
-            & ~self.eval_on_holdout(forms, n).any(axis=0)
-        return bool(zero) if forms.ndim == 1 else zero
+        return self.zeros_on_curve(coeffs, n) \
+            == self.panel.shape[0] + self.holdout.shape[0]
 
     def in_ideal(self, coeffs: np.ndarray, n: int) -> bool:
         return alg.RowSpace(self.ideal(n).basis, self.p).contains(coeffs)

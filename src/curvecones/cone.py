@@ -287,14 +287,10 @@ def double_quadric_quartic(ctx: CurveContext, net_obj: nt.Net) -> QuarticCone:
     q = net_obj.d_certificate
     coeffs = alg.normalize_scalar(mono.mul_forms(q, 2, q, 2, ctx.g, p), p)
     cone = QuarticCone(net=net_obj, coeffs=coeffs)
-    cert = {
-        "points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
-        "contains_curve": ctx.vanishes_on_curve(coeffs, 4),
-        "vertex_singular": bool(not vertex_condition_matrix(
-            ctx, net_obj, coeffs[None, :], 4).any()),
-        "double_quadric": True,
-    }
-    if not cert["contains_curve"] or not cert["vertex_singular"]:
+    (zeros, contains, singular), = _checks(ctx, 4, [net_obj], [coeffs])
+    cert = {"points_vanished": zeros, "contains_curve": contains,
+            "vertex_singular": singular, "double_quadric": True}
+    if not contains or not singular:
         raise VerificationFailed("double-quadric certificate failed")
     cone.certificate = cert
     return cone
@@ -383,22 +379,26 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
 
 
 def _checks(ctx: CurveContext, deg: int, nets: tuple, forms: tuple) -> list:
-    """Whether each form of degree deg vanishes on the curve, which
-    certifies ideal membership, and whether it is singular along the
+    """How many panel and holdout points each form of degree deg is zero
+    at, whether that is all of them (the form vanishes on the curve, which
+    certifies ideal membership), and whether it is singular along the
     vertex of its net."""
     coeffs = np.stack(forms)
     singular = ~vertex_condition_matrix(
         ctx, nets, coeffs[:, None], deg).any(axis=(1, 2))
-    return list(zip(ctx.vanishes_on_curve(coeffs, deg).tolist(),
+    zeros = ctx.zeros_on_curve(coeffs, deg)
+    return list(zip(zeros.tolist(), (zeros == ctx.panel.shape[0]
+                                     + ctx.holdout.shape[0]).tolist(),
                     singular.tolist()))
 
 
 def _verify(ctx: CurveContext, cone: QuarticCone, stream: Stream,
             oracle_points: int):
     """Chain (see `errors.lockstep`) of `verify_cone`."""
-    (contains, singular), = yield _checks, ctx, 4, [(cone.net, cone.coeffs)]
-    cert = {"points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
-            "contains_curve": contains, "vertex_singular": singular}
+    (zeros, contains, singular), = yield (_checks, ctx, 4,
+                                          [(cone.net, cone.coeffs)])
+    cert = {"points_vanished": zeros, "contains_curve": contains,
+            "vertex_singular": singular}
     checked, bad = yield from _agreement(ctx, cone.net, cone.coeffs,
                                          stream.spawn("oracle"),
                                          oracle_points)
@@ -451,7 +451,7 @@ def certify_polars(ctx: CurveContext, polars: list, oracle_points: int
     membership and vertex checks on the stack of cubics, then the oracle
     probes, as in `verify_cones`."""
     def chain(net_obj, x, coeffs, stream):
-        (in_ideal, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
+        (_, in_ideal, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
         cert = {"in_cubic_ideal": in_ideal, "vertex_singular": singular}
         if stream is not None and oracle_points:
             checked, bad = yield from _agreement(ctx, net_obj, coeffs, stream,

@@ -2,20 +2,22 @@
 
 Only degenerate inputs are recoverable.  A `DegenerateInput` says that a
 random draw (a net, a pencil, a probe point, a frame, a slice, a candidate
-curve) was not generic enough to use; the caller draws again.  Every such
-retry goes through `resample`, which catches `DegenerateInput` and nothing
-else.  All other errors are either configuration problems or certificate
-failures (`VerificationFailed`, `SplittingViolation`, `InconsistentSystem`,
-...): they are never resampled and propagate to the command line, which
-exits 3 for them and 4 when a resample budget runs out.
+curve) was not generic enough to use; the caller draws again.  Every
+retry that catches such an error goes through `Draws`, which catches
+`DegenerateInput` and nothing else.  All other errors are either
+configuration problems or certificate failures (`VerificationFailed`,
+`SplittingViolation`, `InconsistentSystem`, ...): they are never
+resampled and propagate to the command line, which exits 3 for them and
+4 when a resample budget runs out.
 
-A loop that wants the first usable draw calls `resample`.  A loop that
-collects N usable draws calls `Draws(label, attempts, draw).take(N)`, with
-a draw that returns its item or None; asked for no items, it makes no
-draw.  A loop whose draws are evaluated as one batch takes them through
-`Draws.rounds`, which walks the batch's results through `unwrap`: a
-result that is a `DegenerateInput` (or None) skips its draw, any other
-exception is raised when the walk reaches it.  `Draws.chain` is that walk
+A loop that collects N usable draws calls `Draws(label, attempts,
+draw).take(N)`, with a draw that returns its item or None; asked for no
+items, it makes no draw.  A loop that wants the first usable draw calls
+`resample`, which is `take(1)` raising the exhaustion.  A loop whose
+draws are evaluated as one batch takes them through `Draws.rounds`,
+which walks the batch's results through `unwrap`: a result that is a
+`DegenerateInput` (or None) skips its draw, any other exception is
+raised when the walk reaches it.  `Draws.chain` is that walk
 as a chain, which `lockstep` runs side by side with the chains of other
 elements, answering the requests of a round with one batched call each.
 `spanlab.collect_cones` walks its rounds itself: its budget counts
@@ -118,19 +120,14 @@ class NonGenericCoordinates(DegenerateInput):
 
 def resample(label: str, attempts: int, draw: Callable[[int], T | None],
              default=_RAISE) -> T:
-    """First usable result of draw(0), draw(1), ..., draw(attempts - 1).
-
-    A draw that raises `DegenerateInput` or returns None is skipped; any
-    other exception propagates.  When every attempt is skipped, return
-    `default` if one is given, else raise `DegenerateInput` naming `label`.
+    """First usable result of draw(0), draw(1), ..., draw(attempts - 1):
+    `Draws(label, attempts, draw).take(1)`.  When every attempt is
+    skipped, return `default` if one is given, else raise
+    `DegenerateInput` naming `label`.
     """
-    for k in range(attempts):
-        try:
-            result = draw(k)
-        except DegenerateInput:
-            continue
-        if result is not None:
-            return result
+    got = Draws(label, attempts, draw).take(1)
+    if got:
+        return got[0]
     if default is not _RAISE:
         return default
     raise exhausted(label, attempts)
@@ -144,11 +141,13 @@ def exhausted(label: str, attempts: int) -> DegenerateInput:
 class Draws:
     """The draws of one collecting loop, taken at once or in rounds.
 
-    `take(n)` goes on with draw(k), draw(k + 1), ... through `resample`
-    until n draws are usable or the `attempts` are spent, and returns the
-    usable items, fewer than n if the attempts ran out.  A round that asks
-    for no more usable draws than the loop still needs makes exactly the
-    draws of the loop that evaluates each draw as it comes.
+    `take(n)` goes on with draw(k), draw(k + 1), ... until n draws are
+    usable or the `attempts` are spent, and returns the usable items,
+    fewer than n if the attempts ran out.  A draw that raises
+    `DegenerateInput` or returns None is skipped; any other exception
+    propagates.  A round that asks for no more usable draws than the loop
+    still needs makes exactly the draws of the loop that evaluates each
+    draw as it comes.
     """
 
     def __init__(self, label: str, attempts: int,
@@ -164,16 +163,14 @@ class Draws:
 
     def take(self, n: int) -> list:
         got: list = []
-
-        def step(_):
+        while len(got) < n and self.left > 0:
             self.made += 1
-            item = self.draw(self.made - 1)
+            try:
+                item = self.draw(self.made - 1)
+            except DegenerateInput:
+                continue
             if item is not None:
                 got.append(item)
-            return got if len(got) == n else None
-
-        if n > 0 and self.left > 0:
-            resample(self.label, self.left, step, default=None)
         return got
 
     def rounds(self, n: int, evaluate: Callable[[list], list],

@@ -4,7 +4,9 @@ The restriction of the quartic cone of a net to the orthogonal space of a
 pencil inside the net splits as (vertex linear form)^2 times the quadric
 whose Gram is the inverse of the cup-product Gram on that space.
 `split_fibers` runs every step on an N x 2 x g stack of pencils through
-the `pencil` contractions and `algebra.kernel_batch`/`solve_batch`.  Its
+the `pencil` contractions and `algebra.kernel_batch`/`solve_batch`.  A
+pencil is first tested by `pencil.admissibility`, whose failures open the
+fiber's failure table; the tests that follow are the fiber's own.  Its
 own contractions (the residual Gram vperp y, and the tests of net.w and
 the pencil against vperp and the vertex) sum g products of two entries
 below p per entry, below 5 * 2**50 < 2**53 at genus 5 and p < 2**25.
@@ -32,13 +34,8 @@ class SplitFiber:
     gram: np.ndarray       # (g-2) x (g-2) residual quadric Gram
 
 
-# what split_fibers gives a pencil that fails, in the order it tests them;
-# the codimension message names the codimension found
-_FIBER_FAILURES = (
-    (InadmissiblePencil, "pencil basis must have rank 2"),
-    (InadmissiblePencil, "pencil has a base point on the panel"),
-    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
-    (InadmissiblePencil, "product space has codimension {}, expected 1"),
+# what split_fibers gives a pencil that fails, in the order it tests them
+_FIBER_FAILURES = pc.INADMISSIBLE + (
     (InadmissiblePencil, "pencil does not sit inside the net"),
     (CorankJump, "pencil fiber meets the degeneracy divisor"),
     (InconsistentSystem, "rhs is not in the column space"),
@@ -72,36 +69,31 @@ def split_fibers(ctx: CurveContext, nets, vs: np.ndarray
     w = np.array([net.w for net in nets], dtype=np.int64).reshape(n, 3, g)
     wperp_t = np.array([net.wperp.T for net in nets],
                        dtype=np.int64).reshape(n, g, g - 3)
-    vperp, rank_two = alg.kernel_batch(v, p, g - 2)
+    vperp, _ = alg.kernel_batch(v, p, g - 2)
     vperp_t = vperp.transpose(0, 2, 1)
-    prods = pc.product_space(ctx, v)
-    functionals, codim_one = alg.kernel_batch(prods, p, 1)
+    vbar, inadmissible = pc.admissibility(ctx, v)
     in_net = ~(v @ wperp_t % p).any(axis=(1, 2))
     # a row of net.w lies in the pencil when vperp annihilates it
     outside = (w @ vperp_t % p).any(axis=2)
     lift = w[np.arange(n), outside.argmax(axis=1)]
-    grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
+    grams = pc.cup_grams(ctx, vbar, lift)
     ys, gram_rank, solved = alg.solve_batch(grams, vperp_t, p)
     residual = vperp @ ys % p
     coords, _, on_fiber = alg.solve_batch(vperp_t, wperp_t, p)
     ell, hyperplane = alg.kernel_batch(coords.transpose(0, 2, 1), p, 1)
     ell = alg.normalize_rows(ell[:, 0], p)
-    failed = np.stack([~rank_two, pc.base_points(ctx.panel, v, p),
-                       pc.base_points(ctx.holdout, v, p), ~codim_one,
-                       ~in_net, gram_rank != g - 2, ~solved,
-                       (residual != residual.transpose(0, 2, 1)).any(
-                           axis=(1, 2)),
-                       ~on_fiber, ~hyperplane])
+    failed = np.concatenate([inadmissible, np.stack([
+        ~in_net, gram_rank != g - 2, ~solved,
+        (residual != residual.transpose(0, 2, 1)).any(axis=(1, 2)),
+        ~on_fiber, ~hyperplane])])
     out: list = []
     for i, test in enumerate(failed.argmax(axis=0).tolist()):
-        if not failed[test, i]:
+        if failed[test, i]:
+            cls, message = _FIBER_FAILURES[test]
+            out.append(cls(message))
+        else:
             out.append(SplitFiber(vperp=vperp[i], ell=ell[i],
                                   gram=residual[i]))
-            continue
-        cls, message = _FIBER_FAILURES[test]
-        if test == 3:
-            message = message.format(prods.shape[2] - alg.rank(prods[i], p))
-        out.append(cls(message))
     return out
 
 

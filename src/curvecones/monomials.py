@@ -8,11 +8,13 @@ Every serialized coefficient array in the package uses this order.
 Substitution (`restrict`) works by evaluation and interpolation: the
 pulled-back form is evaluated at a fixed unisolvent node set and read back
 through the inverse of the node evaluation matrix, cached per shape and
-prime.  Products (`mul_forms`) scatter the outer product of the two
-coefficient vectors through a cached exponent-sum index table.  A pull-back
-along a polynomial parametrization is `restrict` to the coefficient vectors
-of the parametrization followed by `collect`, which sums the coefficient of
-each monomial y^e into the monomial x^(e . weights) of the parameters.
+prime.  It is the one substitution path: `restrict_to_line` is `restrict`
+to the basis of a line.  Products (`mul_forms`) scatter the outer product
+of the two coefficient vectors through a cached exponent-sum index table.
+A pull-back along a polynomial parametrization is `restrict` to the
+coefficient vectors of the parametrization followed by `collect`, which
+sums the coefficient of each monomial y^e into the monomial
+x^(e . weights) of the parameters.
 
 Arithmetic is exact in int64: entries are reduced to [0, p) with p < 2**25
 (`algebra.MAX_PRIME_BITS`), so each product of two entries is below 2**50
@@ -200,21 +202,14 @@ def restrict_to_line(coeffs: np.ndarray, n: int, g: int, a: np.ndarray,
     the lines through a[k] and b[k], of one form F or of the form coeffs[k]
     of an N x count(g, n) stack on line k.
 
-    This is `restrict` to the basis [a b], with the points of every line
-    at the cached binary nodes in one `eval_matrix`, so the same exact
-    dot products; one form per line goes through `restrict` itself.
+    This is `restrict` to the basis [a b] (a stack of bases for stacks a
+    and b), so the same exact dot products.
     """
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
+    basis = np.stack([np.asarray(a), np.asarray(b)], axis=-1)
     if np.ndim(coeffs) == 2:
-        return restrict(np.asarray(coeffs)[:, :, None], n, g,
-                        np.stack([a, b], axis=-1), p)[:, :, 0]
-    nodes, inv = _interpolation_nodes(2, n, p)
-    pts = (nodes[:, 0, None, None] * a + nodes[:, 1, None, None] * b) % p
-    values = eval_matrix(pts.reshape(-1, g), g, n, p) \
-        @ (np.asarray(coeffs, dtype=np.int64) % p) % p
-    binary = inv @ values.reshape(len(nodes), -1) % p
-    return binary.T.reshape(a.shape[:-1] + (len(nodes),))
+        return restrict(np.asarray(coeffs)[:, :, None], n, g, basis,
+                        p)[:, :, 0]
+    return restrict(coeffs, n, g, basis, p)
 
 
 def collect(coeffs: np.ndarray, n: int, m: int, weights, p: int

@@ -16,6 +16,10 @@ back to the kernel of all rows when the subset kernel is not
 one-dimensional or the check fails; the fit is that of all rows.  A check
 sums count(3, d) <= 45 products below p**2 at g <= 5, below 2**56 at
 p < 2**25.
+
+The membership oracle cuts the pencil of the net vanishing at a probe;
+whether that pencil is admissible is `pencil.admissibility`, whose
+failures the oracle's own failure table splices in.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from . import monomials as mono
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, CurveConesError,
-                     DegenerateInput, InadmissiblePencil, InconsistentSystem,
-                     InVertex, OnGammaFiber, RankDeficientW, exhausted,
-                     value_of)
+                     DegenerateInput, InconsistentSystem, InVertex,
+                     OnGammaFiber, RankDeficientW, exhausted, value_of)
 from .rng import Stream
 
 
@@ -258,14 +261,14 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
     return out
 
 
-# what oracle_witness raises for a probe, in the order it tests them
+# what oracle_witness raises for a probe, in the order it tests them; the
+# rank test of `pencil.INADMISSIBLE` never decides, as the pencil over a
+# nonzero plane point has rank 2 and a zero one fails on the vertex first
 _WITNESS_FAILURES = (
     (InVertex, "zero probe vector"),
     (InVertex, "probe lies on the vertex"),
     (OnGammaFiber, "probe projects onto the plane image"),
-    (InadmissiblePencil, "pencil has a base point on the panel"),
-    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
-    (InadmissiblePencil, "product space does not have codimension 1"),
+) + pc.INADMISSIBLE + (
     (CorankJump, "cup Gram corank is not 2"),
     (InconsistentSystem, "rhs is not in the column space"),
 )
@@ -306,9 +309,10 @@ def oracle_batch(ctx: CurveContext, nets: list[Net], probes,
     all downstream pairings are insensitive to that ambiguity.  A probe
     that fails gets, in place of its witness, the exception that
     `oracle_witness` raises for it: the first of `_WITNESS_FAILURES` that
-    applies (the plane-image test only when check_gamma).  Every step runs
-    on a stack of up to WITNESS_PASS probes, failed ones included, through
-    the `pencil` contractions and `algebra.rref_batch`.
+    applies (the plane-image test only when check_gamma), the pencil's
+    from `pencil.admissibility`.  Every step runs on a stack of up to
+    WITNESS_PASS probes, failed ones included, through the `pencil`
+    contractions and `algebra.rref_batch`.
     """
     b = np.asarray(probes, dtype=np.int64).reshape(-1, ctx.g) % ctx.p
     return [wit for lo in range(0, b.shape[0], WITNESS_PASS)
@@ -327,15 +331,14 @@ def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,
     on_gamma, unfit = _on_gamma(ctx, nets, u) if check_gamma \
         else (np.zeros(n, dtype=bool), {})
     v = pencil_at(w, u, p)
-    functionals, codim_one = alg.kernel_batch(pc.product_space(ctx, v), p, 1)
+    vbar, inadmissible = pc.admissibility(ctx, v)
     # the lift w[j], u[j] != 0, never lies in the pencil orthogonal to u
     lift = w[np.arange(n), (u != 0).argmax(axis=1)]
-    grams = pc.cup_grams(ctx, alg.normalize_rows(functionals[:, 0], p), lift)
+    grams = pc.cup_grams(ctx, vbar, lift)
     y, rank, consistent = alg.solve_batch(grams, b[:, :, None], p)
-    failed = np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma,
-                       pc.base_points(ctx.panel, v, p),
-                       pc.base_points(ctx.holdout, v, p), ~codim_one,
-                       rank != g - 2, ~consistent])
+    failed = np.concatenate([
+        np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma]), inadmissible,
+        np.stack([rank != g - 2, ~consistent])])
     out: list = []
     for i, test in enumerate(failed.argmax(axis=0).tolist()):
         if not failed[test, i]:

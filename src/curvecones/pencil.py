@@ -13,8 +13,14 @@ builds on first use: the product space of a pencil is its basis times
 a cup Gram is `CurveContext.cubic_tensor` (z_i z_j z_k -> R3) contracted
 with the functional and the lift.  Every contraction is reduced mod p
 after it: the longest sums d3 = 5g - 5 products of two entries below p (20
-at genus 5), below 20 * 2**50 < 2**55 at p < 2**25.  The functions on
-stacks serve the batched membership oracle of the net module.
+at genus 5), below 20 * 2**50 < 2**55 at p < 2**25.
+
+This module owns the admissibility of a pencil: rank 2, no base point on
+either panel, and a product space of codimension one.  `admissibility`
+tests a stack of pencils and `INADMISSIBLE` names what each failure
+raises; `build_pencil`, the membership oracle of the net module and the
+fibers module all read both, so the condition and its messages live here
+alone.
 """
 
 from __future__ import annotations
@@ -62,30 +68,50 @@ def base_points(pts: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return (~vals.any(axis=-2)).any(axis=-1)
 
 
-def build_pencil(ctx: CurveContext, v: np.ndarray) -> PencilData:
-    """Pencil data with its cutting functional.
+# what an inadmissible pencil raises, in the order `admissibility` tests
+# them; the failure tables of the stacked chains splice it in
+INADMISSIBLE = (
+    (InadmissiblePencil, "pencil basis must have rank 2"),
+    (InadmissiblePencil, "pencil has a base point on the panel"),
+    (InadmissiblePencil, "pencil has a base point on the holdout panel"),
+    (InadmissiblePencil, "product space does not have codimension 1"),
+)
 
-    Admissibility demands both that the product space has codimension
-    exactly one in the cubic piece and that no panel point is a common zero
-    of the pencil; the codimension test alone does not see base points.
+
+def admissibility(ctx: CurveContext, v: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized cutting functional of each pencil of an N x 2 x g
+    stack of reduced bases, and the 4 x N masks of the failures of
+    `INADMISSIBLE`.
+
+    A pencil has rank 2 when one of its 2 x 2 minors is nonzero (each a
+    difference of two products below p**2).  The codimension test alone
+    does not see base points, so both panels are scanned.  The functional
+    of a pencil that fails is meaningless.
     """
     p = ctx.p
+    minors = v[:, 0, :, None] * v[:, 1, None, :] % p
+    functionals, codim_one = alg.kernel_batch(product_space(ctx, v), p, 1)
+    failed = np.stack([
+        ~(minors != minors.transpose(0, 2, 1)).any(axis=(1, 2)),
+        base_points(ctx.panel, v, p), base_points(ctx.holdout, v, p),
+        ~codim_one])
+    return alg.normalize_rows(functionals[:, 0], p), failed
+
+
+def build_pencil(ctx: CurveContext, v: np.ndarray) -> PencilData:
+    """Pencil data with its cutting functional: the echelon basis and
+    `admissibility` of the one pencil, raising its first failure."""
+    p = ctx.p
     v = np.asarray(v, dtype=np.int64) % p
-    vr, pivots = alg.rref(v, p)
-    if v.shape != (2, ctx.g) or len(pivots) != 2:
-        raise InadmissiblePencil("pencil basis must have rank 2")
-    vr = vr[:2]
-    if base_points(ctx.panel, vr, p):
-        raise InadmissiblePencil("pencil has a base point on the panel")
-    if base_points(ctx.holdout, vr, p):
-        raise InadmissiblePencil(
-            "pencil has a base point on the holdout panel")
-    functionals = alg.kernel_basis(product_space(ctx, vr), p)
-    if functionals.shape[0] != 1:
-        raise InadmissiblePencil(
-            f"product space has codimension {functionals.shape[0]}, "
-            "expected 1")
-    return PencilData(v=vr, vbar=alg.normalize_scalar(functionals[0], p))
+    if v.shape != (2, ctx.g):
+        raise InadmissiblePencil(INADMISSIBLE[0][1])
+    vr, _ = alg.rref(v, p)
+    vbar, failed = admissibility(ctx, vr[None])
+    for (cls, message), fails in zip(INADMISSIBLE, failed[:, 0]):
+        if fails:
+            raise cls(message)
+    return PencilData(v=vr, vbar=vbar[0])
 
 
 def cup_grams(ctx: CurveContext, vbar: np.ndarray, w: np.ndarray

@@ -4,9 +4,9 @@ import numpy as np
 
 from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import fibers as fb
-from curvecones import monomials as mono, net as nt
+from curvecones import monomials as mono, net as nt, pencil as pc
 from curvecones.errors import (AmbiguousFit, CurveConesError,
-                               DegenerateInput, Draws,
+                               DegenerateInput, Draws, InadmissiblePencil,
                                InconsistentReconstruction, InconsistentSystem,
                                InsufficientPoints, NodeFiber, RankDeficientW,
                                SingularPoint, SplittingViolation,
@@ -328,6 +328,27 @@ def sample_points_one_slice_at_a_time(curve, count):
         raise InsufficientPoints(
             f"found {len(found)} of {count} requested points")
     return [found[k] for k in sorted(found)][:count]
+
+
+def build_pencil(ctx, v):
+    """The pencil of one basis by the one-basis chain: `rref`, a scan of
+    each panel for a common zero, and `kernel_basis` of the product space.
+    Raises InadmissiblePencil as the engine does."""
+    p = ctx.p
+    v = np.asarray(v, dtype=np.int64) % p
+    vr, pivots = alg.rref(v, p)
+    if v.shape != (2, ctx.g) or len(pivots) != 2:
+        raise InadmissiblePencil("pencil basis must have rank 2")
+    vr = vr[:2]
+    if any(not (vr @ pt % p).any() for pt in ctx.panel):
+        raise InadmissiblePencil("pencil has a base point on the panel")
+    if any(not (vr @ pt % p).any() for pt in ctx.holdout):
+        raise InadmissiblePencil(
+            "pencil has a base point on the holdout panel")
+    functionals = alg.kernel_basis(pc.product_space(ctx, vr), p)
+    if functionals.shape[0] != 1:
+        raise InadmissiblePencil("product space does not have codimension 1")
+    return pc.PencilData(v=vr, vbar=alg.normalize_scalar(functionals[0], p))
 
 
 def build_net(ctx, w):

@@ -58,11 +58,13 @@ class TestSplitFiber:
 
 
 def reference_fiber(ctx, net_obj, v):
-    """The fiber as one pencil's scalar elimination chain: (vperp, ell,
-    gram) as lists, or the class and message of the exception it raises."""
+    """The fiber as one pencil's scalar elimination chain, from the scalar
+    `reference.build_pencil` (not the engine's admissibility test, which
+    `split_fibers` shares): (vperp, ell, gram) as lists, or the class and
+    message of the exception it raises."""
     p = ctx.p
     try:
-        pen = pc.build_pencil(ctx, v)
+        pen = reference.build_pencil(ctx, v)
         if not all(map(alg.RowSpace(net_obj.w, p).contains, pen.v)):
             raise InadmissiblePencil("pencil does not sit inside the net")
         pencil_span = alg.RowSpace(pen.v, p)

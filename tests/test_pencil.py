@@ -7,6 +7,7 @@ from curvecones import algebra as alg, monomials as mono, pencil as pc
 from curvecones.errors import InadmissiblePencil
 from curvecones.rng import Stream
 
+import reference
 from reference import solve_consistent
 
 P = 1000003
@@ -50,6 +51,42 @@ class TestBuildPencil:
         forms = alg.kernel_basis(ctx4.panel[0].reshape(1, 4), P)
         with pytest.raises(InadmissiblePencil):
             pc.build_pencil(ctx4, forms[:2])
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_matches_scalar_chain(self, name, request):
+        """`build_pencil` and one stacked `admissibility` against the scalar
+        chain of `reference.build_pencil`, on generic pencils and on each
+        kind of failure."""
+        ctx = request.getfixturevalue(name)
+        g = ctx.g
+        stream = Stream(30, f"adm{g}")
+        vs = np.stack([stream.field_mat(P, 2, g) for _ in range(4)] + [
+            alg.kernel_basis(ctx.panel[3].reshape(1, g), P)[:2],
+            alg.kernel_basis(ctx.holdout[1].reshape(1, g), P)[:2],
+            np.stack([ctx.panel[1], 5 * ctx.panel[1] % P])])
+
+        def outcome(build, v):
+            try:
+                pen = build(ctx, v)
+            except InadmissiblePencil as exc:
+                return str(exc)
+            return pen.v.tolist(), pen.vbar.tolist()
+
+        want = [outcome(reference.build_pencil, v) for v in vs]
+        assert [outcome(pc.build_pencil, v) for v in vs] == want
+        vbar, failed = pc.admissibility(ctx, vs)
+        assert failed.shape == (len(pc.INADMISSIBLE), len(vs))
+        for k, expected in enumerate(want):
+            if isinstance(expected, str):
+                first = pc.INADMISSIBLE[failed[:, k].argmax()]
+                assert failed[:, k].any() and first[1] == expected
+            else:
+                assert not failed[:, k].any()
+                assert vbar[k].tolist() == expected[1]
+        assert {"pencil basis must have rank 2",
+                "pencil has a base point on the panel",
+                "pencil has a base point on the holdout panel"} \
+            <= {e for e in want if isinstance(e, str)}
 
     def test_vbar_kills_products(self, ctx4):
         pen = random_pencil(ctx4, Stream(2, "bp"))
