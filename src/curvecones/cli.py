@@ -10,6 +10,16 @@ README for the full conventions.
 Exit codes: 0 success, 2 configuration error, 3 mathematical verification
 failure (a failed criterion or certificate, never resampled), 4 resample
 budget exhausted (a DegenerateInput).
+
+Each subcommand imports only the engine modules it runs: `gen-curve`
+loads `curve` and what it imports, the commands that read a curve file
+add `canring`, and only `verify` loads `acceptance` and with it all 14.
+A process started with PYTHONDONTWRITEBYTECODE=1 compiles every module
+it imports from source, so a module a command does not run would cost
+it compile time for nothing.  The parser needs `curve.MODELS` and `main`
+the exception classes, so `curve`, `errors` and `rng` stay at module
+level.  Calls keep the `module.function` form (`cn.reconstruct_quartic`),
+so a wrapper set on the module attribute sees them.
 """
 
 from __future__ import annotations
@@ -17,17 +27,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import acceptance as acc
-from . import bundle as bd
-from . import canring
-from . import cone as cn
 from . import curve as cv
-from . import monomials as mono
-from . import net as nt
-from . import spanlab as sl
 from .errors import ConfigError, CurveConesError, DegenerateInput
 from .rng import Stream, derive_key
+
+if TYPE_CHECKING:
+    from . import acceptance as acc
+    from . import canring
+    from . import cone as cn
 
 
 def _write(path: str | None, text: str) -> None:
@@ -39,6 +48,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_context(path: str) -> canring.CurveContext:
+    from . import canring
     return canring.build_context(*cv.load_curve(path))
 
 
@@ -46,6 +56,8 @@ def _cli_cone(ctx: canring.CurveContext, w_seed: int
               ) -> tuple[Stream, cn.QuarticCone]:
     """The cone of the random net that --w-seed picks, and the stream that
     drew the net."""
+    from . import cone as cn
+    from . import net as nt
     stream = Stream(derive_key(ctx.curve.seed, f"cli-w|{w_seed}"), "w")
     net_obj = nt.random_net(ctx, stream)
     return stream, cn.reconstruct_quartic(ctx, net_obj, seed=w_seed)
@@ -61,6 +73,7 @@ def cmd_gen_curve(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    from . import monomials as mono
     ctx = _load_context(args.curve)
     if not 2 <= args.degree <= 4:
         raise ConfigError("degree must be 2, 3, or 4")
@@ -80,6 +93,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import cone as cn
     ctx = _load_context(args.curve)
     _, cone_obj = _cli_cone(ctx, args.w_seed)
     payload = cn.cone_to_json(cone_obj, ctx.g)
@@ -90,6 +104,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_spans(args) -> int:
+    from . import spanlab as sl
     ctx = _load_context(args.curve)
     cfg = {"seed": 0, "sample_count": 25, "off_curve": 500}
     if args.config:
@@ -133,6 +148,7 @@ def cmd_spans(args) -> int:
 def cmd_hessian(args) -> int:
     if args.sweep < 0:
         raise ConfigError(f"--sweep must be at least 0, got {args.sweep}")
+    from . import bundle as bd
     ctx = _load_context(args.curve)
     off = args.sweep // 2
     panel = len(ctx.panel)
@@ -155,6 +171,7 @@ def cmd_hessian(args) -> int:
 
 def suite_config(quick: bool, seed: int) -> acc.SuiteConfig:
     """The sample sizes of `verify`, or of `verify --quick`."""
+    from . import acceptance as acc
     if not quick:
         return acc.SuiteConfig(seed=seed)
     # span samples must still cover the expected saturated rank (16 at
@@ -168,6 +185,7 @@ def suite_config(quick: bool, seed: int) -> acc.SuiteConfig:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance as acc
     ctx = _load_context(args.curve)
     cfg = suite_config(args.quick, args.seed)
     if args.full:

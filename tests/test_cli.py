@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,9 +134,12 @@ class TestCommands:
         assert "config field 'seed'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_usage_errors(self, tmp_path, curve_file):
+    def test_usage_errors(self, tmp_path, curve_file, capsys):
+        # the --genus choices come from curve.MODELS, read by the parser
         assert main(["gen-curve", "--genus", "6", "--prime", "1000003",
                      "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
+        assert "argument --genus: invalid choice: 6" \
+            in capsys.readouterr().err
         assert main(["ideal", "--curve", curve_file, "--degree", "9"]) == 2
         assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
                      "--degree", "2"]) == 2
@@ -158,6 +164,66 @@ class TestCommands:
                      "--seed", "1", "--out", str(tmp_path / "x.json")]) == 2
         assert "1004653" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+# the engine modules a fresh process holds after cli.main has run each
+# command: a command compiles only what it runs
+IMPORT_SETS = {
+    "gen-curve": ["algebra", "cli", "curve", "errors", "monomials", "rng"],
+    "ideal": ["algebra", "canring", "cli", "curve", "errors", "monomials",
+              "rng"],
+    "reconstruct": ["algebra", "canring", "cli", "cone", "curve", "errors",
+                    "fibers", "monomials", "net", "pencil", "rng"],
+    "spans": ["algebra", "canring", "cli", "cone", "curve", "errors",
+              "fibers", "monomials", "net", "pencil", "rng", "spanlab"],
+    "hessian": ["algebra", "bundle", "canring", "cli", "cone", "curve",
+                "errors", "fibers", "monomials", "net", "pencil", "rng"],
+    "verify": ["acceptance", "algebra", "bundle", "canring", "cli", "cone",
+               "curve", "errors", "fibers", "monomials", "net", "pencil",
+               "rng", "spanlab"],
+}
+
+
+class TestImportSets:
+    ARGS = {
+        "gen-curve": ["--genus", "4", "--seed", "1", "--out", "c.json"],
+        "ideal": ["--degree", "3", "--out", "i.json"],
+        "reconstruct": ["--out", "r.json"],
+        "spans": ["--config", "cfg.json", "--out", "s.json"],
+        "hessian": ["--sweep", "2", "--out", "h.csv"],
+        "verify": ["--quick"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(IMPORT_SETS))
+    def test_command_loads_only_its_modules(self, command, curve_file,
+                                            tmp_path):
+        (tmp_path / "cfg.json").write_text(
+            '{"sample_count": 6, "off_curve": 20}')
+        args = [command, *self.ARGS[command]]
+        if command != "gen-curve":
+            args[1:1] = ["--curve", curve_file]
+        script = ("import json, sys\n"
+                  "from curvecones import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(json.dumps(sorted(m[11:] for m in sys.modules\n"
+                  "                        if m.startswith('curvecones.'))))\n"
+                  "sys.exit(code)\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        run = subprocess.run([sys.executable, "-c", script, *args],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded = json.loads(run.stdout.splitlines()[-1])
+        assert loaded == IMPORT_SETS[command]
+
+    def test_verify_loads_every_module(self):
+        engine = sorted(f[:-3] for f in os.listdir(
+            os.path.join(SRC, "curvecones"))
+            if f.endswith(".py") and f != "__init__.py")
+        assert len(engine) == 14
+        assert IMPORT_SETS["verify"] == engine
 
 
 class TestCurveFileValidation:

@@ -104,6 +104,20 @@ class TestCriterion5:
                                          inputs.cones[:1])
 
 
+class TestCriterion6:
+    def test_sound(self, ctx4):
+        result = acc.criterion_double_quadric(ctx4, CFG)
+        assert result.ok and result.details["engineered"] == 1
+
+    def test_quartic_off_the_square_fails(self, ctx4, monkeypatch):
+        real = cn.double_quadric_quartic
+        monkeypatch.setattr(cn, "double_quadric_quartic",
+                            lambda ctx, net_obj: perturbed(
+                                real(ctx, net_obj), ctx.p))
+        result = acc.criterion_double_quadric(ctx4, CFG)
+        assert not result.ok, result.line()
+
+
 class TestCriterion10:
     def test_sound(self, ctx4, inputs):
         assert acc.criterion_secant(ctx4, CFG, inputs.cones[0]).ok
@@ -113,6 +127,30 @@ class TestCriterion10:
         assert not ctx4.vanishes_on_curve(cone.coeffs, 4)
         result = acc.criterion_secant(ctx4, CFG, cone)
         assert not result.ok, result.line()
+
+
+class TestCriterion11:
+    def test_sound(self, ctx4, inputs):
+        result = acc.criterion_spans(ctx4, CFG, inputs.f4)
+        assert result.ok
+        assert result.details["f4_rank"] == acc.F4_RANKS[4] == 5
+
+    def test_quartic_outside_the_span_fails(self, ctx4, inputs):
+        rows = inputs.f4.rows
+        extra = Stream(11, "negative-controls").field_vec(ctx4.p,
+                                                          rows.shape[1])
+        assert not inputs.f4.span.contains(extra)
+        f4 = sl.SpanAccumulator(4, alg.RowSpace(np.vstack([rows, extra]),
+                                                ctx4.p))
+        result = acc.criterion_spans(ctx4, CFG, f4)
+        assert not result.ok, result.line()
+        assert result.details["f4_rank"] == 6
+
+    def test_span_short_of_a_row_fails(self, ctx4, inputs):
+        f4 = sl.SpanAccumulator(4, alg.RowSpace(inputs.f4.rows[:-1], ctx4.p))
+        result = acc.criterion_spans(ctx4, CFG, f4)
+        assert not result.ok, result.line()
+        assert result.details["f4_rank"] == 4
 
 
 class TestCriterion12:
