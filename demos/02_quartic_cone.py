@@ -33,7 +33,8 @@ print("\npolar cubic certificate:", polar.certificate)
 
 # cubics through the curve singular along the vertex form a space of
 # dimension g - 3, and the polar map hits all of it
-basis, polar_rank = cone.lw_space(ctx, quartic)
+basis, polar_rank = cone.lw_space(
+    ctx, quartic, cone.polar_cubics(ctx, quartic, w_net.wperp))
 print(f"dim singular-cubic space = {basis.shape[0]}, "
       f"polar map rank = {polar_rank}")
 

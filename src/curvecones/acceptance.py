@@ -223,7 +223,7 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
         net_obj = cn.degenerate_net(ctx, stream.spawn(f"n{k}"),
                                     quadric=quadric)
         cone_obj = cn.double_quadric_quartic(ctx, net_obj)
-        expected = alg.normalize_scalar(
+        expected = alg.normalize_rows(
             mono.mul_forms(quadric, 2, quadric, 2, ctx.g, p), p)
         return cone_obj.coeffs.tolist() == expected.tolist() \
             and net_obj.d_certificate is not None

@@ -27,19 +27,25 @@ subtracts one product of two entries below p, so no intermediate leaves
 (-p**2, p).  `kernel_batch` reads special solutions off that pass
 (`special_solutions_batch`), and `solve_batch` the solutions and ranks of
 stacked systems [m | rhs].  `det_batch` eliminates a stack of square
-matrices with the same updates and multiplies the pivots; like
-`rref_batch` it hands a stack of one to the scalar `det`.  Both invert
+matrices with the same updates and multiplies the pivots.  Both invert
 the pivots of a column with one `_inverses`, Montgomery's batch
 inversion (P. L. Montgomery, Math. Comp. 48, 1987): prefix products, one
 `pow`, then a walk back, so one modular inverse per pivot column.  A zero
 maps to 0, as under Fermat's a**(p-2); the zero pivots of the singular
 elements of a `det_batch` stack take that path.
 
+One implementation per job: `det`, `kernel_basis` and `inverse` are
+`det_batch`, `special_solutions_batch` and `solve_batch` on a stack of
+one, and `normalize_rows` scales the vectors of any stack, a vector
+being a stack of one.  The scalar `rref` is the one stack-of-one path
+left, which `rref_batch` takes for a single matrix (measured at that
+branch).
+
 `interpolate` multiplies by the inverse Vandermonde matrix of its nodes,
 cached per node tuple, and `rational_interpolate` builds its Cauchy rows
 from the same matrix.  The powers are built column by column as a
 product of two entries below p reduced at once, and the inverse comes
-from `rref`, so no intermediate of either leaves (-p**2, p).
+from `inverse`, so no intermediate of either leaves (-p**2, p).
 
 One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
 one Vandermonde product, each entry a sum of one product below p**2 per
@@ -114,15 +120,6 @@ def first_nonzero(v: np.ndarray) -> int:
     return int(idx[0]) if idx.size else -1
 
 
-def normalize_scalar(v: np.ndarray, p: int) -> np.ndarray:
-    """Scale so the first nonzero entry is 1; zero vectors pass through."""
-    v = np.asarray(v, dtype=np.int64) % p
-    i = first_nonzero(v)
-    if i < 0:
-        return v
-    return v * inv_mod(int(v[i]), p) % p
-
-
 def _inverses(a: np.ndarray, p: int) -> np.ndarray:
     """Inverses mod p of a vector of residues in [0, p), with 0 for 0.
 
@@ -149,14 +146,17 @@ def _inverses(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def normalize_rows(m: np.ndarray, p: int) -> np.ndarray:
-    """`normalize_scalar` of every row of a matrix."""
+    """Every vector of a stack, along the last axis, scaled so its first
+    nonzero entry is 1; zero vectors pass through.  A vector is a stack of
+    one."""
     m = np.asarray(m, dtype=np.int64) % p
-    nonzero = m != 0
-    lead = m[np.arange(m.shape[0]), nonzero.argmax(axis=1)]
-    scale = np.ones(m.shape[0], dtype=np.int64)
-    rows = nonzero.any(axis=1)
-    scale[rows] = _inverses(lead[rows], p)
-    return m * scale[:, None] % p
+    rows = m.reshape(-1, m.shape[-1])
+    nonzero = rows != 0
+    lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
+    scale = np.ones(len(rows), dtype=np.int64)
+    found = nonzero.any(axis=1)
+    scale[found] = _inverses(lead[found], p)
+    return (rows * scale[:, None] % p).reshape(m.shape)
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -201,8 +201,12 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     n, rows, cols = np.shape(stack)
     pivots = np.full((n, min(rows, cols)), -1, dtype=np.int64)
     if n == 1:
-        # a batched column makes about twice the numpy calls of a column
-        # of `rref`, which pays off from two elements on
+        # the module's one stack-of-one fork: a batched column makes about
+        # twice the numpy calls of a column of `rref`.  On one matrix the
+        # batched pass took 1.95-2.1 times the time of `rref` from 2 x 4 to
+        # 20 x 10, 1.2-1.6 times from 40 x 35 to 140 x 28, and 0.86-0.93
+        # times at 280 x 35 and 280 x 70; a switch on size would be a
+        # change of speed, not of design
         r, found = rref(stack[0], p)
         pivots[0, :len(found)] = found
         return r[None], pivots
@@ -316,70 +320,38 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(rref(m, p)[1])
 
 
-def _special_solutions(r: np.ndarray, pivots: list[int], cols: int,
-                       p: int) -> np.ndarray:
-    """Kernel basis read off a reduced echelon form over the first `cols`
-    columns: row k has 1 in free column k, 0 in every other free column,
-    and the negated entries of that column of r in the pivot columns."""
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[:len(pivots)][:, free].T) % p
-    return basis
-
-
 def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel, one row per free column.
+    """Basis of the right kernel, one row per free column:
+    `special_solutions_batch` of one `rref_batch` on a stack of one.
 
     Row k has 1 in its free column and 0 in every other free column, so the
     basis is echelon with respect to the free columns and unique.
     """
     m = np.asarray(m, dtype=np.int64)
-    r, pivots = rref(m, p)
-    return _special_solutions(r, pivots, m.shape[1], p)
+    r, pivots = rref_batch(m[None], p)
+    nullity = m.shape[1] - int((pivots >= 0).sum())
+    return special_solutions_batch(r, pivots, nullity, p)[0][0]
 
 
 def det(m: np.ndarray, p: int) -> int:
-    """Determinant by elimination with row swaps."""
-    a = np.array(m, dtype=np.int64) % p
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    result = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        j = c + int(nz[0])
-        if j != c:
-            a[[c, j]] = a[[j, c]]
-            sign = -sign
-        piv = int(a[c, c])
-        result = result * piv % p
-        inv = inv_mod(piv, p)
-        below = a[c + 1:, c] * inv % p
-        a[c + 1:] = (a[c + 1:] - np.outer(below, a[c])) % p
-    return result * sign % p
+    """Determinant: `det_batch` on a stack of one."""
+    return int(det_batch(np.asarray(m)[None], p)[0])
 
 
 def det_batch(stack: np.ndarray, p: int) -> np.ndarray:
-    """`det` of every matrix of an N x n x n stack.
+    """The determinant of every matrix of an N x n x n stack.
 
     Column by column, each element swaps up its first row at or below the
     diagonal with a nonzero entry and clears the column below it; its
     determinant is the product of those pivots, negated once per swap.  An
     element without such a row has determinant 0, and its column below
     the diagonal is already zero.  As in `rref_batch`, an update subtracts
-    one product of two entries below p and is reduced at once, and a stack
-    of one goes to `det`, whose column costs about half the numpy calls.
+    one product of two entries below p and is reduced at once.
     """
     a = np.array(stack, dtype=np.int64) % p
     n, rows, cols = a.shape
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
-    if n == 1:
-        return np.array([det(a[0], p)], dtype=np.int64)
     elems = np.arange(n)
     out = np.ones(n, dtype=np.int64)
     for c in range(rows):
@@ -396,13 +368,13 @@ def det_batch(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def inverse(m: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square matrix: one `solve_batch` against the identity."""
     m = np.asarray(m, dtype=np.int64)
     n = m.shape[0]
-    aug = np.concatenate([m % p, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
+    x, rank, _ = solve_batch(m[None], np.eye(n, dtype=np.int64)[None], p)
+    if rank[0] != n:
         raise ZeroDivisionError("matrix is singular")
-    return r[:, n:]
+    return x[0]
 
 
 class RowSpace:

@@ -237,7 +237,7 @@ def _reconstruct(ctx: CurveContext, net_obj: nt.Net, s_basis: np.ndarray,
         f_blocks, rhs = (np.concatenate(pair) for pair in zip(
             (f_blocks, rhs), _fiber_equations(ctx, fibers, s_basis, stream,
                                               k)))
-    coeffs = alg.normalize_scalar(kernel[:dim_s] @ s_basis % p, p)
+    coeffs = alg.normalize_rows(kernel[:dim_s] @ s_basis % p, p)
     del fibers, f_blocks, rhs, s_basis   # a round verifies with less held
     if not coeffs.any():
         raise InconsistentReconstruction("solution collapsed to zero")
@@ -285,7 +285,7 @@ def double_quadric_quartic(ctx: CurveContext, net_obj: nt.Net) -> QuarticCone:
         raise NonGenericD("restriction kernel is not one-dimensional")
     p = ctx.p
     q = net_obj.d_certificate
-    coeffs = alg.normalize_scalar(mono.mul_forms(q, 2, q, 2, ctx.g, p), p)
+    coeffs = alg.normalize_rows(mono.mul_forms(q, 2, q, 2, ctx.g, p), p)
     cone = QuarticCone(net=net_obj, coeffs=coeffs)
     (zeros, contains, singular), = _checks(ctx, 4, [net_obj], [coeffs])
     cert = {"points_vanished": zeros, "contains_curve": contains,
@@ -477,14 +477,12 @@ def polar_cubic(ctx: CurveContext, cone: QuarticCone, x: np.ndarray,
 
 
 def lw_space(ctx: CurveContext, cone: QuarticCone,
-             polars: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+             polars: np.ndarray) -> tuple[np.ndarray, int]:
     """Cubic ideal forms singular along the vertex of the cone's net, and
     the rank of the polar map from the vertex span into that space; polars
-    are the `polar_cubics` of the vertex basis, built when not given."""
+    are the `polar_cubics` of the vertex basis."""
     p = ctx.p
     basis = constrained_space(ctx, cone.net, 3)
-    if polars is None:
-        polars = polar_cubics(ctx, cone, cone.net.wperp)
     if alg.RowSpace(basis, p).reduce(polars).any():
         raise VerificationFailed("polar cubic escapes the singular space")
     return basis, alg.rank(polars, p)
@@ -594,7 +592,7 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
     kernel = alg.kernel_basis(conds, p)
     if kernel.shape[0] == 0:
         return None
-    return alg.normalize_scalar(kernel[0], p)
+    return alg.normalize_rows(kernel[0], p)
 
 
 def sweep_discriminant(chart: cv.RulingChart, s1: np.ndarray,

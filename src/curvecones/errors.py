@@ -31,7 +31,6 @@ from collections.abc import Callable
 from typing import TypeVar
 
 T = TypeVar("T")
-_RAISE = object()
 
 
 class CurveConesError(Exception):
@@ -118,18 +117,14 @@ class NonGenericCoordinates(DegenerateInput):
     """Singular points collide in the chosen chart; retry with a new frame."""
 
 
-def resample(label: str, attempts: int, draw: Callable[[int], T | None],
-             default=_RAISE) -> T:
+def resample(label: str, attempts: int, draw: Callable[[int], T | None]) -> T:
     """First usable result of draw(0), draw(1), ..., draw(attempts - 1):
     `Draws(label, attempts, draw).take(1)`.  When every attempt is
-    skipped, return `default` if one is given, else raise
-    `DegenerateInput` naming `label`.
+    skipped, raise `DegenerateInput` naming `label`.
     """
     got = Draws(label, attempts, draw).take(1)
     if got:
         return got[0]
-    if default is not _RAISE:
-        return default
     raise exhausted(label, attempts)
 
 

@@ -116,6 +116,6 @@ def form_matches_split(ctx: CurveContext, coeffs: np.ndarray,
     """Exact proportionality of the restricted quartic with the splitting."""
     p = ctx.p
     restricted = mono.restrict(coeffs, 4, ctx.g, fiber.vperp.T, p)
-    lhs = alg.normalize_scalar(restricted, p)
-    rhs = alg.normalize_scalar(split_product_form(fiber, p), p)
+    lhs, rhs = alg.normalize_rows(
+        np.stack([restricted, split_product_form(fiber, p)]), p)
     return lhs.tolist() == rhs.tolist()

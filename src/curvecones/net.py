@@ -256,7 +256,7 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
                 out.append(AmbiguousFit("plane-curve fit kernel has "
                                         f"dimension {kernel.shape[0]}"))
                 continue
-            coeffs[k] = alg.normalize_scalar(kernel[0], p)
+            coeffs[k] = alg.normalize_rows(kernel[0], p)
         out.append(PlaneCurve(degree=degree, coeffs=coeffs[k]))
     return out
 

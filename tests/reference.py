@@ -15,12 +15,44 @@ from curvecones.errors import (AmbiguousFit, CurveConesError,
 from curvecones.rng import Stream, derive_key
 
 
+def normalize(v, p):
+    """v scaled so its first nonzero entry is 1, in Python ints; the zero
+    vector passes through."""
+    v = [int(x) % p for x in v]
+    lead = next((x for x in v if x), 1)
+    inv = pow(lead, -1, p)
+    return np.array([x * inv % p for x in v], dtype=np.int64)
+
+
 def normalize_point(v, p):
     """The projective point v with first nonzero coordinate 1."""
-    v = alg.normalize_scalar(v, p)
+    v = normalize(v, p)
     if not v.any():
         raise ValueError("projective point cannot be zero")
     return v
+
+
+def det(m, p):
+    """Determinant by Gaussian elimination in Python ints, one
+    `pow(x, -1, p)` per pivot and a sign flip per row swap."""
+    a = [[int(x) % p for x in row] for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    result = 1
+    for c in range(n):
+        j = next((j for j in range(c, n) if a[j][c]), None)
+        if j is None:
+            return 0
+        if j != c:
+            a[c], a[j] = a[j], a[c]
+            result = -result
+        result = result * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return result % p
 
 
 def solve_consistent(m, rhs, p):
@@ -138,7 +170,7 @@ def resultant(f, g, p):
     g = alg.poly_trim(g)
     if len(f) == 0 or len(g) == 0:
         raise ValueError("resultant needs nonzero polynomials")
-    return alg.det(sylvester(f, g), p)
+    return det(sylvester(f, g), p)
 
 
 def resultant_bivariate(f, g, p):
@@ -348,7 +380,7 @@ def build_pencil(ctx, v):
     functionals = alg.kernel_basis(pc.product_space(ctx, vr), p)
     if functionals.shape[0] != 1:
         raise InadmissiblePencil("product space does not have codimension 1")
-    return pc.PencilData(v=vr, vbar=alg.normalize_scalar(functionals[0], p))
+    return pc.PencilData(v=vr, vbar=normalize(functionals[0], p))
 
 
 def build_net(ctx, w):
@@ -369,7 +401,7 @@ def build_net(ctx, w):
     left_kernel = alg.kernel_basis(res.T, p)
     certificate = None
     if left_kernel.shape[0] == 1:
-        certificate = alg.normalize_scalar(
+        certificate = normalize(
             left_kernel[0] @ ctx.ideal(2).basis % p, p)
     return nt.Net(w=wr, wperp=wperp, in_b=in_b, in_d=left_kernel.shape[0] > 0,
                   d_certificate=certificate)
@@ -396,7 +428,7 @@ def gamma_equation(ctx, net_obj):
         raise AmbiguousFit(
             f"plane-curve fit kernel has dimension {kernel.shape[0]}")
     return nt.PlaneCurve(degree=degree,
-                         coeffs=alg.normalize_scalar(kernel[0], p))
+                         coeffs=normalize(kernel[0], p))
 
 
 def family_samples(ctx, family, b0):
@@ -453,7 +485,7 @@ def steinerian_check(gram, basis, pt, p):
     if kern.shape[0] != 1:
         return False
     ambient = basis @ kern[0] % p
-    return bool(ambient.any()) and alg.normalize_scalar(ambient, p).tolist() \
+    return bool(ambient.any()) and normalize(ambient, p).tolist() \
         == normalize_point(pt, p).tolist()
 
 
@@ -473,7 +505,7 @@ def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
     def row(u, gval, pt=None):
         un, gram, basis = fiber(u)
         match = None if pt is None else steinerian_check(gram, basis, pt, p)
-        return un.tolist(), gval, alg.det(gram, p), match
+        return un.tolist(), gval, det(gram, p), match
 
     def collect(attempts, draw, count):
         rows = []
@@ -485,7 +517,7 @@ def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
             return rows if len(rows) == count else None
 
         if count:
-            resample("rows", attempts, step, default=None)
+            Draws("rows", attempts, step).take(1)
         return rows
 
     def on_image(k):
@@ -595,8 +627,8 @@ def oracle_agreement(ctx, net_obj, coeffs, stream, count, x=None):
         expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
         return probe(b, expected, count)
 
-    resample("zero probes", 3 * zero_half, zero_probe, default=None)
-    resample("random probes", 40 * count, random_probe, default=None)
+    Draws("zero probes", 3 * zero_half, zero_probe).take(1)
+    Draws("random probes", 40 * count, random_probe).take(1)
     return len(verdicts), verdicts.count(False)
 
 
@@ -667,7 +699,7 @@ def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
                 f"solution space still {kernel.shape[0]}-dimensional "
                 f"after {k} pencils")
         fibers += fresh_fibers(ctx, net_obj, stream.spawn(f"more{k}"), 2)
-    coeffs = alg.normalize_scalar(kernel[0][:dim_s] @ s_basis % p, p)
+    coeffs = normalize(kernel[0][:dim_s] @ s_basis % p, p)
     if not coeffs.any():
         raise InconsistentReconstruction("solution collapsed to zero")
     cert = verify_cone(ctx, net_obj, coeffs, stream.spawn("verify"),
@@ -777,7 +809,7 @@ def tangent_vector(curve, pt):
     basis, _ = alg.rref(kern, p)
     pt_n = normalize_point(pt, p)
     for row in basis:
-        if alg.normalize_scalar(row, p).tolist() != pt_n.tolist():
+        if normalize(row, p).tolist() != pt_n.tolist():
             return cv.TangentData(pt_n, normalize_point(row, p))
     raise SingularPoint("tangent line collapsed onto the point")
 

@@ -277,10 +277,15 @@ class TestPolyHelpers:
         assert sf.tolist() == reference.squarefree_part(f, P).tolist()
 
     def test_normalize_scalar(self):
+        # a vector is a stack of one
         v = arr([0, 4, 2])
-        out = alg.normalize_scalar(v, 7)
+        out = alg.normalize_rows(v, 7)
         assert out.tolist() == [0, 1, 4]
-        assert alg.normalize_scalar(out, 7).tolist() == out.tolist()
+        assert alg.normalize_rows(out, 7).tolist() == out.tolist()
+        assert alg.normalize_rows(arr([0, 0]), 7).tolist() == [0, 0]
+        # and a stack of matrices is normalized vector by vector
+        assert alg.normalize_rows(arr([[[0, 4, 2], [3, 0, 1]]]), 7).tolist() \
+            == [[[0, 1, 4], [1, 0, 5]]]
 
 
 def to_gf(f):
@@ -644,8 +649,8 @@ class TestBatchReduction:
 
 
 class TestDetBatch:
-    """`det_batch` against `det`, the one-matrix elimination chain, and
-    sympy."""
+    """`det_batch` against the Python-int elimination of
+    `reference.det` and against sympy."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(n=st.integers(1, 6), size=st.integers(1, 6),
@@ -661,7 +666,7 @@ class TestDetBatch:
             for _ in range(n)])
         stack[rng.random(n) < 0.15] = 0
         got = alg.det_batch(stack, p).tolist()
-        assert got == [alg.det(m, p) for m in stack]
+        assert got == [reference.det(m, p) for m in stack]
         assert got == [int(to_dm(m, p).det()) % p for m in stack]
 
     def test_edge_stacks(self):
@@ -673,7 +678,7 @@ class TestDetBatch:
                      [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
                      [[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
         assert alg.det_batch(stack, 7).tolist() == [6, 0, 1]
-        assert [alg.det(m, 7) for m in stack] == [6, 0, 1]
+        assert [reference.det(m, 7) for m in stack] == [6, 0, 1]
         assert alg.det_batch(np.zeros((0, 2, 2), dtype=np.int64), 7).size \
             == 0
         with pytest.raises(ValueError):
@@ -714,7 +719,7 @@ class TestBatchInverse:
         stack[3, :, 2] = (stack[3, :, 0] + 3 * stack[3, :, 1]) % p
         stack[4, 4] = (stack[4, 0] + stack[4, 1]) % p
         got = alg.det_batch(stack, p).tolist()
-        assert got == [alg.det(m, p) for m in stack]
+        assert got == [reference.det(m, p) for m in stack]
         assert [d == 0 for d in got] \
             == [False, True, False, True, True, False]
 

@@ -40,7 +40,7 @@ class TestFiberQuadric:
         u = net.w @ ctx4.panel[0] % P
         fq, = bd.fiber_quadric(ctx4, net, cone, u[None])
         assert fq.gram.shape == (2, 2)
-        assert alg.det(fq.gram, P) == 0
+        assert reference.det(fq.gram, P) == 0
 
     def test_nonsingular_off_image(self, ctx4, setup4):
         net, cone = setup4
@@ -53,7 +53,7 @@ class TestFiberQuadric:
                                               gamma.degree, P) != 0:
                 us.append(u)
         for fq in bd.fiber_quadric(ctx4, net, cone, us):
-            assert alg.det(fq.gram, P) != 0
+            assert reference.det(fq.gram, P) != 0
 
     def test_splitting_violation_on_corrupted_form(self, ctx4, setup4):
         net, cone = setup4
@@ -146,7 +146,7 @@ class TestStackedFibers:
         fibers = bd.fiber_quadric(ctx, net, cone, us)[:-1]
         grams = np.stack([fq.gram for fq in fibers])
         dets = alg.det_batch(grams, p).tolist()
-        assert dets == [alg.det(gram, p) for gram in grams]
+        assert dets == [reference.det(gram, p) for gram in grams]
         assert dets[:6] == [0] * 6 and 0 not in dets[6:]
         for shift in range(3):
             others = np.roll(pts, shift, axis=0)
@@ -225,7 +225,7 @@ class TestHessianScan:
         twice.panel = np.concatenate([ctx4.panel[:1], ctx4.panel[:4]])
         scan = bd.hessian_scan(twice, net, cone, 3, 0, Stream(204, "u"))
         assert [r[0].tolist() for r in scan["rows"]] == [
-            alg.normalize_scalar(net.w @ pt % P, P).tolist()
+            reference.normalize(net.w @ pt % P, P).tolist()
             for pt in ctx4.panel[1:4]]
         # so the five panel points give three fibers and no more
         with pytest.raises(DegenerateInput, match="on-image fibers: no "
@@ -247,7 +247,7 @@ class TestSteinerian:
         # a nonsingular fiber has no singular point to match
         u = np.array([1, 2, 3], dtype=np.int64)
         off = bd.fiber_quadric(ctx4, net, cone, u[None])
-        assert alg.det(off[0].gram, P) != 0
+        assert reference.det(off[0].gram, P) != 0
         assert not bd.steinerian_check(off, pts[:1], P)[0]
 
     def test_node_fiber_on_vertex_secant(self, ctx4):
@@ -258,8 +258,8 @@ class TestSteinerian:
         cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
         n = len(ctx4.panel)
         scan = bd.hessian_scan(ctx4, net, cone, n - 2, 0, Stream(202, "u"))
-        node = alg.normalize_scalar(net.w @ pt_p % P, P).tolist()
-        assert alg.normalize_scalar(net.w @ pt_q % P, P).tolist() == node
+        node = reference.normalize(net.w @ pt_p % P, P).tolist()
+        assert reference.normalize(net.w @ pt_q % P, P).tolist() == node
         assert node not in [r[0].tolist() for r in scan["rows"]]
         assert scan["on_checked"] == n - 2
         assert scan["kernel_matches"] == n - 2

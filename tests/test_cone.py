@@ -83,7 +83,7 @@ def reference_fiber(ctx, net_obj, v):
             raise CorankJump("vertex does not cut a hyperplane of the fiber")
     except CurveConesError as exc:
         return type(exc), str(exc)
-    return (vperp.tolist(), alg.normalize_scalar(ell[0], p).tolist(),
+    return (vperp.tolist(), reference.normalize(ell[0], p).tolist(),
             gram.tolist())
 
 
@@ -456,7 +456,7 @@ class TestDoubleQuadric:
         quadric = ctx4.ideal(2).basis[0]
         dnet = cn.degenerate_net(ctx4, Stream(104, "d"), quadric=quadric)
         cone = cn.double_quadric_quartic(ctx4, dnet)
-        expected = alg.normalize_scalar(
+        expected = reference.normalize(
             mono.mul_forms(quadric, 2, quadric, 2, 4, P), P)
         assert cone.coeffs.tolist() == expected.tolist()
 
@@ -485,7 +485,8 @@ class TestPolars:
         assert not vals.any()
 
     def test_lw_dimensions(self, ctx4, cone4):
-        basis, rank = cn.lw_space(ctx4, cone4)
+        basis, rank = cn.lw_space(
+            ctx4, cone4, cn.polar_cubics(ctx4, cone4, cone4.net.wperp))
         assert basis.shape[0] == 1
         assert rank == 1
 

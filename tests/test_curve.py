@@ -18,6 +18,7 @@ from curvecones.errors import (DegenerateInput, InsufficientPoints,
                                SingularPoint)
 from curvecones.rng import Stream
 
+import reference
 from reference import (sample_points_one_line_at_a_time,
                        sample_points_one_slice_at_a_time)
 
@@ -389,8 +390,8 @@ class TestLineZeros:
         roots = sorted(-int(h.nth(0)) * alg.inv_mod(int(h.LC()) % p, p) % p
                        for h, _ in restricted.factor_list()[1]
                        if h.degree() == 1)
-        finite = [alg.normalize_scalar((a + r * b) % p, p) for r in roots]
-        at_infinity = [alg.normalize_scalar(b, p)] \
+        finite = [reference.normalize((a + r * b) % p, p) for r in roots]
+        at_infinity = [reference.normalize(b, p)] \
             if restricted.degree() < deg else []
         assert [pt.tolist() for pt in got] == \
             [pt.tolist() for pt in finite + at_infinity if pt.any()]
@@ -398,11 +399,11 @@ class TestLineZeros:
             assert got[-1].tolist() == at_infinity[0].tolist()
         elif case == "only_b":
             assert [pt.tolist() for pt in got] == \
-                [alg.normalize_scalar(b, p).tolist()]
+                [reference.normalize(b, p).tolist()]
         elif case == "repeated":
             double = sympy.Poly((t - t0) ** min(2, deg), t, modulus=p)
             assert restricted.rem(double).is_zero
-            point = alg.normalize_scalar((a + t0 * b) % p, p).tolist()
+            point = reference.normalize((a + t0 * b) % p, p).tolist()
             assert [pt.tolist() for pt in got].count(point) == 1
 
     @pytest.mark.parametrize("p", [P, P_MAX])

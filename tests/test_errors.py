@@ -23,7 +23,7 @@ def scripted(script: str, calls: list):
 
 def closure_collect(label: str, attempts: int, draw, n: int) -> list:
     """N usable draws the way a loop collected them before `Draws.take`: a
-    closure that appends each item and stops `resample` at the n-th."""
+    closure that appends each item and ends a `take(1)` at the n-th."""
     got: list = []
 
     def step(k: int):
@@ -32,7 +32,7 @@ def closure_collect(label: str, attempts: int, draw, n: int) -> list:
             got.append(item)
         return got if len(got) == n else None
 
-    resample(label, attempts, step, default=None)
+    Draws(label, attempts, step).take(1)
     return got
 
 
@@ -43,11 +43,6 @@ class TestResample:
     def test_first_usable_draw(self):
         calls: list = []
         assert resample("r", 6, scripted("x-ab", calls)) == (2, "a")
-        assert calls == [0, 1, 2]
-
-    def test_default_when_exhausted(self):
-        calls: list = []
-        assert resample("r", 3, scripted("-x-", calls), default=7) == 7
         assert calls == [0, 1, 2]
 
     def test_exhaustion_names_label_and_budget(self):

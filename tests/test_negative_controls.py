@@ -13,7 +13,7 @@ import pytest
 
 from curvecones import acceptance as acc
 from curvecones import algebra as alg, canring, cone as cn, curve as cv
-from curvecones import monomials as mono, spanlab as sl
+from curvecones import monomials as mono, net as nt, spanlab as sl
 from curvecones.errors import VerificationFailed
 from curvecones.rng import Stream
 
@@ -41,6 +41,18 @@ def perturbed(cone, p):
     coeffs = cone.coeffs.copy()
     coeffs[0] = (coeffs[0] + 1) % p
     return cn.QuarticCone(net=cone.net, coeffs=coeffs)
+
+
+@pytest.fixture(scope="module")
+def off_image_net(ctx4, inputs):
+    """A copy of the first cone's net whose cached plane image equation
+    has 1 added to its first coefficient."""
+    net_obj = copy.copy(inputs.cones[0].net)
+    gamma = nt.gamma_equation(ctx4, net_obj)
+    coeffs = gamma.coeffs.copy()
+    coeffs[0] = (coeffs[0] + 1) % ctx4.p
+    net_obj.gamma = nt.PlaneCurve(degree=gamma.degree, coeffs=coeffs)
+    return net_obj
 
 
 class TestCriterion1:
@@ -73,6 +85,31 @@ class TestCriterion1:
         assert not result.ok
         assert result.details["holdout_confirmed"] is True
         assert result.details["dim_I3"] == 6
+
+
+class TestCriterion2:
+    def test_sound(self, ctx4):
+        result = acc.criterion_petri(ctx4)
+        assert result.ok and result.details["surjective"] is False
+
+    def test_flipped_petri_value_fails(self, ctx4, monkeypatch):
+        real = canring.CurveContext.petri_check
+        monkeypatch.setattr(canring.CurveContext, "petri_check",
+                            lambda self: not real(self))
+        result = acc.criterion_petri(ctx4)
+        assert not result.ok, result.line()
+        assert result.details["surjective"] is True
+
+
+class TestCriterion3:
+    def test_sound(self, ctx4, inputs):
+        result = acc.criterion_gamma(ctx4, inputs.cones[0].net)
+        assert result.ok and result.details["holdout_zero"] is True
+
+    def test_image_equation_off_the_holdout_fails(self, ctx4, off_image_net):
+        result = acc.criterion_gamma(ctx4, off_image_net)
+        assert not result.ok, result.line()
+        assert result.details == {"degree": 6, "holdout_zero": False}
 
 
 class TestCriterion5:
@@ -116,6 +153,18 @@ class TestCriterion6:
                                 real(ctx, net_obj), ctx.p))
         result = acc.criterion_double_quadric(ctx4, CFG)
         assert not result.ok, result.line()
+
+
+class TestCriterion9:
+    def test_sound(self, ctx4, inputs):
+        result = acc.criterion_node_count(ctx4, CFG, inputs.cones[0].net)
+        assert result.ok and result.details["nodes"] == 6
+
+    def test_perturbed_image_equation_fails(self, ctx4, off_image_net):
+        # a perturbed sextic is smooth: it has no nodes to count
+        result = acc.criterion_node_count(ctx4, CFG, off_image_net)
+        assert not result.ok, result.line()
+        assert result.details["nodes"] == 0
 
 
 class TestCriterion10:

@@ -347,7 +347,7 @@ def reference_value(ctx, net, b, check_gamma=True):
     functionals = alg.kernel_basis(ctx.coords_many(3, products), p)
     if functionals.shape[0] != 1:
         return InadmissiblePencil
-    vbar = alg.normalize_scalar(functionals[0], p)
+    vbar = reference.normalize(functionals[0], p)
     lift = net.w[alg.first_nonzero(u)]
     iu, ju = np.triu_indices(g)
     values = (ctx.panel @ lift % p)[:, None] * ctx.panel[:, iu] % p \
@@ -443,10 +443,8 @@ class TestAgreementRounds:
             expected = mono.form_eval_one(coeffs, b, ctx.g, deg, p) == 0
             return probe(b, expected, count)
 
-        errors.resample("zero probes", 3 * zero_half, zero_probe,
-                        default=None)
-        errors.resample("random probes", 40 * count, random_probe,
-                        default=None)
+        errors.Draws("zero probes", 3 * zero_half, zero_probe).take(1)
+        errors.Draws("random probes", 40 * count, random_probe).take(1)
         return len(verdicts), verdicts.count(False)
 
     @pytest.fixture(scope="class")
