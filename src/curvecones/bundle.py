@@ -23,7 +23,7 @@ from .cone import QuarticCone
 from .curve import quadric_gram
 from .errors import (CurveConesError, Draws, NodeFiber,
                      NonGenericCoordinates, RankDeficientW, SplittingViolation,
-                     resample)
+                     outcomes, resample)
 from .rng import Stream, derive_key
 
 
@@ -32,6 +32,16 @@ class FiberQuadric:
     u: np.ndarray          # plane point, normalized
     gram: np.ndarray       # (g-2) x (g-2) Gram of the residual quadric
     basis: np.ndarray      # g x (g-2); columns: vertex-complement, vertex
+
+
+# what fiber_quadric gives a plane point that fails, in the order it tests
+# them
+_QUADRIC_FAILURES = (
+    (RankDeficientW, "plane point cannot be zero"),
+    (RankDeficientW, "fiber space collapsed onto the vertex"),
+    (SplittingViolation,
+     "restricted quartic is not divisible by the vertex form squared"),
+)
 
 
 def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
@@ -62,21 +72,11 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     # z0^2 lists exponents(m, 2) in order
     divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
     grams = quadric_gram(restricted[:, divisible], m, p)
-    undivided = restricted[:, ~divisible].any(axis=1)
-    out: list = []
-    for i, u in enumerate(alg.normalize_rows(us, p)):
-        if not u.any():
-            out.append(RankDeficientW("plane point cannot be zero"))
-        elif not off_vertex[i].any():
-            out.append(RankDeficientW(
-                "fiber space collapsed onto the vertex"))
-        elif undivided[i]:
-            out.append(SplittingViolation("restricted quartic is not "
-                                          "divisible by the vertex form "
-                                          "squared"))
-        else:
-            out.append(FiberQuadric(u=u, gram=grams[i], basis=basis[i]))
-    return out
+    failed = np.stack([~us.any(axis=1), ~off_vertex.any(axis=1),
+                       restricted[:, ~divisible].any(axis=1)])
+    u = alg.normalize_rows(us, p)
+    return outcomes(failed, _QUADRIC_FAILURES, lambda i: FiberQuadric(
+        u=u[i], gram=grams[i], basis=basis[i]))
 
 
 def steinerian_check(fibers: list[FiberQuadric], pts, p: int

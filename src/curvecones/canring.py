@@ -5,7 +5,11 @@ value vectors on a fixed panel of rational curve points.  The panel always
 exceeds the degree of any section of weight up to six, so a section is zero
 exactly when its value vector is, multiplication is pointwise, and graded
 pieces of the ideal fall out as kernels of monomial evaluation matrices.
-A disjoint holdout panel backs independent recomputation of every kernel.
+One row reduction of each evaluation matrix gives both halves of the map:
+its nonzero rows hold the coordinates of every monomial in the pivot
+monomials, which span the graded piece (the image), and its special
+solutions are the ideal piece (the kernel).  A disjoint holdout panel backs
+independent recomputation of every kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ class GradedPiece:
     dim: int
     eval_matrix: np.ndarray      # panel x monomials
     basis_cols: list[int]        # pivot monomial columns spanning the piece
-    coord_rows: np.ndarray       # row indices giving an invertible minor
-    coord_inv: np.ndarray        # inverse of that minor
+    rows: np.ndarray             # dim x monomials: the nonzero rows of the
+                                 # echelon form of eval_matrix; column j
+                                 # holds the coordinates of monomial j
 
 
 @dataclass
@@ -79,18 +84,14 @@ class CurveContext:
         if n not in self._pieces:
             e = mono.eval_matrix(self.panel, self.g, n, self.p)
             expected = ring_dim(self.g, n)
-            _, col_pivots = alg.rref(e, self.p)
+            r, col_pivots = alg.rref(e, self.p)
             if len(col_pivots) != expected:
                 raise RankDeficiency(
                     f"panel separates a {len(col_pivots)}-dimensional space "
                     f"in degree {n}, expected {expected}")
-            sub = e[:, col_pivots]
-            _, row_pivots = alg.rref(sub.T, self.p)
-            minor = sub[row_pivots]
             self._pieces[n] = GradedPiece(
                 n=n, dim=expected, eval_matrix=e, basis_cols=col_pivots,
-                coord_rows=np.array(row_pivots, dtype=np.int64),
-                coord_inv=alg.inverse(minor, self.p))
+                rows=r[:expected])
         return self._pieces[n]
 
     def ideal(self, n: int) -> IdealPiece:
@@ -98,18 +99,12 @@ class CurveContext:
             self._ideals[n] = ideal_piece(self, n)
         return self._ideals[n]
 
-    def coords_many(self, n: int, value_rows: np.ndarray) -> np.ndarray:
-        """Coordinates, one row per class, with respect to the chosen
-        monomial basis of the classes given by their panel values."""
-        piece = self.piece(n)
-        return (value_rows[:, piece.coord_rows] @ piece.coord_inv.T) % self.p
-
     @cached_property
     def cubic_tensor(self) -> np.ndarray:
-        """g x g x g x d3: cubic-piece coordinates of z_i z_j z_k, built on
-        first use."""
+        """g x g x g x d3: cubic-piece coordinates of z_i z_j z_k, read
+        off the echelon rows of the cubic piece on first use."""
         g = self.g
-        coords = self.coords_many(3, self.piece(3).eval_matrix.T)
+        coords = self.piece(3).rows.T
         index = mono.index_map(g, 3)
         table = np.zeros((g, g, g), dtype=np.int64)
         for ijk in product(range(g), repeat=3):
@@ -184,19 +179,16 @@ class CurveContext:
 
 
 def ideal_piece(ctx: CurveContext, n: int) -> IdealPiece:
-    """Kernel of the degree-n evaluation matrix, dimension-checked against
-    the Riemann-Roch count."""
+    """Kernel of the degree-n evaluation matrix: the special solutions of
+    the echelon rows of its graded piece, whose rank `piece` has checked
+    against the Riemann-Roch count."""
     if not 2 <= n <= 4:
         raise ValueError("ideal pieces are kept for degrees 2 through 4")
-    if ctx.panel.shape[0] < 2 * mono.count(ctx.g, n):
-        raise InsufficientPoints("panel too small to cut the ideal piece")
-    basis = alg.kernel_basis(ctx.piece(n).eval_matrix, ctx.p)
-    expected = ideal_dim(ctx.g, n)
-    if basis.shape[0] != expected:
-        raise RankDeficiency(
-            f"ideal piece in degree {n} has dimension {basis.shape[0]}, "
-            f"expected {expected}")
-    return IdealPiece(n=n, dim=expected, basis=basis)
+    piece = ctx.piece(n)
+    basis = alg.special_solutions_batch(
+        piece.rows[None], np.array([piece.basis_cols]),
+        piece.rows.shape[1] - piece.dim, ctx.p)[0][0]
+    return IdealPiece(n=n, dim=basis.shape[0], basis=basis)
 
 
 def ideal_piece_from_holdout(ctx: CurveContext, n: int) -> IdealPiece:

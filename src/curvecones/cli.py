@@ -75,8 +75,6 @@ def cmd_gen_curve(args) -> int:
 def cmd_ideal(args) -> int:
     from . import monomials as mono
     ctx = _load_context(args.curve)
-    if not 2 <= args.degree <= 4:
-        raise ConfigError("degree must be 2, 3, or 4")
     piece = ctx.ideal(args.degree)
     print(f"dim I({args.degree}) = {piece.dim}")
     payload = {
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("ideal", help="ideal piece basis and dimension")
     i.add_argument("--curve", required=True)
-    i.add_argument("--degree", type=int, required=True)
+    i.add_argument("--degree", type=int, choices=(2, 3, 4), required=True)
     i.add_argument("--out", default=None)
     i.set_defaults(func=cmd_ideal)
 

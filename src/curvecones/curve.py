@@ -31,11 +31,12 @@ import numpy as np
 from . import algebra as alg
 from . import monomials as mono
 from .errors import (ConfigError, DegenerateInput, GenerationFailed,
-                     InsufficientPoints, SingularPoint, resample)
+                     InsufficientPoints, SingularPoint, lockstep, resample)
 from .rng import Stream, derive_key
 
 GENERATION_TRIES = 64
 POINT_BUDGET_FACTOR = 60
+CHART_TRIES = 2         # chart changes a genus-5 slice tries
 
 
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
@@ -224,17 +225,11 @@ class RulingChart:
     def _build_frame(self) -> None:
         p = self.p
         stream = Stream(derive_key(self.curve.seed, "chart"), "q0-search")
-        q0 = None
-        for _ in range(400):
-            a = stream.field_vec(p, 4)
-            b = stream.field_vec(p, 4)
-            zeros = line_zeros(self.quadric, 2, 4, a[None], b[None], p)[0]
-            if zeros:
-                q0 = zeros[0]
-                break
-        if q0 is None:
+        found = lockstep([ZeroHarvest(self.quadric, 2, 4, p, stream, 1,
+                                      400).take(1)])[0]
+        if not found:
             raise GenerationFailed("no rational point found on the quadric")
-        self.q0 = q0
+        self.q0 = q0 = found[0]
         q0_polar = 2 * q0 @ self.gram % p
         tangent = alg.kernel_basis(q0_polar.reshape(1, 4), p)
         frame, _ = alg.rref(np.concatenate([q0[None, :], tangent]), p)
@@ -397,9 +392,9 @@ def _res_quadratics(q1, q2, p: int) -> np.ndarray:
     return mono.collect(quartic, 4, 3, [[0, 0], [1, 0], [0, 1]], p)
 
 
-def hyperplane_section(curve: CurveModel, h: np.ndarray,
-                       chart_tries: int = 4) -> list[np.ndarray]:
-    """Rational points of a genus-5 curve in the hyperplane {h . z = 0}."""
+def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
+    """Rational points of a genus-5 curve in the hyperplane {h . z = 0},
+    from the first of CHART_TRIES chart changes that eliminates cleanly."""
     if curve.genus != 5:
         raise ValueError("hyperplane sections are sliced at genus 5 only")
     p = curve.prime
@@ -411,7 +406,7 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray,
     stream = Stream(key, "chart")
     quads = [np.array(c, dtype=np.int64) for _, c in curve.generators]
     found: dict[tuple, np.ndarray] = {}
-    for _ in range(chart_tries):
+    for _ in range(CHART_TRIES):
         change = stream.field_mat(p, 4, 4)
         if alg.rank(change, p) != 4:
             continue
@@ -492,7 +487,7 @@ def _slice_points(curve: CurveModel, stream: Stream, n: int) -> Iterable:
     """The points of n hyperplane slices, each sliced when the walk reaches
     it; the zero hyperplane gives none."""
     hs = [stream.field_vec(curve.prime, 5) for _ in range(n)]
-    return (hyperplane_section(curve, h, chart_tries=2) if h.any() else []
+    return (hyperplane_section(curve, h) if h.any() else []
             for h in hs)
 
 

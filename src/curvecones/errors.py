@@ -20,9 +20,19 @@ which walks the batch's results through `unwrap`: a result that is a
 raised when the walk reaches it.  `Draws.chain` is that walk
 as a chain, which `lockstep` runs side by side with the chains of other
 elements, answering the requests of a round with one batched call each.
-`spanlab.collect_cones` walks its rounds itself: its budget counts
-failures only, over all its cones, and the stream key of each draw names
-the failures so far, so a round stops at its first failure.
+
+Three retry loops stay outside `Draws`.  `net.random_nets` redraws the
+missing nets of a stack in rounds of one `build_nets` each.
+`curve.hyperplane_section` tries `CHART_TRIES` chart changes of one slice
+and gives no points when none eliminates cleanly.  `spanlab.collect_cones`
+walks its rounds itself: its budget counts failures only, over all its
+cones, and the stream key of each draw names the failures so far, so a
+round stops at its first failure.
+
+A stacked kernel tests all elements of a batch at once and gives each
+failing element the exception of the first test it fails: `outcomes`
+walks its failure masks through a table of (class, message) pairs, one
+per test, in the order the kernel tests them.
 """
 
 from __future__ import annotations
@@ -216,6 +226,14 @@ def value_of(result: T | CurveConesError) -> T:
     if isinstance(result, CurveConesError):
         raise result
     return result
+
+
+def outcomes(failed, table, value: Callable[[int], T]) -> list:
+    """Per element n of a batch, value(n), or the exception of the first
+    test it fails: failed is a tests x N mask whose row k is test k, and
+    table[k] the (class, message) that test k raises."""
+    return [table[test][0](table[test][1]) if failed[test, n] else value(n)
+            for n, test in enumerate(failed.argmax(axis=0).tolist())]
 
 
 def lockstep(chains: list) -> list:

@@ -24,7 +24,7 @@ from . import net as nt
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (CorankJump, CurveConesError, InconsistentSystem,
-                     InadmissiblePencil, VerificationFailed)
+                     InadmissiblePencil, VerificationFailed, outcomes)
 
 
 @dataclass
@@ -86,15 +86,8 @@ def split_fibers(ctx: CurveContext, nets, vs: np.ndarray
         ~in_net, gram_rank != g - 2, ~solved,
         (residual != residual.transpose(0, 2, 1)).any(axis=(1, 2)),
         ~on_fiber, ~hyperplane])])
-    out: list = []
-    for i, test in enumerate(failed.argmax(axis=0).tolist()):
-        if failed[test, i]:
-            cls, message = _FIBER_FAILURES[test]
-            out.append(cls(message))
-        else:
-            out.append(SplitFiber(vperp=vperp[i], ell=ell[i],
-                                  gram=residual[i]))
-    return out
+    return outcomes(failed, _FIBER_FAILURES, lambda i: SplitFiber(
+        vperp=vperp[i], ell=ell[i], gram=residual[i]))
 
 
 def fiber_quadric_form(fiber: SplitFiber, p: int) -> np.ndarray:

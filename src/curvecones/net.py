@@ -34,7 +34,8 @@ from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, CurveConesError,
                      DegenerateInput, InconsistentSystem, InVertex,
-                     OnGammaFiber, RankDeficientW, exhausted, value_of)
+                     OnGammaFiber, RankDeficientW, exhausted, outcomes,
+                     value_of)
 from .rng import Stream
 
 
@@ -339,17 +340,11 @@ def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,
     failed = np.concatenate([
         np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma]), inadmissible,
         np.stack([rank != g - 2, ~consistent])])
-    out: list = []
-    for i, test in enumerate(failed.argmax(axis=0).tolist()):
-        if not failed[test, i]:
-            out.append(OracleWitness(b=b[i], v_b=v[i], y=y[i, :, 0],
-                                     gram=grams[i]))
-        elif test == 2 and i in unfit:
-            out.append(unfit[i])
-        else:
-            cls, message = _WITNESS_FAILURES[test]
-            out.append(cls(message))
-    return out
+    out = outcomes(failed, _WITNESS_FAILURES, lambda i: OracleWitness(
+        b=b[i], v_b=v[i], y=y[i, :, 0], gram=grams[i]))
+    # a net without a plane image equation gives its AmbiguousFit instead
+    return [unfit.get(i, wit) if isinstance(wit, OnGammaFiber) else wit
+            for i, wit in enumerate(out)]
 
 
 def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra as alg
 from .canring import CurveContext
-from .errors import InadmissiblePencil
+from .errors import InadmissiblePencil, outcomes, value_of
 
 
 @dataclass
@@ -108,10 +108,8 @@ def build_pencil(ctx: CurveContext, v: np.ndarray) -> PencilData:
         raise InadmissiblePencil(INADMISSIBLE[0][1])
     vr, _ = alg.rref(v, p)
     vbar, failed = admissibility(ctx, vr[None])
-    for (cls, message), fails in zip(INADMISSIBLE, failed[:, 0]):
-        if fails:
-            raise cls(message)
-    return PencilData(v=vr, vbar=vbar[0])
+    return value_of(outcomes(failed, INADMISSIBLE,
+                             lambda _: PencilData(v=vr, vbar=vbar[0]))[0])
 
 
 def cup_grams(ctx: CurveContext, vbar: np.ndarray, w: np.ndarray

@@ -70,6 +70,18 @@ def solve_consistent(m, rhs, p):
     return x
 
 
+def coords(ctx, n, value_rows):
+    """Coordinates, one row per class, in the pivot monomials of the
+    degree-n piece of the classes given by their panel values: one
+    `solve_consistent` per class against the panel values of those
+    monomials."""
+    piece = ctx.piece(n)
+    basis = piece.eval_matrix[:, piece.basis_cols]
+    return np.array([solve_consistent(basis, row, ctx.p)
+                     for row in np.asarray(value_rows)], dtype=np.int64
+                    ).reshape(-1, piece.dim)
+
+
 def divide_by_vertex_square(restricted, m):
     """The quadric q in m variables with restricted = z0^2 q, a quartic in
     the same variables, read monomial by monomial through `index_map`.
@@ -354,7 +366,7 @@ def sample_points_one_slice_at_a_time(curve, count):
         h = stream.field_vec(p, 5)
         if not h.any():
             continue
-        for q in cv.hyperplane_section(curve, h, chart_tries=2):
+        for q in cv.hyperplane_section(curve, h):
             found[tuple(q.tolist())] = q
     if len(found) < count:
         raise InsufficientPoints(

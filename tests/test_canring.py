@@ -1,7 +1,11 @@
 """Graded pieces, ideal kernels, pointwise multiplication, Petri dichotomy."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from curvecones import algebra as alg
 from curvecones import canring, monomials as mono
@@ -45,6 +49,45 @@ class TestDimensions:
                     assert ctx.vanishes_on_curve(row, n)
 
 
+class TestOneElimination:
+    """The ideal pieces (the kernel of each panel evaluation matrix) and
+    the structure constants (the coordinates of its image) against
+    independent computations."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_ideal_is_the_special_kernel(self, name, request):
+        # a kernel vector is fixed by its entries in the free columns of
+        # sympy's echelon form, so these three checks pin the basis
+        ctx = request.getfixturevalue(name)
+        field = sympy.GF(ctx.p)
+        for n in (2, 3, 4):
+            e = ctx.piece(n).eval_matrix
+            _, pivots = DomainMatrix([[field(int(v)) for v in row]
+                                      for row in e], e.shape, field).rref()
+            free = [c for c in range(e.shape[1]) if c not in pivots]
+            piece = ctx.ideal(n)
+            assert piece.dim == len(free) == EXPECTED_IDEAL_DIMS[ctx.g][n]
+            assert not (e @ piece.basis.T % ctx.p).any()
+            assert piece.basis[:, free].tolist() == \
+                np.eye(len(free), dtype=np.int64).tolist()
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    def test_structure_constants_are_panel_product_coordinates(self, name,
+                                                               request):
+        ctx = request.getfixturevalue(name)
+        g, p, pts = ctx.g, ctx.p, ctx.panel
+        cubes = np.stack([pts[:, i] * pts[:, j] % p * pts[:, k] % p
+                          for i, j, k in product(range(g), repeat=3)])
+        assert ctx.cubic_tensor.tolist() == \
+            reference.coords(ctx, 3, cubes).reshape(g, g, g, -1).tolist()
+        piece2 = ctx.piece(2)
+        basis2 = piece2.eval_matrix[:, piece2.basis_cols]
+        products = np.concatenate([(basis2 * pts[:, [i]] % p).T
+                                   for i in range(g)])
+        assert ctx.times_linear.tolist() == reference.coords(
+            ctx, 3, products).reshape(g, piece2.dim, -1).tolist()
+
+
 class TestMultiplication:
     def test_ideal_elements_evaluate_to_zero(self, ctx4):
         q = ctx4.ideal(2).basis[0]
@@ -55,7 +98,10 @@ class TestMultiplication:
         piece = ctx4.piece(3)
         coeffs = stream.field_vec(P, mono.count(4, 3))
         values = mono.form_eval(coeffs, ctx4.panel, 4, 3, P)
-        coords = ctx4.coords_many(3, values[None, :])[0]
+        # column j of the echelon rows: the coordinates of monomial j
+        coords = piece.rows @ coeffs % P
+        assert coords.tolist() == \
+            reference.coords(ctx4, 3, values[None, :])[0].tolist()
         rebuilt = piece.eval_matrix[:, piece.basis_cols] @ coords % P
         assert rebuilt.tolist() == values.tolist()
 

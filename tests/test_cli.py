@@ -144,6 +144,15 @@ class TestCommands:
         assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
                      "--degree", "2"]) == 2
 
+    def test_bad_degree_rejected_before_the_curve_loads(self, tmp_path,
+                                                        capsys):
+        # the parser names the degree; the missing curve file is not read
+        assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
+                     "--degree", "9"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --degree: invalid choice: 9" in err
+        assert "missing.json" not in err
+
     def test_second_prime(self, tmp_path):
         # the verified statements do not depend on the prime: the same seed
         # regenerated at another admissible prime passes every criterion

@@ -1,9 +1,11 @@
-"""The contract of `errors.resample` and `errors.Draws`."""
+"""The contract of `errors.resample`, `errors.Draws` and
+`errors.outcomes`."""
 
+import numpy as np
 import pytest
 
-from curvecones.errors import (DegenerateInput, Draws, InVertex,
-                               VerificationFailed, resample)
+from curvecones.errors import (CorankJump, DegenerateInput, Draws, InVertex,
+                               VerificationFailed, outcomes, resample)
 
 
 def scripted(script: str, calls: list):
@@ -150,3 +152,34 @@ class TestDraws:
         exhausted = Draws("square rows", 16, scripted("", [])).exhausted()
         assert type(exhausted) is DegenerateInput
         assert str(exhausted) == str(raised.value)
+
+
+class TestOutcomes:
+    TABLE = ((InVertex, "first"), (CorankJump, "second"),
+             (InVertex, "third"))
+
+    def test_first_failing_test_wins_in_table_order(self):
+        # element 0 passes, 1 fails the second test alone, 2 the first and
+        # third, 3 the second and third, 4 all three
+        failed = np.array([[0, 0, 1, 0, 1],
+                           [0, 1, 0, 1, 1],
+                           [0, 0, 1, 1, 1]], dtype=bool)
+        got = outcomes(failed, self.TABLE, lambda n: ("value", n))
+        assert got[0] == ("value", 0)
+        assert [(type(e), str(e)) for e in got[1:]] == [
+            (CorankJump, "second"), (InVertex, "first"),
+            (CorankJump, "second"), (InVertex, "first")]
+
+    def test_passing_elements_get_their_values(self):
+        calls = []
+
+        def value(n):
+            calls.append(n)
+            return n * n
+
+        failed = np.array([[0, 1, 0, 0], [0, 0, 0, 1]], dtype=bool)
+        got = outcomes(failed, self.TABLE[:2], value)
+        assert got[0] == 0 and got[2] == 4
+        assert calls == [0, 2]
+        assert isinstance(got[1], InVertex) and isinstance(got[3], CorankJump)
+        assert outcomes(failed[:, :0], self.TABLE[:2], value) == []

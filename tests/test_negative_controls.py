@@ -7,14 +7,16 @@ here are listed with their blind spots in the README's criteria table.
 """
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
 
 from curvecones import acceptance as acc
 from curvecones import algebra as alg, canring, cone as cn, curve as cv
-from curvecones import monomials as mono, net as nt, spanlab as sl
-from curvecones.errors import VerificationFailed
+from curvecones import monomials as mono, net as nt, pencil as pc
+from curvecones import spanlab as sl
+from curvecones.errors import SplittingViolation, VerificationFailed
 from curvecones.rng import Stream
 
 CFG = acc.reduced_config(0)
@@ -112,6 +114,20 @@ class TestCriterion3:
         assert result.details == {"degree": 6, "holdout_zero": False}
 
 
+class TestCriterion4:
+    def test_sound(self, ctx4):
+        result = acc.criterion_corank_law(ctx4, CFG)
+        assert result.ok and result.details["disagreements"] == 0
+
+    def test_corank_stuck_at_three_fails(self, ctx4, monkeypatch):
+        # corank 3 is the law on the engineered net only: each of the
+        # random nets, off the degeneracy divisor, disagrees
+        monkeypatch.setattr(pc, "corank", lambda m, p: 3)
+        result = acc.criterion_corank_law(ctx4, CFG)
+        assert not result.ok, result.line()
+        assert result.details["disagreements"] == CFG.corank_samples == 6
+
+
 class TestCriterion5:
     def test_sound_cone_vanishes_on_every_point(self, ctx4, inputs):
         total = sum(cv.panel_sizes(4))
@@ -153,6 +169,30 @@ class TestCriterion6:
                                 real(ctx, net_obj), ctx.p))
         result = acc.criterion_double_quadric(ctx4, CFG)
         assert not result.ok, result.line()
+
+
+class TestCriterion7:
+    def test_sound(self, ctx4, inputs):
+        result = acc.criterion_polars(ctx4, CFG, inputs.cones[:1])
+        assert result.ok and result.details["oracle_disagreements"] == 0
+
+    def test_cone_off_the_curve_fails(self, ctx4, inputs):
+        cone = perturbed(inputs.cones[0], ctx4.p)
+        with pytest.raises(VerificationFailed,
+                           match="polar cubic escapes the singular space"):
+            acc.criterion_polars(ctx4, CFG, [cone])
+
+
+class TestCriterion8:
+    def test_sound(self, ctx4, inputs):
+        result = acc.criterion_hessian(ctx4, CFG, inputs.cones[0])
+        assert result.ok
+        assert result.details["kernel_matches"] == CFG.fibers_on
+
+    def test_cone_off_the_curve_fails(self, ctx4, inputs):
+        cone = perturbed(inputs.cones[0], ctx4.p)
+        with pytest.raises(SplittingViolation, match="not divisible"):
+            acc.criterion_hessian(ctx4, CFG, cone)
 
 
 class TestCriterion9:
@@ -223,3 +263,31 @@ class TestCriterion12:
                                           inputs.f4)
         assert not result.ok, result.line()
         assert result.details["f3_rank_observed"] == 4
+
+
+class TestCriterion13:
+    @staticmethod
+    def rebuild(ctx):
+        """A builder of fresh contexts on the points of ctx."""
+        points = list(np.concatenate([ctx.panel, ctx.holdout]))
+        return lambda: canring.CurveContext(ctx.curve, points)
+
+    def test_sound(self, ctx4):
+        result = acc.criterion_determinism(self.rebuild(ctx4), CFG)
+        assert result.ok and result.details["identical"] is True
+
+    def test_runs_that_differ_fail(self, ctx4, monkeypatch):
+        # run_criteria looks criterion 2 up at call time: a call counter
+        # in its details makes the second run's report differ
+        real = acc.criterion_petri
+        calls = itertools.count()
+
+        def counted(ctx):
+            result = real(ctx)
+            result.details["call"] = next(calls)
+            return result
+
+        monkeypatch.setattr(acc, "criterion_petri", counted)
+        result = acc.criterion_determinism(self.rebuild(ctx4), CFG)
+        assert not result.ok, result.line()
+        assert result.details["identical"] is False

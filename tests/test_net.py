@@ -325,7 +325,7 @@ class TestOracles:
 def reference_value(ctx, net, b, check_gamma=True):
     """The membership oracle as one scalar elimination chain: the pencil's
     products and the cup Gram come from panel values read back through
-    `coords_many`, not from the context's structure constants.  Returns
+    `reference.coords`, not from the context's structure constants.  Returns
     <b, y>, or the class of the exception the oracle raises."""
     p, g = ctx.p, ctx.g
     b = np.asarray(b, dtype=np.int64) % p
@@ -344,7 +344,7 @@ def reference_value(ctx, net, b, check_gamma=True):
     basis2 = piece2.eval_matrix[:, piece2.basis_cols]
     products = np.concatenate([(basis2 * (ctx.panel @ s % p)[:, None] % p).T
                                for s in v])
-    functionals = alg.kernel_basis(ctx.coords_many(3, products), p)
+    functionals = alg.kernel_basis(reference.coords(ctx, 3, products), p)
     if functionals.shape[0] != 1:
         return InadmissiblePencil
     vbar = reference.normalize(functionals[0], p)
@@ -353,7 +353,7 @@ def reference_value(ctx, net, b, check_gamma=True):
     values = (ctx.panel @ lift % p)[:, None] * ctx.panel[:, iu] % p \
         * ctx.panel[:, ju] % p
     gram = np.zeros((g, g), dtype=np.int64)
-    gram[iu, ju] = gram[ju, iu] = ctx.coords_many(3, values.T) @ vbar % p
+    gram[iu, ju] = gram[ju, iu] = reference.coords(ctx, 3, values.T) @ vbar % p
     if g - alg.rank(gram, p) != 2:
         return CorankJump
     try:

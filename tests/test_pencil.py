@@ -23,7 +23,7 @@ def random_pencil(ctx, stream):
 
 def vbar_of(ctx, pen, values):
     """The cutting functional on a cubic class given by its panel values."""
-    return int(ctx.coords_many(3, values[None, :])[0] @ pen.vbar % P)
+    return int(reference.coords(ctx, 3, values[None, :])[0] @ pen.vbar % P)
 
 
 class TestBuildPencil:
@@ -37,7 +37,7 @@ class TestBuildPencil:
         for k in range(2):
             svals = ctx4.panel @ pen.v[k] % P
             rows.append((basis2 * svals[:, None] % P).T)
-        coords = ctx4.coords_many(3, np.concatenate(rows))
+        coords = reference.coords(ctx4, 3, np.concatenate(rows))
         assert alg.rank(coords, P) == 14
 
     def test_rank_deficient_rejected(self, ctx4):
@@ -179,7 +179,8 @@ class TestHessianMembership:
 class TestStructureConstants:
     def test_contractions_match_panel_products(self, ctx4, ctx5):
         """The product space and the cup Gram from the context's structure
-        constants equal the panel products read back through coords_many."""
+        constants equal the panel products read back through
+        `reference.coords`."""
         for ctx in (ctx4, ctx5):
             g = ctx.g
             stream = Stream(40, f"sc{g}")
@@ -191,11 +192,12 @@ class TestStructureConstants:
             products = np.concatenate(
                 [(basis2 * (ctx.panel @ s % P)[:, None] % P).T for s in v])
             assert pc.product_space(ctx, v).tolist() == \
-                ctx.coords_many(3, products).tolist()
+                reference.coords(ctx, 3, products).tolist()
             i, j = np.triu_indices(g)
             values = (ctx.panel @ w % P)[:, None] * ctx.panel[:, i] % P \
                 * ctx.panel[:, j] % P
             gram = np.zeros((g, g), dtype=np.int64)
-            gram[i, j] = gram[j, i] = ctx.coords_many(3, values.T) @ vbar % P
+            gram[i, j] = gram[j, i] = \
+                reference.coords(ctx, 3, values.T) @ vbar % P
             assert pc.cup_grams(ctx, vbar[None], w[None])[0].tolist() == \
                 gram.tolist()
