@@ -5,11 +5,13 @@ value vectors on a fixed panel of rational curve points.  The panel always
 exceeds the degree of any section of weight up to six, so a section is zero
 exactly when its value vector is, multiplication is pointwise, and graded
 pieces of the ideal fall out as kernels of monomial evaluation matrices.
-One row reduction of each evaluation matrix gives both halves of the map:
-its nonzero rows hold the coordinates of every monomial in the pivot
+The context keeps one point set, the main panel followed by a disjoint
+holdout panel, and one monomial table per degree over all of it.  One row
+reduction of the main-panel rows of each table gives both halves of the
+map: its nonzero rows hold the coordinates of every monomial in the pivot
 monomials, which span the graded piece (the image), and its special
-solutions are the ideal piece (the kernel).  A disjoint holdout panel backs
-independent recomputation of every kernel.
+solutions are the ideal piece (the kernel).  The holdout rows of the same
+table back an independent recomputation of every kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def ideal_dim(g: int, n: int) -> int:
 class GradedPiece:
     n: int
     dim: int
-    eval_matrix: np.ndarray      # panel x monomials
+    eval_matrix: np.ndarray      # panel x monomials: the main-panel rows
+                                 # of the context's table
     basis_cols: list[int]        # pivot monomial columns spanning the piece
     rows: np.ndarray             # dim x monomials: the nonzero rows of the
                                  # echelon form of eval_matrix; column j
@@ -58,7 +61,10 @@ class IdealPiece:
 
 
 class CurveContext:
-    """A curve with its point panels and graded-ring evaluation tables."""
+    """A curve with its point set and graded-ring evaluation tables.
+
+    `points` is the main panel followed by the holdout panel; `panel` and
+    `holdout` are views into it."""
 
     def __init__(self, curve: cv.CurveModel, points: list[np.ndarray]):
         self.curve = curve
@@ -68,21 +74,28 @@ class CurveContext:
         if len(points) < main_size + holdout_size:
             raise InsufficientPoints(
                 f"need {main_size + holdout_size} points, got {len(points)}")
-        pts = np.stack(points[: main_size + holdout_size]) % self.p
-        self.panel = pts[:main_size]
-        self.holdout = pts[main_size:]
+        self.points = np.stack(points[: main_size + holdout_size]) % self.p
+        self.panel = self.points[:main_size]
+        self.holdout = self.points[main_size:]
+        self._tables: dict[int, np.ndarray] = {}
         self._pieces: dict[int, GradedPiece] = {}
         self._ideals: dict[int, IdealPiece] = {}
         self._tangents: dict[tuple, cv.TangentData] = {}
-        self._holdout_tables: dict[int, np.ndarray] = {}
         for n in (1, 2, 3, 4):
             self.piece(n)
 
     # -- graded pieces ----------------------------------------------------
 
+    def table(self, n: int) -> np.ndarray:
+        """Values of the degree-n monomials at every point, main panel rows
+        first; one table per degree, built on first use."""
+        if n not in self._tables:
+            self._tables[n] = mono.eval_matrix(self.points, self.g, n, self.p)
+        return self._tables[n]
+
     def piece(self, n: int) -> GradedPiece:
         if n not in self._pieces:
-            e = mono.eval_matrix(self.panel, self.g, n, self.p)
+            e = self.table(n)[: len(self.panel)]
             expected = ring_dim(self.g, n)
             r, col_pivots = alg.rref(e, self.p)
             if len(col_pivots) != expected:
@@ -139,28 +152,18 @@ class CurveContext:
 
     # -- checks -----------------------------------------------------------
 
-    def eval_on_holdout(self, coeffs: np.ndarray, n: int) -> np.ndarray:
-        """Values on the holdout panel, from a table cached per degree."""
-        if n not in self._holdout_tables:
-            self._holdout_tables[n] = mono.eval_matrix(self.holdout, self.g,
-                                                       n, self.p)
-        return self._holdout_tables[n] @ np.asarray(coeffs,
-                                                    dtype=np.int64) % self.p
-
     def zeros_on_curve(self, coeffs: np.ndarray, n: int):
-        """How many points of both panels the form is zero at, for one form
-        or each row of a stack of forms (an array of counts)."""
+        """How many of the context's points the form is zero at, for one
+        form or each row of a stack of forms (an array of counts)."""
         forms = np.asarray(coeffs, dtype=np.int64).T
-        zeros = (self.piece(n).eval_matrix @ forms % self.p == 0).sum(axis=0) \
-            + (self.eval_on_holdout(forms, n) == 0).sum(axis=0)
+        zeros = (self.table(n) @ forms % self.p == 0).sum(axis=0)
         return int(zeros) if forms.ndim == 1 else zeros
 
     def vanishes_on_curve(self, coeffs: np.ndarray, n: int):
-        """Zero on both panels, for one form or each row of a stack of
+        """Zero at every point, for one form or each row of a stack of
         forms (an array of verdicts); for degree <= 6 this certifies ideal
-        membership because the panels outnumber the section degree."""
-        return self.zeros_on_curve(coeffs, n) \
-            == self.panel.shape[0] + self.holdout.shape[0]
+        membership because the points outnumber the section degree."""
+        return self.zeros_on_curve(coeffs, n) == len(self.points)
 
     def in_ideal(self, coeffs: np.ndarray, n: int) -> bool:
         return alg.RowSpace(self.ideal(n).basis, self.p).contains(coeffs)
@@ -192,9 +195,8 @@ def ideal_piece(ctx: CurveContext, n: int) -> IdealPiece:
 
 
 def ideal_piece_from_holdout(ctx: CurveContext, n: int) -> IdealPiece:
-    """Same kernel computed on the disjoint verification panel."""
-    e = mono.eval_matrix(ctx.holdout, ctx.g, n, ctx.p)
-    basis = alg.kernel_basis(e, ctx.p)
+    """Same kernel computed on the disjoint holdout rows of the table."""
+    basis = alg.kernel_basis(ctx.table(n)[len(ctx.panel):], ctx.p)
     return IdealPiece(n=n, dim=basis.shape[0], basis=basis)
 
 

@@ -379,7 +379,7 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
 
 
 def _checks(ctx: CurveContext, deg: int, nets: tuple, forms: tuple) -> list:
-    """How many panel and holdout points each form of degree deg is zero
+    """How many of the context's points each form of degree deg is zero
     at, whether that is all of them (the form vanishes on the curve, which
     certifies ideal membership), and whether it is singular along the
     vertex of its net."""
@@ -387,8 +387,7 @@ def _checks(ctx: CurveContext, deg: int, nets: tuple, forms: tuple) -> list:
     singular = ~vertex_condition_matrix(
         ctx, nets, coeffs[:, None], deg).any(axis=(1, 2))
     zeros = ctx.zeros_on_curve(coeffs, deg)
-    return list(zip(zeros.tolist(), (zeros == ctx.panel.shape[0]
-                                     + ctx.holdout.shape[0]).tolist(),
+    return list(zip(zeros.tolist(), (zeros == len(ctx.points)).tolist(),
                     singular.tolist()))
 
 

@@ -80,11 +80,11 @@ def build_nets(ctx: CurveContext, ws) -> list[Net | RankDeficientW]:
     slot of a basis that does not have rank 3.
 
     One `rref_batch` echelon-normalizes the bases, and the vertices are
-    read off the same pass; three products with the panel and holdout
-    points, one per section, find the base points.  res is square, so the
-    net is in D exactly when one `rref_batch` of the stacked res^T finds a
-    free column, and a one-dimensional left kernel of res gives the
-    quadric certifying it.
+    read off the same pass; three products with the context's points, one
+    per section, find the base points.  res is square, so the net is in D
+    exactly when one `rref_batch` of the stacked res^T finds a free column,
+    and a one-dimensional left kernel of res gives the quadric certifying
+    it.
     """
     p = ctx.p
     g = ctx.g
@@ -93,9 +93,9 @@ def build_nets(ctx: CurveContext, ws) -> list[Net | RankDeficientW]:
         return [RankDeficientW("net basis must have rank 3") for _ in ws]
     wr, pivots = alg.rref_batch(ws, p)
     wperp, _ = alg.special_solutions_batch(wr, pivots, g - 3, p)
-    # a panel or holdout point where all three sections vanish, one
-    # section at a time so that a round keeps one N x points array
-    pts_t = np.concatenate([ctx.panel, ctx.holdout]).T
+    # a point of the context where all three sections vanish, one section
+    # at a time so that a round keeps one N x points array
+    pts_t = ctx.points.T
     vanish = np.ones((len(ws), pts_t.shape[1]), dtype=bool)
     for k in range(3):
         values = wr[:, k] @ pts_t

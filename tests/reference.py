@@ -647,10 +647,9 @@ def oracle_agreement(ctx, net_obj, coeffs, stream, count, x=None):
 def verify_cone(ctx, net_obj, coeffs, stream, oracle_points):
     """The certificate of a reconstructed quartic, checked by the one-cone
     chain; raises VerificationFailed when a check fails."""
-    cert = {"points_vanished": int(ctx.panel.shape[0] + ctx.holdout.shape[0]),
+    cert = {"points_vanished": len(ctx.points),
             "contains_curve": not mono.form_eval(
-                coeffs, np.concatenate([ctx.panel, ctx.holdout]), ctx.g, 4,
-                ctx.p).any(),
+                coeffs, ctx.points, ctx.g, 4, ctx.p).any(),
             "vertex_singular": not cn.vertex_condition_matrix(
                 ctx, net_obj, coeffs[None], 4).any()}
     checked, bad = oracle_agreement(ctx, net_obj, coeffs,
@@ -749,8 +748,8 @@ def base_locus_probe(ctx, spans, off_curve_count, seed=0):
     report = {"off_curve_checked": 0, "violations": [],
               "curve_points_contained": True, "structured_checked": 0}
     for acc in spans:
-        evals = mono.eval_matrix(np.concatenate([ctx.panel, ctx.holdout]),
-                                 g, acc.degree, p) @ acc.rows.T % p
+        evals = mono.eval_matrix(ctx.points, g, acc.degree,
+                                 p) @ acc.rows.T % p
         if evals.any():
             report["curve_points_contained"] = False
 

@@ -137,7 +137,7 @@ def test_criterion_13_determinism(genus, request):
         # rebuilt from the stored points, as `verify --full` rebuilds the
         # context from a curve file
         ctx5 = request.getfixturevalue("ctx5")
-        points = list(np.concatenate([ctx5.panel, ctx5.holdout]))
+        points = list(ctx5.points)
 
         def builder():
             return canring.build_context(ctx5.curve, points)

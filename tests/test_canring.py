@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from curvecones import algebra as alg
+from curvecones import acceptance as acc, algebra as alg
 from curvecones import canring, monomials as mono
 from curvecones.errors import SingularPoint
 from curvecones.rng import Stream
@@ -88,6 +88,41 @@ class TestOneElimination:
             ctx, 3, products).reshape(g, piece2.dim, -1).tolist()
 
 
+class TestOnePointSet:
+    """The context's one point set and its one table per degree."""
+
+    def test_panels_are_views_of_the_points(self, ctx4, ctx5):
+        for ctx in (ctx4, ctx5):
+            assert len(ctx.points) == len(ctx.panel) + len(ctx.holdout)
+            assert np.shares_memory(ctx.panel, ctx.points)
+            assert np.shares_memory(ctx.holdout, ctx.points)
+            assert ctx.points.tolist() == \
+                ctx.panel.tolist() + ctx.holdout.tolist()
+            for n in (2, 3, 4):
+                assert ctx.table(n).tolist() == \
+                    mono.eval_matrix(ctx.points, ctx.g, n, P).tolist()
+                assert ctx.piece(n).eval_matrix.tolist() == \
+                    ctx.table(n)[:len(ctx.panel)].tolist()
+
+    def test_holdout_is_evaluated_once_per_degree(self, ctx4, monkeypatch):
+        # a reduced suite on a fresh context evaluates each holdout point
+        # once in each degree: in the context's table
+        held = {tuple(pt) for pt in ctx4.holdout.tolist()}
+        evaluated = {}
+        real = mono.eval_matrix
+
+        def counting(pts, g, n, p):
+            if g == ctx4.g:
+                evaluated[n] = evaluated.get(n, 0) + sum(
+                    tuple(pt) in held for pt in np.asarray(pts).tolist())
+            return real(pts, g, n, p)
+
+        monkeypatch.setattr(mono, "eval_matrix", counting)
+        ctx = canring.CurveContext(ctx4.curve, list(ctx4.points))
+        acc.run_criteria(ctx, acc.reduced_config(0))
+        assert evaluated == {n: len(ctx4.holdout) for n in (1, 2, 3, 4)}
+
+
 class TestMultiplication:
     def test_ideal_elements_evaluate_to_zero(self, ctx4):
         q = ctx4.ideal(2).basis[0]
@@ -110,8 +145,8 @@ class TestMultiplication:
         # and compare classes on the main panel
         stream = Stream(8, "roundtrip")
         coeffs = stream.field_vec(P, mono.count(4, 2))
-        hold_vals = ctx4.eval_on_holdout(coeffs, 2)
-        e_hold = mono.eval_matrix(ctx4.holdout, 4, 2, P)
+        e_hold = ctx4.table(2)[len(ctx4.panel):]
+        hold_vals = e_hold @ coeffs % P
         x = solve_consistent(e_hold, hold_vals, P)
         main_a = mono.form_eval(coeffs, ctx4.panel, 4, 2, P)
         main_b = mono.form_eval(x, ctx4.panel, 4, 2, P)

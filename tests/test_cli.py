@@ -144,6 +144,14 @@ class TestCommands:
         assert main(["ideal", "--curve", str(tmp_path / "missing.json"),
                      "--degree", "2"]) == 2
 
+    def test_negative_seed_rejected(self, tmp_path, curve_file, capsys):
+        # the suite config is checked before any criterion runs
+        out = tmp_path / "r.json"
+        assert main(["verify", "--curve", curve_file, "--quick",
+                     "--seed", "-1", "--out", str(out)]) == 2
+        assert "config field 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_degree_rejected_before_the_curve_loads(self, tmp_path,
                                                         capsys):
         # the parser names the degree; the missing curve file is not read
@@ -481,7 +489,7 @@ def test_genus5_spans_payload_is_pinned(ctx5, tmp_path):
     # the curve file gen-curve writes holds exactly the context's points
     curve_file = tmp_path / "c5.json"
     cv.save_curve(str(curve_file), ctx5.curve,
-                  list(np.concatenate([ctx5.panel, ctx5.holdout])))
+                  list(ctx5.points))
     out = tmp_path / "spans5.json"
     assert main(["spans", "--curve", str(curve_file), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GENUS5_SPANS

@@ -58,7 +58,7 @@ class TestGeneration:
     def test_genus5_curve_file_is_pinned(self, ctx5):
         # the file gen-curve writes for the genus-5 curve of seed 7; its
         # point sampling is the heaviest user of resultant_bivariate
-        points = list(ctx5.panel) + list(ctx5.holdout)
+        points = list(ctx5.points)
         blob = json.dumps(cv.curve_to_json(ctx5.curve, points),
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == GENUS5_CURVE_FILE
@@ -460,7 +460,7 @@ class TestTangents:
 class TestPersistence:
     def test_roundtrip(self, tmp_path, ctx4):
         # a loadable file holds both panels of a context
-        pts = list(np.concatenate([ctx4.panel, ctx4.holdout]))
+        pts = list(ctx4.points)
         path = tmp_path / "curve.json"
         cv.save_curve(str(path), ctx4.curve, pts)
         loaded, lpts = cv.load_curve(str(path))

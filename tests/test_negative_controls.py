@@ -156,6 +156,14 @@ class TestCriterion5:
             acc.criterion_reconstruction(off_holdout, CFG,
                                          inputs.cones[:1])
 
+    def test_too_few_cones_fail(self, ctx4, inputs):
+        # the one check the criterion makes itself: each cone it is given
+        # is certified (or raises) in `verify_cones`
+        assert acc.criterion_reconstruction(ctx4, CFG, inputs.cones).ok
+        result = acc.criterion_reconstruction(ctx4, CFG, inputs.cones[:1])
+        assert not result.ok, result.line()
+        assert result.details["reconstructions"] == 1
+
 
 class TestCriterion6:
     def test_sound(self, ctx4):
@@ -269,7 +277,7 @@ class TestCriterion13:
     @staticmethod
     def rebuild(ctx):
         """A builder of fresh contexts on the points of ctx."""
-        points = list(np.concatenate([ctx.panel, ctx.holdout]))
+        points = list(ctx.points)
         return lambda: canring.CurveContext(ctx.curve, points)
 
     def test_sound(self, ctx4):

@@ -5,6 +5,8 @@ and every engine name the benchmark under `perfbench/` uses: the functions
 its tracer wraps (`metrics.LAYERS`, `tracer.TARGETS`) and the names that
 `perfbench/kernels.py` calls.  A function or class that none of these
 reaches is code that only tests or demos run, and belongs with them.
+`tracer_only` lists the definitions that the benchmark's roots alone keep
+reached.
 
 The walk matches by name, not by binding, so it over-approximates: a
 reached body that mentions a name reaches every definition with that name,
@@ -96,12 +98,14 @@ def bench_roots() -> tuple[set[str], set[str]]:
     return set(tracer.TARGETS), kernel_names
 
 
-def unreached() -> list[str]:
+def unreached(bench: bool = True) -> list[str]:
+    """The definitions the walk does not reach; without `bench`, the walk
+    starts from `cli.main` and module-level code alone."""
     defs, module_names = definitions()
     by_short: dict[str, list[str]] = {}
     for qual, (short, _) in defs.items():
         by_short.setdefault(short, []).append(qual)
-    targets, kernel_names = bench_roots()
+    targets, kernel_names = bench_roots() if bench else (set(), set())
     reached: set[str] = set()
     todo = ["cli.main", *targets]
     for name in module_names | kernel_names:
@@ -115,10 +119,21 @@ def unreached() -> list[str]:
     return sorted(set(defs) - reached)
 
 
+def tracer_only() -> list[str]:
+    """The definitions that only the benchmark's roots reach: nothing the
+    command line runs calls them."""
+    return sorted(set(unreached(bench=False)) - set(unreached()))
+
+
 def test_every_definition_is_reached():
     dead = unreached()
     assert not dead, "defined in src/curvecones but reached neither from " \
         "cli.main nor from perfbench: " + ", ".join(dead)
+
+
+def test_bench_roots_only_add_to_the_command_line_walk():
+    # so `tracer_only` is what the benchmark's roots add, nothing else
+    assert set(unreached()) <= set(unreached(bench=False))
 
 
 def unread_imports() -> list[str]:
