@@ -46,7 +46,9 @@ def node_count(g: int) -> int:
 
 @dataclass
 class SuiteConfig:
-    """Sample sizes for one full run; every value is part of the report."""
+    """Sample sizes for one full run; every value is part of the report,
+    and a value that is not a nonnegative integer is a ConfigError where
+    the config is made."""
     seed: int = 0
     corank_samples: int = 50
     corank_engineered: int = 5
@@ -61,7 +63,7 @@ class SuiteConfig:
     span_samples: int = 25
     off_curve_probes: int = 500
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in asdict(self).items():
             if not isinstance(value, int) or value < 0:
                 raise ConfigError(f"config field '{name}' must be a "
@@ -205,10 +207,9 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
 
     def engineer(k: int) -> bool:
         """Whether the k-th engineered net obeys the double-quadric law."""
-        combo = stream.field_vec(p, i2.dim)
-        if not combo.any():
-            combo[0] = 1
-        quadric = combo @ i2.basis % p
+        quadric = stream.combination(p, i2.basis)
+        if quadric is None:
+            quadric = i2.basis[0]
         net_obj = cn.degenerate_net(ctx, stream.spawn(f"n{k}"),
                                     quadric=quadric)
         cone_obj = cn.double_quadric_quartic(ctx, net_obj)
@@ -280,12 +281,6 @@ def criterion_secant(ctx, cfg: SuiteConfig,
     """Each loop makes the draws of one secant at a time, in rounds
     (`Draws.rounds`) checked on one stack, errors raised in draw order."""
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
-    n = ctx.panel.shape[0]
-
-    def random_pair(_):
-        i = stream.integer(0, n)
-        j = stream.integer(0, n)
-        return None if i == j else (ctx.panel[i], ctx.panel[j])
 
     def false_false(pairs: list) -> list:
         """Whether the criterion fails both ways on each random secant."""
@@ -293,8 +288,9 @@ def criterion_secant(ctx, cfg: SuiteConfig,
                 for v in cn.secant_criteria(ctx, [cone] * len(pairs), pairs)]
 
     randoms = Draws("random secants", 30 * cfg.secant_random,
-                    random_pair).rounds(cfg.secant_random, false_false)
-    random_ok = sum(holds for _, holds in randoms)
+                    lambda _: ctx.panel_pair(stream))
+    random_ok = sum(holds for _, holds in randoms.rounds(
+        cfg.secant_random, false_false))
 
     # a secant whose cone fails the criterion gives no result, and each
     # draw is taken in the first round
@@ -378,7 +374,6 @@ def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
 def run_criteria(ctx, cfg: SuiteConfig, echo=None) -> list[CriterionResult]:
     """Criteria 1-12 in order.  Each criterion is looked up as a module
     global at call time, so a wrapper installed on this module is called."""
-    cfg.validate()
     inputs = SuiteInputs(ctx, cfg)
     results = [
         criterion_ideal_dims(ctx),

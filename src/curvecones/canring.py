@@ -26,6 +26,7 @@ from . import algebra as alg
 from . import curve as cv
 from . import monomials as mono
 from .errors import InsufficientPoints, RankDeficiency, value_of
+from .rng import Stream
 
 
 def ring_dim(g: int, n: int) -> int:
@@ -134,6 +135,14 @@ class CurveContext:
                  for col in self.piece(2).basis_cols]
         j, k = np.array(pairs, dtype=np.int64).T
         return self.cubic_tensor[:, j, k]
+
+    def panel_pair(self, stream: Stream) -> tuple | None:
+        """Two panel points drawn by index, or None when the indices
+        agree."""
+        n = len(self.panel)
+        i = stream.integer(0, n)
+        j = stream.integer(0, n)
+        return None if i == j else (self.panel[i], self.panel[j])
 
     def tangents(self, pts) -> list:
         """The tangent data of each point of a stack, or the SingularPoint

@@ -102,12 +102,13 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_spans(args) -> int:
-    from . import spanlab as sl
-    ctx = _load_context(args.curve)
     cfg = {"seed": 0, "sample_count": 25, "off_curve": 500}
     if args.config:
         with open(args.config) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError("a spans config must hold a JSON object, got "
+                              f"{type(user).__name__}")
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config field '{key}'")
@@ -115,6 +116,8 @@ def cmd_spans(args) -> int:
                 raise ConfigError(f"config field '{key}' must be a "
                                   f"nonnegative integer")
             cfg[key] = value
+    from . import spanlab as sl
+    ctx = _load_context(args.curve)
     cones = sl.collect_cones(ctx, cfg["sample_count"], cfg["seed"])
     f4 = sl.accumulate_f4(ctx, cones, cfg["seed"])
     f3 = sl.accumulate_f3(ctx, cones)
@@ -184,8 +187,8 @@ def suite_config(quick: bool, seed: int) -> acc.SuiteConfig:
 
 def cmd_verify(args) -> int:
     from . import acceptance as acc
-    ctx = _load_context(args.curve)
     cfg = suite_config(args.quick, args.seed)
+    ctx = _load_context(args.curve)
     if args.full:
         results = acc.run_full(ctx, cfg, echo=print,
                                ctx_builder=lambda: _load_context(args.curve))

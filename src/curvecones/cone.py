@@ -562,14 +562,12 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream
                           ) -> tuple[np.ndarray, np.ndarray, nt.Net]:
     """Two panel points and a generic net whose vertex meets their secant."""
     p = ctx.p
-    n = ctx.panel.shape[0]
 
     def draw(_):
-        i = stream.integer(0, n)
-        j = stream.integer(0, n)
-        if i == j:
+        pair = ctx.panel_pair(stream)
+        if pair is None:
             return None
-        pt_p, pt_q = ctx.panel[i], ctx.panel[j]
+        pt_p, pt_q = pair
         x1 = (stream.nonzero(p) * pt_p + stream.nonzero(p) * pt_q) % p
         vertex = np.stack([x1] + [stream.field_vec(p, ctx.g)
                                   for _ in range(ctx.g - 4)])
@@ -691,12 +689,10 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
         if ctx.g == 4:
             pt_p, pt_q, section = bitangent_pair(ctx, sub.spawn("bit"))
         else:
-            n = ctx.panel.shape[0]
-            i = sub.integer(0, n)
-            j = sub.integer(0, n)
-            if i == j:
+            pair = ctx.panel_pair(sub)
+            if pair is None:
                 return None
-            pt_p, pt_q = ctx.panel[i], ctx.panel[j]
+            pt_p, pt_q = pair
             section = double_vanishing_section(ctx, pt_p, pt_q)
             if section is None:
                 return None
@@ -773,34 +769,41 @@ def _family_samples(ctx: CurveContext, family, b0: np.ndarray
 
 def degenerate_net(ctx: CurveContext, stream: Stream,
                    quadric: np.ndarray | None = None) -> nt.Net:
-    """Engineer a net on the degeneracy divisor: its vertex lies inside a
-    quadric of the ideal (the whole vertex line for genus 5)."""
+    """Engineer a net on the degeneracy divisor: its vertex is an isotropic
+    (g - 3)-space of a quadric of the ideal, so the quadric contains it.
+
+    The vertex grows one point at a time.  The first point is a zero of the
+    quadric q on a random line; each further point is a zero of q on a
+    random line inside the polar hyperplanes of the points so far, so it
+    is orthogonal to them and to itself.  Genus 4 takes no further point
+    and genus 5 one.  At genus 6 the vertex is an isotropic plane, which a
+    quadric of elliptic type in six variables over F_p does not have: for
+    such a q the last step finds no new isotropic point and the draw
+    resamples."""
     p = ctx.p
     g = ctx.g
     i2 = ctx.ideal(2)
 
     def draw(_):
         if quadric is None:
-            combo = stream.field_vec(p, i2.dim)
-            if not combo.any():
+            q = stream.combination(p, i2.basis)
+            if q is None:
                 return None
-            q = combo @ i2.basis % p
         else:
             q = np.asarray(quadric, dtype=np.int64) % p
-        q1 = next(points_on_form(ctx, q, 2, stream, 1, budget=60), None)
-        if q1 is None:
+        first = next(points_on_form(ctx, q, 2, stream, 1, budget=60), None)
+        if first is None:
             return None
-        if g == 4:
-            vertex = q1[None, :]
-        else:
-            polar = 2 * q1 @ cv.quadric_gram(q, g, p) % p
-            hb = alg.kernel_basis(polar.reshape(1, g), p)
-            c1 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
-            c2 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
-            zeros = cv.line_zeros(q, 2, g, c1[None], c2[None], p)[0]
-            if not zeros or alg.rank(np.stack([q1, zeros[0]]), p) != 2:
+        vertex = first[None, :]
+        for _ in range(g - 4):
+            hb = alg.kernel_basis(2 * vertex @ cv.quadric_gram(q, g, p) % p, p)
+            ends = stream.field_mat(p, 2, len(hb)) @ hb % p
+            zeros = cv.line_zeros(q, 2, g, ends[:1], ends[1:], p)[0]
+            if not zeros:
                 return None
-            vertex = np.stack([q1, zeros[0]])
+            vertex = np.vstack([vertex, zeros[0]])
+            if alg.rank(vertex, p) != len(vertex):
+                return None
         net_obj = nt.net_from_vertex(ctx, vertex)
         if net_obj.in_b or not net_obj.in_d or net_obj.d_certificate is None:
             return None

@@ -8,6 +8,9 @@ rational rulings and the curve is sampled by restricting the cubic to
 ruling lines (a cubic in one line parameter per ruling member).  Genus 5
 curves are intersections of three independent quadrics in P^4, sampled by
 slicing with hyperplanes and eliminating variables through resultants.
+Each slice is eliminated in one random chart; a chart that does not
+eliminate cleanly gives its slice no points, and the sampling walk's next
+slice stands in for it.
 
 Every search for the zeros of a form on a line goes through `line_zeros`:
 curve points on a ruling line, the last coordinate of a genus-5 slice,
@@ -36,7 +39,6 @@ from .rng import Stream, derive_key
 
 GENERATION_TRIES = 64
 POINT_BUDGET_FACTOR = 60
-CHART_TRIES = 2         # chart changes a genus-5 slice tries
 
 
 def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
@@ -394,7 +396,8 @@ def _res_quadratics(q1, q2, p: int) -> np.ndarray:
 
 def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
     """Rational points of a genus-5 curve in the hyperplane {h . z = 0},
-    from the first of CHART_TRIES chart changes that eliminates cleanly."""
+    eliminated in one random chart of the slice; a chart that does not
+    eliminate cleanly gives the slice no points."""
     if curve.genus != 5:
         raise ValueError("hyperplane sections are sliced at genus 5 only")
     p = curve.prime
@@ -403,45 +406,39 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
     if basis.shape[1] != 4:
         raise DegenerateInput("section hyperplane is degenerate")
     key = derive_key(curve.seed, "slice-chart|" + ",".join(map(str, h)))
-    stream = Stream(key, "chart")
+    change = Stream(key, "chart").field_mat(p, 4, 4)
+    if alg.rank(change, p) != 4:
+        return []
+    m = basis @ change % p
     quads = [np.array(c, dtype=np.int64) for _, c in curve.generators]
-    found: dict[tuple, np.ndarray] = {}
-    for _ in range(CHART_TRIES):
-        change = stream.field_mat(p, 4, 4)
-        if alg.rank(change, p) != 4:
+    layers = [_quadric_by_y3(mono.restrict(q, 2, 5, m, p)) for q in quads]
+    if not all(layer[2].any() for layer in layers[:2]):
+        return []
+    r12 = _res_quadratics(layers[0], layers[1], p)
+    r13 = _res_quadratics(layers[0], layers[2], p)
+    if not (r12.any() and r13.any()):
+        return []
+    try:
+        rfin = alg.resultant_bivariate(r12, r13, p)
+    except ValueError:   # a zero eliminant: the chart, not the slice,
+        return []        # is unusable (not a resample of the pipeline)
+    if alg.poly_deg(rfin) < 0:
+        return []
+    roots = alg.distinct_roots(rfin, p)
+    cands: list = []
+    for y1, s12 in zip(roots, alg.p2_eval_x(r12, roots, p)):
+        s12 = alg.poly_trim(s12)
+        if alg.poly_deg(s12) < 1:
             continue
-        m = basis @ change % p
-        rq = [mono.restrict(q, 2, 5, m, p) for q in quads]
-        layers = [_quadric_by_y3(q) for q in rq]
-        if not all(layer[2].any() for layer in layers[:2]):
-            continue
-        r12 = _res_quadratics(layers[0], layers[1], p)
-        r13 = _res_quadratics(layers[0], layers[2], p)
-        if not (r12.any() and r13.any()):
-            continue
-        try:
-            rfin = alg.resultant_bivariate(r12, r13, p)
-        except ValueError:   # a zero eliminant: the chart, not the slice,
-            continue         # is unusable (not a resample of the pipeline)
-        if alg.poly_deg(rfin) < 0:
-            continue
-        roots = alg.distinct_roots(rfin, p)
-        cands: list = []
-        for y1, s12 in zip(roots, alg.p2_eval_x(r12, roots, p)):
-            s12 = alg.poly_trim(s12)
-            if alg.poly_deg(s12) < 1:
-                continue
-            for y2 in alg.distinct_roots(s12, p):
-                # y3 on the line m (1, y1, y2, y3): its y3^2 coefficient
-                # is layers[0][2], nonzero, so no zero lies at infinity
-                base = m @ np.array([1, y1, y2, 0], dtype=np.int64) % p
-                cands += line_zeros(quads[0], 2, 5, base[None],
-                                    m[None, :, 3], p)[0]
-        # one membership test for all candidates of the slice
-        pts = np.array(cands, dtype=np.int64).reshape(-1, 5)
-        for x in pts[~off_curve(curve, pts)]:
-            found[tuple(x.tolist())] = x
-        break
+        for y2 in alg.distinct_roots(s12, p):
+            # y3 on the line m (1, y1, y2, y3): its y3^2 coefficient is
+            # layers[0][2], nonzero, so no zero lies at infinity
+            base = m @ np.array([1, y1, y2, 0], dtype=np.int64) % p
+            cands += line_zeros(quads[0], 2, 5, base[None], m[None, :, 3],
+                                p)[0]
+    # one membership test for all candidates of the slice
+    pts = np.array(cands, dtype=np.int64).reshape(-1, 5)
+    found = {tuple(x.tolist()): x for x in pts[~off_curve(curve, pts)]}
     return [found[k] for k in sorted(found)]
 
 
@@ -602,14 +599,17 @@ def _typed(data: dict, name: str, kind: type):
 def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     """Curve and points of a curve file.
 
-    Raises ConfigError, naming the field or the point index, when a field
-    is missing or has the wrong JSON type, the genus has no model, the
+    Raises ConfigError when the file's top level is not a JSON object, and,
+    naming the field or the point index, when a field is missing or has the wrong JSON type, the genus has no model, the
     prime is not a curve prime (`check_curve_prime`), a generator has the
     wrong degree, the file holds fewer points than the panels of a context
     (`panel_sizes`), or a point is not a list of g integers, is not
     normalized, repeats an earlier point (both indices named) or does not
     lie on the curve.
     """
+    if not isinstance(data, dict):
+        raise ConfigError("a curve file must hold a JSON object, got "
+                          f"{type(data).__name__}")
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
     if g not in MODELS:

@@ -21,13 +21,13 @@ raised when the walk reaches it.  `Draws.chain` is that walk
 as a chain, which `lockstep` runs side by side with the chains of other
 elements, answering the requests of a round with one batched call each.
 
-Three retry loops stay outside `Draws`.  `net.random_nets` redraws the
+Two retry loops stay outside `Draws`.  `net.random_nets` redraws the
 missing nets of a stack in rounds of one `build_nets` each.
-`curve.hyperplane_section` tries `CHART_TRIES` chart changes of one slice
-and gives no points when none eliminates cleanly.  `spanlab.collect_cones`
-walks its rounds itself: its budget counts failures only, over all its
-cones, and the stream key of each draw names the failures so far, so a
-round stops at its first failure.
+`spanlab.collect_cones` walks its rounds itself: its budget counts
+failures only, over all its cones, and the stream key of each draw names
+the failures so far, so a round stops at its first failure.  A genus-5
+slice is no retry loop: `curve.hyperplane_section` tries one chart, and
+a chart that does not eliminate cleanly gives the slice no points.
 
 A stacked kernel tests all elements of a batch at once and gives each
 failing element the exception of the first test it fails: `outcomes`

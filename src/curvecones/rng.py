@@ -5,6 +5,10 @@ Every random choice in the package flows through a `Stream` keyed by
 algorithm alone, so runs are reproducible byte for byte across platforms
 and library versions.  Independent purposes get independent tags; drawing
 order within one tag is part of the reproducibility contract.
+
+A random member of a linear system (an ideal quadric, a point of a net's
+vertex) is `combination`: one `field_vec` of coefficients for the rows,
+None when they are all zero, so every caller draws it the same way.
 """
 
 from __future__ import annotations
@@ -66,6 +70,13 @@ class Stream:
 
     def field_mat(self, p: int, rows: int, cols: int) -> np.ndarray:
         return self.field_vec(p, rows * cols).reshape(rows, cols)
+
+    def combination(self, p: int, rows: np.ndarray) -> np.ndarray | None:
+        """A random combination of the rows (residues mod p), its
+        coefficients from one `field_vec`, or None when they are all zero;
+        each entry sums one product below p^2 < 2^50 per row."""
+        combo = self.field_vec(p, rows.shape[0])
+        return combo @ rows % p if combo.any() else None
 
     def spawn(self, tag: str) -> "Stream":
         """Child stream with an extended tag; parent state is untouched."""

@@ -101,11 +101,11 @@ def _square_rows(ctx: CurveContext, seed: int) -> list[tuple[np.ndarray,
     stream = Stream(derive_key(ctx.curve.seed, f"span-squares|{seed}"), "q")
 
     def draw(k: int):
-        combo = stream.field_vec(ctx.p, i2.dim)
-        if not combo.any():
+        quadric = stream.combination(ctx.p, i2.basis)
+        if quadric is None:
             return None
         net_obj = cn.degenerate_net(ctx, stream.spawn(f"dn{k + 1}"),
-                                    quadric=combo @ i2.basis % ctx.p)
+                                    quadric=quadric)
         return cn.double_quadric_quartic(ctx, net_obj).coeffs, net_obj
 
     draws = Draws("quadric squares", 8 * wanted + 8, draw)
@@ -165,10 +165,9 @@ def squares_containment(ctx: CurveContext, f4: SpanAccumulator,
     i2 = ctx.ideal(2)
     stream = Stream(derive_key(ctx.curve.seed, f"squares|{seed}"), "combo")
     for _ in range(20):
-        combo = stream.field_vec(ctx.p, i2.dim)
-        if not combo.any():
+        quadric = stream.combination(ctx.p, i2.basis)
+        if quadric is None:
             continue
-        quadric = combo @ i2.basis % ctx.p
         square = mono.mul_forms(quadric, 2, quadric, 2, ctx.g, ctx.p)
         if not f4.span.contains(square):
             return False
@@ -220,26 +219,24 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
     i2 = ctx.ideal(2)
     harvests = []
     for k in range(10):
-        combo = stream.field_vec(p, i2.dim)
-        if combo.any():
-            harvests.append(cv.ZeroHarvest(combo @ i2.basis % p, 2, g, p,
+        quadric = stream.combination(p, i2.basis)
+        if quadric is not None:
+            harvests.append(cv.ZeroHarvest(quadric, 2, g, p,
                                            stream.spawn(f"q{k}"), 1, 60))
     candidates = [(got[0], "quadric") for got in lockstep(
         [harvest.take(1) for harvest in harvests]) if got]
     # points on vertices of nets used by the spans
     for acc in spans:
         for net_obj in acc.sources[:5]:
-            combo = stream.field_vec(p, net_obj.wperp.shape[0])
-            if combo.any():
-                candidates.append((combo @ net_obj.wperp % p, "vertex"))
+            pt = stream.combination(p, net_obj.wperp)
+            if pt is not None:
+                candidates.append((pt, "vertex"))
     # points on secant lines of panel points
-    n = ctx.panel.shape[0]
     for _ in range(10):
-        i = stream.integer(0, n)
-        j = stream.integer(0, n)
-        if i != j:
-            candidates.append(((stream.nonzero(p) * ctx.panel[i]
-                                + stream.nonzero(p) * ctx.panel[j]) % p,
+        pair = ctx.panel_pair(stream)
+        if pair is not None:
+            candidates.append(((stream.nonzero(p) * pair[0]
+                                + stream.nonzero(p) * pair[1]) % p,
                                "secant"))
     pts, labels = zip(*candidates) if candidates else ((), ())
     report["structured_checked"] = sum(

@@ -954,3 +954,60 @@ def criterion_secant(ctx, cfg, cone):
     except DegenerateInput:
         details["double_section_branch"] = 0
     return details
+
+
+def combination(stream, p, rows):
+    """A random combination of the rows as the engine drew it inline: one
+    `field_vec`, skipped when all zero."""
+    combo = stream.field_vec(p, rows.shape[0])
+    if not combo.any():
+        return None
+    return combo @ rows % p
+
+
+def panel_pair(ctx, stream):
+    """Two panel points drawn by index as the engine drew them inline, or
+    None when the indices agree."""
+    n = ctx.panel.shape[0]
+    i = stream.integer(0, n)
+    j = stream.integer(0, n)
+    if i == j:
+        return None
+    return ctx.panel[i], ctx.panel[j]
+
+
+def degenerate_net(ctx, stream, quadric=None):
+    """`cone.degenerate_net` with one branch per genus: a vertex point at
+    genus 4, and at genus 5 a vertex line, its second point a zero of q on
+    a random line of the first point's polar hyperplane."""
+    p = ctx.p
+    g = ctx.g
+    i2 = ctx.ideal(2)
+
+    def draw(_):
+        if quadric is None:
+            q = combination(stream, p, i2.basis)
+            if q is None:
+                return None
+        else:
+            q = np.asarray(quadric, dtype=np.int64) % p
+        q1 = next(points_on_form(ctx, q, 2, stream, 1, budget=60), None)
+        if q1 is None:
+            return None
+        if g == 4:
+            vertex = q1[None, :]
+        else:
+            polar = 2 * q1 @ cv.quadric_gram(q, g, p) % p
+            hb = alg.kernel_basis(polar.reshape(1, g), p)
+            c1 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
+            c2 = hb.T @ stream.field_vec(p, hb.shape[0]) % p
+            zeros = cv.line_zeros(q, 2, g, c1[None], c2[None], p)[0]
+            if not zeros or alg.rank(np.stack([q1, zeros[0]]), p) != 2:
+                return None
+            vertex = np.stack([q1, zeros[0]])
+        net_obj = nt.net_from_vertex(ctx, vertex)
+        if net_obj.in_b or not net_obj.in_d or net_obj.d_certificate is None:
+            return None
+        return net_obj
+
+    return resample("degenerate net", 200, draw)

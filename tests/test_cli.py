@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvecones import acceptance as acc, bundle as bd
+from curvecones import acceptance as acc, bundle as bd, cli
 from curvecones import cone as cn, curve as cv, net as nt, spanlab as sl
 from curvecones.cli import main, suite_config
 from curvecones.errors import (DegenerateInput, RankDeficientW,
@@ -123,6 +123,29 @@ class TestCommands:
         assert main(["spans", "--curve", curve_file,
                      "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"),
+                                            ("7", "int")])
+    def test_spans_config_not_an_object(self, tmp_path, curve_file, capsys,
+                                        text, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["spans", "--curve", curve_file,
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "spans config must hold a JSON object" in err and kind in err
+
+    def test_spans_config_read_before_the_curve(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the config names its fault; the missing curve file is not read
+        loads = []
+        monkeypatch.setattr(cli, "_load_context", loads.append)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"bogus": 1}')
+        assert main(["spans", "--curve", str(tmp_path / "missing.json"),
+                     "--config", str(cfg)]) == 2
+        assert "unknown config field 'bogus'" in capsys.readouterr().err
+        assert loads == []
+
     def test_spans_config_boolean_rejected(self, tmp_path, curve_file,
                                            capsys):
         # JSON true is not the integer 1, although Python's bool is an int
@@ -151,6 +174,16 @@ class TestCommands:
                      "--seed", "-1", "--out", str(out)]) == 2
         assert "config field 'seed'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_rejected_before_the_curve_loads(
+            self, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "_load_context", loads.append)
+        assert main(["verify", "--curve", str(tmp_path / "missing.json"),
+                     "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'seed'" in err and "missing.json" not in err
+        assert loads == []
 
     def test_bad_degree_rejected_before_the_curve_loads(self, tmp_path,
                                                         capsys):
@@ -301,6 +334,17 @@ class TestCurveFileValidation:
             self.damaged(tmp_path, curve_file, edit), capsys)
         assert code == 2
         assert named in err
+
+    @pytest.mark.parametrize("command", [
+        ["ideal", "--degree", "2"], ["reconstruct"], ["spans"], ["hessian"],
+        ["verify", "--quick"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ("7", "int")])
+    def test_not_an_object(self, tmp_path, capsys, command, text, kind):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main([command[0], "--curve", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "curve file must hold a JSON object" in err and kind in err
 
     def test_boolean_seed(self, tmp_path, curve_file, capsys):
         # a seed of true would run with the streams of the seed "True"

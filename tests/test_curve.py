@@ -63,12 +63,11 @@ class TestGeneration:
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == GENUS5_CURVE_FILE
 
-    def test_genus5_curve_file_is_pinned_at_largest_prime(self):
+    def test_genus5_curve_file_is_pinned_at_largest_prime(self, ctx5_max):
         # the int64 budget of the stacked resultant's evaluations and
         # Sylvester stacks at p < 2^25
-        curve = cv.generate_curve(5, P_MAX, 7)
-        points = cv.sample_points(curve, sum(cv.panel_sizes(5)))
-        blob = json.dumps(cv.curve_to_json(curve, points),
+        points = list(ctx5_max.points)
+        blob = json.dumps(cv.curve_to_json(ctx5_max.curve, points),
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == \
             GENUS5_CURVE_FILE_P_MAX
