@@ -50,8 +50,8 @@ from `inverse`, so no intermediate of either leaves (-p**2, p).
 One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
 one Vandermonde product, each entry a sum of one product below p**2 per
 row of f, so below 2**63 while f has fewer than 2**13 rows at p < 2**25
-(46 at most in the engine).  `poly_gcd` and `squarefree_part` are one
-`_Moduli.split` each, exact division is one `solve_batch`, and the
+(9 at most in the engine, at genus 5).  `poly_gcd` and `squarefree_part`
+are one `_Moduli.split` each, exact division is one `solve_batch`, and the
 Sylvester matrices of `resultant_bivariate` hold values below p and go
 through one `det_batch`, with the budget of `rref_batch`.
 
@@ -65,8 +65,11 @@ that have not split.  `distinct_roots` and `poly_pow_mod` are that kernel
 on one element.  Each matmul of the kernel sums at most max(D, L)
 products of two entries below p, L the length of a base, so it stays
 below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
-ValueError beyond the bound.  The table holds D**3 entries per modulus;
-the engine's largest degree is 45, the numerator of the family sweep.
+ValueError beyond the bound.  The table holds D**3 entries per modulus.
+The largest D in a `verify --full` is the gcd of two resultants in
+`bundle.node_count`: 30 at genus 4 and 56 at genus 5, about 1.4 MB of
+table; the squarefree part after it reaches 32 at genus 5, and the roots
+of `cone.bitangent_pair` 21 at genus 4.
 """
 
 from __future__ import annotations

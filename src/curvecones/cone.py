@@ -40,6 +40,8 @@ PENCILS_START = 6
 PENCILS_MAX = 20
 # splitting systems reduced per pass, about 43 kB at genus 4
 KERNEL_PASS = 8
+# samples past the fit that test the family sweep's rational function
+SWEEP_HOLDOUT = 6
 
 
 @dataclass
@@ -418,8 +420,9 @@ def verify_cones(ctx: CurveContext, cones: list[QuarticCone],
     """`verify_cone` of each cone with its stream, or the exception it
     raises, all in rounds (`lockstep`): the checks of containment and
     vertex singularity on the stack of forms, the oracle probes and their
-    zero harvest, one line a round per cone short of zeros, and the
-    holdout pencils."""
+    zero harvest (`curve.ZeroHarvest`: ceil(missing / 4) lines a round per
+    cone short of zeros, the lines of the one-line loop), and the holdout
+    pencils."""
     return lockstep([_verify(ctx, cone, stream, oracle_points)
                      for cone, stream in zip(cones, streams)])
 
@@ -712,7 +715,8 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
                     pt_q: np.ndarray, b0: np.ndarray, stream: Stream,
                     wanted: int) -> list:
     """Up to `wanted` contained double secants on the nets
-    <section, r1, r2 + t r3> of one random family."""
+    <section, r1, r2 + t r3> of one random family, tried at the roots of
+    `_family_roots`."""
     p = ctx.p
     r1 = stream.field_vec(p, ctx.g)
     r2 = stream.field_vec(p, ctx.g)
@@ -721,18 +725,7 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     def family(t: int) -> np.ndarray:
         return np.stack([section, r1, (r2 + t * r3) % p])
 
-    samples = _family_samples(ctx, family, b0)
-    if len(samples) < 100:
-        return []
-    ts, vs = zip(*samples)
-    fit = alg.rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)
-    if fit is None:
-        return []
-    num, den = fit
-    held = alg.p2_eval_x(alg.poly_stack([num, den]).T, ts[94:100], p)
-    if (held[:, 0] != np.array(vs[94:100]) * held[:, 1] % p).any():
-        return []
-    roots = alg.distinct_roots(num, p)
+    roots = _family_roots(ctx, family, b0)
 
     def contained(ts: list) -> list:
         """The roots of a round: one `build_nets`, one `contained_secants`."""
@@ -745,14 +738,46 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
     return [found for _, found in draws.rounds(wanted, contained)]
 
 
-def _family_samples(ctx: CurveContext, family, b0: np.ndarray
-                    ) -> list[tuple[int, int]]:
-    """(t, oracle value at b0) on the first 100 nets family(t), t = 1, 2,
-    ..., 500, that are off B and D and have a witness at b0.
+def _family_roots(ctx: CurveContext, family, b0: np.ndarray) -> list:
+    """The values of t at which the oracle value at b0 on the nets
+    family(t) vanishes, by a rational fit in t; [] when the sweep runs
+    short or the fit fails its holdout.
 
-    The values of t are those of a loop that builds one net at a time.
-    They are taken in rounds of as many as samples are still missing, each
-    round one `build_nets` and one `oracle_batch`.
+    The fit has numerator and denominator of degree at most d = 3g - 7,
+    from the first 2d + 1 samples, the fewest that fix such a pair (von
+    zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7), and is tested
+    on the next `SWEEP_HOLDOUT`.  d is the measured degree of the minimal
+    pair: (5, 5) at genus 4 on seeds 1-5 and (8, 8) at genus 5 seed 7, ten
+    sweeps each.  A sweep of higher degree fails the holdout, which costs
+    its family and cannot forge a secant: every root is still
+    reconstructed and checked both ways by `contained_secants`."""
+    p = ctx.p
+    deg = 3 * ctx.g - 7
+    fit_count = 2 * deg + 1
+    samples = _family_samples(ctx, family, b0, fit_count + SWEEP_HOLDOUT)
+    if len(samples) < fit_count + SWEEP_HOLDOUT:
+        return []
+    ts, vs = zip(*samples)
+    fit = alg.rational_interpolate(ts[:fit_count], vs[:fit_count], p, deg,
+                                   deg)
+    if fit is None:
+        return []
+    num, den = fit
+    held = alg.p2_eval_x(alg.poly_stack([num, den]).T, ts[fit_count:], p)
+    if (held[:, 0] != np.array(vs[fit_count:]) * held[:, 1] % p).any():
+        return []
+    return alg.distinct_roots(num, p)
+
+
+def _family_samples(ctx: CurveContext, family, b0: np.ndarray, count: int
+                    ) -> list[tuple[int, int]]:
+    """(t, oracle value at b0) on the first `count` nets family(t), t = 1,
+    2, ..., 500, that are off B and D and have a witness at b0.
+
+    The values of t are those of a loop that builds one net at a time, and
+    draw from no stream, so a smaller count gives a prefix of the samples
+    of a larger one.  They are taken in rounds of as many as samples are
+    still missing, each round one `build_nets` and one `oracle_batch`.
     """
     def sample(ts: list) -> list:
         nets = nt.build_nets(ctx, np.stack([family(t) for t in ts]))
@@ -764,7 +789,7 @@ def _family_samples(ctx: CurveContext, family, b0: np.ndarray
 
     sweep = Draws("family sweep", 500, lambda k: k + 1)
     return [(t, int(wit.b @ wit.y % ctx.p))
-            for t, wit in sweep.rounds(100, sample)]
+            for t, wit in sweep.rounds(count, sample)]
 
 
 def degenerate_net(ctx: CurveContext, stream: Stream,

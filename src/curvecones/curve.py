@@ -14,7 +14,10 @@ slice stands in for it.
 
 Every search for the zeros of a form on a line goes through `line_zeros`:
 curve points on a ruling line, the last coordinate of a genus-5 slice,
-the chart's base points, and the point harvests of the `cone` module.
+the chart's base points, and the point harvests of the `cone` module.  A
+harvest (`ZeroHarvest`) asks for as many lines a round as its missing
+points need at the form's degree per line, which are the lines of the
+loop that draws one line at a time.
 
 Points are projective coordinate vectors normalized so the first nonzero
 coordinate is 1.  A point doubles as a covector on sections: the pairing
@@ -78,8 +81,15 @@ class ZeroHarvest:
     """Rational points of a hypersurface, the zeros of its form on random
     lines of a stream: a line is drawn only for a point that the lines
     before did not give, and at most `count` points come from at most
-    `budget` lines.  Its chains (`errors.lockstep`) ask for one line a
-    round, and all harvests of a round share one `line_zeros`."""
+    `budget` lines.
+
+    Its chains (`errors.lockstep`) ask for ceil(missing / deg) lines a
+    round, capped by the budget, and all harvests of a round share one
+    `line_zeros`.  A line gives at most deg points (its distinct roots,
+    b in place of one root when F(b) = 0, none when the line lies in the
+    hypersurface), so the loop that draws one line at a time draws every
+    line of such a round: the lines, the points, the stream's state after
+    and the budget left are that loop's."""
 
     def __init__(self, coeffs: np.ndarray, deg: int, g: int, p: int,
                  stream: Stream, count: int, budget: int = 400):
@@ -99,11 +109,14 @@ class ZeroHarvest:
         """Chain of the next n points, fewer when no more come."""
         end = min(self.used + n, self.count)
         while len(self.points) < end and self.budget:
-            self.budget -= 1
-            a = self.stream.field_vec(self.p, self.g)
-            b = self.stream.field_vec(self.p, self.g)
-            self.points += (yield _zeros, self.deg, self.g, self.p,
-                            [(self.coeffs, a, b)])[0]
+            lines = min(-((len(self.points) - end) // self.deg),
+                        self.budget)
+            self.budget -= lines
+            ends = [(self.coeffs, self.stream.field_vec(self.p, self.g),
+                     self.stream.field_vec(self.p, self.g))
+                    for _ in range(lines)]
+            for found in (yield _zeros, self.deg, self.g, self.p, ends):
+                self.points += found
         got = self.points[self.used:end]
         self.used += len(got)
         return got

@@ -443,10 +443,10 @@ def gamma_equation(ctx, net_obj):
                          coeffs=normalize(kernel[0], p))
 
 
-def family_samples(ctx, family, b0):
+def family_samples(ctx, family, b0, count):
     """(t, oracle value at b0) of the family sweep, one net at a time: the
-    first 100 nets family(t), t = 1, ..., 500, off B and D with a witness
-    at b0, built by `build_net` above; and the last t tried."""
+    first `count` nets family(t), t = 1, ..., 500, off B and D with a
+    witness at b0, built by `build_net` above; and the last t tried."""
     samples = []
     for t in range(1, 501):
         try:
@@ -461,7 +461,7 @@ def family_samples(ctx, family, b0):
         if isinstance(wit, CurveConesError):
             raise wit
         samples.append((t, int(wit.b @ wit.y % ctx.p)))
-        if len(samples) == 100:
+        if len(samples) == count:
             break
     return samples, t
 
@@ -607,6 +607,24 @@ def points_on_form(ctx, coeffs, deg, stream, count, budget=400):
             found += 1
             if found == count:
                 return
+
+
+class ZeroHarvest(cv.ZeroHarvest):
+    """`curve.ZeroHarvest` drawing one line a round: its chain asks for
+    the zeros on one line, and draws the next only when the points so far
+    fall short."""
+
+    def take(self, n):
+        end = min(self.used + n, self.count)
+        while len(self.points) < end and self.budget:
+            self.budget -= 1
+            a = self.stream.field_vec(self.p, self.g)
+            b = self.stream.field_vec(self.p, self.g)
+            self.points += (yield cv._zeros, self.deg, self.g, self.p,
+                            [(self.coeffs, a, b)])[0]
+        got = self.points[self.used:end]
+        self.used += len(got)
+        return got
 
 
 def oracle_agreement(ctx, net_obj, coeffs, stream, count, x=None):
@@ -881,17 +899,12 @@ def secant_criterion(ctx, net_obj, coeffs, pt_p, pt_q):
     return not binary.any(), bool(meets or double)
 
 
-def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
-    """`cone._family_secants`, one family root at a time: each net is
-    built, fitted, reconstructed by `reconstruct_quartic` above and checked
-    by `secant_criterion` above before the next root is tried."""
+def family_roots(ctx, family, b0):
+    """`cone._family_roots` with the sweep's old fixed size: a 45/45
+    rational fit from the first 94 of 100 samples, tested on the other
+    6."""
     p = ctx.p
-    r1, r2, r3 = (stream.field_vec(p, ctx.g) for _ in range(3))
-
-    def family(t):
-        return np.stack([section, r1, (r2 + t * r3) % p])
-
-    samples = cn._family_samples(ctx, family, b0)
+    samples = cn._family_samples(ctx, family, b0, 100)
     if len(samples) < 100:
         return []
     ts, vs = zip(*samples)
@@ -902,7 +915,21 @@ def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
     held = alg.p2_eval_x(alg.poly_stack([num, den]).T, ts[94:100], p)
     if (held[:, 0] != np.array(vs[94:100]) * held[:, 1] % p).any():
         return []
-    roots = alg.distinct_roots(num, p)
+    return alg.distinct_roots(num, p)
+
+
+def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
+    """`cone._family_secants` on the roots of `family_roots` above, one
+    root at a time: each net is built, reconstructed by
+    `reconstruct_quartic` above and checked by `secant_criterion` above
+    before the next root is tried."""
+    p = ctx.p
+    r1, r2, r3 = (stream.field_vec(p, ctx.g) for _ in range(3))
+
+    def family(t):
+        return np.stack([section, r1, (r2 + t * r3) % p])
+
+    roots = family_roots(ctx, family, b0)
 
     def contained(k):
         net = build_net(ctx, family(roots[k]))

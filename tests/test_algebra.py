@@ -306,8 +306,10 @@ def rand_poly(rng, p, deg):
 
 class TestUnivariateAgainstSympy:
     """The univariate kernels against sympy.polys.galoistools, up to the
-    largest admissible prime and degree 24, past the degrees the engine
-    reaches."""
+    largest admissible prime and degree 24.  The engine's moduli reach
+    degree 56 (the gcd in `bundle.node_count` at genus 5), which
+    `TestGcdAndDivision.test_node_count_degrees` covers against the
+    Euclidean chain of tests/reference.py."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(mod_deg=st.integers(1, 24), base_len=st.integers(0, 50),
@@ -976,7 +978,8 @@ class TestGcdAndDivision:
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_gcd_at_degree_45(self, p):
-        # the numerator and denominator of the family sweep's rational fit
+        # a gcd of degree 7 or more, with the divisions by it, at a degree
+        # between the engine's 30 and 56 (`test_node_count_degrees`)
         rng = np.random.default_rng(45)
         common = rand_poly(rng, p, 7)
         f = poly_mul(rand_poly(rng, p, 38), common, p)
@@ -992,6 +995,25 @@ class TestGcdAndDivision:
         assert [alg.poly_trim(q).tolist() for q in quots] == \
             [reference.poly_divmod(h, expected, p)[0].tolist()
              for h in (f, g)]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_node_count_degrees(self, p):
+        # the largest moduli the engine builds: `bundle.node_count` at
+        # genus 5 takes the gcd of two resultants of degree 56, here with
+        # a common factor s1 s2^2 of degree 32, then its squarefree part
+        rng = np.random.default_rng(56)
+        s2 = rand_poly(rng, p, 10)
+        common = poly_mul(rand_poly(rng, p, 12), poly_mul(s2, s2, p), p)
+        f = poly_mul(rand_poly(rng, p, 24), common, p)
+        g = poly_mul(rand_poly(rng, p, 24), common, p)
+        assert alg.poly_deg(f) == alg.poly_deg(g) == 56
+        h = reference.poly_gcd(f, g, p)
+        assert alg.poly_gcd(f, g, p).tolist() == h.tolist()
+        assert alg.poly_deg(h) >= 32
+        for poly in (h, f):
+            want = reference.squarefree_part(poly, p)
+            assert alg.squarefree_part(poly, p).tolist() == want.tolist()
+            assert alg.poly_deg(want) <= alg.poly_deg(poly) - 10
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(degs=st.lists(st.integers(-1, 12), min_size=1, max_size=4),

@@ -506,6 +506,25 @@ def test_genus5_quick_report_is_pinned(ctx5):
     assert hashlib.sha256(report.encode()).hexdigest() == GENUS5_QUICK_REPORT
 
 
+# sha256 of the report `verify --full` writes for the same curve, recorded
+# while each zero harvest drew one line a round and the family sweep of
+# criterion 10 fitted 45/45 from 94 samples.  Quick asks for one
+# engineered double secant and 5 oracle zeros per probed form, the full
+# run for 5 secants, over more sweep families, and 25 zeros.
+GENUS5_FULL_REPORT = \
+    "8cb0a0afa5872446e0bbe75960c6691cea85808e22da2958d43a8065b26a2dcf"
+
+
+def test_genus5_full_report_is_pinned(ctx5, tmp_path):
+    # the curve file gen-curve writes holds exactly the context's points
+    curve_file = tmp_path / "c5.json"
+    cv.save_curve(str(curve_file), ctx5.curve, list(ctx5.points))
+    out = tmp_path / "full5.json"
+    assert main(["verify", "--curve", str(curve_file), "--full",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENUS5_FULL_REPORT
+
+
 # sha256 of the report `verify --quick` writes for the genus-4 curve of seed
 # 1 at prime 33554393, recorded while each plane image was fitted from all
 # its projected panel points.  The full-row check of the fit sums its

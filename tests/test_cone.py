@@ -344,7 +344,7 @@ class TestFamilySweepRounds:
                         nets, real_oracle(ctx, nets, probes, check_gamma))]
 
         monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
-        want, last_t = reference.family_samples(ctx4, family, b0)
+        want, last_t = reference.family_samples(ctx4, family, b0, 100)
         rounds = []
         real_build = nt.build_nets
 
@@ -353,7 +353,7 @@ class TestFamilySweepRounds:
             return real_build(ctx, ws)
 
         monkeypatch.setattr(nt, "build_nets", build_nets)
-        assert cn._family_samples(ctx4, family, b0) == want
+        assert cn._family_samples(ctx4, family, b0, 100) == want
         assert sum(rounds) == last_t
         assert 11 not in [t for t, _ in want]
         if every == 1:
@@ -361,6 +361,41 @@ class TestFamilySweepRounds:
         else:
             assert len(want) == 100
             assert len(rounds) > 1
+
+    def test_fewer_samples_are_a_prefix(self, ctx4):
+        p, g = ctx4.p, ctx4.g
+        stream = Stream(123, "prefix")
+        section, r1, r2, r3, b0 = (stream.field_vec(p, g) for _ in range(5))
+
+        def family(t):
+            return np.stack([section, r1, (r2 + t * r3) % p])
+
+        sized = 2 * (3 * g - 7) + 1 + cn.SWEEP_HOLDOUT
+        assert cn._family_samples(ctx4, family, b0, sized) \
+            == cn._family_samples(ctx4, family, b0, 100)[:sized]
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx4_max", "ctx5",
+                                      "ctx5_max"])
+    def test_sized_fit_finds_the_roots_of_the_45_45_fit(self, name, request,
+                                                        monkeypatch):
+        """On every family that `contained_double_secant` sweeps, the fit
+        of degree 3g - 7 from 2(3g - 7) + 1 samples has the roots of the
+        45/45 fit from 94 samples (tests/reference.py)."""
+        ctx = request.getfixturevalue(name)
+        real = cn._family_roots
+        pairs = []
+
+        def both(ctx, family, b0):
+            got = real(ctx, family, b0)
+            pairs.append((got, reference.family_roots(ctx, family, b0)))
+            return got
+
+        monkeypatch.setattr(cn, "_family_roots", both)
+        for seed in range(2):
+            cn.contained_double_secant(ctx, Stream(seed, "sized fit"),
+                                       count=5)
+        assert len(pairs) >= 2 and all(got for got, _ in pairs)
+        assert [got for got, _ in pairs] == [want for _, want in pairs]
 
 
 class TestVertexConditions:

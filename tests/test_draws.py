@@ -1,12 +1,15 @@
 """One draw per random object: `Stream.combination`, `panel_pair` and the
 isotropic vertex loop of `cone.degenerate_net` make the draws of the
-inline code they replace (kept in `reference`), and a genus-5 slice tries
-one chart."""
+inline code they replace (kept in `reference`), a genus-5 slice tries
+one chart, and a zero harvest's rounds of several lines make the draws
+of the harvest that draws one line a round."""
 
 import numpy as np
 import pytest
 
-from curvecones import algebra as alg, cone as cn, curve as cv
+from curvecones import acceptance as acc, algebra as alg, cone as cn
+from curvecones import curve as cv, monomials as mono
+from curvecones.errors import lockstep
 from curvecones.rng import Stream
 
 import reference
@@ -119,3 +122,110 @@ def test_slice_tries_one_chart(ctx5, monkeypatch):
     h = Stream(5, "one-chart").field_vec(ctx5.p, 5)
     assert cv.hyperplane_section(ctx5.curve, h) == []
     assert charts == [(4, 4)]
+
+
+class InsideFirst(Stream):
+    """A stream whose first line lies in the hyperplane z0 = 0 and whose
+    second line ends there: coordinate 0 of the 1st, 2nd and 4th
+    `field_vec` is set to zero, after the stream's own draw."""
+
+    def __init__(self, seed, tag):
+        super().__init__(seed, tag)
+        self.drawn = 0
+
+    def field_vec(self, p, n):
+        v = super().field_vec(p, n)
+        self.drawn += 1
+        if self.drawn in (1, 2, 4):
+            v[0] = 0
+        return v
+
+
+def harvested(kind, forms, deg, g, p, streams, count, budget, asks):
+    """Side by side, one harvest per form and stream, taken n points at a
+    time for each n of asks: per harvest the points of each take, the
+    stream's next draw, the budget left and the points used."""
+    harvests = [kind(f, deg, g, p, stream, count, budget)
+                for f, stream in zip(forms, streams)]
+    takes = [lockstep([h.take(n) for h in harvests]) for n in asks]
+    return [([[pt.tolist() for pt in take[k]] for take in takes],
+             h.stream.next_u64(), h.budget, h.used)
+            for k, h in enumerate(harvests)]
+
+
+def same_harvests(forms, deg, g, p, make_stream, count, budget, asks):
+    """`harvested` for `ZeroHarvest`, asserted equal to that of the
+    one-line harvest on streams made alike."""
+    got = harvested(cv.ZeroHarvest, forms, deg, g, p,
+                    [make_stream(k) for k in range(len(forms))], count,
+                    budget, asks)
+    want = harvested(reference.ZeroHarvest, forms, deg, g, p,
+                     [make_stream(k) for k in range(len(forms))], count,
+                     budget, asks)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("deg", [2, 3, 4])
+def test_harvest_rounds_match_one_line_a_round(ctx, deg):
+    p, g = ctx.p, ctx.g
+    draw = Stream(deg, "harvest forms")
+    forms = [draw.field_vec(p, mono.count(g, deg)) for _ in range(3)]
+    # the oracle's takes: half the zero probes, then what is missing
+    got = same_harvests(forms, deg, g, p,
+                        lambda k: Stream(k, f"harvest{deg}"), 75, 400,
+                        [25, 7, 1, 40])
+    assert all(used == 73 for _, _, _, used in got)
+
+
+@pytest.mark.parametrize("deg", [2, 4])
+def test_budget_smaller_than_a_round(ctx, deg):
+    p, g = ctx.p, ctx.g
+    form = Stream(deg, "short budget").field_vec(p, mono.count(g, deg))
+    (takes, _, budget, used), = same_harvests(
+        [form], deg, g, p, lambda k: Stream(k, "short budget"), 25, 3,
+        [25, 25])
+    assert budget == 0 and used == sum(map(len, takes)) <= 3 * deg
+
+
+@pytest.mark.parametrize("deg", [3, 4])
+def test_line_inside_and_root_at_infinity(ctx4, deg):
+    """The form z0 G: the stub's first line lies in it and gives no point,
+    its second line ends on it and gives that end as the root at
+    infinity."""
+    p, g = ctx4.p, ctx4.g
+    z0 = np.zeros(g, dtype=np.int64)
+    z0[mono.index_map(g, 1)[(1,) + (0,) * (g - 1)]] = 1
+    rest = Stream(deg, "z0 times").field_vec(p, mono.count(g, deg - 1))
+    form = mono.mul_forms(z0, 1, rest, deg - 1, g, p)
+    stub = InsideFirst(0, "inside")
+    ends = np.stack([stub.field_vec(p, g) for _ in range(4)])
+    found = cv.line_zeros(form, deg, g, ends[0::2], ends[1::2], p)
+    assert found[0] == []
+    assert found[1][-1].tolist() == alg.normalize_rows(ends[3], p).tolist()
+    (_, _, _, used), = same_harvests(
+        [form], deg, g, p, lambda k: InsideFirst(0, "inside"), 10, 400,
+        [10])
+    assert used == 10
+
+
+def test_verify_harvest_rounds_are_pinned(ctx4, monkeypatch):
+    """Criteria 5 and 7 at genus-4 seed 1, default config, harvest the
+    lines of one line a round (263 and 270) in 14 and 15 `line_zeros`
+    calls, where one line a round makes 32 and 35."""
+    cfg = acc.SuiteConfig()
+    cones = acc.SuiteInputs(ctx4, cfg).cones
+    lines = []
+    real = cv.line_zeros
+
+    def counted(coeffs, deg, g, a, b, p):
+        lines.append(len(a))
+        return real(coeffs, deg, g, a, b, p)
+
+    monkeypatch.setattr(cv, "line_zeros", counted)
+    assert acc.criterion_reconstruction(ctx4, cfg, cones).ok
+    reconstruction = list(lines)
+    lines.clear()
+    assert acc.criterion_polars(ctx4, cfg, cones).ok
+    assert (len(reconstruction), sum(reconstruction)) == (14, 263)
+    assert (len(lines), sum(lines)) == (15, 270)
