@@ -10,6 +10,12 @@ several criteria share (the reconstructed cones, the span cones and the
 quartic span) are the cached properties of a `SuiteInputs`, each built on
 first use from the curve context and the config alone, so no result
 depends on which criterion ran first.
+
+What a criterion expects is derived from the genus (`canring.ideal_dim`,
+`node_count`, every point of the context vanished by a cone) or read from
+the genus's `curve.MODELS` entry: criterion 2 expects I(2) to generate
+I(3) exactly when the model is not `trigonal`, and criterion 11 expects
+the model's measured `f4_rank`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from . import algebra as alg
 from . import bundle as bd
 from . import canring
 from . import cone as cn
+from . import curve as cv
 from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
@@ -32,11 +39,6 @@ from . import spanlab as sl
 from .errors import (ConfigError, CurveConesError, DegenerateInput,
                      Draws, value_of)
 from .rng import Stream, derive_key
-
-# the quartic span's rank, the one value per genus that is measured, not
-# derived
-F4_RANKS = {4: 5, 5: 16}
-
 
 def node_count(g: int) -> int:
     """Nodes of the plane image of a general net, a curve of degree 2g - 2
@@ -133,7 +135,7 @@ def criterion_ideal_dims(ctx) -> CriterionResult:
 
 def criterion_petri(ctx) -> CriterionResult:
     value = ctx.petri_check()
-    expected = ctx.g >= 5
+    expected = not cv.MODELS[ctx.g].trigonal
     return CriterionResult(2, "Petri dichotomy", value == expected,
                            {"surjective": value, "expected": expected})
 
@@ -318,7 +320,7 @@ def criterion_secant(ctx, cfg: SuiteConfig,
 def criterion_spans(ctx, cfg: SuiteConfig,
                     f4: sl.SpanAccumulator) -> CriterionResult:
     squares_ok = sl.squares_containment(ctx, f4, seed=cfg.seed)
-    expected = F4_RANKS[ctx.g]
+    expected = cv.MODELS[ctx.g].f4_rank
     proper = f4.rank < ctx.ideal(4).dim
     ok = f4.rank == expected and squares_ok and proper
     return CriterionResult(11, "span dimensions", ok,

@@ -39,7 +39,8 @@ One implementation per job: `det`, `kernel_basis` and `inverse` are
 one, and `normalize_rows` scales the vectors of any stack, a vector
 being a stack of one.  The scalar `rref` is the one stack-of-one path
 left, which `rref_batch` takes for a single matrix (measured at that
-branch).
+branch).  `RowSpace` keeps a span as its reduced echelon rows; every
+span-membership check in the engine goes through it.
 
 `interpolate` multiplies by the inverse Vandermonde matrix of its nodes,
 cached per node tuple, and `rational_interpolate` builds its Cauchy rows

@@ -138,7 +138,9 @@ class CurveContext:
 
     def panel_pair(self, stream: Stream) -> tuple | None:
         """Two panel points drawn by index, or None when the indices
-        agree."""
+        agree: the one draw of two panel points (the random and vertex
+        secants of criterion 10, the genus-5 double-secant pairs and the
+        secant probes of the base-locus probe)."""
         n = len(self.panel)
         i = stream.integer(0, n)
         j = stream.integer(0, n)

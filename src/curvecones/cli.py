@@ -13,7 +13,9 @@ budget exhausted (a DegenerateInput).
 
 Each subcommand imports only the engine modules it runs: `gen-curve`
 loads `curve` and what it imports, the commands that read a curve file
-add `canring`, and only `verify` loads `acceptance` and with it all 14.
+add `canring`, `reconstruct`, `hessian` and `spans` add the cone layers
+and their own module, and only `verify` loads `acceptance` and with it
+all 14.
 A process started with PYTHONDONTWRITEBYTECODE=1 compiles every module
 it imports from source, so a module a command does not run would cost
 it compile time for nothing.  The parser needs `curve.MODELS` and `main`
@@ -189,11 +191,8 @@ def cmd_verify(args) -> int:
     from . import acceptance as acc
     cfg = suite_config(args.quick, args.seed)
     ctx = _load_context(args.curve)
-    if args.full:
-        results = acc.run_full(ctx, cfg, echo=print,
-                               ctx_builder=lambda: _load_context(args.curve))
-    else:
-        results = acc.run_criteria(ctx, cfg, echo=print)
+    results = acc.run_full(ctx, cfg, echo=print, ctx_builder=(
+        lambda: _load_context(args.curve)) if args.full else None)
     report = acc.report_json(ctx, cfg, results)
     if args.out:
         _write(args.out, report)
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DegenerateInput as exc:

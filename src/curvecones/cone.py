@@ -13,6 +13,10 @@ A stack of nets is reconstructed and certified in lockstep
 (`errors.lockstep`): each net runs the one-net chain, and the requests of
 a round are served together, the fibers of all nets by one
 `fibers.split_fibers`.
+
+The contractions of `vertex_condition_matrix` sum g products of two
+entries below p per entry, below 5 * 2**50 < 2**53 at genus 5 and
+p < 2**25.
 """
 
 from __future__ import annotations
@@ -627,15 +631,13 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
     both, located by sweeping the pencil of planes through one tangent line
     and finding the roots of the discriminant of the residual section
     polynomial (`sweep_discriminant`)."""
-    if ctx.g != 4:
-        raise ValueError("the sweep construction is specific to genus 4")
     p = ctx.p
     chart = cv.ruling_chart(ctx.curve)
     n = ctx.panel.shape[0]
 
     def draw(_):
         pt = ctx.panel[stream.integer(0, n)]
-        if chart.param_of(pt) is None:
+        if not chart.h2 @ pt % p:
             return None
         td = ctx.tangent(pt)
         forms = alg.kernel_basis(np.stack([td.point, td.direction]), p)
@@ -743,16 +745,15 @@ def _family_roots(ctx: CurveContext, family, b0: np.ndarray) -> list:
     family(t) vanishes, by a rational fit in t; [] when the sweep runs
     short or the fit fails its holdout.
 
-    The fit has numerator and denominator of degree at most d = 3g - 7,
-    from the first 2d + 1 samples, the fewest that fix such a pair (von
-    zur Gathen and Gerhard, *Modern Computer Algebra*, 5.7), and is tested
-    on the next `SWEEP_HOLDOUT`.  d is the measured degree of the minimal
-    pair: (5, 5) at genus 4 on seeds 1-5 and (8, 8) at genus 5 seed 7, ten
-    sweeps each.  A sweep of higher degree fails the holdout, which costs
-    its family and cannot forge a secant: every root is still
+    The fit has numerator and denominator of degree at most d, the
+    model's measured `sweep_degree` (`curve.GenusModel`), from the first
+    2d + 1 samples, the fewest that fix such a pair (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 5.7), and is tested on the next
+    `SWEEP_HOLDOUT`.  A sweep of higher degree fails the holdout, which
+    costs its family and cannot forge a secant: every root is still
     reconstructed and checked both ways by `contained_secants`."""
     p = ctx.p
-    deg = 3 * ctx.g - 7
+    deg = cv.MODELS[ctx.g].sweep_degree
     fit_count = 2 * deg + 1
     samples = _family_samples(ctx, family, b0, fit_count + SWEEP_HOLDOUT)
     if len(samples) < fit_count + SWEEP_HOLDOUT:

@@ -1,8 +1,11 @@
 """Canonically embedded curves over F_p, one model per supported genus.
 
-`MODELS` names the supported genera.  A model gives the degrees of the
-generators, the test a drawn candidate must pass and the point source that
-sampling walks.  Genus 4 curves are quadric-cubic complete intersections in
+`MODELS` names the supported genera, and its entry (`GenusModel`) is the
+one place that says what is true at a genus: the degrees of the
+generators, the test a drawn candidate must pass, the point source that
+sampling walks, whether the curves are trigonal, and the two measured
+values, the quartic span's rank and the degree of the double-secant
+sweep.  Genus 4 curves are quadric-cubic complete intersections in
 P^3; the quadric is required to be smooth and split, so it carries two
 rational rulings and the curve is sampled by restricting the cubic to
 ruling lines (a cubic in one line parameter per ruling member).  Genus 5
@@ -18,6 +21,13 @@ the chart's base points, and the point harvests of the `cone` module.  A
 harvest (`ZeroHarvest`) asks for as many lines a round as its missing
 points need at the form's degree per line, which are the lines of the
 loop that draws one line at a time.
+
+Every eliminant is a pull-back through `monomials.restrict` and
+`collect`: the sweep A(u) + t B(u) of the ruling chart, whose
+u-coefficient arrays `RulingChart.line_at` also evaluates for each
+ruling line, the section polynomial F(hb A - ha B) of a plane h, and the
+genus-5 eliminants, where a chart quadric splits by y3-degree into
+ternary forms and the Sylvester determinant is built with `mul_forms`.
 
 Points are projective coordinate vectors normalized so the first nonzero
 coordinate is 1.  A point doubles as a covector on sections: the pairing
@@ -264,22 +274,24 @@ class RulingChart:
         """Polynomial coordinates of the swept ruling line.
 
         w(u) completes the plane h1 + u h2; the residual line of the plane
-        through q0-d1 is spanned by A(u), B(u), kept as 4 x 2 and 4 x 3
-        arrays of u-coefficients (coordinate x power of u).
+        through q0-d1 is spanned by A(u), B(u).  A, B, w, rho, sigma and
+        tau are kept as arrays of u-coefficients (coordinate x power of u,
+        or power of u alone), which `line_at` evaluates.
         """
         p = self.p
+        h = np.stack([self.h1, self.h2], axis=1)    # h(u) = h1 + u h2
         for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
             if alg.rank(np.stack([self.q0, self.d1, r1, r2]), p) != 4:
                 continue
-            w = np.stack(self._w_polys(r1, r2), axis=1)  # w(u) = w0 + u w1
+            w = (np.outer(r1, r2 @ h) - np.outer(r2, r1 @ h)) % p
             # rho(u) = 2 B(q0, w(u)), sig(u) = 2 B(d1, w(u))
             rho, sig = self.polar @ w % p
             if rho.any():
                 break
         else:
             raise GenerationFailed("no usable completion frame for the chart")
-        self.r1, self.r2 = r1, r2
         tau = mono.restrict(self.quadric, 2, 4, w, p)   # Q(w(u))
+        self.w, self.rho, self.sig, self.tau = w, rho, sig, tau
         # A(u) = sig * q0 - rho * d1, B(u) = tau * q0 - rho * w(u)
         self.a_coeffs = (np.outer(self.q0, sig)
                          - np.outer(self.d1, rho)) % p
@@ -291,46 +303,37 @@ class RulingChart:
                         [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]], p).any():
             raise GenerationFailed("swept lines leave the quadric")
 
-    def _w_polys(self, r1, r2):
-        p = self.p
-        w0 = (int(self.h1 @ r2 % p) * r1 - int(self.h1 @ r1 % p) * r2) % p
-        w1 = (int(self.h2 @ r2 % p) * r1 - int(self.h2 @ r1 % p) * r2) % p
-        return w0, w1
-
     # -- numeric line access ---------------------------------------------
 
     def line_at(self, us) -> list:
         """Spanning points (a, b) of the ruling line of each parameter u
         (None = inf), or a DegenerateInput in its place when its plane
-        lies inside the quadric."""
+        lies inside the quadric.
+
+        The u-coefficient arrays of `_build_symbolic` are evaluated at the
+        homogeneous parameter (1, u), or (0, 1) for u = inf: a = A(u), and
+        b = B(u) where rho(u) != 0, else tau d1 - sig w(u)."""
         p = self.p
-        h = np.array([self.h2 if u is None else (self.h1 + u * self.h2) % p
-                      for u in us], dtype=np.int64).reshape(-1, 4)
-        w = ((h @ self.r2 % p)[:, None] * self.r1
-             - (h @ self.r1 % p)[:, None] * self.r2) % p
-        rho, sig = (w @ self.polar.T % p).T[:, :, None]
-        tau = mono.form_eval(self.quadric, w, 4, 2, p)[:, None]
-        a = (sig * self.q0 - rho * self.d1) % p
-        b = np.where(rho != 0, tau * self.q0 - rho * w,
-                     tau * self.d1 - sig * w) % p
+        s, t = np.array([(0, 1) if u is None else (1, u % p) for u in us],
+                        dtype=np.int64).reshape(-1, 2).T
+        powers = {2: np.stack([s, t]), 3: np.stack([s * s, s * t, t * t]) % p}
+
+        def at(coeffs):
+            return coeffs @ powers[coeffs.shape[-1]] % p
+
+        rho, sig, tau = at(self.rho), at(self.sig), at(self.tau)
+        w, a = at(self.w).T, at(self.a_coeffs).T
+        b = np.where(rho[:, None] != 0, at(self.b_coeffs).T,
+                     (tau[:, None] * self.d1 - sig[:, None] * w) % p)
         lines: list = []
         for k in range(len(w)):
-            if rho[k, 0] or sig[k, 0]:
+            if rho[k] or sig[k]:
                 lines.append((a[k], b[k]))
-            elif tau[k, 0]:
+            elif tau[k]:
                 lines.append((self.q0.copy(), self.d1.copy()))
             else:
                 lines.append(DegenerateInput("plane lies inside the quadric"))
         return lines
-
-    def param_of(self, pt: np.ndarray):
-        """Pencil parameter of the plane through the fixed line and pt."""
-        p = self.p
-        num = int(self.h1 @ pt % p)
-        den = int(self.h2 @ pt % p)
-        if den == 0:
-            return None
-        return (-num) * alg.inv_mod(den, p) % p
 
     def points_on_line(self, us) -> list:
         """Curve points on the ruling line of each parameter u, or the
@@ -410,7 +413,9 @@ def _res_quadratics(q1, q2, p: int) -> np.ndarray:
 def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
     """Rational points of a genus-5 curve in the hyperplane {h . z = 0},
     eliminated in one random chart of the slice; a chart that does not
-    eliminate cleanly gives the slice no points."""
+    eliminate cleanly gives the slice no points.  The resultant r12 is
+    specialized at all roots y1 of the final eliminant by one `p2_eval_x`,
+    and all candidates of the slice are tested with one `off_curve`."""
     if curve.genus != 5:
         raise ValueError("hyperplane sections are sliced at genus 5 only")
     p = curve.prime
@@ -466,14 +471,27 @@ def ruling_chart(curve: CurveModel) -> RulingChart:
 
 @dataclass(frozen=True)
 class GenusModel:
-    """One supported genus.  `degrees` are those of the generators, in file
-    order; a candidate curve draws one form of each degree and is kept when
+    """One supported genus, and everything the engine takes to be true at
+    it.  `degrees` are those of the generators, in file order; a candidate
+    curve draws one form of each degree and is kept when
     `admissible(forms, p)`.  `points(curve, stream, n)` makes n draws of the
     sampling stream and gives, per draw in draw order, its curve points or
-    the DegenerateInput in their place."""
+    the DegenerateInput in their place.
+
+    `trigonal` says whether the curves carry a g^1_3, so that I(2) does not
+    generate I(3) (Petri's theorem; every genus-4 canonical curve is
+    trigonal through the rulings of its quadric), which criterion 2
+    expects.  Two values are measured, not derived: `f4_rank`, the rank
+    of the saturated quartic span (criterion 11), and `sweep_degree`, the
+    degree of the minimal rational fit of the double-secant family sweep
+    (`cone._family_roots`), (5, 5) at genus 4 seeds 1-5 and (8, 8) at
+    genus 5 seed 7 over ten sweeps each."""
     degrees: tuple[int, ...]
     admissible: Callable[[list[np.ndarray], int], bool]
     points: Callable[[CurveModel, Stream, int], Iterable]
+    trigonal: bool
+    f4_rank: int
+    sweep_degree: int
 
 
 def _split_smooth_quadric(forms: list[np.ndarray], p: int) -> bool:
@@ -501,14 +519,17 @@ def _slice_points(curve: CurveModel, stream: Stream, n: int) -> Iterable:
             for h in hs)
 
 
-MODELS = {4: GenusModel((2, 3), _split_smooth_quadric, _ruling_points),
-          5: GenusModel((2, 2, 2), _independent_quadrics, _slice_points)}
+MODELS = {4: GenusModel((2, 3), _split_smooth_quadric, _ruling_points,
+                        trigonal=True, f4_rank=5, sweep_degree=5),
+          5: GenusModel((2, 2, 2), _independent_quadrics, _slice_points,
+                        trigonal=False, f4_rank=16, sweep_degree=8)}
 _GENERA = " or ".join(map(str, MODELS))
 
 
 def check_curve_prime(p: int) -> None:
     """Reject a curve prime below 10^6, or one `algebra.check_prime`
-    rejects, with a ValueError naming it."""
+    rejects, with a ValueError naming it: the one prime check of
+    `gen-curve` and of a loaded curve file."""
     if p < 10**6:
         raise ValueError(f"prime must be at least 10^6, got {p}")
     alg.check_prime(p)
@@ -682,5 +703,11 @@ def save_curve(path: str, curve: CurveModel, points: list[np.ndarray]) -> None:
 
 
 def load_curve(path: str) -> tuple[CurveModel, list[np.ndarray]]:
+    """The curve and points of the file at path; a file that is not JSON
+    is a ConfigError naming the path."""
     with open(path) as fh:
-        return curve_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"curve file {path}: {exc}") from None
+    return curve_from_json(data)

@@ -32,7 +32,8 @@ a chart that does not eliminate cleanly gives the slice no points.
 A stacked kernel tests all elements of a batch at once and gives each
 failing element the exception of the first test it fails: `outcomes`
 walks its failure masks through a table of (class, message) pairs, one
-per test, in the order the kernel tests them.
+per test, in the order the kernel tests them (`pencil.build_pencil`,
+`net.oracle_batch`, `fibers.split_fibers`, `bundle.fiber_quadric`).
 """
 
 from __future__ import annotations

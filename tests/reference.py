@@ -1,5 +1,7 @@
 """Scalar reference routines the tests check the engine against."""
 
+import itertools
+
 import numpy as np
 
 from curvecones import algebra as alg, cone as cn, curve as cv
@@ -329,6 +331,39 @@ def distinct_roots(f, p):
                 break
             a += 1
     return sorted(roots)
+
+
+def ruling_line_at(chart, us):
+    """`curve.RulingChart.line_at`, each line derived numerically: the
+    plane h = h1 + u h2 (h2 at u = inf), its completion w = (h . r2) r1 -
+    (h . r1) r2 by the first pair of unit vectors r1, r2 that completes
+    (q0, d1) to a frame with 2 B(q0, w(u)) not identically zero, and
+    rho = 2 B(q0, w), sig = 2 B(d1, w), tau = Q(w) at the parameter."""
+    p = chart.p
+    for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
+        if alg.rank(np.stack([chart.q0, chart.d1, r1, r2]), p) != 4:
+            continue
+        w_u = np.stack([(int(h @ r2 % p) * r1 - int(h @ r1 % p) * r2) % p
+                        for h in (chart.h1, chart.h2)], axis=1)
+        if (chart.polar[0] @ w_u % p).any():
+            break
+    h = np.array([chart.h2 if u is None else (chart.h1 + u * chart.h2) % p
+                  for u in us], dtype=np.int64).reshape(-1, 4)
+    w = ((h @ r2 % p)[:, None] * r1 - (h @ r1 % p)[:, None] * r2) % p
+    rho, sig = (w @ chart.polar.T % p).T[:, :, None]
+    tau = mono.form_eval(chart.quadric, w, 4, 2, p)[:, None]
+    a = (sig * chart.q0 - rho * chart.d1) % p
+    b = np.where(rho != 0, tau * chart.q0 - rho * w,
+                 tau * chart.d1 - sig * w) % p
+    lines = []
+    for k in range(len(w)):
+        if rho[k, 0] or sig[k, 0]:
+            lines.append((a[k], b[k]))
+        elif tau[k, 0]:
+            lines.append((chart.q0.copy(), chart.d1.copy()))
+        else:
+            lines.append(DegenerateInput("plane lies inside the quadric"))
+    return lines
 
 
 def sample_points_one_line_at_a_time(curve, count):

@@ -7,7 +7,7 @@ them); the same checks back the `verify` subcommand of the command line.
 import numpy as np
 import pytest
 
-from curvecones import acceptance as acc
+from curvecones import acceptance as acc, cli
 from curvecones import canring, cone as cn, curve as cv, errors
 from curvecones import net as nt, spanlab as sl
 from curvecones.errors import (CurveConesError, InadmissiblePencil,
@@ -51,6 +51,16 @@ class TestDerivedValues:
         assert tuple(canring.ideal_dim(g, n) for n in (2, 3, 4)) == dims
         assert acc.node_count(g) == nodes
         assert sl.square_count(g) == squares
+
+
+@pytest.mark.parametrize("g", sorted(cv.MODELS))
+@pytest.mark.parametrize("preset", ["verify --quick", "reduced_config"])
+def test_presets_reach_the_measured_quartic_rank(g, preset):
+    """The span samples of the smaller presets, with the quadric squares
+    the span starts from, can still reach the model's `f4_rank`."""
+    cfg = cli.suite_config(True, 0) if preset == "verify --quick" \
+        else acc.reduced_config(0)
+    assert cfg.span_samples + sl.square_count(g) >= cv.MODELS[g].f4_rank
 
 
 class TestAcceptance:

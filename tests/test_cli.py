@@ -397,6 +397,29 @@ class TestCurveFileValidation:
         assert "field 'points'" in err and "100" in err and "210" in err
 
 
+class TestPathFaults:
+    """A path given on the command line that cannot be read or written,
+    or a curve file that is not JSON, is a configuration error (exit 2)
+    whose message names the path."""
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--curve", "{dir}"],
+        ["gen-curve", "--genus", "4", "--out", "{dir}"],
+        ["spans", "--curve", "{curve}", "--config", "{dir}"],
+    ], ids=lambda c: c[0])
+    def test_directory(self, tmp_path, curve_file, capsys, command):
+        argv = [a.format(dir=tmp_path, curve=curve_file) for a in command]
+        assert main(argv) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_curve_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("{genus")
+        assert main(["verify", "--curve", str(path), "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Expecting property name" in err
+
+
 def inject(monkeypatch, module, name, exc, calls=None, within=None):
     """Make module.name raise exc on the listed calls (1-based; None means
     every call).  With within=(owner, fname), only calls made while

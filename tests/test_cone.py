@@ -370,7 +370,7 @@ class TestFamilySweepRounds:
         def family(t):
             return np.stack([section, r1, (r2 + t * r3) % p])
 
-        sized = 2 * (3 * g - 7) + 1 + cn.SWEEP_HOLDOUT
+        sized = 2 * cv.MODELS[g].sweep_degree + 1 + cn.SWEEP_HOLDOUT
         assert cn._family_samples(ctx4, family, b0, sized) \
             == cn._family_samples(ctx4, family, b0, 100)[:sized]
 
@@ -379,8 +379,8 @@ class TestFamilySweepRounds:
     def test_sized_fit_finds_the_roots_of_the_45_45_fit(self, name, request,
                                                         monkeypatch):
         """On every family that `contained_double_secant` sweeps, the fit
-        of degree 3g - 7 from 2(3g - 7) + 1 samples has the roots of the
-        45/45 fit from 94 samples (tests/reference.py)."""
+        of the model's `sweep_degree` d from 2d + 1 samples has the roots
+        of the 45/45 fit from 94 samples (tests/reference.py)."""
         ctx = request.getfixturevalue(name)
         real = cn._family_roots
         pairs = []
@@ -568,7 +568,7 @@ class TestBitangentSweep:
         checked = 0
         for k in range(0, 60, 6):
             pt = ctx4.panel[k]
-            if chart.param_of(pt) is None:
+            if not int(chart.h2 @ pt % P):
                 continue
             td = ctx4.tangent(pt)
             s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), P)

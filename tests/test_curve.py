@@ -141,6 +141,29 @@ class TestQuadricGram:
         pts = cv.sample_points(curve, 20)
         assert all(cv.on_curve(curve, pt) for pt in pts)
 
+    @pytest.mark.parametrize("name", ["ctx4", "ctx4_max"])
+    def test_line_at_matches_the_numeric_derivation(self, name, request):
+        """The ruling lines evaluated from the chart's u-coefficient arrays
+        are those derived numerically per parameter (tests/reference.py),
+        at u = inf, at the root of rho(u), where b falls back to
+        tau d1 - sig w, and at 200 random parameters."""
+        ctx = request.getfixturevalue(name)
+        p = ctx.p
+        chart = cv.ruling_chart(ctx.curve)
+        rho0, rho1 = (int(c) for c in chart.rho)
+        root = -rho0 * pow(rho1, -1, p) % p if rho1 else None
+        assert not int(chart.rho @ (0, 1) if root is None
+                       else chart.rho @ (1, root) % p)
+        stream = Stream(29, "line-at")
+        us = [None, root, 0, 1, p - 1] + [stream.field(p) for _ in range(200)]
+
+        def shown(lines):
+            return ["degenerate" if isinstance(line, DegenerateInput)
+                    else [end.tolist() for end in line] for line in lines]
+
+        assert shown(chart.line_at(us)) == \
+            shown(reference.ruling_line_at(chart, us))
+
 
 class TestSampling:
     def test_points_annihilate_generators(self, ctx4, ctx5):

@@ -7,6 +7,7 @@ here are listed with their blind spots in the README's criteria table.
 """
 
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -101,6 +102,13 @@ class TestCriterion2:
         result = acc.criterion_petri(ctx4)
         assert not result.ok, result.line()
         assert result.details["surjective"] is True
+
+    def test_model_not_trigonal_fails(self, ctx4, monkeypatch):
+        monkeypatch.setitem(cv.MODELS, 4, dataclasses.replace(
+            cv.MODELS[4], trigonal=False))
+        result = acc.criterion_petri(ctx4)
+        assert not result.ok, result.line()
+        assert result.details == {"surjective": False, "expected": True}
 
 
 class TestCriterion3:
@@ -225,12 +233,41 @@ class TestCriterion10:
         result = acc.criterion_secant(ctx4, CFG, cone)
         assert not result.ok, result.line()
 
+    def test_sweep_below_the_measured_degree_finds_no_roots(
+            self, ctx4, monkeypatch):
+        """A family sweep fitted one degree below the model's
+        `sweep_degree` fails its holdout where the measured degree finds
+        the roots, so the double-section branch would find no secant."""
+        real = cn._family_roots
+        swept = []
+
+        def record(ctx, family, b0):
+            roots = real(ctx, family, b0)
+            swept.append((family, b0, roots))
+            return roots
+
+        monkeypatch.setattr(cn, "_family_roots", record)
+        cn.contained_double_secant(ctx4, Stream(0, "sized fit"), count=1)
+        family, b0, _ = next(s for s in swept if s[2])
+        monkeypatch.setitem(cv.MODELS, 4, dataclasses.replace(
+            cv.MODELS[4], sweep_degree=cv.MODELS[4].sweep_degree - 1))
+        assert real(ctx4, family, b0) == []
+
 
 class TestCriterion11:
     def test_sound(self, ctx4, inputs):
         result = acc.criterion_spans(ctx4, CFG, inputs.f4)
         assert result.ok
-        assert result.details["f4_rank"] == acc.F4_RANKS[4] == 5
+        assert result.details["f4_rank"] == cv.MODELS[4].f4_rank == 5
+
+    def test_rank_above_the_measured_one_fails(self, ctx4, inputs,
+                                               monkeypatch):
+        monkeypatch.setitem(cv.MODELS, 4, dataclasses.replace(
+            cv.MODELS[4], f4_rank=6))
+        result = acc.criterion_spans(ctx4, CFG, inputs.f4)
+        assert not result.ok, result.line()
+        assert result.details["f4_rank"] == 5
+        assert result.details["expected"] == 6
 
     def test_quartic_outside_the_span_fails(self, ctx4, inputs):
         rows = inputs.f4.rows
