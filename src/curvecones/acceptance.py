@@ -16,6 +16,9 @@ What a criterion expects is derived from the genus (`canring.ideal_dim`,
 the genus's `curve.MODELS` entry: criterion 2 expects I(2) to generate
 I(3) exactly when the model is not `trigonal`, and criterion 11 expects
 the model's measured `f4_rank`.
+
+`PRESETS` holds the sample sizes of each way the suite is run: `verify`,
+`verify --quick`, and the reduced runs of criterion 13.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from . import monomials as mono
 from . import net as nt
 from . import pencil as pc
 from . import spanlab as sl
-from .errors import (ConfigError, CurveConesError, DegenerateInput,
-                     Draws, value_of)
+from .errors import (CurveConesError, DegenerateInput, Draws, check_counts,
+                     value_of)
 from .rng import Stream, derive_key
 
 def node_count(g: int) -> int:
@@ -48,9 +51,9 @@ def node_count(g: int) -> int:
 
 @dataclass
 class SuiteConfig:
-    """Sample sizes for one full run; every value is part of the report,
-    and a value that is not a nonnegative integer is a ConfigError where
-    the config is made."""
+    """Sample sizes for one run, the defaults being the full preset; every
+    value is part of the report, and a value that is not a nonnegative int
+    is a ConfigError where the config is made (`errors.check_counts`)."""
     seed: int = 0
     corank_samples: int = 50
     corank_engineered: int = 5
@@ -66,10 +69,30 @@ class SuiteConfig:
     off_curve_probes: int = 500
 
     def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"config field '{name}' must be a "
-                                  f"nonnegative integer, got {value!r}")
+        check_counts(asdict(self))
+
+
+# The sample sizes of `verify` (full), `verify --quick` (quick) and the two
+# embedded runs of criterion 13 (reduced), over the SuiteConfig defaults.
+# Every preset's span samples plus the quadric squares the span starts from
+# (`spanlab.square_count`) must reach the model's `f4_rank`, so criterion
+# 11 can pass: at genus 5, 14 samples and 6 squares reach 16.
+PRESETS = {
+    "full": {},
+    "quick": dict(corank_samples=10, corank_engineered=2, reconstructions=3,
+                  oracle_points=10, double_quadrics=2, polar_oracle_points=10,
+                  fibers_on=10, fibers_off=10, secant_random=10,
+                  secant_engineered=1, span_samples=14, off_curve_probes=60),
+    "reduced": dict(corank_samples=6, corank_engineered=1, reconstructions=2,
+                    oracle_points=6, double_quadrics=1, polar_oracle_points=6,
+                    fibers_on=6, fibers_off=6, secant_random=6,
+                    secant_engineered=1, span_samples=14, off_curve_probes=30),
+}
+
+
+def preset(name: str, seed: int) -> SuiteConfig:
+    """The SuiteConfig of the named `PRESETS` entry at this seed."""
+    return SuiteConfig(seed=seed, **PRESETS[name])
 
 
 @dataclass
@@ -346,20 +369,10 @@ def criterion_base_locus(ctx, cfg: SuiteConfig,
                             "f3_rank_observed": f3.rank})
 
 
-def reduced_config(seed: int) -> SuiteConfig:
-    """The sizes at which criterion 13 runs the suite.  The span samples
-    still cover the saturated rank (16 at genus 5, of which 6 come from
-    quadric squares), so the embedded runs stay green."""
-    return SuiteConfig(seed=seed, corank_samples=6, corank_engineered=1,
-                       reconstructions=2, oracle_points=6, double_quadrics=1,
-                       polar_oracle_points=6, fibers_on=6, fibers_off=6,
-                       secant_random=6, secant_engineered=1, span_samples=14,
-                       off_curve_probes=30)
-
-
 def criterion_determinism(ctx_builder, cfg: SuiteConfig) -> CriterionResult:
-    """Run a reduced suite twice from scratch; reports must be identical."""
-    small = reduced_config(cfg.seed)
+    """Run the reduced preset twice from scratch; reports must be
+    identical."""
+    small = preset("reduced", cfg.seed)
     blobs = []
     for _ in range(2):
         ctx = ctx_builder()

@@ -9,7 +9,17 @@ README for the full conventions.
 
 Exit codes: 0 success, 2 configuration error, 3 mathematical verification
 failure (a failed criterion or certificate, never resampled), 4 resample
-budget exhausted (a DegenerateInput).
+budget exhausted (a DegenerateInput).  Exit 2 is a usage error of the
+parser, a `ConfigError` or an `OSError`; any other exception, such as an
+engine `ValueError`, is a fault of the program and is not caught.
+
+Input is checked where it enters, and each check has one place.  Every
+output path (`--out`, `--trajectory`) is checked by the parser
+(`_out_path`), so a directory or a missing parent directory exits 2
+before any curve is read or generated.  A JSON input is read by
+`curve.read_json`, count fields are checked by `errors.check_counts`,
+the suite's sample sizes are `acceptance.PRESETS`, and every JSON output
+but the verify report is encoded by `_write_json`.
 
 Each subcommand imports only the engine modules it runs: `gen-curve`
 loads `curve` and what it imports, the commands that read a curve file
@@ -28,17 +38,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
 from . import curve as cv
-from .errors import ConfigError, CurveConesError, DegenerateInput
+from .errors import (ConfigError, CurveConesError, DegenerateInput,
+                     check_counts)
 from .rng import Stream, derive_key
 
 if TYPE_CHECKING:
-    from . import acceptance as acc
     from . import canring
     from . import cone as cn
+
+
+def _out_path(path: str) -> str:
+    """The parser's type for an output path: a directory (the empty path
+    names the current one), or a path whose parent directory does not
+    exist, is a usage error naming the path."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path or "."):
+        fault = "it is a directory"
+    elif not os.path.isdir(parent):
+        fault = f"{parent} is not a directory"
+    else:
+        return path
+    raise argparse.ArgumentTypeError(f"cannot write {path!r}: {fault}")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -47,6 +72,13 @@ def _write(path: str | None, text: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    """The canonical JSON of `ideal`, `reconstruct` and `spans`: sorted
+    keys, no spaces, one closing newline."""
+    _write(path, json.dumps(payload, sort_keys=True,
+                            separators=(",", ":")) + "\n")
 
 
 def _load_context(path: str) -> canring.CurveContext:
@@ -79,16 +111,14 @@ def cmd_ideal(args) -> int:
     ctx = _load_context(args.curve)
     piece = ctx.ideal(args.degree)
     print(f"dim I({args.degree}) = {piece.dim}")
-    payload = {
+    _write_json(args.out, {
         "genus": ctx.g,
         "prime": ctx.p,
         "degree": args.degree,
         "dim": piece.dim,
         "basis": [mono.form_to_pairs(row, ctx.g, args.degree)
                   for row in piece.basis],
-    }
-    _write(args.out, json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    })
     return 0
 
 
@@ -96,9 +126,7 @@ def cmd_reconstruct(args) -> int:
     from . import cone as cn
     ctx = _load_context(args.curve)
     _, cone_obj = _cli_cone(ctx, args.w_seed)
-    payload = cn.cone_to_json(cone_obj, ctx.g)
-    _write(args.out, json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    _write_json(args.out, cn.cone_to_json(cone_obj, ctx.g))
     print(f"reconstructed quartic: {cone_obj.certificate}")
     return 0
 
@@ -106,18 +134,12 @@ def cmd_reconstruct(args) -> int:
 def cmd_spans(args) -> int:
     cfg = {"seed": 0, "sample_count": 25, "off_curve": 500}
     if args.config:
-        with open(args.config) as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ConfigError("a spans config must hold a JSON object, got "
-                              f"{type(user).__name__}")
-        for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config field '{key}'")
-            if type(value) is not int or value < 0:     # nor a bool
-                raise ConfigError(f"config field '{key}' must be a "
-                                  f"nonnegative integer")
-            cfg[key] = value
+        user = cv.read_json(args.config, "spans config")
+        unknown = [key for key in user if key not in cfg]
+        if unknown:
+            raise ConfigError(f"unknown config field '{unknown[0]}'")
+        check_counts(user)
+        cfg.update(user)
     from . import spanlab as sl
     ctx = _load_context(args.curve)
     cones = sl.collect_cones(ctx, cfg["sample_count"], cfg["seed"])
@@ -126,7 +148,7 @@ def cmd_spans(args) -> int:
     probe = sl.base_locus_probe(ctx, [f4, f3], cfg["off_curve"],
                                 seed=cfg["seed"])
     from . import __version__
-    payload = {
+    _write_json(args.out, {
         "version": __version__,
         "config": cfg,
         "curve": {"genus": ctx.g, "prime": ctx.p, "seed": ctx.curve.seed},
@@ -136,11 +158,9 @@ def cmd_spans(args) -> int:
         "f3_trajectory": f3.trajectory,
         "squares_contained": sl.squares_containment(ctx, f4,
                                                     seed=cfg["seed"]),
-        "base_locus": {k: v for k, v in probe.items()},
+        "base_locus": probe,
         "provenance": {"f4": f4.provenance, "f3": f3.provenance},
-    }
-    _write(args.out, json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    })
     if args.trajectory:
         _write(args.trajectory, sl.trajectory_csv(f4))
     print(f"f4 rank {f4.rank}, f3 rank {f3.rank}, "
@@ -172,24 +192,9 @@ def cmd_hessian(args) -> int:
     return 0
 
 
-def suite_config(quick: bool, seed: int) -> acc.SuiteConfig:
-    """The sample sizes of `verify`, or of `verify --quick`."""
-    from . import acceptance as acc
-    if not quick:
-        return acc.SuiteConfig(seed=seed)
-    # span samples must still cover the expected saturated rank (16 at
-    # genus 5 with 6 of it from quadric squares)
-    return acc.SuiteConfig(seed=seed, corank_samples=10, corank_engineered=2,
-                           reconstructions=3, oracle_points=10,
-                           double_quadrics=2, polar_oracle_points=10,
-                           fibers_on=10, fibers_off=10, secant_random=10,
-                           secant_engineered=1, span_samples=14,
-                           off_curve_probes=60)
-
-
 def cmd_verify(args) -> int:
     from . import acceptance as acc
-    cfg = suite_config(args.quick, args.seed)
+    cfg = acc.preset("quick" if args.quick else "full", args.seed)
     ctx = _load_context(args.curve)
     results = acc.run_full(ctx, cfg, echo=print, ctx_builder=(
         lambda: _load_context(args.curve)) if args.full else None)
@@ -217,26 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     g.add_argument("--prime", type=int, default=1000003)
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=_out_path, required=True)
     g.set_defaults(func=cmd_gen_curve)
 
     i = sub.add_parser("ideal", help="ideal piece basis and dimension")
     i.add_argument("--curve", required=True)
     i.add_argument("--degree", type=int, choices=(2, 3, 4), required=True)
-    i.add_argument("--out", default=None)
+    i.add_argument("--out", type=_out_path, default=None)
     i.set_defaults(func=cmd_ideal)
 
     r = sub.add_parser("reconstruct", help="reconstruct one quartic cone")
     r.add_argument("--curve", required=True)
     r.add_argument("--w-seed", type=int, default=0)
-    r.add_argument("--out", default=None)
+    r.add_argument("--out", type=_out_path, default=None)
     r.set_defaults(func=cmd_reconstruct)
 
     s = sub.add_parser("spans", help="span dimensions and base-locus probe")
     s.add_argument("--curve", required=True)
     s.add_argument("--config", default=None)
-    s.add_argument("--out", default=None)
-    s.add_argument("--trajectory", default=None,
+    s.add_argument("--out", type=_out_path, default=None)
+    s.add_argument("--trajectory", type=_out_path, default=None,
                    help="write the rank trajectory CSV here")
     s.set_defaults(func=cmd_spans)
 
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--w-seed", type=int, default=0)
     h.add_argument("--sweep", type=int, default=200, metavar="N",
                    help="N rows: N - N//2 fibers on the image, N//2 off it")
-    h.add_argument("--out", default=None)
+    h.add_argument("--out", type=_out_path, default=None)
     h.set_defaults(func=cmd_hessian)
 
     v = sub.add_parser("verify", help="run the acceptance suite")
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--quick", action="store_true",
                    help="reduced sample sizes for a fast smoke run")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None)
+    v.add_argument("--out", type=_out_path, default=None)
     v.set_defaults(func=cmd_verify)
     return parser
 
@@ -268,7 +273,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DegenerateInput as exc:

@@ -526,13 +526,19 @@ MODELS = {4: GenusModel((2, 3), _split_smooth_quadric, _ruling_points,
 _GENERA = " or ".join(map(str, MODELS))
 
 
-def check_curve_prime(p: int) -> None:
+def check_curve_prime(p: int, where: str = "") -> None:
     """Reject a curve prime below 10^6, or one `algebra.check_prime`
-    rejects, with a ValueError naming it: the one prime check of
-    `gen-curve` and of a loaded curve file."""
+    rejects, with a ConfigError naming it, its message prefixed by `where`:
+    the one prime check of `gen-curve` and of a loaded curve file.  A
+    prime is user input, so its fault is a ConfigError, which the command
+    line reports with exit 2; `algebra.check_prime` raises a plain
+    ValueError, as the engine's guard on a modulus."""
     if p < 10**6:
-        raise ValueError(f"prime must be at least 10^6, got {p}")
-    alg.check_prime(p)
+        raise ConfigError(f"{where}prime must be at least 10^6, got {p}")
+    try:
+        alg.check_prime(p)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def smooth_at(curve: CurveModel, pts) -> bool:
@@ -631,27 +637,21 @@ def _typed(data: dict, name: str, kind: type):
 
 
 def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
-    """Curve and points of a curve file.
+    """Curve and points of a curve file's JSON object.
 
-    Raises ConfigError when the file's top level is not a JSON object, and,
-    naming the field or the point index, when a field is missing or has the wrong JSON type, the genus has no model, the
+    Raises ConfigError, naming the field or the point index, when a field
+    is missing or has the wrong JSON type, the genus has no model, the
     prime is not a curve prime (`check_curve_prime`), a generator has the
     wrong degree, the file holds fewer points than the panels of a context
     (`panel_sizes`), or a point is not a list of g integers, is not
     normalized, repeats an earlier point (both indices named) or does not
     lie on the curve.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("a curve file must hold a JSON object, got "
-                          f"{type(data).__name__}")
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
     if g not in MODELS:
         raise ConfigError(f"field 'genus' must be {_GENERA}, got {g}")
-    try:
-        check_curve_prime(p)
-    except ValueError as exc:
-        raise ConfigError(f"field 'prime': {exc}") from None
+    check_curve_prime(p, "field 'prime': ")
     generators = _typed(data, "generators", list)
     try:
         degrees = [sorted({sum(e) for e, _ in pairs}) for pairs in generators]
@@ -662,6 +662,8 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
         gens = [(deg, tuple(int(v) for v in
                             mono.form_from_pairs(pairs, g, deg, p)))
                 for deg, pairs in zip(MODELS[g].degrees, generators)]
+    except ConfigError:     # a ValueError too: the degree fault keeps its text
+        raise
     except (TypeError, ValueError, KeyError):
         raise ConfigError("field 'generators' must hold one list of "
                           f"[exponents, coefficient] pairs in {g} variables "
@@ -702,12 +704,24 @@ def save_curve(path: str, curve: CurveModel, points: list[np.ndarray]) -> None:
         fh.write("\n")
 
 
-def load_curve(path: str) -> tuple[CurveModel, list[np.ndarray]]:
-    """The curve and points of the file at path; a file that is not JSON
-    is a ConfigError naming the path."""
+def read_json(path: str, what: str) -> dict:
+    """The JSON object held by the file at path: the one reader of a JSON
+    input (a curve file or a spans config).  A file that is not JSON is a
+    ConfigError naming `what` and the path, and so is a top level that is
+    not an object; a file that cannot be opened raises its OSError, which
+    names the path."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
-            raise ConfigError(f"curve file {path}: {exc}") from None
-    return curve_from_json(data)
+            raise ConfigError(f"{what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"a {what} must hold a JSON object, got "
+                          f"{type(data).__name__}")
+    return data
+
+
+def load_curve(path: str) -> tuple[CurveModel, list[np.ndarray]]:
+    """The curve and points of the curve file at path (`read_json`,
+    `curve_from_json`)."""
+    return curve_from_json(read_json(path, "curve file"))

@@ -34,6 +34,9 @@ failing element the exception of the first test it fails: `outcomes`
 walks its failure masks through a table of (class, message) pairs, one
 per test, in the order the kernel tests them (`pencil.build_pencil`,
 `net.oracle_batch`, `fibers.split_fibers`, `bundle.fiber_quadric`).
+
+Bad input raises a `ConfigError`, which no retry loop catches;
+`check_counts` is the one check of a config's count fields.
 """
 
 from __future__ import annotations
@@ -48,8 +51,22 @@ class CurveConesError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(CurveConesError):
-    """Invalid configuration value; message names the offending field."""
+class ConfigError(CurveConesError, ValueError):
+    """Invalid input: a configuration value, a prime or a file; the message
+    names the offending field or path.  The command line reports it, and
+    an OSError, as a configuration error (exit 2); no other exception is
+    one.  It is also a ValueError, so a library caller that catches
+    ValueError for bad input still does."""
+
+
+def check_counts(fields: dict) -> None:
+    """ConfigError naming the first field whose value is not a nonnegative
+    int: the one count check of the suite config and the spans config.  A
+    bool is no count, although Python's bool is an int."""
+    for name, value in fields.items():
+        if type(value) is not int or value < 0:
+            raise ConfigError(f"config field '{name}' must be a "
+                              f"nonnegative integer, got {value!r}")
 
 
 class InconsistentSystem(CurveConesError):
@@ -213,12 +230,8 @@ class Draws:
 
 def unwrap(result: T | CurveConesError) -> T | None:
     """A batch result as a resample loop treats it: None for a
-    `DegenerateInput`, raised for any other error, else the result."""
-    if isinstance(result, DegenerateInput):
-        return None
-    if isinstance(result, CurveConesError):
-        raise result
-    return result
+    `DegenerateInput`, else as `value_of` gives it."""
+    return None if isinstance(result, DegenerateInput) else value_of(result)
 
 
 def value_of(result: T | CurveConesError) -> T:

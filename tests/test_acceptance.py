@@ -7,7 +7,7 @@ them); the same checks back the `verify` subcommand of the command line.
 import numpy as np
 import pytest
 
-from curvecones import acceptance as acc, cli
+from curvecones import acceptance as acc
 from curvecones import canring, cone as cn, curve as cv, errors
 from curvecones import net as nt, spanlab as sl
 from curvecones.errors import (CurveConesError, InadmissiblePencil,
@@ -54,13 +54,21 @@ class TestDerivedValues:
 
 
 @pytest.mark.parametrize("g", sorted(cv.MODELS))
-@pytest.mark.parametrize("preset", ["verify --quick", "reduced_config"])
+@pytest.mark.parametrize("preset", sorted(acc.PRESETS))
 def test_presets_reach_the_measured_quartic_rank(g, preset):
-    """The span samples of the smaller presets, with the quadric squares
-    the span starts from, can still reach the model's `f4_rank`."""
-    cfg = cli.suite_config(True, 0) if preset == "verify --quick" \
-        else acc.reduced_config(0)
+    """The span samples of every preset, with the quadric squares the span
+    starts from, can still reach the model's `f4_rank`."""
+    cfg = acc.preset(preset, 0)
     assert cfg.span_samples + sl.square_count(g) >= cv.MODELS[g].f4_rank
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", -1),
+                                          ("fibers_on", 2.0),
+                                          ("span_samples", "14")])
+def test_suite_config_rejects_a_non_count(field, value):
+    # JSON true is no count, although Python's bool is an int
+    with pytest.raises(errors.ConfigError, match=f"config field '{field}'"):
+        acc.SuiteConfig(**{field: value})
 
 
 class TestAcceptance:
@@ -124,7 +132,7 @@ ON_INPUTS = {
 
 @pytest.fixture(scope="module")
 def suite_run(ctx4):
-    cfg = acc.reduced_config(0)
+    cfg = acc.preset("reduced", 0)
     return cfg, {r.number: r for r in acc.run_criteria(ctx4, cfg)}
 
 

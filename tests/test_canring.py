@@ -119,7 +119,7 @@ class TestOnePointSet:
 
         monkeypatch.setattr(mono, "eval_matrix", counting)
         ctx = canring.CurveContext(ctx4.curve, list(ctx4.points))
-        acc.run_criteria(ctx, acc.reduced_config(0))
+        acc.run_criteria(ctx, acc.preset("reduced", 0))
         assert evaluated == {n: len(ctx4.holdout) for n in (1, 2, 3, 4)}
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from curvecones import acceptance as acc, bundle as bd, cli
 from curvecones import cone as cn, curve as cv, net as nt, spanlab as sl
-from curvecones.cli import main, suite_config
+from curvecones.cli import main
 from curvecones.errors import (DegenerateInput, RankDeficientW,
                                VerificationFailed)
 
@@ -145,6 +145,14 @@ class TestCommands:
                      "--config", str(cfg)]) == 2
         assert "unknown config field 'bogus'" in capsys.readouterr().err
         assert loads == []
+
+    def test_spans_config_unknown_key_named_first(self, tmp_path, capsys):
+        # the unknown key is named even after a bad value of a known one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1, "bogus": 1}')
+        assert main(["spans", "--curve", str(tmp_path / "missing.json"),
+                     "--config", str(cfg)]) == 2
+        assert "unknown config field 'bogus'" in capsys.readouterr().err
 
     def test_spans_config_boolean_rejected(self, tmp_path, curve_file,
                                            capsys):
@@ -419,6 +427,50 @@ class TestPathFaults:
         err = capsys.readouterr().err
         assert str(path) in err and "Expecting property name" in err
 
+    def test_spans_config_not_json(self, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "_load_context", loads.append)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        assert main(["spans", "--curve", str(tmp_path / "missing.json"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"spans config {cfg}" in err and "Expecting property" in err
+        assert loads == []
+
+    WRITERS = {
+        "gen-curve": ["gen-curve", "--genus", "4", "--out", "{out}"],
+        "ideal": ["ideal", "--curve", "{curve}", "--degree", "2",
+                  "--out", "{out}"],
+        "reconstruct": ["reconstruct", "--curve", "{curve}", "--out",
+                        "{out}"],
+        "spans-out": ["spans", "--curve", "{curve}", "--out", "{out}"],
+        "spans-trajectory": ["spans", "--curve", "{curve}",
+                             "--trajectory", "{out}"],
+        "hessian": ["hessian", "--curve", "{curve}", "--out", "{out}"],
+        "verify": ["verify", "--curve", "{curve}", "--quick",
+                   "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent",
+                                       "empty"])
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_output_path_checked_before_the_work(
+            self, tmp_path, curve_file, capsys, monkeypatch, command, where):
+        # the parser rejects the path: no curve is read or generated and
+        # nothing is printed to stdout, such as a criterion line
+        calls = []
+        monkeypatch.setattr(cli, "_load_context", calls.append)
+        monkeypatch.setattr(cv, "generate_curve", lambda *a: calls.append(a))
+        out = {"directory": str(tmp_path), "empty": "",
+               "missing-parent": str(tmp_path / "missing" / "out.json")}[where]
+        argv = [a.format(out=out, curve=curve_file)
+                for a in self.WRITERS[command]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write {out!r}" in captured.err and captured.out == ""
+        assert calls == []
+
 
 def inject(monkeypatch, module, name, exc, calls=None, within=None):
     """Make module.name raise exc on the listed calls (1-based; None means
@@ -502,6 +554,16 @@ class TestRecoveryPolicy:
         assert self.run(command, curve_file, tmp_path) == code
         assert fired == [1]
 
+    def test_engine_value_error_is_no_config_error(self, tmp_path,
+                                                   monkeypatch):
+        # only a ConfigError or an OSError exits 2: an engine ValueError
+        # is a fault of the program and reaches the caller of main
+        fired = inject(monkeypatch, cv, "sample_points", ValueError)
+        with pytest.raises(ValueError, match="injected"):
+            main(["gen-curve", "--genus", "4", "--seed", "1",
+                  "--out", str(tmp_path / "c.json")])
+        assert fired == [1]
+
     def test_exhausted_budget_names_the_label(self, tmp_path, monkeypatch,
                                               capsys):
         inject(monkeypatch, cv, "sample_points", DegenerateInput,
@@ -524,7 +586,7 @@ GENUS5_QUICK_REPORT = \
 def test_genus5_quick_report_is_pinned(ctx5):
     # ctx5 holds the points gen-curve writes for this curve, so the report
     # is the file's without sampling again
-    cfg = suite_config(quick=True, seed=0)
+    cfg = acc.preset("quick", 0)
     report = acc.report_json(ctx5, cfg, acc.run_criteria(ctx5, cfg))
     assert hashlib.sha256(report.encode()).hexdigest() == GENUS5_QUICK_REPORT
 
@@ -558,7 +620,7 @@ GENUS4_QUICK_REPORT_P_MAX = \
 
 def test_genus4_quick_report_is_pinned_at_largest_prime(ctx4_max):
     # ctx4_max holds the points gen-curve writes for this curve
-    cfg = suite_config(quick=True, seed=0)
+    cfg = acc.preset("quick", 0)
     report = acc.report_json(ctx4_max, cfg, acc.run_criteria(ctx4_max, cfg))
     assert hashlib.sha256(report.encode()).hexdigest() \
         == GENUS4_QUICK_REPORT_P_MAX

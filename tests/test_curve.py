@@ -14,8 +14,8 @@ from curvecones import algebra as alg
 from curvecones import fibers as fb
 from curvecones import curve as cv
 from curvecones import monomials as mono
-from curvecones.errors import (DegenerateInput, InsufficientPoints,
-                               SingularPoint)
+from curvecones.errors import (ConfigError, DegenerateInput,
+                               InsufficientPoints, SingularPoint)
 from curvecones.rng import Stream
 
 import reference
@@ -88,6 +88,14 @@ class TestGeneration:
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
             cv.generate_curve(4, 101, 1)
+
+    @pytest.mark.parametrize("p", [101, 1004653, 2**26 + 15])
+    def test_prime_fault_is_a_config_error(self, p):
+        # a curve prime is user input: below the floor, composite
+        # (13 * 109 * 709) or above the int64 budget, it is a ConfigError
+        # naming it
+        with pytest.raises(ConfigError, match=str(p)):
+            cv.check_curve_prime(p)
 
     def test_genus5_jacobian_rank(self, ctx5):
         for q in ctx5.panel[:25]:

@@ -1,11 +1,12 @@
-"""The contract of `errors.resample`, `errors.Draws` and
-`errors.outcomes`."""
+"""The contract of `errors.resample`, `errors.Draws`, `errors.outcomes`
+and `errors.check_counts`."""
 
 import numpy as np
 import pytest
 
-from curvecones.errors import (CorankJump, DegenerateInput, Draws, InVertex,
-                               VerificationFailed, outcomes, resample)
+from curvecones.errors import (ConfigError, CorankJump, DegenerateInput,
+                               Draws, InVertex, VerificationFailed,
+                               check_counts, outcomes, resample)
 
 
 def scripted(script: str, calls: list):
@@ -39,6 +40,17 @@ def closure_collect(label: str, attempts: int, draw, n: int) -> list:
 
 
 SCRIPTS = ["ab-c", "x-axbxc-d", "----", "xxab", "a"]
+
+
+def test_check_counts_names_the_first_fault():
+    assert check_counts({"a": 0, "b": 7}) is None
+    with pytest.raises(ConfigError, match="'b' must be a nonnegative "
+                                          "integer, got True"):
+        check_counts({"a": 1, "b": True, "c": -1})
+    with pytest.raises(ConfigError, match="'c'.*got -1"):
+        check_counts({"a": 1, "c": -1})
+    # a ConfigError is also a ValueError, for library callers
+    assert issubclass(ConfigError, ValueError)
 
 
 class TestResample:

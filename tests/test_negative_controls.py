@@ -20,7 +20,7 @@ from curvecones import spanlab as sl
 from curvecones.errors import SplittingViolation, VerificationFailed
 from curvecones.rng import Stream
 
-CFG = acc.reduced_config(0)
+CFG = acc.preset("reduced", 0)
 
 
 @pytest.fixture(scope="module")
