@@ -44,9 +44,8 @@ def tangent_law(pt):
     """The tangent space of the quartic at a curve point contains the curve
     tangent line and the vertex: the gradient there annihilates both."""
     td = ctx.tangent(pt)
-    grad = np.array([monomials.form_eval_one(
-        monomials.partial(quartic.coeffs, k, 4, 4, PRIME), pt, 4, 3, PRIME)
-        for k in range(4)])
+    grad = monomials.form_eval(
+        monomials.gradient(quartic.coeffs, 4, 4, PRIME).T, pt, 4, 3, PRIME)[0]
     span = np.stack([td.point, td.direction, *w_net.wperp])
     return grad.any() and not (span @ grad % PRIME).any()
 

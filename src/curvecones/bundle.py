@@ -119,9 +119,8 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     proj = nt.project(net_obj, ctx.panel, p)
     _, image, sharing = np.unique(alg.normalize_rows(proj, p), axis=0,
                                   return_inverse=True, return_counts=True)
-    partials = np.stack([mono.partial(gamma.coeffs, k, 3, gamma.degree, p)
-                         for k in range(3)])
-    grad = mono.form_eval(partials.T, proj, 3, gamma.degree - 1, p)
+    grad = mono.form_eval(mono.gradient(gamma.coeffs, 3, gamma.degree, p).T,
+                          proj, 3, gamma.degree - 1, p)
     on_values = mono.form_eval(gamma.coeffs, proj, 3, gamma.degree, p)
 
     def on_image(k: int) -> int:
@@ -176,8 +175,8 @@ def _chart_with_partials(coeffs: np.ndarray, degree: int, p: int
     in the chart z2 = 1 (entry [i, j] the coefficient of z0^i z1^j)."""
     chart = [[1, 0], [0, 1], [0, 0]]
     return [mono.collect(coeffs, degree, 3, chart, p)] + [
-        mono.collect(mono.partial(coeffs, var, 3, degree, p), degree - 1, 3,
-                     chart, p) for var in (0, 1)]
+        mono.collect(partial, degree - 1, 3, chart, p)
+        for partial in mono.gradient(coeffs, 3, degree, p)[:2]]
 
 
 def node_count(gamma: nt.PlaneCurve, p: int, seed: int = 0) -> int:

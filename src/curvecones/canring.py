@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -116,25 +115,18 @@ class CurveContext:
     @cached_property
     def cubic_tensor(self) -> np.ndarray:
         """g x g x g x d3: cubic-piece coordinates of z_i z_j z_k, read
-        off the echelon rows of the cubic piece on first use."""
-        g = self.g
-        coords = self.piece(3).rows.T
-        index = mono.index_map(g, 3)
-        table = np.zeros((g, g, g), dtype=np.int64)
-        for ijk in product(range(g), repeat=3):
-            table[ijk] = index[tuple(ijk.count(v) for v in range(g))]
-        return coords[table]
+        off the echelon rows of the cubic piece on first use through the
+        product tables of z_i times z_j z_k and of z_j times z_k."""
+        t11, t12 = (mono._product_table(self.g, 1, n) for n in (1, 2))
+        return self.piece(3).rows.T[t12[:, t11]]
 
     @cached_property
     def times_linear(self) -> np.ndarray:
         """g x d2 x d3: cubic-piece coordinates of z_i times each basis
         monomial of the quadratic piece (R1 x R2 -> R3), built on first
-        use."""
-        expo = mono.exponents(self.g, 2)
-        pairs = [[v for v in range(self.g) for _ in range(expo[col][v])]
-                 for col in self.piece(2).basis_cols]
-        j, k = np.array(pairs, dtype=np.int64).T
-        return self.cubic_tensor[:, j, k]
+        use through the product table of z_i times a quadratic monomial."""
+        t12 = mono._product_table(self.g, 1, 2)
+        return self.piece(3).rows.T[t12[:, self.piece(2).basis_cols]]
 
     def panel_pair(self, stream: Stream) -> tuple | None:
         """Two panel points drawn by index, or None when the indices
@@ -181,14 +173,8 @@ class CurveContext:
 
     def petri_check(self) -> bool:
         """True when degree-2 ideal elements generate the degree-3 piece."""
-        i2 = self.ideal(2)
-        products = []
-        for k in range(self.g):
-            unit = np.zeros(self.g, dtype=np.int64)
-            unit[k] = 1
-            for q in i2.basis:
-                products.append(mono.mul_forms(unit, 1, q, 2, self.g, self.p))
-        rank = alg.rank(np.stack(products), self.p)
+        products = mono.multiples(self.ideal(2).basis, 2, 3, self.g, self.p)
+        rank = alg.rank(products.reshape(-1, products.shape[-1]), self.p)
         return rank == self.ideal(3).dim
 
 

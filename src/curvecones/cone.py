@@ -93,8 +93,7 @@ def vertex_condition_matrix(ctx: CurveContext, nets, forms: np.ndarray,
     wperp = nets.wperp if isinstance(nets, nt.Net) \
         else np.stack([net.wperp for net in nets])
     # partials[..., var, f] = d forms[..., f] / d z_var, of degree deg - 1
-    partials = np.stack([mono.partial(forms, var, g, deg, p)
-                         for var in range(g)], axis=-3)
+    partials = mono.gradient(forms, g, deg, p).swapaxes(-3, -2)
     flat = partials.reshape(partials.shape[:-3] + (-1, partials.shape[-1]))
     restricted = mono.restrict(flat.swapaxes(-1, -2), deg - 1, g,
                                wperp.swapaxes(-1, -2), p)
@@ -446,7 +445,7 @@ def polar_cubics(ctx: CurveContext, cone: QuarticCone, xs: np.ndarray
                  ) -> np.ndarray:
     """The polar cubic sum x_i dF/dz_i of the cone's quartic F for each row
     x of xs, from one stack of the partials of F."""
-    partials = np.stack(mono.gradient(cone.coeffs, ctx.g, 4, ctx.p))
+    partials = mono.gradient(cone.coeffs, ctx.g, 4, ctx.p)
     return np.asarray(xs, dtype=np.int64) % ctx.p @ partials % ctx.p
 
 

@@ -197,8 +197,8 @@ def jacobian_at(curve: CurveModel, pts: np.ndarray) -> np.ndarray:
     p = curve.prime
     g = curve.genus
     pts = np.asarray(pts, dtype=np.int64)
-    rows = [mono.form_eval(np.stack(mono.gradient(c, g, d, p), axis=1),
-                           pts.reshape(-1, g), g, d - 1, p)
+    rows = [mono.form_eval(mono.gradient(c, g, d, p).T, pts.reshape(-1, g),
+                           g, d - 1, p)
             for d, c in curve.generator_arrays()]
     return np.stack(rows, axis=1).reshape(pts.shape[:-1] + (len(rows), g))
 

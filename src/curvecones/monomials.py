@@ -9,19 +9,26 @@ Substitution (`restrict`) works by evaluation and interpolation: the
 pulled-back form is evaluated at a fixed unisolvent node set and read back
 through the inverse of the node evaluation matrix, cached per shape and
 prime.  It is the one substitution path: `restrict_to_line` is `restrict`
-to the basis of a line.  Products (`mul_forms`) scatter the outer product
-of the two coefficient vectors through a cached exponent-sum index table.
-A pull-back along a polynomial parametrization is `restrict` to the
-coefficient vectors of the parametrization followed by `collect`, which
-sums the coefficient of each monomial y^e into the monomial
-x^(e . weights) of the parameters.
+to the basis of a line.  `_product_table` is the one monomial-product
+table: the index of z^a z^b for every pair of monomials of two degrees,
+cached per genus and pair of degrees.  `multiples` scatters a form through
+it into its multiples by every monomial of a degree, `mul_forms` is a
+vector against those multiples, and `gradient` gathers every partial
+derivative through the table of degrees 1 and n - 1.  A pull-back along a
+polynomial parametrization is `restrict` to the coefficient vectors of the
+parametrization followed by `collect`, which sums the coefficient of each
+monomial y^e into the monomial x^(e . weights) of the parameters.
 
 Arithmetic is exact in int64: entries are reduced to [0, p) with p < 2**25
 (`algebra.MAX_PRIME_BITS`), so each product of two entries is below 2**50
 and a dot product of k terms stays below k * 2**50.  The longest the engine
 forms has count(5, 4) = 70 terms (a genus-5 quartic), so every sum stays
-below 2**57.  `collect` adds residues without products: an output entry
-sums at most count(m, n) <= 70 residues below p, far below 2**63.
+below 2**57.  `mul_forms(c1, n1, c2, n2)` sums count(g, n1) products, each
+below p**2: at most 15 in the engine (the square of a genus-5 quadric), so
+below 2**54.  `multiples` and `gradient` form no sums: `multiples` only
+copies residues, and `gradient` multiplies each by an exponent of at most
+n.  `collect` adds residues without products: an output entry sums at most
+count(m, n) <= 70 residues below p, far below 2**63.
 """
 
 from __future__ import annotations
@@ -58,10 +65,11 @@ def count(g: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exponent_columns(g: int, n: int) -> tuple[np.ndarray, ...]:
-    """Column k of the exponent table of exponents(g, n), one per variable."""
+def _exponent_columns(g: int, n: int) -> np.ndarray:
+    """The exponent table of exponents(g, n) by columns: row k holds the
+    exponent of z_k in each monomial."""
     expo = np.array(exponents(g, n), dtype=np.int64)
-    return tuple(np.ascontiguousarray(expo[:, k]) for k in range(g))
+    return np.ascontiguousarray(expo.T)
 
 
 def eval_matrix(pts: np.ndarray, g: int, n: int, p: int) -> np.ndarray:
@@ -91,56 +99,49 @@ def form_eval_one(coeffs: np.ndarray, pt: np.ndarray, g: int, n: int,
 
 
 @lru_cache(maxsize=None)
-def _partial_table(g: int, n: int, var: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source indices and multipliers realizing d/d z_var as a linear map."""
-    src = []
-    mult = []
-    lower = index_map(g, n - 1)
-    rows = []
-    for i, e in enumerate(exponents(g, n)):
-        if e[var] == 0:
-            continue
-        target = list(e)
-        target[var] -= 1
-        rows.append(lower[tuple(target)])
-        src.append(i)
-        mult.append(e[var])
-    return (np.array([rows, src], dtype=np.int64),
-            np.array(mult, dtype=np.int64))
-
-
-def partial(coeffs: np.ndarray, var: int, g: int, n: int, p: int
-            ) -> np.ndarray:
-    """Coefficient vector of the partial derivative, degree n-1; of every
-    form at once when coeffs holds one form per row."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    idx, mult = _partial_table(g, n, var)
-    out = np.zeros(coeffs.shape[:-1] + (count(g, n - 1),), dtype=np.int64)
-    out[..., idx[0]] = coeffs[..., idx[1]] * mult % p
-    return out
-
-
-def gradient(coeffs: np.ndarray, g: int, n: int, p: int) -> list[np.ndarray]:
-    return [partial(coeffs, k, g, n, p) for k in range(g)]
-
-
-@lru_cache(maxsize=None)
 def _product_table(g: int, n1: int, n2: int) -> np.ndarray:
-    """Index in exponents(g, n1 + n2) of the product of monomials i and j."""
+    """Index in exponents(g, n1 + n2) of the product of monomials i and j:
+    the one monomial-product table of the package."""
     target = index_map(g, n1 + n2)
     return np.array([[target[tuple(a + b for a, b in zip(e1, e2))]
                       for e2 in exponents(g, n2)]
                      for e1 in exponents(g, n1)], dtype=np.int64)
 
 
+def multiples(forms: np.ndarray, e: int, d: int, g: int, p: int
+              ) -> np.ndarray:
+    """The degree-d multiples of a degree-e form: row i is the i-th
+    monomial of exponents(g, d - e) times the form, count(g, d - e) x
+    count(g, d); for a stack of forms, one such matrix per form.
+
+    A monomial times a form is a permutation of the form's coefficients,
+    so the rows are one scatter through the product table, with no sums."""
+    forms = np.asarray(forms, dtype=np.int64) % p
+    table = _product_table(g, d - e, e)
+    out = np.zeros(forms.shape[:-1] + (len(table), count(g, d)),
+                   dtype=np.int64)
+    out[..., np.arange(len(table))[:, None], table] = forms[..., None, :]
+    return out
+
+
 def mul_forms(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int, g: int,
               p: int) -> np.ndarray:
-    """Product of two forms as a degree n1+n2 coefficient vector."""
+    """Product of two forms as a degree n1+n2 coefficient vector: c1
+    against the degree-(n1 + n2) multiples of c2."""
     c1 = np.asarray(c1, dtype=np.int64) % p
-    c2 = np.asarray(c2, dtype=np.int64) % p
-    out = np.zeros(count(g, n1 + n2), dtype=np.int64)
-    np.add.at(out, _product_table(g, n1, n2), np.outer(c1, c2) % p)
-    return out % p
+    return c1 @ multiples(c2, n2, n1 + n2, g, p) % p
+
+
+def gradient(coeffs: np.ndarray, g: int, n: int, p: int) -> np.ndarray:
+    """All partial derivatives of a degree-n form, g x count(g, n - 1):
+    row var is d/dz_var; for a stack of forms, [..., var, :].
+
+    The coefficient of the monomial m in d/dz_var is that of z_var m times
+    its z_var exponent, so the derivatives are one gather through the
+    product table."""
+    table = _product_table(g, 1, n - 1)
+    mult = _exponent_columns(g, n)[np.arange(g)[:, None], table]
+    return np.asarray(coeffs, dtype=np.int64)[..., table] * mult % p
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,22 @@ def normalize_point(v, p):
     return v
 
 
+def partial(coeffs, var, g, n, p):
+    """d/dz_var of a degree-n form, or of each row of a stack, by a walk
+    over its exponents: the coefficient of z^e moves to z^e / z_var,
+    times the exponent e[var]."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    lower = mono.index_map(g, n - 1)
+    out = np.zeros(coeffs.shape[:-1] + (mono.count(g, n - 1),),
+                   dtype=np.int64)
+    for i, e in enumerate(mono.exponents(g, n)):
+        if e[var]:
+            target = list(e)
+            target[var] -= 1
+            out[..., lower[tuple(target)]] = coeffs[..., i] * e[var] % p
+    return out
+
+
 def det(m, p):
     """Determinant by Gaussian elimination in Python ints, one
     `pow(x, -1, p)` per pivot and a sign flip per row swap."""
@@ -568,9 +584,9 @@ def hessian_scan(ctx, net_obj, cone, on_count, off_count, stream, fiber):
         return rows
 
     def on_image(k):
-        grad = [mono.form_eval_one(mono.partial(gamma.coeffs, i, 3,
-                                                gamma.degree, p), proj[k], 3,
-                                   gamma.degree - 1, p) for i in range(3)]
+        grad = [mono.form_eval_one(partial(gamma.coeffs, i, 3, gamma.degree,
+                                           p), proj[k], 3, gamma.degree - 1,
+                                   p) for i in range(3)]
         if sharing[image[k]] != 1 or not any(grad):
             raise NodeFiber("no Steinerian here")
         return row(proj[k], gamma_at(proj[k]), ctx.panel[k])
@@ -882,8 +898,8 @@ def polar_coeffs(ctx, coeffs, x):
     """sum x_i dF/dz_i of the quartic F, one partial at a time."""
     out = np.zeros(mono.count(ctx.g, 3), dtype=np.int64)
     for var in range(ctx.g):
-        out = (out + int(x[var]) * mono.partial(coeffs, var, ctx.g, 4,
-                                                ctx.p)) % ctx.p
+        out = (out + int(x[var]) * partial(coeffs, var, ctx.g, 4,
+                                           ctx.p)) % ctx.p
     return out
 
 

@@ -405,7 +405,7 @@ class TestVertexConditions:
         p, g = ctx.p, ctx.g
         rows = []
         for var in range(g):
-            partials = [mono.partial(f, var, g, deg, p) for f in forms]
+            partials = [mono.gradient(f, g, deg, p)[var] for f in forms]
             if net_obj.wperp.shape[0] == 1:
                 x = net_obj.wperp[0]
                 rows.append([mono.form_eval_one(pf, x, g, deg - 1, p)
@@ -435,11 +435,10 @@ class TestVertexConditions:
                 if genus == 4:
                     # the point-vertex path restrict replaced: the stacked
                     # partials times one eval_matrix row at the vertex
-                    partials = np.stack([mono.partial(forms, var, 4, deg, P)
-                                         for var in range(4)])
+                    partials = mono.gradient(forms, 4, deg, P)
                     at_vertex = mono.eval_matrix(net.wperp, 4, deg - 1, P)[0]
                     assert got.tolist() == \
-                        (partials @ at_vertex % P).tolist()
+                        (partials @ at_vertex % P).T.tolist()
 
 
 class TestReconstruction:
@@ -456,12 +455,11 @@ class TestReconstruction:
 
     def test_euler_identity(self, ctx4, cone4):
         total = np.zeros(mono.count(4, 4), dtype=np.int64)
+        grad = mono.gradient(cone4.coeffs, 4, 4, P)
         for var in range(4):
             unit = np.zeros(4, dtype=np.int64)
             unit[var] = 1
-            total = (total + mono.mul_forms(
-                unit, 1, mono.partial(cone4.coeffs, var, 4, 4, P), 3, 4, P)) \
-                % P
+            total = (total + mono.mul_forms(unit, 1, grad[var], 3, 4, P)) % P
         assert total.tolist() == (4 * cone4.coeffs % P).tolist()
 
     def test_degenerate_net_rejected(self, ctx4):
@@ -592,7 +590,7 @@ class TestTangentSpace:
         pt = ctx4.panel[5]
         td = ctx4.tangent(pt)
         grad = np.array([mono.form_eval_one(
-            mono.partial(cone4.coeffs, var, 4, 4, P), pt, 4, 3, P)
+            mono.gradient(cone4.coeffs, 4, 4, P)[var], pt, 4, 3, P)
             for var in range(4)], dtype=np.int64)
         assert grad.any()
         assert int(grad @ td.point % P) == 0

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import reference
 from curvecones import monomials as mono
 from curvecones.rng import Stream
 
@@ -34,9 +35,11 @@ class TestCalculus:
         # d/dz1 of z0 z1^2 = 2 z0 z1
         c = np.zeros(mono.count(4, 3), dtype=np.int64)
         c[mono.index_map(4, 3)[(1, 2, 0, 0)]] = 1
-        d = mono.partial(c, 1, 4, 3, P)
-        expected = np.zeros(mono.count(4, 2), dtype=np.int64)
-        expected[mono.index_map(4, 2)[(1, 1, 0, 0)]] = 2
+        # and d/dz0 = z1^2, while d/dz2 and d/dz3 vanish
+        d = mono.gradient(c, 4, 3, P)
+        expected = np.zeros((4, mono.count(4, 2)), dtype=np.int64)
+        expected[1, mono.index_map(4, 2)[(1, 1, 0, 0)]] = 2
+        expected[0, mono.index_map(4, 2)[(0, 2, 0, 0)]] = 1
         assert d.tolist() == expected.tolist()
 
     def test_product_matches_pointwise(self):
@@ -213,6 +216,51 @@ class TestCollectAgainstSympy:
             sympy_collect(f, 3, 4, basis, SWEEP, p).tolist()
 
 
+class TestProductTable:
+    """`multiples` and `gradient`, the readers of the one monomial-product
+    table."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    @pytest.mark.parametrize("e,d", [(2, 3), (2, 4), (1, 2), (0, 2)])
+    def test_multiples_are_products_by_each_monomial(self, e, d, g, p):
+        # row i is the product of the i-th degree d - e monomial and the
+        # form, by sympy; mul_forms by the unit vector of that monomial
+        # gives the same row
+        stream = Stream(10 * d + e, f"multiples-{g}")
+        forms = np.stack([stream.field_vec(p, mono.count(g, e)),
+                          sparse_vec(stream, p, mono.count(g, e))])
+        got = mono.multiples(forms, e, d, g, p)
+        assert got.shape == (2, mono.count(g, d - e), mono.count(g, d))
+        units = np.eye(mono.count(g, d - e), dtype=np.int64)
+        for f, rows in zip(forms, got):
+            assert rows.tolist() == mono.multiples(f, e, d, g, p).tolist()
+            want = [to_vector(sympy_form(unit, g, d - e, p)
+                              * sympy_form(f, g, e, p), g, d, p).tolist()
+                    for unit in units]
+            assert rows.tolist() == want
+            assert [mono.mul_forms(unit, d - e, f, e, g, p).tolist()
+                    for unit in units] == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_gradient_matches_the_exponent_walk(self, g, n):
+        for p in (P, P_MAX):
+            stream = Stream(n, f"gradient-{g}-{p}")
+            form = stream.field_vec(p, mono.count(g, n))
+            stack = stream.field_mat(p, 6, mono.count(g, n)).reshape(
+                2, 3, -1)
+            got_form = mono.gradient(form, g, n, p)
+            got_stack = mono.gradient(stack, g, n, p)
+            assert got_form.shape == (g, mono.count(g, n - 1))
+            assert got_stack.shape == (2, 3, g, mono.count(g, n - 1))
+            for var in range(g):
+                assert got_form[var].tolist() == \
+                    reference.partial(form, var, g, n, p).tolist()
+                assert got_stack[..., var, :].tolist() == \
+                    reference.partial(stack, var, g, n, p).tolist()
+
+
 class TestKernelEdges:
     def test_zero_inputs(self):
         stream = Stream(6, "zeros")
@@ -233,6 +281,8 @@ class TestKernelEdges:
             mono.restrict(f, 2, 4, basis, P).tolist()
         assert mono.mul_forms(f - P, 2, b + P, 1, 4, P).tolist() == \
             mono.mul_forms(f, 2, b, 1, 4, P).tolist()
+        assert mono.multiples(f - 2 * P, 2, 4, 4, P).tolist() == \
+            mono.multiples(f, 2, 4, 4, P).tolist()
 
     def test_second_call_hits_node_cache(self):
         stream = Stream(8, "cache")
@@ -251,7 +301,7 @@ class TestKernelEdges:
 
 
 class TestStackedForms:
-    """`restrict` and `partial` on many forms at once equal one call per
+    """`restrict` and `gradient` on many forms at once equal one call per
     form."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
@@ -303,8 +353,7 @@ class TestStackedForms:
         g = stream.integer(1, 6)
         n = stream.integer(1, 5)
         forms = stream.field_mat(p, stream.integer(0, 5), mono.count(g, n))
-        for var in range(g):
-            got = mono.partial(forms, var, g, n, p)
-            assert got.shape == (forms.shape[0], mono.count(g, n - 1))
-            assert got.tolist() == [mono.partial(f, var, g, n, p).tolist()
-                                    for f in forms]
+        got = mono.gradient(forms, g, n, p)
+        assert got.shape == (forms.shape[0], g, mono.count(g, n - 1))
+        assert got.tolist() == [mono.gradient(f, g, n, p).tolist()
+                                for f in forms]
