@@ -175,30 +175,44 @@ def criterion_gamma(ctx, net: nt.Net) -> CriterionResult:
 
 
 def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
+    """Random and engineered nets <v, w> drawn in rounds (`Draws.rounds`),
+    the draws of the loop that checks one net at a time.  A round is one
+    `rref_batch` of the pencil bases v, one `pencil.admissibility`, one
+    `pencil.cup_grams`, one `pencil.corank` of the stacked Grams and one
+    `net.build_nets`.  An inadmissible pencil, or a lift w inside it,
+    skips its draw, as the InadmissiblePencil of `build_pencil` and
+    `cup_gram` does in that loop."""
     p = ctx.p
     stream = Stream(derive_key(ctx.curve.seed, f"corank|{cfg.seed}"), "vw")
     dstream = stream.spawn("deg")
 
-    def law(v: np.ndarray, w: np.ndarray) -> bool:
-        """Whether the corank law holds on the net <v, w>."""
-        pen = pc.build_pencil(ctx, v)
-        corank = pc.corank(pc.cup_gram(ctx, pen, w).gram, p)
-        net_obj = nt.build_net(ctx, np.concatenate([pen.v, w[None, :]]))
-        return corank == 2 and not net_obj.in_d \
-            or corank >= 3 and net_obj.in_d
+    def laws(drawn: list) -> list:
+        """Per net <v, w>, whether the corank law holds on it (corank 2
+        off D, at least 3 on it), or None to skip the draw."""
+        v, w = (np.stack(col) % p for col in zip(*drawn))
+        vr, _ = alg.rref_batch(v, p)
+        vbar, failed = pc.admissibility(ctx, vr)
+        coranks = pc.corank(pc.cup_grams(ctx, vbar, w), p)
+        nets = nt.build_nets(ctx, np.concatenate([vr, w[:, None]], axis=1))
+        # a lift w inside its pencil leaves a basis of rank 2
+        skip = failed.any(axis=0) | [not isinstance(n, nt.Net) for n in nets]
+        in_d = [not s and net.in_d for s, net in zip(skip, nets)]
+        holds = np.where(in_d, coranks >= 3, coranks == 2)
+        return [None if s else bool(h) for s, h in zip(skip, holds)]
 
     def random_sample(_):
-        v = stream.field_mat(p, 2, ctx.g)
-        return law(v, stream.field_vec(p, ctx.g))
+        return stream.field_mat(p, 2, ctx.g), stream.field_vec(p, ctx.g)
 
     def engineered_sample(k: int):
         w = cn.degenerate_net(ctx, dstream.spawn(str(k))).w
-        return law(w[:2], w[2])
+        return w[:2], w[2]
 
-    random_laws = Draws("corank samples", 30 * cfg.corank_samples,
-                        random_sample).take(cfg.corank_samples)
-    engineered_laws = Draws("engineered corank nets", cfg.corank_engineered,
-                            engineered_sample).take(cfg.corank_engineered)
+    random_laws = [law for _, law in Draws(
+        "corank samples", 30 * cfg.corank_samples,
+        random_sample).rounds(cfg.corank_samples, laws)]
+    engineered_laws = [law for _, law in Draws(
+        "engineered corank nets", cfg.corank_engineered,
+        engineered_sample).rounds(cfg.corank_engineered, laws)]
     disagreements = random_laws.count(False) + engineered_laws.count(False)
     ok = len(random_laws) >= cfg.corank_samples \
         and len(engineered_laws) >= cfg.corank_engineered \

@@ -377,7 +377,9 @@ def oracle_agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
     40 * count random draws until count verdicts, a probe the oracle finds
     degenerate giving no verdict.  They are drawn in rounds of as many as
     verdicts are still needed, each round one `oracle_batch` call; the two
-    kinds draw from separate streams, so the first round takes both.
+    kinds draw from separate streams, so the first round takes both.  The
+    zero draws come from a `curve.ZeroHarvest` on the `zeros` stream,
+    which reads lines ahead on it and hands out the loop's zeros.
     """
     return value_of(lockstep([_agreement(ctx, net_obj, coeffs, stream,
                                          count, x)])[0])
@@ -423,9 +425,9 @@ def verify_cones(ctx: CurveContext, cones: list[QuarticCone],
     """`verify_cone` of each cone with its stream, or the exception it
     raises, all in rounds (`lockstep`): the checks of containment and
     vertex singularity on the stack of forms, the oracle probes and their
-    zero harvest (`curve.ZeroHarvest`: ceil(missing / 4) lines a round per
-    cone short of zeros, the lines of the one-line loop), and the holdout
-    pencils."""
+    zero harvest (`curve.ZeroHarvest`: as many lines a round as a cone
+    still misses zeros, read ahead on the cone's own `zeros` stream, so
+    the zeros are those of the one-line loop), and the holdout pencils."""
     return lockstep([_verify(ctx, cone, stream, oracle_points)
                      for cone, stream in zip(cones, streams)])
 

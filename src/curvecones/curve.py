@@ -18,9 +18,9 @@ slice stands in for it.
 Every search for the zeros of a form on a line goes through `line_zeros`:
 curve points on a ruling line, the last coordinate of a genus-5 slice,
 the chart's base points, and the point harvests of the `cone` module.  A
-harvest (`ZeroHarvest`) asks for as many lines a round as its missing
-points need at the form's degree per line, which are the lines of the
-loop that draws one line at a time.
+harvest (`ZeroHarvest`) asks for as many lines a round as points are
+still missing, and hands out the points of the loop that draws one line
+at a time, in its order.
 
 Every eliminant is a pull-back through `monomials.restrict` and
 `collect`: the sweep A(u) + t B(u) of the ruling chart, whose
@@ -89,17 +89,23 @@ def line_zeros(coeffs: np.ndarray, deg: int, g: int, a: np.ndarray,
 
 class ZeroHarvest:
     """Rational points of a hypersurface, the zeros of its form on random
-    lines of a stream: a line is drawn only for a point that the lines
-    before did not give, and at most `count` points come from at most
-    `budget` lines.
+    lines of its stream: at most `count` points from at most `budget`
+    lines.  A take hands out the points of the loop that draws one line at
+    a time, in that loop's order.
 
-    Its chains (`errors.lockstep`) ask for ceil(missing / deg) lines a
-    round, capped by the budget, and all harvests of a round share one
-    `line_zeros`.  A line gives at most deg points (its distinct roots,
-    b in place of one root when F(b) = 0, none when the line lies in the
-    hypersurface), so the loop that draws one line at a time draws every
-    line of such a round: the lines, the points, the stream's state after
-    and the budget left are that loop's."""
+    Its chains (`errors.lockstep`) ask for as many lines a round as points
+    are still missing, capped by the budget (the rule of `errors.Draws`
+    and `sample_points`), and all harvests of a round share one
+    `line_zeros`.  A take of one point draws the lines of the one-line
+    loop.  A take of more reads ahead: a random line meets a quartic or a
+    cubic in about one rational point, so the round draws lines that loop
+    does not draw yet, whose points wait for the next take, and the
+    stream's state and the budget left differ from that loop's.  Each
+    line gives its points in stream order and the budget stops both at
+    the same line, so the points handed out do not differ.  Reading ahead
+    is sound only on a stream that no other code draws from: the one take
+    of more than one point, in `cone._agreement`, is on its own `zeros`
+    stream."""
 
     def __init__(self, coeffs: np.ndarray, deg: int, g: int, p: int,
                  stream: Stream, count: int, budget: int = 400):
@@ -119,8 +125,7 @@ class ZeroHarvest:
         """Chain of the next n points, fewer when no more come."""
         end = min(self.used + n, self.count)
         while len(self.points) < end and self.budget:
-            lines = min(-((len(self.points) - end) // self.deg),
-                        self.budget)
+            lines = min(end - len(self.points), self.budget)
             self.budget -= lines
             ends = [(self.coeffs, self.stream.field_vec(self.p, self.g),
                      self.stream.field_vec(self.p, self.g))

@@ -21,6 +21,15 @@ raised when the walk reaches it.  `Draws.chain` is that walk
 as a chain, which `lockstep` runs side by side with the chains of other
 elements, answering the requests of a round with one batched call each.
 
+A round asks for as many draws as results are still missing.  When a
+draw gives at most one result, such a round makes exactly the draws of
+the loop that evaluates each draw as it comes.  A line of a zero harvest
+(`curve.ZeroHarvest`) gives up to deg points, so a harvest round of as
+many lines as points are missing may draw lines that loop has not drawn
+yet.  It still hands out that loop's points in that loop's order, and
+it reads ahead only on a stream that it owns: no other code draws from
+a harvest's stream.
+
 Two retry loops stay outside `Draws`.  `net.random_nets` redraws the
 missing nets of a stack in rounds of one `build_nets` each.
 `spanlab.collect_cones` walks its rounds itself: its budget counts

@@ -18,9 +18,11 @@ at genus 5), below 20 * 2**50 < 2**55 at p < 2**25.
 This module owns the admissibility of a pencil: rank 2, no base point on
 either panel, and a product space of codimension one.  `admissibility`
 tests a stack of pencils and `INADMISSIBLE` names what each failure
-raises; `build_pencil`, the membership oracle of the net module and the
-fibers module all read both, so the condition and its messages live here
-alone.
+raises; `build_pencil`, the membership oracle of the net module, the
+fibers module and the corank law of `acceptance` all read both, so the
+condition and its messages live here alone.  `build_pencil` and
+`cup_gram` are the one-pencil forms; the corank law evaluates its nets
+in rounds, on stacks (`admissibility`, `cup_grams`, `corank`).
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ class CupGram:
     gram: np.ndarray               # symmetric g x g
 
 
-def corank(m: np.ndarray, p: int) -> int:
-    return m.shape[1] - alg.rank(m, p)
+def corank(m: np.ndarray, p: int) -> np.ndarray:
+    """Corank of each matrix of a ... x rows x cols stack (an array of
+    the stack's leading shape), from one `rref_batch`."""
+    m = np.asarray(m, dtype=np.int64)
+    _, pivots = alg.rref_batch(m.reshape((-1,) + m.shape[-2:]), p)
+    return m.shape[-1] - (pivots >= 0).sum(axis=1).reshape(m.shape[:-2])
 
 
 def product_space(ctx: CurveContext, v: np.ndarray) -> np.ndarray:

@@ -131,6 +131,19 @@ def stream_draws(monkeypatch, run):
     return result, counts
 
 
+def assert_same_draws(got, want):
+    """got and want, `Stream.next_u64` calls by stream tag, draw from the
+    same streams the same number of times, but for the `.../zeros` stream
+    of an oracle's zero harvest: `curve.ZeroHarvest` may read lines ahead
+    on that stream, which it owns, so got draws at least as often there."""
+    assert got.keys() == want.keys()
+    for tag, n in want.items():
+        if tag.endswith("/zeros"):
+            assert got[tag] >= n, tag
+        else:
+            assert got[tag] == n, tag
+
+
 def poly_mul(f, g, p):
     """Product of two univariate polynomials, trimmed."""
     if len(f) == 0 or len(g) == 0:
@@ -901,6 +914,45 @@ def polar_coeffs(ctx, coeffs, x):
         out = (out + int(x[var]) * partial(coeffs, var, ctx.g, 4,
                                            ctx.p)) % ctx.p
     return out
+
+
+def criterion_corank_law(ctx, cfg):
+    """(ok, details) of criterion 4, one net at a time: each random draw
+    (v, w) and each engineered net through the scalar chain, the pencil by
+    `build_pencil` above, its cup Gram by `pencil.cup_gram` (which raises
+    for a lift w inside the pencil), the corank by one `rank`, and the net
+    by `build_net` above; a DegenerateInput skips the draw."""
+    p = ctx.p
+    stream = Stream(derive_key(ctx.curve.seed, f"corank|{cfg.seed}"), "vw")
+    dstream = stream.spawn("deg")
+
+    def law(v, w):
+        pen = build_pencil(ctx, v)
+        gram = pc.cup_gram(ctx, pen, w).gram
+        corank = ctx.g - alg.rank(gram, p)
+        net_obj = build_net(ctx, np.concatenate([pen.v, w[None, :]]))
+        return corank == 2 and not net_obj.in_d \
+            or corank >= 3 and net_obj.in_d
+
+    def random_sample(_):
+        v = stream.field_mat(p, 2, ctx.g)
+        return law(v, stream.field_vec(p, ctx.g))
+
+    def engineered_sample(k):
+        w = degenerate_net(ctx, dstream.spawn(str(k))).w
+        return law(w[:2], w[2])
+
+    random_laws = Draws("corank samples", 30 * cfg.corank_samples,
+                        random_sample).take(cfg.corank_samples)
+    engineered_laws = Draws("engineered corank nets", cfg.corank_engineered,
+                            engineered_sample).take(cfg.corank_engineered)
+    disagreements = random_laws.count(False) + engineered_laws.count(False)
+    ok = len(random_laws) >= cfg.corank_samples \
+        and len(engineered_laws) >= cfg.corank_engineered \
+        and disagreements == 0
+    return ok, {"random_checked": len(random_laws),
+                "engineered_checked": len(engineered_laws),
+                "disagreements": disagreements}
 
 
 def criterion_polars(ctx, cfg, cones):

@@ -9,13 +9,13 @@ import pytest
 
 from curvecones import acceptance as acc
 from curvecones import canring, cone as cn, curve as cv, errors
-from curvecones import net as nt, spanlab as sl
+from curvecones import net as nt, pencil as pc, spanlab as sl
 from curvecones.errors import (CurveConesError, InadmissiblePencil,
                                SingularPoint, VerificationFailed)
 from curvecones.rng import Stream, derive_key
 
 import reference
-from reference import stream_draws
+from reference import assert_same_draws, stream_draws
 
 PRIME = 1000003
 CFG = acc.SuiteConfig()
@@ -207,7 +207,7 @@ class TestPolarRounds:
         assert (got.ok, got.details) == want
         assert want[0] and want[1]["oracle_points"] \
             == 8 * len(cones) * (ctx.g - 3)
-        assert engine_draws(got_draws) == engine_draws(want_draws)
+        assert_same_draws(engine_draws(got_draws), engine_draws(want_draws))
 
     def test_genus5_polars_draw_their_own_probes(self, ctx5, round_cones,
                                                  monkeypatch):
@@ -286,7 +286,7 @@ class TestSecantRounds:
             monkeypatch, lambda: acc.criterion_secant(ctx, ROUND_CFG, cone))
         assert got.details == want
         assert got.ok and want["vertex_branch"] == 2
-        assert engine_draws(got_draws) == engine_draws(want_draws)
+        assert_same_draws(engine_draws(got_draws), engine_draws(want_draws))
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
     def test_singular_point_raised_in_draw_order(self, name, request,
@@ -373,4 +373,75 @@ class TestSecantRounds:
             monkeypatch, lambda: run(cn._family_secants))
         assert got == want
         assert planted and planted[0] not in [w for w, _, _ in got]
+        assert_same_draws(engine_draws(got_draws), engine_draws(want_draws))
+
+
+class TestCorankRounds:
+    """Criterion 4 evaluates its nets in rounds of stacked kernels and gives
+    the details and draws of the loop that checks one net at a time
+    (`reference.criterion_corank_law`)."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_matches_one_net_at_a_time(self, name, request, monkeypatch):
+        ctx = request.getfixturevalue(name)
+        want, want_draws = stream_draws(
+            monkeypatch, lambda: reference.criterion_corank_law(ctx, CFG))
+        got, got_draws = stream_draws(
+            monkeypatch, lambda: acc.criterion_corank_law(ctx, CFG))
+        assert (got.ok, got.details) == want
+        assert want == (True, {"random_checked": 50, "engineered_checked": 5,
+                               "disagreements": 0})
         assert engine_draws(got_draws) == engine_draws(want_draws)
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_planted_pencil_and_lift_are_skipped(self, name, request,
+                                                 monkeypatch):
+        """The second random pencil has rank 1 and the third lift lies in
+        its pencil: the one-net loop skips both draws on the
+        InadmissiblePencil of the scalar chain, and the rounds skip them
+        too, drawing the two laws still missing in a second round."""
+        ctx = request.getfixturevalue(name)
+        p = ctx.p
+        real_mat, real_vec = Stream.field_mat, Stream.field_vec
+        pencils, lifts = [], []     # the draws on the criterion's stream
+
+        def field_mat(self, p, rows, cols):
+            v = real_mat(self, p, rows, cols)
+            if self.tag == "vw":
+                pencils.append(v)
+                if len(pencils) == 2:
+                    v[1] = v[0]
+            return v
+
+        def field_vec(self, p, n):
+            w = real_vec(self, p, n)
+            if self.tag == "vw" and n == ctx.g:
+                if len(pencils) == 3:
+                    w = (pencils[2][0] + 5 * pencils[2][1]) % p
+                lifts.append(w)
+            return w
+
+        monkeypatch.setattr(Stream, "field_mat", field_mat)
+        monkeypatch.setattr(Stream, "field_vec", field_vec)
+        want = reference.criterion_corank_law(ctx, CFG)
+        assert len(pencils) == len(lifts) == CFG.corank_samples + 2
+        with pytest.raises(InadmissiblePencil, match="must have rank 2"):
+            reference.build_pencil(ctx, pencils[1])
+        with pytest.raises(InadmissiblePencil, match="lies in the pencil"):
+            pc.cup_gram(ctx, reference.build_pencil(ctx, pencils[2]),
+                        lifts[2])
+        pencils.clear()
+        lifts.clear()
+        rounds = []
+        real_grams = pc.cup_grams
+
+        def cup_grams(ctx, vbar, w):
+            rounds.append(len(w))
+            return real_grams(ctx, vbar, w)
+
+        monkeypatch.setattr(pc, "cup_grams", cup_grams)
+        got = acc.criterion_corank_law(ctx, CFG)
+        assert (got.ok, got.details) == want
+        assert want[1]["random_checked"] == CFG.corank_samples
+        assert len(pencils) == CFG.corank_samples + 2
+        assert rounds == [CFG.corank_samples, 2, CFG.corank_engineered]

@@ -1,14 +1,18 @@
 """One draw per random object: `Stream.combination`, `panel_pair` and the
 isotropic vertex loop of `cone.degenerate_net` make the draws of the
-inline code they replace (kept in `reference`), a genus-5 slice tries
-one chart, and a zero harvest's rounds of several lines make the draws
-of the harvest that draws one line a round."""
+inline code they replace (kept in `reference`), and a genus-5 slice tries
+one chart.  A zero harvest's rounds of several lines hand out the points
+of the harvest that draws one line a round; they read lines ahead only on
+a stream that no other code draws from."""
+
+import copy
+import sys
 
 import numpy as np
 import pytest
 
 from curvecones import acceptance as acc, algebra as alg, cone as cn
-from curvecones import curve as cv, monomials as mono
+from curvecones import curve as cv, monomials as mono, spanlab as sl
 from curvecones.errors import lockstep
 from curvecones.rng import Stream
 
@@ -144,26 +148,38 @@ class InsideFirst(Stream):
 def harvested(kind, forms, deg, g, p, streams, count, budget, asks):
     """Side by side, one harvest per form and stream, taken n points at a
     time for each n of asks: per harvest the points of each take, the
-    stream's next draw, the budget left and the points used."""
+    points used, and the harvest."""
     harvests = [kind(f, deg, g, p, stream, count, budget)
                 for f, stream in zip(forms, streams)]
     takes = [lockstep([h.take(n) for h in harvests]) for n in asks]
-    return [([[pt.tolist() for pt in take[k]] for take in takes],
-             h.stream.next_u64(), h.budget, h.used)
+    return [([[pt.tolist() for pt in take[k]] for take in takes], h.used, h)
             for k, h in enumerate(harvests)]
 
 
 def same_harvests(forms, deg, g, p, make_stream, count, budget, asks):
-    """`harvested` for `ZeroHarvest`, asserted equal to that of the
-    one-line harvest on streams made alike."""
+    """`harvested` for `ZeroHarvest` and for the one-line harvest on
+    streams made alike: the same points in each take and the same points
+    used.  `ZeroHarvest` may have read lines ahead; its stream is then the
+    one-line harvest's after that many more lines, and its budget is less
+    by as many.  Per harvest: the points of each take, the budget left,
+    the points used and the lines read ahead."""
     got = harvested(cv.ZeroHarvest, forms, deg, g, p,
                     [make_stream(k) for k in range(len(forms))], count,
                     budget, asks)
     want = harvested(reference.ZeroHarvest, forms, deg, g, p,
                      [make_stream(k) for k in range(len(forms))], count,
                      budget, asks)
-    assert got == want
-    return got
+    out = []
+    for (takes, used, mine), (want_takes, want_used, one_line) in zip(
+            got, want):
+        assert (takes, used) == (want_takes, want_used)
+        ahead = one_line.budget - mine.budget
+        assert ahead >= 0
+        for _ in range(2 * ahead):
+            one_line.stream.field_vec(p, g)
+        assert mine.stream.next_u64() == one_line.stream.next_u64()
+        out.append((takes, mine.budget, used, ahead))
+    return out
 
 
 @pytest.mark.parametrize("deg", [2, 3, 4])
@@ -175,14 +191,15 @@ def test_harvest_rounds_match_one_line_a_round(ctx, deg):
     got = same_harvests(forms, deg, g, p,
                         lambda k: Stream(k, f"harvest{deg}"), 75, 400,
                         [25, 7, 1, 40])
-    assert all(used == 73 for _, _, _, used in got)
+    assert all(used == 73 for _, _, used, _ in got)
+    assert any(ahead for _, _, _, ahead in got)
 
 
 @pytest.mark.parametrize("deg", [2, 4])
 def test_budget_smaller_than_a_round(ctx, deg):
     p, g = ctx.p, ctx.g
     form = Stream(deg, "short budget").field_vec(p, mono.count(g, deg))
-    (takes, _, budget, used), = same_harvests(
+    (takes, budget, used, _), = same_harvests(
         [form], deg, g, p, lambda k: Stream(k, "short budget"), 25, 3,
         [25, 25])
     assert budget == 0 and used == sum(map(len, takes)) <= 3 * deg
@@ -203,16 +220,19 @@ def test_line_inside_and_root_at_infinity(ctx4, deg):
     found = cv.line_zeros(form, deg, g, ends[0::2], ends[1::2], p)
     assert found[0] == []
     assert found[1][-1].tolist() == alg.normalize_rows(ends[3], p).tolist()
-    (_, _, _, used), = same_harvests(
+    (_, _, used, _), = same_harvests(
         [form], deg, g, p, lambda k: InsideFirst(0, "inside"), 10, 400,
         [10])
     assert used == 10
 
 
 def test_verify_harvest_rounds_are_pinned(ctx4, monkeypatch):
-    """Criteria 5 and 7 at genus-4 seed 1, default config, harvest the
-    lines of one line a round (263 and 270) in 14 and 15 `line_zeros`
-    calls, where one line a round makes 32 and 35."""
+    """Criteria 5 and 7 at genus-4 seed 1, default config, harvest their
+    zeros in 4 and 6 `line_zeros` calls over 276 and 280 lines, where one
+    line a round makes 32 and 35 calls over 263 and 270 lines.  A round
+    asks for as many lines as zeros are missing, so it reads lines ahead:
+    the 13 and 10 lines more were drawn, and no take reached their
+    points."""
     cfg = acc.SuiteConfig()
     cones = acc.SuiteInputs(ctx4, cfg).cones
     lines = []
@@ -227,5 +247,65 @@ def test_verify_harvest_rounds_are_pinned(ctx4, monkeypatch):
     reconstruction = list(lines)
     lines.clear()
     assert acc.criterion_polars(ctx4, cfg, cones).ok
-    assert (len(reconstruction), sum(reconstruction)) == (14, 263)
-    assert (len(lines), sum(lines)) == (15, 270)
+    assert (len(reconstruction), sum(reconstruction)) == (4, 276)
+    assert (len(lines), sum(lines)) == (6, 280)
+
+
+@pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+def test_harvests_read_ahead_only_on_their_own_streams(name, request,
+                                                       monkeypatch):
+    """One `verify_cones` (criterion 5) and one `certify_polars`
+    (criterion 7) on two cones: every take hands out the points of the
+    one-line harvest (`reference.ZeroHarvest`) started where the harvest
+    started, in the same order; a take of one point draws no line that
+    harvest does not; and a stream that a harvest reads ahead on is drawn
+    by that harvest alone, from its takes."""
+    ctx = request.getfixturevalue(name)
+    cones = sl.collect_cones(ctx, 2, 31, oracle_points=0)
+    cfg = acc.SuiteConfig(reconstructions=2)
+    real_take = cv.ZeroHarvest.take
+    real_next = Stream.next_u64
+    drawers = {}            # (seed, tag) -> id of each harvest drawing
+                            # on it, None for any other code
+    one_line = {}           # id(harvest) -> (harvest, its one-line twin)
+    ahead = set()           # the streams some harvest read ahead on
+    recording = [True]
+
+    def next_u64(self):
+        if recording[0]:
+            frame = sys._getframe(1)
+            while frame is not None and not (
+                    frame.f_code is real_take.__code__
+                    and frame.f_locals["self"].stream is self):
+                frame = frame.f_back
+            drawers.setdefault((self.seed, self.tag), set()).add(
+                frame and id(frame.f_locals["self"]))
+        return real_next(self)
+
+    def take(self, n):
+        if id(self) not in one_line:
+            one_line[id(self)] = self, reference.ZeroHarvest(
+                self.coeffs, self.deg, self.g, self.p, copy.copy(self.stream),
+                self.count, self.budget)
+        twin = one_line[id(self)][1]
+        budgets = self.budget, twin.budget
+        got = yield from real_take(self, n)
+        recording[0] = False
+        want, = lockstep([twin.take(n)])
+        recording[0] = True
+        assert [pt.tolist() for pt in got] == [pt.tolist() for pt in want]
+        assert self.budget <= twin.budget
+        if n == 1:
+            assert budgets[0] - self.budget <= budgets[1] - twin.budget
+        if self.budget < twin.budget:
+            ahead.add((self.stream.seed, self.stream.tag))
+        return got
+
+    monkeypatch.setattr(Stream, "next_u64", next_u64)
+    monkeypatch.setattr(cv.ZeroHarvest, "take", take)
+    assert acc.criterion_reconstruction(ctx, cfg, cones).ok
+    assert acc.criterion_polars(ctx, cfg, cones).ok
+    monkeypatch.undo()
+    assert ahead and all(key[1].endswith("/zeros") for key in ahead)
+    for key in ahead:
+        assert len(drawers[key]) == 1 and None not in drawers[key], key

@@ -122,6 +122,22 @@ class TestCupGram:
             cg = pc.cup_gram(ctx4, pen, stream.field_vec(P, 4))
             assert pc.corank(cg.gram, P) >= 2
 
+    def test_corank_of_a_stack(self, ctx4, ctx5):
+        # coranks of a 2 x 3 stack of Grams, a zero and a rank-1 Gram
+        # planted among them, against one `rank` each
+        for ctx in (ctx4, ctx5):
+            stream = Stream(19, "stack")
+            grams = np.stack([pc.cup_gram(
+                ctx, random_pencil(ctx, stream.spawn(str(k))),
+                stream.field_vec(P, ctx.g)).gram for k in range(6)])
+            grams[1] = 0
+            grams[4] = np.outer(grams[4, 0], grams[4, 0]) % P
+            grams = grams.reshape(2, 3, ctx.g, ctx.g)
+            want = [[ctx.g - alg.rank(m, P) for m in row] for row in grams]
+            assert pc.corank(grams, P).tolist() == want
+            assert want[0][1] == ctx.g and want[1][1] == ctx.g - 1
+            assert pc.corank(grams[0, 0], P) == want[0][0] == 2
+
     def test_polar_identity(self, ctx4):
         # the Gram assembled from monomial products agrees with vbar of
         # the product of the three sections, taken pointwise on the panel
