@@ -40,15 +40,15 @@ print(f"dim singular-cubic space = {basis.shape[0]}, "
 
 
 
-def tangent_law(pt):
+def tangent_law(pt, td):
     """The tangent space of the quartic at a curve point contains the curve
-    tangent line and the vertex: the gradient there annihilates both."""
-    td = ctx.tangent(pt)
+    tangent line (td) and the vertex: the gradient there annihilates both."""
     grad = monomials.form_eval(
         monomials.gradient(quartic.coeffs, 4, 4, PRIME).T, pt, 4, 3, PRIME)[0]
     span = np.stack([td.point, td.direction, *w_net.wperp])
     return grad.any() and not (span @ grad % PRIME).any()
 
 
-ok = sum(bool(tangent_law(pt)) for pt in ctx.panel[:10])
+ok = sum(bool(tangent_law(pt, td)) for pt, td in zip(
+    ctx.panel[:10], curve.tangent_vectors(ctx.curve, ctx.panel[:10])))
 print(f"tangent-space law holds at {ok}/10 sampled points")

@@ -24,7 +24,7 @@ import numpy as np
 from . import algebra as alg
 from . import curve as cv
 from . import monomials as mono
-from .errors import InsufficientPoints, RankDeficiency, value_of
+from .errors import InsufficientPoints, RankDeficiency
 from .rng import Stream
 
 
@@ -80,7 +80,6 @@ class CurveContext:
         self._tables: dict[int, np.ndarray] = {}
         self._pieces: dict[int, GradedPiece] = {}
         self._ideals: dict[int, IdealPiece] = {}
-        self._tangents: dict[tuple, cv.TangentData] = {}
         for n in (1, 2, 3, 4):
             self.piece(n)
 
@@ -137,21 +136,6 @@ class CurveContext:
         i = stream.integer(0, n)
         j = stream.integer(0, n)
         return None if i == j else (self.panel[i], self.panel[j])
-
-    def tangents(self, pts) -> list:
-        """The tangent data of each point of a stack, or the SingularPoint
-        of `curve.tangent_vectors` in its place; the points not yet cached
-        go through one `tangent_vectors`, and their tangents are cached."""
-        keys = [tuple(int(v) for v in pt) for pt in pts]
-        new = list(dict.fromkeys(k for k in keys if k not in self._tangents))
-        found = dict(zip(new, cv.tangent_vectors(self.curve, new))) \
-            if new else {}
-        self._tangents.update((k, t) for k, t in found.items()
-                              if isinstance(t, cv.TangentData))
-        return [self._tangents.get(k, found.get(k)) for k in keys]
-
-    def tangent(self, pt: np.ndarray) -> cv.TangentData:
-        return value_of(self.tangents([pt])[0])
 
     # -- checks -----------------------------------------------------------
 

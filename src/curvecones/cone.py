@@ -42,8 +42,6 @@ from .rng import Stream, derive_key
 # solution space must be one-dimensional
 PENCILS_START = 6
 PENCILS_MAX = 20
-# splitting systems reduced per pass, about 43 kB at genus 4
-KERNEL_PASS = 8
 # samples past the fit that test the family sweep's rational function
 SWEEP_HOLDOUT = 6
 
@@ -133,12 +131,10 @@ def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
 
 
 def _split(ctx: CurveContext, nets: tuple, us: tuple) -> list:
-    """The fiber over each plane point us[k] of nets[k], in passes of
-    `nt.WITNESS_PASS` pencils, whose stacks are smaller than an oracle's."""
-    vs = nt.pencil_at(np.array([net.w for net in nets]), np.array(us), ctx.p)
-    return [fiber for lo in range(0, len(vs), nt.WITNESS_PASS)
-            for fiber in split_fibers(ctx, nets[lo:lo + nt.WITNESS_PASS],
-                                      vs[lo:lo + nt.WITNESS_PASS])]
+    """The fiber over each plane point us[k] of nets[k]: one
+    `split_fibers` of the round's pencils."""
+    return split_fibers(ctx, nets, nt.pencil_at(
+        np.array([net.w for net in nets]), np.array(us), ctx.p))
 
 
 def _kernels(ctx: CurveContext, shape: tuple, f_blocks: tuple, rhs: tuple
@@ -146,20 +142,17 @@ def _kernels(ctx: CurveContext, shape: tuple, f_blocks: tuple, rhs: tuple
     """Per net, the kernel of the system of its fiber equations (see
     `_fiber_equations`) in the constrained-space coordinates and one
     multiplier per fiber: its dimension, and its vector when it is 1.  The
-    systems are built and reduced KERNEL_PASS at a time."""
+    systems of a round are built as one stack and reduced by one
+    `rref_batch`."""
     k, npts, dim_s = shape
-    out = []
-    for lo in range(0, len(rhs), KERNEL_PASS):
-        # the multiplier of fiber j enters the rows of fiber j only
-        multipliers = (-np.stack(rhs[lo:lo + KERNEL_PASS]) % ctx.p)[
-            ..., None] * np.eye(k, dtype=np.int64)[:, None]
-        system = np.concatenate([np.stack(f_blocks[lo:lo + KERNEL_PASS]),
-                                 multipliers], axis=3)
-        reduced, pivots = alg.rref_batch(
-            system.reshape(len(system), k * npts, -1), ctx.p)
-        basis, _ = alg.special_solutions_batch(reduced, pivots, 1, ctx.p)
-        out += zip(dim_s + k - (pivots >= 0).sum(axis=1), basis[:, 0])
-    return out
+    # the multiplier of fiber j enters the rows of fiber j only
+    multipliers = (-np.stack(rhs) % ctx.p)[..., None] \
+        * np.eye(k, dtype=np.int64)[:, None]
+    system = np.concatenate([np.stack(f_blocks), multipliers], axis=3)
+    reduced, pivots = alg.rref_batch(
+        system.reshape(len(system), k * npts, -1), ctx.p)
+    basis, _ = alg.special_solutions_batch(reduced, pivots, 1, ctx.p)
+    return list(zip(dim_s + k - (pivots >= 0).sum(axis=1), basis[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,7 @@ def secant_criteria(ctx: CurveContext, cones: list, lines: list) -> list:
     """`secant_criterion` of each secant (pt_p, pt_q) of `lines` with the
     net of the cone of the same index, or the SingularPoint it raises: one
     `restrict_to_line` for all the lines, their tangents from one
-    `CurveContext.tangents`, and the ranks that test whether a line meets
+    `curve.tangent_vectors`, and the ranks that test whether a line meets
     the vertex and whether the net holds a double section from one
     `rref_batch` each."""
     if not cones:
@@ -518,7 +511,7 @@ def secant_criteria(ctx: CurveContext, cones: list, lines: list) -> list:
     wperp = np.stack([c.net.wperp for c in cones])
     _, pivots = alg.rref_batch(np.concatenate([wperp, pts], axis=1), p)
     meets = (pivots >= 0).sum(axis=1) - wperp.shape[1] < 2
-    tangents = ctx.tangents(pts.reshape(-1, ctx.g))
+    tangents = cv.tangent_vectors(ctx.curve, pts.reshape(-1, ctx.g))
     conds = np.array([[t.point, t.direction] if isinstance(
         t, cv.TangentData) else np.zeros((2, ctx.g)) for t in tangents],
         dtype=np.int64).reshape(n, 4, ctx.g)
@@ -592,7 +585,7 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
                              pt_q: np.ndarray) -> np.ndarray | None:
     """Section vanishing doubly at both points, when one exists."""
     p = ctx.p
-    tp, tq = map(value_of, ctx.tangents([pt_p, pt_q]))
+    tp, tq = map(value_of, cv.tangent_vectors(ctx.curve, [pt_p, pt_q]))
     conds = np.stack([tp.point, tp.direction, tq.point, tq.direction])
     kernel = alg.kernel_basis(conds, p)
     if kernel.shape[0] == 0:
@@ -640,7 +633,7 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
         pt = ctx.panel[stream.integer(0, n)]
         if not chart.h2 @ pt % p:
             return None
-        td = ctx.tangent(pt)
+        td = value_of(cv.tangent_vectors(ctx.curve, [pt])[0])
         forms = alg.kernel_basis(np.stack([td.point, td.direction]), p)
         s1, s2 = forms[0], forms[1]
         swept = sweep_discriminant(chart, s1, s2, p)
@@ -661,7 +654,7 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
                                           p)[0]:
                     if cand.tolist() == td.point.tolist():
                         continue
-                    tq = ctx.tangents([cand])[0]   # or its SingularPoint
+                    tq = cv.tangent_vectors(ctx.curve, [cand])[0]
                     if not isinstance(tq, cv.TangentData):
                         continue
                     if int(section @ cand % p) == 0 \

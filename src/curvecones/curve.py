@@ -641,16 +641,45 @@ def _typed(data: dict, name: str, kind: type):
     return value
 
 
+def _check_pairs(generators: list, g: int, p: int) -> None:
+    """ConfigError naming the generator and the pair when a generator of a
+    curve file is not a list of [exponents, coefficient] pairs, exponents
+    are not a list of g nonnegative JSON integers, a coefficient is not a
+    JSON integer in [0, p) (a bool is not one), or a monomial repeats."""
+    for i, pairs in enumerate(generators):
+        if not isinstance(pairs, list):
+            raise ConfigError(f"generator {i} is not a list of "
+                              "[exponents, coefficient] pairs")
+        first: dict[tuple, int] = {}
+        for j, pair in enumerate(pairs):
+            at = f"generator {i}, pair {j}"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ConfigError(f"{at} is not an [exponents, coefficient] "
+                                  "pair")
+            e, c = pair
+            if not isinstance(e, list) or len(e) != g \
+                    or not all(type(v) is int and v >= 0 for v in e):
+                raise ConfigError(f"{at}: exponents {e!r} are not a list of "
+                                  f"{g} nonnegative integers")
+            if type(c) is not int or not 0 <= c < p:
+                raise ConfigError(f"{at}: coefficient {c!r} is not an "
+                                  f"integer in [0, {p})")
+            k = first.setdefault(tuple(e), j)
+            if k != j:
+                raise ConfigError(f"{at} repeats the monomial of pair {k}")
+
+
 def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
     """Curve and points of a curve file's JSON object.
 
     Raises ConfigError, naming the field or the point index, when a field
     is missing or has the wrong JSON type, the genus has no model, the
-    prime is not a curve prime (`check_curve_prime`), a generator has the
-    wrong degree, the file holds fewer points than the panels of a context
-    (`panel_sizes`), or a point is not a list of g integers, is not
-    normalized, repeats an earlier point (both indices named) or does not
-    lie on the curve.
+    prime is not a curve prime (`check_curve_prime`), a generator pair is
+    malformed (`_check_pairs`, naming the generator and the pair), a
+    generator has the wrong degree, the file holds fewer points than the
+    panels of a context (`panel_sizes`), or a point is not a list of g
+    integers, is not normalized, repeats an earlier point (both indices
+    named) or does not lie on the curve.
     """
     g = _typed(data, "genus", int)
     p = _typed(data, "prime", int)
@@ -658,21 +687,15 @@ def curve_from_json(data: dict) -> tuple[CurveModel, list[np.ndarray]]:
         raise ConfigError(f"field 'genus' must be {_GENERA}, got {g}")
     check_curve_prime(p, "field 'prime': ")
     generators = _typed(data, "generators", list)
-    try:
-        degrees = [sorted({sum(e) for e, _ in pairs}) for pairs in generators]
-        expected = [[d] for d in MODELS[g].degrees]
-        if degrees != expected:
-            raise ConfigError(f"field 'generators': monomial degrees "
-                              f"{degrees}, expected {expected} at genus {g}")
-        gens = [(deg, tuple(int(v) for v in
-                            mono.form_from_pairs(pairs, g, deg, p)))
-                for deg, pairs in zip(MODELS[g].degrees, generators)]
-    except ConfigError:     # a ValueError too: the degree fault keeps its text
-        raise
-    except (TypeError, ValueError, KeyError):
-        raise ConfigError("field 'generators' must hold one list of "
-                          f"[exponents, coefficient] pairs in {g} variables "
-                          "per generator") from None
+    _check_pairs(generators, g, p)
+    degrees = [sorted({sum(e) for e, _ in pairs}) for pairs in generators]
+    expected = [[d] for d in MODELS[g].degrees]
+    if degrees != expected:
+        raise ConfigError(f"field 'generators': monomial degrees {degrees}, "
+                          f"expected {expected} at genus {g}")
+    gens = [(deg, tuple(int(v) for v in
+                        mono.form_from_pairs(pairs, g, deg, p)))
+            for deg, pairs in zip(MODELS[g].degrees, generators)]
     curve = CurveModel(g, p, _typed(data, "seed", int), tuple(gens))
     points = _typed(data, "points", list)
     needed = sum(panel_sizes(g))

@@ -205,25 +205,24 @@ class Draws:
                 got.append(item)
         return got
 
-    def rounds(self, n: int, evaluate: Callable[[list], list],
-               most: int | None = None) -> list:
+    def rounds(self, n: int, evaluate: Callable[[list], list]) -> list:
         """Up to n pairs (draw, result), in draw order.  The draws are
         taken in rounds of as many as results are still missing, and
         evaluate(round) gives one result per draw of a round, walked
         through `unwrap`; since a draw gives at most one result, these are
         exactly the draws of the loop that evaluates each draw as it
-        comes; so are rounds of at most `most` draws.  A round with no
-        usable draw spent the attempts, and is not evaluated."""
+        comes.  A round with no usable draw spent the attempts, and is not
+        evaluated."""
         def request(drawn: list) -> tuple:
             return lambda items: evaluate(list(items)), [(x,) for x in drawn]
 
-        return value_of(lockstep([self.chain(n, request, most)])[0])
+        return value_of(lockstep([self.chain(n, request)])[0])
 
-    def chain(self, n: int, request, most: int | None = None):
+    def chain(self, n: int, request):
         """`rounds` as a chain, yielding request(round) for each round."""
         got: list = []
         while len(got) < n and self.left:
-            drawn = self.take(min(n - len(got), most or n))
+            drawn = self.take(n - len(got))
             if not drawn:
                 break
             for item, result in zip(drawn, (yield request(drawn))):

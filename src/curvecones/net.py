@@ -190,7 +190,9 @@ def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
 # at genus 4, 140 x 45 at genus 5).  Under tracemalloc a pass of 8 peaks
 # at 0.8 MB at genus 4 and 2.3 MB at genus 5, against 0.12 and 0.31 MB for
 # one net; 25 genus-4 fits take 27 ms in passes of 8 and 37 ms one net at
-# a time (48 ms from all rows).
+# a time (48 ms from all rows).  With all the nets of a call in one pass, a
+# genus-4 seed 1 `spans` peaked at 33.9-34.0 MB RSS against 32.4-32.5 MB
+# (5 alternating runs each, 2-core host)
 GAMMA_PASS = 8
 
 
@@ -296,7 +298,10 @@ def _on_gamma(ctx: CurveContext, nets: list[Net], u: np.ndarray
 
 
 # probes per array pass of oracle_batch: the stacks of a pass take about
-# 8 kB per probe at genus 4, and their peak adds to the process's RSS
+# 8 kB per probe at genus 4, and their peak adds to the process's RSS.
+# With all the probes of a call in one pass, a genus-4 seed 1
+# `verify --full` peaked at 34.2 MB RSS against 32.6-32.7 MB (5
+# alternating runs each, 2-core host)
 WITNESS_PASS = 32
 
 

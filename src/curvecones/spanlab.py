@@ -22,9 +22,6 @@ from .canring import CurveContext, ideal_dim
 from .errors import Draws, exhausted, lockstep, unwrap
 from .rng import Stream, derive_key
 
-# random base-locus probes tested per round, about 36 kB of quartic values
-PROBE_PASS = 128
-
 
 @dataclass
 class SpanAccumulator:
@@ -181,9 +178,9 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
     Every sampled curve point must annihilate every row; every off-curve
     probe (random plus structured: ambient quadric points, vertex points,
     secant points) must be separated by at least one row of each system.
-    The random probes are tested in rounds (`Draws.rounds`) of at most
-    PROBE_PASS, the structured ones as one stack: one `curve.off_curve`
-    and one evaluation per system each."""
+    The random probes are tested in rounds (`Draws.rounds`), the
+    structured ones as one stack: one `curve.off_curve` and one
+    evaluation per system each."""
     p = ctx.p
     g = ctx.g
     stream = Stream(derive_key(ctx.curve.seed, f"probe|{seed}"), "pts")
@@ -213,8 +210,7 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
 
     report["off_curve_checked"] = len(Draws(
         "off-curve probes", 20 * off_curve_count, random_point).rounds(
-        off_curve_count, lambda pts: probe(pts, ["random"] * len(pts)),
-        most=PROBE_PASS))
+        off_curve_count, lambda pts: probe(pts, ["random"] * len(pts))))
     # points on an ambient ideal quadric, harvested side by side
     i2 = ctx.ideal(2)
     harvests = []

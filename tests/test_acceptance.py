@@ -312,7 +312,6 @@ class TestSecantRounds:
             return jac
 
         monkeypatch.setattr(cv, "jacobian_at", jacobian_at)
-        ctx._tangents.clear()
         verdicts = cn.secant_criteria(ctx, [cone] * len(pairs), pairs)
         for (pt_p, pt_q), verdict in zip(pairs, verdicts):
             assert outcome(lambda: verdict if bad not in (
@@ -323,7 +322,6 @@ class TestSecantRounds:
                                                           cone))
         got = outcome(lambda: acc.criterion_secant(ctx, ROUND_CFG, cone))
         monkeypatch.undo()
-        ctx._tangents.clear()
         assert got == want == (SingularPoint,
                                f"Jacobian rank below {ctx.g - 2}")
 

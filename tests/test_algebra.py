@@ -444,12 +444,11 @@ class TestDistinctRootsBatch:
     def test_split_in_second_round(self, monkeypatch):
         # the first round splits with t = x^((p-1)/2), which takes one
         # value on roots of one quadratic character; the roots below
-        # share it but part at a shift of the second round
+        # share it but part at the shift a = 1 of the second round
         p = P
-        shifts = range(1, alg.SPLIT_SHIFTS + 1)
         r1 = 2
         r2 = next(r for r in range(3, p) if chi(r, p) == chi(r1, p)
-                  and any(chi(r + a, p) != chi(r1 + a, p) for a in shifts))
+                  and chi(r + 1, p) != chi(r1 + 1, p))
         h = poly_mul(arr([p - r1, 1]), arr([p - r2, 1]), p)
         chains = []
         real = alg._Moduli.power
@@ -461,7 +460,7 @@ class TestDistinctRootsBatch:
         monkeypatch.setattr(alg._Moduli, "power", power)
         assert alg.distinct_roots_batch([h, arr([1, 1])], p) == \
             [sorted([r1, r2]), [p - 1]]
-        assert chains == [[[a, 1] for a in shifts]]
+        assert chains == [[[1, 1]]]
 
 
 class TestPowModBudget:

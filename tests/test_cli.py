@@ -323,6 +323,40 @@ class TestCurveFileValidation:
         assert code == 2
         assert "'generators'" in err
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda pair: pair.__setitem__(1, pair[1] + 0.5), "coefficient"),
+        (lambda pair: pair.__setitem__(1, str(pair[1])), "coefficient"),
+        (lambda pair: pair.__setitem__(1, True), "coefficient"),
+        (lambda pair: pair[0].__setitem__(0, float(pair[0][0])),
+         "exponents"),
+    ], ids=["fractional-coefficient", "string-coefficient",
+            "boolean-coefficient", "fractional-exponent"])
+    def test_mistyped_generator_pair(self, tmp_path, curve_file, capsys,
+                                     edit, fault):
+        # int() reads 246312.5 and "246312" as 246312, and a float exponent
+        # indexes like an int: a lenient reader would load the curve as if
+        # nothing were wrong
+        code, err = self.verify_quick(self.damaged(
+            tmp_path, curve_file, lambda d: edit(d["generators"][1][2])),
+            capsys)
+        assert code == 2
+        assert f"generator 1, pair 2: {fault}" in err
+
+    def test_repeated_monomial(self, tmp_path, curve_file, capsys):
+        # the last pair of a monomial would overwrite the first, and the
+        # points would be blamed for the changed curve
+        def repeat(data):
+            pairs = data["generators"][0]
+            exponents, c = pairs[0]
+            pairs.append([list(exponents), (c + 1) % data["prime"]])
+        data = json.loads(open(curve_file).read())
+        last = len(data["generators"][0])
+        code, err = self.verify_quick(
+            self.damaged(tmp_path, curve_file, repeat), capsys)
+        assert code == 2
+        assert f"generator 0, pair {last} repeats the monomial of pair 0" \
+            in err
+
     def test_point_off_curve(self, tmp_path, curve_file, capsys):
         def move(data):
             data["points"][5][3] = (data["points"][5][3] + 1) % data["prime"]

@@ -1,5 +1,7 @@
 """Quartic reconstruction, polars, secants, tangent lines."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,40 @@ class TestReconstructRounds:
             one_net_outcome(lambda: (c.coeffs, reference.verify_cone(
                 ctx, c.net, c.coeffs, st, 8)))
             for c, st in zip(cones, streams)]
+
+    def test_nine_nets_in_one_round(self, ctx4, monkeypatch):
+        """Nine nets split their 54 first pencils in one `split_fibers` and
+        reduce their 9 splitting systems in one `rref_batch`, and each gets
+        the cone of the one-net chain, with its draws."""
+        nets = nt.random_nets(ctx4, [Stream(124, f"nine{k}")
+                                     for k in range(9)])
+        want, want_draws = stream_draws(monkeypatch, lambda: [
+            one_net_outcome(lambda: reference.reconstruct_quartic(
+                ctx4, net, seed=7, oracle_points=6)) for net in nets])
+        pencils, systems = [], []
+        real_split, real_rref = cn.split_fibers, alg.rref_batch
+
+        def split_fibers(ctx, per, vs):
+            pencils.append(len(vs))
+            return real_split(ctx, per, vs)
+
+        def rref_batch(stack, p):
+            if sys._getframe(1).f_code.co_name == "_kernels":
+                systems.append(len(stack))
+            return real_rref(stack, p)
+
+        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        monkeypatch.setattr(alg, "rref_batch", rref_batch)
+        got, got_draws = stream_draws(monkeypatch, lambda: [
+            one_net_outcome(lambda: res) for res in
+            cn.reconstruct_quartics(ctx4, nets, seed=7, oracle_points=6)])
+        assert got == want
+        assert all(not isinstance(w[0], type) for w in want)
+        assert_same_draws(*({k: n for k, n in draws.items()
+                             if not k.startswith("restrict-nodes|")}
+                            for draws in (got_draws, want_draws)))
+        assert pencils[0] == 54
+        assert systems[0] == 9
 
     def test_empty_stacks(self, ctx4):
         assert cn.reconstruct_quartics(ctx4, []) == []
@@ -568,7 +604,7 @@ class TestBitangentSweep:
             pt = ctx4.panel[k]
             if not int(chart.h2 @ pt % P):
                 continue
-            td = ctx4.tangent(pt)
+            td = errors.value_of(cv.tangent_vectors(ctx4.curve, [pt])[0])
             s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), P)
             residual, disc = cn.sweep_discriminant(chart, s1, s2, P)
             expected = reference.sweep_discriminant(chart, s1, s2, P)
@@ -588,7 +624,7 @@ class TestBitangentSweep:
 class TestTangentSpace:
     def test_gradient_annihilates_tangent_line(self, ctx4, net4, cone4):
         pt = ctx4.panel[5]
-        td = ctx4.tangent(pt)
+        td = errors.value_of(cv.tangent_vectors(ctx4.curve, [pt])[0])
         grad = np.array([mono.form_eval_one(
             mono.gradient(cone4.coeffs, 4, 4, P)[var], pt, 4, 3, P)
             for var in range(4)], dtype=np.int64)

@@ -227,8 +227,7 @@ class TestProbeRounds:
                  sl.SpanAccumulator(3, alg.RowSpace(
                      np.zeros((0, mono.count(ctx.g, 3)), dtype=np.int64), p),
                      sources=nets[:2])]
-        # the third random draw is planted on the curve, inside the first
-        # round of PROBE_PASS draws
+        # the third random draw is planted on the curve, inside the first round
         stream = Stream(derive_key(ctx.curve.seed, "probe|3"), "pts")
         planted = [stream.field_vec(p, ctx.g) for _ in range(3)][2]
         real_on, real_off = cv.on_curve, cv.off_curve
@@ -237,8 +236,6 @@ class TestProbeRounds:
         monkeypatch.setattr(cv, "off_curve", lambda curve, pts: real_off(
             curve, pts) & ~(np.asarray(pts) == planted).all(axis=1))
         rounds = []
-        real_probe_pass = sl.PROBE_PASS
-        assert real_probe_pass < 150
         want, want_draws = stream_draws(monkeypatch, lambda: (
             reference.base_locus_probe(ctx, spans, 150, seed=3)))
         real_mask = cv.off_curve
@@ -256,7 +253,8 @@ class TestProbeRounds:
         assert len(want["violations"]) == 150 + want["structured_checked"]
         assert planted.tolist() not in [v["point"]
                                         for v in want["violations"]]
-        # the first round comes one off-curve probe short, and the second
-        # draws one more; then the structured probes go as one stack
-        assert rounds[:2] == [real_probe_pass, 150 - real_probe_pass + 1]
+        # the first round draws all 150 and comes one off-curve probe
+        # short, and the second draws one more; then the structured probes
+        # go as one stack
+        assert rounds[:2] == [150, 1]
         assert len(rounds) == 3
