@@ -22,17 +22,27 @@ thousand cannot overflow; all arithmetic is exact.
 `rref_batch` row-reduces a stack of matrices of one shape at once, each
 element with its own pivot rows, so elements with different pivot patterns
 or ranks share one pass; element by element it returns what `rref` does.
-Like `rref` it reduces mod p after every row operation: a row update
-subtracts one product of two entries below p, so no intermediate leaves
-(-p**2, p).  `kernel_batch` reads special solutions off that pass
+Both delay the reduction mod p (J.-G. Dumas, P. Giorgi and C. Pernet, ACM
+TOMS 35(3), 2008): when column c is reached, that column and the pivot
+row are reduced, and nothing else, and the whole matrix is reduced once
+at the end.  A row update subtracts the product of two reduced entries,
+below (p-1)**2, so after k pivot columns every entry lies in
+(-k(p-1)**2, k(p-1)**2 + p).  That stays below 2**63 while the column
+count, which bounds k, is below 2**13 at p < 2**25; both raise ValueError
+beyond it.  The widest matrix of the engine has 226 columns, the [V | I]
+of `_vandermonde_inverse` at the 113 nodes of the genus-5 resultant of
+`bundle.node_count` (122 at genus 4).
+
+`kernel_batch` reads special solutions off an `rref_batch` pass
 (`special_solutions_batch`), and `solve_batch` the solutions and ranks of
 stacked systems [m | rhs].  `det_batch` eliminates a stack of square
-matrices with the same updates and multiplies the pivots.  Both invert
-the pivots of a column with one `_inverses`, Montgomery's batch
-inversion (P. L. Montgomery, Math. Comp. 48, 1987): prefix products, one
-`pow`, then a walk back, so one modular inverse per pivot column.  A zero
-maps to 0, as under Fermat's a**(p-2); the zero pivots of the singular
-elements of a `det_batch` stack take that path.
+matrices and multiplies the pivots; it reduces every update at once, so
+no intermediate of it leaves (-p**2, p).  Both passes invert the pivots
+of a column with one `_inverses`, Montgomery's batch inversion (P. L.
+Montgomery, Math. Comp. 48, 1987): prefix products, one `pow`, then a
+walk back, so one modular inverse per pivot column.  A zero maps to 0, as
+under Fermat's a**(p-2); the zero pivots of the singular elements of a
+`det_batch` stack take that path.
 
 One implementation per job: `det`, `kernel_basis` and `inverse` are
 `det_batch`, `special_solutions_batch` and `solve_batch` on a stack of
@@ -46,7 +56,7 @@ span-membership check in the engine goes through it.
 cached per node tuple, and `rational_interpolate` builds its Cauchy rows
 from the same matrix.  The powers are built column by column as a
 product of two entries below p reduced at once, and the inverse comes
-from `inverse`, so no intermediate of either leaves (-p**2, p).
+from `inverse`, within the budget of `rref`.
 
 One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
 one Vandermonde product, each entry a sum of one product below p**2 per
@@ -54,7 +64,7 @@ row of f, so below 2**63 while f has fewer than 2**13 rows at p < 2**25
 (9 at most in the engine, at genus 5).  `poly_gcd` and `squarefree_part`
 are one `_Moduli.split` each, exact division is one `solve_batch`, and the
 Sylvester matrices of `resultant_bivariate` hold values below p and go
-through one `det_batch`, with the budget of `rref_batch`.
+through one `det_batch`.
 
 Roots are found on stacks.  `distinct_roots_batch` takes many
 polynomials at once through `_Moduli`, a stack of monic moduli padded to
@@ -164,31 +174,44 @@ def normalize_rows(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list."""
+    """Reduced row echelon form and pivot column list, by delayed
+    reduction (module docstring)."""
     r = np.array(m, dtype=np.int64) % p
     rows, cols = r.shape
+    _check_width(cols)
     pivots: list[int] = []
     lead = 0
     for c in range(cols):
         if lead >= rows:
             break
+        r[:, c] %= p
         nz = np.nonzero(r[lead:, c])[0]
         if nz.size == 0:
             continue
         j = lead + int(nz[0])
         if j != lead:
             r[[lead, j]] = r[[j, lead]]
-        r[lead] = r[lead] * inv_mod(int(r[lead, c]), p) % p
+        r[lead] = r[lead] % p * inv_mod(int(r[lead, c]), p) % p
         col = r[:, c].copy()
         col[lead] = 0
-        r = (r - np.outer(col, r[lead])) % p
+        r -= np.outer(col, r[lead])
         pivots.append(c)
         lead += 1
+    r %= p
     return r, pivots
 
 
+def _check_width(cols: int) -> None:
+    """ValueError when delayed reduction over `cols` columns could leave
+    int64 (module docstring)."""
+    if cols >= 2 ** 13:
+        raise ValueError(f"{cols} columns break the int64 budget of "
+                         "delayed row reduction")
+
+
 def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """`rref` of every matrix of an N x rows x cols stack.
+    """`rref` of every matrix of an N x rows x cols stack, by delayed
+    reduction (module docstring).
 
     Column by column, each element takes as pivot its first row at or
     below its own lead row with a nonzero entry, swaps it up, scales it and
@@ -203,14 +226,14 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     the elements that pivot in it.
     """
     n, rows, cols = np.shape(stack)
+    _check_width(cols)
     pivots = np.full((n, min(rows, cols)), -1, dtype=np.int64)
     if n == 1:
         # the module's one stack-of-one fork: a batched column makes about
-        # twice the numpy calls of a column of `rref`.  On one matrix the
-        # batched pass took 1.95-2.1 times the time of `rref` from 2 x 4 to
-        # 20 x 10, 1.2-1.6 times from 40 x 35 to 140 x 28, and 0.86-0.93
-        # times at 280 x 35 and 280 x 70; a switch on size would be a
-        # change of speed, not of design
+        # twice the numpy calls of a column of `rref`.  On one matrix, with
+        # both delaying their reduction, the batched pass took 1.8-2.3
+        # times the time of `rref` from 2 x 4 to 40 x 35, 1.5-1.7 times at
+        # 140 x 28 and 140 x 35, and 1.3 times at 280 x 70
         r, found = rref(stack[0], p)
         pivots[0, :len(found)] = found
         return r[None], pivots
@@ -227,6 +250,7 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     for c in range(cols):
         if common >= rows:
             break
+        r[:, :, c] %= p
         if lead is None:
             nonzero = r[:, common:, c] != 0
             found = nonzero.any(axis=1).sum()
@@ -240,9 +264,8 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                     r[elems, j, c:] = r[:, common, c:]
                     r[:, common, c:] = top
                 inv = _inverses(r[:, common, c], p)
-                top = r[:, common, c:] * inv[:, None] % p
+                top = r[:, common, c:] % p * inv[:, None] % p
                 r[:, :, c:] -= r[:, :, c, None] * top[:, None, :]
-                r[:, :, c:] %= p
                 r[:, common, c:] = top
                 pivots[:, common] = c
                 common += 1
@@ -256,15 +279,16 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         j = cand[e].argmax(axis=1)
         top = r[e, j, c:]
         r[e, j, c:] = r[e, lead_e, c:]
-        top = top * _inverses(top[:, 0], p)[:, None] % p
+        top = top % p * _inverses(top[:, 0], p)[:, None] % p
         f = r[e, :, c]
         f[np.arange(e.size), lead_e] = 0
-        r[e, :, c:] = (r[e, :, c:] - f[:, :, None] * top[:, None, :]) % p
+        r[e, :, c:] = r[e, :, c:] - f[:, :, None] * top[:, None, :]
         r[e, lead_e, c:] = top
         pivots[e, lead_e] = c
         lead[e] += 1
         if (lead == lead[0]).all():
             common, lead = int(lead[0]), None
+    r %= p
     return r, pivots
 
 
@@ -353,8 +377,8 @@ def det_batch(stack: np.ndarray, p: int) -> np.ndarray:
     diagonal with a nonzero entry and clears the column below it; its
     determinant is the product of those pivots, negated once per swap.  An
     element without such a row has determinant 0, and its column below
-    the diagonal is already zero.  As in `rref_batch`, an update subtracts
-    one product of two entries below p and is reduced at once.
+    the diagonal is already zero.  An update subtracts one product of two
+    entries below p and is reduced at once.
     """
     a = np.array(stack, dtype=np.int64) % p
     n, rows, cols = a.shape

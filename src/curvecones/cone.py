@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -677,9 +678,17 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
     coefficient (the square-of-quadric picture on the degeneracy divisor
     shows that coefficient survives specialization, so it is nonzero for
     generic nets through the section).  The net family through the section
-    is swept along one parameter, the oracle value at a fixed line point is
-    interpolated as a rational function of the parameter, and the numerator
-    roots are verified exactly."""
+    is swept along one parameter, the oracle value at a fixed line point b0
+    is interpolated as a rational function of the parameter, and the
+    numerator roots are verified exactly.
+
+    A trial takes up to four families lazily, in order, and their
+    `_family_candidates` form one sequence, walked by one `Draws.rounds`
+    with one `contained_secants` per round: a family is swept only while
+    the candidates so far are fewer than the secants still missing.  The
+    candidates hold every contained root in order, so the secants found
+    are those of the loop that reconstructs each root of each family in
+    turn; the roots the second-point test drops are never reconstructed."""
     p = ctx.p
     results: list = []
 
@@ -696,23 +705,45 @@ def contained_double_secant(ctx: CurveContext, stream: Stream,
             if section is None:
                 return None
         b0 = (pt_p + sub.nonzero(p) * pt_q) % p
-        for fam in range(4):
-            if len(results) >= count:
-                break
-            results.extend(_family_secants(
-                ctx, section, pt_p, pt_q, b0, sub.spawn(f"family{fam}"),
-                count - len(results)))
+        # the second line point of the test, drawn from no stream
+        b1 = (b0 + pt_q) % p
+        families = range(4)
+        candidates = chain.from_iterable(
+            _family_candidates(ctx, section, b0, b1,
+                               sub.spawn(f"family{fam}"))
+            for fam in families)
+
+        def contained(nets: list) -> list:
+            """The candidates of a round: one `contained_secants`."""
+            return [(pt_p, pt_q, net, c) if isinstance(c, QuarticCone) else c
+                    for net, c in zip(nets, contained_secants(
+                        ctx, [(pt_p, pt_q)] * len(nets), nets))]
+
+        # a family has at most sweep_degree roots
+        draws = Draws("family roots",
+                      len(families) * cv.MODELS[ctx.g].sweep_degree,
+                      lambda _: next(candidates, None))
+        results.extend(found for _, found in draws.rounds(
+            count - len(results), contained))
         return results if len(results) >= count else None
 
     return resample("contained double secants", 16, draw)
 
 
-def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
-                    pt_q: np.ndarray, b0: np.ndarray, stream: Stream,
-                    wanted: int) -> list:
-    """Up to `wanted` contained double secants on the nets
-    <section, r1, r2 + t r3> of one random family, tried at the roots of
-    `_family_roots`."""
+def _family_candidates(ctx: CurveContext, section: np.ndarray,
+                       b0: np.ndarray, b1: np.ndarray, stream: Stream
+                       ) -> list:
+    """The nets <section, r1, r2 + t r3> of one random family at the roots
+    t of `_family_roots` that pass the second-point test, in root order:
+    one `build_nets` and one `oracle_batch` at b1, a second point of the
+    secant line.
+
+    The witness pairing is zero exactly on the quartic cone, so a net
+    whose cone contains the line has a zero pairing at b1: a root is
+    dropped only when its pairing at b1 is nonzero, and then
+    `contained_secants` would judge it not contained.  A root whose net
+    does not build, or whose witness at b1 fails, is kept (in place of the
+    net, the exception of `build_nets`)."""
     p = ctx.p
     r1 = stream.field_vec(p, ctx.g)
     r2 = stream.field_vec(p, ctx.g)
@@ -722,16 +753,15 @@ def _family_secants(ctx: CurveContext, section: np.ndarray, pt_p: np.ndarray,
         return np.stack([section, r1, (r2 + t * r3) % p])
 
     roots = _family_roots(ctx, family, b0)
-
-    def contained(ts: list) -> list:
-        """The roots of a round: one `build_nets`, one `contained_secants`."""
-        nets = nt.build_nets(ctx, np.stack([family(t) for t in ts]))
-        return [(pt_p, pt_q, net, c) if isinstance(c, QuarticCone) else c
-                for net, c in zip(nets, contained_secants(
-                    ctx, [(pt_p, pt_q)] * len(ts), nets))]
-
-    draws = Draws("family roots", len(roots), lambda k: roots[k])
-    return [found for _, found in draws.rounds(wanted, contained)]
+    if not roots:
+        return []
+    nets = nt.build_nets(ctx, np.stack([family(t) for t in roots]))
+    built = [k for k, net in enumerate(nets) if isinstance(net, nt.Net)]
+    wits = dict(zip(built, nt.oracle_batch(
+        ctx, [nets[k] for k in built], [b1] * len(built), check_gamma=False)))
+    return [net for k, net in enumerate(nets)
+            if not isinstance(wits.get(k), nt.OracleWitness)
+            or int(wits[k].b @ wits[k].y % p) == 0]
 
 
 def _family_roots(ctx: CurveContext, family, b0: np.ndarray) -> list:
@@ -744,8 +774,10 @@ def _family_roots(ctx: CurveContext, family, b0: np.ndarray) -> list:
     2d + 1 samples, the fewest that fix such a pair (von zur Gathen and
     Gerhard, *Modern Computer Algebra*, 5.7), and is tested on the next
     `SWEEP_HOLDOUT`.  A sweep of higher degree fails the holdout, which
-    costs its family and cannot forge a secant: every root is still
-    reconstructed and checked both ways by `contained_secants`."""
+    costs its family and cannot forge a secant: a root is a secant only
+    once `contained_secants` has reconstructed its net and checked it both
+    ways, and the second-point test of `_family_candidates` drops only
+    roots that check would refuse."""
     p = ctx.p
     deg = cv.MODELS[ctx.g].sweep_degree
     fit_count = 2 * deg + 1

@@ -73,6 +73,47 @@ def det(m, p):
     return result % p
 
 
+def rref(m, p):
+    """Reduced row echelon form and pivot list by the elimination that
+    reduces every entry mod p after every row operation, so no
+    intermediate leaves (-p**2, p)."""
+    r = np.array(m, dtype=np.int64) % p
+    rows, cols = r.shape
+    pivots = []
+    lead = 0
+    for c in range(cols):
+        if lead >= rows:
+            break
+        nz = np.nonzero(r[lead:, c])[0]
+        if nz.size == 0:
+            continue
+        j = lead + int(nz[0])
+        if j != lead:
+            r[[lead, j]] = r[[j, lead]]
+        r[lead] = r[lead] * pow(int(r[lead, c]), -1, p) % p
+        col = r[:, c].copy()
+        col[lead] = 0
+        r = (r - np.outer(col, r[lead])) % p
+        pivots.append(c)
+        lead += 1
+    return r, pivots
+
+
+def kernel(m, p):
+    """Special-solution kernel basis read off `rref` above: one row per
+    free column, 1 there and 0 in the other free columns."""
+    r, pivots = rref(m, p)
+    cols = r.shape[1]
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = np.zeros(cols, dtype=np.int64)
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -r[i, free] % p
+        basis.append(v)
+    return np.array(basis, dtype=np.int64).reshape(-1, cols)
+
+
 def solve_consistent(m, rhs, p):
     """One solution of m x = rhs, read off `rref` of [m | rhs]: zero in
     the free columns.  Raises InconsistentSystem when rhs is outside the
@@ -115,14 +156,15 @@ def divide_by_vertex_square(restricted, m):
     return quad
 
 
-def stream_draws(monkeypatch, run):
-    """Result of run() and the `Stream.next_u64` calls it made, by stream
-    tag."""
+def stream_draws(monkeypatch, run, key=lambda stream: stream.tag):
+    """Result of run() and the `Stream.next_u64` calls it made, by
+    key(stream): the stream tag, or for instance (seed, tag) to tell apart
+    streams that share a tag."""
     counts = {}
     real = Stream.next_u64
 
     def next_u64(self):
-        counts[self.tag] = counts.get(self.tag, 0) + 1
+        counts[key(self)] = counts.get(key(self), 0) + 1
         return real(self)
 
     monkeypatch.setattr(Stream, "next_u64", next_u64)
@@ -132,16 +174,17 @@ def stream_draws(monkeypatch, run):
 
 
 def assert_same_draws(got, want):
-    """got and want, `Stream.next_u64` calls by stream tag, draw from the
-    same streams the same number of times, but for the `.../zeros` stream
-    of an oracle's zero harvest: `curve.ZeroHarvest` may read lines ahead
-    on that stream, which it owns, so got draws at least as often there."""
+    """got and want, `Stream.next_u64` calls by stream tag (or by a tuple
+    ending in the tag), draw from the same streams the same number of
+    times, but for the `.../zeros` stream of an oracle's zero harvest:
+    `curve.ZeroHarvest` may read lines ahead on that stream, which it
+    owns, so got draws at least as often there."""
     assert got.keys() == want.keys()
-    for tag, n in want.items():
-        if tag.endswith("/zeros"):
-            assert got[tag] >= n, tag
+    for key, n in want.items():
+        if (key[-1] if isinstance(key, tuple) else key).endswith("/zeros"):
+            assert got[key] >= n, key
         else:
-            assert got[tag] == n, tag
+            assert got[key] == n, key
 
 
 def poly_mul(f, g, p):
@@ -1021,11 +1064,24 @@ def family_roots(ctx, family, b0):
     return alg.distinct_roots(num, p)
 
 
+def family_root(ctx, family, t, pt_p, pt_q):
+    """The contained secant at the root t of a family, or None: the net is
+    built, reconstructed by `reconstruct_quartic` above and checked by
+    `secant_criterion` above; a `DegenerateInput` propagates."""
+    net = build_net(ctx, family(t))
+    if net.in_b or net.in_d:
+        return None
+    nt.gamma_equation(ctx, net)
+    coeffs, cert = reconstruct_quartic(ctx, net, oracle_points=4)
+    if secant_criterion(ctx, net, coeffs, pt_p, pt_q) != (True, True):
+        return None
+    return pt_p, pt_q, net, cn.QuarticCone(net, coeffs, cert)
+
+
 def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
-    """`cone._family_secants` on the roots of `family_roots` above, one
-    root at a time: each net is built, reconstructed by
-    `reconstruct_quartic` above and checked by `secant_criterion` above
-    before the next root is tried."""
+    """Up to `wanted` contained double secants on one random family, the
+    roots of `family_roots` above tried one at a time by `family_root`
+    above, with no second-point test."""
     p = ctx.p
     r1, r2, r3 = (stream.field_vec(p, ctx.g) for _ in range(3))
 
@@ -1033,25 +1089,46 @@ def family_secants(ctx, section, pt_p, pt_q, b0, stream, wanted):
         return np.stack([section, r1, (r2 + t * r3) % p])
 
     roots = family_roots(ctx, family, b0)
+    return Draws("family roots", len(roots), lambda k: family_root(
+        ctx, family, roots[k], pt_p, pt_q)).take(wanted)
 
-    def contained(k):
-        net = build_net(ctx, family(roots[k]))
-        if net.in_b or net.in_d:
-            return None
-        nt.gamma_equation(ctx, net)
-        coeffs, cert = reconstruct_quartic(ctx, net, oracle_points=4)
-        if secant_criterion(ctx, net, coeffs, pt_p, pt_q) != (True, True):
-            return None
-        return pt_p, pt_q, net, cn.QuarticCone(net, coeffs, cert)
 
-    return Draws("family roots", len(roots), contained).take(wanted)
+def contained_double_secant(ctx, stream, count=1):
+    """`cone.contained_double_secant` as the loop that reconstructs every
+    root of each family in turn (`family_secants` above) and sweeps the
+    next family of a trial only while secants are missing."""
+    p = ctx.p
+    results = []
+
+    def draw(trial):
+        sub = stream.spawn(f"pair{trial}")
+        if ctx.g == 4:
+            pt_p, pt_q, section = cn.bitangent_pair(ctx, sub.spawn("bit"))
+        else:
+            pair = panel_pair(ctx, sub)
+            if pair is None:
+                return None
+            pt_p, pt_q = pair
+            section = cn.double_vanishing_section(ctx, pt_p, pt_q)
+            if section is None:
+                return None
+        b0 = (pt_p + sub.nonzero(p) * pt_q) % p
+        for fam in range(4):
+            if len(results) >= count:
+                break
+            results.extend(family_secants(
+                ctx, section, pt_p, pt_q, b0, sub.spawn(f"family{fam}"),
+                count - len(results)))
+        return results if len(results) >= count else None
+
+    return resample("contained double secants", 16, draw)
 
 
 def criterion_secant(ctx, cfg, cone):
     """The details of criterion 10, one secant at a time: random secants,
     then secants through the vertex of engineered nets, each reconstructed
-    by `reconstruct_quartic` above, then `cone.contained_double_secant`,
-    whose family roots the caller routes through `family_secants` above."""
+    by `reconstruct_quartic` above, then `contained_double_secant`
+    above."""
     stream = Stream(derive_key(ctx.curve.seed, f"secant|{cfg.seed}"), "pq")
     n = ctx.panel.shape[0]
 
@@ -1076,8 +1153,8 @@ def criterion_secant(ctx, cfg, cone):
             "vertex secants", cfg.secant_engineered, vertex_secant).take(
                 cfg.secant_engineered).count(True)}
     try:
-        found = cn.contained_double_secant(ctx, stream.spawn("dbl"),
-                                           count=cfg.secant_engineered)
+        found = contained_double_secant(ctx, stream.spawn("dbl"),
+                                        count=cfg.secant_engineered)
         details["double_section_branch"] = sum(
             secant_criterion(ctx, net, c.coeffs, a, b) == (True, True)
             for a, b, net, c in found)

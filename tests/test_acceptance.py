@@ -164,10 +164,12 @@ def test_criterion_13_determinism(genus, request):
 
 
 def engine_draws(draws):
-    """Stream draws by tag, without the fixed node streams of
-    `monomials.restrict`, which a first call per shape draws."""
+    """Stream draws by tag (or by a tuple ending in the tag), without the
+    fixed node streams of `monomials.restrict`, which a first call per
+    shape draws."""
     return {k: n for k, n in draws.items()
-            if not k.startswith("restrict-nodes|")}
+            if not (k[-1] if isinstance(k, tuple) else k).startswith(
+                "restrict-nodes|")}
 
 
 def outcome(run):
@@ -260,20 +262,77 @@ class TestPolarRounds:
         assert results == [(VerificationFailed, "planted 0")] * 2
 
 
+def seeded(stream):
+    """A stream's (seed, tag): the reconstruction streams of different
+    nets share their tags and differ in their seeds."""
+    return stream.seed, stream.tag
+
+
+def reconstruction_seed(ctx, net):
+    """The seed of the streams of `cone.reconstruct_quartics` on a net."""
+    return derive_key(ctx.curve.seed, "reconstruct|0|" + ",".join(
+        str(int(v)) for v in net.w.reshape(-1)))
+
+
+def record_dropped(ctx, monkeypatch):
+    """A list that fills, while the engine runs, with (family, t, pt_p,
+    pt_q, net) for each family root whose net builds and that the
+    second-point test of `cone._family_candidates` drops; the secant of a
+    trial is that of its `bitangent_pair` (genus 4) or of its
+    `double_vanishing_section` (genus 5)."""
+    dropped = []
+    line = []
+    swept = []
+    real_pair, real_section = cn.bitangent_pair, cn.double_vanishing_section
+    real_roots, real_candidates = cn._family_roots, cn._family_candidates
+
+    def bitangent_pair(ctx, stream):
+        pt_p, pt_q, section = real_pair(ctx, stream)
+        line[:] = pt_p, pt_q
+        return pt_p, pt_q, section
+
+    def double_vanishing_section(ctx, pt_p, pt_q):
+        line[:] = pt_p, pt_q
+        return real_section(ctx, pt_p, pt_q)
+
+    def family_roots(ctx, family, b0):
+        swept.append((family, real_roots(ctx, family, b0)))
+        return swept[-1][1]
+
+    def family_candidates(ctx, *args):
+        kept = real_candidates(ctx, *args)
+        family, roots = swept.pop()
+        ws = [net.w.tolist() for net in kept if isinstance(net, nt.Net)]
+        for t in roots:
+            net = nt.build_nets(ctx, family(t)[None])[0]
+            if isinstance(net, nt.Net) and net.w.tolist() not in ws:
+                dropped.append((family, t, *line, net))
+        return kept
+
+    for name, wrapper in (("bitangent_pair", bitangent_pair),
+                          ("double_vanishing_section",
+                           double_vanishing_section),
+                          ("_family_roots", family_roots),
+                          ("_family_candidates", family_candidates)):
+        monkeypatch.setattr(cn, name, wrapper)
+    return dropped
+
+
+def assert_draws_but_dropped(ctx, got, want, dropped):
+    """got and want, draws by (seed, tag), are the same (as
+    `assert_same_draws` has it) on every stream but the reconstruction
+    streams of the dropped family roots, which got never draws."""
+    unseen = {reconstruction_seed(ctx, d[-1]) for d in dropped}
+    assert not unseen & {seed for seed, _ in got}
+    assert_same_draws(engine_draws(got), engine_draws(
+        {key: n for key, n in want.items() if key[0] not in unseen}))
+
+
 class TestSecantRounds:
     """Criterion 10 checks its secants on stacks and gives the details,
     exceptions and draws of the loops that check one secant at a time
-    (tests/reference.py)."""
-
-    @staticmethod
-    def reference(ctx, cone, monkeypatch):
-        """`reference.criterion_secant`, its family roots one at a time."""
-        real = cn._family_secants
-        monkeypatch.setattr(cn, "_family_secants", reference.family_secants)
-        try:
-            return reference.criterion_secant(ctx, ROUND_CFG, cone)
-        finally:
-            monkeypatch.setattr(cn, "_family_secants", real)
+    (tests/reference.py), whose double-secant search reconstructs every
+    family root in turn, with no second-point test."""
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
     def test_matches_one_secant_at_a_time(self, name, request, round_cones,
@@ -281,12 +340,35 @@ class TestSecantRounds:
         ctx = request.getfixturevalue(name)
         cone = round_cones[name][0]
         want, want_draws = stream_draws(
-            monkeypatch, lambda: self.reference(ctx, cone, monkeypatch))
+            monkeypatch,
+            lambda: reference.criterion_secant(ctx, ROUND_CFG, cone),
+            key=seeded)
+        dropped = record_dropped(ctx, monkeypatch)
         got, got_draws = stream_draws(
-            monkeypatch, lambda: acc.criterion_secant(ctx, ROUND_CFG, cone))
+            monkeypatch, lambda: acc.criterion_secant(ctx, ROUND_CFG, cone),
+            key=seeded)
         assert got.details == want
         assert got.ok and want["vertex_branch"] == 2
-        assert_same_draws(engine_draws(got_draws), engine_draws(want_draws))
+        assert_draws_but_dropped(ctx, got_draws, want_draws, dropped)
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
+    def test_dropped_roots_are_not_contained(self, name, request,
+                                             round_cones, monkeypatch):
+        """The second-point test drops some family root of criterion 10,
+        and one root at a time judges every dropped root not contained:
+        its reconstruction is degenerate or its secant fails the
+        criterion."""
+        ctx = request.getfixturevalue(name)
+        dropped = record_dropped(ctx, monkeypatch)
+        assert acc.criterion_secant(ctx, ROUND_CFG,
+                                    round_cones[name][0]).ok
+        monkeypatch.undo()
+        assert dropped
+        for family, t, pt_p, pt_q, _ in dropped:
+            verdict = outcome(lambda: reference.family_root(
+                ctx, family, t, pt_p, pt_q))
+            assert verdict is None \
+                or issubclass(verdict[0], errors.DegenerateInput), verdict
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
     def test_singular_point_raised_in_draw_order(self, name, request,
@@ -328,50 +410,48 @@ class TestSecantRounds:
     @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
     def test_degenerate_family_root_is_skipped(self, name, request,
                                                monkeypatch):
-        """Every pencil of the first family-root net fails, so its
-        reconstruction raises DegenerateInput and the root is skipped, as
-        one root at a time skips it."""
+        """Every pencil of the net of the first family root that passes the
+        second-point test fails, so its reconstruction raises
+        DegenerateInput and the root is skipped, as one root at a time
+        skips it.  (The first root itself may be one the test drops, which
+        the rounds never reconstruct.)"""
         ctx = request.getfixturevalue(name)
-        args = []
+        kept = []
+        real_candidates = cn._family_candidates
 
-        class Recorded(Exception):
-            pass
+        def family_candidates(*args):
+            found = real_candidates(*args)
+            kept.extend(net for net in found if isinstance(net, nt.Net))
+            return found
 
-        def record(*call):
-            args.extend(call)
-            raise Recorded
-
-        monkeypatch.setattr(cn, "_family_secants", record)
-        with pytest.raises(Recorded):
-            cn.contained_double_secant(ctx, Stream(131, name), count=2)
-        monkeypatch.undo()
-        real = cn.split_fibers
-        planted = []
-
-        def split_fibers(ctx, per, vs):
-            per = [per] * len(vs) if isinstance(per, nt.Net) else per
-            if not planted:
-                planted.append(per[0].w.tolist())
-            return [InadmissiblePencil("planted")
-                    if net.w.tolist() == planted[0] else fiber
-                    for net, fiber in zip(per, real(ctx, per, vs))]
-
-        def run(family_secants):
-            planted.clear()
-            stream = args[5]
-            found = family_secants(*args[:5], Stream(stream.seed, stream.tag),
-                                   3)
+        def run(contained_double_secant):
+            found = contained_double_secant(ctx, Stream(131, name), count=2)
             return [(net.w.tolist(), c.coeffs.tolist(), c.certificate)
                     for _, _, net, c in found]
 
+        monkeypatch.setattr(cn, "_family_candidates", family_candidates)
+        unplanted = run(cn.contained_double_secant)
+        monkeypatch.undo()
+        planted = kept[0].w.tolist()
+        assert planted in [w for w, _, _ in unplanted]
+        real = cn.split_fibers
+
+        def split_fibers(ctx, per, vs):
+            per = [per] * len(vs) if isinstance(per, nt.Net) else per
+            return [InadmissiblePencil("planted")
+                    if net.w.tolist() == planted else fiber
+                    for net, fiber in zip(per, real(ctx, per, vs))]
+
         monkeypatch.setattr(cn, "split_fibers", split_fibers)
         want, want_draws = stream_draws(
-            monkeypatch, lambda: run(reference.family_secants))
+            monkeypatch, lambda: run(reference.contained_double_secant),
+            key=seeded)
+        dropped = record_dropped(ctx, monkeypatch)
         got, got_draws = stream_draws(
-            monkeypatch, lambda: run(cn._family_secants))
+            monkeypatch, lambda: run(cn.contained_double_secant), key=seeded)
         assert got == want
-        assert planted and planted[0] not in [w for w, _, _ in got]
-        assert_same_draws(engine_draws(got_draws), engine_draws(want_draws))
+        assert planted not in [w for w, _, _ in got]
+        assert_draws_but_dropped(ctx, got_draws, want_draws, dropped)
 
 
 class TestCorankRounds:

@@ -649,6 +649,79 @@ class TestBatchReduction:
         assert_matches_rref(arr([[[1, 2], [3, 4]], [[0, 1], [1, 0]]]), 7)
 
 
+def accumulating(rows, cols, p):
+    """A rows x cols matrix on which delayed reduction accumulates the
+    most: entry [i, j] is j - 1 below the diagonal, i - 1 on it and i + 1
+    above it, mod p.  Each pivot is then p - 1, so is each multiplier
+    below it and each entry of the scaled pivot row right of it, and every
+    step subtracts (p-1)**2 from the rows below the pivot, which after k
+    steps hold about -k(p-1)**2."""
+    i = np.arange(rows)[:, None]
+    j = np.arange(cols)[None, :]
+    return np.where(i > j, j - 1, np.where(i < j, i + 1, i - 1)) % p
+
+
+def assert_matches_every_step_reduction(stack, p):
+    """rref, rref_batch and kernel_batch equal the reduce-every-step
+    elimination of `reference.rref` element by element, and the special
+    solutions of `reference.kernel`."""
+    reduced, pivots = alg.rref_batch(stack, p)
+    nullities = set()
+    for n, m in enumerate(stack):
+        want, want_pivots = reference.rref(m, p)
+        got, got_pivots = alg.rref(m, p)
+        assert got_pivots == want_pivots
+        assert got.tolist() == want.tolist()
+        assert reduced[n].tolist() == want.tolist()
+        assert [c for c in pivots[n] if c >= 0] == want_pivots
+        nullities.add(m.shape[1] - len(want_pivots))
+    for nullity in nullities:
+        basis, ok = alg.kernel_batch(stack, p, nullity)
+        for n, m in enumerate(stack):
+            want = reference.kernel(m, p)
+            assert ok[n] == (len(want) == nullity)
+            if ok[n]:
+                assert basis[n].tolist() == want.tolist()
+
+
+class TestDelayedReduction:
+    """Delayed reduction at the largest prime, where its int64 budget is
+    tightest, against the reduce-every-step elimination kept in
+    tests/reference.py."""
+
+    def test_worst_case_accumulation(self):
+        """200 pivots of 210 columns, each step subtracting (p-1)**2 from
+        every row below the pivot; a stack of two copies keeps one lead
+        row."""
+        m = accumulating(200, 210, P_MAX)
+        assert reference.rref(m, P_MAX)[1] == list(range(200))
+        assert_matches_every_step_reduction(np.stack([m, m]), P_MAX)
+
+    def test_parting_pivot_patterns(self):
+        """Rank-deficient elements that lose their pivot in column 3 and
+        in column 5 part from the full-rank one there, so the rest of the
+        pass runs on the elements that pivot in each column."""
+        m = accumulating(200, 210, P_MAX)
+        first, second = m.copy(), m.copy()
+        first[:, 3] = first[:, 2]
+        second[:, 5] = (2 * second[:, 1] + second[:, 4]) % P_MAX
+        stack = np.stack([first, m, second])
+        pivots = alg.rref_batch(stack, P_MAX)[1]
+        assert 3 not in pivots[0] and 5 not in pivots[2]
+        assert {3, 5} <= set(pivots[1].tolist())
+        assert_matches_every_step_reduction(stack, P_MAX)
+
+    def test_too_many_columns_raise(self):
+        """8192 = 2**13 columns could leave int64 at p near 2**25."""
+        wide = np.ones((2, 1, 2 ** 13), dtype=np.int64)
+        for call in (lambda: alg.rref(wide[0], P_MAX),
+                     lambda: alg.rref_batch(wide, P_MAX),
+                     lambda: alg.kernel_batch(wide, P_MAX, 2 ** 13 - 1)):
+            with pytest.raises(ValueError, match="int64 budget"):
+                call()
+        assert alg.rref(wide[0, :, 1:], P_MAX)[1] == [0]
+
+
 class TestDetBatch:
     """`det_batch` against the Python-int elimination of
     `reference.det` and against sympy."""
