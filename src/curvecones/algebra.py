@@ -72,8 +72,11 @@ the largest degree D: x^p mod f is one square-and-multiply chain over the
 whole stack, each product two batched matmuls through the table of
 x^(i+j) mod f; gcds are read off one `rref_batch` of multiplication
 matrices; and Cantor-Zassenhaus splitting runs in rounds over the factors
-that have not split.  `distinct_roots` and `poly_pow_mod` are that kernel
-on one element.  Each matmul of the kernel sums at most max(D, L)
+of degree 3 or more that have not split.  A polynomial or factor of degree
+at most 2 never enters a round: `_small_roots` finishes it in closed form
+on Python ints, a quadratic by Euler's criterion and one Tonelli-Shanks
+square root (`_sqrt_mod`).  `distinct_roots` and `poly_pow_mod` are that
+kernel on one element.  Each matmul of the kernel sums at most max(D, L)
 products of two entries below p, L the length of a base, so it stays
 below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
 ValueError beyond the bound.  The table holds D**3 entries per modulus.
@@ -696,29 +699,72 @@ def poly_pow_mod(base, e: int, mod, p: int) -> np.ndarray:
     return poly_trim(_Moduli([f], p, len(base)).power(base[None], e)[0, 0])
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p, by
+    Tonelli-Shanks (H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1): with p - 1 = 2^e q, q odd, and y = n^q for the
+    least non-residue n, a generator of the 2-Sylow subgroup,
+    x = a^((q+1)/2) is corrected by powers of y until b = x^2 / a, of
+    order 2^m, reaches 1; at most e - 1 steps."""
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    y, r = pow(n, q, p), e
+    x = pow(a, (q + 1) // 2, p)
+    b = pow(a, q, p)
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
+
+
+def _small_roots(h: np.ndarray, p: int) -> list[int]:
+    """The distinct roots of a monic h of degree at most 2, in closed form:
+    none for a constant, -h0 for a linear factor; for x^2 + bx + c one
+    root -b/2 when the discriminant D = b^2 - 4c is 0, none when D is not
+    a square (Euler's criterion), and (-b +- sqrt D)/2 otherwise."""
+    if len(h) < 3:
+        return [int(-h[0] % p)] if len(h) == 2 else []
+    c, b = int(h[0]), int(h[1])
+    disc, half = (b * b - 4 * c) % p, (p + 1) // 2
+    if disc == 0:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod(disc, p)
+    return [(s - b) * half % p, (-s - b) * half % p]
+
+
 def distinct_roots_batch(polys, p: int) -> list[list[int]]:
     """The roots in F_p of each polynomial, each once, sorted.
 
-    For every f of degree 2 or more at once, one square-and-multiply chain
+    A polynomial or factor of degree at most 2 is finished in closed form
+    (`_small_roots`, one Tonelli-Shanks square root for a quadratic).  For
+    every f of degree 3 or more at once, one square-and-multiply chain
     (`_Moduli.power_of_x`) gives t = x^((p-1)/2) mod f, and one more
     product x t^2 = x^p.  One `rref_batch` gives h = gcd(f, x^p - x), the
     product of the distinct linear factors of f.  Then Cantor-Zassenhaus
     splitting in rounds (von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 14): a factor h of degree 2 or more splits into
-    gcd(t - 1, h) and its cofactor when neither is 1, for
+    Algebra, ch. 14), on the factors of degree 3 or more only: such an h
+    splits into gcd(t - 1, h) and its cofactor when neither is 1, for
     t = (x + a)^((p-1)/2) mod h; a root -a lands in the cofactor, as t
     vanishes there.  The first round takes a = 0 and the t above, reduced
     mod h.  Each later round takes one new shift a = 1, 2, ... for every
-    factor left, and runs all factors in one chain and one gcd pass.  A
-    linear factor gives its root; the roots are sorted at the end, so the
-    order of the splits does not matter.
+    factor left, and runs all factors in one chain and one gcd pass.  The
+    roots are sorted at the end, so the order of the splits does not
+    matter.
     """
     monic = [poly_monic(f, p) for f in polys]
     if any(len(f) == 0 for f in monic):
         raise ValueError("distinct_roots needs a nonzero polynomial")
     roots: list[list[int]] = [[] for _ in monic]
-    factors = [(n, f) for n, f in enumerate(monic) if len(f) == 2]
-    wide = [n for n, f in enumerate(monic) if len(f) > 2]
+    factors = [(n, f) for n, f in enumerate(monic) if len(f) <= 3]
+    wide = [n for n, f in enumerate(monic) if len(f) > 3]
     half = None
     if wide:
         mods = _Moduli([monic[n] for n in wide], p)
@@ -726,16 +772,14 @@ def distinct_roots_batch(polys, p: int) -> list[list[int]]:
         xp = mods.product(half, half, mods.times_x)
         xp[:, 0, 1] -= 1            # x^p - x, reduced by the gcd's matmul
         lin, _ = mods.split(xp, cofactor=False)
-        factors += [(n, h) for n, h in zip(wide, lin) if len(h) == 2]
-        pending = [k for k, h in enumerate(lin) if len(h) > 2]
-        factors += [(wide[k], lin[k]) for k in pending]
-        half = half[pending]
+        factors += zip(wide, lin)
+        half = half[[k for k, h in enumerate(lin) if len(h) > 3]]
     shift = 1
     while True:
         for n, h in factors:
-            if len(h) == 2:
-                roots[n].append(int(-h[0] % p))
-        factors = [(n, h) for n, h in factors if len(h) > 2]
+            if len(h) <= 3:
+                roots[n] += _small_roots(h, p)
+        factors = [(n, h) for n, h in factors if len(h) > 3]
         if not factors:
             return [sorted(r) for r in roots]
         if half is not None:        # the first round, with a = 0

@@ -194,9 +194,8 @@ def _fiber_equations(ctx: CurveContext, fibers: list[SplitFiber],
     coordinates c, which those equations subtract (fibers x points)."""
     p = ctx.p
     g = ctx.g
-    cs = np.array([[sub.field_vec(p, g - 2) for _ in range(2 * g - 1)]
-                   for sub in (stream.spawn(f"pts{first + k}")
-                               for k in range(len(fibers)))], dtype=np.int64)
+    cs = np.array([stream.spawn(f"pts{first + k}").field_mat(
+        p, 2 * g - 1, g - 2) for k in range(len(fibers))], dtype=np.int64)
     pts = cs @ np.stack([fiber.vperp for fiber in fibers]) % p
     f_blocks = mono.eval_matrix(pts.reshape(-1, g), g, 4, p) @ s_basis.T % p
     ell = (cs @ np.stack([fiber.ell for fiber in fibers])[:, :, None])[..., 0]

@@ -66,7 +66,15 @@ class Stream:
         return self.integer(1, p)
 
     def field_vec(self, p: int, n: int) -> np.ndarray:
-        return np.array([self.field(p) for _ in range(n)], dtype=np.int64)
+        """n draws of `field(p)`, in one loop over `next_u64` with the
+        rejection test of `integer`."""
+        limit = (1 << 64) - ((1 << 64) % p)
+        out = []
+        while len(out) < n:
+            u = self.next_u64()
+            if u < limit:
+                out.append(u % p)
+        return np.array(out, dtype=np.int64)
 
     def field_mat(self, p: int, rows: int, cols: int) -> np.ndarray:
         return self.field_vec(p, rows * cols).reshape(rows, cols)

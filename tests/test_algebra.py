@@ -443,13 +443,16 @@ class TestDistinctRootsBatch:
 
     def test_split_in_second_round(self, monkeypatch):
         # the first round splits with t = x^((p-1)/2), which takes one
-        # value on roots of one quadratic character; the roots below
-        # share it but part at the shift a = 1 of the second round
+        # value on roots of one quadratic character; the three roots below
+        # share it but part at the shift a = 1 of the second round, which
+        # leaves a linear factor and a quadratic finished in closed form
         p = P
         r1 = 2
         r2 = next(r for r in range(3, p) if chi(r, p) == chi(r1, p)
                   and chi(r + 1, p) != chi(r1 + 1, p))
-        h = poly_mul(arr([p - r1, 1]), arr([p - r2, 1]), p)
+        r3 = next(r for r in range(r2 + 1, p) if chi(r, p) == chi(r1, p))
+        h = poly_mul(poly_mul(arr([p - r1, 1]), arr([p - r2, 1]), p),
+                     arr([p - r3, 1]), p)
         chains = []
         real = alg._Moduli.power
 
@@ -459,8 +462,94 @@ class TestDistinctRootsBatch:
 
         monkeypatch.setattr(alg._Moduli, "power", power)
         assert alg.distinct_roots_batch([h, arr([1, 1])], p) == \
-            [sorted([r1, r2]), [p - 1]]
+            [sorted([r1, r2, r3]), [p - 1]]
         assert chains == [[[1, 1]]]
+
+
+class TestSmallRoots:
+    """The closed form of degree at most 2: `_sqrt_mod` (Tonelli-Shanks)
+    against sympy's sqrt_mod, and `_small_roots` against brute force and
+    the reference chain, at primes whose p - 1 has 2-adic valuation 1 (P),
+    3 (P_MAX), 5 (97), 9 (7681) and 16 (65537)."""
+
+    PRIMES = [P, P_MAX, 97, 7681, 65537]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(a=st.integers(1, 2**31))
+    @example(a=1)
+    @example(a=2)
+    @settings(max_examples=40, deadline=None)
+    def test_sqrt_mod_matches_sympy(self, p, a):
+        a = a * a % p or 1          # a nonzero square
+        x = alg._sqrt_mod(a, p)
+        assert 0 <= x < p and x * x % p == a
+        assert sorted({x, -x % p}) == sorted(sympy.sqrt_mod(a, p,
+                                                            all_roots=True))
+
+    @pytest.mark.parametrize("p", [97, 7681, 65537])
+    def test_small_primes_exhaustively(self, p):
+        # every square of the prime, and every root against brute force
+        for a in range(1, p):
+            if chi(a, p) == 1:
+                assert alg._sqrt_mod(a, p) ** 2 % p == a
+        rng = np.random.default_rng(p)
+        xs = np.arange(p)
+        for _ in range(60):
+            h = np.append(rng.integers(0, p, size=rng.integers(0, 3)), 1)
+            brute = np.nonzero(values(h, xs, p) == 0)[0].tolist()
+            assert sorted(alg._small_roots(h, p)) == brute
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @given(c=st.integers(0, 2**31), b=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_quadratics_match_reference(self, p, c, b):
+        h = arr([c % p, b % p, 1])
+        got = sorted(alg._small_roots(h, p))
+        assert got == reference.distinct_roots(h, p)
+        assert all((x * x + b * x + c) % p == 0 for x in got)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_double_none_and_split(self, p):
+        r, s = 5, p - 3
+        double = poly_mul(arr([p - r, 1]), arr([p - r, 1]), p)
+        split = poly_mul(arr([p - r, 1]), arr([p - s, 1]), p)
+        n = next(n for n in range(2, p) if chi(n, p) == p - 1)
+        none = arr([p - n, 0, 1])   # x^2 - n, n a non-residue
+        stack = [double, none, split, 3 * split % p]
+        assert alg.distinct_roots_batch(stack, p) == \
+            [[r], [], sorted([r, s]), sorted([r, s])]
+
+    @pytest.mark.parametrize("p", [P, P_MAX, 65537])
+    def test_no_round_on_degree_two(self, p, monkeypatch):
+        # quadratic inputs build no modulus at all, and among random inputs
+        # of degree up to 8 no shift chain runs on a factor of degree 2
+        built, chains = [], []
+        real_init, real_power = alg._Moduli.__init__, alg._Moduli.power
+
+        def init(self, moduli, p, base_len=2):
+            built.append(len(moduli))
+            real_init(self, moduli, p, base_len)
+
+        def power(self, base, e):
+            chains.append(self.deg.tolist())
+            return real_power(self, base, e)
+
+        monkeypatch.setattr(alg._Moduli, "__init__", init)
+        monkeypatch.setattr(alg._Moduli, "power", power)
+        rng = np.random.default_rng(p)
+        quads = [rand_poly(rng, p, 2) for _ in range(50)]
+        assert alg.distinct_roots_batch(quads, p) == \
+            [reference.distinct_roots(f, p) for f in quads]
+        assert built == [] and chains == []
+        polys = []
+        for _ in range(40):
+            f = rand_poly(rng, p, int(rng.integers(0, 3)))
+            for r in rng.integers(0, p, size=rng.integers(1, 7)):
+                f = poly_mul(f, arr([-int(r) % p, 1]), p)
+            polys.append(f)
+        assert alg.distinct_roots_batch(polys, p) == \
+            [reference.distinct_roots(f, p) for f in polys]
+        assert chains and min(min(degs) for degs in chains) >= 3
 
 
 class TestPowModBudget:

@@ -1,10 +1,11 @@
 """Stream keys: `derive_key` is blake2b of "seed|tag", whichever module
-provides blake2b."""
+provides blake2b.  Draws: `field_vec` is n draws of `field`."""
 
 import hashlib
 import importlib.util
 import sys
 
+import numpy as np
 import pytest
 
 from curvecones import rng
@@ -40,3 +41,27 @@ def test_fallback_without_blake2_module(monkeypatch):
     assert fallback.blake2b is hashlib.blake2b
     for seed, tag in PAIRS:
         assert fallback.derive_key(seed, tag) == hashlib_key(seed, tag)
+
+
+def test_field_vec_rejection_branch(monkeypatch):
+    # at p = 3 * 2**61, 2**64 mod p = 2**62, so a quarter of the draws fall
+    # above the last whole multiple of p and are rejected; every value
+    # still fits in int64
+    p = 3 * 2**61
+    n = 200
+    calls = {}
+    real = Stream.next_u64
+
+    def next_u64(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real(self)
+
+    monkeypatch.setattr(Stream, "next_u64", next_u64)
+    vec, twin = Stream(5, "vec"), Stream(5, "vec")
+    got = vec.field_vec(p, n)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == [twin.field(p) for _ in range(n)]
+    assert vec._state == twin._state
+    assert calls[id(vec)] == calls[id(twin)] > n
+    assert ((0 <= got) & (got < p)).all()
+    assert vec.field_vec(p, 0).shape == (0,)
