@@ -185,7 +185,7 @@ def round_cones(request):
     """Two cones per context, for the certificate rounds."""
     return {name: sl.collect_cones(request.getfixturevalue(name), 2, 31,
                                    oracle_points=0)
-            for name in ("ctx4", "ctx5", "ctx4_max")}
+            for name in ("ctx4", "ctx5", "ctx4_max", "ctx5_max")}
 
 
 ROUND_CFG = acc.SuiteConfig(polar_oracle_points=8, secant_random=10,
@@ -197,7 +197,7 @@ class TestPolarRounds:
     details, exceptions and draws of the loop that checks one polar at a
     time (tests/reference.py)."""
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_matches_one_polar_at_a_time(self, name, request, round_cones,
                                          monkeypatch):
         ctx = request.getfixturevalue(name)
@@ -334,7 +334,7 @@ class TestSecantRounds:
     (tests/reference.py), whose double-secant search reconstructs every
     family root in turn, with no second-point test."""
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_matches_one_secant_at_a_time(self, name, request, round_cones,
                                           monkeypatch):
         ctx = request.getfixturevalue(name)

@@ -54,7 +54,7 @@ class TestOneElimination:
     the structure constants (the coordinates of its image) against
     independent computations."""
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_ideal_is_the_special_kernel(self, name, request):
         # a kernel vector is fixed by its entries in the free columns of
         # sympy's echelon form, so these three checks pin the basis
@@ -71,7 +71,7 @@ class TestOneElimination:
             assert piece.basis[:, free].tolist() == \
                 np.eye(len(free), dtype=np.int64).tolist()
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_structure_constants_are_panel_product_coordinates(self, name,
                                                                request):
         ctx = request.getfixturevalue(name)

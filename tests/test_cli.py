@@ -634,14 +634,11 @@ GENUS5_FULL_REPORT = \
     "8cb0a0afa5872446e0bbe75960c6691cea85808e22da2958d43a8065b26a2dcf"
 
 
-def test_genus5_full_report_is_pinned(ctx5, tmp_path):
-    # the curve file gen-curve writes holds exactly the context's points
-    curve_file = tmp_path / "c5.json"
-    cv.save_curve(str(curve_file), ctx5.curve, list(ctx5.points))
-    out = tmp_path / "full5.json"
-    assert main(["verify", "--curve", str(curve_file), "--full",
-                 "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENUS5_FULL_REPORT
+def test_genus5_full_report_is_pinned(work_log):
+    # the report of the counted genus-5 run of `gen-curve` and `verify
+    # --full` (conftest.py)
+    assert hashlib.sha256(work_log.report(5).read_bytes()).hexdigest() \
+        == GENUS5_FULL_REPORT
 
 
 # sha256 of the report `verify --quick` writes for the genus-4 curve of seed

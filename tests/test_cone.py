@@ -99,7 +99,7 @@ def fiber_values(results):
 class TestSplitFibers:
     """The batched fibers against the scalar chain, pencil by pencil."""
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_mixed_stacks(self, name, request):
         ctx = request.getfixturevalue(name)
         p, g = ctx.p, ctx.g
@@ -139,7 +139,7 @@ class TestSplitFibers:
                 "fiber"} <= kinds
         assert cn.split_fibers(ctx, net, np.zeros((0, 2, g))) == []
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_one_net_per_pencil(self, name, request):
         """A stack that mixes the pencils of two nets against one call per
         net."""
@@ -183,7 +183,7 @@ class TestReconstructRounds:
     """`reconstruct_quartics` and `verify_cones` give each net the cone,
     certificate or exception of the one-net chain, and make its draws."""
 
-    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max"])
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_mixed_stack(self, name, request, monkeypatch):
         ctx = request.getfixturevalue(name)
         nets = [nt.random_net(ctx, Stream(121, f"{name}{k}"))

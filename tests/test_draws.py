@@ -226,31 +226,6 @@ def test_line_inside_and_root_at_infinity(ctx4, deg):
     assert used == 10
 
 
-def test_verify_harvest_rounds_are_pinned(ctx4, monkeypatch):
-    """Criteria 5 and 7 at genus-4 seed 1, default config, harvest their
-    zeros in 4 and 6 `line_zeros` calls over 276 and 280 lines, where one
-    line a round makes 32 and 35 calls over 263 and 270 lines.  A round
-    asks for as many lines as zeros are missing, so it reads lines ahead:
-    the 13 and 10 lines more were drawn, and no take reached their
-    points."""
-    cfg = acc.SuiteConfig()
-    cones = acc.SuiteInputs(ctx4, cfg).cones
-    lines = []
-    real = cv.line_zeros
-
-    def counted(coeffs, deg, g, a, b, p):
-        lines.append(len(a))
-        return real(coeffs, deg, g, a, b, p)
-
-    monkeypatch.setattr(cv, "line_zeros", counted)
-    assert acc.criterion_reconstruction(ctx4, cfg, cones).ok
-    reconstruction = list(lines)
-    lines.clear()
-    assert acc.criterion_polars(ctx4, cfg, cones).ok
-    assert (len(reconstruction), sum(reconstruction)) == (4, 276)
-    assert (len(lines), sum(lines)) == (6, 280)
-
-
 @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
 def test_harvests_read_ahead_only_on_their_own_streams(name, request,
                                                        monkeypatch):
