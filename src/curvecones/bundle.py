@@ -117,8 +117,7 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     # point), how many panel points share each image, the image's gradient
     # there and gamma there
     proj = nt.project(net_obj, ctx.panel, p)
-    _, image, sharing = np.unique(alg.normalize_rows(proj, p), axis=0,
-                                  return_inverse=True, return_counts=True)
+    _, image, sharing = nt.plane_points(proj, p)
     grad = mono.form_eval(mono.gradient(gamma.coeffs, 3, gamma.degree, p).T,
                           proj, 3, gamma.degree - 1, p)
     on_values = mono.form_eval(gamma.coeffs, proj, 3, gamma.degree, p)

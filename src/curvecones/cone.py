@@ -626,7 +626,7 @@ def bitangent_pair(ctx: CurveContext, stream: Stream
     and finding the roots of the discriminant of the residual section
     polynomial (`sweep_discriminant`)."""
     p = ctx.p
-    chart = cv.ruling_chart(ctx.curve)
+    chart = ctx.curve.ruling_chart
     n = ctx.panel.shape[0]
 
     def draw(_):

@@ -40,7 +40,7 @@ import itertools
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -176,6 +176,12 @@ class CurveModel:
 
     def generator_arrays(self) -> list[tuple[int, np.ndarray]]:
         return [(d, np.array(c, dtype=np.int64)) for d, c in self.generators]
+
+    @cached_property
+    def ruling_chart(self) -> RulingChart:
+        """The genus-4 ruling chart, built on first use and kept on this
+        curve (a frozen dataclass still has an instance `__dict__`)."""
+        return RulingChart(self)
 
 
 @dataclass(frozen=True)
@@ -465,11 +471,6 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
     return [found[k] for k in sorted(found)]
 
 
-@lru_cache(maxsize=8)
-def ruling_chart(curve: CurveModel) -> RulingChart:
-    return RulingChart(curve)
-
-
 # ---------------------------------------------------------------------------
 # genus models, generation and sampling
 
@@ -507,7 +508,7 @@ def _split_smooth_quadric(forms: list[np.ndarray], p: int) -> bool:
 
 def _ruling_points(curve: CurveModel, stream: Stream, n: int) -> list:
     """The points of n ruling lines, all found at once."""
-    return ruling_chart(curve).points_on_line(
+    return curve.ruling_chart.points_on_line(
         [stream.field(curve.prime) for _ in range(n)])
 
 

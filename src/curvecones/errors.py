@@ -30,13 +30,12 @@ yet.  It still hands out that loop's points in that loop's order, and
 it reads ahead only on a stream that it owns: no other code draws from
 a harvest's stream.
 
-Two retry loops stay outside `Draws`.  `net.random_nets` redraws the
-missing nets of a stack in rounds of one `build_nets` each.
-`spanlab.collect_cones` walks its rounds itself: its budget counts
-failures only, over all its cones, and the stream key of each draw names
-the failures so far, so a round stops at its first failure.  A genus-5
-slice is no retry loop: `curve.hyperplane_section` tries one chart, and
-a chart that does not eliminate cleanly gives the slice no points.
+One retry loop stays outside `Draws`: `spanlab.collect_cones` walks its
+rounds itself, as its budget counts failures only, over all its cones,
+and the stream key of each draw names the failures so far, so a round
+stops at its first failure.  A genus-5 slice is no retry loop:
+`curve.hyperplane_section` tries one chart, and a chart that does not
+eliminate cleanly gives the slice no points.
 
 A stacked kernel tests all elements of a batch at once and gives each
 failing element the exception of the first test it fails: `outcomes`

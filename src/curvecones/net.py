@@ -10,16 +10,19 @@ ideal piece to the vertex: the source and target have the same dimension
 The plane image of a net is a curve of degree d = 2g-2, fitted through the
 projected panel.  Bezout fixes it from d**2 + 1 of its points, so
 `gamma_equations` takes the kernel of the first max(count(3, d) + 10,
-d**2 + 1) rows of the evaluation matrix (38 at genus 4, 65 at genus 5, of
-140 panel points), checks the kernel vector against every row, and falls
-back to the kernel of all rows when the subset kernel is not
-one-dimensional or the check fails; the fit is that of all rows.  A check
-sums count(3, d) <= 45 products below p**2 at g <= 5, below 2**56 at
-p < 2**25.
+d**2 + 1) rows of the evaluation matrix (38 at genus 4 of 140 panel
+points, 65 at genus 5 of 280), checks the kernel vector against every
+row, and falls back to the kernel of all rows when the subset kernel is
+not one-dimensional or the check fails; the fit is that of all rows.  A
+check sums count(3, d) <= 45 products below p**2 at g <= 5, below 2**56
+at p < 2**25.
 
 The membership oracle cuts the pencil of the net vanishing at a probe;
 whether that pencil is admissible is `pencil.admissibility`, whose
 failures the oracle's own failure table splices in.
+
+The fits and the oracle run in array passes that one cell budget,
+`PASS_CELLS`, sizes: a pass holds as many nets or probes as fit in it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from . import monomials as mono
 from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, CurveConesError,
-                     DegenerateInput, InconsistentSystem, InVertex,
-                     OnGammaFiber, RankDeficientW, exhausted, outcomes,
+                     DegenerateInput, Draws, InconsistentSystem, InVertex,
+                     OnGammaFiber, RankDeficientW, lockstep, outcomes,
                      value_of)
 from .rng import Stream
 
@@ -73,6 +76,28 @@ def res_matrix(ctx: CurveContext, wperp: np.ndarray) -> np.ndarray:
     restricted = mono.restrict(ctx.ideal(2).basis.T, 2, ctx.g,
                                np.swapaxes(wperp, -1, -2), ctx.p)
     return np.swapaxes(restricted, -1, -2)
+
+
+# int64 cells that the main stack of one array pass may hold.  A pass of
+# `oracle_batch` counts the admissibility product space, 2 d2 d3 cells a
+# probe (270 at genus 4, 480 at genus 5), and a pass of `gamma_equations`
+# the evaluation matrix, len(panel) count(3, 2g - 2) cells a net (3920 and
+# 12600): passes of 116 and 65 probes, of 8 and 2 nets.  The stacks of a
+# pass add to the process's peak RSS.  Under perfbench's launcher, a
+# genus-4 seed 1 `verify --full` peaked at 32.8-32.9 MB with 8640 cells (32
+# probes a pass), 33.1-33.3 MB with this budget, 33.6 MB with 47040 and
+# 34.2-34.3 MB with 62720, against 33.8-34.0 MB for the benchmark's
+# `peak_rss_mb` on both workloads, which first rose with 94080 cells, to
+# 34.1-34.5 MB: this budget keeps the command 0.5 MB below that peak (3
+# alternating runs each, 2-core host)
+PASS_CELLS = 31360
+
+
+def _passes(n: int, cells: int) -> list[slice]:
+    """The passes over n elements of `cells` cells each: as many elements
+    as PASS_CELLS cells hold, and at least one."""
+    step = max(1, PASS_CELLS // cells)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def build_nets(ctx: CurveContext, ws) -> list[Net | RankDeficientW]:
@@ -129,31 +154,31 @@ def net_from_vertex(ctx: CurveContext, vertex_rows: np.ndarray) -> Net:
 
 def random_nets(ctx: CurveContext, streams: list[Stream]
                 ) -> list[Net | DegenerateInput]:
-    """`random_net` of each stream, or the exhaustion it raises, drawn in
-    rounds: each net still missing draws its next basis from its own
-    stream, and one `build_nets` and one `usable` serve a round."""
-    out: list = [None] * len(streams)
-    for _ in range(200):
-        missing = [i for i, net in enumerate(out) if net is None]
-        if not missing:
-            return out
-        nets = build_nets(ctx, [streams[i].field_mat(ctx.p, 3, ctx.g)
-                                for i in missing])
-        for i, net, ok in zip(missing, nets, usable(ctx, nets)):
-            if ok:
-                out[i] = net
-    return [net or exhausted("generic net", 200) for net in out]
+    """`random_net` of each stream, or the exhaustion it raises.  Each
+    stream's draws are one `Draws.chain` and the chains run in
+    `lockstep`: a round draws the next basis of each net still missing,
+    and one `build_nets` and one `usable` serve it."""
+    def serve(ws):
+        return usable(ctx, build_nets(ctx, ws))
+
+    draws = [Draws("generic net", 200,
+                   lambda _, s=s: s.field_mat(ctx.p, 3, ctx.g))
+             for s in streams]
+    found = lockstep([d.chain(1, lambda ws: (serve, list(zip(ws))))
+                      for d in draws])
+    return [got[0][1] if got else d.exhausted()
+            for d, got in zip(draws, found)]
 
 
-def usable(ctx: CurveContext, nets: list) -> list[bool]:
-    """Whether each net (or the exception in its place) is off B and D and
-    `gamma_equations` fits its plane image, from one `gamma_equations` of
-    the nets off B and D."""
-    out = [False] * len(nets)
+def usable(ctx: CurveContext, nets: list) -> list[Net | None]:
+    """Each net of the list that is off B and D and whose plane image
+    `gamma_equations` fits, and None in place of any other net or
+    exception, from one `gamma_equations` of the nets off B and D."""
+    out: list = [None] * len(nets)
     live = [k for k, net in enumerate(nets)
             if isinstance(net, Net) and not net.in_b and not net.in_d]
     for k, fit in zip(live, gamma_equations(ctx, [nets[k] for k in live])):
-        out[k] = isinstance(fit, PlaneCurve)
+        out[k] = nets[k] if isinstance(fit, PlaneCurve) else None
     return out
 
 
@@ -180,20 +205,26 @@ def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
     return np.atleast_2d(pts) @ net.w.T % p
 
 
+def plane_points(u: np.ndarray, p: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct normalized points of an N x 3 stack of plane vectors in
+    lexicographic order, the index of each row's point among them and the
+    rows at each point, as `np.unique(normalize_rows(u), axis=0,
+    return_inverse=True, return_counts=True)` gives them.
+
+    A normalized point (x, y, z) is keyed by (x p + y) p + z: its first
+    nonzero coordinate is 1, so keys stay below 2 p**2 < 2**51 at
+    p < 2**25, and sorted keys are sorted points.  Asking for the inverse
+    keeps np.unique off its hash path, whose check for masked input
+    imports numpy.ma (about 30 ms and 0.6 MB per process)."""
+    keys, inv, counts = np.unique(alg.normalize_rows(u, p) @ [p * p, p, 1],
+                                  return_inverse=True, return_counts=True)
+    return keys[:, None] // [p * p, p, 1] % p, inv, counts
+
+
 def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
     """`gamma_equations` on one net, raising its exception."""
     return value_of(gamma_equations(ctx, [net])[0])
-
-
-# nets per array pass of gamma_equations: a pass holds the evaluation
-# matrix of each of its nets at every projected panel point (140 x 28 int64
-# at genus 4, 140 x 45 at genus 5).  Under tracemalloc a pass of 8 peaks
-# at 0.8 MB at genus 4 and 2.3 MB at genus 5, against 0.12 and 0.31 MB for
-# one net; 25 genus-4 fits take 27 ms in passes of 8 and 37 ms one net at
-# a time (48 ms from all rows).  With all the nets of a call in one pass, a
-# genus-4 seed 1 `spans` peaked at 33.9-34.0 MB RSS against 32.4-32.5 MB
-# (5 alternating runs each, 2-core host)
-GAMMA_PASS = 8
 
 
 def gamma_equations(ctx: CurveContext, nets: list[Net]
@@ -201,16 +232,16 @@ def gamma_equations(ctx: CurveContext, nets: list[Net]
     """The plane image equation of each net, kept in `net.gamma`, or an
     `AmbiguousFit` for a net with a base point, with fewer than
     count(3, d) + 10 distinct projected points, or whose fit kernel is not
-    one-dimensional.  Nets without a fit go in passes of up to GAMMA_PASS,
-    each one `kernel_batch` of the Bezout-sized subsets and one product
-    checking every row (module docstring)."""
+    one-dimensional.  Nets without a fit go in passes of PASS_CELLS cells
+    of evaluation matrix, each one `kernel_batch` of the Bezout-sized
+    subsets and one product checking every row (module docstring)."""
     out: list = [net.gamma if net.gamma is not None
                  else AmbiguousFit("projection is not a morphism: net has "
                                    "a base point") if net.in_b
                  else None for net in nets]
     todo = [k for k, fit in enumerate(out) if fit is None]
-    for lo in range(0, len(todo), GAMMA_PASS):
-        part = todo[lo:lo + GAMMA_PASS]
+    cells = len(ctx.panel) * mono.count(3, 2 * ctx.g - 2)
+    for part in (todo[s] for s in _passes(len(todo), cells)):
         for k, fit in zip(part, _gamma_pass(ctx, [nets[k] for k in part])):
             out[k] = fit
             if isinstance(fit, PlaneCurve):
@@ -225,13 +256,8 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
     degree = 2 * ctx.g - 2
     needed = mono.count(3, degree) + 10
     rows = max(needed, degree ** 2 + 1)
-    w = np.stack([net.w for net in nets])
-    projected = alg.normalize_rows(
-        (ctx.panel @ w.transpose(0, 2, 1) % p).reshape(-1, 3), p)
-    # asking for counts keeps np.unique off its hash path, whose check for
-    # masked input imports numpy.ma (about 30 ms and 0.6 MB per process)
-    pts = [np.unique(proj[proj.any(axis=1)], axis=0, return_counts=True)[0]
-           for proj in projected.reshape(len(nets), -1, 3)]
+    pts = [plane_points(u[u.any(axis=1)], p)[0]
+           for u in (project(net, ctx.panel, p) for net in nets)]
     sizes = np.array([len(x) for x in pts])
     starts = np.cumsum(sizes) - sizes
     e = mono.eval_matrix(np.concatenate(pts), 3, degree, p)
@@ -297,14 +323,6 @@ def _on_gamma(ctx: CurveContext, nets: list[Net], u: np.ndarray
     return hits, unfit
 
 
-# probes per array pass of oracle_batch: the stacks of a pass take about
-# 8 kB per probe at genus 4, and their peak adds to the process's RSS.
-# With all the probes of a call in one pass, a genus-4 seed 1
-# `verify --full` peaked at 34.2 MB RSS against 32.6-32.7 MB (5
-# alternating runs each, 2-core host)
-WITNESS_PASS = 32
-
-
 def oracle_batch(ctx: CurveContext, nets: list[Net], probes,
                  check_gamma: bool = True
                  ) -> list[OracleWitness | CurveConesError]:
@@ -316,14 +334,14 @@ def oracle_batch(ctx: CurveContext, nets: list[Net], probes,
     that fails gets, in place of its witness, the exception that
     `oracle_witness` raises for it: the first of `_WITNESS_FAILURES` that
     applies (the plane-image test only when check_gamma), the pencil's
-    from `pencil.admissibility`.  Every step runs on a stack of up to
-    WITNESS_PASS probes, failed ones included, through the `pencil`
-    contractions and `algebra.rref_batch`.
+    from `pencil.admissibility`.  Every step runs on a stack of probes,
+    failed ones included, through the `pencil` contractions and
+    `algebra.rref_batch`, in passes of PASS_CELLS cells of the
+    admissibility product space, 2 d2 d3 a probe.
     """
     b = np.asarray(probes, dtype=np.int64).reshape(-1, ctx.g) % ctx.p
-    return [wit for lo in range(0, b.shape[0], WITNESS_PASS)
-            for wit in _witness_pass(ctx, nets[lo:lo + WITNESS_PASS],
-                                     b[lo:lo + WITNESS_PASS], check_gamma)]
+    return [wit for s in _passes(len(b), 2 * ctx.times_linear[0].size)
+            for wit in _witness_pass(ctx, nets[s], b[s], check_gamma)]
 
 
 def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,

@@ -115,8 +115,6 @@ def work_log(tmp_path_factory):
         return run
 
     criteria = [n for n in vars(acc) if n.startswith("criterion_")]
-    # as in a new process, genus-4 gen-curve builds the ruling chart
-    cv.ruling_chart.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         for number, name in enumerate(criteria, 1):
             mp.setattr(acc, name, staged(number, getattr(acc, name)))

@@ -443,7 +443,7 @@ def sample_points_one_line_at_a_time(curve, count):
     sorted, truncated points and the number of lines drawn."""
     p = curve.prime
     stream = Stream(curve.seed, f"sample-points-g{curve.genus}")
-    chart = cv.ruling_chart(curve)
+    chart = curve.ruling_chart
     found = {}
     lines = 0
     budget = cv.POINT_BUDGET_FACTOR * count + 400

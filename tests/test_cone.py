@@ -598,7 +598,7 @@ class TestBitangentSweep:
         """The four-sample fit of `sweep_discriminant` against the sweep
         that took one scalar resultant at each of 80 nodes, on tangent
         lines of several panel points."""
-        chart = cv.ruling_chart(ctx4.curve)
+        chart = ctx4.curve.ruling_chart
         checked = 0
         for k in range(0, 60, 6):
             pt = ctx4.panel[k]

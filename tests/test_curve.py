@@ -140,7 +140,7 @@ class TestQuadricGram:
         # 4 (p-1)^3 > 2**63: an unreduced int64 product x @ G @ y
         # overflows here, so the chart must not form one
         curve = cv.generate_curve(4, P_MAX, 1)
-        chart = cv.ruling_chart(curve)
+        chart = curve.ruling_chart
         quadric = curve.generator_arrays()[0][1]
         assert mono.form_eval_one(quadric, chart.q0, 4, 2, P_MAX) == 0
         for a, b in chart.line_at([0, 12345, None]):
@@ -157,7 +157,7 @@ class TestQuadricGram:
         tau d1 - sig w, and at 200 random parameters."""
         ctx = request.getfixturevalue(name)
         p = ctx.p
-        chart = cv.ruling_chart(ctx.curve)
+        chart = ctx.curve.ruling_chart
         rho0, rho1 = (int(c) for c in chart.rho)
         root = -rho0 * pow(rho1, -1, p) % p if rho1 else None
         assert not int(chart.rho @ (0, 1) if root is None
@@ -313,7 +313,7 @@ class TestEliminantsAgainstSympy:
     resultants computed by sympy over ZZ, reduced mod p."""
 
     def test_section_poly_is_the_resultant(self, ctx4):
-        chart = cv.ruling_chart(ctx4.curve)
+        chart = ctx4.curve.ruling_chart
         u, t = sympy.symbols("u t")
         line = [sum(int(c) * u ** i for i, c in enumerate(a))
                 + t * sum(int(c) * u ** i for i, c in enumerate(b))
@@ -458,7 +458,7 @@ class TestLineZeros:
     def test_chart_tangent_point(self, ctx4):
         # d1 spans, with q0, a ruling line: on the quadric and in its
         # tangent plane at q0
-        chart = cv.ruling_chart(ctx4.curve)
+        chart = ctx4.curve.ruling_chart
         quadric = ctx4.curve.generator_arrays()[0][1]
         gram = cv.quadric_gram(quadric, 4, P)
         assert mono.form_eval_one(quadric, chart.d1, 4, 2, P) == 0

@@ -61,7 +61,7 @@ class TestBuildNet:
                 == 0
             assert net.in_d == on_quadric
         # engineered membership: vertex taken on the quadric itself
-        chart = cv.ruling_chart(ctx4.curve)
+        chart = ctx4.curve.ruling_chart
         (a, b), = chart.line_at([stream.field(P)])
         vertex = (a + 3 * b) % P
         net = nt.net_from_vertex(ctx4, vertex)
@@ -172,6 +172,35 @@ def planted(ctx, panel):
     """The fields of ctx that `gamma_equations` reads, with another
     panel."""
     return SimpleNamespace(p=ctx.p, g=ctx.g, panel=np.asarray(panel))
+
+
+class TestRandomNets:
+    """`random_nets` against `reference.random_net`, one draw at a time."""
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_same_nets_and_draws(self, genus, request, monkeypatch):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        tags = [f"random{genus}-{k}" for k in range(4)]
+        got, got_draws = stream_draws(monkeypatch, lambda: nt.random_nets(
+            ctx, [Stream(29, tag) for tag in tags]))
+        want, want_draws = stream_draws(monkeypatch, lambda: [
+            reference.random_net(ctx, Stream(29, tag)) for tag in tags])
+        assert net_values(got) == net_values(want)
+        assert [net.gamma.coeffs.tolist() for net in got] \
+            == [net.gamma.coeffs.tolist() for net in want]
+        # a first `restrict` of a shape may draw its nodes from a stream
+        # of its own, so only the net streams are compared
+        assert [got_draws[tag] for tag in tags] \
+            == [want_draws[tag] for tag in tags]
+
+    def test_one_round_a_draw_and_the_exhaustion(self, ctx4, monkeypatch):
+        rounds = count_calls(monkeypatch, nt, "build_nets")
+        monkeypatch.setattr(nt, "usable", lambda ctx, nets: [None] * len(nets))
+        out = nt.random_nets(ctx4, [Stream(30, "a"), Stream(30, "b")])
+        assert [(type(e), str(e)) for e in out] == [
+            (errors.DegenerateInput,
+             "generic net: no usable draw in 200 attempts")] * 2
+        assert [len(ws) for _, ws in rounds] == [2] * 200
 
 
 class TestPlaneImageFit:
@@ -410,6 +439,94 @@ class TestOracleBatch:
             with pytest.raises(cls):
                 nt.oracle_witness(ctx4, net, b)
         assert nt.oracle_batch(ctx4, [], []) == []
+
+
+def witness_values(wits):
+    """Oracle witnesses as lists, or the class and message of their
+    exception."""
+    return [(type(w), str(w)) if isinstance(w, CurveConesError)
+            else (w.b.tolist(), w.v_b.tolist(), w.y.tolist(), w.gram.tolist())
+            for w in wits]
+
+
+def count_calls(monkeypatch, owner, name):
+    """The calls made to owner.name, appended to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPassCells:
+    """A pass size never changes a result: `PASS_CELLS` at 1 makes passes
+    of one probe or net, at 10**9 one pass."""
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_oracle_batch(self, genus, request, monkeypatch):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        p = ctx.p
+        nets = [nt.random_net(ctx, Stream(24, f"cells{genus}")),
+                cn.degenerate_net(ctx, Stream(25, f"cells{genus}"))]
+        stream = Stream(26, f"cells{genus}")
+        probes = [np.zeros(ctx.g, dtype=np.int64), nets[1].wperp[0],
+                  ctx.panel[3]] + [stream.field_vec(p, ctx.g)
+                                   for _ in range(97)]
+        owners = [nets[k % 2] for k in range(100)]
+        passes = count_calls(monkeypatch, nt, "_witness_pass")
+        results = []
+        for cells, want in ((1, 100), (10 ** 9, 1)):
+            monkeypatch.setattr(nt, "PASS_CELLS", cells)
+            passes.clear()
+            results.append(witness_values(nt.oracle_batch(ctx, owners,
+                                                          probes)))
+            assert len(passes) == want
+        assert results[0] == results[1]
+        assert results[0][:3] == [
+            (InVertex, "zero probe vector"),
+            (InVertex, "probe lies on the vertex"),
+            (OnGammaFiber, "probe projects onto the plane image")]
+        assert sum(isinstance(r[0], list) for r in results[0]) > 40
+
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_gamma_equations(self, genus, request, monkeypatch):
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        stream = Stream(27, f"cells{genus}")
+        ws = [stream.field_mat(ctx.p, 3, ctx.g) for _ in range(10)]
+        passes = count_calls(monkeypatch, nt, "_gamma_pass")
+        fits = []
+        for cells, want in ((1, 10), (10 ** 9, 1)):
+            monkeypatch.setattr(nt, "PASS_CELLS", cells)
+            passes.clear()
+            # fresh nets, as a net keeps its fit
+            fits.append([fit_value(fit) for fit in nt.gamma_equations(
+                ctx, nt.build_nets(ctx, ws))])
+            assert len(passes) == want
+        assert fits[0] == fits[1]
+        assert all(fit[0] == 2 * ctx.g - 2 for fit in fits[0])
+
+
+def test_plane_points_match_unique_rows():
+    """`plane_points` keys each normalized point by one integer; it gives
+    what `np.unique` of the normalized rows gives, at the largest prime and
+    the largest key, 2 p**2 - 1."""
+    p = 33554393
+    stream = Stream(28, "keys")
+    pts = stream.field_mat(p, 40, 3)
+    pts[::5, 0] = 0
+    pts[:4] = [[0, 0, 1], [0, 1, p - 1], [1, p - 1, p - 1], [1, 0, 0]]
+    u = np.concatenate([pts, 7 * pts[::3] % p, (p - 1) * pts[::4] % p,
+                        pts[1::2]])
+    got = nt.plane_points(u, p)
+    want = np.unique(alg.normalize_rows(u, p), axis=0, return_inverse=True,
+                     return_counts=True)
+    assert len(want[0]) == 40 and want[2].max() == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 class TestAgreementRounds:
