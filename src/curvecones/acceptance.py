@@ -9,7 +9,9 @@ A criterion takes exactly the inputs it reads.  The expensive ones that
 several criteria share (the reconstructed cones, the span cones and the
 quartic span) are the cached properties of a `SuiteInputs`, each built on
 first use from the curve context and the config alone, so no result
-depends on which criterion ran first.
+depends on which criterion ran first.  Each certificate is decided once,
+where it is made: a cone's by its reconstruction, which criterion 5
+reads, and a polar's by `cone.certify_polars`, which criterion 7 reads.
 
 What a criterion expects is derived from the genus (`canring.ideal_dim`,
 `node_count`, every point of the context vanished by a cone) or read from
@@ -112,9 +114,10 @@ class CriterionResult:
 class SuiteInputs:
     """Artifacts shared by criteria 3-12, each built on first use.
 
-    `cones` holds the `reconstructions` cones of criteria 3-10; the span
-    criteria 11 and 12 share `span_cones` (`cones` topped up to
-    `span_samples`) and their quartic span `f4`.
+    `cones` holds the `reconstructions` cones of criteria 3-10, each
+    certified with `oracle_points` oracle probes where it is
+    reconstructed; the span criteria 11 and 12 share `span_cones` (`cones`
+    topped up to `span_samples`) and their quartic span `f4`.
     """
     ctx: canring.CurveContext
     cfg: SuiteConfig
@@ -122,7 +125,8 @@ class SuiteInputs:
     @cached_property
     def cones(self) -> list[cn.QuarticCone]:
         return sl.collect_cones(self.ctx, self.cfg.reconstructions,
-                                self.cfg.seed, oracle_points=0)
+                                self.cfg.seed,
+                                oracle_points=self.cfg.oracle_points)
 
     @cached_property
     def span_cones(self) -> list[cn.QuarticCone]:
@@ -225,13 +229,11 @@ def criterion_corank_law(ctx, cfg: SuiteConfig) -> CriterionResult:
 
 def criterion_reconstruction(ctx, cfg: SuiteConfig,
                              cones: list[cn.QuarticCone]) -> CriterionResult:
-    """`verify_cones` raises `VerificationFailed` on a cone whose
-    certificate does not hold, so the criterion itself only counts."""
-    stream = Stream(derive_key(ctx.curve.seed, f"recon-cert|{cfg.seed}"), "v")
-    certs = cn.verify_cones(ctx, cones, [stream.spawn(f"c{k}")
-                                         for k in range(len(cones))],
-                            oracle_points=cfg.oracle_points)
-    disagreements = sum(value_of(c)["oracle_disagreements"] for c in certs)
+    """Each cone was certified where it was reconstructed
+    (`SuiteInputs.cones`), which raises `VerificationFailed` on a cone
+    whose certificate does not hold, so the criterion only counts the
+    cones and sums their oracle disagreements."""
+    disagreements = sum(c.certificate["oracle_disagreements"] for c in cones)
     return CriterionResult(5, "reconstruction certificate",
                            len(cones) >= cfg.reconstructions,
                            {"reconstructions": len(cones),
@@ -265,8 +267,11 @@ def criterion_double_quadric(ctx, cfg: SuiteConfig) -> CriterionResult:
 
 def criterion_polars(ctx, cfg: SuiteConfig,
                      cones: list[cn.QuarticCone]) -> CriterionResult:
-    """All polars of all cones certified in one `certify_polars`; failures
-    are raised in cone order, a cone's polar space before its polars."""
+    """All polars of all cones certified in one `certify_polars`, whose
+    membership and vertex checks decide that each polar lies in the
+    cone's L_W space (`lw_space`); failures are raised in cone order.
+    `dim_lw` is that of the first cone whose L_W space does not have
+    dimension g - 3, else g - 3."""
     stream = Stream(derive_key(ctx.curve.seed, f"polar|{cfg.seed}"), "b")
     polars = [cn.polar_cubics(ctx, c, c.net.wperp) for c in cones]
     # polar j of cone k draws its probes from its own stream
@@ -276,10 +281,13 @@ def criterion_polars(ctx, cfg: SuiteConfig,
         for j, (x, coeffs) in enumerate(zip(c.net.wperp, polars[k]))],
         cfg.polar_oracle_points))
     ok = True
+    dim_lw = ctx.g - 3
     checked = 0
     disagreements = 0
     for cone_obj, cubics in zip(cones, polars):
         basis, polar_rank = cn.lw_space(ctx, cone_obj, cubics)
+        if dim_lw == ctx.g - 3:
+            dim_lw = basis.shape[0]
         ok = ok and basis.shape[0] == ctx.g - 3 and polar_rank == ctx.g - 3
         for cert in (value_of(next(certs)) for _ in cubics):
             ok = ok and cert["in_cubic_ideal"] and cert["vertex_singular"] \
@@ -288,7 +296,7 @@ def criterion_polars(ctx, cfg: SuiteConfig,
             checked += cert["oracle_points"]
             disagreements += cert["oracle_disagreements"]
     return CriterionResult(7, "polar cubics", ok,
-                           {"dim_lw": ctx.g - 3,
+                           {"dim_lw": dim_lw,
                             "oracle_points": checked,
                             "oracle_disagreements": disagreements})
 

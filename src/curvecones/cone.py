@@ -393,7 +393,12 @@ def _checks(ctx: CurveContext, deg: int, nets: tuple, forms: tuple) -> list:
 
 def _verify(ctx: CurveContext, cone: QuarticCone, stream: Stream,
             oracle_points: int):
-    """Chain (see `errors.lockstep`) of `verify_cone`."""
+    """Chain (see `errors.lockstep`) of `verify_cone`: the checks of
+    containment and vertex singularity on the round's stack of forms, the
+    oracle probes and their zero harvest (`curve.ZeroHarvest`: as many
+    lines a round as the cone still misses zeros, read ahead on the cone's
+    own `zeros` stream, so the zeros are those of the one-line loop), and
+    the holdout pencil."""
     (zeros, contains, singular), = yield (_checks, ctx, 4,
                                           [(cone.net, cone.coeffs)])
     cert = {"points_vanished": zeros, "contains_curve": contains,
@@ -412,24 +417,13 @@ def _verify(ctx: CurveContext, cone: QuarticCone, stream: Stream,
     return cert
 
 
-def verify_cones(ctx: CurveContext, cones: list[QuarticCone],
-                 streams: list[Stream], oracle_points: int = 50
-                 ) -> list[dict | CurveConesError]:
-    """`verify_cone` of each cone with its stream, or the exception it
-    raises, all in rounds (`lockstep`): the checks of containment and
-    vertex singularity on the stack of forms, the oracle probes and their
-    zero harvest (`curve.ZeroHarvest`: as many lines a round as a cone
-    still misses zeros, read ahead on the cone's own `zeros` stream, so
-    the zeros are those of the one-line loop), and the holdout pencils."""
-    return lockstep([_verify(ctx, cone, stream, oracle_points)
-                     for cone, stream in zip(cones, streams)])
-
-
 def verify_cone(ctx: CurveContext, cone: QuarticCone, stream: Stream,
                 oracle_points: int = 50) -> dict:
     """Certificate of a reconstructed quartic: containment, vertex
-    singularity, oracle agreement, and a fresh holdout pencil splitting."""
-    return value_of(verify_cones(ctx, [cone], [stream], oracle_points)[0])
+    singularity, oracle agreement, and a fresh holdout pencil splitting.
+    `reconstruct_quartics` makes it for each cone, on the cone's own
+    `verify` stream, in its rounds."""
+    return value_of(lockstep([_verify(ctx, cone, stream, oracle_points)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +443,7 @@ def certify_polars(ctx: CurveContext, polars: list, oracle_points: int
     """The certificate of `polar_cubic` for each (net, x, coeffs, stream)
     of `polars`, or the exception it raises, in rounds (`lockstep`): the
     membership and vertex checks on the stack of cubics, then the oracle
-    probes, as in `verify_cones`."""
+    probes, as in `verify_cone`."""
     def chain(net_obj, x, coeffs, stream):
         (_, in_ideal, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
         cert = {"in_cubic_ideal": in_ideal, "vertex_singular": singular}
@@ -479,13 +473,10 @@ def polar_cubic(ctx: CurveContext, cone: QuarticCone, x: np.ndarray,
 def lw_space(ctx: CurveContext, cone: QuarticCone,
              polars: np.ndarray) -> tuple[np.ndarray, int]:
     """Cubic ideal forms singular along the vertex of the cone's net, and
-    the rank of the polar map from the vertex span into that space; polars
-    are the `polar_cubics` of the vertex basis."""
-    p = ctx.p
-    basis = constrained_space(ctx, cone.net, 3)
-    if alg.RowSpace(basis, p).reduce(polars).any():
-        raise VerificationFailed("polar cubic escapes the singular space")
-    return basis, alg.rank(polars, p)
+    the rank of the polars, the `polar_cubics` of the vertex basis.  A
+    polar lies in that space exactly when it is in I(3) and singular along
+    the vertex, which `certify_polars` decides."""
+    return constrained_space(ctx, cone.net, 3), alg.rank(polars, ctx.p)
 
 
 # ---------------------------------------------------------------------------

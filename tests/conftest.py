@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from curvecones import acceptance as acc, algebra as alg, canring
-from curvecones import cone as cn, curve as cv, pencil as pc
+from curvecones import cone as cn, curve as cv, net as nt, pencil as pc
 from curvecones.cli import main
 
 PRIME = 1000003
@@ -49,6 +49,8 @@ COUNTED = (
     (alg, "rank", lambda a, out: a[0].shape),
     (cv, "line_zeros", lambda a, out: len(a[3])),
     (pc, "cup_grams", lambda a, out: len(a[2])),
+    (cn, "_verify", lambda a, out: a[3]),
+    (nt, "oracle_batch", lambda a, out: len(a[2])),
     (cn, "_family_roots", lambda a, out: len(out)),
     (cn, "_family_candidates", lambda a, out: len(out)),
     (cn, "contained_secants", lambda a, out: len(a[2])),

@@ -544,14 +544,15 @@ class TestRecoveryPolicy:
 
     def test_failed_cone_certificate_exits_3(self, curve_file, monkeypatch,
                                              capsys):
-        # criterion 5 certifies all its cones with one call
-        fired = inject(monkeypatch, cn, "verify_cones", VerificationFailed,
-                       calls=(1, 2))
+        # one cone certificate, made where the cone is reconstructed,
+        # fails; it is not resampled, and the run stops there
+        fired = inject(monkeypatch, cn, "_verify", VerificationFailed,
+                       calls=(1,))
         assert main(["verify", "--curve", curve_file, "--quick"]) == 3
         err = capsys.readouterr().err
         assert fired == [1]
         assert "VerificationFailed" in err
-        assert "verify_cones certificate failed" in err
+        assert "_verify certificate failed" in err
 
     SITES = {
         # site: (command, injected function, function running the site)

@@ -180,8 +180,9 @@ def one_net_outcome(run):
 
 
 class TestReconstructRounds:
-    """`reconstruct_quartics` and `verify_cones` give each net the cone,
-    certificate or exception of the one-net chain, and make its draws."""
+    """`reconstruct_quartics` gives each net the cone, certificate or
+    exception of the one-net chain, and makes its draws; `verify_cone`
+    gives a cone the certificate of the one-cone chain."""
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_mixed_stack(self, name, request, monkeypatch):
@@ -224,13 +225,13 @@ class TestReconstructRounds:
         assert want[3][0] is UnderdeterminedReconstruction
         assert want[3][1].endswith("after 20 pencils")
         assert all(not isinstance(w[0], type) for w in want[:1] + want[2:3])
-        # the cones again, certified together with other streams
+        # the cones again, each certified alone on another stream
         cones = [cn.QuarticCone(net=net, coeffs=np.array(w[0]))
                  for net, w in zip(nets, want) if not isinstance(w[0], type)]
         streams = [Stream(123, f"cert{k}") for k in range(len(cones))]
-        assert [one_net_outcome(lambda: (c.coeffs, errors.value_of(cert)))
-                for c, cert in zip(cones, cn.verify_cones(
-                    ctx, cones, streams, oracle_points=8))] == [
+        assert [one_net_outcome(lambda: (c.coeffs, cn.verify_cone(
+                    ctx, c, st, oracle_points=8)))
+                for c, st in zip(cones, streams)] == [
             one_net_outcome(lambda: (c.coeffs, reference.verify_cone(
                 ctx, c.net, c.coeffs, st, 8)))
             for c, st in zip(cones, streams)]
@@ -271,7 +272,6 @@ class TestReconstructRounds:
 
     def test_empty_stacks(self, ctx4):
         assert cn.reconstruct_quartics(ctx4, []) == []
-        assert cn.verify_cones(ctx4, [], []) == []
 
 
 def fresh_fibers(ctx, net, stream, count):

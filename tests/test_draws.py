@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from curvecones import acceptance as acc, algebra as alg, cone as cn
-from curvecones import curve as cv, monomials as mono, spanlab as sl
+from curvecones import curve as cv, monomials as mono
 from curvecones.errors import lockstep
 from curvecones.rng import Stream
 
@@ -229,15 +229,15 @@ def test_line_inside_and_root_at_infinity(ctx4, deg):
 @pytest.mark.parametrize("name", ["ctx4", "ctx5"])
 def test_harvests_read_ahead_only_on_their_own_streams(name, request,
                                                        monkeypatch):
-    """One `verify_cones` (criterion 5) and one `certify_polars`
-    (criterion 7) on two cones: every take hands out the points of the
-    one-line harvest (`reference.ZeroHarvest`) started where the harvest
-    started, in the same order; a take of one point draws no line that
-    harvest does not; and a stream that a harvest reads ahead on is drawn
-    by that harvest alone, from its takes."""
+    """The certificates of two cones, made where they are reconstructed
+    (`SuiteInputs.cones`, criterion 5's oracle probes), and one
+    `certify_polars` (criterion 7) on them: every take hands out the
+    points of the one-line harvest (`reference.ZeroHarvest`) started where
+    the harvest started, in the same order; a take of one point draws no
+    line that harvest does not; and a stream that a harvest reads ahead on
+    is drawn by that harvest alone, from its takes."""
     ctx = request.getfixturevalue(name)
-    cones = sl.collect_cones(ctx, 2, 31, oracle_points=0)
-    cfg = acc.SuiteConfig(reconstructions=2)
+    cfg = acc.SuiteConfig(seed=31, reconstructions=2)
     real_take = cv.ZeroHarvest.take
     real_next = Stream.next_u64
     drawers = {}            # (seed, tag) -> id of each harvest drawing
@@ -278,9 +278,14 @@ def test_harvests_read_ahead_only_on_their_own_streams(name, request,
 
     monkeypatch.setattr(Stream, "next_u64", next_u64)
     monkeypatch.setattr(cv.ZeroHarvest, "take", take)
+    cones = acc.SuiteInputs(ctx, cfg).cones
+    recon_ahead = set(ahead)
     assert acc.criterion_reconstruction(ctx, cfg, cones).ok
     assert acc.criterion_polars(ctx, cfg, cones).ok
     monkeypatch.undo()
-    assert ahead and all(key[1].endswith("/zeros") for key in ahead)
+    assert all(c.certificate["oracle_points"] >= cfg.oracle_points
+               for c in cones)
+    assert recon_ahead
+    assert all(key[1].endswith("/zeros") for key in ahead)
     for key in ahead:
         assert len(drawers[key]) == 1 and None not in drawers[key], key

@@ -140,11 +140,10 @@ class TestCriterion5:
     def test_sound_cone_vanishes_on_every_point(self, ctx4, inputs):
         total = sum(cv.panel_sizes(4))
         assert total == 210
-        certs = cn.verify_cones(ctx4, inputs.cones[:1],
-                                [Stream(9, "negative-controls")],
-                                oracle_points=CFG.oracle_points)
-        assert certs[0]["points_vanished"] == 210
-        assert certs[0]["contains_curve"] is True
+        cert = inputs.cones[0].certificate
+        assert cert["points_vanished"] == 210
+        assert cert["contains_curve"] is True
+        assert cert["oracle_points"] >= CFG.oracle_points
         assert ctx4.zeros_on_curve(inputs.cones[0].coeffs, 4) == 210
 
     def test_double_quadric_counts_its_zeros(self, ctx4):
@@ -153,6 +152,8 @@ class TestCriterion5:
         assert cert["points_vanished"] == 210 and cert["contains_curve"]
 
     def test_missed_point_is_counted(self, off_holdout, inputs):
+        # the fault is planted before reconstruction, which certifies
+        # each cone where it makes it
         coeffs = inputs.cones[0].coeffs
         assert off_holdout.zeros_on_curve(coeffs, 4) == 209
         assert off_holdout.zeros_on_curve(np.stack([coeffs] * 2),
@@ -161,12 +162,11 @@ class TestCriterion5:
         with pytest.raises(VerificationFailed,
                            match="'points_vanished': 209, "
                                  "'contains_curve': False"):
-            acc.criterion_reconstruction(off_holdout, CFG,
-                                         inputs.cones[:1])
+            acc.SuiteInputs(off_holdout, CFG).cones
 
     def test_too_few_cones_fail(self, ctx4, inputs):
         # the one check the criterion makes itself: each cone it is given
-        # is certified (or raises) in `verify_cones`
+        # was certified (or raised) where it was reconstructed
         assert acc.criterion_reconstruction(ctx4, CFG, inputs.cones).ok
         result = acc.criterion_reconstruction(ctx4, CFG, inputs.cones[:1])
         assert not result.ok, result.line()
@@ -194,9 +194,9 @@ class TestCriterion7:
 
     def test_cone_off_the_curve_fails(self, ctx4, inputs):
         cone = perturbed(inputs.cones[0], ctx4.p)
-        with pytest.raises(VerificationFailed,
-                           match="polar cubic escapes the singular space"):
-            acc.criterion_polars(ctx4, CFG, [cone])
+        result = acc.criterion_polars(ctx4, CFG, [cone])
+        assert not result.ok, result.line()
+        assert result.details["oracle_disagreements"] == 3
 
 
 class TestCriterion8:

@@ -136,6 +136,24 @@ def test_bench_roots_only_add_to_the_command_line_walk():
     assert set(unreached()) <= set(unreached(bench=False))
 
 
+# the definitions that only the benchmark's tracer keeps reached: each
+# leaves `src/` when the tracer stops wrapping it (ROADMAP item 1b), and no
+# new one joins them
+TRACER_ONLY = [
+    "algebra.poly_pow_mod", "curve.on_curve",
+    "cone.CubicPolar", "cone.oracle_agreement", "cone.polar_cubic",
+    "cone.secant_criterion", "cone.split_fiber", "cone.verify_cone",
+    "net.fw_oracle", "net.oracle_value", "net.oracle_witness",
+    "net.polar_oracle",
+    "pencil.CupGram", "pencil.PencilData", "pencil.build_pencil",
+    "pencil.cup_gram",
+]
+
+
+def test_tracer_only_definitions_are_pinned():
+    assert tracer_only() == sorted(TRACER_ONLY)
+
+
 def unread_imports() -> list[str]:
     """module.name for every name an engine module imports but never
     reads; `from __future__` imports are directives, not names."""

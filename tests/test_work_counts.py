@@ -1,8 +1,8 @@
 """The work of one `gen-curve` and one `verify --full` per genus, counted
 by the `work_log` fixture (conftest.py): root-finder passes, root-kernel
-degrees, zero-harvest lines, corank-law and double-secant rounds, and
-`alg.rank` inputs.  A count that rises fails here, and a renamed engine
-function fails the fixture."""
+degrees, zero-harvest lines, cone certificates, corank-law and
+double-secant rounds, and `alg.rank` inputs.  A count that rises fails
+here, and a renamed engine function fails the fixture."""
 
 import collections
 
@@ -13,7 +13,7 @@ from curvecones import acceptance as acc
 
 
 @pytest.mark.parametrize("genus, command, chains, closed", [
-    (4, "verify", (58, 26, 184), {2: 299, 1: 379, 0: 277}),
+    (4, "verify", (56, 25, 178), {2: 296, 1: 396, 0: 246}),
     (5, "gen-curve", (1377, 198, 1850), {2: 2738, 1: 719, 0: 66})])
 def test_root_finder_passes(work_log, genus, command, chains, closed):
     """First chains (x^((p-1)/2) of a stack), shift chains (a
@@ -41,18 +41,39 @@ def test_largest_root_kernels(work_log, genus, kernels):
 
 
 @pytest.mark.parametrize("genus, reconstruction, polars", [
-    (4, (4, 276), (6, 280)), (5, (5, 288), (3, 521))])
+    (4, (8, 301), (6, 280)), (5, (42, 356), (3, 521))])
 def test_harvest_and_corank_law_rounds(work_log, genus, reconstruction,
                                        polars):
-    """The `line_zeros` calls of criteria 5 and 7 and the lines they
-    search, and the nets of each evaluation round of criterion 4, at the
-    full sizes.  A harvest round asks for as many lines as zeros are
-    missing, so it reads lines ahead: at genus 4 one line a round makes 32
-    and 35 calls over 263 and 270 lines."""
-    for number, want in ((5, reconstruction), (7, polars)):
-        lines = work_log.sizes(genus, "verify", "line_zeros", (number,))
+    """The `line_zeros` calls of cone collection and of criterion 7 and the
+    lines they search, and the nets of each evaluation round of criterion
+    4, at the full sizes.  Cone collection runs before the criteria that
+    read its cones: it harvests the zeros of the oracle probes of each
+    reconstruction's certificate, and those of the quadric squares'
+    degenerate nets.  A harvest round asks for as many lines as zeros are
+    missing, so it reads lines ahead: at genus 4 one line a round makes 35
+    calls over 270 lines in criterion 7."""
+    for stage, want in (((), reconstruction), ((7,), polars)):
+        lines = work_log.sizes(genus, "verify", "line_zeros", stage)
         assert (len(lines), sum(lines)) == want
     assert work_log.sizes(genus, "verify", "cup_grams", (4,)) == [50, 5]
+
+
+@pytest.mark.parametrize("genus", [4, 5])
+def test_cones_are_certified_once(work_log, genus):
+    """The cone certificates (`cone._verify` chains) by the criteria
+    running and by oracle probes per cone: cone collection certifies the
+    `reconstructions` cones at `oracle_points` and the cones that top the
+    span up at 4, each once, and criterion 5 only reads those
+    certificates, with no oracle, harvest or certificate of its own, in
+    the full run and in the reduced runs of criterion 13."""
+    assert collections.Counter(
+        (c.stage, c.size)
+        for c in work_log.calls(genus, "verify", "_verify")) == {
+            ((), 50): 10, ((), 4): 15, ((10,), 4): 10, ((13,), 6): 4,
+            ((13,), 4): 24, ((13, 10), 4): 4}
+    for _, name, _ in COUNTED:
+        for stage in ((5,), (13, 5)):
+            assert not work_log.calls(genus, "verify", name, stage), name
 
 
 @pytest.mark.parametrize("genus, roots, kept, rounds", [
