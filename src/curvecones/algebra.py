@@ -21,17 +21,16 @@ thousand cannot overflow; all arithmetic is exact.
 
 `rref_batch` row-reduces a stack of matrices of one shape at once, each
 element with its own pivot rows, so elements with different pivot patterns
-or ranks share one pass; element by element it returns what `rref` does.
-Both delay the reduction mod p (J.-G. Dumas, P. Giorgi and C. Pernet, ACM
-TOMS 35(3), 2008): when column c is reached, that column and the pivot
-row are reduced, and nothing else, and the whole matrix is reduced once
-at the end.  A row update subtracts the product of two reduced entries,
-below (p-1)**2, so after k pivot columns every entry lies in
-(-k(p-1)**2, k(p-1)**2 + p).  That stays below 2**63 while the column
-count, which bounds k, is below 2**13 at p < 2**25; both raise ValueError
-beyond it.  The widest matrix of the engine has 226 columns, the [V | I]
-of `_vandermonde_inverse` at the 113 nodes of the genus-5 resultant of
-`bundle.node_count` (122 at genus 4).
+or ranks share one pass.  It delays the reduction mod p (J.-G. Dumas,
+P. Giorgi and C. Pernet, ACM TOMS 35(3), 2008): when column c is reached,
+that column and the pivot row are reduced, and nothing else, and the whole
+matrix is reduced once at the end.  A row update subtracts the product of
+two reduced entries, below (p-1)**2, so after k pivot columns every entry
+lies in (-k(p-1)**2, k(p-1)**2 + p).  That stays below 2**63 while the
+column count, which bounds k, is below 2**13 at p < 2**25; it raises
+ValueError beyond it.  The widest matrix of the engine has 226 columns,
+the [V | I] of `_vandermonde_inverse` at the 113 nodes of the genus-5
+resultant of `bundle.node_count` (122 at genus 4).
 
 `kernel_batch` reads special solutions off an `rref_batch` pass
 (`special_solutions_batch`), and `solve_batch` the solutions and ranks of
@@ -44,13 +43,12 @@ walk back, so one modular inverse per pivot column.  A zero maps to 0, as
 under Fermat's a**(p-2); the zero pivots of the singular elements of a
 `det_batch` stack take that path.
 
-One implementation per job: `det`, `kernel_basis` and `inverse` are
-`det_batch`, `special_solutions_batch` and `solve_batch` on a stack of
-one, and `normalize_rows` scales the vectors of any stack, a vector
-being a stack of one.  The scalar `rref` is the one stack-of-one path
-left, which `rref_batch` takes for a single matrix (measured at that
-branch).  `RowSpace` keeps a span as its reduced echelon rows; every
-span-membership check in the engine goes through it.
+One implementation per job: `rref`, `det`, `kernel_basis` and `inverse`
+are `rref_batch`, `det_batch`, `special_solutions_batch` and
+`solve_batch` on a stack of one, and `normalize_rows` scales the vectors
+of any stack, a vector being a stack of one.  `RowSpace` keeps a span as
+its reduced echelon rows; every span-membership check in the engine goes
+through it.
 
 `interpolate` multiplies by the inverse Vandermonde matrix of its nodes,
 cached per node tuple, and `rational_interpolate` builds its Cauchy rows
@@ -177,44 +175,15 @@ def normalize_rows(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list, by delayed
-    reduction (module docstring)."""
-    r = np.array(m, dtype=np.int64) % p
-    rows, cols = r.shape
-    _check_width(cols)
-    pivots: list[int] = []
-    lead = 0
-    for c in range(cols):
-        if lead >= rows:
-            break
-        r[:, c] %= p
-        nz = np.nonzero(r[lead:, c])[0]
-        if nz.size == 0:
-            continue
-        j = lead + int(nz[0])
-        if j != lead:
-            r[[lead, j]] = r[[j, lead]]
-        r[lead] = r[lead] % p * inv_mod(int(r[lead, c]), p) % p
-        col = r[:, c].copy()
-        col[lead] = 0
-        r -= np.outer(col, r[lead])
-        pivots.append(c)
-        lead += 1
-    r %= p
-    return r, pivots
-
-
-def _check_width(cols: int) -> None:
-    """ValueError when delayed reduction over `cols` columns could leave
-    int64 (module docstring)."""
-    if cols >= 2 ** 13:
-        raise ValueError(f"{cols} columns break the int64 budget of "
-                         "delayed row reduction")
+    """Reduced row echelon form and pivot column list: `rref_batch` on a
+    stack of one."""
+    r, pivots = rref_batch(np.asarray(m, dtype=np.int64)[None], p)
+    return r[0], pivots[0][pivots[0] >= 0].tolist()
 
 
 def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """`rref` of every matrix of an N x rows x cols stack, by delayed
-    reduction (module docstring).
+    """The reduced row echelon form of every matrix of an N x rows x cols
+    stack, by delayed reduction (module docstring).
 
     Column by column, each element takes as pivot its first row at or
     below its own lead row with a nonzero entry, swaps it up, scales it and
@@ -225,21 +194,18 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Columns left of c are zero in the rows at or below an element's lead
     row, so the swap and the update of column c touch columns c onwards
     only.  While every element has pivoted in the same columns, all share
-    one lead row and a column runs on slices; once the patterns part, on
-    the elements that pivot in it.
+    one lead row and a column runs on slices.  Where that row is nonzero
+    in column c in every element, it is the pivot row: it is scaled and
+    clears the column at once.  Only a column where some element must swap
+    a row up, or has no pivot, scans the rows below for nonzero entries.
+    Once the patterns part, a column runs on the elements that pivot in
+    it.  `rref` is this pass on a stack of one.
     """
     n, rows, cols = np.shape(stack)
-    _check_width(cols)
+    if cols >= 2 ** 13:     # the int64 budget (module docstring)
+        raise ValueError(f"{cols} columns break the int64 budget of "
+                         "delayed row reduction")
     pivots = np.full((n, min(rows, cols)), -1, dtype=np.int64)
-    if n == 1:
-        # the module's one stack-of-one fork: a batched column makes about
-        # twice the numpy calls of a column of `rref`.  On one matrix, with
-        # both delaying their reduction, the batched pass took 1.8-2.3
-        # times the time of `rref` from 2 x 4 to 40 x 35, 1.5-1.7 times at
-        # 140 x 28 and 140 x 35, and 1.3 times at 280 x 70
-        r, found = rref(stack[0], p)
-        pivots[0, :len(found)] = found
-        return r[None], pivots
     r = np.array(stack, dtype=np.int64)
     r %= p
     elems = np.arange(n)
@@ -255,25 +221,28 @@ def rref_batch(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             break
         r[:, :, c] %= p
         if lead is None:
-            nonzero = r[:, common:, c] != 0
-            found = nonzero.any(axis=1).sum()
-            if found == 0:
-                continue
-            if found == n:
-                j = nonzero.argmax(axis=1)
-                if j.any():
-                    j += common
+            # a list scan: all() costs more on the few elements of most stacks
+            if 0 in r[:, common, c].tolist():
+                nonzero = r[:, common:, c] != 0
+                found = nonzero.any(axis=1).sum()
+                if found == 0:
+                    continue
+                if found < n:
+                    lead = np.full(n, common, dtype=np.int64)
+                else:
+                    j = nonzero.argmax(axis=1) + common
                     top = r[elems, j, c:]
                     r[elems, j, c:] = r[:, common, c:]
                     r[:, common, c:] = top
-                inv = _inverses(r[:, common, c], p)
-                top = r[:, common, c:] % p * inv[:, None] % p
-                r[:, :, c:] -= r[:, :, c, None] * top[:, None, :]
-                r[:, common, c:] = top
-                pivots[:, common] = c
-                common += 1
-                continue
-            lead = np.full(n, common, dtype=np.int64)
+        if lead is None:
+            top = r[:, common, c:] % p
+            top *= _inverses(top[:, 0], p)[:, None]
+            top %= p
+            r[:, :, c:] -= r[:, :, c, None] * top[:, None, :]
+            r[:, common, c:] = top      # which the update zeroed
+            pivots[:, common] = c
+            common += 1
+            continue
         cand = (r[:, :, c] != 0) & (row_ids >= lead[:, None])
         e = elems[cand.any(axis=1)]
         if not e.size:

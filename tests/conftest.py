@@ -7,7 +7,8 @@ from typing import NamedTuple
 import pytest
 
 from curvecones import acceptance as acc, algebra as alg, canring
-from curvecones import cone as cn, curve as cv, net as nt, pencil as pc
+from curvecones import cone as cn, curve as cv, monomials as mono
+from curvecones import net as nt, pencil as pc
 from curvecones.cli import main
 
 PRIME = 1000003
@@ -47,6 +48,7 @@ COUNTED = (
     (alg._Moduli, "split", lambda a, out: None),
     (alg, "_small_roots", lambda a, out: len(a[0]) - 1),
     (alg, "rank", lambda a, out: a[0].shape),
+    (alg, "rref_batch", lambda a, out: "one" if len(a[0]) == 1 else "more"),
     (cv, "line_zeros", lambda a, out: len(a[3])),
     (pc, "cup_grams", lambda a, out: len(a[2])),
     (cn, "_verify", lambda a, out: a[3]),
@@ -90,7 +92,10 @@ def work_log(tmp_path_factory):
     """`gen-curve` then `verify --full --out` through `cli.main` at genus-4
     seed 1 and genus-5 seed 7, with every counter of `COUNTED` and each
     `acceptance.criterion_*` as a stage (numbered in definition order,
-    which `run_criteria` follows).  `setattr` raises on a missing name, and
+    which `run_criteria` follows).  Each command starts without the
+    process-wide caches of inverse evaluation matrices, whose hits would
+    otherwise drop `inverse` passes that a fresh process makes, by
+    whichever tests ran first.  `setattr` raises on a missing name, and
     the patches are undone before the log is handed out."""
     log = WorkLog(tmp_path_factory.mktemp("work"))
     stage = []
@@ -129,6 +134,8 @@ def work_log(tmp_path_factory):
                          ["verify", "--curve", curve, "--full", "--out",
                           str(log.report(genus))]):
                 running[:] = genus, argv[0]
+                alg._vandermonde_inverse.cache_clear()
+                mono._interpolation_nodes.cache_clear()
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert main(argv) == 0
     return log

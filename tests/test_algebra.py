@@ -669,28 +669,31 @@ class TestLinearAlgebraAgainstSympy:
 
 
 def assert_matches_rref(stack, p):
-    """rref_batch and kernel_batch equal rref and kernel_basis element by
-    element: rows, pivots and, at every nullity, the kernel basis."""
+    """rref_batch and kernel_batch equal `reference.rref` and
+    `reference.kernel` element by element: rows, pivots and, at every
+    nullity, the kernel basis.  `alg.rref` and `alg.kernel_basis` are the
+    batched pass on one element, so they cannot be its oracle."""
     reduced, pivots = alg.rref_batch(stack, p)
     assert reduced.shape == stack.shape
     cols = stack.shape[2]
     for n, m in enumerate(stack):
-        expected, expected_pivots = alg.rref(m, p)
+        expected, expected_pivots = reference.rref(m, p)
         assert reduced[n].tolist() == expected.tolist()
         assert [c for c in pivots[n] if c >= 0] == expected_pivots
         assert (pivots[n, len(expected_pivots):] == -1).all()
     for nullity in range(cols + 1):
         basis, ok = alg.kernel_batch(stack, p, nullity)
         for n, m in enumerate(stack):
-            expected = alg.kernel_basis(m, p)
+            expected = reference.kernel(m, p)
             assert ok[n] == (expected.shape[0] == nullity)
             assert basis[n].tolist() == (
                 expected.tolist() if ok[n] else [[0] * cols] * nullity)
 
 
 class TestBatchReduction:
-    """`rref_batch` and `kernel_batch` against `rref` and `kernel_basis`
-    on stacks whose elements differ in pivot pattern and rank."""
+    """`rref_batch` and `kernel_batch` against the reduce-every-step
+    elimination of tests/reference.py on stacks whose elements differ in
+    pivot pattern and rank."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(n=st.integers(1, 6), rows=st.integers(1, 8),
@@ -780,11 +783,21 @@ class TestDelayedReduction:
 
     def test_worst_case_accumulation(self):
         """200 pivots of 210 columns, each step subtracting (p-1)**2 from
-        every row below the pivot; a stack of two copies keeps one lead
-        row."""
+        every row below the pivot, on the matrix alone and on a stack of
+        two copies, which keeps one lead row."""
         m = accumulating(200, 210, P_MAX)
         assert reference.rref(m, P_MAX)[1] == list(range(200))
+        assert_matches_every_step_reduction(m[None], P_MAX)
         assert_matches_every_step_reduction(np.stack([m, m]), P_MAX)
+
+    def test_certificate_size(self):
+        """One 815 x 330 matrix of rank 278 alone: the size of the degree-7
+        multiples of the genus-5 quartic span that a cut-out certificate
+        for criterion 12 ranks."""
+        m = planted_rank(np.random.default_rng(0), P_MAX, 815, 330, 278,
+                         False)
+        assert alg.rank(m, P_MAX) == 278
+        assert_matches_every_step_reduction(m[None], P_MAX)
 
     def test_parting_pivot_patterns(self):
         """Rank-deficient elements that lose their pivot in column 3 and

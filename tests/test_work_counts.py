@@ -1,8 +1,8 @@
 """The work of one `gen-curve` and one `verify --full` per genus, counted
 by the `work_log` fixture (conftest.py): root-finder passes, root-kernel
 degrees, zero-harvest lines, cone certificates, corank-law and
-double-secant rounds, and `alg.rank` inputs.  A count that rises fails
-here, and a renamed engine function fails the fixture."""
+double-secant rounds, `alg.rank` inputs and row reductions.  A count that
+rises fails here, and a renamed engine function fails the fixture."""
 
 import collections
 
@@ -113,6 +113,19 @@ def test_rank_inputs(work_log, genus, gen_curve, calls, largest):
         if c.size[0] * c.size[1] == area) \
         == {((2,), "petri_check", largest): 1,
             ((13, 2), "petri_check", largest): 2}
+
+
+@pytest.mark.parametrize("genus, gen_curve, verify", [
+    (4, {"one": 7, "more": 9}, {"one": 471, "more": 479}),
+    (5, {"one": 2790, "more": 1}, {"one": 487, "more": 550})])
+def test_row_reductions(work_log, genus, gen_curve, verify):
+    """The `rref_batch` passes of each command, on one matrix or on a
+    stack of more.  `rref`, `rank`, `kernel_basis` and `inverse` are
+    passes on one matrix; genus-5 `gen-curve` makes most of its passes
+    there, in `hyperplane_section` and the gcds of its root finds."""
+    for command, want in (("gen-curve", gen_curve), ("verify", verify)):
+        assert collections.Counter(
+            work_log.sizes(genus, command, "rref_batch")) == want
 
 
 def test_counters_are_taken_off(work_log):
