@@ -314,10 +314,9 @@ def criterion_hessian(ctx, cfg: SuiteConfig,
     return CriterionResult(8, "Hessian and Steinerian", ok, details)
 
 
-def criterion_node_count(ctx, cfg: SuiteConfig,
-                         net: nt.Net) -> CriterionResult:
+def criterion_node_count(ctx, net: nt.Net) -> CriterionResult:
     gamma = nt.gamma_equation(ctx, net)
-    count = bd.node_count(gamma, ctx.p, seed=cfg.seed)
+    count = bd.node_count(gamma, ctx.p)
     expected = node_count(ctx.g)
     return CriterionResult(9, "node count", count == expected,
                            {"nodes": count, "expected": expected})
@@ -421,7 +420,7 @@ def run_criteria(ctx, cfg: SuiteConfig, echo=None) -> list[CriterionResult]:
         criterion_double_quadric(ctx, cfg),
         criterion_polars(ctx, cfg, inputs.cones),
         criterion_hessian(ctx, cfg, inputs.cones[0]),
-        criterion_node_count(ctx, cfg, inputs.cones[0].net),
+        criterion_node_count(ctx, inputs.cones[0].net),
         criterion_secant(ctx, cfg, inputs.cones[0]),
         criterion_spans(ctx, cfg, inputs.f4),
         criterion_base_locus(ctx, cfg, inputs.span_cones, inputs.f4),

@@ -28,9 +28,9 @@ matrix is reduced once at the end.  A row update subtracts the product of
 two reduced entries, below (p-1)**2, so after k pivot columns every entry
 lies in (-k(p-1)**2, k(p-1)**2 + p).  That stays below 2**63 while the
 column count, which bounds k, is below 2**13 at p < 2**25; it raises
-ValueError beyond it.  The widest matrix of the engine has 226 columns,
-the [V | I] of `_vandermonde_inverse` at the 113 nodes of the genus-5
-resultant of `bundle.node_count` (122 at genus 4).
+ValueError beyond it.  The widest matrix of the engine has 171 columns,
+the degree-17 multiples of the partials of the genus-5 plane image in
+`bundle.node_count` (91 columns, of degree 12, at genus 4).
 
 `kernel_batch` reads special solutions off an `rref_batch` pass
 (`special_solutions_batch`), and `solve_batch` the solutions and ranks of
@@ -59,10 +59,10 @@ from `inverse`, within the budget of `rref`.
 One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
 one Vandermonde product, each entry a sum of one product below p**2 per
 row of f, so below 2**63 while f has fewer than 2**13 rows at p < 2**25
-(9 at most in the engine, at genus 5).  `poly_gcd` and `squarefree_part`
-are one `_Moduli.split` each, exact division is one `solve_batch`, and the
-Sylvester matrices of `resultant_bivariate` hold values below p and go
-through one `det_batch`.
+(9 at most in the engine, at genus 5).  `poly_gcd` is one
+`_Moduli.split`, exact division is one `solve_batch`, and the Sylvester
+matrices of `resultant_bivariate` hold values below p and go through one
+`det_batch`.
 
 Roots are found on stacks.  `distinct_roots_batch` takes many
 polynomials at once through `_Moduli`, a stack of monic moduli padded to
@@ -78,10 +78,9 @@ kernel on one element.  Each matmul of the kernel sums at most max(D, L)
 products of two entries below p, L the length of a base, so it stays
 below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
 ValueError beyond the bound.  The table holds D**3 entries per modulus.
-The largest D in a `verify --full` is the gcd of two resultants in
-`bundle.node_count`: 30 at genus 4 and 56 at genus 5, about 1.4 MB of
-table; the squarefree part after it reaches 32 at genus 5, and the roots
-of `cone.bitangent_pair` 21 at genus 4.
+The largest D of the engine is 21, the roots of `cone.bitangent_pair`
+at genus 4, about 74 kB of table; at genus 5 it is 16, in the slices of
+`curve.hyperplane_section`.
 """
 
 from __future__ import annotations
@@ -470,16 +469,6 @@ def poly_deriv(f, p: int) -> np.ndarray:
     if len(f) <= 1:
         return np.zeros(0, dtype=np.int64)
     return poly_trim(f[1:] * np.arange(1, len(f), dtype=np.int64) % p)
-
-
-def squarefree_part(f, p: int) -> np.ndarray:
-    """f / gcd(f, f'), monic, the cofactor of one `_Moduli.split` of f'
-    modulo f.  Valid while deg f < p, as everywhere in the engine."""
-    f = poly_monic(f, p)
-    if len(f) < 2:
-        return f
-    mods = _Moduli([f], p)
-    return mods.split(mods.reduce(poly_deriv(f, p)[None]))[1][0]
 
 
 def exact_quotients(rows: np.ndarray, h, p: int) -> tuple[np.ndarray, bool]:

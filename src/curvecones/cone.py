@@ -445,8 +445,8 @@ def certify_polars(ctx: CurveContext, polars: list, oracle_points: int
     membership and vertex checks on the stack of cubics, then the oracle
     probes, as in `verify_cone`."""
     def chain(net_obj, x, coeffs, stream):
-        (_, in_ideal, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
-        cert = {"in_cubic_ideal": in_ideal, "vertex_singular": singular}
+        (_, member, singular), = yield _checks, ctx, 3, [(net_obj, coeffs)]
+        cert = {"in_cubic_ideal": member, "vertex_singular": singular}
         if stream is not None and oracle_points:
             checked, bad = yield from _agreement(ctx, net_obj, coeffs, stream,
                                                  oracle_points, x=x)

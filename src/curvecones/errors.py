@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules, and the one recovery policy.
 
 Only degenerate inputs are recoverable.  A `DegenerateInput` says that a
-random draw (a net, a pencil, a probe point, a frame, a slice, a candidate
-curve) was not generic enough to use; the caller draws again.  Every
+random draw (a net, a pencil, a probe point, a slice, a candidate curve)
+was not generic enough to use; the caller draws again.  Every
 retry that catches such an error goes through `Draws`, which catches
 `DegenerateInput` and nothing else.  All other errors are either
 configuration problems or certificate failures (`VerificationFailed`,
@@ -147,10 +147,6 @@ class NonGenericD(DegenerateInput):
 
 class NodeFiber(DegenerateInput):
     """Fiber over a singular point of the plane image; Steinerian undefined."""
-
-
-class NonGenericCoordinates(DegenerateInput):
-    """Singular points collide in the chosen chart; retry with a new frame."""
 
 
 def resample(label: str, attempts: int, draw: Callable[[int], T | None]) -> T:

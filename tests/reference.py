@@ -228,6 +228,59 @@ def squarefree_part(f, p):
     return alg.poly_monic(poly_divmod(f, d, p)[0], p)
 
 
+def node_count(gamma, p, seed=0):
+    """Distinct singular points of the plane curve over the algebraic
+    closure, by elimination in a random frame.
+
+    The frame change makes the singular abscissae distinct; the two
+    resultants of the chart z2 = 1 with its partials in z0 and z1 share
+    exactly the singular abscissae.  Rational candidates are checked
+    against all three equations, and the candidates over extensions are
+    counted through the degree of the squarefree part.  A frame in which
+    two singular points share an abscissa or the partials collapse is
+    redrawn, up to 6 frames."""
+    degree = gamma.degree
+    chart = [[1, 0], [0, 1], [0, 0]]
+
+    def count_in_frame(attempt):
+        stream = Stream(derive_key(seed, f"node-count|{attempt}"), "frame")
+        frame = stream.field_mat(p, 3, 3)
+        if det(frame, p) == 0:
+            return None
+        changed = mono.restrict(gamma.coeffs, degree, 3, frame, p)
+        f, fx, fy = [mono.collect(changed, degree, 3, chart, p)] + [
+            mono.collect(partial(changed, var, 3, degree, p), degree - 1, 3,
+                         chart, p) for var in (0, 1)]
+        if int(f[0, degree]) == 0 or int(f[degree, 0]) == 0:
+            return None  # need full y-degree and x-degree with constant leads
+        r1 = alg.resultant_bivariate(f, fx, p)
+        r2 = alg.resultant_bivariate(f, fy, p)
+        if alg.poly_deg(r1) < 0 or alg.poly_deg(r2) < 0:
+            return None
+        h = poly_gcd(r1, r2, p)
+        if alg.poly_deg(h) <= 0:
+            return 0
+        h_free = squarefree_part(h, p)
+        rational = alg.distinct_roots(h_free, p)
+        count = alg.poly_deg(h_free) - len(rational)
+        at = [[alg.poly_trim(row) for row in alg.p2_eval_x(e, rational, p)]
+              for e in (f, fx, fy)]
+        for fy_a, fxy_a, fyy_a in zip(*at):
+            if not (len(fy_a) and len(fxy_a) and len(fyy_a)):
+                raise DegenerateInput("partials collapse at a candidate "
+                                      "abscissa")
+            common = poly_gcd(poly_gcd(fy_a, fxy_a, p), fyy_a, p)
+            if alg.poly_deg(common) < 1:
+                continue  # fake candidate from unrelated branch points
+            if alg.poly_deg(squarefree_part(common, p)) > 1:
+                raise DegenerateInput("two singular points share an "
+                                      "abscissa")
+            count += 1
+        return count
+
+    return resample("node-count frame", 6, count_in_frame)
+
+
 def poly_eval(f, x, p):
     """f(x) by Horner's rule."""
     acc = 0

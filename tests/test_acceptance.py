@@ -97,7 +97,7 @@ class TestAcceptance:
         _check(acc.criterion_hessian(ctx, CFG, inputs.cones[0]), ctx.g)
 
     def test_criterion_09_node_count(self, ctx, inputs):
-        _check(acc.criterion_node_count(ctx, CFG, inputs.cones[0].net), ctx.g)
+        _check(acc.criterion_node_count(ctx, inputs.cones[0].net), ctx.g)
 
     def test_criterion_10_secant_criterion(self, ctx, inputs):
         _check(acc.criterion_secant(ctx, CFG, inputs.cones[0]), ctx.g)
@@ -121,8 +121,7 @@ ON_INPUTS = {
     5: lambda ctx, cfg, s: acc.criterion_reconstruction(ctx, cfg, s.cones),
     7: lambda ctx, cfg, s: acc.criterion_polars(ctx, cfg, s.cones),
     8: lambda ctx, cfg, s: acc.criterion_hessian(ctx, cfg, s.cones[0]),
-    9: lambda ctx, cfg, s: acc.criterion_node_count(ctx, cfg,
-                                                    s.cones[0].net),
+    9: lambda ctx, cfg, s: acc.criterion_node_count(ctx, s.cones[0].net),
     10: lambda ctx, cfg, s: acc.criterion_secant(ctx, cfg, s.cones[0]),
     11: lambda ctx, cfg, s: acc.criterion_spans(ctx, cfg, s.f4),
     12: lambda ctx, cfg, s: acc.criterion_base_locus(ctx, cfg, s.span_cones,

@@ -269,13 +269,6 @@ class TestPolyHelpers:
         assert ys.tolist() == [reference.poly_eval(f, x, P) for x in xs]
         assert alg.interpolate(xs, ys, P).tolist() == f.tolist()
 
-    def test_squarefree_part(self):
-        f = poly_mul(arr([1, 1]), poly_mul(arr([1, 1]), arr([3, 1]), P), P)
-        sf = alg.squarefree_part(f, P)
-        assert alg.poly_deg(sf) == 2
-        assert values(sf, [P - 1, P - 3], P).tolist() == [0, 0]
-        assert sf.tolist() == reference.squarefree_part(f, P).tolist()
-
     def test_normalize_scalar(self):
         # a vector is a stack of one
         v = arr([0, 4, 2])
@@ -307,9 +300,9 @@ def rand_poly(rng, p, deg):
 class TestUnivariateAgainstSympy:
     """The univariate kernels against sympy.polys.galoistools, up to the
     largest admissible prime and degree 24.  The engine's moduli reach
-    degree 56 (the gcd in `bundle.node_count` at genus 5), which
-    `TestGcdAndDivision.test_node_count_degrees` covers against the
-    Euclidean chain of tests/reference.py."""
+    degree 21 (`cone.bitangent_pair` at genus 4); degrees 30 and 56
+    are covered by `TestGcdAndDivision.test_node_count_degrees` against
+    the Euclidean chains of tests/reference.py."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(mod_deg=st.integers(1, 24), base_len=st.integers(0, 50),
@@ -1134,7 +1127,7 @@ class TestStackedResultantAgainstReference:
 
 
 class TestGcdAndDivision:
-    """The echelon gcd, the squarefree part and exact division against
+    """The echelon gcd, exact division and roots at large degree against
     the Euclidean chain and long division of tests/reference.py."""
 
     def test_gcd_edge_cases(self):
@@ -1153,7 +1146,7 @@ class TestGcdAndDivision:
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_gcd_at_degree_45(self, p):
         # a gcd of degree 7 or more, with the divisions by it, at a degree
-        # between the engine's 30 and 56 (`test_node_count_degrees`)
+        # between the 30 and 56 of `test_node_count_degrees`
         rng = np.random.default_rng(45)
         common = rand_poly(rng, p, 7)
         f = poly_mul(rand_poly(rng, p, 38), common, p)
@@ -1172,9 +1165,11 @@ class TestGcdAndDivision:
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_node_count_degrees(self, p):
-        # the largest moduli the engine builds: `bundle.node_count` at
-        # genus 5 takes the gcd of two resultants of degree 56, here with
-        # a common factor s1 s2^2 of degree 32, then its squarefree part
+        # moduli of degree 56 and 30, the gcd degrees of the resultant
+        # count of tests/reference.py at genus 5 and 4, above the engine's
+        # largest (21): the gcd of two polynomials of degree 56 with a
+        # common factor s1 s2^2 of degree 32, and the roots of a stack of
+        # degrees 30 and 56 with planted roots
         rng = np.random.default_rng(56)
         s2 = rand_poly(rng, p, 10)
         common = poly_mul(rand_poly(rng, p, 12), poly_mul(s2, s2, p), p)
@@ -1184,10 +1179,15 @@ class TestGcdAndDivision:
         h = reference.poly_gcd(f, g, p)
         assert alg.poly_gcd(f, g, p).tolist() == h.tolist()
         assert alg.poly_deg(h) >= 32
-        for poly in (h, f):
-            want = reference.squarefree_part(poly, p)
-            assert alg.squarefree_part(poly, p).tolist() == want.tolist()
-            assert alg.poly_deg(want) <= alg.poly_deg(poly) - 10
+        planted = sorted({int(r) for r in rng.integers(0, p, size=6)})
+        low = rand_poly(rng, p, 30 - len(planted))
+        for r in planted:
+            low = poly_mul(low, arr([-r % p, 1]), p)
+        high = poly_mul(low, rand_poly(rng, p, 26), p)
+        assert [alg.poly_deg(q) for q in (low, high)] == [30, 56]
+        got = alg.distinct_roots_batch([low, high], p)
+        assert got == [reference.distinct_roots(q, p) for q in (low, high)]
+        assert set(planted) <= set(got[0]) <= set(got[1])
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(degs=st.lists(st.integers(-1, 12), min_size=1, max_size=4),
@@ -1213,20 +1213,6 @@ class TestGcdAndDivision:
         if divides:
             assert [alg.poly_trim(q).tolist() for q in quots] == \
                 [q.tolist() for q, _ in expected]
-
-    @pytest.mark.parametrize("p", [P, P_MAX])
-    @given(deg=st.integers(0, 12), planted=st.lists(
-               st.tuples(st.integers(0, 2**31), st.integers(1, 3)),
-               max_size=3), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_squarefree_part_matches_reference(self, p, deg, planted, seed):
-        rng = np.random.default_rng(seed)
-        f = rand_poly(rng, p, deg)
-        for r, mult in planted:
-            for _ in range(mult):
-                f = poly_mul(f, arr([-r % p, 1]), p)
-        assert alg.squarefree_part(f, p).tolist() == \
-            reference.squarefree_part(f, p).tolist()
 
 
 class TestVandermondeEvaluation:

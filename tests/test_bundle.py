@@ -5,13 +5,14 @@ import hashlib
 
 import numpy as np
 import pytest
-import sympy
 
-from curvecones import algebra as alg, bundle as bd, cone as cn
+from curvecones import acceptance as acc, algebra as alg, bundle as bd
+from curvecones import cone as cn
 from curvecones import monomials as mono, net as nt
 from curvecones.curve import quadric_gram
 from curvecones.errors import (CurveConesError, DegenerateInput,
-                               RankDeficientW, SplittingViolation)
+                               RankDeficientW, SplittingViolation,
+                               VerificationFailed)
 from curvecones.rng import Stream
 
 import reference
@@ -267,6 +268,25 @@ class TestSteinerian:
             bd.hessian_scan(ctx4, net, cone, n - 1, 0, Stream(202, "u"))
 
 
+def plane_form(terms, degree, p):
+    """A ternary form from {exponent: coefficient}."""
+    idx = mono.index_map(3, degree)
+    out = np.zeros(mono.count(3, degree), dtype=np.int64)
+    for e, c in terms.items():
+        out[idx[e]] = c % p
+    return out
+
+
+def lines_curve(count, p):
+    """The product of `count` random lines."""
+    stream = Stream(210, f"lines{count}")
+    coeffs = stream.field_vec(p, 3)
+    for degree in range(1, count):
+        coeffs = mono.mul_forms(coeffs, degree, stream.field_vec(p, 3), 1, 3,
+                                p)
+    return nt.PlaneCurve(count, coeffs)
+
+
 class TestNodeCount:
     def test_counts_match_secant_formula(self, ctx4, ctx5):
         for ctx, expected in ((ctx4, 6), (ctx5, 16)):
@@ -274,26 +294,71 @@ class TestNodeCount:
             gamma = nt.gamma_equation(ctx, net)
             assert bd.node_count(gamma, P) == expected
 
-    def test_frame_independence(self, ctx4):
-        net = nt.random_net(ctx4, Stream(204, "nc"))
-        gamma = nt.gamma_equation(ctx4, net)
-        assert bd.node_count(gamma, P, seed=0) \
-            == bd.node_count(gamma, P, seed=17)
+    @pytest.mark.parametrize("context", ["ctx4", "ctx4_max", "ctx5",
+                                         "ctx5_max"])
+    def test_matches_the_resultant_count(self, request, context):
+        # 12 random nets per genus and prime: the Hilbert-function count,
+        # the frame-and-resultant walk of tests/reference.py and the
+        # secant-line formula agree
+        ctx = request.getfixturevalue(context)
+        for k in range(12):
+            net = nt.random_net(ctx, Stream(209, f"{context}|{k}"))
+            gamma = nt.gamma_equation(ctx, net)
+            assert bd.node_count(gamma, ctx.p) \
+                == reference.node_count(gamma, ctx.p) == acc.node_count(ctx.g)
 
-    @pytest.mark.parametrize("p", [P, 33554393])
-    @pytest.mark.parametrize("degree", [6, 8])   # Gamma at genus 4 and 5
-    def test_partial_charts_are_derivatives_of_the_chart(self, p, degree):
-        coeffs = Stream(206, "nc").field_vec(p, mono.count(3, degree))
-        x, y = sympy.symbols("x y")
-        chart = sum(int(c) * x ** e[0] * y ** e[1] for e, c in
-                    zip(mono.exponents(3, degree), coeffs))   # z2 = 1
-        refs = (chart, sympy.diff(chart, x), sympy.diff(chart, y))
-        for got, ref in zip(bd._chart_with_partials(coeffs, degree, p),
-                            refs):
-            want = {e: int(c) % p for e, c in sympy.Poly(ref, x, y).terms()
-                    if int(c) % p}
-            assert {(int(i), int(j)): int(got[i, j])
-                    for i, j in zip(*np.nonzero(got))} == want
+    def test_perturbed_image_has_no_singular_point(self, ctx4):
+        net = nt.random_net(ctx4, Stream(203, "nc4"))
+        gamma = nt.gamma_equation(ctx4, net)
+        coeffs = gamma.coeffs.copy()
+        coeffs[0] = (coeffs[0] + 1) % P
+        smooth = nt.PlaneCurve(gamma.degree, coeffs)
+        assert bd.node_count(smooth, P) == reference.node_count(smooth, P) \
+            == 0
+
+    @pytest.mark.parametrize("count, nodes", [(6, 15), (8, 28)])
+    def test_general_lines(self, count, nodes):
+        assert bd.node_count(lines_curve(count, P), P) == nodes
+
+    def test_cusp_counts_two(self):
+        # y^2 z = x^3 + x^2 z has a node at (0:0:1), y^2 z = x^3 a cusp
+        nodal = plane_form({(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}, 3, P)
+        cuspidal = plane_form({(0, 2, 1): 1, (3, 0, 0): -1}, 3, P)
+        assert bd.node_count(nt.PlaneCurve(3, nodal), P) == 1
+        assert bd.node_count(nt.PlaneCurve(3, cuspidal), P) == 2
+
+    def test_multiple_component_reaches_the_cap(self):
+        # a squared cubic is singular along the cubic: H(d) grows by 3 a
+        # degree, and the count gives up after (D - 1)^2 = 25
+        cubic = Stream(211, "cubic").field_vec(P, mono.count(3, 3))
+        squared = nt.PlaneCurve(6, mono.mul_forms(cubic, 3, cubic, 3, 3, P))
+        with pytest.raises(VerificationFailed, match="degrees 11 to 26"):
+            bd.node_count(squared, P)
+
+    def test_hilbert_degrees_read(self, ctx4, ctx5, monkeypatch):
+        # H(d + 1) is read first: at genus 4, H(12) = 6 <= 11 and then
+        # H(11) = 6 stop at d = 11; at genus 5, H(16) = 16 > 15 skips
+        # d = 15, and H(17) = 16 stops at d = 16
+        read = []
+        multiples = mono.multiples
+
+        def record(forms, e, d, g, p):
+            read.append(d)
+            return multiples(forms, e, d, g, p)
+
+        monkeypatch.setattr(mono, "multiples", record)
+        for ctx, degrees in ((ctx4, [12, 11]), (ctx5, [16, 17])):
+            net = nt.random_net(ctx, Stream(203, f"nc{ctx.g}"))
+            gamma = nt.gamma_equation(ctx, net)
+            read.clear()
+            bd.node_count(gamma, P)
+            assert read == degrees
+            for d in degrees:
+                rows = multiples(mono.gradient(gamma.coeffs, 3, gamma.degree,
+                                               P), gamma.degree - 1, d, 3, P)
+                _, pivots = reference.rref(rows.reshape(-1, mono.count(3, d)),
+                                           P)
+                assert mono.count(3, d) - len(pivots) == acc.node_count(ctx.g)
 
     def test_arithmetic_genus_bookkeeping(self):
         # (2g-3)(g-2) - g counts nodes of a degree 2g-2 plane curve of

@@ -213,12 +213,12 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_sound(self, ctx4, inputs):
-        result = acc.criterion_node_count(ctx4, CFG, inputs.cones[0].net)
+        result = acc.criterion_node_count(ctx4, inputs.cones[0].net)
         assert result.ok and result.details["nodes"] == 6
 
     def test_perturbed_image_equation_fails(self, ctx4, off_image_net):
         # a perturbed sextic is smooth: it has no nodes to count
-        result = acc.criterion_node_count(ctx4, CFG, off_image_net)
+        result = acc.criterion_node_count(ctx4, off_image_net)
         assert not result.ok, result.line()
         assert result.details["nodes"] == 0
 
