@@ -361,9 +361,8 @@ def criterion_secant(ctx, cfg: SuiteConfig,
                             "double_section_branch": double_ok})
 
 
-def criterion_spans(ctx, cfg: SuiteConfig,
-                    f4: sl.SpanAccumulator) -> CriterionResult:
-    squares_ok = sl.squares_containment(ctx, f4, seed=cfg.seed)
+def criterion_spans(ctx, f4: sl.SpanAccumulator) -> CriterionResult:
+    squares_ok = sl.squares_containment(ctx, f4)
     expected = cv.MODELS[ctx.g].f4_rank
     proper = f4.rank < ctx.ideal(4).dim
     ok = f4.rank == expected and squares_ok and proper
@@ -422,7 +421,7 @@ def run_criteria(ctx, cfg: SuiteConfig, echo=None) -> list[CriterionResult]:
         criterion_hessian(ctx, cfg, inputs.cones[0]),
         criterion_node_count(ctx, inputs.cones[0].net),
         criterion_secant(ctx, cfg, inputs.cones[0]),
-        criterion_spans(ctx, cfg, inputs.f4),
+        criterion_spans(ctx, inputs.f4),
         criterion_base_locus(ctx, cfg, inputs.span_cones, inputs.f4),
     ]
     if echo:

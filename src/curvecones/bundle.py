@@ -184,15 +184,19 @@ def node_count(gamma: nt.PlaneCurve, p: int) -> int:
     158, 1978; Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) H keeps that
     value for good: it is the Hilbert polynomial of S/J, the length
     sought, over any field and with no draw.  The degrees are read upward
-    from 2D - 1, H(d + 1) first, as H(d) matters only when H(d + 1) <= d:
-    a general net's image stops at d = 11 at genus 4 (H = 6) and at 16 at
-    genus 5 (H = 16), two ranks each.
+    from 2D - 1, H(d + 1) first, as H(d) matters only when H(d + 1) <= d,
+    and a failed test steps d to max(d + 1, H(d + 1)), where it holds once
+    H has settled (any d that passes gives the length): a general net's
+    image stops at d = 11 at genus 4 (H = 6) and at 16 at genus 5
+    (H = 16), two ranks each, and 8 general lines (length 28) read degrees
+    16, 29 and 28.
 
     A reduced curve has finitely many singular points, and its singular
     scheme lies in the complete intersection of two general combinations
     of the partials, of length (D - 1)^2; the H of a curve with isolated
     singularities is constant from degree 3D - 5 on (classical over the
-    complex numbers).  So the test holds by d = max(2D - 1, (D - 1)^2).
+    complex numbers).  So the test holds by d = max(2D - 1, (D - 1)^2), and
+    no step passes that cap, as H(d) <= (D - 1)^2 from d = 2D - 3 on.
     A curve with a multiple component has a singular scheme of dimension
     one, whose H grows without end: past that cap the count raises
     VerificationFailed naming the degrees read."""
@@ -205,11 +209,12 @@ def node_count(gamma: nt.PlaneCurve, p: int) -> int:
         return mono.count(3, d) - alg.rank(rows.reshape(-1, rows.shape[-1]),
                                            p)
 
-    start = 2 * degree - 1
+    start = d = 2 * degree - 1
     cap = max(start, (degree - 1) ** 2)
-    for d in range(start, cap + 1):
+    while d <= cap:
         if hilbert(d + 1) <= d and hilbert(d) == hilbert(d + 1):
             return hilbert(d)
+        d = max(d + 1, hilbert(d + 1))
     raise VerificationFailed(
         f"the Hilbert function of the singular scheme of a degree-{degree} "
         f"curve still grows at degrees {start} to {cap + 1}: the curve has "

@@ -156,8 +156,7 @@ def cmd_spans(args) -> int:
         "f4_trajectory": f4.trajectory,
         "f3_rank": f3.rank,
         "f3_trajectory": f3.trajectory,
-        "squares_contained": sl.squares_containment(ctx, f4,
-                                                    seed=cfg["seed"]),
+        "squares_contained": sl.squares_containment(ctx, f4),
         "base_locus": probe,
         "provenance": {"f4": f4.provenance, "f3": f3.provenance},
     })

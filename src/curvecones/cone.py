@@ -12,7 +12,8 @@ independent verification channel.
 A stack of nets is reconstructed and certified in lockstep
 (`errors.lockstep`): each net runs the one-net chain, and the requests of
 a round are served together, the fibers of all nets by one
-`fibers.split_fibers`.
+`fibers.split_fibers` and their splitting systems by one `_kernels` per
+constrained-space dimension.
 
 The contractions of `vertex_condition_matrix` sum g products of two
 entries below p per entry, below 5 * 2**50 < 2**53 at genus 5 and
@@ -36,13 +37,13 @@ from .errors import (CurveConesError, DegenerateInput, Draws,
                      InconsistentReconstruction, NonGenericD,
                      UnderdeterminedReconstruction, VerificationFailed,
                      lockstep, resample, unwrap, value_of)
-from .fibers import SplitFiber, form_matches_split, split_fibers
+from .fibers import (SplitFiber, form_matches_split, split_fibers,
+                     split_product_form)
 from .rng import Stream, derive_key
 
-# pencils a reconstruction starts from, and the most it draws before the
-# solution space must be one-dimensional
-PENCILS_START = 6
-PENCILS_MAX = 20
+# pencils whose splitting equations a reconstruction solves: the solution
+# space must then be one-dimensional
+PENCILS = 6
 # samples past the fit that test the family sweep's rational function
 SWEEP_HOLDOUT = 6
 
@@ -138,21 +139,31 @@ def _split(ctx: CurveContext, nets: tuple, us: tuple) -> list:
         np.array([net.w for net in nets]), np.array(us), ctx.p))
 
 
-def _kernels(ctx: CurveContext, shape: tuple, f_blocks: tuple, rhs: tuple
+def _kernels(ctx: CurveContext, dim_s: int, s_bases: tuple, fibers: tuple
              ) -> list:
-    """Per net, the kernel of the system of its fiber equations (see
-    `_fiber_equations`) in the constrained-space coordinates and one
-    multiplier per fiber: its dimension, and its vector when it is 1.  The
-    systems of a round are built as one stack and reduced by one
-    `rref_batch`."""
-    k, npts, dim_s = shape
+    """Per net, the kernel of its splitting system in the coordinates of
+    its constrained-space basis (dim_s forms) and one multiplier c_k per
+    fiber: its dimension, and its vector when it is 1.  The equations of
+    fiber k are the coefficients of F|fiber - c_k ell^2 q, the identity
+    that `fibers.form_matches_split` certifies.  The restrictions of the
+    bases to every fiber of the round come from one `monomials.restrict`,
+    the split products from one `fibers.split_product_form`, and the
+    systems are reduced by one `rref_batch`."""
+    p = ctx.p
+    n, k = len(fibers), len(fibers[0])
+    flat = [fiber for mine in fibers for fiber in mine]
+    restricted = mono.restrict(
+        np.repeat(np.stack(s_bases).swapaxes(1, 2), k, axis=0), 4, ctx.g,
+        np.stack([fiber.vperp.T for fiber in flat]), p)
+    split = split_product_form(np.stack([fiber.ell for fiber in flat]),
+                               np.stack([fiber.gram for fiber in flat]), p)
     # the multiplier of fiber j enters the rows of fiber j only
-    multipliers = (-np.stack(rhs) % ctx.p)[..., None] \
+    multipliers = (-split.reshape(n, k, -1) % p)[..., None] \
         * np.eye(k, dtype=np.int64)[:, None]
-    system = np.concatenate([np.stack(f_blocks), multipliers], axis=3)
-    reduced, pivots = alg.rref_batch(
-        system.reshape(len(system), k * npts, -1), ctx.p)
-    basis, _ = alg.special_solutions_batch(reduced, pivots, 1, ctx.p)
+    system = np.concatenate([restricted.reshape(n, k, -1, dim_s),
+                             multipliers], axis=3)
+    reduced, pivots = alg.rref_batch(system.reshape(n, -1, dim_s + k), p)
+    basis, _ = alg.special_solutions_batch(reduced, pivots, 1, p)
     return list(zip(dim_s + k - (pivots >= 0).sum(axis=1), basis[:, 0]))
 
 
@@ -184,27 +195,6 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
     return [fiber for _, fiber in fibers]
 
 
-def _fiber_equations(ctx: CurveContext, fibers: list[SplitFiber],
-                     s_basis: np.ndarray, stream: Stream, first: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The equations F(b) - c_k ell(b)^2 q(b) = 0 of each fiber k, numbered
-    from `first`, at 2(g-2) + 3 points of its stream: the evaluations of
-    the constrained-space basis at the points (fibers x points x basis)
-    and the values ell(c)^2 c^T G c of the split product at their fiber
-    coordinates c, which those equations subtract (fibers x points)."""
-    p = ctx.p
-    g = ctx.g
-    cs = np.array([stream.spawn(f"pts{first + k}").field_mat(
-        p, 2 * g - 1, g - 2) for k in range(len(fibers))], dtype=np.int64)
-    pts = cs @ np.stack([fiber.vperp for fiber in fibers]) % p
-    f_blocks = mono.eval_matrix(pts.reshape(-1, g), g, 4, p) @ s_basis.T % p
-    ell = (cs @ np.stack([fiber.ell for fiber in fibers])[:, :, None])[..., 0]
-    quad = (cs @ np.stack([fiber.gram for fiber in fibers]) % p * cs % p
-            ).sum(axis=2) % p
-    rhs = (ell % p) ** 2 % p * quad % p
-    return f_blocks.reshape(cs.shape[:2] + (-1,)), rhs
-
-
 def _reconstruct(ctx: CurveContext, net_obj: nt.Net, s_basis: np.ndarray,
                  stream: Stream, oracle_points: int):
     """Chain (see `errors.lockstep`) of `reconstruct_quartic`."""
@@ -215,35 +205,24 @@ def _reconstruct(ctx: CurveContext, net_obj: nt.Net, s_basis: np.ndarray,
     if dim_s == 0:
         raise InconsistentReconstruction("constrained space is empty")
     fibers = yield from _fresh_fibers(ctx, net_obj, stream.spawn("draw"),
-                                      PENCILS_START)
-    f_blocks, rhs = _fiber_equations(ctx, fibers, s_basis, stream, 0)
-    while True:
-        k = len(rhs)
-        (nullity, kernel), = yield (_kernels, ctx, f_blocks.shape,
-                                    [(f_blocks, rhs)])
-        if nullity == 0:
-            raise InconsistentReconstruction(
-                "splitting equations admit no common quartic")
-        if nullity == 1:
-            break
-        if k >= PENCILS_MAX:
-            raise UnderdeterminedReconstruction(
-                f"solution space still {nullity}-dimensional "
-                f"after {k} pencils")
-        fibers = yield from _fresh_fibers(ctx, net_obj,
-                                          stream.spawn(f"more{k}"), 2)
-        f_blocks, rhs = (np.concatenate(pair) for pair in zip(
-            (f_blocks, rhs), _fiber_equations(ctx, fibers, s_basis, stream,
-                                              k)))
+                                      PENCILS)
+    (nullity, kernel), = yield _kernels, ctx, dim_s, [(s_basis, fibers)]
+    if nullity == 0:
+        raise InconsistentReconstruction(
+            "splitting equations admit no common quartic")
+    if nullity > 1:
+        raise UnderdeterminedReconstruction(
+            f"solution space is {nullity}-dimensional after {PENCILS} "
+            "pencils")
     coeffs = alg.normalize_rows(kernel[:dim_s] @ s_basis % p, p)
-    del fibers, f_blocks, rhs, s_basis   # a round verifies with less held
+    del fibers, s_basis   # a round verifies with less held
     if not coeffs.any():
         raise InconsistentReconstruction("solution collapsed to zero")
     cone = QuarticCone(net=net_obj, coeffs=coeffs)
     cone.certificate = yield from _verify(ctx, cone, stream.spawn("verify"),
                                           oracle_points)
     cone.certificate.update(dim_constrained_space=int(dim_s),
-                            pencils_used=k, solution_dim=1)
+                            pencils_used=PENCILS, solution_dim=1)
     return cone
 
 
@@ -267,10 +246,12 @@ def reconstruct_quartic(ctx: CurveContext, net_obj: nt.Net, seed: int = 0,
                         oracle_points: int = 50) -> QuarticCone:
     """Solve for the quartic cone of a net away from the degeneracy divisor.
 
-    Stacks the vertex-singularity constraints with splitting equations over
-    adaptively many pencils, demands a one-dimensional solution space, and
-    verifies the result against fresh points, the membership oracle, and a
-    holdout pencil (`reconstruct_quartics` on the one net)."""
+    Solves for the ideal quartics singular along the vertex whose
+    restriction to the fiber of each of `PENCILS` pencils is a multiple of
+    the split product there, coefficient by coefficient (`_kernels`),
+    demands a one-dimensional solution space, and verifies the result
+    against fresh points, the membership oracle, and a holdout pencil
+    (`reconstruct_quartics` on the one net)."""
     return value_of(reconstruct_quartics(ctx, [net_obj], seed,
                                          oracle_points)[0])
 

@@ -134,7 +134,8 @@ class CorankJump(DegenerateInput):
 
 
 class UnderdeterminedReconstruction(DegenerateInput):
-    """Quartic reconstruction still ambiguous after the pencil cap."""
+    """Quartic reconstruction still ambiguous after its `cone.PENCILS`
+    pencils."""
 
 
 class InconsistentReconstruction(DegenerateInput):

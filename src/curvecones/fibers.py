@@ -2,7 +2,10 @@
 
 The restriction of the quartic cone of a net to the orthogonal space of a
 pencil inside the net splits as (vertex linear form)^2 times the quadric
-whose Gram is the inverse of the cup-product Gram on that space.
+whose Gram is the inverse of the cup-product Gram on that space.  That
+identity, with `split_product_form` on its right, is both the system the
+reconstruction solves (`cone._kernels`) and the holdout certificate
+(`form_matches_split`).
 `split_fibers` runs every step on an N x 2 x g stack of pencils through
 the `pencil` contractions and `algebra.kernel_batch`/`solve_batch`.  A
 pencil is first tested by `pencil.admissibility`, whose failures open the
@@ -90,25 +93,30 @@ def split_fibers(ctx: CurveContext, nets, vs: np.ndarray
         vperp=vperp[i], ell=ell[i], gram=residual[i]))
 
 
-def fiber_quadric_form(fiber: SplitFiber, p: int) -> np.ndarray:
+def fiber_quadric_form(gram: np.ndarray, p: int) -> np.ndarray:
     """Degree-2 coefficient vector of c -> c^T G c on fiber coordinates,
-    the inverse of `curve.quadric_gram` (same monomial order)."""
-    i, j = np.triu_indices(fiber.gram.shape[0])
-    return fiber.gram[i, j] * np.where(i == j, 1, 2) % p
+    the inverse of `curve.quadric_gram` (same monomial order); for a stack
+    of Grams, one vector each."""
+    i, j = np.triu_indices(gram.shape[-1])
+    return gram[..., i, j] * np.where(i == j, 1, 2) % p
 
 
-def split_product_form(fiber: SplitFiber, p: int) -> np.ndarray:
-    """ell^2 times the residual quadric, a quartic on fiber coordinates."""
-    m = fiber.gram.shape[0]
-    ell2 = mono.mul_forms(fiber.ell, 1, fiber.ell, 1, m, p)
-    return mono.mul_forms(ell2, 2, fiber_quadric_form(fiber, p), 2, m, p)
+def split_product_form(ell: np.ndarray, gram: np.ndarray, p: int
+                       ) -> np.ndarray:
+    """ell^2 times the residual quadric of the Gram, a quartic on fiber
+    coordinates; for stacks of ell and Gram, one quartic per pair."""
+    m = gram.shape[-1]
+    ell2 = mono.mul_forms(ell, 1, ell, 1, m, p)
+    return mono.mul_forms(ell2, 2, fiber_quadric_form(gram, p), 2, m, p)
 
 
 def form_matches_split(ctx: CurveContext, coeffs: np.ndarray,
                        fiber: SplitFiber) -> bool:
-    """Exact proportionality of the restricted quartic with the splitting."""
+    """Exact proportionality of the restricted quartic with the splitting,
+    the identity whose coefficients are the reconstruction's equations
+    (`cone._kernels`)."""
     p = ctx.p
     restricted = mono.restrict(coeffs, 4, ctx.g, fiber.vperp.T, p)
-    lhs, rhs = alg.normalize_rows(
-        np.stack([restricted, split_product_form(fiber, p)]), p)
+    lhs, rhs = alg.normalize_rows(np.stack([
+        restricted, split_product_form(fiber.ell, fiber.gram, p)]), p)
     return lhs.tolist() == rhs.tolist()

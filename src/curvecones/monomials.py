@@ -127,9 +127,10 @@ def multiples(forms: np.ndarray, e: int, d: int, g: int, p: int
 def mul_forms(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int, g: int,
               p: int) -> np.ndarray:
     """Product of two forms as a degree n1+n2 coefficient vector: c1
-    against the degree-(n1 + n2) multiples of c2."""
-    c1 = np.asarray(c1, dtype=np.int64) % p
-    return c1 @ multiples(c2, n2, n1 + n2, g, p) % p
+    against the degree-(n1 + n2) multiples of c2; for stacks of forms, the
+    product of each pair, one stack broadcast against the other."""
+    c1 = np.asarray(c1, dtype=np.int64)[..., None, :] % p
+    return (c1 @ multiples(c2, n2, n1 + n2, g, p))[..., 0, :] % p
 
 
 def gradient(coeffs: np.ndarray, g: int, n: int, p: int) -> np.ndarray:

@@ -155,20 +155,14 @@ def accumulate_f3(ctx: CurveContext, cones: list[cn.QuarticCone]
         ctx, c, c.net.wperp))
 
 
-def squares_containment(ctx: CurveContext, f4: SpanAccumulator,
-                        seed: int = 0) -> bool:
-    """Squares of 20 random ideal quadrics must lie inside the quartic
-    span."""
-    i2 = ctx.ideal(2)
-    stream = Stream(derive_key(ctx.curve.seed, f"squares|{seed}"), "combo")
-    for _ in range(20):
-        quadric = stream.combination(ctx.p, i2.basis)
-        if quadric is None:
-            continue
-        square = mono.mul_forms(quadric, 2, quadric, 2, ctx.g, ctx.p)
-        if not f4.span.contains(square):
-            return False
-    return True
+def squares_containment(ctx: CurveContext, f4: SpanAccumulator) -> bool:
+    """Every product q_i q_j (i <= j) of the I(2) basis, and so every
+    square of an ideal quadric, lies inside the quartic span: the
+    products are one stacked `monomials.mul_forms`."""
+    basis = ctx.ideal(2).basis
+    i, j = np.triu_indices(len(basis))
+    return all(map(f4.span.contains, mono.mul_forms(
+        basis[i], 2, basis[j], 2, ctx.g, ctx.p)))
 
 
 def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],

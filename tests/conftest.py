@@ -52,6 +52,7 @@ COUNTED = (
     (cv, "line_zeros", lambda a, out: len(a[3])),
     (pc, "cup_grams", lambda a, out: len(a[2])),
     (cn, "_verify", lambda a, out: a[3]),
+    (cn, "_kernels", lambda a, out: [int(n) for n, _ in out]),
     (nt, "oracle_batch", lambda a, out: len(a[2])),
     (cn, "_family_roots", lambda a, out: len(out)),
     (cn, "_family_candidates", lambda a, out: len(out)),

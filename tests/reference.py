@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 
 from curvecones import algebra as alg, cone as cn, curve as cv
-from curvecones import fibers as fb
 from curvecones import monomials as mono, net as nt, pencil as pc
 from curvecones.errors import (AmbiguousFit, CurveConesError,
                                DegenerateInput, Draws, InadmissiblePencil,
@@ -843,10 +842,24 @@ def verify_cone(ctx, net_obj, coeffs, stream, oracle_points):
     return cert
 
 
+def split_product(fiber, p):
+    """ell^2 times the quadric c^T G c of a fiber, a quartic on its
+    coordinates: the quadric's coefficients by a walk over the degree-2
+    exponents, the products by `mul_forms` one factor at a time."""
+    m = len(fiber.ell)
+    quadric = np.zeros(mono.count(m, 2), dtype=np.int64)
+    for k, e in enumerate(mono.exponents(m, 2)):
+        i, j = [v for v in range(m) for _ in range(e[v])]
+        quadric[k] = fiber.gram[i][j] * (1 if i == j else 2) % p
+    ell2 = mono.mul_forms(fiber.ell, 1, fiber.ell, 1, m, p)
+    return mono.mul_forms(ell2, 2, quadric, 2, m, p)
+
+
 def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
-    """(coeffs, certificate) of the quartic cone of one net: one splitting
-    equation block per fiber, one `kernel_basis` per system, two more
-    fibers until the solution is one-dimensional, then `verify_cone`."""
+    """(coeffs, certificate) of the quartic cone of one net: the splitting
+    system of 6 fibers built one fiber at a time, the coefficients of
+    F|fiber - c_k ell^2 q from one `restrict` of the constrained-space
+    basis per fiber, solved by one `kernel_basis`, then `verify_cone`."""
     if net_obj.in_d:
         raise DegenerateInput("net lies on the degeneracy divisor")
     p, g = ctx.p, ctx.g
@@ -858,42 +871,27 @@ def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
     if dim_s == 0:
         raise InconsistentReconstruction("constrained space is empty")
     fibers = fresh_fibers(ctx, net_obj, stream.spawn("draw"), 6)
-    blocks = []
-    while True:
-        k = len(fibers)
-        for idx in range(len(blocks), k):
-            sub = stream.spawn(f"pts{idx}")
-            cs = np.stack([sub.field_vec(p, g - 2)
-                           for _ in range(2 * g - 1)])
-            f_block = mono.eval_matrix(cs @ fibers[idx].vperp % p, g, 4,
-                                       p) @ s_basis.T % p
-            rhs = mono.form_eval(fb.split_product_form(fibers[idx], p), cs,
-                                 g - 2, 4, p)
-            blocks.append((f_block, rhs))
-        rows = []
-        for idx, (f_block, rhs) in enumerate(blocks):
-            block = np.zeros((len(rhs), dim_s + k), dtype=np.int64)
-            block[:, :dim_s] = f_block
-            block[:, dim_s + idx] = -rhs % p
-            rows.append(block)
-        system = np.concatenate(rows)
-        kernel = alg.kernel_basis(system, p)
-        if kernel.shape[0] == 0:
-            raise InconsistentReconstruction(
-                "splitting equations admit no common quartic")
-        if kernel.shape[0] == 1:
-            break
-        if k >= 20:
-            raise UnderdeterminedReconstruction(
-                f"solution space still {kernel.shape[0]}-dimensional "
-                f"after {k} pencils")
-        fibers += fresh_fibers(ctx, net_obj, stream.spawn(f"more{k}"), 2)
+    rows = []
+    for k, fiber in enumerate(fibers):
+        restricted = mono.restrict(s_basis.T, 4, g, fiber.vperp.T, p)
+        block = np.zeros((len(restricted), dim_s + 6), dtype=np.int64)
+        block[:, :dim_s] = restricted
+        block[:, dim_s + k] = -split_product(fiber, p) % p
+        rows.append(block)
+    kernel = alg.kernel_basis(np.concatenate(rows), p)
+    if kernel.shape[0] == 0:
+        raise InconsistentReconstruction(
+            "splitting equations admit no common quartic")
+    if kernel.shape[0] > 1:
+        raise UnderdeterminedReconstruction(
+            f"solution space is {kernel.shape[0]}-dimensional after 6 "
+            "pencils")
     coeffs = normalize(kernel[0][:dim_s] @ s_basis % p, p)
     if not coeffs.any():
         raise InconsistentReconstruction("solution collapsed to zero")
     cert = verify_cone(ctx, net_obj, coeffs, stream.spawn("verify"),
                        oracle_points)
-    cert.update(dim_constrained_space=dim_s, pencils_used=k, solution_dim=1)
+    cert.update(dim_constrained_space=dim_s, pencils_used=6, solution_dim=1)
     return coeffs, cert
 
 

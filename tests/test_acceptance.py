@@ -103,14 +103,14 @@ class TestAcceptance:
         _check(acc.criterion_secant(ctx, CFG, inputs.cones[0]), ctx.g)
 
     def test_criterion_11_span_dimensions(self, ctx, inputs):
-        _check(acc.criterion_spans(ctx, CFG, inputs.f4), ctx.g)
+        _check(acc.criterion_spans(ctx, inputs.f4), ctx.g)
 
     def test_criterion_12_base_locus(self, ctx, inputs):
         _check(acc.criterion_base_locus(ctx, CFG, inputs.span_cones,
                                         inputs.f4), ctx.g)
 
     def test_span_criteria_leave_the_certified_cones(self, ctx, inputs):
-        acc.criterion_spans(ctx, CFG, inputs.f4)
+        acc.criterion_spans(ctx, inputs.f4)
         assert len(inputs.cones) == CFG.reconstructions
         assert len(inputs.span_cones) == CFG.span_samples
 
@@ -123,7 +123,7 @@ ON_INPUTS = {
     8: lambda ctx, cfg, s: acc.criterion_hessian(ctx, cfg, s.cones[0]),
     9: lambda ctx, cfg, s: acc.criterion_node_count(ctx, s.cones[0].net),
     10: lambda ctx, cfg, s: acc.criterion_secant(ctx, cfg, s.cones[0]),
-    11: lambda ctx, cfg, s: acc.criterion_spans(ctx, cfg, s.f4),
+    11: lambda ctx, cfg, s: acc.criterion_spans(ctx, s.f4),
     12: lambda ctx, cfg, s: acc.criterion_base_locus(ctx, cfg, s.span_cones,
                                                      s.f4),
 }

@@ -317,8 +317,21 @@ class TestNodeCount:
             == 0
 
     @pytest.mark.parametrize("count, nodes", [(6, 15), (8, 28)])
-    def test_general_lines(self, count, nodes):
-        assert bd.node_count(lines_curve(count, P), P) == nodes
+    def test_general_lines(self, count, nodes, monkeypatch):
+        # H(2D) is above 2D - 1, so d steps to H(2D), where H has settled:
+        # three ranks in all
+        degrees = {6: [12, 16, 15], 8: [16, 29, 28]}[count]
+        curve = lines_curve(count, P)
+        read = []
+        multiples = mono.multiples
+
+        def record(forms, e, d, g, p):
+            read.append(d)
+            return multiples(forms, e, d, g, p)
+
+        monkeypatch.setattr(mono, "multiples", record)
+        assert bd.node_count(curve, P) == nodes
+        assert read == degrees
 
     def test_cusp_counts_two(self):
         # y^2 z = x^3 + x^2 z has a node at (0:0:1), y^2 z = x^3 a cusp

@@ -191,16 +191,18 @@ class TestReconstructRounds:
                 for k in range(3)]
         nets.insert(1, cn.degenerate_net(ctx, Stream(122, name)))
         # a third of the pencils of nets[2] fail; every fiber of nets[3]
-        # is its first one, so its solution space stays more than
-        # one-dimensional while it draws two fibers a round up to 20
+        # is its first one, so the system of its 6 fibers leaves a solution
+        # space of more than one dimension
         real = cn.split_fibers
         first = {}
+        split3 = []                 # the fibers nets[3] gets
 
         def planted(net, v, fiber):
             key = str(net.w.tolist())
             if net is nets[2] and int(v.sum()) % 3 == 0:
                 return InadmissiblePencil("planted")
             if net is nets[3] and isinstance(fiber, cn.SplitFiber):
+                split3.append(v)
                 return first.setdefault(key, fiber)
             return fiber
 
@@ -213,6 +215,7 @@ class TestReconstructRounds:
         want, want_draws = stream_draws(monkeypatch, lambda: [
             one_net_outcome(lambda: reference.reconstruct_quartic(
                 ctx, net, seed=5, oracle_points=6)) for net in nets])
+        split3.clear()
         got, got_draws = stream_draws(monkeypatch, lambda: [
             one_net_outcome(lambda: res) for res in
             cn.reconstruct_quartics(ctx, nets, seed=5, oracle_points=6)])
@@ -223,7 +226,8 @@ class TestReconstructRounds:
         assert want[1] == (DegenerateInput,
                            "net lies on the degeneracy divisor")
         assert want[3][0] is UnderdeterminedReconstruction
-        assert want[3][1].endswith("after 20 pencils")
+        assert want[3][1].endswith("after 6 pencils")
+        assert len(split3) == cn.PENCILS == 6
         assert all(not isinstance(w[0], type) for w in want[:1] + want[2:3])
         # the cones again, each certified alone on another stream
         cones = [cn.QuarticCone(net=net, coeffs=np.array(w[0]))
@@ -272,6 +276,32 @@ class TestReconstructRounds:
 
     def test_empty_stacks(self, ctx4):
         assert cn.reconstruct_quartics(ctx4, []) == []
+
+
+class TestSplittingSystem:
+    """The exact splitting system of `cone.PENCILS` fibers pins the quartic
+    of a net down to one dimension: no second system is ever needed."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
+    def test_six_fibers_leave_one_dimension(self, name, request):
+        ctx = request.getfixturevalue(name)
+        nets = nt.random_nets(ctx, [Stream(130, f"{name}{k}")
+                                    for k in range(50)])
+        nets += [cn.secant_through_vertex(ctx, Stream(131, f"{name}{k}"))[2]
+                 for k in range(10)]
+        assert all(isinstance(net, nt.Net) and not net.in_d for net in nets)
+        spaces = cn.constrained_spaces(ctx, nets, 4)
+        fibers = errors.lockstep([
+            cn._fresh_fibers(ctx, net, Stream(132, f"{name}{k}"), cn.PENCILS)
+            for k, net in enumerate(nets)])
+        nullities = []
+        for dim_s in {space.shape[0] for space in spaces}:
+            mine = [k for k, space in enumerate(spaces)
+                    if space.shape[0] == dim_s]
+            nullities += [n for n, _ in cn._kernels(
+                ctx, dim_s, [spaces[k] for k in mine],
+                [fibers[k] for k in mine])]
+        assert nullities == [1] * 60
 
 
 def fresh_fibers(ctx, net, stream, count):

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import types
 
 import numpy as np
 import pytest
@@ -133,8 +132,8 @@ class TestQuadricGram:
                     b @ gram @ b % p]
         assert mono.restrict_to_line(q, 2, g, a, b, p).tolist() == expected
         # the fiber form is the inverse of the Gram matrix
-        fiber = types.SimpleNamespace(gram=cv.quadric_gram(q, g, p))
-        assert fb.fiber_quadric_form(fiber, p).tolist() == q.tolist()
+        assert fb.fiber_quadric_form(cv.quadric_gram(q, g, p),
+                                     p).tolist() == q.tolist()
 
     def test_ruling_chart_at_the_largest_prime(self):
         # 4 (p-1)^3 > 2**63: an unreduced int64 product x @ G @ y

@@ -301,8 +301,22 @@ class TestKernelEdges:
 
 
 class TestStackedForms:
-    """`restrict` and `gradient` on many forms at once equal one call per
-    form."""
+    """`restrict`, `gradient` and `mul_forms` on many forms at once equal
+    one call per form."""
+
+    def test_mul_forms_on_stacks(self):
+        # pairs of a stack against the product of each pair, and one form
+        # broadcast against a stack, at the largest prime
+        stream = Stream(5, "mul-stacks")
+        a = stream.field_mat(P_MAX, 4, mono.count(3, 2))
+        b = stream.field_mat(P_MAX, 4, mono.count(3, 1))
+        pairs = [mono.mul_forms(x, 2, y, 1, 3, P_MAX).tolist()
+                 for x, y in zip(a, b)]
+        assert mono.mul_forms(a, 2, b, 1, 3, P_MAX).tolist() == pairs
+        assert mono.mul_forms(a[:, None], 2, b, 1, 3, P_MAX)[
+            np.arange(4), np.arange(4)].tolist() == pairs
+        assert mono.mul_forms(a[0], 2, b, 1, 3, P_MAX).tolist() == [
+            mono.mul_forms(a[0], 2, y, 1, 3, P_MAX).tolist() for y in b]
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(st.integers(0, 2**32 - 1))

@@ -1,8 +1,9 @@
 """Negative controls: a criterion fails on a planted fault.
 
 Each control plants one fault at genus 4 with the reduced config of
-criterion 13 and asserts the FAIL (or the named exception), next to the
-same criterion passing on the sound inputs.  Criteria without a control
+criterion 13, or at genus 5 where the fault needs a span of more than one
+quadric product, and asserts the FAIL (or the named exception), next to
+the same criterion passing on the sound inputs.  Criteria without a control
 here are listed with their blind spots in the README's criteria table.
 """
 
@@ -256,7 +257,7 @@ class TestCriterion10:
 
 class TestCriterion11:
     def test_sound(self, ctx4, inputs):
-        result = acc.criterion_spans(ctx4, CFG, inputs.f4)
+        result = acc.criterion_spans(ctx4, inputs.f4)
         assert result.ok
         assert result.details["f4_rank"] == cv.MODELS[4].f4_rank == 5
 
@@ -264,7 +265,7 @@ class TestCriterion11:
                                                monkeypatch):
         monkeypatch.setitem(cv.MODELS, 4, dataclasses.replace(
             cv.MODELS[4], f4_rank=6))
-        result = acc.criterion_spans(ctx4, CFG, inputs.f4)
+        result = acc.criterion_spans(ctx4, inputs.f4)
         assert not result.ok, result.line()
         assert result.details["f4_rank"] == 5
         assert result.details["expected"] == 6
@@ -276,15 +277,31 @@ class TestCriterion11:
         assert not inputs.f4.span.contains(extra)
         f4 = sl.SpanAccumulator(4, alg.RowSpace(np.vstack([rows, extra]),
                                                 ctx4.p))
-        result = acc.criterion_spans(ctx4, CFG, f4)
+        result = acc.criterion_spans(ctx4, f4)
         assert not result.ok, result.line()
         assert result.details["f4_rank"] == 6
 
     def test_span_short_of_a_row_fails(self, ctx4, inputs):
         f4 = sl.SpanAccumulator(4, alg.RowSpace(inputs.f4.rows[:-1], ctx4.p))
-        result = acc.criterion_spans(ctx4, CFG, f4)
+        result = acc.criterion_spans(ctx4, f4)
         assert not result.ok, result.line()
         assert result.details["f4_rank"] == 4
+
+    def test_span_missing_a_quadric_product_fails(self, ctx5):
+        # at genus 5 the cones of the quick preset alone reach rank 14 and
+        # miss a product of I(2); random ideal quartics top them up to the
+        # model's rank, so the squares are the one test left to fail
+        cones = acc.SuiteInputs(ctx5, acc.preset("quick", 0)).span_cones
+        span = alg.RowSpace(np.stack([c.coeffs for c in cones]), ctx5.p)
+        assert len(span.pivots) == 14
+        stream = Stream(12, "negative-controls")
+        while len(span.pivots) < cv.MODELS[5].f4_rank:
+            span.add(stream.combination(ctx5.p, ctx5.ideal(4).basis))
+        result = acc.criterion_spans(ctx5, sl.SpanAccumulator(4, span))
+        assert not result.ok, result.line()
+        assert result.details == {"f4_rank": 16, "expected": 16,
+                                  "squares_contained": False,
+                                  "proper_subsystem": True}
 
 
 class TestCriterion12:

@@ -1,8 +1,9 @@
 """The work of one `gen-curve` and one `verify --full` per genus, counted
 by the `work_log` fixture (conftest.py): root-finder passes, root-kernel
-degrees, zero-harvest lines, cone certificates, corank-law and
-double-secant rounds, `alg.rank` inputs and row reductions.  A count that
-rises fails here, and a renamed engine function fails the fixture."""
+degrees, zero-harvest lines, cone certificates and their splitting
+systems, corank-law and double-secant rounds, `alg.rank` inputs and row
+reductions.  A count that rises fails here, and a renamed engine function
+fails the fixture."""
 
 import collections
 
@@ -73,6 +74,17 @@ def test_cones_are_certified_once(work_log, genus):
     for _, name, _ in COUNTED:
         for stage in ((5,), (13, 5)):
             assert not work_log.calls(genus, "verify", name, stage), name
+
+
+@pytest.mark.parametrize("genus, systems", [(4, 67), (5, 67)])
+def test_splitting_systems_have_nullity_one(work_log, genus, systems):
+    """Every splitting system that `cone._kernels` solves leaves a
+    one-dimensional solution space: one system per reconstruction, 67 in
+    all, one for each cone certificate of `test_cones_are_certified_once`,
+    and no net fails its system."""
+    nullities = [n for round_ in work_log.sizes(genus, "verify", "_kernels")
+                 for n in round_]
+    assert nullities == [1] * systems
 
 
 @pytest.mark.parametrize("genus, roots, kept, rounds", [
