@@ -2,13 +2,15 @@
 
 Blowing up the vertex turns the quartic into a family of quadrics in g-2
 variables indexed by the plane.  The family is read off the reconstructed
-form directly: restrict to the orthogonal space of the pencil over a plane
-point, check divisibility by the square of the vertex form, divide.  The
-discriminant locus of the family is the plane image of the curve, and the
-singular point of the fiber over a smooth image point is the curve point
-itself.  The nodes of the image are counted as the length of the scheme
-that the partials of its equation cut out, read off the ranks of their
-multiples (`node_count`), with no draw.
+form directly: restrict to the fiber over a plane point in the adapted
+coordinates of `fibers.fiber_bases`, where the vertex form is y0, check
+that only the monomials y0^2 m survive, and read q off them
+(`fibers.on_fibers`), as the reconstruction and its holdout certificate
+do.  The discriminant locus of the family is the plane image of the curve,
+and the singular point of the fiber over a smooth image point is the curve
+point itself.  The nodes of the image are counted as the length of the
+scheme that the partials of its equation cut out, read off the ranks of
+their multiples (`node_count`), with no draw.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import cache
 import numpy as np
 
 from . import algebra as alg
+from . import fibers as fb
 from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
@@ -40,7 +43,6 @@ class FiberQuadric:
 # them
 _QUADRIC_FAILURES = (
     (RankDeficientW, "plane point cannot be zero"),
-    (RankDeficientW, "fiber space collapsed onto the vertex"),
     (SplittingViolation,
      "restricted quartic is not divisible by the vertex form squared"),
 )
@@ -52,30 +54,17 @@ def fiber_quadric(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     stack.
 
     Every monomial of the restriction must carry the vertex-cutting
-    coordinate with exponent at least two; failure falsifies the
+    coordinate y0 with exponent at least two; failure falsifies the
     vertex-singularity certificate of the cone.  A point that fails gets,
     in place of its fiber, the exception of the one-point chain.  The
-    stack goes through one `pencil_at`, one `kernel_batch` for the
-    annihilators of the pencils, one reduction modulo the vertex and one
-    `restrict`."""
+    stack goes through one `fibers.fiber_bases`, the basis `split_fibers`
+    builds, and one `restrict`."""
     p = ctx.p
-    g = ctx.g
-    m = g - 2
     us = np.asarray(us, dtype=np.int64).reshape(-1, 3) % p
-    n = us.shape[0]
-    vperp, _ = alg.kernel_batch(nt.pencil_at(net_obj.w, us, p), p, m)
-    # the first annihilator row off the vertex leads the fiber basis
-    off_vertex = alg.RowSpace(net_obj.wperp, p).reduce(vperp).any(axis=2)
-    lead = vperp[np.arange(n), off_vertex.argmax(axis=1)]
-    basis = np.concatenate([lead[:, :, None], np.broadcast_to(
-        net_obj.wperp.T, (n, g, g - 3))], axis=2)     # N x g x (g-2)
-    restricted = mono.restrict(cone.coeffs, 4, g, basis, p)
-    # the monomials divisible by z0^2 come first, and dividing them by
-    # z0^2 lists exponents(m, 2) in order
-    divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
-    grams = quadric_gram(restricted[:, divisible], m, p)
-    failed = np.stack([~us.any(axis=1), ~off_vertex.any(axis=1),
-                       restricted[:, ~divisible].any(axis=1)])
+    _, basis, _ = fb.fiber_bases(net_obj.w, net_obj.wperp, us, p)
+    quotients, rest = fb.on_fibers(cone.coeffs, ctx.g, basis, p)
+    grams = quadric_gram(quotients, ctx.g - 2, p)
+    failed = np.stack([~us.any(axis=1), rest.any(axis=1)])
     u = alg.normalize_rows(us, p)
     return outcomes(failed, _QUADRIC_FAILURES, lambda i: FiberQuadric(
         u=u[i], gram=grams[i], basis=basis[i]))

@@ -3,11 +3,11 @@ polar cubics, and the geometric verifications attached to them.
 
 The quartic attached to a generic net is pinned down inside the degree-4
 ideal piece by two families of exact linear conditions: all partials vanish
-on the vertex, and the restriction to the orthogonal space of each pencil
-inside the net splits as (vertex linear form)^2 times the quadric whose
-Gram is the inverse of the cup-product Gram on that space.  The membership
-oracle of the net module never enters the reconstruction; it serves as an
-independent verification channel.
+on the vertex, and the restriction to the fiber over each plane point, in
+the adapted coordinates of `fibers.fiber_bases`, is y0^2 times the quadric
+whose Gram is the inverse of the cup-product Gram on that fiber.  The
+membership oracle of the net module never enters the reconstruction; it
+serves as an independent verification channel.
 
 A stack of nets is reconstructed and certified in lockstep
 (`errors.lockstep`): each net runs the one-net chain, and the requests of
@@ -37,8 +37,8 @@ from .errors import (CurveConesError, DegenerateInput, Draws,
                      InconsistentReconstruction, NonGenericD,
                      UnderdeterminedReconstruction, VerificationFailed,
                      lockstep, resample, unwrap, value_of)
-from .fibers import (SplitFiber, form_matches_split, split_fibers,
-                     split_product_form)
+from .fibers import (SplitFiber, fiber_quadric_form, form_matches_split,
+                     on_fibers, split_fibers)
 from .rng import Stream, derive_key
 
 # pencils whose splitting equations a reconstruction solves: the solution
@@ -66,10 +66,10 @@ class CubicPolar:
 # pencil fibers (see `fibers`)
 
 
-def split_fiber(ctx: CurveContext, net_obj: nt.Net, v: np.ndarray
+def split_fiber(ctx: CurveContext, net_obj: nt.Net, u: np.ndarray
                 ) -> SplitFiber:
-    """`split_fibers` on one pencil, raising its exception."""
-    return value_of(split_fibers(ctx, net_obj, np.asarray(v)[None])[0])
+    """`split_fibers` over one plane point, raising its exception."""
+    return value_of(split_fibers(ctx, net_obj, np.asarray(u)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +132,30 @@ def constrained_space(ctx: CurveContext, net_obj: nt.Net, deg: int
 # requests of the chains (see `errors.lockstep`)
 
 
-def _split(ctx: CurveContext, nets: tuple, us: tuple) -> list:
-    """The fiber over each plane point us[k] of nets[k]: one
-    `split_fibers` of the round's pencils."""
-    return split_fibers(ctx, nets, nt.pencil_at(
-        np.array([net.w for net in nets]), np.array(us), ctx.p))
-
-
 def _kernels(ctx: CurveContext, dim_s: int, s_bases: tuple, fibers: tuple
              ) -> list:
     """Per net, the kernel of its splitting system in the coordinates of
     its constrained-space basis (dim_s forms) and one multiplier c_k per
     fiber: its dimension, and its vector when it is 1.  The equations of
-    fiber k are the coefficients of F|fiber - c_k ell^2 q, the identity
-    that `fibers.form_matches_split` certifies.  The restrictions of the
-    bases to every fiber of the round come from one `monomials.restrict`,
-    the split products from one `fibers.split_product_form`, and the
-    systems are reduced by one `rref_batch`."""
+    fiber k are the coefficients of y0^2 m in F|fiber - c_k y0^2 q, in
+    the fiber's adapted coordinates, the identity that
+    `fibers.form_matches_split` certifies: count(g - 2, 2) rows a fiber,
+    as a form singular along the vertex has no other monomial there
+    (`fibers.on_fibers`).  The restrictions of the bases to every fiber of
+    the round come from one `monomials.restrict`, and the systems are
+    reduced by one `rref_batch`."""
     p = ctx.p
     n, k = len(fibers), len(fibers[0])
     flat = [fiber for mine in fibers for fiber in mine]
-    restricted = mono.restrict(
-        np.repeat(np.stack(s_bases).swapaxes(1, 2), k, axis=0), 4, ctx.g,
-        np.stack([fiber.vperp.T for fiber in flat]), p)
-    split = split_product_form(np.stack([fiber.ell for fiber in flat]),
-                               np.stack([fiber.gram for fiber in flat]), p)
+    quotients, _ = on_fibers(
+        np.repeat(np.stack(s_bases).swapaxes(1, 2), k, axis=0), ctx.g,
+        np.stack([fiber.basis for fiber in flat]), p)
+    quadrics = fiber_quadric_form(np.stack([fiber.gram for fiber in flat]),
+                                  p)
     # the multiplier of fiber j enters the rows of fiber j only
-    multipliers = (-split.reshape(n, k, -1) % p)[..., None] \
+    multipliers = (-quadrics.reshape(n, k, -1) % p)[..., None] \
         * np.eye(k, dtype=np.int64)[:, None]
-    system = np.concatenate([restricted.reshape(n, k, -1, dim_s),
+    system = np.concatenate([quotients.reshape(n, k, -1, dim_s),
                              multipliers], axis=3)
     reduced, pivots = alg.rref_batch(system.reshape(n, -1, dim_s + k), p)
     basis, _ = alg.special_solutions_batch(reduced, pivots, 1, p)
@@ -189,7 +184,7 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
 
     draws = Draws("admissible pencils", 120, plane_point)
     fibers = yield from draws.chain(count, lambda us: (
-        _split, ctx, [(net_obj, u) for u in us]))
+        split_fibers, ctx, [(net_obj, u) for u in us]))
     if len(fibers) < count:
         raise draws.exhausted()
     return [fiber for _, fiber in fibers]

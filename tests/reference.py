@@ -6,13 +6,14 @@ import numpy as np
 
 from curvecones import algebra as alg, cone as cn, curve as cv
 from curvecones import monomials as mono, net as nt, pencil as pc
-from curvecones.errors import (AmbiguousFit, CurveConesError,
+from curvecones.errors import (AmbiguousFit, CorankJump, CurveConesError,
                                DegenerateInput, Draws, InadmissiblePencil,
                                InconsistentReconstruction, InconsistentSystem,
                                InsufficientPoints, NodeFiber, RankDeficientW,
                                SingularPoint, SplittingViolation,
                                UnderdeterminedReconstruction,
-                               VerificationFailed, resample, unwrap)
+                               VerificationFailed, resample, unwrap,
+                               value_of)
 from curvecones.rng import Stream, derive_key
 
 
@@ -636,9 +637,8 @@ def fiber_quadric(ctx, net_obj, cone, u):
         raise RankDeficientW("plane point cannot be zero")
     vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p), p)
     vertex = alg.RowSpace(net_obj.wperp, p)
-    lead = next((row for row in vperp if not vertex.contains(row)), None)
-    if lead is None:
-        raise RankDeficientW("fiber space collapsed onto the vertex")
+    # a nonzero point's fiber is not the vertex
+    lead = next(row for row in vperp if not vertex.contains(row))
     basis = np.concatenate([lead[None, :], net_obj.wperp]).T
     restricted = mono.restrict(cone.coeffs, 4, g, basis, p)
     divisible = np.array(mono.exponents(m, 4))[:, 0] >= 2
@@ -734,22 +734,88 @@ def constrained_space(ctx, net_obj, deg):
     return combos @ basis % ctx.p
 
 
+def split_fiber(ctx, net_obj, u):
+    """The fiber over one plane point in the coordinates of the
+    annihilator of its pencil, by the one-pencil chain: `build_pencil`
+    above, the cup Gram of the first row of net.w outside the pencil, one
+    `solve_consistent` per annihilator row, and the vertex form ell, the
+    kernel of the vertex's coordinates on the annihilator.  Returns
+    (vperp, ell, gram), or raises what the engine's `split_fibers` gives
+    the point."""
+    p = ctx.p
+    pen = build_pencil(ctx, nt.pencil_at(net_obj.w, u, p))
+    pencil_span = alg.RowSpace(pen.v, p)
+    lift = next(row for row in net_obj.w if not pencil_span.contains(row))
+    cg = pc.cup_gram(ctx, pen, lift)
+    if pc.corank(cg.gram, p) != 2:
+        raise CorankJump("pencil fiber meets the degeneracy divisor")
+    vperp = alg.kernel_basis(pen.v, p)
+    gram = vperp @ np.stack([solve_consistent(cg.gram, row, p)
+                             for row in vperp]).T % p
+    if not (gram == gram.T).all():
+        raise VerificationFailed("residual Gram failed exact symmetry")
+    ell, = kernel(np.stack([solve_consistent(vperp.T, x, p)
+                            for x in net_obj.wperp]), p)
+    return vperp, normalize(ell, p), gram
+
+
+def split_product(ell, gram, p):
+    """ell^2 times the quadric c^T G c of a fiber, a quartic on its
+    coordinates: the quadric's coefficients by a walk over the degree-2
+    exponents, the products by `mul_forms` one factor at a time."""
+    m = len(ell)
+    quadric = np.zeros(mono.count(m, 2), dtype=np.int64)
+    for k, e in enumerate(mono.exponents(m, 2)):
+        i, j = [v for v in range(m) for _ in range(e[v])]
+        quadric[k] = gram[i][j] * (1 if i == j else 2) % p
+    ell2 = mono.mul_forms(ell, 1, ell, 1, m, p)
+    return mono.mul_forms(ell2, 2, quadric, 2, m, p)
+
+
+def form_matches_split(ctx, coeffs, fiber):
+    """Whether the quartic restricted to the annihilator of a
+    `split_fiber` is proportional to ell^2 q there."""
+    vperp, ell, gram = fiber
+    restricted = mono.restrict(coeffs, 4, ctx.g, vperp.T, ctx.p)
+    return normalize(restricted, ctx.p).tolist() \
+        == normalize(split_product(ell, gram, ctx.p), ctx.p).tolist()
+
+
 def fresh_fibers(ctx, net_obj, stream, count):
-    """Fibers over `count` random plane points, one pencil at a time."""
+    """`split_fiber` over `count` random plane points, one at a time."""
     fibers = []
 
     def draw(_):
         u = stream.field_vec(ctx.p, 3)
         if not u.any():
             return None
-        fiber = cn.split_fibers(ctx, net_obj, nt.pencil_at(
-            net_obj.w, u, ctx.p)[None])[0]
-        if isinstance(fiber, CurveConesError):
-            raise fiber
-        fibers.append(fiber)
+        fibers.append(split_fiber(ctx, net_obj, u))
         return fibers if len(fibers) == count else None
 
     return resample("admissible pencils", 120, draw)
+
+
+def plant_fibers(monkeypatch, rule):
+    """Pass every fiber of the engine (`cone.split_fibers`) and of the
+    reference (`split_fiber` above) through rule(net, u, fiber), which
+    returns the fiber, another one, or an exception to put in its place;
+    a failed fiber comes to rule as its exception."""
+    real_engine, real_reference = cn.split_fibers, split_fiber
+
+    def engine(ctx, nets, us):
+        per = [nets] * len(us) if isinstance(nets, nt.Net) else nets
+        return [rule(net, u, fiber) for net, u, fiber in
+                zip(per, us, real_engine(ctx, nets, us))]
+
+    def one(ctx, net_obj, u):
+        try:
+            fiber = real_reference(ctx, net_obj, u)
+        except CurveConesError as exc:
+            fiber = exc
+        return value_of(rule(net_obj, u, fiber))
+
+    monkeypatch.setattr(cn, "split_fibers", engine)
+    monkeypatch.setitem(globals(), "split_fiber", one)
 
 
 def points_on_form(ctx, coeffs, deg, stream, count, budget=400):
@@ -834,7 +900,7 @@ def verify_cone(ctx, net_obj, coeffs, stream, oracle_points):
     cert["oracle_points"] = checked
     cert["oracle_disagreements"] = bad
     holdout = fresh_fibers(ctx, net_obj, stream.spawn("holdout"), 1)[0]
-    cert["holdout_pencil"] = cn.form_matches_split(ctx, coeffs, holdout)
+    cert["holdout_pencil"] = form_matches_split(ctx, coeffs, holdout)
     if not (cert["contains_curve"] and cert["vertex_singular"]
             and cert["holdout_pencil"] and bad == 0
             and checked >= oracle_points):
@@ -842,22 +908,10 @@ def verify_cone(ctx, net_obj, coeffs, stream, oracle_points):
     return cert
 
 
-def split_product(fiber, p):
-    """ell^2 times the quadric c^T G c of a fiber, a quartic on its
-    coordinates: the quadric's coefficients by a walk over the degree-2
-    exponents, the products by `mul_forms` one factor at a time."""
-    m = len(fiber.ell)
-    quadric = np.zeros(mono.count(m, 2), dtype=np.int64)
-    for k, e in enumerate(mono.exponents(m, 2)):
-        i, j = [v for v in range(m) for _ in range(e[v])]
-        quadric[k] = fiber.gram[i][j] * (1 if i == j else 2) % p
-    ell2 = mono.mul_forms(fiber.ell, 1, fiber.ell, 1, m, p)
-    return mono.mul_forms(ell2, 2, quadric, 2, m, p)
-
-
 def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
     """(coeffs, certificate) of the quartic cone of one net: the splitting
-    system of 6 fibers built one fiber at a time, the coefficients of
+    system of 6 fibers built one fiber at a time in the coordinates of
+    `split_fiber` (not the engine's adapted bases), the coefficients of
     F|fiber - c_k ell^2 q from one `restrict` of the constrained-space
     basis per fiber, solved by one `kernel_basis`, then `verify_cone`."""
     if net_obj.in_d:
@@ -872,11 +926,11 @@ def reconstruct_quartic(ctx, net_obj, seed=0, oracle_points=50):
         raise InconsistentReconstruction("constrained space is empty")
     fibers = fresh_fibers(ctx, net_obj, stream.spawn("draw"), 6)
     rows = []
-    for k, fiber in enumerate(fibers):
-        restricted = mono.restrict(s_basis.T, 4, g, fiber.vperp.T, p)
+    for k, (vperp, ell, gram) in enumerate(fibers):
+        restricted = mono.restrict(s_basis.T, 4, g, vperp.T, p)
         block = np.zeros((len(restricted), dim_s + 6), dtype=np.int64)
         block[:, :dim_s] = restricted
-        block[:, dim_s + k] = -split_product(fiber, p) % p
+        block[:, dim_s + k] = -split_product(ell, gram, p) % p
         rows.append(block)
     kernel = alg.kernel_basis(np.concatenate(rows), p)
     if kernel.shape[0] == 0:

@@ -428,15 +428,9 @@ class TestSecantRounds:
         monkeypatch.undo()
         planted = kept[0].w.tolist()
         assert planted in [w for w, _, _ in unplanted]
-        real = cn.split_fibers
-
-        def split_fibers(ctx, per, vs):
-            per = [per] * len(vs) if isinstance(per, nt.Net) else per
-            return [InadmissiblePencil("planted")
-                    if net.w.tolist() == planted else fiber
-                    for net, fiber in zip(per, real(ctx, per, vs))]
-
-        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        reference.plant_fibers(monkeypatch, lambda net, u, fiber: (
+            InadmissiblePencil("planted") if net.w.tolist() == planted
+            else fiber))
         want, want_draws = stream_draws(
             monkeypatch, lambda: run(reference.contained_double_secant),
             key=seeded)

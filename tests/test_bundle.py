@@ -97,6 +97,33 @@ class TestFiberQuadric:
                 mono.restrict(bad, 4, genus, fq.basis, P), m)
 
 
+class TestBundleIdentity:
+    """The reconstruction's fibers (`cone.split_fibers`) and the Hessian
+    scan's (`bundle.fiber_quadric`) are one quadric bundle: over each plane
+    point both build the same adapted basis, and the inverse cup-product
+    Gram of the one is proportional to the Gram that the other reads off
+    the reconstructed cone."""
+
+    @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max",
+                                      "ctx5_max"])
+    def test_cup_gram_is_the_cone_quadric(self, name, request):
+        ctx = request.getfixturevalue(name)
+        p = ctx.p
+        net = nt.random_net(ctx, Stream(215, name))
+        cone = cn.reconstruct_quartic(ctx, net, oracle_points=4)
+        stream = Stream(216, name)
+        us = np.stack([stream.field_vec(p, 3) for _ in range(8)])
+        pairs = [(split, read) for split, read in zip(
+            cn.split_fibers(ctx, net, us), bd.fiber_quadric(ctx, net, cone,
+                                                            us))
+            if not isinstance(split, CurveConesError)]
+        assert len(pairs) >= 6
+        for split, read in pairs:
+            assert split.basis.tolist() == read.basis.tolist()
+            assert reference.normalize(split.gram.reshape(-1), p).tolist() \
+                == reference.normalize(read.gram.reshape(-1), p).tolist()
+
+
 @pytest.fixture(scope="module")
 def setup4_max(ctx4_max):
     net = nt.random_net(ctx4_max, Stream(212, "bundle"))

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from curvecones import algebra as alg, cone as cn, curve as cv
-from curvecones import errors, monomials as mono, net as nt, pencil as pc
+from curvecones import errors, monomials as mono, net as nt
 from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
                                InadmissiblePencil, InconsistentSystem,
                                InVertex, NonGenericD,
-                               UnderdeterminedReconstruction,
-                               VerificationFailed)
+                               UnderdeterminedReconstruction)
 from curvecones.rng import Stream
 
 import reference
@@ -33,25 +32,23 @@ def cone4(ctx4, net4):
 
 class TestSplitFiber:
     def test_gram_symmetric_and_sized(self, ctx4, net4):
-        fiber = cn.split_fiber(ctx4, net4,
-                               nt.pencil_at(net4.w, np.array([1, 2, 3]), P))
+        fiber = cn.split_fiber(ctx4, net4, np.array([1, 2, 3]))
         assert fiber.gram.shape == (2, 2)
         assert (fiber.gram == fiber.gram.T).all()
-        assert fiber.ell.shape == (2,)
+        assert fiber.basis.shape == (4, 2)
+        assert fiber.basis[:, 1:].tolist() == net4.wperp.T.tolist()
 
     def test_oracle_matches_residual_quadric(self, ctx4, net4):
-        # dual routes: the membership oracle against the fiber quadric value
-        fiber = cn.split_fiber(ctx4, net4,
-                               nt.pencil_at(net4.w, np.array([1, 1, 2]), P))
+        # dual routes: the membership oracle against the fiber quadric
+        # value, at fiber points y off the vertex (y0 != 0)
+        fiber = cn.split_fiber(ctx4, net4, np.array([1, 1, 2]))
         stream = Stream(101, "c")
         checked = 0
         while checked < 10:
             c = stream.field_vec(P, 2)
-            if int(fiber.ell @ c % P) == 0:
+            if c[0] == 0:
                 continue
-            b = c @ fiber.vperp % P
-            if not b.any():
-                continue
+            b = fiber.basis @ c % P
             try:
                 val = nt.fw_oracle(ctx4, net4, b)
             except DegenerateInput:
@@ -60,71 +57,58 @@ class TestSplitFiber:
             checked += 1
 
 
-def reference_fiber(ctx, net_obj, v):
-    """The fiber as one pencil's scalar elimination chain, from the scalar
-    `reference.build_pencil` (not the engine's admissibility test, which
-    `split_fibers` shares): (vperp, ell, gram) as lists, or the class and
-    message of the exception it raises."""
+def reference_fiber(ctx, net_obj, u):
+    """The fiber over one plane point by the scalar chain
+    `reference.split_fiber` (not the engine's admissibility test, which
+    `split_fibers` shares), moved from the annihilator's coordinates to the
+    adapted basis, led by the first annihilator row outside the vertex's
+    row space: (basis, gram) as lists, or the class and message of the
+    exception it raises."""
     p = ctx.p
     try:
-        pen = reference.build_pencil(ctx, v)
-        if not all(map(alg.RowSpace(net_obj.w, p).contains, pen.v)):
-            raise InadmissiblePencil("pencil does not sit inside the net")
-        pencil_span = alg.RowSpace(pen.v, p)
-        w = next(row for row in net_obj.w if not pencil_span.contains(row))
-        cg = pc.cup_gram(ctx, pen, w)
-        if pc.corank(cg.gram, p) != 2:
-            raise CorankJump("pencil fiber meets the degeneracy divisor")
-        vperp = alg.kernel_basis(pen.v, p)
-        ys = [solve_consistent(cg.gram, row, p) for row in vperp]
-        gram = vperp @ np.stack(ys).T % p
-        if not (gram == gram.T).all():
-            raise VerificationFailed("residual Gram failed exact symmetry")
-        coords = [solve_consistent(vperp.T, x, p) for x in net_obj.wperp]
-        ell = alg.kernel_basis(np.stack(coords), p)
-        if ell.shape[0] != 1:
-            raise CorankJump("vertex does not cut a hyperplane of the fiber")
+        vperp, _, gram = reference.split_fiber(ctx, net_obj, u)
     except CurveConesError as exc:
         return type(exc), str(exc)
-    return (vperp.tolist(), reference.normalize(ell[0], p).tolist(),
-            gram.tolist())
+    vertex = alg.RowSpace(net_obj.wperp, p)
+    lead = next(row for row in vperp if not vertex.contains(row))
+    basis = np.concatenate([lead[None], net_obj.wperp])
+    coords = np.stack([solve_consistent(vperp.T, row, p) for row in basis])
+    return basis.T.tolist(), (coords @ gram % p @ coords.T % p).tolist()
 
 
 def fiber_values(results):
     return [(type(f), str(f)) if isinstance(f, CurveConesError)
-            else (f.vperp.tolist(), f.ell.tolist(), f.gram.tolist())
+            else (f.basis.tolist(), f.gram.tolist())
             for f in results]
 
 
 class TestSplitFibers:
-    """The batched fibers against the scalar chain, pencil by pencil."""
+    """The batched fibers against the scalar chain, point by point."""
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_mixed_stacks(self, name, request):
         ctx = request.getfixturevalue(name)
-        p, g = ctx.p, ctx.g
+        p = ctx.p
         net = nt.random_net(ctx, Stream(110, f"fibers{name}"))
         degenerate = cn.degenerate_net(ctx, Stream(111, f"fibers{name}"))
         stream = Stream(112, f"fiber-pencils{name}")
         kinds = set()
-        for net_obj, other in ((net, degenerate), (degenerate, net)):
+        for net_obj in (net, degenerate):
             us = [stream.field_vec(p, 3) for _ in range(5)]
-            # net.w[0] lies in the pencil over (0, 1, 2): the lift is w[1]
-            us += [np.array([0, 1, 2]), net_obj.w @ ctx.panel[4] % p,
-                   net_obj.w @ ctx.holdout[2] % p]
-            outside = stream.field_mat(p, 2, g)
-            rank_one = np.stack([ctx.panel[1], 5 * ctx.panel[1] % p])
-            vs = np.concatenate([
-                nt.pencil_at(net_obj.w, np.stack(us), p), outside[None],
-                rank_one[None], nt.pencil_at(other.w, us[0], p)[None]])
-            expected = [reference_fiber(ctx, net_obj, v) for v in vs]
-            assert fiber_values(cn.split_fibers(ctx, net_obj, vs)) \
+            # net.w[0] lies in the pencil over (0, 1, 2): the lift is w[1];
+            # the pencil of the zero point has rank 0
+            us = np.stack(us + [np.array([0, 1, 2]),
+                                net_obj.w @ ctx.panel[4] % p,
+                                net_obj.w @ ctx.holdout[2] % p,
+                                np.zeros(3, dtype=np.int64)])
+            expected = [reference_fiber(ctx, net_obj, u) for u in us]
+            assert fiber_values(cn.split_fibers(ctx, net_obj, us)) \
                 == expected
-            for v, want in zip(vs, expected):
-                assert fiber_values(cn.split_fibers(ctx, net_obj, v[None])) \
+            for u, want in zip(us, expected):
+                assert fiber_values(cn.split_fibers(ctx, net_obj, u[None])) \
                     == [want]
                 try:
-                    got = fiber_values([cn.split_fiber(ctx, net_obj, v)])[0]
+                    got = fiber_values([cn.split_fiber(ctx, net_obj, u)])[0]
                 except CurveConesError as exc:
                     got = (type(exc), str(exc))
                 assert got == want
@@ -134,14 +118,13 @@ class TestSplitFibers:
                 (InadmissiblePencil, "pencil has a base point on the panel"),
                 (InadmissiblePencil,
                  "pencil has a base point on the holdout panel"),
-                (InadmissiblePencil, "pencil does not sit inside the net"),
                 (CorankJump, "pencil fiber meets the degeneracy divisor"),
                 "fiber"} <= kinds
-        assert cn.split_fibers(ctx, net, np.zeros((0, 2, g))) == []
+        assert cn.split_fibers(ctx, net, np.zeros((0, 3))) == []
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx5", "ctx4_max", "ctx5_max"])
     def test_one_net_per_pencil(self, name, request):
-        """A stack that mixes the pencils of two nets against one call per
+        """A stack that mixes the points of two nets against one call per
         net."""
         ctx = request.getfixturevalue(name)
         p = ctx.p
@@ -149,16 +132,13 @@ class TestSplitFibers:
                 cn.degenerate_net(ctx, Stream(119, f"mix{name}"))]
         stream = Stream(120, f"mix{name}")
         owner = [stream.integer(0, 2) for _ in range(12)]
-        # pencils inside their own net, and two inside the other net
-        vs = np.stack([nt.pencil_at(nets[k if i % 5 else 1 - k].w,
-                                    stream.field_vec(p, 3), p)
-                       for i, k in enumerate(owner)])
-        got = fiber_values(cn.split_fibers(ctx, [nets[k] for k in owner], vs))
+        us = np.stack([stream.field_vec(p, 3) for _ in owner])
+        got = fiber_values(cn.split_fibers(ctx, [nets[k] for k in owner], us))
         want = [None] * len(owner)
         for k, net in enumerate(nets):
             mine = [i for i, o in enumerate(owner) if o == k]
             for i, fiber in zip(mine, fiber_values(
-                    cn.split_fibers(ctx, net, vs[mine]))):
+                    cn.split_fibers(ctx, net, us[mine]))):
                 want[i] = fiber
         assert got == want
         assert len({f[0] for f in want if isinstance(f[0], type)}) >= 1
@@ -193,25 +173,20 @@ class TestReconstructRounds:
         # a third of the pencils of nets[2] fail; every fiber of nets[3]
         # is its first one, so the system of its 6 fibers leaves a solution
         # space of more than one dimension
-        real = cn.split_fibers
         first = {}
-        split3 = []                 # the fibers nets[3] gets
+        split3 = []                 # the engine fibers nets[3] gets
 
-        def planted(net, v, fiber):
-            key = str(net.w.tolist())
-            if net is nets[2] and int(v.sum()) % 3 == 0:
+        def planted(net, u, fiber):
+            if net is nets[2] and int(u.sum()) % 3 == 0:
                 return InadmissiblePencil("planted")
-            if net is nets[3] and isinstance(fiber, cn.SplitFiber):
-                split3.append(v)
-                return first.setdefault(key, fiber)
+            if net is nets[3] and not isinstance(fiber, CurveConesError):
+                engine = isinstance(fiber, cn.SplitFiber)
+                if engine:
+                    split3.append(u)
+                return first.setdefault(engine, fiber)
             return fiber
 
-        def split_fibers(ctx, per, vs):
-            per = [per] * len(vs) if isinstance(per, nt.Net) else per
-            return [planted(net, v, fiber)
-                    for net, v, fiber in zip(per, vs, real(ctx, per, vs))]
-
-        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        reference.plant_fibers(monkeypatch, planted)
         want, want_draws = stream_draws(monkeypatch, lambda: [
             one_net_outcome(lambda: reference.reconstruct_quartic(
                 ctx, net, seed=5, oracle_points=6)) for net in nets])
@@ -241,7 +216,7 @@ class TestReconstructRounds:
             for c, st in zip(cones, streams)]
 
     def test_nine_nets_in_one_round(self, ctx4, monkeypatch):
-        """Nine nets split their 54 first pencils in one `split_fibers` and
+        """Nine nets split their 54 first fibers in one `split_fibers` and
         reduce their 9 splitting systems in one `rref_batch`, and each gets
         the cone of the one-net chain, with its draws."""
         nets = nt.random_nets(ctx4, [Stream(124, f"nine{k}")
@@ -249,12 +224,12 @@ class TestReconstructRounds:
         want, want_draws = stream_draws(monkeypatch, lambda: [
             one_net_outcome(lambda: reference.reconstruct_quartic(
                 ctx4, net, seed=7, oracle_points=6)) for net in nets])
-        pencils, systems = [], []
+        points, systems = [], []
         real_split, real_rref = cn.split_fibers, alg.rref_batch
 
-        def split_fibers(ctx, per, vs):
-            pencils.append(len(vs))
-            return real_split(ctx, per, vs)
+        def split_fibers(ctx, per, us):
+            points.append(len(us))
+            return real_split(ctx, per, us)
 
         def rref_batch(stack, p):
             if sys._getframe(1).f_code.co_name == "_kernels":
@@ -271,7 +246,7 @@ class TestReconstructRounds:
         assert_same_draws(*({k: n for k, n in draws.items()
                              if not k.startswith("restrict-nodes|")}
                             for draws in (got_draws, want_draws)))
-        assert pencils[0] == 54
+        assert points[0] == 54
         assert systems[0] == 9
 
     def test_empty_stacks(self, ctx4):
@@ -323,23 +298,22 @@ class TestFreshFiberRounds:
             u = stream.field_vec(ctx.p, 3)
             if not u.any():
                 return None
-            fibers.append(cn.split_fiber(ctx, net,
-                                         nt.pencil_at(net.w, u, ctx.p)))
+            fibers.append(cn.split_fiber(ctx, net, u))
             return fibers if len(fibers) == count else None
 
         return errors.resample("admissible pencils", 120, draw)
 
     @staticmethod
     def failing(monkeypatch, every, exc=CorankJump):
-        """Make split_fibers fail on every `every`-th pencil (by a fixed
-        rule on the pencil), and count its calls."""
+        """Make split_fibers fail on every `every`-th plane point (by a
+        fixed rule on the point), and count its calls."""
         real = cn.split_fibers
         calls = []
 
-        def split_fibers(ctx, net_obj, vs):
-            calls.append(len(vs))
-            return [exc("planted") if int(np.sum(v)) % every == 0 else f
-                    for v, f in zip(vs, real(ctx, net_obj, vs))]
+        def split_fibers(ctx, net_obj, us):
+            calls.append(len(us))
+            return [exc("planted") if int(np.sum(u)) % every == 0 else f
+                    for u, f in zip(us, real(ctx, net_obj, us))]
 
         monkeypatch.setattr(cn, "split_fibers", split_fibers)
         return calls
@@ -542,8 +516,7 @@ class TestReconstruction:
             if not u.any():
                 continue
             try:
-                fiber = cn.split_fiber(ctx4, net4,
-                                       nt.pencil_at(net4.w, u, P))
+                fiber = cn.split_fiber(ctx4, net4, u)
             except DegenerateInput:
                 continue
             assert cn.form_matches_split(ctx4, cone4.coeffs, fiber)

@@ -16,6 +16,7 @@ import pytest
 
 from curvecones import acceptance as acc
 from curvecones import algebra as alg, canring, cone as cn, curve as cv
+from curvecones import fibers as fb
 from curvecones import monomials as mono, net as nt, pencil as pc
 from curvecones import spanlab as sl
 from curvecones.errors import SplittingViolation, VerificationFailed
@@ -164,6 +165,28 @@ class TestCriterion5:
                            match="'points_vanished': 209, "
                                  "'contains_curve': False"):
             acc.SuiteInputs(off_holdout, CFG).cones
+
+    def test_holdout_pencil_refuses_a_wrong_quartic(self, ctx4, inputs):
+        # the holdout certificate (`fibers.form_matches_split`) of a cone
+        # on a fiber, and of two faults: an ideal quartic not singular
+        # along the vertex added (its restriction keeps monomials off
+        # y0^2), and another form of the constrained space added (y0^2
+        # divides it, but by the wrong quadric)
+        p = ctx4.p
+        cone = inputs.cones[0]
+        fiber = cn.split_fiber(ctx4, cone.net, np.array([1, 2, 3]))
+        stream = Stream(13, "negative-controls")
+        space = cn.constrained_space(ctx4, cone.net, 4)
+        assert space.shape[0] > 1
+        off_vertex = stream.field_vec(p, ctx4.ideal(4).dim) \
+            @ ctx4.ideal(4).basis % p
+        in_space = stream.field_vec(p, space.shape[0]) @ space % p
+        assert cn.form_matches_split(ctx4, cone.coeffs, fiber)
+        for fault, divisible in ((off_vertex, False), (in_space, True)):
+            coeffs = (cone.coeffs + fault) % p
+            _, rest = fb.on_fibers(coeffs, ctx4.g, fiber.basis[None], p)
+            assert (not rest.any()) == divisible
+            assert not cn.form_matches_split(ctx4, coeffs, fiber)
 
     def test_too_few_cones_fail(self, ctx4, inputs):
         # the one check the criterion makes itself: each cone it is given

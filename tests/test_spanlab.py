@@ -148,15 +148,9 @@ class TestConeRounds:
         # so its reconstruction runs out of pencils
         ctx = request.getfixturevalue(name)
         target = drawn_net(ctx, 42, "net2-0")
-        real = cn.split_fibers
-
-        def split_fibers(ctx, nets, vs):
-            per = [nets] * len(vs) if isinstance(nets, nt.Net) else nets
-            return [InadmissiblePencil("planted")
-                    if net.w.tolist() == target else fiber
-                    for net, fiber in zip(per, real(ctx, nets, vs))]
-
-        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        reference.plant_fibers(monkeypatch, lambda net, u, fiber: (
+            InadmissiblePencil("planted") if net.w.tolist() == target
+            else fiber))
         want, want_draws, got_draws = self.both(ctx, monkeypatch, 4, 42)
         assert len(want) == 4 and target not in [w for w, _, _ in want]
         # the rest of the round drew and was dropped; every draw of the
@@ -170,22 +164,20 @@ class TestConeRounds:
         # the holdout pencil of the net at element 3 does not split
         ctx = request.getfixturevalue(name)
         target = drawn_net(ctx, 43, "net3-0")
-        real = cn.form_matches_split
-        monkeypatch.setattr(cn, "form_matches_split", lambda ctx, coeffs,
-                            fiber: False if fiber.vperp.tolist() in planted
-                            else real(ctx, coeffs, fiber))
-        planted = []
-        real_fibers = cn.split_fibers
+        planted = []                # the fibers of the target net
 
-        def split_fibers(ctx, nets, vs):
-            per = [nets] * len(vs) if isinstance(nets, nt.Net) else nets
-            out = real_fibers(ctx, nets, vs)
-            planted.extend(f.vperp.tolist() for net, f in zip(per, out)
-                           if net.w.tolist() == target
-                           and not isinstance(f, CurveConesError))
-            return out
+        def record(net, u, fiber):
+            if net.w.tolist() == target:
+                planted.append(fiber)
+            return fiber
 
-        monkeypatch.setattr(cn, "split_fibers", split_fibers)
+        for owner in (cn, reference):
+            real = owner.form_matches_split
+            monkeypatch.setattr(owner, "form_matches_split", lambda ctx,
+                                coeffs, fiber, real=real: False if any(
+                                    fiber is f for f in planted)
+                                else real(ctx, coeffs, fiber))
+        reference.plant_fibers(monkeypatch, record)
         want, want_draws, got_draws = self.both(ctx, monkeypatch, 4, 43)
         assert want[0].__name__ == "VerificationFailed"
         assert "holdout_pencil': False" in want[1]
