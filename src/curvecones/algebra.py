@@ -78,8 +78,8 @@ kernel on one element.  Each matmul of the kernel sums at most max(D, L)
 products of two entries below p, L the length of a base, so it stays
 below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
 ValueError beyond the bound.  The table holds D**3 entries per modulus.
-The largest D of the engine is 21, the roots of `cone.bitangent_pair`
-at genus 4, about 74 kB of table; at genus 5 it is 16, in the slices of
+The largest D of the engine is 27, the roots of `cone.bitangent_pair`
+at genus 4, about 157 kB of table; at genus 5 it is 16, in the slices of
 `curve.hyperplane_section`.
 """
 
@@ -462,13 +462,6 @@ def poly_gcd(f, g, p: int) -> np.ndarray:
         return np.ones(1, dtype=np.int64)
     mods = _Moduli([poly_monic(b, p)], p, len(a))
     return mods.split(mods.reduce(a[None]), cofactor=False)[0][0]
-
-
-def poly_deriv(f, p: int) -> np.ndarray:
-    f = poly_trim(f)
-    if len(f) <= 1:
-        return np.zeros(0, dtype=np.int64)
-    return poly_trim(f[1:] * np.arange(1, len(f), dtype=np.int64) % p)
 
 
 def exact_quotients(rows: np.ndarray, h, p: int) -> tuple[np.ndarray, bool]:

@@ -34,7 +34,7 @@ from . import monomials as mono
 from . import net as nt
 from .canring import CurveContext
 from .errors import (CurveConesError, DegenerateInput, Draws,
-                     InconsistentReconstruction, NonGenericD,
+                     InconsistentReconstruction, NonGenericD, SingularPoint,
                      UnderdeterminedReconstruction, VerificationFailed,
                      lockstep, resample, unwrap, value_of)
 from .fibers import (SplitFiber, fiber_quadric_form, form_matches_split,
@@ -176,13 +176,8 @@ def _fresh_fibers(ctx: CurveContext, net_obj: nt.Net, stream: Stream,
     giving no fiber.  They are drawn in rounds of as many as fibers are
     still needed, each round one request for `split_fibers`.
     """
-    p = ctx.p
-
-    def plane_point(_):
-        u = stream.field_vec(p, 3)
-        return u if u.any() else None
-
-    draws = Draws("admissible pencils", 120, plane_point)
+    draws = Draws("admissible pencils", 120,
+                  lambda _: stream.nonzero_vec(ctx.p, 3))
     fibers = yield from draws.chain(count, lambda us: (
         split_fibers, ctx, [(net_obj, u) for u in us]))
     if len(fibers) < count:
@@ -298,10 +293,6 @@ def _agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
         x = nt.vertex_direction(net_obj, x, p)
     verdicts: list[bool] = []   # oracle agrees with the evaluation
 
-    def random_probe(_):
-        b = stream.field_vec(p, ctx.g)
-        return b if b.any() else None
-
     def judge(probes: list, wits: list, on_form: bool) -> None:
         if not on_form and probes:
             expected = mono.form_eval(coeffs, np.stack(probes), ctx.g, deg,
@@ -317,7 +308,8 @@ def _agreement(ctx: CurveContext, net_obj: nt.Net, coeffs: np.ndarray,
     def oracle(probes: list) -> tuple:
         return nt.oracle_batch, ctx, [(net_obj, b) for b in probes]
 
-    random_draws = Draws("random probes", 40 * count, random_probe)
+    random_draws = Draws("random probes", 40 * count,
+                         lambda _: stream.nonzero_vec(p, ctx.g))
     first_zeros = yield from zeros.take(zero_half)
     first_randoms = random_draws.take(count - zero_half)
     wits = yield oracle(first_zeros + first_randoms)
@@ -560,74 +552,65 @@ def double_vanishing_section(ctx: CurveContext, pt_p: np.ndarray,
     return alg.normalize_rows(kernel[0], p)
 
 
-def sweep_discriminant(chart: cv.RulingChart, s1: np.ndarray,
-                       s2: np.ndarray, p: int
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The residual section polynomials R(lam, u) of the planes s1 + lam s2
-    through a tangent line, and their discriminant Res_u(R, dR/du).
+def tangent_meet_cubic(curve: cv.CurveModel, td: cv.TangentData
+                       ) -> np.ndarray:
+    """The cubic (dQ(z) . p)(dK(z) . t) - (dQ(z) . t)(dK(z) . p) of the
+    genus-4 generators Q and K and a tangent line td = (p, t): the tangent
+    line at a curve point z, the kernel of dQ(z) and dK(z), meets td
+    exactly where it vanishes."""
+    p = curve.prime
+    (_, quadric), (_, cubic) = curve.generator_arrays()
+    ends = np.stack([td.point, td.direction])
+    dq = ends @ mono.gradient(quadric, 4, 2, p) % p
+    dk = ends[::-1] @ mono.gradient(cubic, 4, 3, p) % p
+    products = mono.mul_forms(dq, 1, dk, 2, 4, p)
+    return (products[0] - products[1]) % p
 
-    `section_poly` is cubic in the plane, so one `interpolate` fits the
-    sweep from lam = 0..3.  Its gcd at lam = 101, 202, 303 (one evaluation)
-    is the factor that every plane through the line shares, and R is the
-    sweep divided by it (one `exact_quotients`), entry [i, j] the
-    coefficient of lam^i u^j.  None when the gcd does not divide the sweep
-    or R has u-degree below 2.
-    """
-    samples = [chart.section_poly((s1 + lam * s2) % p) for lam in range(4)]
-    fit = alg.interpolate(range(4), alg.poly_stack(samples), p)
-    at = alg.p2_eval_x(fit, [101, 202, 303], p)
-    common = alg.poly_gcd(at[0], alg.poly_gcd(at[1], at[2], p), p)
-    quots, divides = alg.exact_quotients(fit, common, p)
-    residual = alg.p2_trim(quots)
-    width = residual.shape[1]
-    if width < 3 or not divides:
-        return None
-    d_du = residual[:, 1:] * np.arange(1, width) % p
-    return residual, alg.resultant_bivariate(residual, d_du, p)
+
+def bitangent_partners(ctx: CurveContext, td: cv.TangentData):
+    """The curve points q != p whose tangent line meets the tangent line
+    td = (p, t) of a genus-4 curve point, each with the section that
+    vanishes doubly at p and q (`double_vanishing_section`), lazily.
+
+    A plane through td is tangent to the curve at q exactly when the two
+    tangent lines meet, at a zero of `tangent_meet_cubic`.  That cubic
+    and the cubic generator, pulled back to the ruling sweep A(u) + t B(u)
+    (`RulingChart.pull_back`), have one resultant in t, whose distinct
+    roots u name the ruling lines that carry such a q; their curve points
+    come from one `points_on_line`, in root order.  A point where the
+    cubic does not vanish, or without a tangent line, is skipped, and
+    `double_vanishing_section` decides the rest."""
+    p = ctx.p
+    chart = ctx.curve.ruling_chart
+    meet = tangent_meet_cubic(ctx.curve, td)
+    res = alg.resultant_bivariate(chart.pull_back(meet, 3),
+                                  chart.pull_back(chart.cubic, 3), p)
+    for line in chart.points_on_line(alg.distinct_roots(res, p)):
+        if isinstance(line, DegenerateInput):
+            raise line
+        for q in line:
+            if q.tolist() == td.point.tolist() \
+                    or mono.form_eval_one(meet, q, 4, 3, p):
+                continue
+            try:
+                section = double_vanishing_section(ctx, td.point, q)
+            except SingularPoint:
+                continue
+            if section is not None:
+                yield q, section
 
 
 def bitangent_pair(ctx: CurveContext, stream: Stream
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pair of genus-4 curve points with a section double-vanishing at
-    both, located by sweeping the pencil of planes through one tangent line
-    and finding the roots of the discriminant of the residual section
-    polynomial (`sweep_discriminant`)."""
-    p = ctx.p
-    chart = ctx.curve.ruling_chart
+    both: a random panel point p and its first `bitangent_partners`."""
     n = ctx.panel.shape[0]
 
     def draw(_):
-        pt = ctx.panel[stream.integer(0, n)]
-        if not chart.h2 @ pt % p:
-            return None
-        td = value_of(cv.tangent_vectors(ctx.curve, [pt])[0])
-        forms = alg.kernel_basis(np.stack([td.point, td.direction]), p)
-        s1, s2 = forms[0], forms[1]
-        swept = sweep_discriminant(chart, s1, s2, p)
-        if swept is None or alg.poly_deg(swept[1]) < 1:
-            return None
-        residual, disc = swept
-        roots = alg.distinct_roots(disc, p)
-        for lam_star, quot in zip(roots, alg.p2_eval_x(residual, roots, p)):
-            section = (s1 + lam_star * s2) % p
-            repeated = alg.poly_gcd(quot, alg.poly_deriv(quot, p), p)
-            if alg.poly_deg(repeated) < 1:
-                continue
-            for line in chart.line_at(alg.distinct_roots(repeated, p)):
-                if isinstance(line, DegenerateInput):
-                    raise line
-                a, b = line
-                for cand in cv.line_zeros(section, 1, 4, a[None], b[None],
-                                          p)[0]:
-                    if cand.tolist() == td.point.tolist():
-                        continue
-                    tq = cv.tangent_vectors(ctx.curve, [cand])[0]
-                    if not isinstance(tq, cv.TangentData):
-                        continue
-                    if int(section @ cand % p) == 0 \
-                            and int(section @ tq.direction % p) == 0:
-                        return td.point, cand, section
-        return None
+        td = value_of(cv.tangent_vectors(ctx.curve,
+                                         [ctx.panel[stream.integer(0, n)]])[0])
+        found = next(bitangent_partners(ctx, td), None)
+        return None if found is None else (td.point, *found)
 
     return resample("bitangent pair", 24, draw)
 

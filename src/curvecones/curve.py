@@ -25,9 +25,10 @@ at a time, in its order.
 Every eliminant is a pull-back through `monomials.restrict` and
 `collect`: the sweep A(u) + t B(u) of the ruling chart, whose
 u-coefficient arrays `RulingChart.line_at` also evaluates for each
-ruling line, the section polynomial F(hb A - ha B) of a plane h, and the
-genus-5 eliminants, where a chart quadric splits by y3-degree into
-ternary forms and the Sylvester determinant is built with `mul_forms`.
+ruling line, the pull-back F(A(u) + t B(u)) of a form to that sweep
+(`RulingChart.pull_back`), and the genus-5 eliminants, where a chart
+quadric splits by y3-degree into ternary forms and the Sylvester
+determinant is built with `mul_forms`.
 
 Points are projective coordinate vectors normalized so the first nonzero
 coordinate is 1.  A point doubles as a covector on sections: the pairing
@@ -308,11 +309,18 @@ class RulingChart:
                          - np.outer(self.d1, rho)) % p
         self.b_coeffs = (np.outer(self.q0, tau)
                          - [np.convolve(rho, wk) for wk in w]) % p
-        # A + t B in the monomials 1, u, t, ut, u^2 t of the sweep
-        sweep = np.concatenate([self.a_coeffs, self.b_coeffs], axis=1)
-        if mono.collect(mono.restrict(self.quadric, 2, 4, sweep, p), 2, 5,
-                        [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]], p).any():
+        # A + t B: the columns 1, u of A and 1, u, u^2 of B
+        self.sweep = np.concatenate([self.a_coeffs, self.b_coeffs], axis=1)
+        if self.pull_back(self.quadric, 2).any():
             raise GenerationFailed("swept lines leave the quadric")
+
+    def pull_back(self, coeffs: np.ndarray, deg: int) -> np.ndarray:
+        """F(A(u) + t B(u)) of a degree-deg form F, entry [i, j] the
+        coefficient of u^i t^j: one `restrict` to the sweep's columns and
+        one `collect` at their weights 1, u, t, ut, u^2 t."""
+        return mono.collect(mono.restrict(coeffs, deg, 4, self.sweep, self.p),
+                            deg, 5, [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]],
+                            self.p)
 
     # -- numeric line access ---------------------------------------------
 
@@ -365,24 +373,6 @@ class RulingChart:
         for k, z in zip(ok, zeros):
             out[k] = [q for q in z if not next(off)]
         return out
-
-    # -- plane sections --------------------------------------------------
-
-    def section_poly(self, h: np.ndarray) -> np.ndarray:
-        """Polynomial in u whose roots locate C intersect {h = 0} on the sweep.
-
-        Res_t of h(A + tB) = ha + t hb against the cubic on the swept line,
-        which is F(hb A - ha B): the cubic at the point where h vanishes,
-        scaled by hb^3.
-        """
-        p = self.p
-        ha = h @ self.a_coeffs % p
-        hb = h @ self.b_coeffs % p
-        point = (np.array([np.convolve(a, hb) for a in self.a_coeffs])
-                 - [np.convolve(b, ha) for b in self.b_coeffs]) % p
-        return alg.poly_trim(mono.collect(
-            mono.restrict(self.cubic, 3, 4, point, p), 3, 4,
-            [[0], [1], [2], [3]], p))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ order within one tag is part of the reproducibility contract.
 
 A random member of a linear system (an ideal quadric, a point of a net's
 vertex) is `combination`: one `field_vec` of coefficients for the rows,
-None when they are all zero, so every caller draws it the same way.
+None when they are all zero, so every caller draws it the same way.  A
+random nonzero vector (a plane point, a probe) is `nonzero_vec`: one
+`field_vec`, None when it is zero.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class Stream:
 
     def field_mat(self, p: int, rows: int, cols: int) -> np.ndarray:
         return self.field_vec(p, rows * cols).reshape(rows, cols)
+
+    def nonzero_vec(self, p: int, n: int) -> np.ndarray | None:
+        """One `field_vec(p, n)`, or None when it is the zero vector."""
+        v = self.field_vec(p, n)
+        return v if v.any() else None
 
     def combination(self, p: int, rows: np.ndarray) -> np.ndarray | None:
         """A random combination of the rows (residues mod p), its

@@ -198,12 +198,9 @@ def base_locus_probe(ctx: CurveContext, spans: list[SpanAccumulator],
                 for acc, sep in zip(spans, separated) if not sep[k]]
         return [pt if keep else None for pt, keep in zip(points, off)]
 
-    def random_point(_):
-        b = stream.field_vec(p, g)
-        return b if b.any() else None
-
     report["off_curve_checked"] = len(Draws(
-        "off-curve probes", 20 * off_curve_count, random_point).rounds(
+        "off-curve probes", 20 * off_curve_count,
+        lambda _: stream.nonzero_vec(p, g)).rounds(
         off_curve_count, lambda pts: probe(pts, ["random"] * len(pts))))
     # points on an ambient ideal quadric, harvested side by side
     i2 = ctx.ideal(2)

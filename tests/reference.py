@@ -224,7 +224,7 @@ def poly_gcd(f, g, p):
 def squarefree_part(f, p):
     """f / gcd(f, f'), monic, by the Euclidean chain and long division."""
     f = alg.poly_monic(f, p)
-    d = poly_gcd(f, alg.poly_deriv(f, p), p)
+    d = poly_gcd(f, poly_deriv(f, p), p)
     return alg.poly_monic(poly_divmod(f, d, p)[0], p)
 
 
@@ -358,36 +358,82 @@ def lagrange_interpolate(xs, ys, p):
     return alg.poly_trim(out)
 
 
-def sweep_discriminant(chart, s1, s2, p):
-    """Discriminant in lam of the residual section polynomial of the planes
-    s1 + lam s2, one node at a time: the quotient by the gcd of the sweeps
-    at lam = 101, 202, 303, its scalar resultant with its derivative at the
-    first 80 nodes lam >= 2 of the first node's degree, and a Lagrange fit.
-    None where a sweep leaves a remainder before 80 nodes are found, or the
-    quotient has degree below 2."""
-    def sweep(lam):
-        return chart.section_poly((s1 + lam * s2) % p)
+def poly_deriv(f, p):
+    """Derivative of a univariate polynomial, trimmed."""
+    f = alg.poly_trim(f)
+    if len(f) <= 1:
+        return np.zeros(0, dtype=np.int64)
+    return alg.poly_trim(f[1:] * np.arange(1, len(f), dtype=np.int64) % p)
 
-    common = poly_gcd(sweep(101), poly_gcd(sweep(202), sweep(303),
-                                                   p), p)
-    nodes, values = [], []
-    generic_deg = None
-    lam = 1
-    while len(nodes) < 80 and lam < 700:
-        lam += 1
-        quot, rem = poly_divmod(sweep(lam), common, p)
-        if len(rem):
-            continue
-        d = alg.poly_deg(quot)
-        if generic_deg is None:
-            generic_deg = d
-        if d != generic_deg or d < 2:
-            continue
-        nodes.append(lam)
-        values.append(resultant(quot, alg.poly_deriv(quot, p), p))
-    if len(nodes) < 80:
+
+def section_poly(chart, h, p):
+    """Polynomial in u whose roots locate the curve's points in the plane
+    h = 0 on the ruling sweep A(u) + t B(u) of the chart: Res_t of h(A +
+    tB) = ha + t hb against the cubic on the swept line, which is F(hb A -
+    ha B), the cubic at the point where h vanishes, scaled by hb^3."""
+    ha = h @ chart.a_coeffs % p
+    hb = h @ chart.b_coeffs % p
+    point = (np.array([np.convolve(a, hb) for a in chart.a_coeffs])
+             - [np.convolve(b, ha) for b in chart.b_coeffs]) % p
+    return alg.poly_trim(mono.collect(
+        mono.restrict(chart.cubic, 3, 4, point, p), 3, 4,
+        [[0], [1], [2], [3]], p))
+
+
+def sweep_discriminant(chart, s1, s2, p):
+    """The residual section polynomials R(lam, u) of the planes s1 + lam s2
+    through a tangent line, and their discriminant Res_u(R, dR/du).
+
+    `section_poly` is cubic in the plane, so one interpolation fits the
+    sweep from lam = 0..3.  Its gcd at lam = 101, 202, 303 is the factor
+    that every plane through the line shares, and R is the sweep divided
+    by it, entry [i, j] the coefficient of lam^i u^j.  None when the gcd
+    does not divide the sweep or R has u-degree below 2."""
+    samples = [section_poly(chart, (s1 + lam * s2) % p, p)
+               for lam in range(4)]
+    fit = alg.interpolate(range(4), alg.poly_stack(samples), p)
+    at = alg.p2_eval_x(fit, [101, 202, 303], p)
+    common = poly_gcd(at[0], poly_gcd(at[1], at[2], p), p)
+    quots, divides = alg.exact_quotients(fit, common, p)
+    residual = alg.p2_trim(quots)
+    width = residual.shape[1]
+    if width < 3 or not divides:
         return None
-    return lagrange_interpolate(nodes, values, p)
+    d_du = residual[:, 1:] * np.arange(1, width) % p
+    return residual, alg.resultant_bivariate(residual, d_du, p)
+
+
+def bitangent_partners(ctx, td):
+    """Every partner of the tangent line td = (p, t) of a genus-4 curve
+    point by the plane sweep, as (q, section) pairs: for each root lam of
+    `sweep_discriminant` of the planes s1 + lam s2 through td, the
+    repeated roots u of the residual section polynomial, and on the ruling
+    line of each u the curve points q != p of the plane whose tangent line
+    lies in it.  The sweep needs h2(p) != 0 for the chart's plane h2."""
+    p = ctx.p
+    chart = ctx.curve.ruling_chart
+    s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), p)
+    swept = sweep_discriminant(chart, s1, s2, p)
+    if swept is None or alg.poly_deg(swept[1]) < 1:
+        return []
+    residual, disc = swept
+    roots = alg.distinct_roots(disc, p)
+    partners = []
+    for lam, quot in zip(roots, alg.p2_eval_x(residual, roots, p)):
+        section = (s1 + lam * s2) % p
+        repeated = poly_gcd(quot, poly_deriv(quot, p), p)
+        if alg.poly_deg(repeated) < 1:
+            continue
+        for line in chart.line_at(alg.distinct_roots(repeated, p)):
+            a, b = line
+            for cand in cv.line_zeros(section, 1, 4, a[None], b[None], p)[0]:
+                tq = cv.tangent_vectors(ctx.curve, [cand])[0]
+                if cand.tolist() != td.point.tolist() \
+                        and isinstance(tq, cv.TangentData) \
+                        and int(section @ cand % p) == 0 \
+                        and int(section @ tq.direction % p) == 0:
+                    partners.append((cand, section))
+    return partners
 
 
 def poly_sub(f, g, p):

@@ -299,13 +299,13 @@ def rand_poly(rng, p, deg):
 
 class TestUnivariateAgainstSympy:
     """The univariate kernels against sympy.polys.galoistools, up to the
-    largest admissible prime and degree 24.  The engine's moduli reach
-    degree 21 (`cone.bitangent_pair` at genus 4); degrees 30 and 56
+    largest admissible prime and degree 27.  The engine's moduli reach
+    degree 27 (`cone.bitangent_pair` at genus 4); degrees 30 and 56
     are covered by `TestGcdAndDivision.test_node_count_degrees` against
     the Euclidean chains of tests/reference.py."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
-    @given(mod_deg=st.integers(1, 24), base_len=st.integers(0, 50),
+    @given(mod_deg=st.integers(1, 27), base_len=st.integers(0, 50),
            seed=st.integers(0, 2**32 - 1))
     @example(mod_deg=1, base_len=2, seed=0)
     @example(mod_deg=1, base_len=40, seed=1)
@@ -321,7 +321,7 @@ class TestUnivariateAgainstSympy:
                 from_gf(expected), e
 
     @pytest.mark.parametrize("p", [P, P_MAX])
-    @given(num_len=st.integers(0, 50), den_deg=st.integers(0, 24),
+    @given(num_len=st.integers(0, 50), den_deg=st.integers(0, 27),
            planted=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @example(num_len=0, den_deg=3, planted=False, seed=0)
     @example(num_len=3, den_deg=5, planted=False, seed=1)
@@ -354,7 +354,7 @@ class TestUnivariateAgainstSympy:
         assert alg.poly_gcd(f, g, p).tolist() == from_gf(expected)
         assert reference.poly_gcd(f, g, p).tolist() == from_gf(expected)
 
-    @given(deg=st.integers(1, 24), planted=st.integers(0, 6),
+    @given(deg=st.integers(1, 27), planted=st.integers(0, 6),
            seed=st.integers(0, 2**32 - 1))
     @example(deg=1, planted=0, seed=0)
     @settings(max_examples=40, deadline=None)
@@ -368,7 +368,7 @@ class TestUnivariateAgainstSympy:
         assert alg.distinct_roots(f, p) == brute
 
     @pytest.mark.parametrize("p", [P, P_MAX])
-    @given(deg=st.integers(1, 18), planted=st.integers(0, 6),
+    @given(deg=st.integers(1, 21), planted=st.integers(0, 6),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_distinct_roots_against_factorization(self, p, deg, planted,

@@ -14,8 +14,7 @@ from curvecones.errors import (CorankJump, CurveConesError, DegenerateInput,
 from curvecones.rng import Stream
 
 import reference
-from reference import (assert_same_draws, poly_mul, solve_consistent,
-                       stream_draws)
+from reference import assert_same_draws, solve_consistent, stream_draws
 
 P = 1000003
 
@@ -596,32 +595,28 @@ class TestSecant:
         assert alg.rank(np.concatenate([net.w, section[None, :]]), P) == 3
 
 
-class TestBitangentSweep:
-    def test_discriminant_matches_node_sweep(self, ctx4):
-        """The four-sample fit of `sweep_discriminant` against the sweep
-        that took one scalar resultant at each of 80 nodes, on tangent
-        lines of several panel points."""
-        chart = ctx4.curve.ruling_chart
-        checked = 0
-        for k in range(0, 60, 6):
-            pt = ctx4.panel[k]
-            if not int(chart.h2 @ pt % P):
-                continue
-            td = errors.value_of(cv.tangent_vectors(ctx4.curve, [pt])[0])
-            s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), P)
-            residual, disc = cn.sweep_discriminant(chart, s1, s2, P)
-            expected = reference.sweep_discriminant(chart, s1, s2, P)
-            assert disc.tolist() == expected.tolist()
-            # the section polynomial is cubic in the plane: a fifth sample
-            # lies on the fit, times the factor every plane shares
-            common = alg.poly_gcd(chart.section_poly((s1 + 101 * s2) % P),
-                                  chart.section_poly((s1 + 202 * s2) % P), P)
-            common = alg.poly_gcd(
-                common, chart.section_poly((s1 + 303 * s2) % P), P)
-            assert chart.section_poly((s1 + 4 * s2) % P).tolist() == \
-                poly_mul(common, alg.p2_eval_x(residual, [4], P)[0], P).tolist()
-            checked += 1
-        assert checked >= 5
+class TestBitangentPartners:
+    @pytest.mark.parametrize("ctx", ["ctx4", "ctx4_max"])
+    def test_partners_match_the_plane_sweep(self, ctx, request):
+        """The partners that one resultant on the ruling sweep finds, with
+        their sections, are those of the discriminant of the residual
+        section polynomials of the planes through the tangent line
+        (`reference.bitangent_partners`), on 30 panel points off the
+        chart's plane h2, which that sweep cannot take."""
+        ctx = request.getfixturevalue(ctx)
+        p = ctx.p
+        chart = ctx.curve.ruling_chart
+        pts = [pt for pt in ctx.panel if chart.h2 @ pt % p][:30]
+        assert len(pts) == 30
+        found = 0
+        for td in cv.tangent_vectors(ctx.curve, pts):
+            got = [(q.tolist(), section.tolist())
+                   for q, section in cn.bitangent_partners(ctx, td)]
+            want = [(q.tolist(), alg.normalize_rows(section, p).tolist())
+                    for q, section in reference.bitangent_partners(ctx, td)]
+            assert sorted(got) == sorted(want)
+            found += len(got)
+        assert found >= 10
 
 
 class TestTangentSpace:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from curvecones import algebra as alg
+from curvecones import cone as cn
 from curvecones import fibers as fb
 from curvecones import curve as cv
 from curvecones import monomials as mono
@@ -303,29 +305,57 @@ def resultant(f, g, var):
     """Res_var(f, g) as the Sylvester determinant, the convention of
     `algebra.resultant`; sympy.resultant differs in sign on a linear and a
     cubic argument (it gives -1 for t + 1 and t^3 + 2, where the
-    determinant is (-1)^3 + 2 = 1)."""
-    return sylvester(sympy.expand(f), sympy.expand(g), var).det()
+    determinant is (-1)^3 + 2 = 1).  The determinant is taken in the
+    polynomial ring of the entries (`DomainMatrix`), not on expressions."""
+    matrix = DomainMatrix.from_Matrix(
+        sylvester(sympy.expand(f), sympy.expand(g), var))
+    return matrix.domain.to_sympy(matrix.det())
 
 
 class TestEliminantsAgainstSympy:
     """The eliminants built through `restrict` and `collect` equal
     resultants computed by sympy over ZZ, reduced mod p."""
 
-    def test_section_poly_is_the_resultant(self, ctx4):
+    def test_sweep_pull_backs_and_their_resultant(self, ctx4):
+        """K(A(u) + t B(u)) of the cubic generator K and the pull-back of
+        each tangent-meets-tangent cubic (`cone.tangent_meet_cubic`, here
+        from sympy's partials of the generators), as (u, t) arrays, and
+        their `resultant_bivariate` in t, at three panel points."""
         chart = ctx4.curve.ruling_chart
         u, t = sympy.symbols("u t")
+        z = sympy.symbols("z0:4")
         line = [sum(int(c) * u ** i for i, c in enumerate(a))
                 + t * sum(int(c) * u ** i for i, c in enumerate(b))
                 for a, b in zip(chart.a_coeffs, chart.b_coeffs)]
-        cubic = sympy_form(chart.cubic, 4, 3, line)
-        stream = Stream(11, "section-poly")
-        for _ in range(3):
-            h = stream.field_vec(P, 4)
-            hline = sum(int(hk) * x for hk, x in zip(h, line))
-            res = resultant(hline, cubic, t)
+        quadric = sympy_form(chart.quadric, 4, 2, z)
+        cubic = sympy_form(chart.cubic, 4, 3, z)
+
+        def along(expr, direction):
+            return sum(int(d) * sympy.diff(expr, zk)
+                       for d, zk in zip(direction, z))
+
+        def on_sweep(expr):
+            """expr at z = A(u) + t B(u), its coefficients reduced mod P."""
+            return sympy.Poly(expr.subs(dict(zip(z, line)), simultaneous=True),
+                              u, t).trunc(P).as_expr()
+
+        def entries(arr):
+            return {(int(i), int(j)): int(arr[i, j])
+                    for i, j in zip(*np.nonzero(arr))}
+
+        pulled_cubic = chart.pull_back(chart.cubic, 3)
+        cubic_on_sweep = on_sweep(cubic)
+        assert entries(pulled_cubic) == as_dict(cubic_on_sweep, (u, t), P)
+        for td in cv.tangent_vectors(ctx4.curve, ctx4.panel[:3]):
+            meet = on_sweep(
+                along(quadric, td.point) * along(cubic, td.direction)
+                - along(quadric, td.direction) * along(cubic, td.point))
+            pulled = chart.pull_back(cn.tangent_meet_cubic(ctx4.curve, td), 3)
+            assert entries(pulled) == as_dict(meet, (u, t), P)
+            res = resultant(meet, cubic_on_sweep, t)
             expected = sympy.Poly(res, u).all_coeffs()[::-1]
-            assert chart.section_poly(h).tolist() == \
-                alg.poly_trim([int(c) % P for c in expected]).tolist()
+            assert alg.resultant_bivariate(pulled, pulled_cubic, P).tolist() \
+                == alg.poly_trim([int(c) % P for c in expected]).tolist()
 
     def test_genus5_r12_is_the_resultant_in_y3(self, ctx5):
         y1, y2, y3 = sympy.symbols("y1 y2 y3")

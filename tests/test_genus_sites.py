@@ -13,7 +13,8 @@ import curvecones
 
 SITES = {
     # at g = 4 no section vanishes doubly at two general points, so the
-    # pair comes from the bitangent sweep of the ruling chart
+    # pair comes from the points whose tangent line meets that of a panel
+    # point, one resultant on the ruling sweep
     ("cone.py", "contained_double_secant.draw", "ctx.g == 4"),
     # the point source of the genus-4 model
     ("curve.py", "RulingChart.__init__", "curve.genus != 4"),

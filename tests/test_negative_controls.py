@@ -19,7 +19,8 @@ from curvecones import algebra as alg, canring, cone as cn, curve as cv
 from curvecones import fibers as fb
 from curvecones import monomials as mono, net as nt, pencil as pc
 from curvecones import spanlab as sl
-from curvecones.errors import SplittingViolation, VerificationFailed
+from curvecones.errors import (DegenerateInput, SplittingViolation,
+                               VerificationFailed)
 from curvecones.rng import Stream
 
 CFG = acc.preset("reduced", 0)
@@ -276,6 +277,35 @@ class TestCriterion10:
         monkeypatch.setitem(cv.MODELS, 4, dataclasses.replace(
             cv.MODELS[4], sweep_degree=cv.MODELS[4].sweep_degree - 1))
         assert real(ctx4, family, b0) == []
+
+    def test_wrong_meeting_cubic_finds_no_pair(self, ctx4, monkeypatch):
+        """With the tangent-meets-tangent cubic built from a random vector
+        in place of the tangent direction, its zeros on the ruling sweep
+        are curve points whose tangent line misses that of p: the exact
+        `double_vanishing_section` refuses every one, and `bitangent_pair`
+        raises after its 24 draws where the sound cubic finds a pair."""
+        stream = Stream(0, "meeting cubic")
+        assert cn.bitangent_pair(ctx4, stream) is not None
+        real_cubic = cn.tangent_meet_cubic
+        real_section = cn.double_vanishing_section
+        wrong = Stream(12, "negative-controls")
+        sections = []
+
+        def wrong_cubic(curve, td):
+            return real_cubic(curve, cv.TangentData(
+                td.point, wrong.field_vec(ctx4.p, ctx4.g)))
+
+        def double_vanishing_section(ctx, pt_p, pt_q):
+            sections.append(real_section(ctx, pt_p, pt_q))
+            return sections[-1]
+
+        monkeypatch.setattr(cn, "tangent_meet_cubic", wrong_cubic)
+        monkeypatch.setattr(cn, "double_vanishing_section",
+                            double_vanishing_section)
+        with pytest.raises(DegenerateInput,
+                           match="bitangent pair: no usable draw in 24"):
+            cn.bitangent_pair(ctx4, Stream(0, "meeting cubic"))
+        assert sections and all(s is None for s in sections)
 
 
 class TestCriterion11:

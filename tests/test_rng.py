@@ -1,5 +1,6 @@
 """Stream keys: `derive_key` is blake2b of "seed|tag", whichever module
-provides blake2b.  Draws: `field_vec` is n draws of `field`."""
+provides blake2b.  Draws: `field_vec` is n draws of `field`, and
+`nonzero_vec` one `field_vec` or None."""
 
 import hashlib
 import importlib.util
@@ -65,3 +66,19 @@ def test_field_vec_rejection_branch(monkeypatch):
     assert calls[id(vec)] == calls[id(twin)] > n
     assert ((0 <= got) & (got < p)).all()
     assert vec.field_vec(p, 0).shape == (0,)
+
+
+def test_nonzero_vec_is_one_field_vec():
+    # at p = 3 and n = 1 about a third of the draws are the zero vector
+    vec, twin = Stream(6, "nonzero"), Stream(6, "nonzero")
+    kinds = set()
+    for _ in range(30):
+        want = twin.field_vec(3, 1)
+        got = vec.nonzero_vec(3, 1)
+        if want.any():
+            assert got.tolist() == want.tolist()
+        else:
+            assert got is None
+        kinds.add(got is None)
+    assert kinds == {True, False}
+    assert vec._state == twin._state
