@@ -56,13 +56,15 @@ from the same matrix.  The powers are built column by column as a
 product of two entries below p reduced at once, and the inverse comes
 from `inverse`, within the budget of `rref`.
 
-One kernel per univariate job: `p2_eval_x` evaluates at many nodes with
-one Vandermonde product, each entry a sum of one product below p**2 per
-row of f, so below 2**63 while f has fewer than 2**13 rows at p < 2**25
-(9 at most in the engine, at genus 5).  `poly_gcd` is one
-`_Moduli.split`, exact division is one `solve_batch`, and the Sylvester
-matrices of `resultant_bivariate` hold values below p and go through one
-`det_batch`.
+One exact pass per univariate job: `p2_eval_x` evaluates at many nodes
+with one Vandermonde product, each entry a sum of one product below p**2
+per row of f, so below 2**63 while f has fewer than 2**13 rows at
+p < 2**25 (9 at most in the engine, at genus 5).  `resultant_bivariate`
+takes the determinants of the Sylvester matrices on the formal
+y-degrees at the fixed nodes 0, ..., bound, values below p through one
+`det_batch`, and `rational_interpolate` reads the minimal pair off the
+last row of one `rref` of the Cauchy kernel, D's coefficients first and
+from the top down.
 
 Roots are found on stacks.  `distinct_roots_batch` takes many
 polynomials at once through `_Moduli`, a stack of monic moduli padded to
@@ -451,38 +453,6 @@ def poly_stack(polys) -> np.ndarray:
     return out
 
 
-def poly_gcd(f, g, p: int) -> np.ndarray:
-    """Monic greatest common divisor: one `_Moduli.split` of the shorter
-    polynomial modulo the longer."""
-    a, b = sorted((poly_trim(np.asarray(f, dtype=np.int64) % p),
-                   poly_trim(np.asarray(g, dtype=np.int64) % p)), key=len)
-    if len(a) == 0:
-        return poly_monic(b, p)
-    if len(a) == 1:
-        return np.ones(1, dtype=np.int64)
-    mods = _Moduli([poly_monic(b, p)], p, len(a))
-    return mods.split(mods.reduce(a[None]), cofactor=False)[0][0]
-
-
-def exact_quotients(rows: np.ndarray, h, p: int) -> tuple[np.ndarray, bool]:
-    """The quotients f / h of the rows f of a k x L array, as a
-    k x (L - deg h) array, and whether h divides every row: one
-    `solve_batch` of the multiplication-by-h matrix, of full column rank,
-    with the rows as right-hand sides."""
-    h = poly_trim(np.asarray(h, dtype=np.int64) % p)
-    if len(h) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rows = np.asarray(rows, dtype=np.int64) % p
-    cols = rows.shape[1] - len(h) + 1
-    if cols <= 0:
-        return np.zeros((len(rows), 0), dtype=np.int64), not rows.any()
-    mult = np.zeros((rows.shape[1], cols), dtype=np.int64)
-    mult[np.add.outer(np.arange(len(h)), np.arange(cols)),
-         np.arange(cols)] = h[:, None]
-    quots, _, divides = solve_batch(mult[None], rows.T[None], p)
-    return quots[0].T, bool(divides[0])
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials on stacks: powers, gcds and roots modulo many
 # moduli at once
@@ -766,8 +736,8 @@ def _vandermonde(xs, cols: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _vandermonde_inverse(xs: tuple, p: int) -> np.ndarray:
-    """Inverse of the Vandermonde matrix of the nodes (genus-5 resultants
-    nearly always fit at 0, ..., 32)."""
+    """Inverse of the Vandermonde matrix of the nodes (a resultant fits at
+    0, ..., bound, so one entry per bound)."""
     try:
         return inverse(_vandermonde(xs, len(xs), p), p)
     except ZeroDivisionError:
@@ -796,28 +766,25 @@ def rational_interpolate(xs, ys, p: int, num_deg: int, den_deg: int
                          ) -> tuple[np.ndarray, np.ndarray] | None:
     """Cauchy interpolation: N/D of bounded degrees through the samples.
 
-    Solves the homogeneous conditions N(x_i) - y_i D(x_i) = 0 and returns
-    (N, D) from a one-dimensional solution, or None when the degrees do not
-    fit the data."""
-    n_cols = num_deg + 1
+    Solves the homogeneous conditions N(x_i) - y_i D(x_i) = 0, the columns
+    D's coefficients from the top down, then N's.  When a pair of these
+    degrees fits, the solutions are the multiples c (N0, D0) of the
+    minimal pair with deg c at most the slack (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, 5.7-5.8).  The last row of one `rref` of
+    the kernel has the most leading zeros among D's top coefficients, so
+    the least deg D and a constant c: it is (N0, D0) with D0 monic.  None
+    when the kernel is zero or that row has N or D zero."""
     d_cols = den_deg + 1
-    v = _vandermonde(xs, max(n_cols, d_cols), p)
+    v = _vandermonde(xs, max(num_deg + 1, d_cols), p)
     y = np.asarray(ys, dtype=np.int64)[:, None] % p
-    kernel = kernel_basis(np.concatenate([v[:, :n_cols],
-                                          -y * v[:, :d_cols] % p], axis=1), p)
+    kernel = kernel_basis(np.concatenate(
+        [-y * v[:, d_cols - 1::-1] % p, v[:, :num_deg + 1]], axis=1), p)
     if kernel.shape[0] == 0:
         return None
-    # over-generous degrees give polynomial multiples of the minimal pair;
-    # stripping the common factor recovers it
-    sol = kernel[0]
-    num = poly_trim(sol[:n_cols])
-    den = poly_trim(sol[n_cols:])
+    last = rref(kernel, p)[0][-1]
+    num, den = poly_trim(last[d_cols:]), poly_trim(last[d_cols - 1::-1])
     if len(den) == 0 or len(num) == 0:
         return None
-    common = poly_gcd(num, den, p)
-    if poly_deg(common) > 0:
-        quots, _ = exact_quotients(poly_stack([num, den]), common, p)
-        num, den = poly_trim(quots[0]), poly_trim(quots[1])
     return num, den
 
 
@@ -847,29 +814,28 @@ def p2_eval_x(f: np.ndarray, xs, p: int) -> np.ndarray:
 def resultant_bivariate(f, g, p: int) -> np.ndarray:
     """Res_y of two bivariate polynomials, as a univariate polynomial in x.
 
-    Evaluate-and-interpolate (Collins, J. ACM 18(4), 1971): one
-    `p2_eval_x` each specializes f and g at the nodes 0, ..., bound +
-    deg lf + deg lg, of which at most deg lf + deg lg are roots of a
-    leading y-coefficient lf or lg.  The first bound + 1 others share one
-    Sylvester size, so one `det_batch` gives their resultants for
-    `interpolate`.  The bound on the x-degree also covers a factor
-    constant in y, whose resultant is its power.
+    Evaluate-and-interpolate (Collins, J. ACM 18(4), 1971): the Sylvester
+    matrix on the formal y-degrees m and n of f and g has the resultant
+    as its determinant, of x-degree at most bound = m deg_x g + n deg_x f.
+    Its value at a node is the resultant there, also where a leading
+    y-coefficient vanishes.  So one `p2_eval_x` each specializes f and g
+    at the nodes 0, ..., bound, one `det_batch` takes the determinants
+    and `interpolate` fits them.  The bound also covers a factor constant
+    in y, whose resultant is its power.
     """
     f = p2_trim(f)
     g = p2_trim(g)
     if f.size == 0 or g.size == 0:
         raise ValueError("resultant of a zero polynomial")
     m, n = f.shape[1] - 1, g.shape[1] - 1
-    drops = poly_deg(poly_trim(f[:, m])) + poly_deg(poly_trim(g[:, n]))
     bound = m * (g.shape[0] - 1) + n * (f.shape[0] - 1)
-    xs = np.arange(min(p, bound + 1 + drops))
-    fa, ga = p2_eval_x(f, xs, p), p2_eval_x(g, xs, p)
-    keep = np.nonzero((fa[:, m] != 0) & (ga[:, n] != 0))[0][:bound + 1]
-    if len(keep) <= bound:
+    if bound >= p:
         raise ValueError("field too small for interpolation nodes")
-    sylvester = np.zeros((len(keep), m + n, m + n), dtype=np.int64)
+    xs = np.arange(bound + 1)
+    fa, ga = p2_eval_x(f, xs, p), p2_eval_x(g, xs, p)
+    sylvester = np.zeros((bound + 1, m + n, m + n), dtype=np.int64)
     for i in range(n):
-        sylvester[:, i, i:i + m + 1] = fa[keep, ::-1]
+        sylvester[:, i, i:i + m + 1] = fa[:, ::-1]
     for i in range(m):
-        sylvester[:, n + i, i:i + n + 1] = ga[keep, ::-1]
-    return interpolate(xs[keep], det_batch(sylvester, p), p)
+        sylvester[:, n + i, i:i + n + 1] = ga[:, ::-1]
+    return interpolate(xs, det_batch(sylvester, p), p)

@@ -437,10 +437,7 @@ def hyperplane_section(curve: CurveModel, h: np.ndarray) -> list[np.ndarray]:
     r13 = _res_quadratics(layers[0], layers[2], p)
     if not (r12.any() and r13.any()):
         return []
-    try:
-        rfin = alg.resultant_bivariate(r12, r13, p)
-    except ValueError:   # a zero eliminant: the chart, not the slice,
-        return []        # is unusable (not a resample of the pipeline)
+    rfin = alg.resultant_bivariate(r12, r13, p)
     if alg.poly_deg(rfin) < 0:
         return []
     roots = alg.distinct_roots(rfin, p)

@@ -8,14 +8,14 @@ ideal piece to the vertex: the source and target have the same dimension
 (g-2)(g-3)/2, and membership is exactly failure of invertibility.
 
 The plane image of a net is a curve of degree d = 2g-2, fitted through the
-projected panel.  Bezout fixes it from d**2 + 1 of its points, so
-`gamma_equations` takes the kernel of the first max(count(3, d) + 10,
-d**2 + 1) rows of the evaluation matrix (38 at genus 4 of 140 panel
-points, 65 at genus 5 of 280), checks the kernel vector against every
-row, and falls back to the kernel of all rows when the subset kernel is
-not one-dimensional or the check fails; the fit is that of all rows.  A
-check sums count(3, d) <= 45 products below p**2 at g <= 5, below 2**56
-at p < 2**25.
+projected panel.  The curve is irreducible, so Bezout fixes its image
+from d**2 + 1 distinct points, and `gamma_equations` takes the kernel of
+the first max(count(3, d) + 10, d**2 + 1) rows of the evaluation matrix
+(38 at genus 4 of 140 panel points, 65 at genus 5 of 280) and checks
+the kernel vector against every row.  Fewer distinct points, a subset
+kernel that is not one-dimensional or a projected point off the fitted
+curve give the net no fit.  A check sums count(3, d) <= 45 products
+below p**2 at g <= 5, below 2**56 at p < 2**25.
 
 The membership oracle cuts the pencil of the net vanishing at a probe;
 whether that pencil is admissible is `pencil.admissibility`, whose
@@ -231,10 +231,11 @@ def gamma_equations(ctx: CurveContext, nets: list[Net]
                     ) -> list[PlaneCurve | AmbiguousFit]:
     """The plane image equation of each net, kept in `net.gamma`, or an
     `AmbiguousFit` for a net with a base point, with fewer than
-    count(3, d) + 10 distinct projected points, or whose fit kernel is not
-    one-dimensional.  Nets without a fit go in passes of PASS_CELLS cells
-    of evaluation matrix, each one `kernel_batch` of the Bezout-sized
-    subsets and one product checking every row (module docstring)."""
+    max(count(3, d) + 10, d**2 + 1) distinct projected points, or without
+    one fit through all of them.  Nets without a fit go in passes of
+    PASS_CELLS cells of evaluation matrix, each one `kernel_batch` of the
+    Bezout-sized subsets and one product checking every row (module
+    docstring)."""
     out: list = [net.gamma if net.gamma is not None
                  else AmbiguousFit("projection is not a morphism: net has "
                                    "a base point") if net.in_b
@@ -254,8 +255,7 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
     """`gamma_equations` on nets off B without a fit, as one array pass."""
     p = ctx.p
     degree = 2 * ctx.g - 2
-    needed = mono.count(3, degree) + 10
-    rows = max(needed, degree ** 2 + 1)
+    rows = max(mono.count(3, degree) + 10, degree ** 2 + 1)
     pts = [plane_points(u[u.any(axis=1)], p)[0]
            for u in (project(net, ctx.panel, p) for net in nets)]
     sizes = np.array([len(x) for x in pts])
@@ -273,21 +273,12 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
     off = (e @ v.T)[np.arange(len(owner)), owner] % p != 0
     fitted &= np.bincount(owner[off], minlength=len(nets)) == 0
     coeffs = alg.normalize_rows(v, p)
-    out: list = []
-    for k, x in enumerate(pts):
-        if len(x) < needed:
-            out.append(AmbiguousFit(
-                f"only {len(x)} projected points, need {needed}"))
-            continue
-        if not fitted[k]:
-            kernel = alg.kernel_basis(e[starts[k]:starts[k] + sizes[k]], p)
-            if kernel.shape[0] != 1:
-                out.append(AmbiguousFit("plane-curve fit kernel has "
-                                        f"dimension {kernel.shape[0]}"))
-                continue
-            coeffs[k] = alg.normalize_rows(kernel[0], p)
-        out.append(PlaneCurve(degree=degree, coeffs=coeffs[k]))
-    return out
+    return [AmbiguousFit(f"only {len(x)} projected points, need {rows}")
+            if len(x) < rows
+            else PlaneCurve(degree=degree, coeffs=coeffs[k]) if fitted[k]
+            else AmbiguousFit(f"no unique plane curve of degree {degree} "
+                              "through the projected points")
+            for k, x in enumerate(pts)]
 
 
 # what oracle_witness raises for a probe, in the order it tests them; the

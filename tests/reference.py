@@ -358,6 +358,28 @@ def lagrange_interpolate(xs, ys, p):
     return alg.poly_trim(out)
 
 
+def rational_interpolate(xs, ys, p, num_deg, den_deg):
+    """Cauchy interpolation by the first kernel vector: (N, D) of bounded
+    degrees with N(x_i) = y_i D(x_i), the kernel's first special solution
+    with the columns N's coefficients then D's, divided by its gcd
+    (Euclidean chain and long division).  None when the kernel is zero or
+    that vector has N or D zero."""
+    cols = max(num_deg, den_deg) + 1
+    v = np.array([[pow(int(x), k, p) for k in range(cols)] for x in xs],
+                 dtype=np.int64)
+    y = np.asarray(ys, dtype=np.int64)[:, None] % p
+    kernel = alg.kernel_basis(np.concatenate(
+        [v[:, :num_deg + 1], -y * v[:, :den_deg + 1] % p], axis=1), p)
+    if kernel.shape[0] == 0:
+        return None
+    num = alg.poly_trim(kernel[0][:num_deg + 1])
+    den = alg.poly_trim(kernel[0][num_deg + 1:])
+    if len(num) == 0 or len(den) == 0:
+        return None
+    common = poly_gcd(num, den, p)
+    return poly_divmod(num, common, p)[0], poly_divmod(den, common, p)[0]
+
+
 def poly_deriv(f, p):
     """Derivative of a univariate polynomial, trimmed."""
     f = alg.poly_trim(f)
@@ -394,10 +416,10 @@ def sweep_discriminant(chart, s1, s2, p):
     fit = alg.interpolate(range(4), alg.poly_stack(samples), p)
     at = alg.p2_eval_x(fit, [101, 202, 303], p)
     common = poly_gcd(at[0], poly_gcd(at[1], at[2], p), p)
-    quots, divides = alg.exact_quotients(fit, common, p)
-    residual = alg.p2_trim(quots)
+    quots, rems = zip(*(poly_divmod(row, common, p) for row in fit))
+    residual = alg.p2_trim(alg.poly_stack(quots))
     width = residual.shape[1]
-    if width < 3 or not divides:
+    if width < 3 or any(len(r) for r in rems):
         return None
     d_du = residual[:, 1:] * np.arange(1, width) % p
     return residual, alg.resultant_bivariate(residual, d_du, p)
@@ -637,14 +659,14 @@ def gamma_equation(ctx, net_obj):
     projected = nt.project(net_obj, ctx.panel, p)
     pts = np.unique(alg.normalize_rows(projected[projected.any(axis=1)], p),
                     axis=0)
-    needed = mono.count(3, degree) + 10
+    needed = max(mono.count(3, degree) + 10, degree ** 2 + 1)
     if pts.shape[0] < needed:
         raise AmbiguousFit(
             f"only {pts.shape[0]} projected points, need {needed}")
     kernel = alg.kernel_basis(mono.eval_matrix(pts, 3, degree, p), p)
     if kernel.shape[0] != 1:
-        raise AmbiguousFit(
-            f"plane-curve fit kernel has dimension {kernel.shape[0]}")
+        raise AmbiguousFit(f"no unique plane curve of degree {degree} "
+                           "through the projected points")
     return nt.PlaneCurve(degree=degree,
                          coeffs=normalize(kernel[0], p))
 
@@ -1206,7 +1228,7 @@ def family_roots(ctx, family, b0):
     if len(samples) < 100:
         return []
     ts, vs = zip(*samples)
-    fit = alg.rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)
+    fit = rational_interpolate(list(ts[:94]), list(vs[:94]), p, 45, 45)
     if fit is None:
         return []
     num, den = fit

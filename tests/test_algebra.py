@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -227,7 +227,7 @@ class TestBivariateResultant:
             fy, gy = alg.poly_trim(fy), alg.poly_trim(gy)
             if len(fy) == 0 or len(gy) == 0:
                 continue
-            common = alg.poly_gcd(fy, gy, p)
+            common = reference.poly_gcd(fy, gy, p)
             if alg.poly_deg(common) > 0:
                 # a common y-root over the algebraic closure forces r(a) = 0
                 assert a in res_roots
@@ -247,20 +247,18 @@ class TestBivariateResultant:
 
 class TestPolyHelpers:
     def test_divmod_roundtrip(self):
-        # q g + r with deg r < deg g: the exact quotient of q g is q, and
-        # g does not divide q g + r for r nonzero
+        # q g + r with deg r < deg g: the long division of the reference
+        # (its rational fit and sweep divide by it) gives back q and r
         rng = np.random.default_rng(11)
         q = alg.poly_trim(rng.integers(0, P, size=6).astype(np.int64))
         g = alg.poly_trim(rng.integers(0, P, size=4).astype(np.int64))
         r = arr([5, 0, 1])
         f = poly_mul(q, g, P)
-        quots, divides = alg.exact_quotients(
-            alg.poly_stack([f, (f + np.pad(r, (0, len(f) - 3))) % P]), g, P)
-        assert alg.poly_trim(quots[0]).tolist() == q.tolist()
-        assert divides is False
-        quots, divides = alg.exact_quotients(f[None], g, P)
-        assert divides is True
-        assert alg.poly_trim(quots[0]).tolist() == q.tolist()
+        quot, rem = reference.poly_divmod(
+            (f + np.pad(r, (0, len(f) - 3))) % P, g, P)
+        assert [quot.tolist(), rem.tolist()] == [q.tolist(), r.tolist()]
+        quot, rem = reference.poly_divmod(f, g, P)
+        assert [quot.tolist(), rem.tolist()] == [q.tolist(), []]
 
     def test_interpolation_roundtrip(self):
         xs = [1, 2, 3, 4, 5]
@@ -302,7 +300,9 @@ class TestUnivariateAgainstSympy:
     largest admissible prime and degree 27.  The engine's moduli reach
     degree 27 (`cone.bitangent_pair` at genus 4); degrees 30 and 56
     are covered by `TestGcdAndDivision.test_node_count_degrees` against
-    the Euclidean chains of tests/reference.py."""
+    the Euclidean chains of tests/reference.py.  The gcd and division
+    checked here are those chains, which the reference's rational fit
+    and sweep use: the engine has neither."""
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(mod_deg=st.integers(1, 27), base_len=st.integers(0, 50),
@@ -327,19 +327,17 @@ class TestUnivariateAgainstSympy:
     @example(num_len=3, den_deg=5, planted=False, seed=1)
     @settings(max_examples=30, deadline=None)
     def test_divmod(self, p, num_len, den_deg, planted, seed):
-        # exact division: the flag is sympy's "no remainder", and the
-        # quotient is sympy's wherever g divides; `planted` makes f a
-        # multiple of g
+        # the long division of tests/reference.py, which its rational fit
+        # and sweep divide by: sympy's quotient and remainder; `planted`
+        # makes f a multiple of g
         rng = np.random.default_rng(seed)
         f = rng.integers(0, p, size=num_len).astype(np.int64)
         g = rand_poly(rng, p, den_deg)
         if planted:
             f = poly_mul(f, g, p)
         eq, er = gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
-        quots, divides = alg.exact_quotients(f[None], g, p)
-        assert divides == (er == [])
-        if divides:
-            assert alg.poly_trim(quots[0]).tolist() == from_gf(eq)
+        quot, rem = reference.poly_divmod(f, g, p)
+        assert [quot.tolist(), rem.tolist()] == [from_gf(eq), from_gf(er)]
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     @given(degs=st.tuples(st.integers(0, 16), st.integers(0, 16),
@@ -351,7 +349,6 @@ class TestUnivariateAgainstSympy:
         a, b, c = (rand_poly(rng, p, d) for d in degs)
         f, g = poly_mul(a, c, p), poly_mul(b, c, p)
         expected = gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
-        assert alg.poly_gcd(f, g, p).tolist() == from_gf(expected)
         assert reference.poly_gcd(f, g, p).tolist() == from_gf(expected)
 
     @given(deg=st.integers(1, 27), planted=st.integers(0, 6),
@@ -1115,6 +1112,34 @@ class TestStackedResultantAgainstReference:
         assert alg.resultant_bivariate(f, g, p).tolist() == \
             reference.resultant_bivariate(f, g, p).tolist()
 
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @pytest.mark.parametrize("node", [0, 1, 2])
+    @pytest.mark.parametrize("constant", ["f", "g", None])
+    def test_leading_coefficient_vanishes_at_a_node(self, p, node, constant):
+        # the leading y-coefficient of a side is (x - node) times a random
+        # linear form, so at x = node the formal Sylvester matrix is not
+        # that of the specialized polynomials, and the reference skips the
+        # node; the other side has y-degree 0 (or, with constant None, a
+        # leading coefficient vanishing at the same node)
+        rng = np.random.default_rng([node, p, "-fg".find(constant or "-")])
+
+        def side(vanishing):
+            c = rng.integers(0, p, size=(3, 3 if vanishing else 1))
+            c[-1, -1] = rng.integers(1, p)
+            if vanishing:
+                c[:, -1] = poly_mul(arr([-node % p, 1]), c[1:, -1], p)
+            return c.astype(np.int64)
+
+        f, g = side(constant != "f"), side(constant != "g")
+        for h in (f, g):
+            assert h.shape[1] == 1 or values(h[:, -1], [node], p)[0] == 0
+        got = alg.resultant_bivariate(f, g, p).tolist()
+        assert got == reference.resultant_bivariate(f, g, p).tolist()
+        x, y = sympy.symbols("x y")
+        exprs = [sum(int(c[i, j]) * x**i * y**j for i in range(c.shape[0])
+                     for j in range(c.shape[1])) for c in (f, g)]
+        assert got == sympy_coeffs(sympy_resultant(*exprs, y), x, p)
+
     def test_zero_input_and_small_field(self):
         with pytest.raises(ValueError, match="zero"):
             alg.resultant_bivariate(np.zeros((2, 2), dtype=np.int64),
@@ -1126,59 +1151,145 @@ class TestStackedResultantAgainstReference:
             alg.resultant_bivariate(f, arr([[1, 1]]), 3)
 
 
+def rational_values(num, den, xs, p):
+    """num(x) / den(x) at every node of xs, which den must not vanish
+    at."""
+    dv = values(den, xs, p)
+    assert dv.all()
+    return values(num, xs, p) * np.array(
+        [pow(int(v), -1, p) for v in dv]) % p
+
+
+class TestRationalFitAgainstReference:
+    """`rational_interpolate`, the last echelon row of the Cauchy kernel,
+    against the first kernel vector divided by its gcd,
+    `reference.rational_interpolate`: the same pair up to one scalar, or
+    None on both sides."""
+
+    @staticmethod
+    def fit(xs, ys, p, num_deg, den_deg):
+        got = alg.rational_interpolate(xs, ys, p, num_deg, den_deg)
+        want = reference.rational_interpolate(xs, ys, p, num_deg, den_deg)
+        if want is None:
+            assert got is None
+            return None
+        num, den = got
+        assert int(den[-1]) == 1
+        lead = int(want[1][-1])
+        assert [(num * lead % p).tolist(), (den * lead % p).tolist()] == \
+            [h.tolist() for h in want]
+        return num, den
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(d=st.integers(1, 8), slack=st.integers(0, 8), low=st.integers(0, 8),
+           num_low=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(d=1, slack=0, low=0, num_low=True, seed=0)
+    @example(d=8, slack=8, low=0, num_low=False, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_planted_pair(self, p, d, slack, low, num_low, seed):
+        # N0 / D0 with slack min(d - deg N0, d - deg D0) from the 2d + 1
+        # samples t = 1, ..., 2d + 1 of `cone._family_roots`: the fit is
+        # the pair in lowest terms with D monic
+        rng = np.random.default_rng(seed)
+        top = d - min(slack, d)
+        degs = (min(low, top), top) if num_low else (top, min(low, top))
+        num, den = (rand_poly(rng, p, k) for k in degs)
+        common = reference.poly_gcd(num, den, p)
+        num, den = (reference.poly_divmod(h, common, p)[0]
+                    for h in (num, den))
+        xs = list(range(1, 2 * d + 2))
+        assume(values(den, xs, p).all())
+        got = self.fit(xs, rational_values(num, den, xs, p), p, d, d)
+        scale = pow(int(den[-1]), -1, p)
+        assert [h.tolist() for h in got] == \
+            [(h * scale % p).tolist() for h in (num, den)]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_wide_fit_of_a_degree_5_function(self, p):
+        # the 45/45 fit from 94 samples of `reference.family_roots`: its
+        # kernel has dimension 41, and the fit is the degree-5 pair
+        rng = np.random.default_rng(5)
+        num, den = rand_poly(rng, p, 5), rand_poly(rng, p, 4)
+        xs = list(range(1, 95))
+        ys = rational_values(num, den, xs, p)
+        v = np.array([[pow(x, k, p) for k in range(46)] for x in xs])
+        cauchy = np.concatenate([v, -ys[:, None] * v % p], axis=1)
+        assert alg.kernel_basis(cauchy, p).shape[0] == 41
+        got = self.fit(xs, ys, p, 45, 45)
+        assert [alg.poly_deg(h) for h in got] == [5, 4]
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    @given(d=st.integers(1, 8), extra=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_true_degree_above_the_bound(self, p, d, extra, seed):
+        # a function of degree d + extra: no pair of degree d fits it, so
+        # whatever the fit is, the reference finds the same
+        rng = np.random.default_rng(seed)
+        num, den = rand_poly(rng, p, d + extra), rand_poly(rng, p, d)
+        xs = list(range(1, 2 * d + 2))
+        assume(values(den, xs, p).all())
+        self.fit(xs, rational_values(num, den, xs, p), p, d, d)
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    def test_zero_function(self, d):
+        xs = list(range(1, 2 * d + 2))
+        assert self.fit(xs, [0] * len(xs), P, d, d) is None
+
+
 class TestGcdAndDivision:
-    """The echelon gcd, exact division and roots at large degree against
-    the Euclidean chain and long division of tests/reference.py."""
+    """Roots at large degree against tests/reference.py, and the
+    Euclidean chain and long division of tests/reference.py against
+    sympy."""
 
     def test_gcd_edge_cases(self):
         zero = np.zeros(0, dtype=np.int64)
         f = arr([6, 5, 1])                      # (x + 2)(x + 3)
-        assert alg.poly_gcd(zero, zero, P).tolist() == []
-        assert alg.poly_gcd(zero, 3 * f % P, P).tolist() == f.tolist()
-        assert alg.poly_gcd(f, zero, P).tolist() == f.tolist()
-        assert alg.poly_gcd(arr([7]), f, P).tolist() == [1]
-        assert alg.poly_gcd(f, arr([7]), P).tolist() == [1]
-        assert alg.poly_gcd(5 * f % P, f, P).tolist() == f.tolist()
-        assert alg.poly_gcd(f, arr([4, 1]), P).tolist() == [1]   # coprime
-        assert alg.poly_gcd(f, arr([2, 1]), P).tolist() == [2, 1]
-        assert alg.poly_gcd(arr([0, 1]), arr([0, 0, 1]), P).tolist() == [0, 1]
+        gcd = reference.poly_gcd
+        assert gcd(zero, zero, P).tolist() == []
+        assert gcd(zero, 3 * f % P, P).tolist() == f.tolist()
+        assert gcd(f, zero, P).tolist() == f.tolist()
+        assert gcd(arr([7]), f, P).tolist() == [1]
+        assert gcd(f, arr([7]), P).tolist() == [1]
+        assert gcd(5 * f % P, f, P).tolist() == f.tolist()
+        assert gcd(f, arr([4, 1]), P).tolist() == [1]   # coprime
+        assert gcd(f, arr([2, 1]), P).tolist() == [2, 1]
+        assert gcd(arr([0, 1]), arr([0, 0, 1]), P).tolist() == [0, 1]
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_gcd_at_degree_45(self, p):
-        # a gcd of degree 7 or more, with the divisions by it, at a degree
-        # between the 30 and 56 of `test_node_count_degrees`
+        # a gcd of degree 7 or more, with the divisions by it, at the
+        # degree of the reference's 45/45 rational fit
         rng = np.random.default_rng(45)
         common = rand_poly(rng, p, 7)
         f = poly_mul(rand_poly(rng, p, 38), common, p)
         g = poly_mul(rand_poly(rng, p, 31), common, p)
         assert alg.poly_deg(f) == 45
         expected = reference.poly_gcd(f, g, p)
-        assert alg.poly_gcd(f, g, p).tolist() == expected.tolist()
-        assert alg.poly_gcd(g, f, p).tolist() == expected.tolist()
+        assert expected.tolist() == from_gf(
+            gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ))
+        assert reference.poly_gcd(g, f, p).tolist() == expected.tolist()
         assert alg.poly_deg(expected) >= 7
-        quots, divides = alg.exact_quotients(alg.poly_stack([f, g]),
-                                             expected, p)
-        assert divides
-        assert [alg.poly_trim(q).tolist() for q in quots] == \
-            [reference.poly_divmod(h, expected, p)[0].tolist()
-             for h in (f, g)]
+        for h in (f, g):
+            quot, rem = reference.poly_divmod(h, expected, p)
+            assert rem.tolist() == []
+            assert quot.tolist() == from_gf(
+                gt.gf_quo(to_gf(h), to_gf(expected), p, ZZ))
 
     @pytest.mark.parametrize("p", [P, P_MAX])
     def test_node_count_degrees(self, p):
         # moduli of degree 56 and 30, the gcd degrees of the resultant
         # count of tests/reference.py at genus 5 and 4, above the engine's
-        # largest (21): the gcd of two polynomials of degree 56 with a
-        # common factor s1 s2^2 of degree 32, and the roots of a stack of
-        # degrees 30 and 56 with planted roots
+        # largest (27): the reference gcd of two polynomials of degree 56
+        # with a common factor s1 s2^2 of degree 32, and the roots of a
+        # stack of degrees 30 and 56 with planted roots
         rng = np.random.default_rng(56)
         s2 = rand_poly(rng, p, 10)
         common = poly_mul(rand_poly(rng, p, 12), poly_mul(s2, s2, p), p)
         f = poly_mul(rand_poly(rng, p, 24), common, p)
         g = poly_mul(rand_poly(rng, p, 24), common, p)
         assert alg.poly_deg(f) == alg.poly_deg(g) == 56
-        h = reference.poly_gcd(f, g, p)
-        assert alg.poly_gcd(f, g, p).tolist() == h.tolist()
-        assert alg.poly_deg(h) >= 32
+        assert alg.poly_deg(reference.poly_gcd(f, g, p)) >= 32
         planted = sorted({int(r) for r in rng.integers(0, p, size=6)})
         low = rand_poly(rng, p, 30 - len(planted))
         for r in planted:
@@ -1188,31 +1299,6 @@ class TestGcdAndDivision:
         got = alg.distinct_roots_batch([low, high], p)
         assert got == [reference.distinct_roots(q, p) for q in (low, high)]
         assert set(planted) <= set(got[0]) <= set(got[1])
-
-    @pytest.mark.parametrize("p", [P, P_MAX])
-    @given(degs=st.lists(st.integers(-1, 12), min_size=1, max_size=4),
-           h_deg=st.integers(0, 6), planted=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(degs=[-1], h_deg=2, planted=False, seed=0)
-    @example(degs=[1, 3], h_deg=4, planted=False, seed=1)
-    @settings(max_examples=30, deadline=None)
-    def test_exact_division_flags_a_remainder(self, p, degs, h_deg, planted,
-                                              seed):
-        # "does not divide" exactly where long division leaves a remainder
-        # in some row; `planted` makes every row a multiple of h
-        rng = np.random.default_rng(seed)
-        h = rand_poly(rng, p, h_deg)
-        rows = [rand_poly(rng, p, d) if d >= 0 else arr([]) for d in degs]
-        if planted:
-            rows = [poly_mul(f, h, p) for f in rows]
-        stack = alg.poly_stack(rows) if max(map(len, rows)) \
-            else np.zeros((len(rows), 0), dtype=np.int64)
-        quots, divides = alg.exact_quotients(stack, h, p)
-        expected = [reference.poly_divmod(f, h, p) for f in rows]
-        assert divides == all(len(r) == 0 for _, r in expected)
-        if divides:
-            assert [alg.poly_trim(q).tolist() for q in quots] == \
-                [q.tolist() for q, _ in expected]
 
 
 class TestVandermondeEvaluation:

@@ -119,7 +119,8 @@ def test_slice_tries_one_chart(ctx5, monkeypatch):
         return real(self, p, rows, cols)
 
     def unusable(*args):
-        raise ValueError("zero eliminant")
+        # a chart whose final eliminant vanishes gives the slice no points
+        return np.zeros(0, dtype=np.int64)
 
     monkeypatch.setattr(Stream, "field_mat", counted)
     monkeypatch.setattr(alg, "resultant_bivariate", unusable)

@@ -14,7 +14,7 @@ from curvecones import acceptance as acc
 
 
 @pytest.mark.parametrize("genus, command, chains, closed", [
-    (4, "verify", (58, 26, 121), {2: 291, 1: 401, 0: 246}),
+    (4, "verify", (58, 26, 114), {2: 291, 1: 401, 0: 246}),
     (5, "gen-curve", (1377, 198, 1850), {2: 2738, 1: 719, 0: 66})])
 def test_root_finder_passes(work_log, genus, command, chains, closed):
     """First chains (x^((p-1)/2) of a stack), shift chains (a
