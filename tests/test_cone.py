@@ -1,5 +1,7 @@
 """Quartic reconstruction, polars, secants, tangent lines."""
 
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -617,6 +619,29 @@ class TestBitangentPartners:
             assert sorted(got) == sorted(want)
             found += len(got)
         assert found >= 10
+
+    @pytest.mark.parametrize("ctx, digest, paired", [
+        ("ctx4",
+         "45d704fe3e52a42a896ffae725e7e234c1ff23d53a2529e39819c01cd0f36a6c",
+         21),
+        ("ctx4_max",
+         "62eb90a17319a537c7590b8c876d47084788bdb210f718948b381b0d47c56e7b",
+         20)])
+    def test_first_partners_are_pinned(self, ctx, digest, paired, request):
+        """sha256 of the first partner and its section of each of the first
+        30 panel points, the pair `bitangent_pair` keeps, recorded while
+        the ruling sweep's B(u) was quadratic in u.  Within a ruling line
+        the partners come in the order of the line's parametrization, so
+        this is what keeps criterion 10's bytes."""
+        ctx = request.getfixturevalue(ctx)
+        firsts = []
+        for td in cv.tangent_vectors(ctx.curve, ctx.panel[:30]):
+            found = next(cn.bitangent_partners(ctx, td), None)
+            firsts.append(None if found is None
+                          else [v.tolist() for v in found])
+        assert sum(f is not None for f in firsts) == paired
+        assert hashlib.sha256(json.dumps(firsts).encode()).hexdigest() \
+            == digest
 
 
 class TestTangentSpace:

@@ -37,11 +37,19 @@ GENUS5_CURVE_FILE_P_MAX = \
     "d36f63f3fb7d82b0a73601579ba99336c73cd1f692b692ac50f7335b39bcac41"
 
 
-# sha256 of `gen-curve --genus 4 --seed 1` at each prime, recorded while
-# the roots on each ruling line were found one line at a time
+# sha256 of `gen-curve --genus 4 --seed s` at each (prime, seed): seed 1
+# recorded while the roots on each ruling line were found one line at a
+# time, the others while the ruling chart completed its planes by a
+# coordinate pair w(u)
 GENUS4_CURVE_FILES = {
-    P: "515c002ff8735698edab550c50aa4f019d7b2c02367e9cf6cb6a7afd64abb1db",
-    P_MAX: "723d83f6decd4bcc69682d9f5287cf4125a62fff43a45882588420f1074d7622",
+    (P, 1): "515c002ff8735698edab550c50aa4f019d7b2c02367e9cf6cb6a7afd64abb1db",
+    (P, 2): "4310d79f63460eaeeebfe0bea578995d10e5a80355a7642ee22d477526b407db",
+    (P, 3): "408ac985c73356be62d461386da0aaa88b7377b736015cf78397f32247fb1d59",
+    (P, 4): "82af8d2b4a0731933c6fa89b34833525537891ebfb9e4d712b80a86db05d55d8",
+    (P_MAX, 1):
+        "723d83f6decd4bcc69682d9f5287cf4125a62fff43a45882588420f1074d7622",
+    (P_MAX, 2):
+        "6ff4bde884e602802fd9dd8eb000d414ea7e6bbf95cdce0440beec8e7a101139",
 }
 
 
@@ -73,14 +81,14 @@ class TestGeneration:
         assert hashlib.sha256(blob.encode()).hexdigest() == \
             GENUS5_CURVE_FILE_P_MAX
 
-    @pytest.mark.parametrize("p", [P, P_MAX])
-    def test_genus4_curve_file_is_pinned(self, p):
-        curve = cv.generate_curve(4, p, 1)
+    @pytest.mark.parametrize("p, seed", sorted(GENUS4_CURVE_FILES))
+    def test_genus4_curve_file_is_pinned(self, p, seed):
+        curve = cv.generate_curve(4, p, seed)
         points = cv.sample_points(curve, sum(cv.panel_sizes(4)))
         blob = json.dumps(cv.curve_to_json(curve, points),
                           sort_keys=True) + "\n"
         assert hashlib.sha256(blob.encode()).hexdigest() == \
-            GENUS4_CURVE_FILES[p]
+            GENUS4_CURVE_FILES[p, seed]
 
     def test_unsupported_genus(self):
         with pytest.raises(ValueError):
