@@ -80,8 +80,8 @@ kernel on one element.  Each matmul of the kernel sums at most max(D, L)
 products of two entries below p, L the length of a base, so it stays
 below 2**63 while max(D, L) < 2**13 at p < 2**25; `_Moduli` raises
 ValueError beyond the bound.  The table holds D**3 entries per modulus.
-The largest D of the engine is 27, the roots of `cone.bitangent_pair`
-at genus 4, about 157 kB of table; at genus 5 it is 16, in the slices of
+The largest D of the engine is 18, the roots of `cone.bitangent_pair`
+at genus 4, about 47 kB of table; at genus 5 it is 16, in the slices of
 `curve.hyperplane_section`.
 """
 

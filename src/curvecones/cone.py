@@ -582,12 +582,12 @@ def bitangent_partners(ctx: CurveContext, td: cv.TangentData):
     `double_vanishing_section` decides the rest."""
     p = ctx.p
     chart = ctx.curve.ruling_chart
+    _, cubic = ctx.curve.generator_arrays()[1]
     meet = tangent_meet_cubic(ctx.curve, td)
     res = alg.resultant_bivariate(chart.pull_back(meet, 3),
-                                  chart.pull_back(chart.cubic, 3), p)
-    for line in chart.points_on_line(alg.distinct_roots(res, p)):
-        if isinstance(line, DegenerateInput):
-            raise line
+                                  chart.pull_back(cubic, 3), p)
+    for line in chart.points_on_line(alg.distinct_roots(res, p), 3, cubic,
+                                     ctx.curve):
         for q in line:
             if q.tolist() == td.point.tolist() \
                     or mono.form_eval_one(meet, q, 4, 3, p):

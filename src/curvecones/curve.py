@@ -8,9 +8,12 @@ values, the quartic span's rank and the degree of the double-secant
 sweep.  Genus 4 curves are quadric-cubic complete intersections in
 P^3; the quadric is required to be smooth and split, so it carries two
 rational rulings and the curve is sampled by restricting the cubic to
-ruling lines (a cubic in one line parameter per ruling member).  Genus 5
-curves are intersections of three independent quadrics in P^4, sampled by
-slicing with hyperplanes and eliminating variables through resultants.
+ruling lines (a cubic in one line parameter per ruling member).  The
+ruling chart (`RulingChart`) sweeps one ruling of any split quadric
+surface: in a hyperbolic frame of the quadric its line A(u) + t B(u) is
+linear in u, and it holds no curve.  Genus 5 curves are intersections of
+three independent quadrics in P^4, sampled by slicing with hyperplanes
+and eliminating variables through resultants.
 Each slice is eliminated in one random chart; a chart that does not
 eliminate cleanly gives its slice no points, and the sampling walk's next
 slice stands in for it.
@@ -24,11 +27,11 @@ at a time, in its order.
 
 Every eliminant is a pull-back through `monomials.restrict` and
 `collect`: the sweep A(u) + t B(u) of the ruling chart, whose
-u-coefficient arrays `RulingChart.line_at` also evaluates for each
-ruling line, the pull-back F(A(u) + t B(u)) of a form to that sweep
-(`RulingChart.pull_back`), and the genus-5 eliminants, where a chart
-quadric splits by y3-degree into ternary forms and the Sylvester
-determinant is built with `mul_forms`.
+coefficient arrays in 1 and u `RulingChart.line_at` also evaluates for
+each ruling line, the pull-back F(A(u) + t B(u)) of a form to that sweep
+at the weights 1, u, t, ut (`RulingChart.pull_back`), and the genus-5
+eliminants, where a chart quadric splits by y3-degree into ternary forms
+and the Sylvester determinant is built with `mul_forms`.
 
 Points are projective coordinate vectors normalized so the first nonzero
 coordinate is 1.  A point doubles as a covector on sections: the pairing
@@ -37,7 +40,6 @@ coordinate is 1.  A point doubles as a covector on sections: the pairing
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -152,6 +154,11 @@ def panel_sizes(genus: int) -> tuple[int, int]:
     return 4 * quartics, 2 * quartics
 
 
+# the Gram matrix of y0 y3 - y1 y2, times 2
+_HYPERBOLIC = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0],
+                        [1, 0, 0, 0]], dtype=np.int64)
+
+
 def quadric_gram(coeffs: np.ndarray, g: int, p: int) -> np.ndarray:
     """Symmetric Gram matrix M with Q(x) = x^T M x (odd characteristic).
 
@@ -180,9 +187,11 @@ class CurveModel:
 
     @cached_property
     def ruling_chart(self) -> RulingChart:
-        """The genus-4 ruling chart, built on first use and kept on this
-        curve (a frozen dataclass still has an instance `__dict__`)."""
-        return RulingChart(self)
+        """The ruling chart of the first generator, a quadric surface at
+        genus 4, keyed by the curve seed; built on first use and kept on
+        this curve (a frozen dataclass still has an instance `__dict__`)."""
+        return RulingChart(self.generator_arrays()[0][1], self.prime,
+                           derive_key(self.seed, "chart"))
 
 
 @dataclass(frozen=True)
@@ -238,37 +247,33 @@ def tangent_vectors(curve: CurveModel, pts) -> list:
 
 
 class RulingChart:
-    """Rational ruling structure of the genus-4 quadric.
+    """One ruling of a split quadric surface Q in P^3, swept by a line that
+    is linear in its parameter u.  The chart holds no curve.
 
-    The chart fixes a point q0 on the quadric, the two tangent lines through
-    it, and a pencil of planes through one of them.  The residual line of
-    each plane sweeps one ruling; restricting the cubic generator to a
-    ruling line yields the per-parameter cubics used for point sampling.
+    It draws a point q0 of Q from the `q0-search` stream of its key, takes
+    the two points d1 and e2 where a line of the tangent plane at q0 meets
+    Q, and completes them to a hyperbolic frame E = (e0, e1, e2, e3),
+    e0 = q0 and e1 = d1, in which Q(y E) = y0 y3 - y1 y2: e2 is scaled to
+    B(e1, e2) = -1/2, and e3 solves B(e0, .) = 1/2, B(e1, .) = B(e2, .) = 0
+    and is moved along e0 onto Q.  The planes h1 + u h2 (h2 at u = inf)
+    through the ruling line q0 d1 meet Q in that line and a residual line
+    of the other ruling.  With (c2, c3)(u) = (h . e2, h . e3), linear in u,
+    the residual line is spanned by A(u) = c3 e0 - c2 e1 and
+    B(u) = c3 e2 - c2 e3, on which y0 y3 - y1 y2 vanishes identically; no
+    plane lies inside a smooth quadric, so every parameter has its line.
     """
 
-    def __init__(self, curve: CurveModel):
-        if curve.genus != 4:
-            raise ValueError("ruling chart requires genus 4")
-        self.curve = curve
-        self.p = curve.prime
-        self.quadric = np.array(curve.generators[0][1], dtype=np.int64)
-        self.cubic = np.array(curve.generators[1][1], dtype=np.int64)
-        self.gram = quadric_gram(self.quadric, 4, self.p)
-        self._build_frame()
-        self._build_symbolic()
-
-    # -- frame ----------------------------------------------------------
-
-    def _build_frame(self) -> None:
-        p = self.p
-        stream = Stream(derive_key(self.curve.seed, "chart"), "q0-search")
+    def __init__(self, quadric: np.ndarray, p: int, key: int):
+        self.quadric = np.asarray(quadric, dtype=np.int64) % p
+        self.p = p
+        gram = quadric_gram(self.quadric, 4, p)
+        stream = Stream(key, "q0-search")
         found = lockstep([ZeroHarvest(self.quadric, 2, 4, p, stream, 1,
                                       400).take(1)])[0]
         if not found:
             raise GenerationFailed("no rational point found on the quadric")
         self.q0 = q0 = found[0]
-        q0_polar = 2 * q0 @ self.gram % p
-        tangent = alg.kernel_basis(q0_polar.reshape(1, 4), p)
+        tangent = alg.kernel_basis((q0 @ gram % p)[None], p)
         frame, _ = alg.rref(np.concatenate([q0[None, :], tangent]), p)
         frame = frame[~(frame == 0).all(axis=1)]
         conic = line_zeros(self.quadric, 2, 4, frame[None, 1], frame[None, 2],
@@ -276,103 +281,55 @@ class RulingChart:
         if len(conic) != 2:
             raise GenerationFailed("tangent conic does not split; "
                                    "quadric is not rationally ruled")
-        self.d1 = conic[0]
-        # polar rows: x -> 2 B(q0, x) and x -> 2 B(d1, x)
-        self.polar = np.stack([q0_polar, 2 * self.d1 @ self.gram % p])
-        forms = alg.kernel_basis(np.stack([self.q0, self.d1]), p)
-        self.h1, self.h2 = forms[0], forms[1]
-
-    def _build_symbolic(self) -> None:
-        """Polynomial coordinates of the swept ruling line.
-
-        w(u) completes the plane h1 + u h2; the residual line of the plane
-        through q0-d1 is spanned by A(u), B(u).  A, B, w, rho, sigma and
-        tau are kept as arrays of u-coefficients (coordinate x power of u,
-        or power of u alone), which `line_at` evaluates.
-        """
-        p = self.p
-        h = np.stack([self.h1, self.h2], axis=1)    # h(u) = h1 + u h2
-        for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
-            if alg.rank(np.stack([self.q0, self.d1, r1, r2]), p) != 4:
-                continue
-            w = (np.outer(r1, r2 @ h) - np.outer(r2, r1 @ h)) % p
-            # rho(u) = 2 B(q0, w(u)), sig(u) = 2 B(d1, w(u))
-            rho, sig = self.polar @ w % p
-            if rho.any():
-                break
-        else:
-            raise GenerationFailed("no usable completion frame for the chart")
-        tau = mono.restrict(self.quadric, 2, 4, w, p)   # Q(w(u))
-        self.w, self.rho, self.sig, self.tau = w, rho, sig, tau
-        # A(u) = sig * q0 - rho * d1, B(u) = tau * q0 - rho * w(u)
-        self.a_coeffs = (np.outer(self.q0, sig)
-                         - np.outer(self.d1, rho)) % p
-        self.b_coeffs = (np.outer(self.q0, tau)
-                         - [np.convolve(rho, wk) for wk in w]) % p
-        # A + t B: the columns 1, u of A and 1, u, u^2 of B
+        self.d1, e2 = conic
+        # Fermat's inverse maps a zero pairing B(d1, e2) to e2 = 0, which
+        # the frame check below refuses
+        e2 = e2 * (-pow(2 * int(self.d1 @ gram % p @ e2 % p), p - 2, p)) % p
+        half = alg.inv_mod(2, p)
+        x, _, _ = alg.solve_batch(np.stack([q0, self.d1, e2])[None] @ gram % p,
+                                  np.array([[[half], [0], [0]]]), p)
+        e3 = x[0, :, 0]
+        e3 = (e3 - int(e3 @ gram % p @ e3 % p) * q0) % p
+        self.frame = np.stack([q0, self.d1, e2, e3])
+        if (self.frame @ gram % p @ self.frame.T % p
+                != _HYPERBOLIC * half % p).any():
+            raise GenerationFailed("no hyperbolic frame: the quadric is not "
+                                   "smooth")
+        self.h1, self.h2 = alg.kernel_basis(self.frame[:2], p)
+        # c[i] = (c2, c3) of the plane h_i; A and B have the columns 1, u
+        c = np.stack([self.h1, self.h2]) @ self.frame[2:].T % p
+        self.a_coeffs = (np.outer(q0, c[:, 1]) - np.outer(self.d1, c[:, 0])
+                         ) % p
+        self.b_coeffs = (np.outer(e2, c[:, 1]) - np.outer(e3, c[:, 0])) % p
+        # A + t B: the columns 1, u, t, ut
         self.sweep = np.concatenate([self.a_coeffs, self.b_coeffs], axis=1)
-        if self.pull_back(self.quadric, 2).any():
-            raise GenerationFailed("swept lines leave the quadric")
 
     def pull_back(self, coeffs: np.ndarray, deg: int) -> np.ndarray:
         """F(A(u) + t B(u)) of a degree-deg form F, entry [i, j] the
         coefficient of u^i t^j: one `restrict` to the sweep's columns and
-        one `collect` at their weights 1, u, t, ut, u^2 t."""
+        one `collect` at their weights 1, u, t, ut."""
         return mono.collect(mono.restrict(coeffs, deg, 4, self.sweep, self.p),
-                            deg, 5, [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1]],
-                            self.p)
+                            deg, 4, [[0, 0], [1, 0], [0, 1], [1, 1]], self.p)
 
-    # -- numeric line access ---------------------------------------------
+    def line_at(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """The N x 4 stacks a = A(u) and b = B(u) that span the ruling line
+        of each parameter u (None = inf): the coefficient arrays at the
+        homogeneous parameter (1, u), or (0, 1) for u = inf."""
+        params = np.array([(0, 1) if u is None else (1, u % self.p)
+                           for u in us], dtype=np.int64).reshape(-1, 2)
+        return (params @ self.a_coeffs.T % self.p,
+                params @ self.b_coeffs.T % self.p)
 
-    def line_at(self, us) -> list:
-        """Spanning points (a, b) of the ruling line of each parameter u
-        (None = inf), or a DegenerateInput in its place when its plane
-        lies inside the quadric.
-
-        The u-coefficient arrays of `_build_symbolic` are evaluated at the
-        homogeneous parameter (1, u), or (0, 1) for u = inf: a = A(u), and
-        b = B(u) where rho(u) != 0, else tau d1 - sig w(u)."""
-        p = self.p
-        s, t = np.array([(0, 1) if u is None else (1, u % p) for u in us],
-                        dtype=np.int64).reshape(-1, 2).T
-        powers = {2: np.stack([s, t]), 3: np.stack([s * s, s * t, t * t]) % p}
-
-        def at(coeffs):
-            return coeffs @ powers[coeffs.shape[-1]] % p
-
-        rho, sig, tau = at(self.rho), at(self.sig), at(self.tau)
-        w, a = at(self.w).T, at(self.a_coeffs).T
-        b = np.where(rho[:, None] != 0, at(self.b_coeffs).T,
-                     (tau[:, None] * self.d1 - sig[:, None] * w) % p)
-        lines: list = []
-        for k in range(len(w)):
-            if rho[k] or sig[k]:
-                lines.append((a[k], b[k]))
-            elif tau[k]:
-                lines.append((self.q0.copy(), self.d1.copy()))
-            else:
-                lines.append(DegenerateInput("plane lies inside the quadric"))
-        return lines
-
-    def points_on_line(self, us) -> list:
-        """Curve points on the ruling line of each parameter u, or the
-        DegenerateInput of `line_at` in its place.  The cubic's zeros on
-        every line come from one `line_zeros`, and one `off_curve` test
-        filters them all."""
-        lines = self.line_at(us)
-        ok = [k for k, line in enumerate(lines)
-              if not isinstance(line, DegenerateInput)]
-        out: list = list(lines)
-        if not ok:
-            return out
-        zeros = line_zeros(self.cubic, 3, 4,
-                           np.array([lines[k][0] for k in ok]),
-                           np.array([lines[k][1] for k in ok]), self.p)
-        off = iter(off_curve(self.curve, np.array(
+    def points_on_line(self, us, deg: int, form: np.ndarray,
+                       curve: CurveModel) -> list:
+        """The points of the curve on the ruling line of each parameter u:
+        the zeros of its degree-deg cutting form on every line come from
+        one `line_zeros`, and one `off_curve` test of the curve filters
+        them all."""
+        zeros = line_zeros(form, deg, 4, *self.line_at(us), self.p)
+        off = iter(off_curve(curve, np.array(
             [q for z in zeros for q in z]).reshape(-1, 4)).tolist())
-        for k, z in zip(ok, zeros):
-            out[k] = [q for q in z if not next(off)]
-        return out
+        return [[q for q in z if not next(off)] for z in zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +425,7 @@ class GenusModel:
     it.  `degrees` are those of the generators, in file order; a candidate
     curve draws one form of each degree and is kept when
     `admissible(forms, p)`.  `points(curve, stream, n)` makes n draws of the
-    sampling stream and gives, per draw in draw order, its curve points or
-    the DegenerateInput in their place.
+    sampling stream and gives, per draw in draw order, its curve points.
 
     `trigonal` says whether the curves carry a g^1_3, so that I(2) does not
     generate I(3) (Petri's theorem; every genus-4 canonical curve is
@@ -494,9 +450,11 @@ def _split_smooth_quadric(forms: list[np.ndarray], p: int) -> bool:
 
 
 def _ruling_points(curve: CurveModel, stream: Stream, n: int) -> list:
-    """The points of n ruling lines, all found at once."""
+    """The points of n ruling lines, all found at once: the zeros of the
+    cubic generator."""
     return curve.ruling_chart.points_on_line(
-        [stream.field(curve.prime) for _ in range(n)])
+        [stream.field(curve.prime) for _ in range(n)],
+        *curve.generator_arrays()[1], curve)
 
 
 def _independent_quadrics(forms: list[np.ndarray], p: int) -> bool:
@@ -572,8 +530,7 @@ def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
     The model's point source draws from a stream keyed by the curve seed,
     in rounds of as many draws as points are missing, walked in draw
     order: the walk stops after the draw where one draw at a time would
-    stop, and raises a draw's DegenerateInput only on reaching it.  The
-    collected set is deduplicated and sorted by coordinates before
+    stop.  The collected set is deduplicated and sorted by coordinates before
     truncation, so the result depends only on (curve, count).
     """
     if count < 1:
@@ -590,8 +547,6 @@ def sample_points(curve: CurveModel, count: int) -> list[np.ndarray]:
     while len(found) < count and budget > 0:
         for pts in points(curve, stream, min(count - len(found), budget)):
             budget -= 1
-            if isinstance(pts, DegenerateInput):
-                raise pts
             for q in pts:
                 found[tuple(q.tolist())] = q
             if len(found) >= count:

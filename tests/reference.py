@@ -388,21 +388,22 @@ def poly_deriv(f, p):
     return alg.poly_trim(f[1:] * np.arange(1, len(f), dtype=np.int64) % p)
 
 
-def section_poly(chart, h, p):
+def section_poly(chart, cubic, h, p):
     """Polynomial in u whose roots locate the curve's points in the plane
     h = 0 on the ruling sweep A(u) + t B(u) of the chart: Res_t of h(A +
     tB) = ha + t hb against the cubic on the swept line, which is F(hb A -
-    ha B), the cubic at the point where h vanishes, scaled by hb^3."""
+    ha B), the cubic at the point where h vanishes, scaled by hb^3.  The
+    u-degrees of A and B are read off the chart's coefficient arrays."""
     ha = h @ chart.a_coeffs % p
     hb = h @ chart.b_coeffs % p
     point = (np.array([np.convolve(a, hb) for a in chart.a_coeffs])
              - [np.convolve(b, ha) for b in chart.b_coeffs]) % p
     return alg.poly_trim(mono.collect(
-        mono.restrict(chart.cubic, 3, 4, point, p), 3, 4,
-        [[0], [1], [2], [3]], p))
+        mono.restrict(cubic, 3, 4, point, p), 3, point.shape[1],
+        [[k] for k in range(point.shape[1])], p))
 
 
-def sweep_discriminant(chart, s1, s2, p):
+def sweep_discriminant(chart, cubic, s1, s2, p):
     """The residual section polynomials R(lam, u) of the planes s1 + lam s2
     through a tangent line, and their discriminant Res_u(R, dR/du).
 
@@ -411,7 +412,7 @@ def sweep_discriminant(chart, s1, s2, p):
     that every plane through the line shares, and R is the sweep divided
     by it, entry [i, j] the coefficient of lam^i u^j.  None when the gcd
     does not divide the sweep or R has u-degree below 2."""
-    samples = [section_poly(chart, (s1 + lam * s2) % p, p)
+    samples = [section_poly(chart, cubic, (s1 + lam * s2) % p, p)
                for lam in range(4)]
     fit = alg.interpolate(range(4), alg.poly_stack(samples), p)
     at = alg.p2_eval_x(fit, [101, 202, 303], p)
@@ -435,7 +436,8 @@ def bitangent_partners(ctx, td):
     p = ctx.p
     chart = ctx.curve.ruling_chart
     s1, s2 = alg.kernel_basis(np.stack([td.point, td.direction]), p)
-    swept = sweep_discriminant(chart, s1, s2, p)
+    swept = sweep_discriminant(chart, ctx.curve.generator_arrays()[1][1],
+                               s1, s2, p)
     if swept is None or alg.poly_deg(swept[1]) < 1:
         return []
     residual, disc = swept
@@ -446,8 +448,7 @@ def bitangent_partners(ctx, td):
         repeated = poly_gcd(quot, poly_deriv(quot, p), p)
         if alg.poly_deg(repeated) < 1:
             continue
-        for line in chart.line_at(alg.distinct_roots(repeated, p)):
-            a, b = line
+        for a, b in zip(*chart.line_at(alg.distinct_roots(repeated, p))):
             for cand in cv.line_zeros(section, 1, 4, a[None], b[None], p)[0]:
                 tq = cv.tangent_vectors(ctx.curve, [cand])[0]
                 if cand.tolist() != td.point.tolist() \
@@ -526,24 +527,53 @@ def distinct_roots(f, p):
     return sorted(roots)
 
 
-def ruling_line_at(chart, us):
-    """`curve.RulingChart.line_at`, each line derived numerically: the
-    plane h = h1 + u h2 (h2 at u = inf), its completion w = (h . r2) r1 -
-    (h . r1) r2 by the first pair of unit vectors r1, r2 that completes
-    (q0, d1) to a frame with 2 B(q0, w(u)) not identically zero, and
-    rho = 2 B(q0, w), sig = 2 B(d1, w), tau = Q(w) at the parameter."""
+def in_random_coordinates(pairs, stream, p):
+    """The quadric of the [exponents, coefficient] pairs in four variables
+    under a random invertible change of coordinates M from the stream:
+    the coefficients of Q(M x)."""
+    while True:
+        change = stream.field_mat(p, 4, 4)
+        if alg.rank(change, p) == 4:
+            return mono.restrict(mono.form_from_pairs(pairs, 4, 2, p), 2, 4,
+                                 change, p)
+
+
+def ruling_completion(chart):
+    """The completion of the chart's ruling line q0 d1 that the ruling
+    chart used before its hyperbolic frame: the polar rows x -> 2 B(q0, x)
+    and x -> 2 B(d1, x), the first pair of unit vectors r1, r2 that
+    completes (q0, d1) to a frame with rho(u) = 2 B(q0, w(u)) not
+    identically zero, for w = (h . r2) r1 - (h . r1) r2 of the plane
+    h = h1 + u h2, and rho's coefficients of 1 and u."""
     p = chart.p
+    gram = cv.quadric_gram(chart.quadric, 4, p)
+    polar = 2 * np.stack([chart.q0, chart.d1]) @ gram % p
     for r1, r2 in itertools.combinations(np.eye(4, dtype=np.int64), 2):
         if alg.rank(np.stack([chart.q0, chart.d1, r1, r2]), p) != 4:
             continue
         w_u = np.stack([(int(h @ r2 % p) * r1 - int(h @ r1 % p) * r2) % p
                         for h in (chart.h1, chart.h2)], axis=1)
-        if (chart.polar[0] @ w_u % p).any():
-            break
+        rho = polar[0] @ w_u % p
+        if rho.any():
+            return polar, r1, r2, rho
+    raise AssertionError("no completion of the ruling line")
+
+
+def ruling_line_at(chart, us):
+    """The ruling line of each parameter u of the chart, derived
+    numerically as the ruling chart did before its hyperbolic frame: the
+    plane h = h1 + u h2 (h2 at u = inf), its completion w(u) by
+    `ruling_completion`, and rho = 2 B(q0, w), sig = 2 B(d1, w),
+    tau = Q(w) at the parameter.  The line is spanned by
+    sig q0 - rho d1 and tau q0 - rho w, or tau d1 - sig w where rho = 0;
+    (q0, d1) where rho = sig = 0, and a DegenerateInput where tau = 0
+    too."""
+    p = chart.p
+    polar, r1, r2, _ = ruling_completion(chart)
     h = np.array([chart.h2 if u is None else (chart.h1 + u * chart.h2) % p
                   for u in us], dtype=np.int64).reshape(-1, 4)
     w = ((h @ r2 % p)[:, None] * r1 - (h @ r1 % p)[:, None] * r2) % p
-    rho, sig = (w @ chart.polar.T % p).T[:, :, None]
+    rho, sig = (w @ polar.T % p).T[:, :, None]
     tau = mono.form_eval(chart.quadric, w, 4, 2, p)[:, None]
     a = (sig * chart.q0 - rho * chart.d1) % p
     b = np.where(rho != 0, tau * chart.q0 - rho * w,
@@ -571,9 +601,8 @@ def sample_points_one_line_at_a_time(curve, count):
     while len(found) < count and budget > 0:
         budget -= 1
         lines += 1
-        pts, = chart.points_on_line([stream.field(p)])
-        if isinstance(pts, DegenerateInput):
-            raise pts
+        pts, = chart.points_on_line([stream.field(p)],
+                                    *curve.generator_arrays()[1], curve)
         for q in pts:
             found[tuple(q.tolist())] = q
     if len(found) < count:

@@ -15,7 +15,7 @@ from curvecones import cone as cn
 from curvecones import fibers as fb
 from curvecones import curve as cv
 from curvecones import monomials as mono
-from curvecones.errors import (ConfigError, DegenerateInput,
+from curvecones.errors import (ConfigError,
                                InsufficientPoints, SingularPoint)
 from curvecones.rng import Stream
 
@@ -152,7 +152,7 @@ class TestQuadricGram:
         chart = curve.ruling_chart
         quadric = curve.generator_arrays()[0][1]
         assert mono.form_eval_one(quadric, chart.q0, 4, 2, P_MAX) == 0
-        for a, b in chart.line_at([0, 12345, None]):
+        for a, b in zip(*chart.line_at([0, 12345, None])):
             assert not mono.restrict_to_line(quadric, 2, 4, a, b,
                                              P_MAX).any()
         pts = cv.sample_points(curve, 20)
@@ -160,26 +160,56 @@ class TestQuadricGram:
 
     @pytest.mark.parametrize("name", ["ctx4", "ctx4_max"])
     def test_line_at_matches_the_numeric_derivation(self, name, request):
-        """The ruling lines evaluated from the chart's u-coefficient arrays
-        are those derived numerically per parameter (tests/reference.py),
-        at u = inf, at the root of rho(u), where b falls back to
-        tau d1 - sig w, and at 200 random parameters."""
+        """The ruling lines of the hyperbolic frame are those derived
+        numerically per parameter by the completion w(u) that the chart
+        used before it (tests/reference.py): the echelon forms of their
+        spans agree at u = inf, 0, 1 and p - 1, at the root of rho(u),
+        where that derivation falls back to tau d1 - sig w, and at 200
+        random parameters, and every line is a line."""
         ctx = request.getfixturevalue(name)
         p = ctx.p
         chart = ctx.curve.ruling_chart
-        rho0, rho1 = (int(c) for c in chart.rho)
+        rho0, rho1 = (int(c) for c in reference.ruling_completion(chart)[3])
         root = -rho0 * pow(rho1, -1, p) % p if rho1 else None
-        assert not int(chart.rho @ (0, 1) if root is None
-                       else chart.rho @ (1, root) % p)
         stream = Stream(29, "line-at")
         us = [None, root, 0, 1, p - 1] + [stream.field(p) for _ in range(200)]
 
-        def shown(lines):
-            return ["degenerate" if isinstance(line, DegenerateInput)
-                    else [end.tolist() for end in line] for line in lines]
+        def spans(lines):
+            return [alg.rref(np.stack(line), p) for line in lines]
 
-        assert shown(chart.line_at(us)) == \
-            shown(reference.ruling_line_at(chart, us))
+        got = spans(zip(*chart.line_at(us)))
+        assert all(len(pivots) == 2 for _, pivots in got)
+        assert [r.tolist() for r, _ in got] == \
+            [r.tolist() for r, _ in spans(reference.ruling_line_at(chart,
+                                                                   us))]
+
+
+class TestRulingChart:
+    """The chart of x0 x3 - x1 x2 under a random change of coordinates, a
+    split quadric surface that no curve carries."""
+
+    @pytest.mark.parametrize("p", [P, P_MAX])
+    def test_chart_of_a_split_quadric(self, p):
+        stream = Stream(31, "split-quadric")
+        hyperbolic = [[[1, 0, 0, 1], 1], [[0, 1, 1, 0], p - 1]]
+        quadric = reference.in_random_coordinates(hyperbolic, stream, p)
+        chart = cv.RulingChart(quadric, p, 5)
+        # Q(y E) = y0 y3 - y1 y2 in the chart's frame E
+        assert mono.restrict(quadric, 2, 4, chart.frame.T, p).tolist() == \
+            mono.form_from_pairs(hyperbolic, 4, 2, p).tolist()
+        assert not chart.pull_back(quadric, 2).any()
+        us = [None, 0, p - 1] + [stream.field(p) for _ in range(60)]
+        a, b = chart.line_at(us)
+        assert not mono.restrict_to_line(quadric, 2, 4, a, b, p).any()
+        # the lines of two parameters, each with the next, span P^3
+        lines = np.stack([a, b], axis=1)
+        _, pivots = alg.rref_batch(
+            np.concatenate([lines[:-1], lines[1:]], axis=1), p)
+        assert ((pivots >= 0).sum(axis=1) == 4).all()
+        # each line is the residual line of its plane h1 + u h2
+        planes = np.array([chart.h2 if u is None else chart.h1 + u * chart.h2
+                           for u in us]) % p
+        assert not (np.einsum("ki,kji->kj", planes, lines) % p).any()
 
 
 class TestSampling:
@@ -208,33 +238,6 @@ class TestSampling:
         expected, _ = sample_points_one_line_at_a_time(ctx4.curve, count)
         got = cv.sample_points(ctx4.curve, count)
         assert [q.tolist() for q in got] == [q.tolist() for q in expected]
-
-    def test_degenerate_line_raises_only_when_reached(self, ctx4,
-                                                      monkeypatch):
-        expected, stop = sample_points_one_line_at_a_time(ctx4.curve, 50)
-        # the single round of 50 lines goes on past the stopping line
-        assert 1 < stop < 50
-        real = cv.RulingChart.line_at
-
-        def degenerate_at(k):
-            drawn = [0]
-
-            def line_at(self, us):
-                lines = real(self, us)
-                for i in range(len(lines)):
-                    drawn[0] += 1
-                    if drawn[0] == k:
-                        lines[i] = DegenerateInput("injected")
-                return lines
-            monkeypatch.setattr(cv.RulingChart, "line_at", line_at)
-
-        for k in (1, stop):
-            degenerate_at(k)
-            with pytest.raises(DegenerateInput, match="injected"):
-                cv.sample_points(ctx4.curve, 50)
-        degenerate_at(stop + 1)
-        assert [q.tolist() for q in cv.sample_points(ctx4.curve, 50)] == \
-            [q.tolist() for q in expected]
 
     @pytest.mark.parametrize("count", [1, 50])
     def test_genus5_walk_matches_one_slice_at_a_time(self, ctx5, count,
@@ -328,15 +331,19 @@ class TestEliminantsAgainstSympy:
         """K(A(u) + t B(u)) of the cubic generator K and the pull-back of
         each tangent-meets-tangent cubic (`cone.tangent_meet_cubic`, here
         from sympy's partials of the generators), as (u, t) arrays, and
-        their `resultant_bivariate` in t, at three panel points."""
+        their `resultant_bivariate` in t, at three panel points.  The
+        sweep is linear in u (columns 1, u, t, ut), so both pull-backs have
+        u-degree 3 and the resultant degree 3 * 3 + 3 * 3 = 18."""
         chart = ctx4.curve.ruling_chart
+        assert chart.sweep.shape == (4, 4)
         u, t = sympy.symbols("u t")
         z = sympy.symbols("z0:4")
         line = [sum(int(c) * u ** i for i, c in enumerate(a))
                 + t * sum(int(c) * u ** i for i, c in enumerate(b))
                 for a, b in zip(chart.a_coeffs, chart.b_coeffs)]
-        quadric = sympy_form(chart.quadric, 4, 2, z)
-        cubic = sympy_form(chart.cubic, 4, 3, z)
+        (_, quadric), (_, cubic_coeffs) = ctx4.curve.generator_arrays()
+        quadric = sympy_form(quadric, 4, 2, z)
+        cubic = sympy_form(cubic_coeffs, 4, 3, z)
 
         def along(expr, direction):
             return sum(int(d) * sympy.diff(expr, zk)
@@ -351,7 +358,7 @@ class TestEliminantsAgainstSympy:
             return {(int(i), int(j)): int(arr[i, j])
                     for i, j in zip(*np.nonzero(arr))}
 
-        pulled_cubic = chart.pull_back(chart.cubic, 3)
+        pulled_cubic = chart.pull_back(cubic_coeffs, 3)
         cubic_on_sweep = on_sweep(cubic)
         assert entries(pulled_cubic) == as_dict(cubic_on_sweep, (u, t), P)
         for td in cv.tangent_vectors(ctx4.curve, ctx4.panel[:3]):
@@ -362,8 +369,10 @@ class TestEliminantsAgainstSympy:
             assert entries(pulled) == as_dict(meet, (u, t), P)
             res = resultant(meet, cubic_on_sweep, t)
             expected = sympy.Poly(res, u).all_coeffs()[::-1]
-            assert alg.resultant_bivariate(pulled, pulled_cubic, P).tolist() \
+            got = alg.resultant_bivariate(pulled, pulled_cubic, P)
+            assert got.tolist() \
                 == alg.poly_trim([int(c) % P for c in expected]).tolist()
+            assert alg.poly_deg(got) == 18
 
     def test_genus5_r12_is_the_resultant_in_y3(self, ctx5):
         y1, y2, y3 = sympy.symbols("y1 y2 y3")

@@ -16,8 +16,6 @@ SITES = {
     # pair comes from the points whose tangent line meets that of a panel
     # point, one resultant on the ruling sweep
     ("cone.py", "contained_double_secant.draw", "ctx.g == 4"),
-    # the point source of the genus-4 model
-    ("curve.py", "RulingChart.__init__", "curve.genus != 4"),
     # the point source of the genus-5 model
     ("curve.py", "hyperplane_section", "curve.genus != 5"),
 }

@@ -19,9 +19,11 @@ from curvecones import algebra as alg, canring, cone as cn, curve as cv
 from curvecones import fibers as fb
 from curvecones import monomials as mono, net as nt, pencil as pc
 from curvecones import spanlab as sl
-from curvecones.errors import (DegenerateInput, SplittingViolation,
-                               VerificationFailed)
+from curvecones.errors import (DegenerateInput, GenerationFailed,
+                               SplittingViolation, VerificationFailed)
 from curvecones.rng import Stream
+
+import reference
 
 CFG = acc.preset("reduced", 0)
 
@@ -306,6 +308,46 @@ class TestCriterion10:
                            match="bitangent pair: no usable draw in 24"):
             cn.bitangent_pair(ctx4, Stream(0, "meeting cubic"))
         assert sections and all(s is None for s in sections)
+
+
+class TestRulingChart:
+    """The ruling chart builds only on a smooth split quadric surface."""
+
+    def test_non_split_quadric_raises(self):
+        """x0 x3 - x1^2 + n x2^2, n a non-residue, in random coordinates:
+        smooth, with rational points, but its rulings are conjugate over
+        F_p^2, so the tangent conic of a rational point has no rational
+        point off it."""
+        p = 1000003
+        n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+        quadric = reference.in_random_coordinates(
+            [[[1, 0, 0, 1], 1], [[0, 2, 0, 0], p - 1], [[0, 0, 2, 0], n]],
+            Stream(3, "negative-controls"), p)
+        assert alg.det(cv.quadric_gram(quadric, 4, p), p)
+        assert not cv._split_smooth_quadric([quadric], p)
+        with pytest.raises(GenerationFailed,
+                           match="tangent conic does not split"):
+            cv.RulingChart(quadric, p, 5)
+
+    def test_perturbed_frame_fails_the_identity(self, monkeypatch):
+        """e3 solved off by a unit vector, then moved onto the quadric
+        along e0 as usual: its pairing with e0 is no longer 1/2, and the
+        frame check refuses the chart that builds on the sound e3."""
+        p = 1000003
+        quadric = reference.in_random_coordinates(
+            [[[1, 0, 0, 1], 1], [[0, 1, 1, 0], p - 1]],
+            Stream(4, "negative-controls"), p)
+        cv.RulingChart(quadric, p, 5)
+        real = alg.solve_batch
+
+        def perturbed(m, rhs, p):
+            x, rank, consistent = real(m, rhs, p)
+            x[0, 0, 0] = (x[0, 0, 0] + 1) % p
+            return x, rank, consistent
+
+        monkeypatch.setattr(alg, "solve_batch", perturbed)
+        with pytest.raises(GenerationFailed, match="no hyperbolic frame"):
+            cv.RulingChart(quadric, p, 5)
 
 
 class TestCriterion11:

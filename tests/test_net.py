@@ -62,8 +62,8 @@ class TestBuildNet:
             assert net.in_d == on_quadric
         # engineered membership: vertex taken on the quadric itself
         chart = ctx4.curve.ruling_chart
-        (a, b), = chart.line_at([stream.field(P)])
-        vertex = (a + 3 * b) % P
+        a, b = chart.line_at([stream.field(P)])
+        vertex = (a[0] + 3 * b[0]) % P
         net = nt.net_from_vertex(ctx4, vertex)
         assert mono.form_eval_one(quadric, net.wperp[0], 4, 2, P) == 0
         assert net.in_d is True
