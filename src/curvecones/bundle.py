@@ -93,11 +93,14 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
 
     Fibers over smooth image points of curve points must be singular with
     the curve point as kernel; fibers over random points off the image must
-    be nonsingular.  An image point that several panel points share, or at
-    which the image is singular, is skipped: the Steinerian is undefined
-    there.  When the panel has fewer than on_count usable points, the scan
-    raises the exhaustion of its on-image draws.  Returns counts and the
-    per-fiber rows for export.
+    be nonsingular.  An image point at which the image is singular is
+    skipped: the Steinerian is undefined there.  That one test also skips
+    an image point that several panel points share: the net passed
+    `net.usable`, so the projection is birational onto an image of degree
+    2g - 2, which is singular under two distinct panel points (the panel
+    has no repeats).  When the panel has fewer than on_count usable
+    points, the scan raises the exhaustion of its on-image draws.  Returns
+    counts and the per-fiber rows for export.
 
     The fibers are split in rounds (`Draws.rounds`), exactly the draws of
     a loop that splits one fiber at a time; the determinants of all Grams
@@ -105,17 +108,13 @@ def hessian_scan(ctx: CurveContext, net_obj: nt.Net, cone: QuarticCone,
     p = ctx.p
     gamma = nt.gamma_equation(ctx, net_obj)
     # the projected panel (no point of it is zero, as the net has no base
-    # point), how many panel points share each image, the image's gradient
-    # there and gamma there
+    # point), the image's gradient there and gamma there
     proj = nt.project(net_obj, ctx.panel, p)
-    _, image, sharing = nt.plane_points(proj, p)
     grad = mono.form_eval(mono.gradient(gamma.coeffs, 3, gamma.degree, p).T,
                           proj, 3, gamma.degree - 1, p)
     on_values = mono.form_eval(gamma.coeffs, proj, 3, gamma.degree, p)
 
     def on_image(k: int) -> int:
-        if sharing[image[k]] != 1:
-            raise NodeFiber("several panel points share this fiber")
         if not grad[k].any():
             raise NodeFiber("plane image is singular at this fiber")
         return k

@@ -206,8 +206,6 @@ def _reconstruct(ctx: CurveContext, net_obj: nt.Net, s_basis: np.ndarray,
             "pencils")
     coeffs = alg.normalize_rows(kernel[:dim_s] @ s_basis % p, p)
     del fibers, s_basis   # a round verifies with less held
-    if not coeffs.any():
-        raise InconsistentReconstruction("solution collapsed to zero")
     cone = QuarticCone(net=net_obj, coeffs=coeffs)
     cone.certificate = yield from _verify(ctx, cone, stream.spawn("verify"),
                                           oracle_points)
@@ -531,8 +529,8 @@ def secant_through_vertex(ctx: CurveContext, stream: Stream
         x1 = (stream.nonzero(p) * pt_p + stream.nonzero(p) * pt_q) % p
         vertex = np.stack([x1] + [stream.field_vec(p, ctx.g)
                                   for _ in range(ctx.g - 4)])
-        if alg.rank(vertex, p) != ctx.g - 3:
-            return None
+        # a vertex of rank below g - 3 raises RankDeficientW, which
+        # `resample` skips
         net_obj = nt.net_from_vertex(ctx, vertex)
         return (pt_p, pt_q, net_obj) if nt.usable(ctx, [net_obj])[0] \
             else None
@@ -707,7 +705,7 @@ def _family_candidates(ctx: CurveContext, section: np.ndarray,
     nets = nt.build_nets(ctx, np.stack([family(t) for t in roots]))
     built = [k for k, net in enumerate(nets) if isinstance(net, nt.Net)]
     wits = dict(zip(built, nt.oracle_batch(
-        ctx, [nets[k] for k in built], [b1] * len(built), check_gamma=False)))
+        ctx, [nets[k] for k in built], [b1] * len(built))))
     return [net for k, net in enumerate(nets)
             if not isinstance(wits.get(k), nt.OracleWitness)
             or int(wits[k].b @ wits[k].y % p) == 0]
@@ -760,7 +758,7 @@ def _family_samples(ctx: CurveContext, family, b0: np.ndarray, count: int
         ok = [k for k, net in enumerate(nets)
               if isinstance(net, nt.Net) and not (net.in_b or net.in_d)]
         wits = dict(zip(ok, nt.oracle_batch(
-            ctx, [nets[k] for k in ok], [b0] * len(ok), check_gamma=False)))
+            ctx, [nets[k] for k in ok], [b0] * len(ok))))
         return [wits.get(k) for k in range(len(ts))]
 
     sweep = Draws("family sweep", 500, lambda k: k + 1)

@@ -121,10 +121,6 @@ class InVertex(DegenerateInput):
     """Probe point lies on the vertex of the net."""
 
 
-class OnGammaFiber(DegenerateInput):
-    """Probe point projects onto the plane image of the curve."""
-
-
 class InadmissiblePencil(DegenerateInput):
     """Pencil has a base point or its multiplication image has wrong codim."""
 

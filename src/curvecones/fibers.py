@@ -56,25 +56,20 @@ def fiber_bases(w: np.ndarray, wperp: np.ndarray, us: np.ndarray, p: int
     plane points: w and wperp are one net's (3 x g and (g-3) x g) or one
     per point.
 
-    The pencil over u is `net.pencil_at`, N x 2 x g.  The basis, N x g x
-    (g-2) by columns, is the first row of the pencil's annihilator off the
-    vertex, then wperp; the lift, N x g, is the first row of w outside the
-    pencil.  Both come from the one pairing of w with the annihilator: a
-    row of the annihilator is off the vertex when some row of w pairs
-    nonzero with it, and a row of w is outside the pencil when some row of
-    the annihilator does.  A nonzero point gives a rank-2 pencil inside
-    the net, so both exist; a zero point gets meaningless rows.
+    The pencil over u and its lift, N x 2 x g and N x g, are
+    `net.pencil_at`'s.  The basis, N x g x (g-2) by columns, is the first
+    row of the pencil's annihilator off the vertex, then wperp: a row of
+    the annihilator is off the vertex when some row of w pairs nonzero
+    with it.  A nonzero point gives a rank-2 pencil inside the net, so the
+    row exists; a zero point gets meaningless rows.
     """
     us = np.asarray(us, dtype=np.int64).reshape(-1, 3) % p
     n = us.shape[0]
-    w = np.broadcast_to(w, (n,) + np.shape(w)[-2:])
-    g = w.shape[-1]
-    v = nt.pencil_at(w, us, p)
+    g = np.shape(w)[-1]
+    v, lift = nt.pencil_at(w, us, p)
     vperp, _ = alg.kernel_batch(v, p, g - 2)
     pairing = w @ vperp.transpose(0, 2, 1) % p            # N x 3 x (g-2)
-    rows = np.arange(n)
-    lead = vperp[rows, pairing.any(axis=1).argmax(axis=1)]
-    lift = w[rows, pairing.any(axis=2).argmax(axis=1)]
+    lead = vperp[np.arange(n), pairing.any(axis=1).argmax(axis=1)]
     basis = np.concatenate([lead[:, :, None], np.broadcast_to(
         np.swapaxes(wperp, -1, -2), (n, g, g - 3))], axis=2)
     return v, basis, lift

@@ -19,7 +19,18 @@ below p**2 at g <= 5, below 2**56 at p < 2**25.
 
 The membership oracle cuts the pencil of the net vanishing at a probe;
 whether that pencil is admissible is `pencil.admissibility`, whose
-failures the oracle's own failure table splices in.
+failures the oracle's own failure table splices in after the vertex
+tests, and the cup Gram's corank and the solve follow.  The oracle has no
+plane-image test: the quartic cone is birational to a quadric bundle over
+the plane whose discriminant is the image.  A nonzero image point is the
+image of a curve point c, or of two conjugate points at a node, where
+every section of the pencil vanishes.  A context point c gives the pencil
+a base point; otherwise every product of the pencil with the quadrics
+lies in the cubics through those points, so the product space has the
+wrong codimension or is the hyperplane of cubics through c, whose
+functional is evaluation at c and gives the cup Gram rank at most 1 <
+g - 2.  Either way the probe gets a `DegenerateInput`
+(`InadmissiblePencil` or `CorankJump`) without evaluating the image.
 
 The fits and the oracle run in array passes that one cell budget,
 `PASS_CELLS`, sizes: a pass holds as many nets or probes as fit in it.
@@ -37,8 +48,7 @@ from . import pencil as pc
 from .canring import CurveContext
 from .errors import (AmbiguousFit, CorankJump, CurveConesError,
                      DegenerateInput, Draws, InconsistentSystem, InVertex,
-                     OnGammaFiber, RankDeficientW, lockstep, outcomes,
-                     value_of)
+                     RankDeficientW, lockstep, outcomes, value_of)
 from .rng import Stream
 
 
@@ -188,16 +198,23 @@ def random_net(ctx: CurveContext, stream: Stream) -> Net:
     return value_of(random_nets(ctx, [stream])[0])
 
 
-def pencil_at(w: np.ndarray, u: np.ndarray, p: int) -> np.ndarray:
-    """Pencils of net sections over nonzero plane points: the combinations
-    c @ w with c orthogonal to u, as the kernel basis of u.
+def pencil_at(w: np.ndarray, u: np.ndarray, p: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Pencils of net sections over nonzero plane points, the combinations
+    c @ w with c orthogonal to u, as the kernel basis of u, and a lift of
+    each: the section w[j] at the first j with u[j] != 0, which lies
+    outside the pencil, as w[j] is in it exactly when u[j] = 0.
 
     w is a net basis (3 x g) or one per point (... x 3 x g), u is ... x 3,
-    the result ... x 2 x g, from one `kernel_batch` pass over the points.
-    A pencil has rank 2 as w has rank 3; a zero point gets zero rows."""
+    the pencils ... x 2 x g and the lifts ... x g, from one `kernel_batch`
+    pass over the points and one product with w.  A pencil has rank 2 as
+    w has rank 3; a zero point gets zero rows and the lift w[0]."""
     u = np.asarray(u, dtype=np.int64) % p
     c, _ = alg.kernel_batch(u.reshape(-1, 1, 3), p, 2)
-    return c.reshape(u.shape[:-1] + (2, 3)) @ w % p
+    first = np.arange(3) == (u != 0).argmax(axis=-1)[..., None]
+    rows = np.concatenate([c.reshape(u.shape[:-1] + (2, 3)),
+                           first[..., None, :]], axis=-2) @ w % p
+    return rows[..., :2, :], rows[..., 2, :]
 
 
 def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
@@ -205,21 +222,19 @@ def project(net: Net, pts: np.ndarray, p: int) -> np.ndarray:
     return np.atleast_2d(pts) @ net.w.T % p
 
 
-def plane_points(u: np.ndarray, p: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def plane_points(u: np.ndarray, p: int) -> np.ndarray:
     """The distinct normalized points of an N x 3 stack of plane vectors in
-    lexicographic order, the index of each row's point among them and the
-    rows at each point, as `np.unique(normalize_rows(u), axis=0,
-    return_inverse=True, return_counts=True)` gives them.
+    lexicographic order, as `np.unique(normalize_rows(u), axis=0)` gives
+    them.
 
     A normalized point (x, y, z) is keyed by (x p + y) p + z: its first
     nonzero coordinate is 1, so keys stay below 2 p**2 < 2**51 at
-    p < 2**25, and sorted keys are sorted points.  Asking for the inverse
-    keeps np.unique off its hash path, whose check for masked input
-    imports numpy.ma (about 30 ms and 0.6 MB per process)."""
-    keys, inv, counts = np.unique(alg.normalize_rows(u, p) @ [p * p, p, 1],
-                                  return_inverse=True, return_counts=True)
-    return keys[:, None] // [p * p, p, 1] % p, inv, counts
+    p < 2**25, and sorted keys are sorted points.  Asking for the inverse,
+    which is not used, keeps np.unique off its hash path, whose check for
+    masked input imports numpy.ma (about 30 ms and 0.6 MB per process)."""
+    keys, _ = np.unique(alg.normalize_rows(u, p) @ [p * p, p, 1],
+                        return_inverse=True)
+    return keys[:, None] // [p * p, p, 1] % p
 
 
 def gamma_equation(ctx: CurveContext, net: Net) -> PlaneCurve:
@@ -256,7 +271,7 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
     p = ctx.p
     degree = 2 * ctx.g - 2
     rows = max(mono.count(3, degree) + 10, degree ** 2 + 1)
-    pts = [plane_points(u[u.any(axis=1)], p)[0]
+    pts = [plane_points(u[u.any(axis=1)], p)
            for u in (project(net, ctx.panel, p) for net in nets)]
     sizes = np.array([len(x) for x in pts])
     starts = np.cumsum(sizes) - sizes
@@ -287,91 +302,62 @@ def _gamma_pass(ctx: CurveContext, nets: list[Net]
 _WITNESS_FAILURES = (
     (InVertex, "zero probe vector"),
     (InVertex, "probe lies on the vertex"),
-    (OnGammaFiber, "probe projects onto the plane image"),
 ) + pc.INADMISSIBLE + (
     (CorankJump, "cup Gram corank is not 2"),
     (InconsistentSystem, "rhs is not in the column space"),
 )
 
 
-def _on_gamma(ctx: CurveContext, nets: list[Net], u: np.ndarray
-              ) -> tuple[np.ndarray, dict]:
-    """Which plane points u[n] lie on the plane image of nets[n], and the
-    exception of each probe whose net has no plane image equation; one
-    `gamma_equations` fits the distinct nets."""
-    hits = np.zeros(len(nets), dtype=bool)
-    unfit: dict = {}
-    keys = np.array([id(net) for net in nets])
-    distinct = list({id(net): net for net in nets}.values())
-    for net, gamma in zip(distinct, gamma_equations(ctx, distinct)):
-        mine = keys == id(net)
-        if isinstance(gamma, AmbiguousFit):
-            hits[mine] = True
-            unfit.update(dict.fromkeys(np.nonzero(mine)[0].tolist(), gamma))
-            continue
-        hits[mine] = mono.form_eval(gamma.coeffs, u[mine], 3, gamma.degree,
-                                    ctx.p) == 0
-    return hits, unfit
-
-
-def oracle_batch(ctx: CurveContext, nets: list[Net], probes,
-                 check_gamma: bool = True
+def oracle_batch(ctx: CurveContext, nets: list[Net], probes
                  ) -> list[OracleWitness | CurveConesError]:
     """The membership-oracle witness of each probe b[n] in nets[n].
 
     Cuts the pencil of net sections vanishing at b, builds the cup Gram for
-    a lift, and solves gram y = b; y is well defined modulo the pencil and
-    all downstream pairings are insensitive to that ambiguity.  A probe
-    that fails gets, in place of its witness, the exception that
-    `oracle_witness` raises for it: the first of `_WITNESS_FAILURES` that
-    applies (the plane-image test only when check_gamma), the pencil's
-    from `pencil.admissibility`.  Every step runs on a stack of probes,
+    the lift of `pencil_at`, and solves gram y = b; y is well defined
+    modulo the pencil and all downstream pairings are insensitive to that
+    ambiguity.  A probe that fails gets, in place of its witness, the
+    exception that `oracle_witness` raises for it: the first of
+    `_WITNESS_FAILURES` that applies, the pencil's from
+    `pencil.admissibility`.  A probe over the plane image fails the
+    pencil's tests or the corank test (module docstring); the image is
+    never evaluated.  Every step runs on a stack of probes,
     failed ones included, through the `pencil` contractions and
     `algebra.rref_batch`, in passes of PASS_CELLS cells of the
     admissibility product space, 2 d2 d3 a probe.
     """
     b = np.asarray(probes, dtype=np.int64).reshape(-1, ctx.g) % ctx.p
     return [wit for s in _passes(len(b), 2 * ctx.times_linear[0].size)
-            for wit in _witness_pass(ctx, nets[s], b[s], check_gamma)]
+            for wit in _witness_pass(ctx, nets[s], b[s])]
 
 
-def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray,
-                  check_gamma: bool) -> list[OracleWitness | CurveConesError]:
+def _witness_pass(ctx: CurveContext, nets: list[Net], b: np.ndarray
+                  ) -> list[OracleWitness | CurveConesError]:
     """`oracle_batch` on reduced probes, as one array pass."""
     p = ctx.p
     g = ctx.g
-    n = b.shape[0]
     w = np.stack([net.w for net in nets])
     u = np.einsum("nkj,nj->nk", w, b) % p      # zero exactly on the vertex
-    on_gamma, unfit = _on_gamma(ctx, nets, u) if check_gamma \
-        else (np.zeros(n, dtype=bool), {})
-    v = pencil_at(w, u, p)
+    v, lift = pencil_at(w, u, p)
     vbar, inadmissible = pc.admissibility(ctx, v)
-    # the lift w[j], u[j] != 0, never lies in the pencil orthogonal to u
-    lift = w[np.arange(n), (u != 0).argmax(axis=1)]
     grams = pc.cup_grams(ctx, vbar, lift)
     y, rank, consistent = alg.solve_batch(grams, b[:, :, None], p)
     failed = np.concatenate([
-        np.stack([~b.any(axis=1), ~u.any(axis=1), on_gamma]), inadmissible,
+        np.stack([~b.any(axis=1), ~u.any(axis=1)]), inadmissible,
         np.stack([rank != g - 2, ~consistent])])
-    out = outcomes(failed, _WITNESS_FAILURES, lambda i: OracleWitness(
+    return outcomes(failed, _WITNESS_FAILURES, lambda i: OracleWitness(
         b=b[i], v_b=v[i], y=y[i, :, 0], gram=grams[i]))
-    # a net without a plane image equation gives its AmbiguousFit instead
-    return [unfit.get(i, wit) if isinstance(wit, OnGammaFiber) else wit
-            for i, wit in enumerate(out)]
 
 
-def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray,
-                   check_gamma: bool = True) -> OracleWitness:
+def oracle_witness(ctx: CurveContext, net: Net, b: np.ndarray
+                   ) -> OracleWitness:
     """Shared setup of the pointwise membership oracles: `oracle_batch` on
     the one probe, raising its exception."""
-    return value_of(oracle_batch(ctx, [net], [b], check_gamma)[0])
+    return value_of(oracle_batch(ctx, [net], [b])[0])
 
 
-def oracle_value(ctx: CurveContext, net: Net, b: np.ndarray,
-                 check_gamma: bool = True) -> int:
+def oracle_value(ctx: CurveContext, net: Net, b: np.ndarray) -> int:
     """Witness pairing <b, y>; zero exactly on the quartic cone."""
-    wit = oracle_witness(ctx, net, b, check_gamma=check_gamma)
+    wit = oracle_witness(ctx, net, b)
     return int(wit.b @ wit.y % ctx.p)
 
 

@@ -712,7 +712,7 @@ def family_samples(ctx, family, b0, count):
             continue
         if net.in_b or net.in_d:
             continue
-        wit = nt.oracle_batch(ctx, [net], [b0], check_gamma=False)[0]
+        wit = nt.oracle_batch(ctx, [net], [b0])[0]
         if isinstance(wit, DegenerateInput):
             continue
         if isinstance(wit, CurveConesError):
@@ -732,7 +732,7 @@ def fiber_quadric(ctx, net_obj, cone, u):
     u = np.asarray(u, dtype=np.int64) % p
     if not u.any():
         raise RankDeficientW("plane point cannot be zero")
-    vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p), p)
+    vperp = alg.kernel_basis(nt.pencil_at(net_obj.w, u, p)[0], p)
     vertex = alg.RowSpace(net_obj.wperp, p)
     # a nonzero point's fiber is not the vertex
     lead = next(row for row in vperp if not vertex.contains(row))
@@ -840,7 +840,7 @@ def split_fiber(ctx, net_obj, u):
     (vperp, ell, gram), or raises what the engine's `split_fibers` gives
     the point."""
     p = ctx.p
-    pen = build_pencil(ctx, nt.pencil_at(net_obj.w, u, p))
+    pen = build_pencil(ctx, nt.pencil_at(net_obj.w, u, p)[0])
     pencil_span = alg.RowSpace(pen.v, p)
     lift = next(row for row in net_obj.w if not pencil_span.contains(row))
     cg = pc.cup_gram(ctx, pen, lift)

@@ -242,8 +242,8 @@ class TestPolarRounds:
         monkeypatch.undo()
         real_oracle = nt.oracle_batch
 
-        def oracle_batch(ctx, nets, probes, check_gamma=True):
-            out = real_oracle(ctx, nets, probes, check_gamma)
+        def oracle_batch(ctx, nets, probes):
+            out = real_oracle(ctx, nets, probes)
             for i, net in enumerate(nets):
                 k = next(k for k, c in enumerate(cones) if c.net is net)
                 out[i] = VerificationFailed(f"planted {k}")

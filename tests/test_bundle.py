@@ -1,6 +1,5 @@
 """Fiber quadrics, Hessian/Steinerian, node counting."""
 
-import copy
 import hashlib
 
 import numpy as np
@@ -245,21 +244,6 @@ class TestHessianScan:
         scan = self.scan_with(monkeypatch, ctx4, setup4, RankDeficientW)
         assert scan["off_checked"] == 0 and scan["rows"] == []
 
-    def test_shared_image_skipped(self, ctx4, setup4):
-        # a panel point listed twice shares its image, a smooth point of
-        # the plane curve, with itself: the gradient test alone passes it
-        net, cone = setup4
-        twice = copy.copy(ctx4)
-        twice.panel = np.concatenate([ctx4.panel[:1], ctx4.panel[:4]])
-        scan = bd.hessian_scan(twice, net, cone, 3, 0, Stream(204, "u"))
-        assert [r[0].tolist() for r in scan["rows"]] == [
-            reference.normalize(net.w @ pt % P, P).tolist()
-            for pt in ctx4.panel[1:4]]
-        # so the five panel points give three fibers and no more
-        with pytest.raises(DegenerateInput, match="on-image fibers: no "
-                           "usable draw in 5 attempts"):
-            bd.hessian_scan(twice, net, cone, 4, 0, Stream(204, "u"))
-
 
 class TestSteinerian:
     def test_kernel_is_curve_point(self, ctx4, setup4):
@@ -278,21 +262,31 @@ class TestSteinerian:
         assert reference.det(off[0].gram, P) != 0
         assert not bd.steinerian_check(off, pts[:1], P)[0]
 
-    def test_node_fiber_on_vertex_secant(self, ctx4):
+    @pytest.mark.parametrize("genus", [4, 5])
+    def test_node_fiber_on_vertex_secant(self, genus, request):
         # a secant through the vertex maps both ends to one plane point,
-        # which is then a node of the image curve: a full scan of the panel
-        # emits a row for every panel point but these two
-        pt_p, pt_q, net = cn.secant_through_vertex(ctx4, Stream(202, "sv"))
-        cone = cn.reconstruct_quartic(ctx4, net, oracle_points=4)
-        n = len(ctx4.panel)
-        scan = bd.hessian_scan(ctx4, net, cone, n - 2, 0, Stream(202, "u"))
-        node = reference.normalize(net.w @ pt_p % P, P).tolist()
-        assert reference.normalize(net.w @ pt_q % P, P).tolist() == node
-        assert node not in [r[0].tolist() for r in scan["rows"]]
+        # which is then a node of the image curve: the gradient of its
+        # equation vanishes there, so the scan's one test skips both ends
+        # and a full scan of the panel emits a row for every other point
+        ctx = request.getfixturevalue(f"ctx{genus}")
+        p = ctx.p
+        pt_p, pt_q, net = cn.secant_through_vertex(ctx,
+                                                   Stream(202, f"sv{genus}"))
+        cone = cn.reconstruct_quartic(ctx, net, oracle_points=4)
+        n = len(ctx.panel)
+        scan = bd.hessian_scan(ctx, net, cone, n - 2, 0, Stream(202, "u"))
+        node = reference.normalize(net.w @ pt_p % p, p)
+        assert reference.normalize(net.w @ pt_q % p, p).tolist() \
+            == node.tolist()
+        gamma = nt.gamma_equation(ctx, net)
+        grad = mono.gradient(gamma.coeffs, 3, gamma.degree, p)
+        assert not mono.form_eval(grad.T, node[None], 3, gamma.degree - 1,
+                                  p).any()
+        assert node.tolist() not in [r[0].tolist() for r in scan["rows"]]
         assert scan["on_checked"] == n - 2
         assert scan["kernel_matches"] == n - 2
         with pytest.raises(DegenerateInput, match="on-image fibers"):
-            bd.hessian_scan(ctx4, net, cone, n - 1, 0, Stream(202, "u"))
+            bd.hessian_scan(ctx, net, cone, n - 1, 0, Stream(202, "u"))
 
 
 def plane_form(terms, degree, p):

@@ -379,10 +379,10 @@ class TestFamilySweepRounds:
         # fails
         real_oracle = nt.oracle_batch
 
-        def oracle_batch(ctx, nets, probes, check_gamma=True):
+        def oracle_batch(ctx, nets, probes):
             return [InVertex("planted") if int(net.w.sum()) % every == 0
                     else wit for net, wit in zip(
-                        nets, real_oracle(ctx, nets, probes, check_gamma))]
+                        nets, real_oracle(ctx, nets, probes))]
 
         monkeypatch.setattr(nt, "oracle_batch", oracle_batch)
         want, last_t = reference.family_samples(ctx4, family, b0, 100)
